@@ -3,9 +3,10 @@
 Mirrors the reference lifecycle — ``AutoPrepAD.fit`` learns per-column
 state over a train frame (runs.py:117-168) and ``predict`` applies it
 plus score/label/sort (runs.py:170-222) — as two streaming Ray Data
-jobs: a profile pass (partial sketches -> tree merge -> broadcastable
-artifact) and a validate pass (stateless vectorized checks + two tiny
-score barriers + per-partition verdict groupby).
+jobs: a profile pass (partial sketches -> pairwise merge -> broadcastable
+artifact) and a validate pass (stateless vectorized checks, whose one
+summary pass yields both the score threshold and the per-partition
+verdicts; the enriched rows stream at the consumer).
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ def validate_numeric_table(ds, numeric_cols: list[str], *,
     states = rc.fence_states(prof, numeric_cols, tukey_factor=tukey_factor,
                              mode=mode)
     checked = rc.check_rows(ds, states, mad_threshold=mad_threshold)
-    enriched = rc.attach_scores(checked, pct=pct)
-    verdicts = None
-    if partition_col is not None:
-        verdicts = rc.partition_verdicts(checked, partition_col,
-                                         budget=budget)
+    stats, verdicts = rc.check_summary(checked, partition_col, pct=pct,
+                                       budget=budget)
+    enriched = rc.attach_scores(checked, stats=stats)
     return ValidationResult(profile=prof, enriched=enriched,
                             verdicts=verdicts, states=states)

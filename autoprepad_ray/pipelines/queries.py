@@ -837,11 +837,14 @@ def cc_orders_sharing_part(sf_dir: str):
 
     def mk_edges(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_quantity"], 1.0))
-        if t.num_rows and (pc.max(t["l_orderkey"]).as_py() >= part_off
+        # null_count first: an all-null column's max/min is None
+        if t.num_rows and (t["l_orderkey"].null_count
+                           or t["l_partkey"].null_count
+                           or pc.max(t["l_orderkey"]).as_py() >= part_off
                            or pc.min(t["l_partkey"]).as_py() < 0):
-            raise ValueError("orderkey >= 2^40 (or negative partkey) "
-                             "breaks the bipartite node encoding; "
-                             "raise part_off")
+            raise ValueError("null key, orderkey >= 2^40 or negative "
+                             "partkey breaks the bipartite node "
+                             "encoding; raise part_off")
         return pa.table({
             "src": t["l_orderkey"],
             "dst": pc.add(t["l_partkey"], pa.scalar(part_off, pa.int64()))})
@@ -2981,8 +2984,8 @@ def full_outer_user_day_activity(sf_dir: str):
             .astype("datetime64[us]").view(np.int64)
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         day = ts // day_us
-        if len(uid) and (uid.min() < 0 or day.min() < 0
-                         or day.max() >= 1 << 20):
+        if len(uid) and (uid.min() < 0 or uid.max() >= 1 << 43
+                         or day.min() < 0 or day.max() >= 1 << 20):
             raise ValueError("user_id/day outside the (user << 20 | day) "
                              "packing range")
         uk = uid * shift + day

@@ -48,7 +48,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .. import __version__
-from ..profile import TableProfile, profile_dataset
+from ..profile import ProfileFormatError, TableProfile, profile_dataset
 from ..validators import drift, row_checks as rc
 from .image_validation import _prep, assert_schema_files
 
@@ -140,7 +140,10 @@ def _load_or_build_profile(out_dir: str, ref_files: list[str],
     path = os.path.join(out_dir, f"profile_{fp}.json")
     if os.path.exists(path):
         with open(path) as f:
-            return TableProfile.from_json(f.read()), fp
+            try:
+                return TableProfile.from_json(f.read()), fp
+            except ProfileFormatError:
+                pass        # an older engine's format: re-profile below
     ds = rd.read_parquet(ref_files)
     prof = profile_dataset(
         ds.map_batches(_prep, batch_format="pyarrow", zero_copy_batch=True),

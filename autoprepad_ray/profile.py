@@ -6,11 +6,11 @@ MAD median/mad MedianAbsolutDeviation.py:41-42, imputer medians/modes,
 RobustScaler center/scale — all scalars learned over the train frame).
 
 Shape: ``map_batches(partial)`` emits ONE serialized sketch-bundle row per
-block (pre-aggregation — nothing row-shaped ever shuffles), a second tiny
-``map_batches`` level tree-merges 32 bundles at a time, and the driver
-finalizes the handful of survivors into a :class:`TableProfile`.  The
-artifact is a few KB of JSON — broadcast to validate tasks exactly like
-the reference shares fitted scalars by object reference.
+block (pre-aggregation — nothing row-shaped ever shuffles), and the driver
+folds the bundles in a balanced pairwise order into a
+:class:`TableProfile`.  The artifact is a few KB of JSON — broadcast to
+validate tasks exactly like the reference shares fitted scalars by
+object reference.
 """
 
 from __future__ import annotations
@@ -23,9 +23,16 @@ from typing import Any, Iterable
 import numpy as np
 import pyarrow as pa
 
-from .sketches import HyperLogLog, MomentSketch, TDigest, ValueCounts, hash64
+from .sketches import KLL, HyperLogLog, MomentSketch, ValueCounts, hash64
 
 POOLED = "__pooled__"  # reference's global-flattened stats (SURVEY §1.1)
+# stamped into TableProfile JSON; 2 = KLL quantile sketch (the unstamped
+# format 1 held a t-digest)
+PROFILE_FORMAT = 2
+
+
+class ProfileFormatError(ValueError):
+    """A stored profile has another format version: re-profile."""
 
 
 def _col_kind(t: pa.DataType) -> str:
@@ -48,19 +55,19 @@ class ColumnSketch:
     kind: str
     moments: MomentSketch = field(default_factory=MomentSketch)
     values: ValueCounts = field(default_factory=ValueCounts)
-    tdigest: TDigest = field(default_factory=TDigest)
+    kll: KLL = field(default_factory=KLL)
     hll: HyperLogLog = field(default_factory=HyperLogLog)
 
     def _spill_to_sketches(self) -> None:
-        """Exactness abandoned: seed t-digest + HLL from the drained
-        exact value counts (a weighted t-digest update and a hash pass
-        over the DISTINCT values reproduce everything the approximate
-        sketches would have seen)."""
+        """Exactness abandoned: seed KLL + HLL from the drained exact
+        value counts (a weighted KLL seeding and a hash pass over the
+        DISTINCT values reproduce everything the approximate sketches
+        would have seen)."""
         vals, cnts = self.values.drain()
         if len(vals) == 0:
             return
         if self.kind in ("numeric", "timestamp"):
-            self.tdigest.update_weighted(
+            self.kll.update_weighted(
                 np.asarray(vals, dtype=np.float64),
                 np.asarray(cnts, dtype=np.int64))
         self.hll.add_hashes(hash64(vals))
@@ -76,7 +83,7 @@ class ColumnSketch:
             np_vals = np.asarray(np_vals)
             self.moments.update(np_vals, nulls=nulls)
             if not self.values.overflow:
-                # exact path: t-digest/HLL stay dormant (lazy) — they are
+                # exact path: KLL/HLL stay dormant (lazy) — they are
                 # seeded from the exact counts only if exactness is lost
                 self.values.update(np_vals)
                 if self.values.overflow:
@@ -84,7 +91,7 @@ class ColumnSketch:
             else:
                 clean = (np_vals[~np.isnan(np_vals)]
                          if np_vals.dtype.kind == "f" else np_vals)
-                self.tdigest.update(clean.astype(np.float64, copy=False))
+                self.kll.update(clean)
                 if clean.size:
                     self.hll.add_hashes(hash64(clean))
         elif self.kind == "string":
@@ -120,7 +127,7 @@ class ColumnSketch:
             self.values.merge(o.values)
             if self.values.overflow:
                 self._spill_to_sketches()
-        self.tdigest.merge(o.tdigest)
+        self.kll.merge(o.kll)
         self.hll.merge(o.hll)
         return self
 
@@ -136,10 +143,10 @@ class ColumnSketch:
 
     def quantile(self, q: float) -> float:
         """Exact (ValueCounts, numpy-linear semantics) under the distinct
-        threshold; t-digest past it — the documented scale contract."""
+        threshold; KLL past it — the documented scale contract."""
         if not self.values.overflow:
             return self.values.quantile(q)
-        return self.tdigest.quantile(q)
+        return self.kll.quantile(q)
 
     @property
     def exact_quantiles(self) -> bool:
@@ -160,7 +167,7 @@ class ColumnSketch:
             "name": self.name, "kind": self.kind,
             "moments": self.moments.to_dict(),
             "values": self.values.to_dict(),
-            "tdigest": self.tdigest.to_dict(),
+            "kll": self.kll.to_dict(),
             "hll": self.hll.to_dict(),
         }
 
@@ -170,7 +177,7 @@ class ColumnSketch:
             name=d["name"], kind=d["kind"],
             moments=MomentSketch.from_dict(d["moments"]),
             values=ValueCounts.from_dict(d["values"]),
-            tdigest=TDigest.from_dict(d["tdigest"]),
+            kll=KLL.from_dict(d["kll"]),
             hll=HyperLogLog.from_dict(d["hll"]),
         )
 
@@ -191,6 +198,7 @@ class TableProfile:
 
     def to_json(self) -> str:
         return json.dumps({
+            "format": PROFILE_FORMAT,
             "n_rows": self.n_rows, "fingerprint": self.fingerprint,
             "columns": {k: v.to_dict() for k, v in self.columns.items()},
         })
@@ -198,6 +206,10 @@ class TableProfile:
     @classmethod
     def from_json(cls, s: str) -> "TableProfile":
         d = json.loads(s)
+        if d.get("format") != PROFILE_FORMAT:
+            raise ProfileFormatError(
+                f"profile format {d.get('format', 1)}, this engine reads "
+                f"{PROFILE_FORMAT}")
         return cls(
             columns={k: ColumnSketch.from_dict(v) for k, v in d["columns"].items()},
             n_rows=d["n_rows"], fingerprint=d["fingerprint"],
@@ -235,19 +247,14 @@ def _make_partial_fn(columns: list[str] | None, pooled: bool,
     return partial
 
 
-def _merge_bundles(batch: pa.Table) -> pa.Table:
-    total = 0
-    merged: dict[str, ColumnSketch] = {}
-    for payload in batch["payload"].to_pylist():
-        n, sketches = pickle.loads(payload)
-        total += n
-        for name, cs in sketches.items():
-            if name in merged:
-                merged[name].merge(cs)
-            else:
-                merged[name] = cs
-    out = pickle.dumps((total, merged))
-    return pa.table({"payload": pa.array([out], type=pa.large_binary())})
+def _merge_bundle(a: tuple, b: tuple) -> tuple:
+    (na, sa), (nb, sb) = a, b
+    for name, cs in sb.items():
+        if name in sa:
+            sa[name].merge(cs)
+        else:
+            sa[name] = cs
+    return na + nb, sa
 
 
 def profile_dataset(ds, columns: list[str] | None = None, *,
@@ -258,25 +265,21 @@ def profile_dataset(ds, columns: list[str] | None = None, *,
     ``pooled=True`` additionally produces the reference's global-flattened
     statistics over all numeric columns (np.quantile with no axis,
     TukeyTransformer.py:37-38) under the ``__pooled__`` key.
+
+    The block bundles are folded in a balanced pairwise order, so each
+    exact value is re-merged O(log blocks) times; a left fold would
+    re-merge the growing accumulator once per block.
     """
-    partials = ds.map_batches(
+    rows = ds.map_batches(
         _make_partial_fn(columns, pooled, max_exact),
         batch_format="pyarrow", zero_copy_batch=True,
-    )
-    # tree level: merge 32 block-bundles per task before the driver sees them
-    combined = partials.map_batches(_merge_bundles, batch_size=32,
-                                    batch_format="pyarrow")
-    rows = combined.take_all()
-    total = 0
-    merged: dict[str, ColumnSketch] = {}
-    for row in rows:
-        n, sketches = pickle.loads(row["payload"])
-        total += n
-        for name, cs in sketches.items():
-            if name in merged:
-                merged[name].merge(cs)
-            else:
-                merged[name] = cs
+    ).take_all()
+    bundles = [pickle.loads(r["payload"]) for r in rows] or [(0, {})]
+    while len(bundles) > 1:
+        bundles = [_merge_bundle(a, b)
+                   for a, b in zip(bundles[0::2], bundles[1::2])] \
+            + bundles[len(bundles) & ~1:]
+    total, merged = bundles[0]
     return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint)
 
 

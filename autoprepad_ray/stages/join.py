@@ -20,6 +20,12 @@ import pyarrow as pa
 
 from ..sketches import hash64, splitmix64
 
+# asof_join / range_join pack (key_code << 32) | ts_rank into a SIGNED
+# int64, so both halves must stay below 2^31.  Key codes index the
+# distinct keys of the bucket's rows, so bounding the bucket's rows
+# bounds both.
+PACK_LIMIT = 1 << 31
+
 
 def _ts_i64(a: np.ndarray) -> np.ndarray:
     """Raw int64 view of a timestamp/int column (us for datetime64) —
@@ -273,15 +279,15 @@ def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
         # equal timestamps share a rank, so side='right' - 1 lands on
         # the LAST right row with (key, ts) <= (key, ts)_left — which,
         # with rg sorted by (key, ts, tie), is also the max-tie winner).
-        # ts_rank < bucket rows, so a bucket must stay < 2^32 rows —
-        # raise num_buckets long before that.
+        # ts_rank and key_code < bucket rows, so a bucket must stay
+        # below PACK_LIMIT rows — raise num_buckets long before that.
         uk = np.unique(np.concatenate([rk, lk]))
         rkc = np.searchsorted(uk, rk).astype(np.int64)
         lkc = np.searchsorted(uk, lk).astype(np.int64)
         allt = np.sort(np.concatenate([rt, lt]))
-        if len(allt) >= 1 << 32:        # ranks must fit the low 32 bits
+        if len(allt) >= PACK_LIMIT:
             raise ValueError(
-                f"asof_join bucket holds {len(allt)} rows >= 2^32; "
+                f"asof_join bucket holds {len(allt)} rows >= {PACK_LIMIT}; "
                 "raise num_buckets")
         rtr = np.searchsorted(allt, rt, side="left").astype(np.int64)
         ltr = np.searchsorted(allt, lt, side="left").astype(np.int64)
@@ -335,8 +341,8 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
     match), one ``searchsorted`` pair per bucket for the
     ``start <= ts`` upper bounds, ``np.repeat`` expansion of the
     candidate ranges, and an ``end > ts`` filter.  No per-row Python.
-    Composite is ``code << 32 | ts_rank`` — a bucket must stay < 2^32
-    rows; raise ``num_buckets`` long before that.
+    Composite is ``code << 32 | ts_rank`` — a bucket must stay below
+    ``PACK_LIMIT`` (2^31) rows; raise ``num_buckets`` long before that.
 
     Output pair volume is intrinsic to the join predicate (a key+tile
     with many overlapping intervals genuinely matches many pairs);
@@ -419,9 +425,9 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
         order = np.lexsort((rt, rkc))
         rkc_s, rt_s, re_s = rkc[order], rt[order], re_[order]
         allt = np.sort(np.concatenate([rt_s, lt]))
-        if len(allt) >= 1 << 32:        # ranks must fit the low 32 bits
+        if len(allt) >= PACK_LIMIT:
             raise ValueError(
-                f"range_join bucket holds {len(allt)} rows >= 2^32; "
+                f"range_join bucket holds {len(allt)} rows >= {PACK_LIMIT}; "
                 "raise num_buckets")
         rtr = np.searchsorted(allt, rt_s, side="left").astype(np.int64)
         ltr = np.searchsorted(allt, lt, side="left").astype(np.int64)

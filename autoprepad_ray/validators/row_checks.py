@@ -16,10 +16,10 @@ Reference semantics reproduced (see /root/reference):
   exceeds the budget.
 
 Execution shape: profile (already computed) is a few-KB broadcast; the
-check itself is a stateless vectorized ``map_batches``; score scaling and
-thresholding need two tiny barrier aggregates (pre-aggregated per block —
-only value-count rows shuffle); verdicts are a partial-then-final groupby
-on ``partition_id``.
+check itself is a stateless vectorized ``map_batches``; ONE pass over the
+checked rows (:func:`check_summary`) emits per-block raw-score counts and
+per-partition ``(n_rows, n_viol)`` partials together, folded on the
+driver into the score scaling/threshold and the partition verdicts.
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def fence_states(profile: TableProfile, cols: list[str], *,
         q1, q3 = src.quantile(0.25), src.quantile(0.75)
         iqr = q3 - q1
         med = src.quantile(0.5)
-        if src.exact_quantiles and src.values.counts:
+        if src.exact_quantiles and src.values.distinct:
             vals, cnts = src.values.sorted_arrays()
             mad = _weighted_median_abs_dev(vals, cnts, med)
         else:
-            # t-digest path: MAD needs a dedicated second pass (mad_pass);
-            # fall back to a digest-based approximation here.
+            # sketch path: the MAD would need a second pass over
+            # |x - med|; without one, MAD flags stay off (NaN)
             mad = float("nan")
         out[col] = FenceState(lo=q1 - tukey_factor * iqr,
                               hi=q3 + tukey_factor * iqr,
@@ -155,40 +155,90 @@ def check_rows(ds, states: dict[str, FenceState], *,
 
 
 # ---------------------------------------------------------------------------
-# score scaling + labels (two tiny barriers, pre-aggregated)
+# score counts + verdicts: one pass over the checked rows
 
 
-def _score_counts_partial(batch: pa.Table) -> pa.Table:
-    raw = pc.add(batch[TUKEY_TOTAL], batch[MAD_TOTAL]).to_numpy(
-        zero_copy_only=False)
-    vals, cnts = np.unique(raw, return_counts=True)
-    return pa.table({"score_raw": pa.array(vals.astype(np.int64)),
-                     "n": pa.array(cnts.astype(np.int64))})
+def _score_stats(raw: np.ndarray, cnts: np.ndarray, pct: float
+                 ) -> tuple[float, float, float]:
+    """(min, max, percentile-threshold) of raw scores given as value
+    counts; threshold = ``np.percentile(scores, 100*(1-pct))``
+    (runs.py:211), NaN when there are no scores."""
+    vc = ValueCounts.from_items(raw, cnts, max_items=len(raw) + 1)
+    vals, _ = vc.sorted_arrays()
+    if not len(vals):
+        return 0.0, 0.0, float("nan")
+    return float(vals[0]), float(vals[-1]), vc.quantile(1.0 - pct)
+
+
+def check_summary(checked_ds, partition_col: str | None = None, *,
+                  pct: float = 0.10, budget: float = 0.05,
+                  evidence_cols: tuple[str, ...] = (TUKEY_TOTAL, MAD_TOTAL)):
+    """Score stats and per-partition verdicts from ONE pass.
+
+    Each block groups its rows by (raw score, violation[, partition]) and
+    emits the counts: O(distinct scores x partitions) rows per block,
+    never O(rows).  The driver folds them into
+
+    - ``(min, max, percentile-threshold)`` of the raw flag-sum score;
+    - when ``partition_col`` is given, a Dataset of per-partition
+      ``(partition_col, n_rows, n_viol, fail)``, sorted by partition.  A
+      row is a violation if ANY evidence column is > 0 (the reference's
+      OR-merge, experiment.py:441-445); a partition fails when its
+      violation share exceeds ``budget``.  Otherwise ``None``.
+    """
+    import pandas as pd
+
+    import ray.data as rd
+
+    def partial(batch: pa.Table) -> pa.Table:
+        viol = np.zeros(batch.num_rows, dtype=bool)
+        for c in evidence_cols:
+            viol |= batch[c].to_numpy(zero_copy_only=False) > 0
+        cols = {"score_raw": pc.add(batch[TUKEY_TOTAL], batch[MAD_TOTAL]),
+                "viol": pa.array(viol)}
+        if partition_col is not None:
+            cols[partition_col] = batch[partition_col]
+        return pa.table(cols).group_by(list(cols)).aggregate(
+            [([], "count_all")])
+
+    rows = checked_ds.map_batches(partial, batch_format="pyarrow",
+                                  zero_copy_batch=True).take_all()
+    df = pd.DataFrame(rows, columns=["score_raw", "viol", "count_all"]
+                      + ([partition_col] if partition_col else []))
+    scores = df.groupby("score_raw")["count_all"].sum()
+    stats = _score_stats(scores.index.to_numpy(np.int64),
+                         scores.to_numpy(np.int64), pct)
+    if partition_col is None:
+        return stats, None
+    if df.empty:
+        return stats, rd.from_arrow(pa.table({
+            partition_col: pa.array([], type=pa.int64()),
+            "n_rows": pa.array([], type=pa.int64()),
+            "n_viol": pa.array([], type=pa.int64()),
+            "fail": pa.array([], type=pa.int8())}))
+    df["n_viol"] = df["count_all"] * df["viol"]
+    v = (df.rename(columns={"count_all": "n_rows"})
+         .groupby(partition_col, as_index=False)[["n_rows", "n_viol"]].sum())
+    v["fail"] = (v["n_viol"] / v["n_rows"] > budget).astype(np.int8)
+    return stats, rd.from_pandas(
+        v.sort_values(partition_col).reset_index(drop=True))
 
 
 def score_threshold(checked_ds, *, pct: float = 0.10
                     ) -> tuple[float, float, float]:
-    """Return (min, max, percentile-threshold) of the raw score.
+    """Return (min, max, percentile-threshold) of the raw score
+    (:func:`check_summary` without partitions)."""
+    return check_summary(checked_ds, pct=pct)[0]
 
-    Raw scores are small ints (flag sums), so the per-block value-counts
-    partial collapses to a handful of rows before the groupby — the
-    shuffle moves O(distinct_scores × blocks), never O(rows).
-    """
-    from ray.data.aggregate import Sum
 
-    counts = (checked_ds
-              .map_batches(_score_counts_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby("score_raw").aggregate(Sum("n", alias_name="n"))
-              ).take_all()
-    vc = ValueCounts.from_items(
-        [int(r["score_raw"]) for r in counts],
-        [int(r["n"]) for r in counts], max_items=len(counts) + 1)
-    vals, _ = vc.sorted_arrays()
-    lo = float(vals[0]) if len(vals) else 0.0
-    hi = float(vals[-1]) if len(vals) else 0.0
-    thr = vc.quantile(1.0 - pct)  # np.percentile(scores, 100*(1-pct)), runs.py:211
-    return float(lo), float(hi), float(thr)
+def partition_verdicts(checked_ds, partition_col: str, *,
+                       budget: float = 0.05,
+                       evidence_cols: tuple[str, ...] = (TUKEY_TOTAL, MAD_TOTAL)):
+    """Per-partition pass/fail: violation share vs budget.  Returns a
+    Dataset with (partition_col, n_rows, n_viol, fail); see
+    :func:`check_summary`, whose pass this is."""
+    return check_summary(checked_ds, partition_col, budget=budget,
+                         evidence_cols=evidence_cols)[1]
 
 
 def score_stats_from_profile(profile: TableProfile,
@@ -232,11 +282,7 @@ def score_stats_from_profile(profile: TableProfile,
     if zeros_extra:
         raw = np.concatenate([raw, [0]])
         cnts = np.concatenate([cnts, [zeros_extra]])
-    vc = ValueCounts.from_items(raw, cnts, max_items=len(raw) + 1)
-    rv, _ = vc.sorted_arrays()
-    lo = float(rv[0]) if len(rv) else 0.0
-    hi = float(rv[-1]) if len(rv) else 0.0
-    return lo, hi, float(vc.quantile(1.0 - pct))
+    return _score_stats(raw, cnts, pct)
 
 
 def attach_scores(checked_ds, *, pct: float = 0.10,
@@ -262,103 +308,3 @@ def attach_scores(checked_ds, *, pct: float = 0.10,
 
     return checked_ds.map_batches(attach, batch_format="pyarrow",
                                   zero_copy_batch=True)
-
-
-# ---------------------------------------------------------------------------
-# per-partition verdicts
-
-
-def partition_check_summary(checked_ds, partition_col: str,
-                            checks: dict[str, tuple[tuple[str, ...], float]]):
-    """ALL per-partition budget checks in ONE streaming pass.
-
-    ``checks`` maps check-name -> (evidence_cols, budget).  Each block
-    emits one row per partition with per-check violation counts; the
-    driver sums the O(blocks x partitions) partials and applies budgets.
-    Returns a pandas DataFrame (partition_col, n_rows, {name}_viol,
-    {name}_fail per check).
-    """
-    import pandas as pd
-
-    names = list(checks)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch[partition_col].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        cols = {partition_col: pa.array(uniq),
-                "n_rows": pa.array(np.bincount(
-                    inv, minlength=len(uniq)).astype(np.int64))}
-        for name in names:
-            evidence_cols, _ = checks[name]
-            viol = np.zeros(batch.num_rows, dtype=bool)
-            for c in evidence_cols:
-                viol |= batch[c].to_numpy(zero_copy_only=False) > 0
-            cols[f"{name}_viol"] = pa.array(np.bincount(
-                inv, weights=viol.astype(np.float64),
-                minlength=len(uniq)).astype(np.int64))
-        return pa.table(cols)
-
-    rows = checked_ds.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True).take_all()
-    df = pd.DataFrame(rows).groupby(partition_col, as_index=False).sum()
-    for name in names:
-        _, budget = checks[name]
-        df[f"{name}_fail"] = (df[f"{name}_viol"] / df["n_rows"]
-                              > budget).astype(int)
-    return df.sort_values(partition_col).reset_index(drop=True)
-
-
-def partition_verdicts(checked_ds, partition_col: str, *,
-                       budget: float = 0.05,
-                       evidence_cols: tuple[str, ...] = (TUKEY_TOTAL, MAD_TOTAL)):
-    """Per-partition pass/fail: violation share vs budget.
-
-    A row is a violation if ANY evidence column is > 0 (the reference's
-    OR-merge, experiment.py:441-445).  Partial counts per block, a
-    32-way Arrow tree-merge level, then a driver fold — a Ray
-    sort-groupby here pays 1-2 s of exchange overhead for a verdict
-    keyspace of dozens-to-thousands of partitions (verdict tables are
-    human/manifest-consumed; the flat-cost lesson from the census
-    reduces).  Driver rows stay O(partitions x blocks / 32).
-    Returns a Dataset with (partition_col, n_rows, n_viol, fail).
-    """
-    import pandas as pd
-
-    import ray.data as rd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        viol = np.zeros(batch.num_rows, dtype=bool)
-        for c in evidence_cols:
-            viol |= batch[c].to_numpy(zero_copy_only=False) > 0
-        keys = batch[partition_col].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        n = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        nv = np.bincount(inv, weights=viol.astype(np.float64),
-                         minlength=len(uniq)).astype(np.int64)
-        return pa.table({partition_col: pa.array(uniq),
-                         "n_rows": pa.array(n), "n_viol": pa.array(nv)})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(partition_col).aggregate(
-            [("n_rows", "sum"), ("n_viol", "sum")])
-        return pa.table({partition_col: g[partition_col],
-                         "n_rows": g["n_rows_sum"],
-                         "n_viol": g["n_viol_sum"]})
-
-    rows = (checked_ds
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=32, batch_format="pyarrow")
-            ).take_all()
-    if not rows:
-        return rd.from_arrow(pa.table({
-            partition_col: pa.array([], type=pa.int64()),
-            "n_rows": pa.array([], type=pa.int64()),
-            "n_viol": pa.array([], type=pa.int64()),
-            "fail": pa.array([], type=pa.int8())}))
-    df = (pd.DataFrame(rows)
-          .groupby(partition_col, as_index=False)[["n_rows", "n_viol"]]
-          .sum())
-    df["fail"] = (df["n_viol"] / df["n_rows"] > budget).astype(np.int8)
-    return rd.from_pandas(
-        df.sort_values(partition_col).reset_index(drop=True))

@@ -64,3 +64,29 @@ def test_asof_matches_merge_asof_oracle(ray_session):
                                   exp["tie"].to_numpy(np.int64))
     np.testing.assert_array_equal(got["val"].to_numpy(),
                                   exp["val"].to_numpy())
+
+
+def test_asof_pack_limit_both_arms(ray_session, monkeypatch):
+    """The signed (key_code << 32) | ts_rank composite needs a bucket
+    below join.PACK_LIMIT rows: one bucket of exactly the limit raises,
+    one row under it joins normally."""
+    import pytest
+
+    from autoprepad_ray.stages import join
+
+    left = pd.DataFrame({"k": [1, 1, 2, 3], "t": [10, 5, 7, 4],
+                         "lid": [0, 1, 2, 3]})
+    right = pd.DataFrame({"k": [1, 1, 2], "rt": [5, 9, 7],
+                          "val": [100.0, 50.0, 8.0]})
+
+    def run():
+        return join.asof_join(_ds(left), _ds(right), on="k", left_ts="t",
+                              right_ts="rt", left_cols=["lid"],
+                              right_cols=["val"], num_buckets=1) \
+            .to_pandas().set_index("lid")["val"].to_dict()
+
+    monkeypatch.setattr(join, "PACK_LIMIT", 8)          # 7 rows: passes
+    assert run() == {0: 50.0, 1: 100.0, 2: 8.0}
+    monkeypatch.setattr(join, "PACK_LIMIT", 7)
+    with pytest.raises(ValueError, match="asof_join bucket holds 7 rows"):
+        run()

@@ -310,3 +310,35 @@ def test_duplicate_keys_shuffle_arm_matches_fast(ray_session):
     empty_slow = _duplicate_keys_shuffle(ds, ["k"], min_count=99)
     assert empty_slow.num_rows == 0
     assert empty_slow.schema == empty_fast.schema
+
+
+def test_cc_orders_sharing_part_null_key_guard(ray_session, tmp_path):
+    """A filtered lineitem batch whose orderkeys are all null must fail
+    with the node-encoding ValueError, not a TypeError from comparing
+    max() == None against 2^40."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([None, None], pa.int64()),
+        "l_partkey": pa.array([7, 8], pa.int64()),
+        "l_quantity": pa.array([1.0, 1.0])}),
+        str(tmp_path / "lineitem.parquet"))
+    # Ray wraps the task's ValueError; its message is what identifies it
+    with pytest.raises(Exception, match="bipartite node encoding"):
+        _to_pandas(QUERIES["cc_orders_sharing_part"](str(tmp_path)))
+
+
+def test_full_outer_user_day_activity_uid_bound(ray_session, tmp_path):
+    """user_id >= 2^43 overflows user_id * 2^20 in int64: the packing
+    guard must raise instead of folding a wrapped key."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "user_id": pa.array([1 << 43, 5], pa.int64()),
+        "ts": pa.array([1_600_000_000_000_000] * 2, pa.timestamp("us")),
+        "event_type": pa.array(["purchase", "error"])}),
+        str(tmp_path / "events.parquet"))
+    with pytest.raises(Exception, match="packing range"):
+        _to_pandas(QUERIES["full_outer_user_day_activity"](str(tmp_path)))

@@ -103,3 +103,20 @@ def test_range_join_string_keys(ray_session):
     for w in (None, 16):
         assert _engine(lk, lt, lid, rk, rs, re, rid, tile_width=w,
                        key_type=pa.string()) == exp
+
+
+def test_range_join_pack_limit_both_arms(ray_session, monkeypatch):
+    """The signed (key_code << 32) | ts_rank composite needs a bucket
+    below join.PACK_LIMIT rows: one bucket of exactly the limit raises,
+    one row under it joins normally."""
+    import pytest
+
+    from autoprepad_ray.stages import join
+
+    case = _rand_case(3, n_left=30, n_right=12)
+    exp = _brute(*case)
+    monkeypatch.setattr(join, "PACK_LIMIT", 43)        # 42 rows: passes
+    assert _engine(*case, tile_width=None, num_buckets=1) == exp
+    monkeypatch.setattr(join, "PACK_LIMIT", 42)
+    with pytest.raises(ValueError, match="range_join bucket holds 42 rows"):
+        _engine(*case, tile_width=None, num_buckets=1)

@@ -99,6 +99,23 @@ def test_profile_dataset_matches_profile_arrays():
     assert p2["s"].distinct() == 17
 
 
+@pytest.mark.parametrize("fmt", [None, 1, 99])
+def test_profile_json_other_format_raises(fmt):
+    """An unstamped (pre-KLL) or unknown profile format is a named error,
+    never a KeyError from a missing sketch."""
+    import json
+
+    from autoprepad_ray.profile import ProfileFormatError
+
+    d = json.loads(profile_arrays({"x": [1.0, 2.0, 3.0]}).to_json())
+    if fmt is None:
+        del d["format"]
+    else:
+        d["format"] = fmt
+    with pytest.raises(ProfileFormatError):
+        TableProfile.from_json(json.dumps(d))
+
+
 def test_scores_and_labels_match_oracle():
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.normal(0, 1, 500), [50, 60, 70, 80, 90]])
@@ -256,7 +273,7 @@ def test_tukey_pooled_overflow_fallback(tmp_path, monkeypatch):
     """Force the census-overflow (streamed pooled profile) arm of
     tukey_flags_pooled_lineitem — the scale branch the sf sweeps never
     hit — and pin its flags against the exact-census arm on a corpus
-    whose fence margins dwarf any t-digest quantile error (inliers sit
+    whose fence margins dwarf any KLL quantile error (inliers sit
     at ~50% of fence width, planted outliers at ~1000x)."""
     import functools
 
@@ -298,3 +315,49 @@ def test_tukey_pooled_overflow_fallback(tmp_path, monkeypatch):
         .sort_values("l_orderkey").reset_index(drop=True)
     assert calls == [False, True]       # per-column pass + pooled fallback
     pd.testing.assert_frame_equal(fb, exact)
+
+
+@pytest.mark.parametrize("case", ["null_nan", "empty"])
+def test_check_summary_matches_row_oracle(case):
+    """The one summary pass gives the score stats and partition verdicts
+    that a pandas oracle computes from the checked rows themselves, with
+    null and NaN values (scored 0) and with no rows at all; the public
+    score_threshold and partition_verdicts wrappers agree with it."""
+    rng = np.random.default_rng(12)
+    n = 0 if case == "empty" else 800
+    x = rng.normal(0, 1, n)
+    y = rng.normal(5, 2, n)
+    x[::37] *= 40.0                      # Tukey and MAD outliers
+    y[::53] += 90.0
+    x[::11] = np.nan                                  # NaN: scored 0
+    xa = pa.array(x, mask=np.arange(n) % 13 == 0)     # null: scored 0
+    pid = rng.integers(0, 6, n)
+    ds = rd.from_arrow(pa.table({"pid": pa.array(pid, type=pa.int64()),
+                                 "x": xa, "y": pa.array(y)})).repartition(4)
+    prof = profile_arrays({"x": rng.normal(0, 1, 300),
+                           "y": rng.normal(5, 2, 300)})
+    checked = rc.check_rows(ds, rc.fence_states(prof, ["x", "y"]))
+    stats, verdicts = rc.check_summary(checked, "pid", pct=0.10,
+                                       budget=0.05)
+    v = verdicts.to_pandas()
+    if n == 0:
+        assert stats[:2] == (0.0, 0.0) and np.isnan(stats[2])
+        assert len(v) == 0
+    else:
+        df = checked.to_pandas()
+        raw = (df[rc.TUKEY_TOTAL] + df[rc.MAD_TOTAL]).to_numpy(float)
+        assert stats[:2] == (raw.min(), raw.max())
+        assert stats[2] == pytest.approx(np.percentile(raw, 90), rel=1e-12)
+        df["viol"] = ((df[rc.TUKEY_TOTAL] > 0)
+                      | (df[rc.MAD_TOTAL] > 0)).astype(int)
+        want = df.groupby("pid").agg(n_rows=("viol", "size"),
+                                     n_viol=("viol", "sum")).reset_index()
+        assert v["pid"].tolist() == want["pid"].tolist()
+        assert v["n_rows"].tolist() == want["n_rows"].tolist()
+        assert v["n_viol"].tolist() == want["n_viol"].tolist()
+        assert v["fail"].tolist() == (want["n_viol"] / want["n_rows"]
+                                      > 0.05).astype(int).tolist()
+        assert v["n_viol"].sum() > 0
+    np.testing.assert_equal(rc.score_threshold(checked, pct=0.10), stats)
+    assert rc.partition_verdicts(checked, "pid", budget=0.05) \
+        .to_pandas().equals(v)

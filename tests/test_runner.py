@@ -124,3 +124,37 @@ def test_incremental_global_checks(fimg_small, tmp_path):
         assert m2["runs"][-1][k] == m1["runs"][-1][k], k
     assert sorted(m2["runs"][-1]["uniqueness_sample"]) == \
         sorted(set(exp.dup_ids))
+
+
+def test_resume_reprofiles_old_format_profile(fimg_small, tmp_path):
+    """A profile JSON written before the format stamp (it held a t-digest,
+    not a KLL sketch) must not crash a resume: the runner re-profiles,
+    and the re-run partitions get the same verdicts as a clean run."""
+    d, _ = fimg_small
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{d}/captions.parquet", decode=False)
+    m1 = run_validation(f"{d}/images", out, **kw)
+    (name,) = [f for f in os.listdir(out) if f.startswith("profile_")]
+    ppath = os.path.join(out, name)
+    with open(ppath) as f:
+        prof = json.load(f)
+    del prof["format"]
+    for col in prof["columns"].values():
+        del col["kll"]
+        col["tdigest"] = {"compression": 200, "means": [], "weights": []}
+    with open(ppath, "w") as f:
+        json.dump(prof, f)
+    mpath = os.path.join(out, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    del m["partitions"]["3"], m["partitions"]["5"]
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+
+    m2 = run_validation(f"{d}/images", out, **kw)
+    assert sorted(m2["runs"][-1]["pending"]) == [3, 5]
+    for k in m1["partitions"]:
+        assert m2["partitions"][k]["verdict"] == \
+            m1["partitions"][k]["verdict"], k
+    with open(ppath) as f:
+        assert "kll" in next(iter(json.load(f)["columns"].values()))

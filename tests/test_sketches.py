@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoprepad_ray.sketches import (HyperLogLog, MomentSketch, TDigest,
+from autoprepad_ray.sketches import (KLL, HyperLogLog, MomentSketch,
                                      ValueCounts, hash64, popcount64)
 
 
@@ -78,18 +78,102 @@ def test_valuecounts_mode_histogram_overflow():
     assert vc.counts == {}
 
 
-def test_tdigest_quantiles_close():
-    rng = np.random.default_rng(42)
-    x = rng.lognormal(3, 1, 200_000)
-    td = TDigest()
-    for chunk in np.array_split(x, 37):
-        t2 = TDigest()
-        t2.update(chunk)
-        td.merge(t2)
-    for q in [0.01, 0.25, 0.5, 0.75, 0.99]:
-        exact = np.quantile(x, q)
-        got = td.quantile(q)
-        assert abs(got - exact) / exact < 0.02, (q, got, exact)
+def _rank_error(x_sorted: np.ndarray, quantile, qs) -> float:
+    """Worst normalised distance between the target rank q*(n-1) and the
+    true rank interval [#(x < v), #(x <= v)] of the returned value v."""
+    n, worst = len(x_sorted), 0.0
+    for q in qs:
+        v = quantile(q)
+        lo = np.searchsorted(x_sorted, v, side="left")
+        hi = np.searchsorted(x_sorted, v, side="right")
+        t = q * (n - 1)
+        worst = max(worst, max(lo - t, t - hi, 0.0) / n)
+    return worst
+
+
+def _merge_tree(parts: list, rng):
+    """Merge partial sketches in a random binary tree (random adjacent
+    pairs until one is left)."""
+    parts = list(parts)
+    while len(parts) > 1:
+        i = int(rng.integers(len(parts) - 1))
+        parts[i:i + 2] = [parts[i].merge(parts[i + 1])]
+    return parts[0]
+
+
+def _stream(kind: str, n: int, rng) -> np.ndarray:
+    return {
+        "sorted": lambda: np.arange(n, dtype=float),
+        "reversed": lambda: np.arange(n, dtype=float)[::-1].copy(),
+        "heavy_dup": lambda: rng.integers(0, 20, n).astype(float),
+        "two_point": lambda: np.where(rng.random(n) < 0.3, 0.0, 1.0),
+        "lognormal": lambda: rng.lognormal(3, 1, n),
+    }[kind]()
+
+
+@given(st.sampled_from(["sorted", "reversed", "heavy_dup", "two_point",
+                        "lognormal"]),
+       st.integers(2_000, 60_000), st.integers(1, 400),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_kll_rank_error_bound(kind, n, n_chunks, seed):
+    """KLL guarantees rank (not value) error: <= 1% at the default k on
+    sorted, reversed, heavy-duplicate, two-point and lognormal streams
+    split at random and merged in random trees; total weight is exact."""
+    rng = np.random.default_rng(seed)
+    x = _stream(kind, n, rng)
+    parts = []
+    for chunk in np.split(x, np.sort(rng.integers(0, n, n_chunks))):
+        sk = KLL()
+        sk.update(chunk)
+        parts.append(sk)
+    sk = _merge_tree(parts, rng)
+    assert sk.n == n
+    assert _rank_error(np.sort(x), sk.quantile, np.linspace(0, 1, 101)) \
+        <= 0.01
+
+
+def test_kll_weighted_seed_is_exact_in_weight():
+    """The spill handoff puts each value on the levels of its count's set
+    bits: the weights reproduce every count, so quantiles are numpy's
+    while no level has compacted."""
+    vals = np.array([1.0, 2.0, 5.0, 9.0])
+    cnts = np.array([3, 1, 6, 2])
+    sk = KLL()
+    sk.update_weighted(vals, cnts)
+    assert sk.n == 12
+    x = np.repeat(vals, cnts)
+    for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+        assert sk.quantile(q) == np.quantile(x, q)
+    assert np.isnan(KLL().quantile(0.5))
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "object"])
+def test_valuecounts_fold_matches_np_unique(kind):
+    """The sorted-run merge equals np.unique over everything folded in,
+    for unsorted seeds with repeated keys (from_items, which keeps NaN as
+    one value, like np.unique), updates and merges in a random tree."""
+    rng = np.random.default_rng(4)
+    raw = rng.integers(0, 300, 5_000)
+    x = {"int": raw, "float": raw / 7.0,
+         "object": np.array([f"s{v}" for v in raw], dtype=object)}[kind]
+    if kind == "float":
+        x[::97] = np.nan
+    parts, fed = [], []
+    for i, c in enumerate(np.array_split(x, 9)):
+        if i % 2:
+            vc = ValueCounts()
+            vc.update(c)
+            fed.append(c[~np.isnan(c)] if kind == "float" else c)
+        else:
+            vc = ValueCounts.from_items(c, np.ones(len(c), dtype=np.int64))
+            fed.append(c)
+        parts.append(vc)
+    vals, cnts = _merge_tree(parts, rng).sorted_arrays()
+    want_v, want_c = np.unique(np.concatenate(fed), return_counts=True)
+    assert vals.dtype == want_v.dtype
+    np.testing.assert_array_equal(vals, want_v)     # NaN == NaN here
+    np.testing.assert_array_equal(cnts, want_c)
 
 
 def test_hll_accuracy_and_merge():
@@ -113,17 +197,18 @@ def test_sketch_serialization_roundtrip():
     vc.update(x)
     vc2 = ValueCounts.from_dict(vc.to_dict())
     assert vc2.counts == vc.counts
-    td = TDigest()
-    td.update(x)
-    td2 = TDigest.from_dict(td.to_dict())
-    assert td2.quantile(0.5) == td.quantile(0.5)
+    sk = KLL(k=2)
+    sk.update(x)
+    sk2 = KLL.from_dict(sk.to_dict())
+    assert sk2.n == sk.n == 4
+    assert sk2.quantile(0.5) == sk.quantile(0.5)
     ms = MomentSketch()
     ms.update(x)
     assert MomentSketch.from_dict(ms.to_dict()).mean == ms.mean
 
 
 def test_columnsketch_exact_to_approx_handoff():
-    """When ValueCounts overflows, t-digest/HLL are seeded from the
+    """When ValueCounts overflows, KLL/HLL are seeded from the
     drained exact counts — quantiles/distinct stay accurate."""
     import pyarrow as pa
     from autoprepad_ray.profile import ColumnSketch
@@ -149,6 +234,36 @@ def test_columnsketch_exact_to_approx_handoff():
     cs.merge(cs2)
     both = np.concatenate([x, y])
     assert abs(cs.quantile(0.5) - np.quantile(both, 0.5)) < 1.0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_spill_boundary_across_merge_tree(extra):
+    """Both arms of the exact->sketch spill across a random merge tree:
+    exactly max_exact distinct values stay exact (quantiles equal
+    numpy's), max_exact + 1 spill to KLL (within its rank bound)."""
+    import pyarrow as pa
+    from autoprepad_ray.profile import ColumnSketch
+
+    m = 3_000
+    rng = np.random.default_rng(21)
+    distinct = rng.permutation(m + extra) * 0.5
+    x = np.concatenate([distinct, rng.choice(distinct, 20_000)])
+    rng.shuffle(x)
+    parts = []
+    for chunk in np.array_split(x, 17):      # each block stays under m
+        cs = ColumnSketch(name="x", kind="numeric")
+        cs.values.max_items = m
+        cs.update_array(pa.array(chunk))
+        parts.append(cs)
+    cs = _merge_tree(parts, rng)
+    assert cs.exact_quantiles == (extra == 0)
+    assert cs.count == len(x)
+    qs = np.linspace(0, 1, 41)
+    if extra == 0:
+        assert [cs.quantile(q) for q in qs] == np.quantile(x, qs).tolist()
+    else:
+        assert cs.kll.n == len(x)
+        assert _rank_error(np.sort(x), cs.quantile, qs) <= 0.01
 
 
 @given(st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=400),
