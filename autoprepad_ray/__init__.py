@@ -10,8 +10,9 @@ training-data-pipeline operators (dedup families, ANN similarity search,
 text analysis, multimodal decode stages).
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines of
-``map_batches`` over zero-copy Arrow batches, actor pools for stateful
-stages, partial-aggregate-then-groupby for the wide steps, and
+``map_batches`` over zero-copy Arrow batches as stateless tasks (actor
+pools only for heavy per-worker state; no stage has any yet),
+partial-aggregate-then-groupby for the wide steps, and
 per-partition checkpointed outputs for resumability.
 """
 

@@ -1,11 +1,11 @@
 """Execution-context helpers: DataContext tuning + pool sizing.
 
-An actor pool that reserves every cluster CPU starves the stages up- and
-downstream of it (the read, the groupby exchange, the write) and the
-pipeline serializes — on a 4-CPU test session a ``concurrency=4`` pool
-deadlocks the streaming executor outright.  ``default_pool_size`` sizes
-pools to half the cluster (bounded), leaving headroom for the rest of
-the pipeline.
+No engine stage builds an actor pool: every per-batch stage runs as
+stateless tasks, which hold no reserved workers.  ``default_pool_size``
+(half the cluster, bounded) is the size to give a pool if one is ever
+needed: a pool that reserves every cluster CPU starves the stages up-
+and downstream of it, and on a 4-CPU session a ``concurrency=4`` pool
+deadlocks the streaming executor outright.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Formats (FIXTURES.md F-IMG):
 
 Real decoders for other formats (jpeg/png/webp) are NOT available in this
 container; :func:`decode` raises ``NotImplementedError`` for them behind a
-clearly-marked stub so the Ray-side plumbing (schema, actor signature,
+clearly-marked stub so the Ray-side plumbing (schema, stage signature,
 batch sizing) stays real and tested.
 
 ``average_hash`` is a deterministic DCT-free 64-bit perceptual hash
@@ -80,7 +80,7 @@ def decode(data: bytes, fmt: str) -> np.ndarray:
     if fmt == "qraw":
         return decode_qraw(data)
     # STUB: real-world formats need external codec libraries not present
-    # in this container; the actor-pool stage contract is identical.
+    # in this container; the decode stage contract is identical.
     raise NotImplementedError(f"no codec for fmt={fmt!r} in this sandbox")
 
 

@@ -3,7 +3,7 @@ libsndfile/ffmpeg in this sandbox).
 
 Same design as :mod:`imagecodec`: media payloads are opaque ``binary``
 columns with typed metadata; two deterministic numpy-only formats make
-the Ray-side plumbing (schema, actor signature, batch sizing, zero-copy
+the Ray-side plumbing (schema, stage signature, batch sizing, zero-copy
 buffer views) real and testable, while real-world codecs (wav/mp3/flac,
 mp4/webm) raise a clearly-marked ``NotImplementedError`` stub.
 
@@ -125,7 +125,7 @@ def decode_audio(data, fmt: str) -> tuple[np.ndarray, int]:
     if fmt == "wavr":
         return decode_wavr(data)
     # STUB: real audio codecs (wav/mp3/flac/ogg) need libsndfile/ffmpeg,
-    # absent in this container; the actor-pool stage contract is
+    # absent in this container; the decode stage contract is
     # identical — swap the dispatch entry when the codec lib exists.
     raise NotImplementedError(f"no audio codec for fmt={fmt!r} in sandbox")
 

@@ -25,8 +25,8 @@ passes over the image table, not one per check —
   pruned to hot buckets when collisions are rare, the full deduped
   stream (multi-index hashing) when n >> 2^16 per band — with exact
   verification inside the groups; only pairs reach the driver.
-- PASS 3 (payload read, actor pool): decode verification — the only
-  pass that touches ``bytes``.
+- PASS 3 (payload read, stateless decode tasks fused into the read):
+  decode verification — the only pass that touches ``bytes``.
 
 Plus one tiny pass over the captions table (id-hash census) and, when
 caption-side orphans exist, one capped listing pass over captions.
@@ -497,7 +497,6 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                     null_budget: float = 0.05,
                     psi_budget: float = 0.2,
                     decode: bool = True,
-                    decode_concurrency: int | None = None,
                     neardup: bool = True,
                     viol_cap_per_block: int = 10_000,
                     violations_dir: str | None = None,
@@ -521,14 +520,14 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             "schema assert would silently pass on nothing")
     schema_errors = assert_schema_files(_schema_paths)
 
-    # ---- PASS 3 launches FIRST (payload read, actor pool) ----
+    # ---- PASS 3 launches FIRST (payload read, decode tasks) ----
     # decode verification depends on nothing the metadata passes
     # compute, so its ~N-times-longer execution runs CONCURRENTLY with
     # passes 1/2 and the Hamming pairing: the metadata work hides under
     # the decode wall instead of serializing in front of it (~4-5 s of
     # the 28 s pipeline at bench scale).  Ray's scheduler interleaves
-    # the executions; the decode pool is sized below the cluster so the
-    # metadata tasks keep making progress.
+    # the executions' tasks; decode holds no reserved workers, so the
+    # metadata tasks take CPUs as soon as a decode task finishes.
     import concurrent.futures as _cf
 
     decode_pool = None
@@ -547,8 +546,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             payload_ds = rd.read_parquet(
                 images_dir, columns=["image_id", "bytes", "w", "h",
                                      "fmt", "phash", "partition_id"])
-            dv = decode_verify(payload_ds,
-                               concurrency=decode_concurrency)
+            dv = decode_verify(payload_ds)
             df = dv.map_batches(
                 lambda t: t.filter(pc.equal(t["decode_ok"], 0))
                 .select(["image_id", "partition_id", "fmt",

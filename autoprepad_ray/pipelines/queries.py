@@ -1735,7 +1735,7 @@ def _fmedia_for_sf(sf_dir: str) -> str:
 
 @query("audio_features_clips")
 def audio_features_clips(sf_dir: str):
-    """Actor-pool audio decode + per-clip features (duration/RMS/peak/
+    """Audio decode + per-clip features (duration/RMS/peak/
     ZCR/spectral centroid) on the deterministic F-MEDIA table scaled
     with sf, including the injected truncated/garbage/stub-format rows.
     Rows-only (FFT feature extraction is not SQL-expressible); pytest
@@ -1744,14 +1744,7 @@ def audio_features_clips(sf_dir: str):
     from ..stages.media import audio_features
 
     d = _fmedia_for_sf(sf_dir)
-    # pool sized to the fixture (hundreds of clips): a full
-    # default-size pool pays ~2 s spinup for sub-second work; at real
-    # scale callers size concurrency to the cluster instead.  The
-    # default_pool_size cap keeps the pool under small test sessions'
-    # CPU count (>= session CPUs deadlocks the streaming executor)
-    from ..context import default_pool_size
-    return audio_features(rd.read_parquet(f"{d}/audio.parquet"),
-                          concurrency=min(4, default_pool_size()))
+    return audio_features(rd.read_parquet(f"{d}/audio.parquet"))
 
 
 @query("video_frame_neardup_pairs")

@@ -158,7 +158,6 @@ def run_validation(images_dir: str, out_dir: str, *,
                    ref_partitions: tuple[int, ...] = (0, 1, 2),
                    stat_budget: float = 0.005, null_budget: float = 0.05,
                    psi_budget: float = 0.2, decode: bool = True,
-                   decode_concurrency: int | None = None,
                    run_global_checks: bool = True) -> dict:
     """Validate all partitions, skipping those already checkpointed.
 
@@ -293,18 +292,16 @@ def run_validation(images_dir: str, out_dir: str, *,
         decode_ids: list[str] = []
         if decode:
             from ..stages.decode import decode_verify
-            # column-pruned: the decode pool needs everything BUT caption
-            # (image_validation.py does the same — shipping the caption
-            # through the actor pool is pure waste)
+            # column-pruned: decode needs everything BUT caption
+            # (image_validation.py does the same — reading the caption
+            # into the decode tasks is pure waste)
             payload_ds = rd.read_parquet(
                 parts[pid], columns=["image_id", "bytes", "w", "h",
                                      "fmt", "phash"])
-            bad = decode_verify(payload_ds,
-                                concurrency=decode_concurrency) \
-                .map_batches(
-                    lambda t: t.filter(pc.equal(t["decode_ok"], 0))
-                    .select(["image_id", "decode_reason"]),
-                    batch_format="pyarrow").take_all()
+            bad = decode_verify(payload_ds).map_batches(
+                lambda t: t.filter(pc.equal(t["decode_ok"], 0))
+                .select(["image_id", "decode_reason"]),
+                batch_format="pyarrow").take_all()
             decode_bad = len(bad)
             decode_ids = [r["image_id"] for r in bad[:100]]
 

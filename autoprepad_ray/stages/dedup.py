@@ -93,7 +93,7 @@ class MinHasher:
     on the driver and cloudpickled with the task closure — an actor
     pool here would pay multi-second spinup per execution for state
     that costs microseconds to build (the repo's actor-pool lesson:
-    pools only for genuinely heavy per-actor state like codecs)."""
+    pools only for genuinely heavy per-actor state)."""
 
     def __init__(self, text_col: str, id_col: str, *, num_perm: int = 128,
                  bands: int = 32, n_words: int = 3, seed: int = 7):

@@ -3,10 +3,9 @@ reference engine is tabular-only — see ``mediacodec`` module docstring).
 
 Three stages over opaque ``binary`` media columns:
 
-- :class:`AudioFeatures` — actor-pool ``map_batches`` decode +
-  feature-extract: duration, RMS, peak, zero-crossing rate, spectral
-  centroid.  Stateful (per-actor Hann-window cache keyed by FFT length)
-  → callable CLASS, state in ``__init__``, work in ``__call__``.
+- :func:`audio_features` — ``map_batches`` decode + feature-extract:
+  duration, RMS, peak, zero-crossing rate, spectral centroid.
+  Stateless task.
 - :func:`video_metadata` — header-only parse (20 bytes/row): w, h,
   frame count, fps, duration + truncation check WITHOUT touching frame
   bytes.  Stateless task.
@@ -17,11 +16,13 @@ Three stages over opaque ``binary`` media columns:
   (``validators.near_dup.hamming_neardup_pairs``) unchanged — video
   near-dup = frame-sample ∘ image near-dup.
 
-Like :class:`stages.decode.DecodeVerify`, payload blobs force a per-row
-loop (each row is an opaque buffer); all inner math is numpy, payload
-access is zero-copy off the Arrow buffers, and batches stay small so a
-batch × pool fits worker heaps.  At 100 TB the audio stage is
-decode-bound exactly like image pass 3 and shares its pool sizing.
+No stage here builds an actor pool: none has per-worker state heavy
+enough to pay for the worker starts.  Like
+:func:`stages.decode.verify_batch`, payload blobs force a per-row loop
+(each row is an opaque buffer); all inner math is numpy, payload access
+is zero-copy off the Arrow buffers, and batches stay small so a batch
+per task fits worker heaps.  At 100 TB the audio stage is decode-bound
+exactly like image pass 3.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..functions import mediacodec as mc
 
 def _payload_views(blobs: pa.Array, n: int):
     """Zero-copy per-row uint8 views off a binary column's buffers
-    (same offsets trick as DecodeVerify — the per-row ``.as_py()``
+    (same offsets trick as decode.verify_batch — the per-row ``.as_py()``
     copy would double memory traffic on a decode-bound stage)."""
     off_buf, data_buf = blobs.buffers()[1], blobs.buffers()[2]
     off_dtype = (np.int64 if pa.types.is_large_binary(blobs.type)
@@ -46,99 +47,77 @@ def _payload_views(blobs: pa.Array, n: int):
     return offsets, payload
 
 
-class AudioFeatures:
-    """Decode ``wavr`` payloads and emit per-clip features.
+def _audio_features_batch(batch: pa.Table, *, fft_cap: int) -> pa.Table:
+    n = batch.num_rows
+    ok = np.ones(n, dtype=bool)
+    reasons = np.full(n, "", dtype=object)
+    duration = np.zeros(n)
+    rms = np.zeros(n)
+    peak = np.zeros(n, dtype=np.int64)
+    zcr = np.zeros(n)
+    centroid = np.zeros(n)
+    sr_out = np.zeros(n, dtype=np.int64)
+    ch_out = np.zeros(n, dtype=np.int64)
+    blobs = batch["bytes"].combine_chunks()
+    offsets, payload = _payload_views(blobs, n)
+    fmts = batch["fmt"].to_pylist()
+    for i in range(n):
+        data = payload[offsets[i]:offsets[i + 1]]
+        fmt = fmts[i]
+        if fmt != "wavr":
+            ok[i] = False
+            reasons[i] = f"no-codec:{fmt}"
+            continue
+        if mc.sniff_media(data) != fmt:
+            ok[i] = False
+            reasons[i] = f"fmt-mismatch:{mc.sniff_media(data)}"
+            continue
+        try:
+            pcm, sr = mc.decode_wavr(data)
+        except ValueError as e:
+            ok[i] = False
+            reasons[i] = f"decode-error:{e}"
+            continue
+        ns, ch = pcm.shape
+        sr_out[i], ch_out[i] = sr, ch
+        duration[i] = ns / sr
+        if ns == 0:
+            continue
+        x = pcm.astype(np.float64)
+        rms[i] = float(np.sqrt(np.mean(x * x)))
+        peak[i] = int(np.abs(pcm).max())
+        mono = x.mean(axis=1)
+        signs = mono[:-1] * mono[1:] < 0
+        zcr[i] = float(signs.mean()) if ns > 1 else 0.0
+        seg = mono[:fft_cap]
+        spec = np.abs(np.fft.rfft(seg * np.hanning(len(seg))))
+        freqs = np.fft.rfftfreq(len(seg), d=1.0 / sr)
+        tot = spec.sum()
+        centroid[i] = float((freqs * spec).sum() / tot) if tot > 0 else 0.0
+    return pa.table({
+        "audio_id": batch["audio_id"],
+        "audio_ok": pa.array(ok.astype(np.int8)),
+        "audio_reason": pa.array(reasons, type=pa.string()),
+        "sample_rate": pa.array(sr_out),
+        "channels": pa.array(ch_out),
+        "duration_sec": pa.array(duration),
+        "rms": pa.array(rms),
+        "peak": pa.array(peak),
+        "zcr": pa.array(zcr),
+        "spectral_centroid_hz": pa.array(centroid),
+    })
+
+
+def audio_features(ds, *, batch_size: int = 128, fft_cap: int = 1 << 15):
+    """Decode ``wavr`` payloads and emit per-clip features, as stateless
+    tasks.
 
     ``fft_cap`` bounds the spectral-centroid FFT to the first
     ``fft_cap`` samples (downmixed mono) so a pathological hours-long
-    clip cannot blow up a batch; the Hann windows are cached per length
-    in the ACTOR (built once, reused across batches)."""
-
-    def __init__(self, *, fft_cap: int = 1 << 15):
-        self.fft_cap = int(fft_cap)
-        self._hann: dict[int, np.ndarray] = {}
-
-    def _window(self, n: int) -> np.ndarray:
-        w = self._hann.get(n)
-        if w is None:
-            w = np.hanning(n) if n > 1 else np.ones(1)
-            self._hann[n] = w
-        return w
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.ones(n, dtype=bool)
-        reasons = np.full(n, "", dtype=object)
-        duration = np.zeros(n)
-        rms = np.zeros(n)
-        peak = np.zeros(n, dtype=np.int64)
-        zcr = np.zeros(n)
-        centroid = np.zeros(n)
-        sr_out = np.zeros(n, dtype=np.int64)
-        ch_out = np.zeros(n, dtype=np.int64)
-        blobs = batch["bytes"].combine_chunks()
-        offsets, payload = _payload_views(blobs, n)
-        fmts = batch["fmt"].to_pylist()
-        for i in range(n):
-            data = payload[offsets[i]:offsets[i + 1]]
-            fmt = fmts[i]
-            if fmt != "wavr":
-                ok[i] = False
-                reasons[i] = f"no-codec:{fmt}"
-                continue
-            if mc.sniff_media(data) != fmt:
-                ok[i] = False
-                reasons[i] = f"fmt-mismatch:{mc.sniff_media(data)}"
-                continue
-            try:
-                pcm, sr = mc.decode_wavr(data)
-            except ValueError as e:
-                ok[i] = False
-                reasons[i] = f"decode-error:{e}"
-                continue
-            ns, ch = pcm.shape
-            sr_out[i], ch_out[i] = sr, ch
-            duration[i] = ns / sr
-            if ns == 0:
-                continue
-            x = pcm.astype(np.float64)
-            rms[i] = float(np.sqrt(np.mean(x * x)))
-            peak[i] = int(np.abs(pcm).max())
-            mono = x.mean(axis=1)
-            signs = mono[:-1] * mono[1:] < 0
-            zcr[i] = float(signs.mean()) if ns > 1 else 0.0
-            seg = mono[:self.fft_cap]
-            spec = np.abs(np.fft.rfft(seg * self._window(len(seg))))
-            freqs = np.fft.rfftfreq(len(seg), d=1.0 / sr)
-            tot = spec.sum()
-            centroid[i] = float((freqs * spec).sum() / tot) if tot > 0 else 0.0
-        return pa.table({
-            "audio_id": batch["audio_id"],
-            "audio_ok": pa.array(ok.astype(np.int8)),
-            "audio_reason": pa.array(reasons, type=pa.string()),
-            "sample_rate": pa.array(sr_out),
-            "channels": pa.array(ch_out),
-            "duration_sec": pa.array(duration),
-            "rms": pa.array(rms),
-            "peak": pa.array(peak),
-            "zcr": pa.array(zcr),
-            "spectral_centroid_hz": pa.array(centroid),
-        })
-
-
-def audio_features(ds, *, concurrency: int | None = None,
-                   batch_size: int = 128, fft_cap: int = 1 << 15,
-                   num_cpus: float = 1):
-    """Run :class:`AudioFeatures` as an actor pool (same sizing rule as
-    ``decode.decode_verify``: conservative half-cluster on small
-    sessions, never >= session CPUs)."""
-    if concurrency is None:
-        from ..context import default_pool_size
-        concurrency = default_pool_size()
+    clip cannot blow up a batch."""
     return ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency, num_cpus=num_cpus,
-        fn_constructor_kwargs={"fft_cap": fft_cap})
+        _audio_features_batch, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size, fn_kwargs={"fft_cap": int(fft_cap)})
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def _install_builtins() -> None:
         ("exact_dedup", exact_dedup,
          "keep-first exact dedup on key columns"),
         ("audio_features", media.audio_features,
-         "actor-pool audio decode + feature extraction (wavr)"),
+         "audio decode + feature extraction (wavr)"),
         ("video_metadata", media.video_metadata,
          "header-only video metadata + truncation check"),
         ("video_frame_neardup", media.video_frame_neardup,

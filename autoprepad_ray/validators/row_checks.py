@@ -91,10 +91,10 @@ def fence_states(profile: TableProfile, cols: list[str], *,
 
 
 class RowChecker:
-    """Actor-pool / task callable: append per-row evidence columns.
+    """Task callable: append per-row evidence columns.
 
-    State (the fitted fences) is deserialized ONCE per actor in
-    ``__init__`` — setup-per-actor, work-per-batch.
+    State (the fitted fences) is deserialized ONCE in ``__init__``; the
+    instance rides in the task closure.
     """
 
     def __init__(self, state_blob: bytes, *, mad_threshold: float = 3.5,
@@ -134,22 +134,11 @@ class RowChecker:
 
 
 def check_rows(ds, states: dict[str, FenceState], *,
-               mad_threshold: float = 3.5, concurrency: int | None = None):
-    """Apply :class:`RowChecker` over a Dataset.
-
-    Default: stateless tasks with the few-KB fence state captured in the
-    closure (exactly how the reference shares fitted scalars).  Pass
-    ``concurrency`` to run as an actor pool instead (useful when the
-    state grows, e.g. large encoder maps — deserialized once per actor).
-    """
-    blob = pickle.dumps(states)
-    if concurrency is not None:
-        return ds.map_batches(
-            RowChecker, batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"state_blob": blob,
-                                   "mad_threshold": mad_threshold})
-    checker = RowChecker(blob, mad_threshold=mad_threshold)
+               mad_threshold: float = 3.5):
+    """Apply :class:`RowChecker` over a Dataset as stateless tasks, the
+    few-KB fence state captured in the closure (exactly how the
+    reference shares fitted scalars)."""
+    checker = RowChecker(pickle.dumps(states), mad_threshold=mad_threshold)
     return ds.map_batches(checker.__call__, batch_format="pyarrow",
                           zero_copy_batch=True)
 

@@ -62,8 +62,7 @@ def test_image_validation_end_to_end(fimg):
     d, exp = fimg
     from autoprepad_ray.pipelines.image_validation import validate_images
 
-    rep = validate_images(f"{d}/images", f"{d}/captions.parquet",
-                          decode_concurrency=2)
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet")
     assert rep.schema_errors == []
     failed = rep.failed_partitions()
     assert failed["stat"] == [3], rep.verdicts
@@ -114,7 +113,7 @@ def test_row_invariant_payloads_untouched(fimg):
 
     d, _ = fimg
     ds = rd.read_parquet(f"{d}/images/partition=0")
-    out = decode_verify(ds, concurrency=2).to_pandas()
+    out = decode_verify(ds).to_pandas()
     src = rd.read_parquet(f"{d}/images/partition=0").to_pandas()
     merged = src.merge(out, on="image_id", suffixes=("_in", "_out"))
     assert len(merged) == len(src)
@@ -154,21 +153,62 @@ def test_assert_schema_binary_tolerance_scoped_to_bytes(tmp_path):
 
 def test_decode_verify_plain_binary_offsets(fimg):
     """bytes arriving as plain binary (int32 offsets) must decode
-    correctly (regression: offsets were always read as int64)."""
+    correctly (regression: offsets were always read as int64), and the
+    Ray stage must match the in-process DecodeVerify."""
     import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
-    from autoprepad_ray.stages.decode import decode_verify
+    from autoprepad_ray.stages.decode import DecodeVerify, decode_verify
 
-    d, _ = fimg
+    d, exp = fimg
     t = rd.read_parquet(f"{d}/images/partition=0").limit(50) \
         .to_arrow_refs()
     import ray
     tbl = pa.concat_tables([ray.get(r) for r in t])
     tbl = tbl.set_column(tbl.column_names.index("bytes"), "bytes",
                          tbl["bytes"].cast(pa.binary()))
-    out = decode_verify(rd.from_arrow(tbl), concurrency=1).to_pandas()
+    out = decode_verify(rd.from_arrow(tbl)).to_pandas()
     assert (out["decode_ok"] == 1).all(), \
         out.loc[out["decode_ok"] == 0, "decode_reason"].tolist()
+
+    # R7 partition (the injected bad decodes): decode_verify over Ray
+    # equals DecodeVerify run in-process on every output column
+    path = f"{d}/images/partition=2"
+    cols = ["decode_ok", "decode_reason", "psnr", "phash_recomputed"]
+    local = DecodeVerify()(pq.read_table(path)).to_pandas()
+    remote = decode_verify(rd.read_parquet(path)).to_pandas()
+    assert local["image_id"].is_unique and len(local) == len(remote)
+    local = local.set_index("image_id")[cols].sort_index()
+    remote = remote.set_index("image_id")[cols].sort_index()
+    assert sorted(local.index[local["decode_ok"] == 0]) == sorted(
+        exp.bad_decode_ids)
+    for c in cols:
+        assert local[c].tolist() == remote[c].tolist(), c
+
+
+def _actors() -> dict:
+    """Class name of every actor the session has created, live or dead."""
+    from ray._private import state
+    return {k: a["ActorClassName"] for k, a in state.actors().items()}
+
+
+def test_decode_creates_no_actors(fimg):
+    """Decode runs as stateless tasks: neither decode_verify alone nor
+    the full pipeline with decode creates an actor."""
+    import ray.data as rd
+    from autoprepad_ray.pipelines.image_validation import validate_images
+    from autoprepad_ray.stages.decode import decode_verify
+
+    d, _ = fimg
+    # Ray Data starts its own bookkeeping actors on first use
+    rd.range(8).map_batches(lambda b: b).take_all()
+    before = _actors()
+    out = decode_verify(rd.read_parquet(f"{d}/images/partition=2"))
+    assert (out.to_pandas()["decode_ok"] == 0).any()
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet")
+    assert rep.failed_partitions()["decode"] == [2]
+    new = {k: v for k, v in _actors().items() if k not in before}
+    assert not new, new
 
 
 def test_violations_stream_to_sink(fimg, tmp_path):

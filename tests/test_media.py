@@ -77,8 +77,8 @@ def test_audio_features_parity_and_flags(ray_session, fmedia):
     from autoprepad_ray.stages.media import audio_features
 
     d, exp = fmedia
-    out = audio_features(rd.read_parquet(f"{d}/audio.parquet"),
-                         concurrency=2).to_pandas().set_index("audio_id")
+    out = audio_features(rd.read_parquet(f"{d}/audio.parquet")) \
+        .to_pandas().set_index("audio_id")
     assert len(out) == 24
     for aid in exp.bad_audio_ids:
         assert out.loc[aid, "audio_ok"] == 0
@@ -193,7 +193,7 @@ def test_ensure_fmedia_cache(tmp_path):
 def test_sampled_frames_feed_image_decode_verify(ray_session, fmedia):
     """Composition proof: sample_frames(emit_bytes=True) rows carry the
     exact image-table schema (bytes/fmt/w/h/phash/image_id), so the
-    image pipeline's DecodeVerify actor-pool stage consumes them
+    image pipeline's decode_verify stage consumes them
     unchanged — video frames are first-class images downstream."""
     import ray.data as rd
 
@@ -203,7 +203,7 @@ def test_sampled_frames_feed_image_decode_verify(ray_session, fmedia):
     d, exp = fmedia
     frames = sample_frames(rd.read_parquet(f"{d}/videos.parquet"),
                            every_k=4, emit_bytes=True)
-    out = decode_verify(frames, concurrency=2).to_pandas()
+    out = decode_verify(frames).to_pandas()
     assert len(out) > 0
     assert (out["decode_ok"] == 1).all()          # ppm re-encode is lossless
     assert (out["phash_recomputed"] == out["phash"]).all()

@@ -19,8 +19,7 @@ def fimg_small(tmp_path_factory):
 def test_run_and_resume(fimg_small, tmp_path):
     d, exp = fimg_small
     out = str(tmp_path / "out")
-    m1 = run_validation(f"{d}/images", out, captions_path=f"{d}/captions.parquet",
-                        decode_concurrency=2)
+    m1 = run_validation(f"{d}/images", out, captions_path=f"{d}/captions.parquet")
     assert sorted(int(k) for k in m1["partitions"]) == list(range(8))
     v = {int(k): p["verdict"] for k, p in m1["partitions"].items()}
     assert v[3]["stat_fail"] == 1 and v[0]["stat_fail"] == 0
@@ -46,8 +45,7 @@ def test_run_and_resume(fimg_small, tmp_path):
     with open(mpath, "w") as f:
         json.dump(m, f)
     m2 = run_validation(f"{d}/images", out,
-                        captions_path=f"{d}/captions.parquet",
-                        decode_concurrency=2)
+                        captions_path=f"{d}/captions.parquet")
     assert sorted(m2["runs"][-1]["pending"]) == [4, 6]
     # untouched partitions kept their original completion stamps
     for k in ("0", "1", "2", "3", "5", "7"):
