@@ -123,11 +123,10 @@ def main(argv: list[str] | None = None) -> int:
                           "failed": sorted(k for k, f in fails.items()
                                            if f)}))
     elif args.cmd == "profile":
-        import ray.data as rd
-
+        from .io import read_table
         from .profile import profile_dataset
         cols = args.columns.split(",") if args.columns else None
-        prof = profile_dataset(rd.read_parquet(args.table), columns=cols)
+        prof = profile_dataset(read_table(args.table), columns=cols)
         js = prof.to_json()
         if args.out:
             with open(args.out, "w") as f:
@@ -169,16 +168,15 @@ def main(argv: list[str] | None = None) -> int:
         import os
 
         import pyarrow as pa
-        import ray.data as rd
 
+        from .io import read_table
         from .stages.text import decontaminate, eval_gram_set, \
             word_repetition
 
-        docs = rd.read_parquet(args.docs,
-                               columns=[args.id_col, args.text_col])
+        docs = read_table(args.docs, columns=[args.id_col, args.text_col])
         if args.eval_docs:
-            ev = rd.read_parquet(args.eval_docs,
-                                 columns=[args.id_col, args.text_col])
+            ev = read_table(args.eval_docs,
+                            columns=[args.id_col, args.text_col])
         else:
             def _slice(t: pa.Table) -> pa.Table:
                 ids = t[args.id_col].to_numpy(zero_copy_only=False)
@@ -193,8 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         rep = word_repetition(docs, text_col=args.text_col,
                               id_col=args.id_col)
         rep.write_parquet(f"{args.out}/repetition")
-        n_cont = int(rd.read_parquet(f"{args.out}/decontamination",
-                                     columns=["contaminated"])
+        n_cont = int(read_table(f"{args.out}/decontamination",
+                                columns=["contaminated"])
                      .sum("contaminated") or 0)
         print(json.dumps({"out": args.out, "ngram": args.ngram,
                           "contaminated_docs": n_cont}))

@@ -31,9 +31,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
 
 from .. import __version__
+from ..io import read_table
 from .runner import _atomic_write_json, _fingerprint
 
 
@@ -73,7 +73,7 @@ def _load_or_build_evalgrams(out_dir: str, eval_files: list[str], *,
     if os.path.exists(cache):
         return np.load(cache), fp
 
-    ds = rd.read_parquet(eval_files, columns=[id_col, text_col])
+    ds = read_table(eval_files, columns=[id_col, text_col])
     if self_eval:          # the doc_id % 97 slice stands in for a suite
         def _slice(t: pa.Table) -> pa.Table:
             ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -202,7 +202,7 @@ def run_text_audit(docs_path: str, out_dir: str, *,
     eval_ref = ray.put(evalgrams)
 
     def _audit_shard(name: str, tmp_dir: str) -> dict:
-        ds = rd.read_parquet(shards[name], columns=[id_col, text_col])
+        ds = read_table(shards[name], columns=[id_col, text_col])
         dec = decontaminate(ds, eval_ref, text_col=text_col,
                             id_col=id_col, n=ngram).to_pandas()
         rep = word_repetition(ds, text_col=text_col,
@@ -255,7 +255,7 @@ def _load_or_build_dup_losers(out_dir: str, files: list[str], *,
     if os.path.exists(cache):
         return np.load(cache), fp
 
-    ds = rd.read_parquet(files, columns=[id_col, text_col])
+    ds = read_table(files, columns=[id_col, text_col])
 
     def census(t: pa.Table) -> pa.Table:
         keep, _, _, h = _quality_text_state(t, text_col)
@@ -327,7 +327,7 @@ def run_corpus_clean(docs_path: str, out_dir: str, *,
     state_ref = ray.put((evalgrams, losers))
 
     def _clean_shard(name: str, tmp_dir: str) -> dict:
-        ds = rd.read_parquet(shards[name])
+        ds = read_table(shards[name])
 
         def filt(t: pa.Table) -> pa.Table:
             evalg, rm = ray.get(state_ref)

@@ -6,7 +6,12 @@ and phash near-duplicates (FIXTURES.md R1-R7; verdict composition is
 the reference's OR-merge, experiment.py:441-445).
 
 Execution shape (the whole point at 10^12-row scale): THREE streaming
-passes over the image table, not one per check —
+passes over the image table, not one per check.  Every read goes
+through ``io.read_table``: one read task per file, output never split,
+so each pass's per-block map fuses into its read task
+(``ReadParquet->MapBatches(...)``) and a "block" below is a file's
+output, cut further only by Ray's dynamic splitting above
+``target_max_block_size`` (128 MiB) —
 
 - PASS 1 (column-pruned metadata read): one ``map_batches`` computes
   per block the profile partials (ref partitions), every drift
@@ -19,14 +24,16 @@ passes over the image table, not one per check —
   per-partition stat/null counts, and the row LISTINGS for exactly the
   candidate keys (duplicate-id rows, orphan rows, dup-phash members).
   Candidate listings are small by construction; violation rows are
-  capped per block (counts stay exact).
+  capped per block, i.e. per file-sized block (counts stay exact).
 - Banded-Hamming pairing (own execution reading only image_id+phash):
   hash-partitioned ``groupby(part).map_groups`` over the band stream —
   pruned to hot buckets when collisions are rare, the full deduped
   stream (multi-index hashing) when n >> 2^16 per band — with exact
   verification inside the groups; only pairs reach the driver.
-- PASS 3 (payload read, stateless decode tasks fused into the read):
-  decode verification — the only pass that touches ``bytes``.
+- PASS 3 (payload read, stateless decode tasks): decode verification —
+  the only pass that touches ``bytes``.  Its ``batch_size=256`` keeps
+  decode a separate operator after the read (Ray fuses no batched map
+  into a read), so payload batches stay small in worker heaps.
 
 Plus one tiny pass over the captions table (id-hash census) and, when
 caption-side orphans exist, one capped listing pass over captions.
@@ -44,9 +51,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
 
 from ..functions.strings import canonicalize_nan_tokens
+from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind
 from ..sketches import hash64, np_object
 from ..validators import row_checks as rc
@@ -369,6 +376,9 @@ class _P2Partial:
                             minlength=len(uniq)).astype(np.int64))}
         viol_tbl = checked.drop(["caption"]).filter(
             pa.array(viol))
+        # viol_cap_per_block: a block is one file's read output (cut
+        # further only above target_max_block_size, 128 MiB), so the
+        # listing keeps up to the cap per file; counts stay exact
         if viol_tbl.num_rows > self.viol_cap:
             viol_tbl = viol_tbl.slice(0, self.viol_cap)
         ids = np_object(checked["image_id"])
@@ -475,7 +485,7 @@ class ImageValidationReport:
 def _caption_census_rows(captions_path: str):
     """Caption-side id-hash census as sliced rows (side=1), unioned into
     the same distributed (kind, slice) reduce as the image side."""
-    caps = rd.read_parquet(captions_path, columns=["image_id"])
+    caps = read_table(captions_path, columns=["image_id"])
 
     def partial(t: pa.Table) -> pa.Table:
         v, c = np.unique(hash64(np_object(t["image_id"])),
@@ -501,24 +511,18 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                     viol_cap_per_block: int = 10_000,
                     violations_dir: str | None = None,
                     mad_threshold: float = 3.5) -> ImageValidationReport:
-    import glob as _glob
-    import os as _os
     import time as _time
     timings: dict = {}
     _t0 = _time.perf_counter()
     # accept a single-file input too; a zero-match glob would silently
-    # skip the schema assert, so it is an error instead
-    if _os.path.isfile(images_dir):
-        _schema_paths = [images_dir]
-    else:
-        _schema_paths = sorted(
-            _glob.glob(f"{images_dir.rstrip('/')}/**/*.parquet",
-                       recursive=True))
-    if not _schema_paths:
+    # skip the schema assert, so it is an error instead.  Every read
+    # below reuses this listing (one read task per file, io.read_table)
+    files = parquet_files(images_dir)
+    if not files:
         raise ValueError(
             f"no parquet files found under {images_dir!r} — "
             "schema assert would silently pass on nothing")
-    schema_errors = assert_schema_files(_schema_paths)
+    schema_errors = assert_schema_files(files)
 
     # ---- PASS 3 launches FIRST (payload read, decode tasks) ----
     # decode verification depends on nothing the metadata passes
@@ -530,8 +534,6 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
     # metadata tasks take CPUs as soon as a decode task finishes.
     import concurrent.futures as _cf
 
-    decode_pool = None
-    decode_future = None
     decode_walls: dict = {}
     if decode:
         from ..context import prime_fsspec_http_stub
@@ -543,9 +545,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
 
         def _run_decode():
             t0 = _time.perf_counter()
-            payload_ds = rd.read_parquet(
-                images_dir, columns=["image_id", "bytes", "w", "h",
-                                     "fmt", "phash", "partition_id"])
+            payload_ds = read_table(
+                files, columns=["image_id", "bytes", "w", "h",
+                                "fmt", "phash", "partition_id"])
             dv = decode_verify(payload_ds)
             df = dv.map_batches(
                 lambda t: t.filter(pc.equal(t["decode_ok"], 0))
@@ -555,294 +557,299 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             decode_walls["wall"] = round(_time.perf_counter() - t0, 3)
             return df
 
-        decode_pool = _cf.ThreadPoolExecutor(1)
-        decode_future = decode_pool.submit(_run_decode)
+    # the metadata passes below run in try/finally: when one raises,
+    # the decode thread (and its Ray Data execution) is drained before
+    # the error propagates, never left running behind the caller
+    decode_pool = _cf.ThreadPoolExecutor(
+        1, thread_name_prefix="validate_images_decode")
+    try:
+        if decode:
+            decode_future = decode_pool.submit(_run_decode)
+        meta = read_table(files, columns=META_COLS)
 
-    meta = rd.read_parquet(images_dir, columns=META_COLS)
-
-    # ---- PASS 1 ----
-    # ONE image-side execution of per-block partials (profile + sliced
-    # censuses), the tiny caption-census execution overlapped under it,
-    # then FLAT per-slice reduce tasks over the partial block refs —
-    # everything merges DISTRIBUTED per (kind, slice); only candidates
-    # (dups / orphans / hot buckets) and the merged few-KB profile ever
-    # reach the driver (the 10^12 path).  A Dataset.union + sort-groupby
-    # expressed the same reduce but paid ~2-3 s of exchange overhead
-    # for a keyspace of a few dozen groups.
-    # large pass-1 batches: censuses dedupe within a batch, so fewer,
-    # bigger partials mean less census volume through the reduce
-    p1 = meta.map_batches(_make_p1_partial(list(ref_partitions)),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=100_000)
-    has_captions = captions_path is not None
-    if has_captions:
-        caps_rows = _caption_census_rows(captions_path)
-        with _cf.ThreadPoolExecutor(2) as pool:
-            f1 = pool.submit(p1.materialize)
-            f2 = pool.submit(caps_rows.materialize)
-            refs = f1.result().to_arrow_refs() \
-                + f2.result().to_arrow_refs()
-    else:
-        refs = p1.materialize().to_arrow_refs()
-    futures = [_reduce_slice_task.remote(s, has_captions, *refs)
-               for s in range(-1, N_SLICES)]
-    reduced = [{"kind": k, "payload": p}
-               for out in ray.get(futures) for k, p in out]
-    prof_payload = None
-    dup_parts_, oimg_parts, ocap_parts = [], [], []
-    ph_parts_: list = []
-    band_parts_: list = []
-    band_total = 0
-    for r in reduced:
-        data = pickle.loads(r["payload"])
-        if r["kind"] == "prof":
-            prof_payload = data
-        elif r["kind"] == "idcap":
-            dup_parts_.append(data[0])
-            oimg_parts.append(data[1])
-            ocap_parts.append(data[2])
-        elif r["kind"] == "ph":
-            ph_parts_.append(data)
-        else:  # bandd
-            band_parts_.append((data[0], data[1]))
-            band_total += data[2]
-
-    def _cat(parts, dtype):
-        return (np.sort(np.concatenate(parts)) if parts
-                else np.empty(0, dtype))
-
-    dup_id_hashes = _cat(dup_parts_, np.uint64).astype(np.uint64)
-    orphan_img_hashes = _cat(oimg_parts, np.uint64).astype(np.uint64)
-    orphan_cap_hashes = _cat(ocap_parts, np.uint64).astype(np.uint64)
-    ph_vals = (np.concatenate([p[0] for p in ph_parts_])
-               if ph_parts_ else np.empty(0, np.int64))
-    ph_cnts = (np.concatenate([p[1] for p in ph_parts_])
-               if ph_parts_ else np.empty(0, np.int64))
-    hot_band_vals = (np.concatenate([p[0] for p in band_parts_])
-                     if band_parts_ else np.empty(0, np.int64))
-    hot_band_cnts = (np.concatenate([p[1] for p in band_parts_])
-                     if band_parts_ else np.empty(0, np.int64))
-
-    sketches, hists, nrows = prof_payload
-    timings["pass1_profile_census"] = round(_time.perf_counter() - _t0, 3)
-    _t0 = _time.perf_counter()
-    prof = TableProfile(columns=sketches,
-                        n_rows=sum(nrows[p] for p in ref_partitions
-                                   if p in nrows))
-    states = rc.fence_states(prof, ["w", "h"])
-
-    # drift vs reference histograms
-    ref_set = set(ref_partitions)
-    psi_rows = []
-    ref_hists = {col: np.sum([hists[col][p] for p in ref_set
-                              if p in hists[col]], axis=0)
-                 for col in ("w", "h", "caption_len")}
-    fmt_cats = sorted({c for d in hists["fmt"].values() for c in d})
-    fmt_ref = np.array([sum(hists["fmt"][p].get(c, 0)
-                            for p in ref_set if p in hists["fmt"])
-                        for c in fmt_cats], dtype=float)
-    for pid in sorted(nrows):
-        row = {"partition_id": pid}
-        for col in ("w", "h", "caption_len"):
-            row[f"psi_{col}"] = psi_from_counts(ref_hists[col],
-                                                hists[col][pid])
-        row["psi_fmt"] = psi_from_counts(
-            fmt_ref,
-            [hists["fmt"].get(pid, {}).get(c, 0) for c in fmt_cats])
-        row["drift_fail"] = int(
-            pid not in ref_set and max(
-                row["psi_w"], row["psi_h"], row["psi_caption_len"],
-                row["psi_fmt"]) > psi_budget)
-        psi_rows.append(row)
-    drift_df = pd.DataFrame(psi_rows)
-
-    # candidate sets (already filtered distributed; reducers emitted
-    # ONLY dup phashes and hot band buckets)
-    dup_phashes = (np.sort(ph_vals.astype(np.int64)) if neardup
-                   else np.empty(0, np.int64))
-    hot_bands = (np.sort(hot_band_vals.astype(np.int64)) if neardup
-                 else np.empty(0, np.int64))
-    # path choice for the banded-Hamming stage: when collisions are rare
-    # the hot-bucket broadcast prunes the band stream to almost nothing;
-    # when collision rows pass the bound (n >> 2^16 per band) the filter
-    # would keep ~everything, so ship the whole deduped band stream
-    # through the hash-partitioned pairing exchange instead (the
-    # multi-index-hashing scale path — pairing happens IN the groups,
-    # never on the driver, so saturation no longer disables the stage)
-    hamming_path = "none"
-    if neardup and hot_bands.size:
-        collision_rows = int(hot_band_cnts.sum())
-        hamming_path = ("mih_shuffle" if collision_rows
-                        > max(100_000, int(0.02 * band_total))
-                        else "prune")
-    ph_count_map = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
-
-    # ---- PASS 2 ----
-    band_slices = default_num_parts()
-    blob_ref = ray.put((states, dup_id_hashes, dup_phashes,
-                        orphan_img_hashes, mad_threshold,
-                        viol_cap_per_block,
-                        hamming_path if neardup else "none",
-                        hot_bands if hamming_path == "prune" else None,
-                        band_slices))
-    def p2_fn(batch: pa.Table, _cache={}) -> pa.Table:
-        if "p" not in _cache:
-            _cache["p"] = _P2Partial(blob_ref)
-        return _cache["p"](batch)
-
-    # ONE execution of the metadata pass, materialized to the object
-    # store (spillable): the driver then take_all()s ONLY the small agg
-    # rows; the capped violation tables stay distributed and are exposed
-    # as a lazy dataset / written to a parquet sink — never concatenated
-    # on the driver (block count is unbounded at 10^12 rows even if each
-    # block's listing is capped)
-    p2_out = meta.map_batches(p2_fn, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-    counts: dict[int, list[int]] = {}
-    dup_ids_all: list = []
-    dup_pids_all: list = []
-    orphan_ids_all: list = []
-    ph_member_ids: list = []
-    ph_member_vals: list = []
-    agg_only = p2_out.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "agg")),
-        batch_format="pyarrow")
-    viol_schema: pa.Schema | None = None
-    for r in agg_only.take_all():
-        (cnts, dup_rows, orphan_rows,
-         ph_members, viol_schema) = pickle.loads(r["payload"])
-        for u, (n, sv, nv) in cnts.items():
-            agg = counts.setdefault(u, [0, 0, 0])
-            agg[0] += n
-            agg[1] += sv
-            agg[2] += nv
-        if dup_rows is not None and len(dup_rows[0]):
-            dup_ids_all.append(dup_rows[0])
-            dup_pids_all.append(dup_rows[1])
-        if orphan_rows is not None and len(orphan_rows):
-            orphan_ids_all.append(orphan_rows)
-        if ph_members is not None and len(ph_members[0]):
-            ph_member_ids.append(ph_members[0])
-            ph_member_vals.append(ph_members[1])
-
-    def _unpack_viol(t: pa.Table) -> pa.Table:
-        # batch_size=None -> one batch per block; a block usually holds
-        # the always-emitted viol row, but Ray's dynamic block splitting
-        # (target max block size) can produce a block without one — fall
-        # back to the empty typed table so concat never sees []
-        tabs = [pickle.loads(p) for p in
-                t.filter(pc.equal(t["kind"], "viol"))["payload"]
-                .to_pylist()]
-        if not tabs:
-            return viol_schema.empty_table()
-        return pa.concat_tables(tabs, promote_options="default")
-
-    stat_viol = p2_out.map_batches(_unpack_viol, batch_format="pyarrow",
-                                   batch_size=None)
-    if violations_dir is not None:
-        from ..io import write_partitioned
-        write_partitioned(stat_viol, violations_dir)
-
-    # uniqueness listing (exact counts per actual id)
-    dup_df = pd.DataFrame({"image_id": [], "n": []})
-    uniq_fail: set = set()
-    if dup_ids_all:
-        ids_cat = np.concatenate(dup_ids_all)
-        pids_cat = np.concatenate(dup_pids_all)
-        vc = pd.Series(ids_cat).value_counts()
-        vc = vc[vc >= 2]
-        dup_df = pd.DataFrame({"image_id": vc.index, "n": vc.to_numpy()})
-        real = set(vc.index)
-        uniq_fail = {int(p) for i, p in zip(ids_cat, pids_cat)
-                     if i in real}
-
-    # referential listing
-    orphan_df = None
-    if captions_path is not None:
-        img_orph_ids = (np.concatenate(orphan_ids_all)
-                        if orphan_ids_all else np.empty(0, object))
-        iv, ic = np.unique(img_orph_ids, return_counts=True)
-        rows = [{"image_id": i, "left_n": int(c), "right_n": 0}
-                for i, c in zip(iv.tolist(), ic.tolist())]
-        if orphan_cap_hashes.size:
-            caps = rd.read_parquet(captions_path, columns=["image_id"])
-            oc_ref = ray.put(orphan_cap_hashes)
-
-            def cap_orphans(t: pa.Table) -> pa.Table:
-                h = hash64(np_object(t["image_id"]))
-                return t.filter(pa.array(np.isin(h, ray.get(oc_ref))))
-
-            cap_rows = caps.map_batches(cap_orphans,
-                                        batch_format="pyarrow").take_all()
-            cv, cc = np.unique([r["image_id"] for r in cap_rows],
-                               return_counts=True)
-            rows += [{"image_id": i, "left_n": 0, "right_n": int(c)}
-                     for i, c in zip(cv.tolist(), cc.tolist())]
-        orphan_df = pd.DataFrame(rows, columns=["image_id", "left_n",
-                                                "right_n"])
-
-    # near-dup group listings (exact-equal phashes) — vectorized
-    # lexsort fold over the capped per-block (id, phash) samples, never
-    # a per-row dict loop (counts stay exact from the pass-1 census)
-    nd_groups = nd_pairs = None
-    if neardup:
-        if ph_member_ids:
-            mi = np.concatenate(ph_member_ids)
-            mv = np.concatenate(ph_member_vals)
-            order = np.lexsort((mi, mv))
-            mv, mi = mv[order], mi[order]
-            bounds = np.flatnonzero(
-                np.r_[True, mv[1:] != mv[:-1], True])
-            hs = [int(mv[s]) for s in bounds[:-1]]
-            nd_groups = pd.DataFrame({
-                "phash": hs,
-                "n": [int(ph_count_map[h]) for h in hs],
-                "ids": [mi[s:min(e, s + 64)].tolist()
-                        for s, e in zip(bounds[:-1], bounds[1:])]})
+        # ---- PASS 1 ----
+        # ONE image-side execution of per-block partials (profile + sliced
+        # censuses), the tiny caption-census execution overlapped under it,
+        # then FLAT per-slice reduce tasks over the partial block refs —
+        # everything merges DISTRIBUTED per (kind, slice); only candidates
+        # (dups / orphans / hot buckets) and the merged few-KB profile ever
+        # reach the driver (the 10^12 path).  A Dataset.union + sort-groupby
+        # expressed the same reduce but paid ~2-3 s of exchange overhead
+        # for a keyspace of a few dozen groups.
+        # large pass-1 batches: censuses dedupe within a batch, so fewer,
+        # bigger partials mean less census volume through the reduce
+        p1 = meta.map_batches(_make_p1_partial(list(ref_partitions)),
+                              batch_format="pyarrow", zero_copy_batch=True,
+                              batch_size=100_000)
+        has_captions = captions_path is not None
+        if has_captions:
+            caps_rows = _caption_census_rows(captions_path)
+            with _cf.ThreadPoolExecutor(2) as pool:
+                f1 = pool.submit(p1.materialize)
+                f2 = pool.submit(caps_rows.materialize)
+                refs = f1.result().to_arrow_refs() \
+                    + f2.result().to_arrow_refs()
         else:
-            nd_groups = pd.DataFrame({"phash": [], "n": [], "ids": []})
+            refs = p1.materialize().to_arrow_refs()
+        futures = [_reduce_slice_task.remote(s, has_captions, *refs)
+                   for s in range(-1, N_SLICES)]
+        reduced = [{"kind": k, "payload": p}
+                   for out in ray.get(futures) for k, p in out]
+        prof_payload = None
+        dup_parts_, oimg_parts, ocap_parts = [], [], []
+        ph_parts_: list = []
+        band_parts_: list = []
+        band_total = 0
+        for r in reduced:
+            data = pickle.loads(r["payload"])
+            if r["kind"] == "prof":
+                prof_payload = data
+            elif r["kind"] == "idcap":
+                dup_parts_.append(data[0])
+                oimg_parts.append(data[1])
+                ocap_parts.append(data[2])
+            elif r["kind"] == "ph":
+                ph_parts_.append(data)
+            else:  # bandd
+                band_parts_.append((data[0], data[1]))
+                band_total += data[2]
 
-    timings["pass2_evidence_listings"] = round(
-        _time.perf_counter() - _t0, 3)
-    _t0 = _time.perf_counter()
+        def _cat(parts, dtype):
+            return (np.sort(np.concatenate(parts)) if parts
+                    else np.empty(0, dtype))
 
-    # ---- banded-Hamming pairing (distributed) ----
-    # consumes the band payload rows already sitting in the materialized
-    # pass-2 output — no extra read or census; the pass-1 census chose
-    # the path.  The slice-addressed scatter (stages.transport) splits
-    # out the band cells once per block, so pairing tasks never fetch
-    # the violation tables riding the same blocks and each band byte
-    # moves once even multi-node.  Ids resolve via a pruned 2-column
-    # read only when pairs exist.
-    if neardup:
-        if hamming_path != "none":
-            from ..stages.transport import scatter_slices
-            from ..validators.near_dup import _hash_pair_slice_task
-            per_slice = scatter_slices(p2_out, band_slices, kind="band")
-            futs = [_hash_pair_slice_task.remote(4, 4096, *per_slice[s])
-                    for s in range(band_slices)]
-            ph_pairs = pd.concat(ray.get(futs), ignore_index=True) \
-                .drop_duplicates(["ph_a", "ph_b"])
-            nd_pairs = _resolve_ids(
-                rd.read_parquet(images_dir,
-                                columns=["image_id", "phash"]),
-                "phash", "image_id", ph_pairs)
-        else:
-            nd_pairs = pd.DataFrame({
-                "id_a": pd.Series([], dtype=object),
-                "id_b": pd.Series([], dtype=object),
-                "dist": pd.Series([], dtype=np.int64)})
-    timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)
-    _t0 = _time.perf_counter()
+        dup_id_hashes = _cat(dup_parts_, np.uint64).astype(np.uint64)
+        orphan_img_hashes = _cat(oimg_parts, np.uint64).astype(np.uint64)
+        orphan_cap_hashes = _cat(ocap_parts, np.uint64).astype(np.uint64)
+        ph_vals = (np.concatenate([p[0] for p in ph_parts_])
+                   if ph_parts_ else np.empty(0, np.int64))
+        ph_cnts = (np.concatenate([p[1] for p in ph_parts_])
+                   if ph_parts_ else np.empty(0, np.int64))
+        hot_band_vals = (np.concatenate([p[0] for p in band_parts_])
+                         if band_parts_ else np.empty(0, np.int64))
+        hot_band_cnts = (np.concatenate([p[1] for p in band_parts_])
+                         if band_parts_ else np.empty(0, np.int64))
 
-    # ---- PASS 3 join (launched before pass 1; see top) ----
-    decode_df = None
-    decode_fail: set = set()
-    if decode:
-        decode_df = decode_future.result()
-        decode_pool.shutdown()
-        if len(decode_df):
-            decode_fail = set(decode_df["partition_id"].astype(int))
+        sketches, hists, nrows = prof_payload
+        timings["pass1_profile_census"] = round(_time.perf_counter() - _t0, 3)
+        _t0 = _time.perf_counter()
+        prof = TableProfile(columns=sketches,
+                            n_rows=sum(nrows[p] for p in ref_partitions
+                                       if p in nrows))
+        states = rc.fence_states(prof, ["w", "h"])
+
+        # drift vs reference histograms
+        ref_set = set(ref_partitions)
+        psi_rows = []
+        ref_hists = {col: np.sum([hists[col][p] for p in ref_set
+                                  if p in hists[col]], axis=0)
+                     for col in ("w", "h", "caption_len")}
+        fmt_cats = sorted({c for d in hists["fmt"].values() for c in d})
+        fmt_ref = np.array([sum(hists["fmt"][p].get(c, 0)
+                                for p in ref_set if p in hists["fmt"])
+                            for c in fmt_cats], dtype=float)
+        for pid in sorted(nrows):
+            row = {"partition_id": pid}
+            for col in ("w", "h", "caption_len"):
+                row[f"psi_{col}"] = psi_from_counts(ref_hists[col],
+                                                    hists[col][pid])
+            row["psi_fmt"] = psi_from_counts(
+                fmt_ref,
+                [hists["fmt"].get(pid, {}).get(c, 0) for c in fmt_cats])
+            row["drift_fail"] = int(
+                pid not in ref_set and max(
+                    row["psi_w"], row["psi_h"], row["psi_caption_len"],
+                    row["psi_fmt"]) > psi_budget)
+            psi_rows.append(row)
+        drift_df = pd.DataFrame(psi_rows)
+
+        # candidate sets (already filtered distributed; reducers emitted
+        # ONLY dup phashes and hot band buckets)
+        dup_phashes = (np.sort(ph_vals.astype(np.int64)) if neardup
+                       else np.empty(0, np.int64))
+        hot_bands = (np.sort(hot_band_vals.astype(np.int64)) if neardup
+                     else np.empty(0, np.int64))
+        # path choice for the banded-Hamming stage: when collisions are rare
+        # the hot-bucket broadcast prunes the band stream to almost nothing;
+        # when collision rows pass the bound (n >> 2^16 per band) the filter
+        # would keep ~everything, so ship the whole deduped band stream
+        # through the hash-partitioned pairing exchange instead (the
+        # multi-index-hashing scale path — pairing happens IN the groups,
+        # never on the driver, so saturation no longer disables the stage)
+        hamming_path = "none"
+        if neardup and hot_bands.size:
+            collision_rows = int(hot_band_cnts.sum())
+            hamming_path = ("mih_shuffle" if collision_rows
+                            > max(100_000, int(0.02 * band_total))
+                            else "prune")
+        ph_count_map = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
+
+        # ---- PASS 2 ----
+        band_slices = default_num_parts()
+        blob_ref = ray.put((states, dup_id_hashes, dup_phashes,
+                            orphan_img_hashes, mad_threshold,
+                            viol_cap_per_block,
+                            hamming_path if neardup else "none",
+                            hot_bands if hamming_path == "prune" else None,
+                            band_slices))
+        def p2_fn(batch: pa.Table, _cache={}) -> pa.Table:
+            if "p" not in _cache:
+                _cache["p"] = _P2Partial(blob_ref)
+            return _cache["p"](batch)
+
+        # ONE execution of the metadata pass, materialized to the object
+        # store (spillable): the driver then take_all()s ONLY the small agg
+        # rows; the capped violation tables stay distributed and are exposed
+        # as a lazy dataset / written to a parquet sink — never concatenated
+        # on the driver (block count is unbounded at 10^12 rows even if each
+        # block's listing is capped)
+        p2_out = meta.map_batches(p2_fn, batch_format="pyarrow",
+                                  zero_copy_batch=True).materialize()
+        counts: dict[int, list[int]] = {}
+        dup_ids_all: list = []
+        dup_pids_all: list = []
+        orphan_ids_all: list = []
+        ph_member_ids: list = []
+        ph_member_vals: list = []
+        agg_only = p2_out.map_batches(
+            lambda t: t.filter(pc.equal(t["kind"], "agg")),
+            batch_format="pyarrow")
+        viol_schema: pa.Schema | None = None
+        for r in agg_only.take_all():
+            (cnts, dup_rows, orphan_rows,
+             ph_members, viol_schema) = pickle.loads(r["payload"])
+            for u, (n, sv, nv) in cnts.items():
+                agg = counts.setdefault(u, [0, 0, 0])
+                agg[0] += n
+                agg[1] += sv
+                agg[2] += nv
+            if dup_rows is not None and len(dup_rows[0]):
+                dup_ids_all.append(dup_rows[0])
+                dup_pids_all.append(dup_rows[1])
+            if orphan_rows is not None and len(orphan_rows):
+                orphan_ids_all.append(orphan_rows)
+            if ph_members is not None and len(ph_members[0]):
+                ph_member_ids.append(ph_members[0])
+                ph_member_vals.append(ph_members[1])
+
+        def _unpack_viol(t: pa.Table) -> pa.Table:
+            # batch_size=None -> one batch per block; a block usually holds
+            # the always-emitted viol row, but Ray's dynamic block splitting
+            # (target max block size) can produce a block without one — fall
+            # back to the empty typed table so concat never sees []
+            tabs = [pickle.loads(p) for p in
+                    t.filter(pc.equal(t["kind"], "viol"))["payload"]
+                    .to_pylist()]
+            if not tabs:
+                return viol_schema.empty_table()
+            return pa.concat_tables(tabs, promote_options="default")
+
+        stat_viol = p2_out.map_batches(_unpack_viol, batch_format="pyarrow",
+                                       batch_size=None)
+        if violations_dir is not None:
+            from ..io import write_partitioned
+            write_partitioned(stat_viol, violations_dir)
+
+        # uniqueness listing (exact counts per actual id)
+        dup_df = pd.DataFrame({"image_id": [], "n": []})
+        uniq_fail: set = set()
+        if dup_ids_all:
+            ids_cat = np.concatenate(dup_ids_all)
+            pids_cat = np.concatenate(dup_pids_all)
+            vc = pd.Series(ids_cat).value_counts()
+            vc = vc[vc >= 2]
+            dup_df = pd.DataFrame({"image_id": vc.index, "n": vc.to_numpy()})
+            real = set(vc.index)
+            uniq_fail = {int(p) for i, p in zip(ids_cat, pids_cat)
+                         if i in real}
+
+        # referential listing
+        orphan_df = None
+        if captions_path is not None:
+            img_orph_ids = (np.concatenate(orphan_ids_all)
+                            if orphan_ids_all else np.empty(0, object))
+            iv, ic = np.unique(img_orph_ids, return_counts=True)
+            rows = [{"image_id": i, "left_n": int(c), "right_n": 0}
+                    for i, c in zip(iv.tolist(), ic.tolist())]
+            if orphan_cap_hashes.size:
+                caps = read_table(captions_path, columns=["image_id"])
+                oc_ref = ray.put(orphan_cap_hashes)
+
+                def cap_orphans(t: pa.Table) -> pa.Table:
+                    h = hash64(np_object(t["image_id"]))
+                    return t.filter(pa.array(np.isin(h, ray.get(oc_ref))))
+
+                cap_rows = caps.map_batches(cap_orphans,
+                                            batch_format="pyarrow").take_all()
+                cv, cc = np.unique([r["image_id"] for r in cap_rows],
+                                   return_counts=True)
+                rows += [{"image_id": i, "left_n": 0, "right_n": int(c)}
+                         for i, c in zip(cv.tolist(), cc.tolist())]
+            orphan_df = pd.DataFrame(rows, columns=["image_id", "left_n",
+                                                    "right_n"])
+
+        # near-dup group listings (exact-equal phashes) — vectorized
+        # lexsort fold over the capped per-block (id, phash) samples, never
+        # a per-row dict loop (counts stay exact from the pass-1 census)
+        nd_groups = nd_pairs = None
+        if neardup:
+            if ph_member_ids:
+                mi = np.concatenate(ph_member_ids)
+                mv = np.concatenate(ph_member_vals)
+                order = np.lexsort((mi, mv))
+                mv, mi = mv[order], mi[order]
+                bounds = np.flatnonzero(
+                    np.r_[True, mv[1:] != mv[:-1], True])
+                hs = [int(mv[s]) for s in bounds[:-1]]
+                nd_groups = pd.DataFrame({
+                    "phash": hs,
+                    "n": [int(ph_count_map[h]) for h in hs],
+                    "ids": [mi[s:min(e, s + 64)].tolist()
+                            for s, e in zip(bounds[:-1], bounds[1:])]})
+            else:
+                nd_groups = pd.DataFrame({"phash": [], "n": [], "ids": []})
+
+        timings["pass2_evidence_listings"] = round(
+            _time.perf_counter() - _t0, 3)
+        _t0 = _time.perf_counter()
+
+        # ---- banded-Hamming pairing (distributed) ----
+        # consumes the band payload rows already sitting in the materialized
+        # pass-2 output — no extra read or census; the pass-1 census chose
+        # the path.  The slice-addressed scatter (stages.transport) splits
+        # out the band cells once per block, so pairing tasks never fetch
+        # the violation tables riding the same blocks and each band byte
+        # moves once even multi-node.  Ids resolve via a pruned 2-column
+        # read only when pairs exist.
+        if neardup:
+            if hamming_path != "none":
+                from ..stages.transport import scatter_slices
+                from ..validators.near_dup import _hash_pair_slice_task
+                per_slice = scatter_slices(p2_out, band_slices, kind="band")
+                futs = [_hash_pair_slice_task.remote(4, 4096, *per_slice[s])
+                        for s in range(band_slices)]
+                ph_pairs = pd.concat(ray.get(futs), ignore_index=True) \
+                    .drop_duplicates(["ph_a", "ph_b"])
+                nd_pairs = _resolve_ids(
+                    read_table(files, columns=["image_id", "phash"]),
+                    "phash", "image_id", ph_pairs)
+            else:
+                nd_pairs = pd.DataFrame({
+                    "id_a": pd.Series([], dtype=object),
+                    "id_b": pd.Series([], dtype=object),
+                    "dist": pd.Series([], dtype=np.int64)})
+        timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)
+        _t0 = _time.perf_counter()
+
+        # ---- PASS 3 join (launched before pass 1; see top) ----
+        decode_df = None
+        decode_fail: set = set()
+        if decode:
+            decode_df = decode_future.result()
+            if len(decode_df):
+                decode_fail = set(decode_df["partition_id"].astype(int))
+    finally:
+        decode_pool.shutdown(cancel_futures=True)
 
     # decode's own wall (it ran overlapped with the metadata passes);
     # the residual wait after Hamming is what decode added to total

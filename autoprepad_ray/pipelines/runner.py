@@ -45,9 +45,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data as rd
-
 from .. import __version__
+from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile, profile_dataset
 from ..validators import drift, row_checks as rc
 from .image_validation import _prep, assert_schema_files
@@ -80,7 +79,7 @@ def _hash_census(files: list[str], *, with_phash: bool) -> pa.Table:
     from ..validators.near_dup import _merge_count_arrays
 
     cols = ["image_id", "phash"] if with_phash else ["image_id"]
-    ds = rd.read_parquet(files, columns=cols)
+    ds = read_table(files, columns=cols)
 
     def partial(t: pa.Table) -> pa.Table:
         out = {"id": np.unique(hash64(np_object(t["image_id"])),
@@ -144,7 +143,7 @@ def _load_or_build_profile(out_dir: str, ref_files: list[str],
                 return TableProfile.from_json(f.read()), fp
             except ProfileFormatError:
                 pass        # an older engine's format: re-profile below
-    ds = rd.read_parquet(ref_files)
+    ds = read_table(ref_files)
     prof = profile_dataset(
         ds.map_batches(_prep, batch_format="pyarrow", zero_copy_batch=True),
         columns=["w", "h", "caption_len", "caption", "fmt"],
@@ -189,7 +188,7 @@ def run_validation(images_dir: str, out_dir: str, *,
                      for k, v in cached["hists"].items()}
         ref_fmt = cached["fmt"]
     else:
-        ref_ds = rd.read_parquet(ref_files).map_batches(
+        ref_ds = read_table(ref_files).map_batches(
             _prep, batch_format="pyarrow", zero_copy_batch=True)
         ref_hists = {
             "w": drift.histogram_counts(ref_ds, "w", edges_wh),
@@ -261,7 +260,7 @@ def run_validation(images_dir: str, out_dir: str, *,
     for pid in pending:
         t0 = time.time()
         schema_errors = assert_schema_files(parts[pid])
-        meta = rd.read_parquet(parts[pid], columns=META_COLS)
+        meta = read_table(parts[pid], columns=META_COLS)
         n_rows = stat_viol = null_viol = 0
         cur_hists = {c: np.zeros(len(e) - 1, dtype=np.int64)
                      for c, e in hist_specs.items()}
@@ -295,7 +294,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             # column-pruned: decode needs everything BUT caption
             # (image_validation.py does the same — reading the caption
             # into the decode tasks is pure waste)
-            payload_ds = rd.read_parquet(
+            payload_ds = read_table(
                 parts[pid], columns=["image_id", "bytes", "w", "h",
                                      "fmt", "phash"])
             bad = decode_verify(payload_ds).map_batches(
@@ -418,7 +417,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             # filter removes them)
             import ray as _ray
             dup_ref = _ray.put(np.sort(dup_hashes))
-            cand_ds = rd.read_parquet(
+            cand_ds = read_table(
                 [f for pid in listing_pids for f in parts[pid]],
                 columns=["image_id"])
 

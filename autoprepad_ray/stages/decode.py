@@ -10,8 +10,9 @@ scorer" slot from SURVEY §2.3).
 - for lossy formats, decode -> re-encode -> decode PSNR >= ``min_psnr``
   (the >=40 dB allclose invariant from BASELINE.json ``input_hint``).
 
-:func:`decode_verify` maps it over a Dataset as stateless tasks, fused
-into the read.  The only state is the module-level codec table: an
+:func:`decode_verify` maps it over a Dataset as stateless tasks (its
+``batch_size`` keeps it an operator of its own after the read: Ray fuses
+no batched map into a read task).  The only state is the module-level codec table: an
 actor pool's worker starts (~1 s of CPU each on a 4-vCPU host) would
 cost several times the decode work itself (~0.25 s in-process for the
 2,000-image benchmark table).

@@ -276,3 +276,73 @@ def test_html_reports(fimg, tmp_path):
     out = tmp_path / "report.html"
     out.write_text(html)
     assert out.stat().st_size > 2000
+
+
+def test_failed_pass_drains_decode_thread(fimg, monkeypatch):
+    """A metadata pass that raises reaches the caller only after the
+    overlapped decode thread has finished: no executor thread (and no
+    Ray Data execution) is left running behind the error."""
+    import threading
+
+    from autoprepad_ray.pipelines import image_validation as iv
+
+    def boom(ref_set):
+        raise RuntimeError("pass 1 failed")
+
+    d, _ = fimg
+    monkeypatch.setattr(iv, "_make_p1_partial", boom)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="pass 1 failed"):
+        iv.validate_images(f"{d}/images", f"{d}/captions.parquet")
+    # executor workers are non-daemon threads; Ray's own are daemons
+    left = [t.name for t in threading.enumerate()
+            if t not in before and not t.daemon]
+    assert not left, left
+
+
+def _layout_witnesses(rep) -> dict:
+    def rows(df, cols):
+        return sorted(map(tuple, df[cols].astype(str).to_numpy()))
+
+    groups = rep.neardup_groups
+    return {
+        "verdicts": rep.verdicts.to_dict("records"),
+        "dup_ids": rows(rep.dup_ids, ["image_id", "n"]),
+        "orphans": rows(rep.orphans, ["image_id", "left_n", "right_n"]),
+        "neardup_pairs": rows(rep.neardup_pairs, ["id_a", "id_b", "dist"]),
+        "neardup_groups": sorted(
+            (str(h), int(n), tuple(sorted(ids))) for h, n, ids in
+            zip(groups["phash"], groups["n"], groups["ids"])),
+        "decode_violations": rows(rep.decode_violations,
+                                  ["image_id", "partition_id", "fmt",
+                                   "decode_reason"]),
+        "stat_violation_ids": set(
+            rep.stat_violations.to_pandas()["image_id"]),
+    }
+
+
+def test_results_independent_of_block_layout(fimg, monkeypatch):
+    """The per-block partial folds and capped listings give the same
+    report whether a read is one block per file (io.read_table) or
+    Ray's default plan, which splits each file's output."""
+    import ray.data as rd
+
+    from autoprepad_ray.pipelines import image_validation as iv
+
+    d, _ = fimg
+    args = (f"{d}/images", f"{d}/captions.parquet")
+    per_file = _layout_witnesses(iv.validate_images(*args))
+
+    calls = []
+
+    def ray_default(path, columns=None):
+        calls.append(path)
+        return rd.read_parquet(path, columns=columns)
+
+    monkeypatch.setattr(iv, "read_table", ray_default)
+    split = _layout_witnesses(iv.validate_images(*args))
+    # payload, metadata, caption census + orphans, id resolution
+    assert len(calls) == 5, calls
+    assert rd.read_parquet(f"{d}/images").materialize().num_blocks() > 8
+    for k in per_file:
+        assert per_file[k] == split[k], k
