@@ -4,15 +4,17 @@ per-partition checkpoints carrying lineage + metrics).
 
 A 100-TB corpus arrives as thousands of parquet shards; the audit
 (benchmark decontamination + repetition quality) must survive
-preemption and re-run only what is missing.  Same design rules as the
-image runner (/root/reference has no runner — the reference is a
-single-process pipeline, control.py:139-170; resumability is the
-engine's north-rule addition):
+preemption and re-run only what is missing.  The audit and the cleaner
+run on the shared scaffold ``pipelines.checkpoint._run_sharded`` with
+unit ``shard`` (the reference has no runner — it is a single-process
+pipeline, control.py:139-170; resumability is the engine's north-rule
+addition):
 
-- the checkpoint is the OUTPUT, not the manifest line: a shard is
-  complete iff its ``audit.json`` exists AND was produced under the
-  current eval-set fingerprint — deleting a shard directory re-runs
-  exactly that shard;
+- a shard is complete iff its ``audit.json`` / ``clean.json`` exists
+  AND its manifest entry carries the current eval-set (and dup-state)
+  fingerprints and the current fingerprint of the shard's own file —
+  deleting a shard directory or rewriting its file re-runs exactly
+  that shard;
 - the eval n-gram set builds once per fingerprint and persists beside
   the manifest (``evalgrams_<fp>.npy``), so a resume never re-reads
   the eval source;
@@ -23,7 +25,6 @@ engine's north-rule addition):
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 import numpy as np
@@ -34,7 +35,7 @@ import ray
 
 from .. import __version__
 from ..io import read_table
-from .runner import _atomic_write_json, _fingerprint
+from .checkpoint import _finish_run, _fingerprint, _run_sharded
 
 
 def discover_shards(docs_path: str) -> dict[str, str]:
@@ -98,81 +99,6 @@ def _load_or_build_evalgrams(out_dir: str, eval_files: list[str], *,
     return merged, fp
 
 
-def _run_sharded(out_dir: str, shards: dict[str, str], fps: dict,
-                 per_shard, manifest_seed: dict, *,
-                 checkpoint_file: str,
-                 max_parallel_shards: int = 4):
-    """Shared resumable-runner scaffold for the audit and the cleaner
-    (one copy of the invariants: output-is-the-checkpoint completeness,
-    fingerprint staleness, tmp-dir atomic shard writes, the locked
-    manifest update, bounded driver-thread parallelism).
-
-    ``fps`` are the fingerprint fields a shard's manifest entry must
-    match to count as complete; ``per_shard(name, tmp_dir) -> dict``
-    writes the shard's outputs into ``tmp_dir`` and returns its verdict
-    (``fps`` are merged in).  Returns (manifest, pending)."""
-    import shutil
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    os.makedirs(os.path.join(out_dir, "shards"), exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    manifest = dict(manifest_seed)
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        if manifest.get("kind") != manifest_seed.get("kind"):
-            # audit and cleaner share the shard layout: resuming the
-            # WRONG runner over an out_dir would rmtree+replace every
-            # existing shard output — refuse instead of destroying it
-            raise ValueError(
-                f"{out_dir!r} holds a "
-                f"{manifest.get('kind', 'pre-kind')!r} manifest; this "
-                f"is a {manifest_seed.get('kind')!r} run — use a "
-                "separate --out directory")
-
-    def _complete(name: str) -> bool:
-        entry = manifest["shards"].get(name)
-        if entry is None or any(entry.get(k) != v
-                                for k, v in fps.items()):
-            return False
-        return os.path.exists(os.path.join(
-            out_dir, "shards", f"shard={name}", checkpoint_file))
-
-    pending = [s for s in sorted(shards) if not _complete(s)]
-    mlock = threading.Lock()
-
-    def _one(name: str) -> None:
-        shard_dir = os.path.join(out_dir, "shards", f"shard={name}")
-        tmp_dir = shard_dir + ".tmp"
-        if os.path.exists(tmp_dir):
-            shutil.rmtree(tmp_dir)
-        os.makedirs(tmp_dir)
-        verdict = {**per_shard(name, tmp_dir), **fps}
-        _atomic_write_json(os.path.join(tmp_dir, checkpoint_file),
-                           verdict)
-        if os.path.exists(shard_dir):
-            shutil.rmtree(shard_dir)
-        os.replace(tmp_dir, shard_dir)
-        with mlock:
-            manifest["shards"][name] = verdict
-            _atomic_write_json(manifest_path, manifest)
-
-    if pending:
-        from ..context import prime_fsspec_http_stub
-        prime_fsspec_http_stub()     # threaded reads race the lazy import
-        with ThreadPoolExecutor(max_workers=max(
-                1, min(max_parallel_shards, len(pending)))) as ex:
-            list(ex.map(_one, pending))
-    return manifest, pending
-
-
-def _finish_run(manifest: dict, out_dir: str, run_entry: dict) -> dict:
-    manifest["runs"].append(run_entry)
-    _atomic_write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
-
-
 def run_text_audit(docs_path: str, out_dir: str, *,
                    eval_docs: str | None = None, ngram: int = 8,
                    text_col: str = "text", id_col: str = "doc_id",
@@ -221,15 +147,17 @@ def run_text_audit(docs_path: str, out_dir: str, *,
         }
 
     manifest, pending = _run_sharded(
-        out_dir, shards, {"eval_fp": eval_fp}, _audit_shard,
+        out_dir, "shard", {n: [f] for n, f in shards.items()},
+        {"eval_fp": eval_fp}, _audit_shard,
         {"engine_version": __version__, "docs_path": docs_path,
          "kind": "audit", "ngram": ngram, "shards": {}, "runs": []},
         checkpoint_file="audit.json",
-        max_parallel_shards=max_parallel_shards)
+        max_parallel=max_parallel_shards)
     return _finish_run(manifest, out_dir, {
         "pending": pending, "eval_fp": eval_fp,
         "total_contaminated": int(sum(
-            v["contaminated_docs"] for v in manifest["shards"].values())),
+            v["verdict"]["contaminated_docs"]
+            for v in manifest["shards"].values())),
     })
 
 
@@ -366,14 +294,14 @@ def run_corpus_clean(docs_path: str, out_dir: str, *,
                 "ngram": ngram, "source": shards[name]}
 
     manifest, pending = _run_sharded(
-        out_dir, shards, {"eval_fp": eval_fp, "dup_fp": dup_fp},
-        _clean_shard,
+        out_dir, "shard", {n: [f] for n, f in shards.items()},
+        {"eval_fp": eval_fp, "dup_fp": dup_fp}, _clean_shard,
         {"engine_version": __version__, "docs_path": docs_path,
          "kind": "clean", "ngram": ngram, "shards": {}, "runs": []},
         checkpoint_file="clean.json",
-        max_parallel_shards=max_parallel_shards)
+        max_parallel=max_parallel_shards)
     return _finish_run(manifest, out_dir, {
         "pending": pending, "eval_fp": eval_fp, "dup_fp": dup_fp,
         "total_clean": int(sum(
-            v["n_clean"] for v in manifest["shards"].values())),
+            v["verdict"]["n_clean"] for v in manifest["shards"].values())),
     })

@@ -186,44 +186,61 @@ def _census_rows(kind: str, side: int, vals: np.ndarray,
     return out
 
 
+def _prof_partial(batch: pa.Table, ref_set) -> tuple:
+    """Profile + histogram half of the pass-1 partial over a prepped
+    block: (sketches over the ``ref_set`` rows, {col: {pid: counts}}
+    histograms, {pid: rows}) — folded by :func:`_merge_prof`."""
+    pid = batch["partition_id"].to_numpy(zero_copy_only=False)
+    uniq, inv = np.unique(pid, return_inverse=True)
+    ref_mask = np.isin(pid, list(ref_set))
+    sketches: dict[str, ColumnSketch] = {}
+    if ref_mask.any():
+        ref_tbl = batch.filter(pa.array(ref_mask))
+        for col in PROFILE_COLS:
+            cs = ColumnSketch(
+                name=col, kind=_col_kind(ref_tbl.schema.field(col).type))
+            if cs.kind == "string":
+                # near-unique free-text columns: exact value counts
+                # would ship every distinct string through the merge
+                # tree — cap low so they hand off to HLL early
+                cs.values.max_items = 65_536
+            cs.update_array(ref_tbl[col])
+            sketches[col] = cs
+    raw = _hist_partial(batch, pid, uniq, inv)
+    # canonical (merge-stable) form: {col: {pid: counts}}
+    hists = {col: {int(u): raw[col][k] for k, u in enumerate(uniq)}
+             for col in ("w", "h", "caption_len")}
+    hists["fmt"] = raw["fmt"]
+    nrows = {int(u): int(c) for u, c in
+             zip(uniq, np.bincount(inv, minlength=len(uniq)))}
+    return sketches, hists, nrows
+
+
+def _key_census(batch: pa.Table) -> dict:
+    """Distinct-key census of a block, kind -> (values, counts): 'id' is
+    hash64 of image_id and, when the block carries it, 'ph' the raw
+    phash (exact)."""
+    out = {"id": np.unique(hash64(np_object(batch["image_id"])),
+                           return_counts=True)}
+    if "phash" in batch.column_names:
+        out["ph"] = np.unique(batch["phash"].to_numpy(zero_copy_only=False),
+                              return_counts=True)
+    return out
+
+
 def _make_p1_partial(ref_set: list[int]):
     def p1(batch: pa.Table) -> pa.Table:
         batch = _prep(batch)
-        pid = batch["partition_id"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(pid, return_inverse=True)
-        # profile partials over the reference partitions only
-        ref_mask = np.isin(pid, ref_set)
-        sketches: dict[str, ColumnSketch] = {}
-        if ref_mask.any():
-            ref_tbl = batch.filter(pa.array(ref_mask))
-            for col in PROFILE_COLS:
-                cs = ColumnSketch(
-                    name=col, kind=_col_kind(ref_tbl.schema.field(col).type))
-                if cs.kind == "string":
-                    # near-unique free-text columns: exact value counts
-                    # would ship every distinct string through the merge
-                    # tree — cap low so they hand off to HLL early
-                    cs.values.max_items = 65_536
-                cs.update_array(ref_tbl[col])
-                sketches[col] = cs
-        raw = _hist_partial(batch, pid, uniq, inv)
-        # canonical (merge-stable) form: {col: {pid: counts}}
-        hists = {col: {int(u): raw[col][k] for k, u in enumerate(uniq)}
-                 for col in ("w", "h", "caption_len")}
-        hists["fmt"] = raw["fmt"]
-        nrows = {int(u): int(c) for u, c in
-                 zip(uniq, np.bincount(inv, minlength=len(uniq)))}
         rows: list[tuple[str, int, bytes]] = [
-            ("prof", -1, pickle.dumps((sketches, hists, nrows)))]
-        idv, idc = np.unique(hash64(np_object(batch["image_id"])),
-                             return_counts=True)
-        rows += _census_rows("idcap", 0, idv, idc)
-        ph = batch["phash"].to_numpy(zero_copy_only=False)
-        phv, phc = np.unique(ph, return_counts=True)
+            ("prof", -1, pickle.dumps(_prof_partial(batch, ref_set)))]
+        census = _key_census(batch)
+        rows += _census_rows("idcap", 0, *census["id"])
+        phv, phc = census["ph"]
         rows += _census_rows("ph", 0, phv.astype(np.int64), phc)
         # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
         # bincount per batch + vector-add merge beats sparse unique-merge
-        u64 = ph.astype(np.int64).view(np.uint64)
+        u64 = batch["phash"].to_numpy(zero_copy_only=False) \
+            .astype(np.int64).view(np.uint64)
         band_keys = []
         for b in range(4):
             band_keys.append(
@@ -337,6 +354,44 @@ def _reduce_slice_task(slice_id: int, has_captions: bool,
 # PASS 2: evidence + candidate listings
 
 
+def _evidence(checker: rc.RowChecker, batch: pa.Table) -> tuple:
+    """Row evidence of one raw metadata block: (checked rows with
+    ``caption_null`` appended, partition ids, {pid: (rows, stat_viol,
+    null_viol)}, stat-violation mask, null-caption mask)."""
+    checked = checker(_prep(batch))
+    caption_null = pc.is_null(checked["caption"])
+    checked = checked.append_column(
+        "caption_null", pc.cast(caption_null, pa.int8()))
+    pid = checked["partition_id"].to_numpy(zero_copy_only=False)
+    uniq, inv = np.unique(pid, return_inverse=True)
+    tuk = checked[rc.TUKEY_TOTAL].to_numpy(zero_copy_only=False)
+    mad = checked[rc.MAD_TOTAL].to_numpy(zero_copy_only=False)
+    stat = (tuk > 0) | (mad > 0)
+    null = caption_null.to_numpy(zero_copy_only=False)
+    counts = {
+        int(u): (int(n), int(sv), int(nv)) for u, n, sv, nv in zip(
+            uniq,
+            np.bincount(inv, minlength=len(uniq)),
+            np.bincount(inv, weights=stat.astype(float),
+                        minlength=len(uniq)).astype(np.int64),
+            np.bincount(inv, weights=null.astype(float),
+                        minlength=len(uniq)).astype(np.int64))}
+    return checked, pid, counts, stat, null
+
+
+def _unpack_viol(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Violation tables out of a batch of pass rows (``batch_size=None``:
+    one batch per block).  A block usually holds its always-emitted viol
+    row, but Ray's dynamic block splitting (target max block size) can
+    produce one without — fall back to the empty typed table so concat
+    never sees []."""
+    tabs = [pickle.loads(p) for p in
+            t.filter(pc.equal(t["kind"], "viol"))["payload"].to_pylist()]
+    if not tabs:
+        return schema.empty_table()
+    return pa.concat_tables(tabs, promote_options="default")
+
+
 class _P2Partial:
     """Broadcast-state pass: flags, partition counts, candidate rows.
 
@@ -355,27 +410,8 @@ class _P2Partial:
                                      mad_threshold=mad_threshold)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = _prep(batch)
-        checked = self.checker(batch)
-        caption_null = pc.is_null(checked["caption"])
-        checked = checked.append_column(
-            "caption_null", pc.cast(caption_null, pa.int8()))
-        pid = checked["partition_id"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(pid, return_inverse=True)
-        tuk = checked[rc.TUKEY_TOTAL].to_numpy(zero_copy_only=False)
-        mad = checked[rc.MAD_TOTAL].to_numpy(zero_copy_only=False)
-        nul = checked["caption_null"].to_numpy(zero_copy_only=False)
-        viol = (tuk > 0) | (mad > 0)
-        counts = {
-            int(u): (int(n), int(sv), int(nv)) for u, n, sv, nv in zip(
-                uniq,
-                np.bincount(inv, minlength=len(uniq)),
-                np.bincount(inv, weights=viol.astype(float),
-                            minlength=len(uniq)).astype(np.int64),
-                np.bincount(inv, weights=(nul > 0).astype(float),
-                            minlength=len(uniq)).astype(np.int64))}
-        viol_tbl = checked.drop(["caption"]).filter(
-            pa.array(viol))
+        checked, pid, counts, viol, _ = _evidence(self.checker, batch)
+        viol_tbl = checked.drop(["caption"]).filter(pa.array(viol))
         # viol_cap_per_block: a block is one file's read output (cut
         # further only above target_max_block_size, 128 MiB), so the
         # listing keeps up to the cap per file; counts stay exact
@@ -488,9 +524,7 @@ def _caption_census_rows(captions_path: str):
     caps = read_table(captions_path, columns=["image_id"])
 
     def partial(t: pa.Table) -> pa.Table:
-        v, c = np.unique(hash64(np_object(t["image_id"])),
-                         return_counts=True)
-        rows = _census_rows("idcap", 1, v, c)
+        rows = _census_rows("idcap", 1, *_key_census(t)["id"])
         return pa.table({
             "kind": pa.array([r[0] for r in rows]),
             "slice": pa.array([r[1] for r in rows], type=pa.int8()),
@@ -499,6 +533,19 @@ def _caption_census_rows(captions_path: str):
 
     return caps.map_batches(partial, batch_format="pyarrow",
                             zero_copy_batch=True)
+
+
+def _decode_failures(files: list[str]) -> pd.DataFrame:
+    """PASS 3 over ``files``: decode-verify the payload (column-pruned:
+    everything but caption) and list the rows that fail."""
+    from ..stages.decode import decode_verify
+
+    payload_ds = read_table(files, columns=["image_id", "bytes", "w", "h",
+                                            "fmt", "phash", "partition_id"])
+    return decode_verify(payload_ds).map_batches(
+        lambda t: t.filter(pc.equal(t["decode_ok"], 0))
+        .select(["image_id", "partition_id", "fmt", "decode_reason"]),
+        batch_format="pyarrow").to_pandas()
 
 
 def validate_images(images_dir: str, captions_path: str | None = None, *,
@@ -537,7 +584,6 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
     decode_walls: dict = {}
     if decode:
         from ..context import prime_fsspec_http_stub
-        from ..stages.decode import decode_verify
 
         # the decode thread and the main thread both open Datasets:
         # settle Ray's racy lazy fsspec-http import first
@@ -545,15 +591,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
 
         def _run_decode():
             t0 = _time.perf_counter()
-            payload_ds = read_table(
-                files, columns=["image_id", "bytes", "w", "h",
-                                "fmt", "phash", "partition_id"])
-            dv = decode_verify(payload_ds)
-            df = dv.map_batches(
-                lambda t: t.filter(pc.equal(t["decode_ok"], 0))
-                .select(["image_id", "partition_id", "fmt",
-                         "decode_reason"]),
-                batch_format="pyarrow").to_pandas()
+            df = _decode_failures(files)
             decode_walls["wall"] = round(_time.perf_counter() - t0, 3)
             return df
 
@@ -732,20 +770,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                 ph_member_ids.append(ph_members[0])
                 ph_member_vals.append(ph_members[1])
 
-        def _unpack_viol(t: pa.Table) -> pa.Table:
-            # batch_size=None -> one batch per block; a block usually holds
-            # the always-emitted viol row, but Ray's dynamic block splitting
-            # (target max block size) can produce a block without one — fall
-            # back to the empty typed table so concat never sees []
-            tabs = [pickle.loads(p) for p in
-                    t.filter(pc.equal(t["kind"], "viol"))["payload"]
-                    .to_pylist()]
-            if not tabs:
-                return viol_schema.empty_table()
-            return pa.concat_tables(tabs, promote_options="default")
-
-        stat_viol = p2_out.map_batches(_unpack_viol, batch_format="pyarrow",
-                                       batch_size=None)
+        stat_viol = p2_out.map_batches(
+            _unpack_viol, fn_kwargs={"schema": viol_schema},
+            batch_format="pyarrow", batch_size=None)
         if violations_dir is not None:
             from ..io import write_partitioned
             write_partitioned(stat_viol, violations_dir)

@@ -160,3 +160,21 @@ def test_run_corpus_clean_oracle_and_resume(tmp_path, ray_session):
     m3 = run_corpus_clean(str(docs), str(out))
     assert m3["runs"][-1]["pending"] == ["part1"]
     assert m3["runs"][-1]["total_clean"] == m["runs"][-1]["total_clean"]
+
+
+def test_resume_reruns_changed_shard(corpus_dir, tmp_path, ray_session):
+    """With an explicit eval set the eval fingerprint does not cover the
+    shards: rewriting one shard's file still re-runs exactly it."""
+    ev = tmp_path / "eval.parquet"
+    pq.write_table(pa.table({"doc_id": pa.array([9000], pa.int64()),
+                             "text": pa.array([TEXTS[1]])}), ev)
+    out = str(tmp_path / "audit3")
+    m1 = run_text_audit(corpus_dir, out, eval_docs=str(ev), ngram=4)
+    assert m1["runs"][-1]["total_contaminated"] == 3
+    ids = np.arange(100, 100 + len(TEXTS) + 1, dtype=np.int64)
+    pq.write_table(pa.table({"doc_id": pa.array(ids),
+                             "text": pa.array(TEXTS + [TEXTS[1]])}),
+                   os.path.join(corpus_dir, "shard1.parquet"))
+    m2 = run_text_audit(corpus_dir, out, eval_docs=str(ev), ngram=4)
+    assert m2["runs"][-1]["pending"] == ["shard1"]
+    assert m2["runs"][-1]["total_contaminated"] == 4

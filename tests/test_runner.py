@@ -156,3 +156,150 @@ def test_resume_reprofiles_old_format_profile(fimg_small, tmp_path):
             m1["partitions"][k]["verdict"], k
     with open(ppath) as f:
         assert "kll" in next(iter(json.load(f)["columns"].values()))
+
+
+def _verdicts(m):
+    return {int(k): p["verdict"] for k, p in m["partitions"].items()}
+
+
+def test_resume_reruns_on_setting_change(fimg_small, tmp_path):
+    """A checkpoint only counts under the verdict settings it was made
+    with: changing ``decode`` or a budget re-runs every partition."""
+    d, _ = fimg_small
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{d}/captions.parquet")
+    m1 = run_validation(f"{d}/images", out, decode=False, **kw)
+    assert _verdicts(m1)[2]["decode_fail"] == 0
+    m2 = run_validation(f"{d}/images", out, decode=True, **kw)
+    assert m2["runs"][-1]["pending"] == list(range(8))
+    assert _verdicts(m2)[2]["decode_fail"] == 1
+    m3 = run_validation(f"{d}/images", out, decode=True, stat_budget=0.9,
+                        **kw)
+    assert m3["runs"][-1]["pending"] == list(range(8))
+    assert _verdicts(m3)[3]["stat_fail"] == 0
+    m4 = run_validation(f"{d}/images", out, decode=True, stat_budget=0.9,
+                        **kw)
+    assert m4["runs"][-1]["pending"] == []
+
+
+def test_resume_reruns_changed_partition(fimg_small, tmp_path):
+    """Rewriting a non-reference partition's file re-runs exactly that
+    partition (the profile fingerprint covers only the reference)."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from autoprepad_ray.fixtures import generate_partition
+
+    d, _ = fimg_small
+    work = str(tmp_path / "data")
+    shutil.copytree(d, work)
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{work}/captions.parquet", decode=False)
+    m1 = run_validation(f"{work}/images", out, **kw)
+    assert _verdicts(m1)[5]["null_fail"] == 1
+    path = f"{work}/images/partition=5/part.parquet"
+    size = os.path.getsize(path)
+    t, _, _ = generate_partition(5, 120, seed=42, inject=False,
+                                 partitions=8)
+    pq.write_table(t, path)
+    assert os.path.getsize(path) != size
+    m2 = run_validation(f"{work}/images", out, **kw)
+    assert m2["runs"][-1]["pending"] == [5]
+    assert _verdicts(m2)[5]["null_fail"] == 0
+    assert m2["runs"][-1]["profile_fp"] == m1["runs"][-1]["profile_fp"]
+
+
+def test_ref_partitions_must_exist(fimg_small, tmp_path):
+    d, _ = fimg_small
+    with pytest.raises(ValueError, match=r"\[9\]"):
+        run_validation(f"{d}/images", str(tmp_path / "out"),
+                       ref_partitions=(0, 9), decode=False)
+
+
+def test_runner_matches_validate_images(fimg_small, tmp_path):
+    """Per partition, the runner's verdicts equal validate_images' on
+    the same table.  psi_fmt is left out: the runner's category set is
+    reference ∪ partition, validate_images' spans every partition."""
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    d, _ = fimg_small
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet")
+    m = run_validation(f"{d}/images", str(tmp_path / "out"),
+                       captions_path=f"{d}/captions.parquet")
+    got = _verdicts(m)
+    want = rep.verdicts.merge(rep.drift_psi.drop(columns="drift_fail"),
+                              on="partition_id")
+    assert sorted(got) == want["partition_id"].tolist()
+    for row in want.to_dict("records"):
+        v = got[int(row["partition_id"])]
+        for k in ("n_rows", "stat_viol", "null_viol", "stat_fail",
+                  "null_fail", "drift_fail", "decode_fail"):
+            assert v[k] == row[k], (row["partition_id"], k)
+        for c in ("w", "h", "caption_len"):
+            assert v["psi"][c] == pytest.approx(row[f"psi_{c}"], abs=1e-6)
+
+
+def test_partition_failure_commits_others_and_resumes(fimg_small, tmp_path,
+                                                      monkeypatch):
+    """An error in one partition reaches the caller, leaves that
+    partition without output, and keeps every other partition
+    committed; the resume re-runs exactly it and ends with the verdicts
+    of a clean run."""
+    from autoprepad_ray.pipelines import runner
+
+    d, _ = fimg_small
+    kw = dict(captions_path=f"{d}/captions.parquet", decode=False)
+    clean = run_validation(f"{d}/images", str(tmp_path / "clean"), **kw)
+
+    real = runner.assert_schema_files
+
+    def failing(paths):
+        if any("partition=5" in p for p in paths):
+            raise RuntimeError("injected failure in partition 5")
+        return real(paths)
+
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(runner, "assert_schema_files", failing)
+    with pytest.raises(RuntimeError, match="partition 5"):
+        run_validation(f"{d}/images", out, **kw)
+    assert not os.path.exists(os.path.join(out, "partitions",
+                                           "partition=5"))
+    with open(os.path.join(out, "manifest.json")) as f:
+        m = json.load(f)
+    assert sorted(int(k) for k in m["partitions"]) == [0, 1, 2, 3, 4, 6, 7]
+    for pid in (0, 1, 2, 3, 4, 6, 7):
+        assert os.path.exists(os.path.join(
+            out, "partitions", f"partition={pid}", "verdict.json"))
+
+    monkeypatch.setattr(runner, "assert_schema_files", real)
+    m2 = run_validation(f"{d}/images", out, **kw)
+    assert m2["runs"][-1]["pending"] == [5]
+    assert _verdicts(m2) == _verdicts(clean)
+    for k in ("uniqueness_violations", "neardup_groups",
+              "referential_orphans"):
+        assert m2["runs"][-1][k] == clean["runs"][-1][k], k
+
+
+def test_cold_run_read_count(fimg_small, tmp_path, monkeypatch):
+    """A cold run without decode reads the reference once and each
+    partition once, plus the caption census and the exact uniqueness
+    listing of the dup-affected partitions; no read touches ``bytes``."""
+    from autoprepad_ray.pipelines import runner
+
+    calls = []
+    real = runner.read_table
+
+    def counting(path, **kw):
+        calls.append((path, kw.get("columns")))
+        return real(path, **kw)
+
+    monkeypatch.setattr(runner, "read_table", counting)
+    d, _ = fimg_small
+    m = run_validation(f"{d}/images", str(tmp_path / "out"),
+                       captions_path=f"{d}/captions.parquet", decode=False)
+    listing = m["runs"][-1]["global_checks"]["listing_partitions"]
+    assert listing == [1, 6]
+    assert len(calls) == 1 + 8 + 1 + 1
+    assert all(cols is not None and "bytes" not in cols
+               for _, cols in calls)
