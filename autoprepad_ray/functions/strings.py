@@ -175,22 +175,6 @@ def md5_fingerprint(series: pd.Series) -> pd.Series:
         lambda s: hashlib.md5(s.encode("utf-8")).hexdigest())
 
 
-def char_ngrams(text: str, n: int = 5) -> np.ndarray:
-    """Character shingles for Jaccard / MinHash."""
-    if len(text) < n:
-        return np.array([text], dtype=object) if text else np.array([], dtype=object)
-    return np.array([text[i:i + n] for i in range(len(text) - n + 1)],
-                    dtype=object)
-
-
-def word_ngrams(text: str, n: int = 3) -> np.ndarray:
-    toks = text.split()
-    if len(toks) < n:
-        return np.array([" ".join(toks)], dtype=object) if toks else np.array([], dtype=object)
-    return np.array([" ".join(toks[i:i + n]) for i in range(len(toks) - n + 1)],
-                    dtype=object)
-
-
 def elementwise_starts_with(prefixes: np.ndarray,
                             strings: np.ndarray, *,
                             strict: bool = False) -> np.ndarray:

@@ -35,6 +35,7 @@ import ray
 
 from .. import __version__
 from ..io import read_table
+from ..stages.transport import fold, merge_concat, merge_counts, merge_unique
 from .checkpoint import _finish_run, _fingerprint, _run_sharded
 
 
@@ -82,17 +83,11 @@ def _load_or_build_evalgrams(out_dir: str, eval_files: list[str], *,
         ds = ds.map_batches(_slice, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def uniq(t: pa.Table) -> pa.Table:
+    def uniq(t: pa.Table) -> np.ndarray:
         words, counts = _flat_words(t[text_col])
-        _, grams, _ = _gram_hashes(words, counts, n)
-        return pa.table({"payload": pa.array([np.unique(grams).tobytes()],
-                                             pa.binary())})
+        return np.unique(_gram_hashes(words, counts, n)[1])
 
-    rows = ds.map_batches(uniq, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    parts = [np.frombuffer(r["payload"], dtype=np.uint64) for r in rows]
-    merged = np.unique(np.concatenate(parts)) if parts \
-        else np.empty(0, dtype=np.uint64)
+    merged = fold(ds, uniq, merge_unique).astype(np.uint64)
     tmp = cache + ".tmp.npy"
     np.save(tmp, merged)
     os.replace(tmp, cache)
@@ -168,15 +163,12 @@ def _load_or_build_dup_losers(out_dir: str, files: list[str], *,
     groups among Gopher-quality survivors — the assembly-funnel
     semantics), cached by shard fingerprint so a resume skips both
     global passes.  Census-prune shape: 64-bit text-hash counts fold
-    through the tree merge (dup-rare uniqueness regime), only
+    (stages/transport.fold; dup-rare uniqueness regime), only
     candidate-hash rows ship their md5, exact groups resolve
     driver-side (a 64-bit collision only adds a candidate row)."""
-    import pickle
-
     from ..functions.strings import md5_fingerprint
     from ..stages.text import (_candidate_hits, _minid_losers,
                                _quality_text_state)
-    from ..validators.near_dup import _pickled, _tree_counts
 
     fp = _fingerprint(files) + "-dup1"
     cache = os.path.join(out_dir, f"duplosers_{fp}.npy")
@@ -185,31 +177,24 @@ def _load_or_build_dup_losers(out_dir: str, files: list[str], *,
 
     ds = read_table(files, columns=[id_col, text_col])
 
-    def census(t: pa.Table) -> pa.Table:
+    def census(t: pa.Table) -> tuple:
         keep, _, _, h = _quality_text_state(t, text_col)
-        vals, cnts = np.unique(h[keep], return_counts=True)
-        return _pickled((vals, cnts.astype(np.int64)))
+        return np.unique(h[keep], return_counts=True)
 
-    vals, cnts = _tree_counts(
-        ds.map_batches(census, batch_format="pyarrow",
-                       zero_copy_batch=True))
+    vals, cnts = fold(ds, census, merge_counts)
     cand = np.sort(np.asarray(vals, dtype=np.uint64)[cnts >= 2])
     losers = np.empty(0, dtype=np.int64)
     if cand.size:
         cand_ref = ray.put(cand)
 
-        def collect(t: pa.Table) -> pa.Table:
+        def collect(t: pa.Table) -> tuple:
             keep, _, texts, h = _quality_text_state(t, text_col)
             hit = _candidate_hits(h, keep, ray.get(cand_ref))
-            return _pickled((
-                t[id_col].to_numpy(zero_copy_only=False)[hit],
-                md5_fingerprint(texts[hit]).to_numpy(dtype=object)))
+            return (t[id_col].to_numpy(zero_copy_only=False)[hit],
+                    md5_fingerprint(texts[hit]).to_numpy(dtype=object))
 
-        rows = ds.map_batches(collect, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all()
-        loaded = [pickle.loads(r["payload"]) for r in rows]
-        ids = np.concatenate([x[0] for x in loaded]).astype(np.int64)
-        fps = np.concatenate([x[1] for x in loaded])
+        ids, fps = fold(ds, collect, merge_concat)
+        ids = ids.astype(np.int64)
         order, rm = _minid_losers(ids, fps)
         losers = np.sort(ids[order][rm])
     tmp = cache + ".tmp.npy"

@@ -56,10 +56,10 @@ from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind
 from ..sketches import hash64, np_object
+from ..stages.transport import merge_counts
 from ..validators import row_checks as rc
 from ..validators.drift import psi_from_counts
-from ..validators.near_dup import (_band_combos, _merge_count_arrays,
-                                   _resolve_ids, default_num_parts)
+from ..validators.near_dup import _band_combos, _resolve_ids, default_num_parts
 
 EXPECTED_FIELDS = {
     "image_id": pa.string(), "bytes": pa.large_binary(),
@@ -128,11 +128,6 @@ def _prep(batch: pa.Table) -> pa.Table:
                              "caption", cap)
     clen = pc.utf8_length(cap)
     return batch.append_column("caption_len", pc.cast(clen, pa.int64()))
-
-
-def _pickled(obj) -> pa.Table:
-    return pa.table({"payload": pa.array([pickle.dumps(obj)],
-                                         type=pa.large_binary())})
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +297,11 @@ def _reduce_kind(kind: str, payloads: list, has_captions: bool) -> bytes:
             side, vals, cnts = data
             sides[side].append((vals, cnts))
     if kind == "idcap":
-        iv, ic = (_merge_count_arrays(sides[0]) if sides[0]
+        iv, ic = (merge_counts(sides[0]) if sides[0]
                   else (np.empty(0, np.uint64), np.empty(0, np.int64)))
         dup = iv[ic >= 2]
         if has_captions:
-            cv, _ = (_merge_count_arrays(sides[1]) if sides[1]
+            cv, _ = (merge_counts(sides[1]) if sides[1]
                      else (np.empty(0, np.uint64),
                            np.empty(0, np.int64)))
             orph_img = np.setdiff1d(iv.astype(np.uint64),
@@ -319,7 +314,7 @@ def _reduce_kind(kind: str, payloads: list, has_captions: bool) -> bytes:
             orph_img = orph_cap = np.empty(0, np.uint64)
         return pickle.dumps((dup, orph_img, orph_cap))
     if kind == "ph":
-        pv, pc_ = _merge_count_arrays(sides[0])
+        pv, pc_ = merge_counts(sides[0])
         m = pc_ >= 2
         return pickle.dumps((pv[m], pc_[m]))
     # bandd (dense)

@@ -36,6 +36,8 @@ from ..functions import strings as sfn
 from ..sketches import ValueCounts, np_object
 from ..functions.dates import date_encode
 from ..profile import profile_dataset
+from ..stages.transport import (fold, merge_counts, merge_groups,
+                                merge_unique)
 from ..validators import drift, referential, row_checks as rc, uniqueness
 from ..validators.correlation import spearman
 
@@ -64,6 +66,23 @@ def _t(sf_dir: str, name: str, cols: list[str] | None = None):
 
 def _i64(arr) -> pa.Array:
     return pa.array(np.asarray(arr, dtype=np.int64))
+
+
+def _fold_groups(ds, partial, keys: list[str], aggs: dict[str, str], *,
+                 dropna: bool = True) -> pd.DataFrame:
+    """Fold per-block Arrow ``group_by`` partials (``partial`` emits the
+    ``keys`` columns plus one column per ``aggs`` entry) into a pandas
+    frame sorted by ``keys``, with pandas ``groupby`` key semantics:
+    null keys are dropped unless ``dropna=False``.  The grouped-
+    aggregate shape for dozens-to-vocabulary-sized keyspaces, where a
+    Ray sort-groupby exchange would cost seconds flat."""
+    t = fold(ds, partial, merge_groups(keys, aggs))
+    if t is None:
+        return pd.DataFrame({c: [] for c in [*keys, *aggs]})
+    df = t.to_pandas()
+    if dropna:
+        df = df.dropna(subset=keys)
+    return df.sort_values(keys).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +356,7 @@ SELECT l_returnflag, l_linestatus,
 FROM lineitem GROUP BY l_returnflag, l_linestatus""")
 def pricing_summary(sf_dir: str):
     """Grouped aggregate over a HANDFUL of groups: per-block Arrow
-    ``group_by`` partials + one tree-merge level + a driver fold — the
+    ``group_by`` partials folded by ``_fold_groups`` — the
     repo's dozens-of-groups rule (a Ray sort-groupby exchange costs
     seconds flat for 4 output rows).  ROUND(SUM, 2) snaps the
     order-sensitive float sums to the data's decimal grid on both
@@ -356,22 +375,9 @@ def pricing_summary(sf_dir: str):
         return g.rename_columns(["l_returnflag", "l_linestatus",
                                  "s_qty", "s_price", "s_disc", "n"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = (t.group_by(["l_returnflag", "l_linestatus"])
-             .aggregate([("s_qty", "sum"), ("s_price", "sum"),
-                         ("s_disc", "sum"), ("n", "sum")]))
-        return g.rename_columns(["l_returnflag", "l_linestatus",
-                                 "s_qty", "s_price", "s_disc", "n"])
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby(["l_returnflag", "l_linestatus"], as_index=False,
-                   dropna=False)
-          .agg(s_qty=("s_qty", "sum"), s_price=("s_price", "sum"),
-               s_disc=("s_disc", "sum"), n=("n", "sum")))
+    df = _fold_groups(ds, partial, ["l_returnflag", "l_linestatus"],
+                      {"s_qty": "sum", "s_price": "sum", "s_disc": "sum",
+                       "n": "sum"}, dropna=False)
     n = df["n"].to_numpy(dtype=np.float64)
     sq = df["s_qty"].to_numpy(dtype=np.float64)
     sp = df["s_price"].to_numpy(dtype=np.float64)
@@ -1407,8 +1413,8 @@ def join_order_revenue_by_status(sf_dir: str):
     aggregate — the engine's big-side join pattern (the broadcast path
     for small sides is queries.top_customers).  The final fold is over
     THREE status groups, so it rides the dozens-of-groups rule
-    (pricing_summary's shape): per-block partials + one tree-merge
-    level + a driver fold, never a Ray sort-groupby exchange for 3
+    (pricing_summary's shape): per-block partials folded by
+    ``_fold_groups``, never a Ray sort-groupby exchange for 3
     output rows.  ROUND(SUM, 2) snaps the order-sensitive revenue sum
     to the decimal grid on both engines, so fold order is free."""
     from ..stages.join import bucketed_join
@@ -1424,31 +1430,17 @@ def join_order_revenue_by_status(sf_dir: str):
     joined = bucketed_join(left, right, "l_orderkey", num_buckets=16,
                            schema_hint=(left.schema(), rsch))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"o_orderstatus": pd.Series([], dtype=object),
-                                 "rev": pd.Series([], dtype=np.float64),
-                                 "n": pd.Series([], dtype=np.int64)})
-        df = df.assign(rev=df["l_extendedprice"] * (1 - df["l_discount"]))
-        g = df.groupby("o_orderstatus", as_index=False).agg(
-            rev=("rev", "sum"), n=("rev", "size"))
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        rev = pc.multiply(t["l_extendedprice"],
+                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
+        g = pa.table({"o_orderstatus": t["o_orderstatus"], "rev": rev}) \
+            .group_by("o_orderstatus").aggregate([("rev", "sum"),
+                                                  ([], "count_all")])
+        return pa.table({"o_orderstatus": g["o_orderstatus"],
+                         "rev": g["rev_sum"], "n": g["count_all"]})
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_orderstatus", as_index=False).agg(
-            rev=("rev", "sum"), n=("n", "sum"))
-
-    rows = (joined.map_batches(partial, batch_format="pandas")
-            .map_batches(merge, batch_size=65536, batch_format="pandas")
-            ).take_all()
-    if not rows:
-        return pd.DataFrame({
-            "o_orderstatus": pd.Series([], dtype=object),
-            "revenue": pd.Series([], dtype=np.float64),
-            "n_items": pd.Series([], dtype=np.int64)})
-    df = (pd.DataFrame(rows)
-          .groupby("o_orderstatus", as_index=False)
-          .agg(rev=("rev", "sum"), n=("n", "sum")))
+    df = _fold_groups(joined, partial, ["o_orderstatus"],
+                      {"rev": "sum", "n": "sum"})
     return pd.DataFrame({
         "o_orderstatus": df["o_orderstatus"],
         "revenue": np.round(df["rev"].to_numpy(dtype=np.float64), 2),
@@ -1510,8 +1502,7 @@ def tukey_flags_pooled_lineitem(sf_dir: str):
             med, iqr = scale[c]
             parts.append(((vals.astype(np.float64) - med) / iqr,
                           cnts.astype(np.int64)))
-        from ..validators.near_dup import _merge_count_arrays
-        pool_vals, pool_cnts = _merge_count_arrays(parts)
+        pool_vals, pool_cnts = merge_counts(parts)
         vc = ValueCounts.from_items(pool_vals, pool_cnts,
                                     max_items=len(pool_vals) + 1)
         q1, q3 = vc.quantile(0.25), vc.quantile(0.75)
@@ -1937,9 +1928,9 @@ def tumbling_window_counts(sf_dir: str):
     event_type: count + min/max.  The streaming-window shape done the
     partial-combiner way — each block reduces to at most one row per
     (window, type) via a pyarrow ``group_by`` (windows are an int64
-    floor-division of the raw us timestamps, exact), a 32-way Arrow
-    tree-merge level re-reduces, and the driver folds dozens-to-
-    thousands of verdict-sized rows (the ``partition_verdicts`` flat
+    floor-division of the raw us timestamps, exact), and
+    ``_fold_groups`` re-reduces dozens-to-thousands of verdict-sized
+    rows (the ``partition_verdicts`` flat
     pattern — a Ray sort-groupby would pay a full exchange for a
     keyspace of ~hours x types).  min/max are selection-only, so float
     parity is free; no rounding rules needed."""
@@ -1960,23 +1951,9 @@ def tumbling_window_counts(sf_dir: str):
                          "value_min": g["value_min"],
                          "value_max": g["value_max"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["window_start", "event_type"]).aggregate(
-            [("n", "sum"), ("value_min", "min"), ("value_max", "max")])
-        return pa.table({"window_start": g["window_start"],
-                         "event_type": g["event_type"],
-                         "n": g["n_sum"], "value_min": g["value_min_min"],
-                         "value_max": g["value_max_max"]})
-
-    rows = (_t(sf_dir, "events", ["ts", "event_type", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby(["window_start", "event_type"], as_index=False)
-          .agg(n=("n", "sum"), value_min=("value_min", "min"),
-               value_max=("value_max", "max")))
+    df = _fold_groups(_t(sf_dir, "events", ["ts", "event_type", "value"]),
+                      partial, ["window_start", "event_type"],
+                      {"n": "sum", "value_min": "min", "value_max": "max"})
     df["window_start"] = pd.to_datetime(df["window_start"], unit="us") \
         .astype("datetime64[us]")      # match the source's us resolution
     return df.sort_values(["window_start", "event_type"]) \
@@ -1985,10 +1962,9 @@ def tumbling_window_counts(sf_dir: str):
 
 def _value_census(ds, group_col: str, value_col: str) -> pd.DataFrame:
     """(group, value, cnt) exact census — per-block Arrow group_by
-    partials (bounded by the data's decimal grain, not row count), a
-    64k-row tree-merge level (the census-merge batch-size lesson: 32
-    would shred census streams), and a driver re-group.  The shared
-    fold under group_quantiles_events and winsorize_events_value."""
+    partials (bounded by the data's decimal grain, not row count)
+    folded by ``_fold_groups``.  The shared fold under
+    group_quantiles_events and winsorize_events_value."""
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({group_col: t[group_col],
@@ -1998,50 +1974,19 @@ def _value_census(ds, group_col: str, value_col: str) -> pd.DataFrame:
         return pa.table({group_col: g[group_col],
                          value_col: g[value_col], "cnt": g["cnt_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([group_col, value_col]).aggregate([("cnt", "sum")])
-        return pa.table({group_col: g[group_col],
-                         value_col: g[value_col], "cnt": g["cnt_sum"]})
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    return (pd.DataFrame(rows)
-            .groupby([group_col, value_col], as_index=False)["cnt"].sum())
+    return _fold_groups(ds, partial, [group_col, value_col],
+                        {"cnt": "sum"})
 
 
 def _packed_pair_census(ds, pack_fn) -> np.ndarray:
     """Globally deduped int64 composite census: per-block ``np.unique``
-    over ``pack_fn``'s packed pairs, a 32-block pickled-payload tree
-    merge (payload streams keep batch_size=32 — one row per block),
-    and one driver fold.  The result is bounded by distinct-PAIR
+    over ``pack_fn``'s packed pairs folded by
+    ``stages.transport.fold``.  The result is bounded by distinct-PAIR
     cardinality, never row count — the shared scaffold under
     sliding_distinct_users_7d and cohort_retention_events.
     ``pack_fn(t: pa.Table) -> np.ndarray[int64]`` owns the packing and
     its loud range guards."""
-    import pickle
-
-    def pairs(t: pa.Table) -> pa.Table:
-        packed = np.unique(pack_fn(t))
-        return pa.table({"payload": pa.array([pickle.dumps(packed)],
-                                             pa.large_binary())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        parts = [pickle.loads(p) for p in t["payload"].to_pylist()]
-        u = np.unique(np.concatenate(parts)) if parts else \
-            np.empty(0, dtype=np.int64)
-        return pa.table({"payload": pa.array([pickle.dumps(u)],
-                                             pa.large_binary())})
-
-    rows = (ds.map_batches(pairs, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(merge, batch_size=32, batch_format="pyarrow")
-            ).take_all()
-    if not rows:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(
-        [pickle.loads(r["payload"]) for r in rows]))
+    return fold(ds, lambda t: np.unique(pack_fn(t)), merge_unique)
 
 
 @query("group_quantiles_events", sql="""
@@ -2053,7 +1998,7 @@ def group_quantiles_events(sf_dir: str):
     """Exact per-group quantiles (median + p95 of value per event_type):
     per-block partials reduce to one (group, value, cnt) row per
     distinct value — bounded by the data's decimal grain, not row count
-    — a 32-way Arrow tree-merge level re-sums, and the driver folds the
+    — ``_fold_groups`` re-sums them, and the driver folds the
     counts into per-group :class:`ValueCounts` (its linear-interpolation
     quantile == DuckDB ``quantile_cont``, the profile query's proven
     parity path).  r6 rounding on both sides per the float header."""
@@ -2225,8 +2170,8 @@ def vocab_top_terms_docs(sf_dir: str):
     text analysis (§2.8/LLM-pipeline) done the partial-combiner way —
     each block tokenizes (single-space split, both engines identical)
     and reduces to one (term, n) row per distinct term via pyarrow
-    ``group_by``, a 32-way tree level re-reduces, the driver folds a
-    vocabulary-sized table.  The exchange is bounded by |vocabulary|
+    ``group_by``, and ``_fold_groups`` re-reduces a vocabulary-sized
+    table.  The exchange is bounded by |vocabulary|
     per block, never by token count; ties at the top-k boundary break
     on the term string so the cut is deterministic on both engines."""
 
@@ -2238,17 +2183,8 @@ def vocab_top_terms_docs(sf_dir: str):
         return pa.table({"term": g["term"],
                          "n": pc.cast(g["term_count"], pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("n", "sum")])
-        return pa.table({"term": g["term"], "n": g["n_sum"]})
-
-    rows = (_t(sf_dir, "documents", ["text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows).groupby("term", as_index=False)
-          .agg(n=("n", "sum")))
+    df = _fold_groups(_t(sf_dir, "documents", ["text"]), partial,
+                      ["term"], {"n": "sum"})
     df = df.sort_values(["n", "term"], ascending=[False, True]).head(20)
     return df.reset_index(drop=True)
 
@@ -2261,7 +2197,7 @@ def percent_rank_events(sf_dir: str):
     normalization step of feature pipelines, and the global-window
     cousin of the per-key window queries.  Pass 1 reduces each block
     to its distinct (value, count) rows (partials bounded by the value
-    grain, the group_quantiles pattern) and tree-merges; the driver
+    grain, the group_quantiles pattern) and folds them; the driver
     builds the sorted cumulative count-less table and broadcasts it
     once (``ray.put``).  Pass 2 attaches pr = count_less/(n-1) with
     one ``searchsorted`` per batch.  count_less and n are exact int64
@@ -2275,17 +2211,8 @@ def percent_rank_events(sf_dir: str):
         vals, cnts = np.unique(v, return_counts=True)
         return pa.table({"value": vals, "n": cnts.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("value").aggregate([("n", "sum")])
-        return pa.table({"value": g["value"], "n": g["n_sum"]})
-
-    rows = (_t(sf_dir, "events", ["value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    vc = (pd.DataFrame(rows).groupby("value", as_index=False)
-          .agg(n=("n", "sum")).sort_values("value"))
+    vc = _fold_groups(_t(sf_dir, "events", ["value"]), partial, ["value"],
+                      {"n": "sum"})
     vals = vc["value"].to_numpy()
     cnts = vc["n"].to_numpy(dtype=np.int64)
     less = np.concatenate([[np.int64(0)], np.cumsum(cnts)[:-1]])
@@ -2408,24 +2335,11 @@ def rollup_pricing_levels(sf_dir: str):
             "n": pc.cast(g["l_quantity_count"], pa.int64()),
             "sq": g["l_quantity_sum"], "sp": g["l_extendedprice_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("n", "sum"), ("sq", "sum"), ("sp", "sum")])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "n": g["n_sum"], "sq": g["sq_sum"], "sp": g["sp_sum"]})
-
-    rows = (_t(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    fine = (pd.DataFrame(rows)
-            .groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(n=("n", "sum"), sq=("sq", "sum"), sp=("sp", "sum")))
+    fine = _fold_groups(
+        _t(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
+                                "l_quantity", "l_extendedprice"]),
+        partial, ["l_returnflag", "l_linestatus"],
+        {"n": "sum", "sq": "sum", "sp": "sum"})
     mid = fine.groupby("l_returnflag", as_index=False).agg(
         n=("n", "sum"), sq=("sq", "sum"), sp=("sp", "sum"))
     mid["l_linestatus"] = "ALL"
@@ -2475,8 +2389,8 @@ def hopping_window_counts(sf_dir: str):
     window family beside tumbling/session/rolling.  Each event
     replicates to its size/hop = 2 windows INSIDE the partial (the
     fan-out never leaves the block), then the tumbling machinery
-    applies unchanged: pyarrow group_by partials, 32-way tree level,
-    driver fold over ~hours x types rows.  Windows are int64 floor
+    applies unchanged: pyarrow group_by partials folded by
+    ``_fold_groups`` over ~hours x types rows.  Windows are int64 floor
     division of raw us timestamps — exact on both engines."""
     hour_us = np.int64(3_600_000_000)
 
@@ -2493,20 +2407,8 @@ def hopping_window_counts(sf_dir: str):
                          "event_type": g["event_type"],
                          "n": pc.cast(g["event_type_count"], pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["window_start", "event_type"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"window_start": g["window_start"],
-                         "event_type": g["event_type"], "n": g["n_sum"]})
-
-    rows = (_t(sf_dir, "events", ["ts", "event_type"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby(["window_start", "event_type"], as_index=False)
-          .agg(n=("n", "sum")))
+    df = _fold_groups(_t(sf_dir, "events", ["ts", "event_type"]), partial,
+                      ["window_start", "event_type"], {"n": "sum"})
     df["window_start"] = pd.to_datetime(df["window_start"], unit="us") \
         .astype("datetime64[us]")
     return df.sort_values(["window_start", "event_type"]) \
@@ -2532,7 +2434,7 @@ def top_term_per_doc(sf_dir: str):
     log never materialized, so parity is pure ints and strings.
     Pass 1 builds the document-frequency census: per-block distinct
     (doc, term) pairs (docs never span blocks) reduce to (term, df)
-    partials, tree-merged; the vocabulary-sized census broadcasts
+    partials, folded; the vocabulary-sized census broadcasts
     once.  Pass 2 computes per-doc term counts inside each block
     (pyarrow group_by), attaches df by searchsorted against the
     broadcast census, and selects each doc's first row under the
@@ -2553,17 +2455,8 @@ def top_term_per_doc(sf_dir: str):
         return pa.table({"term": g["term"],
                          "df": pc.cast(g["d_count"], pa.int64())})
 
-    def df_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("df", "sum")])
-        return pa.table({"term": g["term"], "df": g["df_sum"]})
-
-    rows = (_t(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(df_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(df_merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    census = (pd.DataFrame(rows).groupby("term", as_index=False)
-              .agg(df=("df", "sum")).sort_values("term"))
+    census = _fold_groups(_t(sf_dir, "documents", ["doc_id", "text"]),
+                          df_partial, ["term"], {"df": "sum"})
     state = ray.put((census["term"].to_numpy(),
                      census["df"].to_numpy(dtype=np.int64)))
 
@@ -2597,11 +2490,9 @@ def group_distinct_users_events(sf_dir: str):
     block reduces to its distinct (type, user) composites (type code
     packed into the high bits of an int64 — the type domain is tiny,
     user ids fit 48 bits) plus a per-type row bincount; partials
-    tree-merge 32-way via np.unique, the driver folds a census
+    fold via np.unique (``stages.transport.fold``) into a census
     bounded by distinct pairs, never rows.  All-integer — exact SQL
     parity with no rounding rules."""
-    import pickle
-
     types = np.array(_EVENT_TYPES)          # sorted domain
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2616,24 +2507,13 @@ def group_distinct_users_events(sf_dir: str):
         users = t["user_id"].to_numpy(zero_copy_only=False)
         comp = np.unique((codes << 48) | users.astype(np.int64))
         cnts = np.bincount(codes, minlength=len(types)).astype(np.int64)
-        return pa.table({"payload": pa.array(
-            [pickle.dumps((comp, cnts))], type=pa.large_binary())})
+        return comp, cnts
 
-    def merge(t: pa.Table) -> pa.Table:
-        parts = [pickle.loads(p) for p in t["payload"].to_pylist()]
-        comp = np.unique(np.concatenate([p[0] for p in parts]))
-        cnts = np.sum([p[1] for p in parts], axis=0)
-        return pa.table({"payload": pa.array(
-            [pickle.dumps((comp, cnts))], type=pa.large_binary())})
-
-    rows = (_t(sf_dir, "events", ["event_type", "user_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    parts = [pickle.loads(r["payload"]) for r in rows]
-    comp = np.unique(np.concatenate([p[0] for p in parts]))
-    cnts = np.sum([p[1] for p in parts], axis=0)
+    comp, cnts = fold(
+        _t(sf_dir, "events", ["event_type", "user_id"]), partial,
+        lambda parts: (merge_unique([p[0] for p in parts]),
+                       sum((p[1] for p in parts),
+                           np.zeros(len(types), np.int64))))
     n_users = np.bincount((comp >> 48).astype(np.int64),
                           minlength=len(types))
     return pa.table({"event_type": pa.array(list(types)),
@@ -2794,24 +2674,11 @@ def cube_pricing_levels(sf_dir: str):
             "n": pc.cast(g["l_quantity_count"], pa.int64()),
             "sq": g["l_quantity_sum"], "sp": g["l_extendedprice_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("n", "sum"), ("sq", "sum"), ("sp", "sum")])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "n": g["n_sum"], "sq": g["sq_sum"], "sp": g["sp_sum"]})
-
-    rows = (_t(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    fine = (pd.DataFrame(rows)
-            .groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(n=("n", "sum"), sq=("sq", "sum"), sp=("sp", "sum")))
+    fine = _fold_groups(
+        _t(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
+                                "l_quantity", "l_extendedprice"]),
+        partial, ["l_returnflag", "l_linestatus"],
+        {"n": "sum", "sq": "sum", "sp": "sum"})
     by_flag = fine.groupby("l_returnflag", as_index=False).agg(
         n=("n", "sum"), sq=("sq", "sum"), sp=("sp", "sum"))
     by_flag["l_linestatus"] = "ALL"
@@ -3256,7 +3123,7 @@ def cohort_retention_events(sf_dir: str):
     day, counted on every later active day — the engagement table
     behind every retention curve.  Rides the deduped-pair census
     shape (sliding_distinct_users_7d): per-block np.unique over
-    packed (user << 20 | day) composites + 32-way tree merge dedupe
+    packed (user << 20 | day) composites + the census fold dedupe
     the (user, day) pairs WITHOUT a row shuffle; the sorted packed
     array then yields every user's cohort (first day of its run) and
     the (cohort, day) counts in four vectorized ops.  The pair set is
@@ -4004,7 +3871,7 @@ def sliding_distinct_users_7d(sf_dir: str):
     COUNT(DISTINCT) window SQL cannot express as a window function
     (no DISTINCT over frames), via the window-expansion technique:
     dedupe (day, user) pairs FIRST (per-block np.unique over packed
-    day<<32|user composites, 32-way tree merge — the near-dup census
+    day<<32|user composites folded — the near-dup census
     shape), then expand each surviving pair to its <= 7 target days
     and count.  The deduped pair set is bounded by |user base| x
     horizon days — KBs per million users — independent of event row
@@ -4389,19 +4256,9 @@ def trimmed_mean_events(sf_dir: str):
         return pa.table({"event_type": g["event_type"],
                          "value": g["value"], "cnt": g["cnt_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "value"]).aggregate([("cnt", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "value": g["value"], "cnt": g["cnt_sum"]})
-
-    rows = (_t(sf_dir, "events", ["event_type", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby(["event_type", "value"], as_index=False,
-                   dropna=False)["cnt"].sum())
+    df = _fold_groups(_t(sf_dir, "events", ["event_type", "value"]),
+                      partial, ["event_type", "value"], {"cnt": "sum"},
+                      dropna=False)
     out = []
     for et, grp in df.groupby("event_type", dropna=False):
         vc = ValueCounts.from_items(grp["value"].to_numpy(),
@@ -4440,7 +4297,7 @@ def top_bigrams_per_source(sf_dir: str):
     broken count desc, gram asc so the listing is deterministic).
     Bigram STRINGS come from the shared shifted-zero-copy-slice +
     binary_join_element_wise kernel; per-block (source, gram) count
-    partials tree-merge and the driver folds a vocabulary-bounded
+    partials fold into a vocabulary-bounded
     table (Heaps' law) and heads 5 per source — no shuffle."""
     from ..stages.text import _ngram_strings
 
@@ -4456,19 +4313,8 @@ def top_bigrams_per_source(sf_dir: str):
         return pa.table({"source": g["source"], "gram": g["gram"],
                          "n": g["n_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["source", "gram"]).aggregate([("n", "sum")])
-        return pa.table({"source": g["source"], "gram": g["gram"],
-                         "n": g["n_sum"]})
-
-    rows = (_t(sf_dir, "documents", ["source", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby(["source", "gram"], as_index=False,
-                   dropna=False)["n"].sum())
+    df = _fold_groups(_t(sf_dir, "documents", ["source", "text"]), partial,
+                      ["source", "gram"], {"n": "sum"}, dropna=False)
     df = df.sort_values(["source", "n", "gram"],
                         ascending=[True, False, True])
     df["rn"] = df.groupby("source", dropna=False).cumcount() + 1
@@ -4546,8 +4392,6 @@ def bloom_semi_join_lineitem(sf_dir: str):
     import ray
 
     from ..stages.bloom import build_bloom_with_keys, probe_bloom
-    from ..validators.near_dup import _pickled, _tree_counts
-
     orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     n_hint = int(orders.count())          # parquet-metadata row count
     urgent = orders.map_batches(
@@ -4559,7 +4403,7 @@ def bloom_semi_join_lineitem(sf_dir: str):
     bloom_ref = ray.put(bloom)
     keys_ref = ray.put(keys)
 
-    def probe(t: pa.Table) -> pa.Table:
+    def probe(t: pa.Table) -> tuple:
         bl = ray.get(bloom_ref)
         ks = ray.get(keys_ref)
         vals = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -4571,12 +4415,9 @@ def bloom_semi_join_lineitem(sf_dir: str):
             sub = sub[ks[pos] == sub]     # exact verify of survivors
         else:
             sub = sub[:0]
-        u, c = np.unique(sub, return_counts=True)
-        return _pickled((u, c.astype(np.int64)))
+        return np.unique(sub, return_counts=True)
 
-    payloads = _t(sf_dir, "lineitem", ["l_orderkey"]).map_batches(
-        probe, batch_format="pyarrow", zero_copy_batch=True)
-    u, c = _tree_counts(payloads)
+    u, c = fold(_t(sf_dir, "lineitem", ["l_orderkey"]), probe, merge_counts)
     return pa.table({"l_orderkey": _i64(u), "n_items": _i64(c)})
 
 
@@ -4696,16 +4537,10 @@ def above_avg_order_customers(sf_dir: str):
     near-unique-key census (np.unique partials + tree merge, the
     duplicate_keys pattern); the global (tot, k) is a driver scalar
     off the same fold — ONE pass, no shuffle."""
-    from ..validators.near_dup import _pickled, _tree_counts
-
-    def part(t: pa.Table) -> pa.Table:
-        u, c = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return _pickled((u, c.astype(np.int64)))
-
-    payloads = _t(sf_dir, "orders", ["o_custkey"]).map_batches(
-        part, batch_format="pyarrow", zero_copy_batch=True)
-    keys, counts = _tree_counts(payloads)
+    keys, counts = fold(
+        _t(sf_dir, "orders", ["o_custkey"]),
+        lambda t: np.unique(t["o_custkey"].to_numpy(zero_copy_only=False),
+                            return_counts=True), merge_counts)
     tot, k = int(counts.sum()), len(keys)
     m = counts * k > tot
     return pa.table({"o_custkey": _i64(keys[m]),
@@ -5027,23 +4862,13 @@ def vocab_growth_docs(sf_dir: str):
             "max_doc": pa.array([np.int64(ids.max())])})
         return pa.concat_tables([base, sent]) if g.num_rows else sent
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("w").aggregate([("first_doc", "min"),
-                                       ("max_doc", "max")])
-        return pa.table({"w": g["w"], "first_doc": g["first_doc_min"],
-                         "max_doc": g["max_doc_max"]})
-
-    rows = (_t(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536,
-                         batch_format="pyarrow")).take_all()
-    df = pd.DataFrame(rows)
+    df = _fold_groups(_t(sf_dir, "documents", ["doc_id", "text"]), partial,
+                      ["w"], {"first_doc": "min", "max_doc": "max"})
     if df.empty:
         return pa.table({"threshold": _i64([]), "vocab_size": _i64([])})
     max_doc = int(df["max_doc"].max())
     df = df[df["w"] != ""]              # drop max-doc sentinel rows
-    first = df.groupby("w")["first_doc"].min().to_numpy()
+    first = df["first_doc"].to_numpy()
     ks = np.arange(0, 63, dtype=np.int64)
     th = (np.int64(1) << ks)
     th = th[th <= max_doc]

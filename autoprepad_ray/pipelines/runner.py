@@ -58,19 +58,25 @@ from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
 from ..validators import drift, row_checks as rc
-from ..validators.near_dup import _merge_count_arrays
+from ..stages.transport import fold, merge_counts
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (EDGES_CAP, EDGES_WH, META_COLS,
                                _decode_failures, _evidence, _key_census,
-                               _merge_prof, _pickled, _prep, _prof_partial,
+                               _merge_prof, _prep, _prof_partial,
                                _unpack_viol, assert_schema_files)
 
-def _census_table(parts: list[dict]) -> pa.Table:
-    """Fold ``_key_census`` partials into the (kind, hash, n) table."""
+def _merge_census(parts: list[dict]) -> dict:
+    """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
+    return {k: merge_counts([p[k] for p in parts if k in p])
+            for k in {k for p in parts for k in p}}
+
+
+def _census_table(census: dict) -> pa.Table:
+    """The (kind, hash, n) table of a folded census."""
     kinds, hashes, counts = [], [], []
-    for k in sorted({k for p in parts for k in p}):
-        v, c = _merge_count_arrays([p[k] for p in parts if k in p])
+    for k in sorted(census):
+        v, c = census[k]
         kinds.extend([k] * len(v))
         hashes.append(v.astype(np.uint64).view(np.int64))
         counts.append(c)
@@ -85,10 +91,8 @@ def _census_table(parts: list[dict]) -> pa.Table:
 def _hash_census(files: list[str], columns: list[str]) -> pa.Table:
     """Census of a file set outside the partition pass: the caption
     census, and a partition census missing from its checkpoint."""
-    rows = read_table(files, columns=columns).map_batches(
-        lambda t: _pickled(_key_census(t)), batch_format="pyarrow",
-        zero_copy_batch=True).take_all()
-    return _census_table([pickle.loads(r["payload"]) for r in rows])
+    return _census_table(fold(read_table(files, columns=columns),
+                              _key_census, _merge_census))
 
 
 def _census_arrays(tbl: pa.Table, kind: str
@@ -149,12 +153,10 @@ def _reference(out_dir: str, ref_files: list[str], ref_partitions):
             except ProfileFormatError:
                 pass        # an older engine's format: re-profile below
     ref_set = list(ref_partitions)
-    rows = read_table(
-        ref_files, columns=["w", "h", "fmt", "caption", "partition_id"]
-    ).map_batches(lambda t: _pickled(_prof_partial(_prep(t), ref_set)),
-                  batch_format="pyarrow", zero_copy_batch=True).take_all()
-    sketches, hists, nrows = _merge_prof(
-        [pickle.loads(r["payload"]) for r in rows])
+    sketches, hists, nrows = fold(
+        read_table(ref_files,
+                   columns=["w", "h", "fmt", "caption", "partition_id"]),
+        lambda t: _prof_partial(_prep(t), ref_set), _merge_prof)
     prof = TableProfile(columns=sketches, fingerprint=fp,
                         n_rows=sum(nrows.get(p, 0) for p in ref_set))
     ref_hists, ref_fmt = _sum_hists(hists, ref_set)
@@ -231,7 +233,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             out.map_batches(_unpack_viol, fn_kwargs={"schema": aggs[0][3]},
                             batch_format="pyarrow",
                             batch_size=None).write_parquet(viol_dir)
-        pq.write_table(_census_table([a[2] for a in aggs]),
+        pq.write_table(_census_table(_merge_census([a[2] for a in aggs])),
                        os.path.join(tmp, "keycensus.parquet"))
         verdict = {
             "partition_id": pid,
@@ -294,7 +296,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             (census_cached if cached else census_new).append(pid)
             id_cens[pid] = _census_arrays(tbl, "id")
             ph_cens[pid] = _census_arrays(tbl, "ph")
-        iv, ic = _merge_count_arrays(list(id_cens.values()))
+        iv, ic = merge_counts(list(id_cens.values()))
         dup_hashes = iv[ic >= 2]
         listing_pids = sorted(
             pid for pid, (v, _) in id_cens.items()
@@ -325,7 +327,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             real = uv[uc >= 2]
         run_entry["uniqueness_violations"] = int(len(real))
         run_entry["uniqueness_sample"] = sorted(real.tolist())[:50]
-        pv, pn = _merge_count_arrays(list(ph_cens.values()))
+        pv, pn = merge_counts(list(ph_cens.values()))
         run_entry["neardup_groups"] = int((pn >= 2).sum())
         if captions_path is not None:
             # caption-side census cached by file fingerprint (64-bit

@@ -16,7 +16,6 @@ object reference.
 from __future__ import annotations
 
 import json
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -24,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from .sketches import KLL, HyperLogLog, MomentSketch, ValueCounts, hash64
+from .stages.transport import fold
 
 POOLED = "__pooled__"  # reference's global-flattened stats (SURVEY §1.1)
 # stamped into TableProfile JSON; 2 = KLL quantile sketch (the unstamped
@@ -222,7 +222,7 @@ class TableProfile:
 
 def _make_partial_fn(columns: list[str] | None, pooled: bool,
                      max_exact: int):
-    def partial(batch: pa.Table) -> dict:
+    def partial(batch: pa.Table) -> tuple:
         cols = columns if columns is not None else batch.column_names
         sketches: dict[str, ColumnSketch] = {}
         n = batch.num_rows
@@ -241,8 +241,7 @@ def _make_partial_fn(columns: list[str] | None, pooled: bool,
                 if cs.kind == "numeric":
                     ps.update_array(batch[name])
             sketches[POOLED] = ps
-        payload = pickle.dumps((n, sketches))
-        return pa.table({"payload": pa.array([payload], type=pa.large_binary())})
+        return n, sketches
 
     return partial
 
@@ -257,6 +256,18 @@ def _merge_bundle(a: tuple, b: tuple) -> tuple:
     return na + nb, sa
 
 
+def _merge_bundles(bundles: list[tuple]) -> tuple:
+    """Fold (rows, sketches) bundles in a balanced pairwise order, so
+    each exact value is re-merged O(log bundles) times; a left fold
+    would re-merge the growing accumulator once per bundle."""
+    bundles = bundles or [(0, {})]
+    while len(bundles) > 1:
+        bundles = [_merge_bundle(a, b)
+                   for a, b in zip(bundles[0::2], bundles[1::2])] \
+            + bundles[len(bundles) & ~1:]
+    return bundles[0]
+
+
 def profile_dataset(ds, columns: list[str] | None = None, *,
                     pooled: bool = False, max_exact: int = 2_000_000,
                     fingerprint: str = "") -> TableProfile:
@@ -266,20 +277,11 @@ def profile_dataset(ds, columns: list[str] | None = None, *,
     statistics over all numeric columns (np.quantile with no axis,
     TukeyTransformer.py:37-38) under the ``__pooled__`` key.
 
-    The block bundles are folded in a balanced pairwise order, so each
-    exact value is re-merged O(log blocks) times; a left fold would
-    re-merge the growing accumulator once per block.
+    The per-block bundles fold with ``stages.transport.fold``; every
+    merge is the balanced pairwise :func:`_merge_bundles`.
     """
-    rows = ds.map_batches(
-        _make_partial_fn(columns, pooled, max_exact),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).take_all()
-    bundles = [pickle.loads(r["payload"]) for r in rows] or [(0, {})]
-    while len(bundles) > 1:
-        bundles = [_merge_bundle(a, b)
-                   for a, b in zip(bundles[0::2], bundles[1::2])] \
-            + bundles[len(bundles) & ~1:]
-    total, merged = bundles[0]
+    total, merged = fold(ds, _make_partial_fn(columns, pooled, max_exact),
+                         _merge_bundles)
     return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint)
 
 

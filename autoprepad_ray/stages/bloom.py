@@ -16,13 +16,11 @@ is a standard large-pipeline building block (Bloom 1970; Broder &
 Mitzenmacher 2004 survey).
 
 Build shape: one pass over the key stream — each block sets its keys'
-bits into a PRIVATE bitmap and emits it as one pickled payload row
-(the near_dup census pattern: never per-key Python rows), a 32-way
-merge level ORs 32 block partials per task, the driver ORs the
-O(blocks/32) survivors.  Probe shape: the (bits, m, k) tuple rides the
-object store once via ``ray.put``; each probe block tests all k
-positions vectorized (word-index gather + bit masks), no Python loop
-over rows.
+bits into a PRIVATE bitmap, one fold partial per block (never per-key
+Python rows), and ``stages.transport.fold`` ORs them.  Probe shape:
+the (bits, m, k) tuple rides the object store once via ``ray.put``;
+each probe block tests all k positions vectorized (word-index gather +
+bit masks), no Python loop over rows.
 
 Null semantics match SQL ``IN``: a NULL key is never a member — build
 drops nulls, probe reports them non-member.  Integer keys always hash
@@ -34,12 +32,11 @@ must not silently hash as float64).
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pyarrow as pa
 
 from ..sketches import hash64, splitmix64
+from .transport import fold, merge_unique
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -96,45 +93,23 @@ def _build(ds, col: str, m_bits: int, k: int, with_keys: bool):
     uniques respectively, the driver folds the survivors."""
     n_words = (m_bits + 63) // 64
 
-    def part(t: pa.Table) -> pa.Table:
+    def part(t: pa.Table) -> tuple:
         words = np.zeros(n_words, dtype=np.uint64)
         keys, _ = _arrow_keys(t[col])
         if len(keys):
             _set_bits(words, _positions(keys, m_bits, k))
-        payload = (words, np.unique(keys)) if with_keys else (words,)
-        return pa.table({"payload": pa.array([pickle.dumps(payload)],
-                                             type=pa.large_binary())})
+        return (words, np.unique(keys)) if with_keys else (words,)
 
-    def merge(t: pa.Table) -> pa.Table:
-        parts = [pickle.loads(p) for p in t["payload"].to_pylist()]
-        if not parts:
-            return pa.table({"payload": pa.array(
-                [], type=pa.large_binary())})
-        acc = parts[0][0].copy()
-        for p in parts[1:]:
+    def merge(parts: list[tuple]) -> tuple:
+        acc = np.zeros(n_words, dtype=np.uint64)
+        for p in parts:
             np.bitwise_or(acc, p[0], out=acc)
-        out = (acc, np.unique(np.concatenate([p[1] for p in parts]))) \
-            if with_keys else (acc,)
-        return pa.table({"payload": pa.array([pickle.dumps(out)],
-                                             type=pa.large_binary())})
+        return (acc, merge_unique([p[1] for p in parts])) if with_keys \
+            else (acc,)
 
-    rows = (ds.map_batches(part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .map_batches(merge, batch_size=32, batch_format="pyarrow")
-              .take_all())
-    acc = np.zeros(n_words, dtype=np.uint64)
-    key_parts = []
-    for r in rows:
-        p = pickle.loads(r["payload"])
-        np.bitwise_or(acc, p[0], out=acc)
-        if with_keys:
-            key_parts.append(p[1])
+    acc, *keys = fold(ds, part, merge)
     bloom = {"bits": acc, "m": m_bits, "k": k}
-    if not with_keys:
-        return bloom
-    keys = np.unique(np.concatenate(key_parts)) if key_parts else \
-        np.empty(0, dtype=np.int64)
-    return bloom, keys
+    return (bloom, keys[0]) if with_keys else bloom
 
 
 def build_bloom(ds, col: str, *, m_bits: int, k: int = 7) -> dict:

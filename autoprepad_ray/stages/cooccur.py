@@ -7,8 +7,8 @@ keep each node's top-k strongest partners, symmetrize to the MUTUAL
 k-NN graph, and count triangles (the local-clustering signal).
 
 No reference analogue (the reference has no graph ops); engine-defined,
-mirroring the uniqueness-census architecture (`validators/near_dup.py`
-`_tree_counts`) for the distributed passes.
+folding per-block partials with `stages/transport.fold` (the
+uniqueness-census architecture) for the distributed passes.
 
 Scale notes (the partitioning contract):
 - pass 1 reduces the DATA-sized stream to the DISTINCT bipartite
@@ -28,12 +28,12 @@ Scale notes (the partitioning contract):
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pyarrow as pa
 
 import ray
+
+from .transport import fold, merge_counts, merge_unique
 
 _MASK32 = np.int64((1 << 32) - 1)
 
@@ -47,21 +47,11 @@ def _check_range(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _distinct_partial(t: pa.Table, part_col: str, node_col: str) -> pa.Table:
-    from ..validators.near_dup import _pickled
-
+def _distinct_partial(t: pa.Table, part_col: str, node_col: str
+                      ) -> np.ndarray:
     p = _check_range(t[part_col].to_numpy(zero_copy_only=False), part_col)
     s = _check_range(t[node_col].to_numpy(zero_copy_only=False), node_col)
-    return _pickled(np.unique((p << 32) | s))
-
-
-def _merge_distinct(batch: pa.Table) -> pa.Table:
-    from ..validators.near_dup import _pickled
-
-    parts = [pickle.loads(x) for x in batch["payload"].to_pylist()]
-    if not parts:
-        return pa.table({"payload": pa.array([], type=pa.large_binary())})
-    return _pickled(np.unique(np.concatenate(parts)))
+    return np.unique((p << 32) | s)
 
 
 @ray.remote
@@ -116,13 +106,7 @@ def _pair_census(inc_ref, lo: int, hi: int, splits: np.ndarray):
 def _fold_cells(*cells):
     """Merge one partition's census cells (already dereferenced —
     Ray hands top-level ObjectRef args as values)."""
-    from ..validators.near_dup import _merge_count_arrays
-
-    parts = [c for c in cells if len(c[0])]
-    if not parts:
-        e = np.empty(0, dtype=np.int64)
-        return (e, e)
-    return _merge_count_arrays(parts)
+    return merge_counts([c for c in cells if len(c[0])])
 
 
 def cooccur_weights(ds, *, part_col: str, node_col: str,
@@ -130,17 +114,8 @@ def cooccur_weights(ds, *, part_col: str, node_col: str,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, shared) co-occurrence weights, u < v: the number of
     distinct ``part_col`` groups each node pair shares."""
-    from ..validators.near_dup import _merge_count_arrays
-
-    payloads = ds.map_batches(
-        lambda t: _distinct_partial(t, part_col, node_col),
-        batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        _merge_distinct, batch_size=32, batch_format="pyarrow")
-    parts = [pickle.loads(r["payload"]) for r in payloads.take_all()]
-    if not parts:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    inc = np.unique(np.concatenate(parts))      # sorted by (group, node)
+    inc = fold(ds, lambda t: _distinct_partial(t, part_col, node_col),
+               merge_unique)                 # sorted by (group, node)
     if not len(inc):                 # every block was empty
         e = np.empty(0, dtype=np.int64)
         return e, e, e
@@ -168,7 +143,7 @@ def cooccur_weights(ds, *, part_col: str, node_col: str,
     if n_parts == 1:
         futs = [_pair_census.remote(inc_ref, int(a), int(b), bounds)
                 for a, b in spans]
-        vals, cnts = _merge_count_arrays(ray.get(futs))
+        vals, cnts = merge_counts(ray.get(futs))
     else:
         grid = [_pair_census.options(num_returns=n_parts).remote(
             inc_ref, int(a), int(b), bounds) for a, b in spans]
@@ -247,8 +222,6 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, *,
     """(node, n_triangles) over the undirected edge set (u < v),
     restricted to nodes in >= 1 triangle.  Wedge work is bounded by
     sum(deg_greater^2) <= k^2 * |nodes| on a mutual k-NN graph."""
-    from ..validators.near_dup import _merge_count_arrays
-
     u = _check_range(u, "node ids")
     v = _check_range(v, "node ids")
     if not len(u):
@@ -268,4 +241,4 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, *,
     futs = [_triangle_partial.remote(edges_ref, starts_ref, nodes_ref,
                                      nbrs_ref, int(a), int(b))
             for a, b in zip(cuts[:-1], cuts[1:])]
-    return _merge_count_arrays(ray.get(futs))
+    return merge_counts(ray.get(futs))

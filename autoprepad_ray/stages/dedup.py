@@ -503,10 +503,10 @@ def minhash_lsh_pairs(ds, text_col: str, id_col: str, *,
         batch_size=batch_size)
 
     # candidate generation uses the census-prune plan from
-    # validators.near_dup: tree-count bucket sizes, broadcast the
+    # validators.near_dup: fold bucket sizes, broadcast the
     # multi-member bucket keys — no sort-groupby over (mostly
     # singleton) buckets.
-    from ..validators.near_dup import _pickled, _tree_counts
+    from .transport import fold, merge_counts
 
     def fold_key(t: pa.Table) -> dict:
         band = t["band"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -523,11 +523,8 @@ def minhash_lsh_pairs(ds, text_col: str, id_col: str, *,
     keyed = band_rows.map_batches(fold_key,
                                   batch_format="pyarrow").materialize()
 
-    def census(t: dict) -> pa.Table:
-        return _pickled(np.unique(t["key"], return_counts=True))
-
-    cvals, ccnts = _tree_counts(keyed.map_batches(census,
-                                                  batch_format="numpy"))
+    cvals, ccnts = fold(keyed, lambda t: np.unique(
+        t["key"].to_numpy(), return_counts=True), merge_counts)
     hot = cvals[ccnts >= 2]
     if hot.size == 0:
         if output == "dataset":

@@ -226,11 +226,11 @@ def label_centroids(ds, vec_col: str = "embedding",
     driver folds the handful of partials and divides once.  Rows-only
     checked (float sums are order-sensitive; pytest pins against a
     single-process numpy mean at 1e-12)."""
-    import pickle
+    from .transport import fold
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> dict:
         if t.num_rows == 0:     # dynamic block splits can emit empties
-            return pa.table({"payload": pa.array([], pa.binary())})
+            return {}
         M = _matrix(t[vec_col])
         labels = t[label_col].to_numpy(zero_copy_only=False)
         order = np.argsort(labels, kind="stable")
@@ -238,20 +238,20 @@ def label_centroids(ds, vec_col: str = "embedding",
         uniq, starts = np.unique(ls, return_index=True)
         sums = np.add.reduceat(Ms, starts, axis=0)
         cnts = np.diff(np.concatenate([starts, [len(ls)]]))
-        payload = pickle.dumps((uniq, cnts.astype(np.int64), sums))
-        return pa.table({"payload": pa.array([payload], pa.binary())})
+        return {lab: [int(c), s] for lab, c, s in zip(uniq, cnts, sums)}
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    acc: dict = {}
-    for r in rows:
-        uniq, cnts, sums = pickle.loads(r["payload"])
-        for lab, c, s in zip(uniq, cnts, sums):
-            if lab in acc:
-                acc[lab][0] += c
-                acc[lab][1] += s
-            else:
-                acc[lab] = [int(c), s.copy()]
+    def merge(parts: list) -> dict:
+        acc: dict = {}
+        for part in parts:
+            for lab, (c, s) in part.items():
+                if lab in acc:
+                    acc[lab][0] += c
+                    acc[lab][1] = acc[lab][1] + s
+                else:
+                    acc[lab] = [c, s]
+        return acc
+
+    acc = fold(ds, partial, merge)
     labs = sorted(acc)
     return pa.table({
         label_col: pa.array(labs, pa.int64()),
@@ -270,26 +270,25 @@ def sq8_minmax(ds, vec_col: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension (min, max) census of an embedding column — one
     streaming pass, per-block partials folded on the driver (two
     d-length vectors per block; d is model-fixed, never data-scale)."""
-    import pickle
+    from .transport import fold
 
-    def part(t: pa.Table) -> pa.Table:
+    def part(t: pa.Table):
         if t.num_rows == 0:
-            payload = None
-        else:
-            M = _matrix(t[vec_col])
-            payload = (M.min(axis=0), M.max(axis=0))
-        return pa.table({"payload": pa.array([pickle.dumps(payload)],
-                                             type=pa.large_binary())})
+            return None
+        M = _matrix(t[vec_col])
+        return M.min(axis=0), M.max(axis=0)
 
-    rows = ds.map_batches(part, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    parts = [p for p in (pickle.loads(r["payload"]) for r in rows)
-             if p is not None]
-    if not parts:
+    def merge(parts: list):
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            return None
+        return (np.min([p[0] for p in parts], axis=0),
+                np.max([p[1] for p in parts], axis=0))
+
+    lo_hi = fold(ds, part, merge)
+    if lo_hi is None:
         raise ValueError("sq8_minmax: empty embedding column")
-    lo = np.min(np.stack([p[0] for p in parts]), axis=0)
-    hi = np.max(np.stack([p[1] for p in parts]), axis=0)
-    return lo, hi
+    return lo_hi
 
 
 def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,

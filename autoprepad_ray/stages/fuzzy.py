@@ -3,7 +3,7 @@
 The classic record-linkage shape: never all-pairs — a cheap blocking
 key (here: the last name token, the "noun") bounds candidates to pairs
 that share a block, and a Levenshtein verify scores only those.  The
-distinct-name census rides the near_dup tree merge (bounded by distinct
+distinct-name census rides ``stages.transport.fold`` (bounded by distinct
 strings, not rows); pairing fans out one flat Ray task per block-hash
 slice, so no block's candidate set ever assembles on the driver.
 
@@ -108,20 +108,13 @@ def blocked_editdist_pairs(ds, col: str, *, max_dist: int = 3,
     import ray
 
     from ..sketches import hash64
-    from ..validators.near_dup import _pickled, _tree_counts
+    from .transport import fold, merge_unique
 
-    def part(t: pa.Table) -> pa.Table:
-        vals = t[col]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        # SQL NULL semantics: a NULL name never blocks or pairs
-        # (a.blk = c.blk and a < c are both NULL) — drop, don't
-        # canonicalize; None would also break the object-array sort
-        u = np.unique(vals.drop_null().to_numpy(zero_copy_only=False))
-        return _pickled((u, np.ones(len(u), dtype=np.int64)))
-
-    names, _ = _tree_counts(
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True))
+    # SQL NULL semantics: a NULL name never blocks or pairs (a.blk =
+    # c.blk and a < c are both NULL) — drop, don't canonicalize; None
+    # would also break the object-array sort
+    names = fold(ds, lambda t: np.unique(t[col].drop_null().to_numpy()),
+                 merge_unique)
     names = np.asarray(names, dtype=object)
     blocks = np.array([s.rsplit(" ", 1)[-1] for s in names], dtype=object)
     slc = (hash64(blocks) % np.uint64(num_slices)).astype(np.int64)

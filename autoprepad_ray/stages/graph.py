@@ -9,7 +9,8 @@ Reference parity: AutoPrepAD stops at duplicate listings/pair evidence
 duplicate rows; no grouping step exists) — cluster assignment is the
 §2.7 extension that completes the family.
 
-Algorithm — per-block star-forest partials, tree-merged:
+Algorithm — per-block star-forest partials, folded
+(``stages.transport.fold``):
 
 - A block's edges reduce to a STAR FOREST (one row per distinct
   touched node -> the minimum node id of its local component, roots
@@ -18,27 +19,27 @@ Algorithm — per-block star-forest partials, tree-merged:
   ``np.minimum.at`` over the edge arrays plus ``lbl[lbl]`` doubling.
   No per-edge Python; cliques collapse before anything leaves the
   block.
-- Merge tasks concatenate ≤32 forests and re-reduce (the union of
+- Each merge concatenates forests and re-reduces (the union of
   spanning forests of subgraphs covering G contains a spanning forest
   of G), so no task ever holds row-shaped edge data — only forests
   bounded by their distinct-node counts.
-- The driver folds the last ≤32 payloads and emits (node, cluster).
+- The driver's merge of the fold survivors emits (node, cluster).
 
 Memory bound (same one the pair-list stages already assume): every
 forest is ≤ the number of DISTINCT nodes touched by edges — for dedup
 graphs the dup-involved subset, not the corpus.  At 100 TB the partials
-shrink hot cliques inside each block before any byte moves, and the
-32-way tree keeps every merge task O(32 x forest).
+shrink hot cliques inside each block before any byte moves, and every
+merge task holds O(FAN_IN x forest).
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pyarrow as pa
 
 import ray
+
+from .transport import fold, merge_concat
 
 
 def _min_label_roots(s: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -77,18 +78,6 @@ def _star_forest(src: np.ndarray, dst: np.ndarray
     return nodes, nodes[lbl]
 
 
-def _pickled(obj) -> pa.Table:
-    return pa.table({"payload": pa.array([pickle.dumps(obj)],
-                                         type=pa.large_binary())})
-
-
-def _merge_forests(batch: pa.Table) -> pa.Table:
-    parts = [pickle.loads(p) for p in batch["payload"].to_pylist()]
-    src = np.concatenate([p[0] for p in parts])
-    dst = np.concatenate([p[1] for p in parts])
-    return _pickled(_star_forest(src, dst))
-
-
 def connected_components(edges, src_col: str, dst_col: str, *,
                          node_col: str = "node",
                          cluster_col: str = "cluster") -> pa.Table:
@@ -99,27 +88,18 @@ def connected_components(edges, src_col: str, dst_col: str, *,
     ``cluster == node``.  Exact for any comparable node dtype (int64
     ids, string ids)."""
     if isinstance(edges, tuple):
-        src, dst = np.asarray(edges[0]), np.asarray(edges[1])
+        node, cluster = _star_forest(np.asarray(edges[0]),
+                                     np.asarray(edges[1]))
     elif isinstance(edges, pa.Table):
-        src = edges[src_col].to_numpy(zero_copy_only=False)
-        dst = edges[dst_col].to_numpy(zero_copy_only=False)
+        node, cluster = _star_forest(
+            edges[src_col].to_numpy(zero_copy_only=False),
+            edges[dst_col].to_numpy(zero_copy_only=False))
     else:
-        def partial(t: pa.Table) -> pa.Table:
-            return _pickled(_star_forest(
-                t[src_col].to_numpy(zero_copy_only=False),
-                t[dst_col].to_numpy(zero_copy_only=False)))
-
-        payloads = (edges.map_batches(partial, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-                    .map_batches(_merge_forests, batch_size=32,
-                                 batch_format="pyarrow"))
-        parts = [pickle.loads(r["payload"]) for r in payloads.take_all()]
-        if not parts:
-            src = dst = np.empty(0, dtype=np.int64)
-        else:
-            src = np.concatenate([p[0] for p in parts])
-            dst = np.concatenate([p[1] for p in parts])
-    node, cluster = _star_forest(src, dst)
+        node, cluster = fold(edges, lambda t: _star_forest(
+            t[src_col].to_numpy(zero_copy_only=False),
+            t[dst_col].to_numpy(zero_copy_only=False)),
+            lambda parts: _star_forest(*(merge_concat(parts)
+                                         or (np.empty(0, np.int64),) * 2)))
     return pa.table({node_col: pa.array(node),
                      cluster_col: pa.array(cluster)})
 

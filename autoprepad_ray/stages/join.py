@@ -49,13 +49,10 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
     whose key appears (does not appear, ``anti=True``) in ``right``.
 
     The right side reduces to its DISTINCT key set first — each block's
-    unique keys pack into ONE pickled-array payload row (the near_dup
-    census pattern), a 32-way merge level dedups 32 BLOCK partials per
-    task, and the driver folds the O(blocks/32) surviving arrays with
-    one vectorized ``np.unique`` (a sort-groupby would shuffle every
-    right row to dedup keys that per-block partials already collapse;
-    one-key-per-row partials would make the driver fold pull
-    rows-as-dicts).  The deduped key array broadcasts once
+    unique keys are one fold partial (``stages.transport.fold``; every
+    merge is one vectorized ``np.unique``; a sort-groupby would shuffle
+    every right row to dedup keys that per-block partials already
+    collapse).  The deduped key array broadcasts once
     (``ray.put``) and the left side filters with a vectorized
     ``np.isin`` — no shuffle of either table.
 
@@ -69,30 +66,13 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
     Reference has only index-aligned label joins
     (/root/reference/pipelines/experiment/experiment.py:125); this is
     the relational EXISTS re-expressed for a cluster."""
-    import pickle
-
     import ray
 
+    from .transport import fold, merge_unique
+
     rkey = right_on or on
-
-    def part(t: pa.Table) -> pa.Table:
-        u = np.unique(t[rkey].to_numpy(zero_copy_only=False))
-        return pa.table({"payload": pa.array([pickle.dumps(u)],
-                                             type=pa.large_binary())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate(
-            [pickle.loads(p) for p in t["payload"].to_pylist()]))
-        return pa.table({"payload": pa.array([pickle.dumps(u)],
-                                             type=pa.large_binary())})
-
-    parts = (right.map_batches(part, batch_format="pyarrow",
-                               zero_copy_batch=True)
-             .map_batches(merge, batch_size=32, batch_format="pyarrow")
-             .take_all())      # one pickled key-array per 32 blocks
-    keys = np.unique(np.concatenate(
-        [pickle.loads(r["payload"]) for r in parts])) \
-        if parts else np.array([])
+    keys = fold(right, lambda t: np.unique(
+        t[rkey].to_numpy(zero_copy_only=False)), merge_unique)
     if len(keys) > max_broadcast_keys:
         raise ValueError(
             f"semi_join: {len(keys)} distinct right keys exceeds the "

@@ -12,6 +12,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .transport import fold, merge_concat, merge_counts, merge_groups
+
 STOPWORDS = {
     "en": {"the", "a", "of", "and", "to", "in", "is", "it", "that", "for"},
     "de": {"der", "die", "das", "und", "ist", "ein", "eine", "zu", "mit"},
@@ -99,46 +101,16 @@ def _word_counts(texts: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def term_census(ds, *, text_col: str = "text"):
-    """Corpus term-count census as (sorted terms object-array, int64
-    counts): per-block ``np.unique`` partials ride as ONE pickled
-    payload row per block (never per-term Python rows — a web-scale
-    vocabulary is millions of terms), a 32-block payload merge level
-    tree-reduces, and the driver folds the few surviving arrays with
-    one unique + bincount.  The Heaps'-law driver-fold shape shared by
-    unigram_logprob / OOV scoring."""
-    import pickle
+    """Corpus term-count census as (sorted terms, int64 counts): each
+    block's ``np.unique`` counts are one fold partial (never per-term
+    Python rows — a web-scale vocabulary is millions of terms), summed
+    by ``stages.transport.fold``.  The Heaps'-law driver-fold shape
+    shared by unigram_logprob / OOV scoring."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        words, _ = _flat_words(t[text_col])
-        terms, cnts = np.unique(words, return_counts=True)
-        return pa.table({"payload": pa.array(
-            [pickle.dumps((terms, cnts.astype(np.int64)))],
-            pa.large_binary())})
+    def partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(_flat_words(t[text_col])[0], return_counts=True)
 
-    def merge(t: pa.Table) -> pa.Table:
-        parts = [pickle.loads(x) for x in t["payload"].to_pylist()]
-        return pa.table({"payload": pa.array(
-            [pickle.dumps(_fold_term_counts(parts))], pa.large_binary())})
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(merge, batch_size=32, batch_format="pyarrow")
-            ).take_all()
-    return _fold_term_counts(
-        [pickle.loads(r["payload"]) for r in rows])
-
-
-def _fold_term_counts(parts):
-    """Sum (terms, counts) partial pairs: one concat + unique-inverse +
-    bincount — vectorized, output sorted by term."""
-    if not parts:
-        return np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
-    terms = np.concatenate([p[0] for p in parts])
-    cnts = np.concatenate([p[1] for p in parts])
-    uniq, inv = np.unique(terms, return_inverse=True)
-    summed = np.bincount(inv, weights=cnts,
-                         minlength=len(uniq)).astype(np.int64)
-    return uniq, summed
+    return fold(ds, partial, merge_counts)
 
 
 def _gram_hashes(words: np.ndarray, counts: np.ndarray, n: int, *,
@@ -786,7 +758,7 @@ def dup_doc_ratio_by_source(ds, *, source_col: str = "source",
 
     Duplicates are RARE at uniqueness-check scale, so this is the
     census-prune shape (validators/uniqueness.py): pass 1 folds
-    per-block 64-bit text-hash counts through the tree merge, pass 2
+    per-block 64-bit text-hash counts, pass 2
     broadcasts the (few) candidate hashes and collects only candidate
     (md5, source) rows, and the driver verifies candidates on the EXACT
     md5 strings — a 64-bit collision only adds a candidate row, never a
@@ -795,21 +767,18 @@ def dup_doc_ratio_by_source(ds, *, source_col: str = "source",
     import ray
 
     from ..sketches import hash64
-    from ..validators.near_dup import _pickled, _tree_counts
     from ..functions.strings import md5_fingerprint
 
-    def census(t: pa.Table) -> pa.Table:
+    def census(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         texts = pc.fill_null(t[text_col], "").to_pandas()
-        vals, cnts = np.unique(hash64(texts.to_numpy(dtype=object)),
-                               return_counts=True)
-        return _pickled((vals, cnts))
+        return np.unique(hash64(texts.to_numpy(dtype=object)),
+                         return_counts=True)
 
-    vals, cnts = _tree_counts(ds.map_batches(
-        census, batch_format="pyarrow", zero_copy_batch=True))
+    vals, cnts = fold(ds, census, merge_counts)
     cand = np.sort(vals[cnts >= 2].astype(np.uint64))
     cand_ref = ray.put(cand)
 
-    def collect(t: pa.Table) -> pa.Table:
+    def collect(t: pa.Table) -> tuple:
         cand_b = ray.get(cand_ref)
         src = pd.Series(t[source_col].to_numpy(zero_copy_only=False))
         texts = pc.fill_null(t[text_col], "").to_pandas()
@@ -821,25 +790,17 @@ def dup_doc_ratio_by_source(ds, *, source_col: str = "source",
         tot = src.groupby(src).size()
         fps = md5_fingerprint(texts[hit]) if hit.any() else pd.Series(
             [], dtype=object)
-        return _pickled((tot.index.to_numpy(dtype=object),
-                         tot.to_numpy(dtype=np.int64),
-                         fps.to_numpy(dtype=object),
-                         src[hit].to_numpy(dtype=object)))
+        return ((tot.index.to_numpy(dtype=object),
+                 tot.to_numpy(dtype=np.int64)),
+                fps.to_numpy(dtype=object), src[hit].to_numpy(dtype=object))
 
-    import pickle
+    def merge(parts: list[tuple]) -> tuple:
+        return (merge_counts([p[0] for p in parts]),
+                *(merge_concat([p[1:] for p in parts])
+                  or (np.empty(0, object),) * 2))
 
-    parts = ds.map_batches(collect, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    totals: dict[str, int] = {}
-    fp_all, src_all = [], []
-    for r in parts:
-        s_keys, s_cnts, fps, srcs = pickle.loads(r["payload"])
-        for k, c in zip(s_keys, s_cnts):
-            totals[k] = totals.get(k, 0) + int(c)
-        fp_all.append(fps)
-        src_all.append(srcs)
-    fp_all = np.concatenate(fp_all) if fp_all else np.empty(0, object)
-    src_all = np.concatenate(src_all) if src_all else np.empty(0, object)
+    (s_keys, s_cnts), fp_all, src_all = fold(ds, collect, merge)
+    totals = dict(zip(s_keys.tolist(), s_cnts.tolist()))
     # exact verification on the md5 strings: true dups have count >= 2
     uniq, inv, ucnt = np.unique(fp_all, return_inverse=True,
                                 return_counts=True)
@@ -1063,18 +1024,15 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
     (token_budget_resample's floor-division rule over the DEDUPED word
     totals) and folds final keep counts.  Every number is an exact
     integer — SQL-exact end to end."""
-    import pickle
-
     import ray
 
     from ..functions.sampling import split_code
     from ..functions.strings import md5_fingerprint
-    from ..validators.near_dup import _pickled, _merge_count_arrays
 
     def _keep(t: pa.Table) -> np.ndarray:
         return gopher_keep_mask(t[text_col])
 
-    def pass_a(t: pa.Table) -> pa.Table:
+    def pass_a(t: pa.Table) -> tuple:
         keep, counts, _, h = _quality_text_state(t, text_col)
         src = np.asarray(t[source_col].to_numpy(zero_copy_only=False),
                          dtype=object)
@@ -1082,19 +1040,15 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
                            "n_quality": keep.astype(np.int64),
                            "w_quality": counts * keep})
              .groupby("source", as_index=False).sum())
-        vals, cnts = np.unique(h[keep], return_counts=True)
-        return _pickled((g, vals, cnts))
+        return g, np.unique(h[keep], return_counts=True)
 
-    parts = ds.map_batches(pass_a, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    gs, censuses = [], []
-    for r in parts:
-        g, vals, cnts = pickle.loads(r["payload"])
-        gs.append(g)
-        censuses.append((vals, cnts))
-    agg = (pd.concat(gs).groupby("source", as_index=False).sum()
-           .sort_values("source").reset_index(drop=True))
-    vals, cnts = _merge_count_arrays(censuses)
+    def merge_a(parts: list[tuple]) -> tuple:
+        return (pd.concat([p[0] for p in parts])
+                .groupby("source", as_index=False).sum(),
+                merge_counts([p[1] for p in parts]))
+
+    agg, (vals, cnts) = fold(ds, pass_a, merge_a)
+    agg = agg.sort_values("source").reset_index(drop=True)
     cand = np.sort(vals[cnts >= 2].astype(np.uint64))
 
     removed_ids = np.empty(0, dtype=np.int64)
@@ -1102,23 +1056,17 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
     if cand.size:
         cand_ref = ray.put(cand)
 
-        def pass_b(t: pa.Table) -> pa.Table:
+        def pass_b(t: pa.Table) -> tuple:
             keep, counts, texts, h = _quality_text_state(t, text_col)
             hit = _candidate_hits(h, keep, ray.get(cand_ref))
-            return _pickled((
-                t[id_col].to_numpy(zero_copy_only=False)[hit],
-                np.asarray(t[source_col].to_numpy(
-                    zero_copy_only=False), dtype=object)[hit],
-                counts[hit],
-                md5_fingerprint(texts[hit]).to_numpy(dtype=object)))
+            return (t[id_col].to_numpy(zero_copy_only=False)[hit],
+                    np.asarray(t[source_col].to_numpy(
+                        zero_copy_only=False), dtype=object)[hit],
+                    counts[hit],
+                    md5_fingerprint(texts[hit]).to_numpy(dtype=object))
 
-        rows = ds.map_batches(pass_b, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all()
-        loaded = [pickle.loads(r["payload"]) for r in rows]
-        ids = np.concatenate([x[0] for x in loaded]).astype(np.int64)
-        srcs = np.concatenate([x[1] for x in loaded])
-        nws = np.concatenate([x[2] for x in loaded]).astype(np.int64)
-        fps = np.concatenate([x[3] for x in loaded])
+        ids, srcs, nws, fps = fold(ds, pass_b, merge_concat)
+        ids, nws = ids.astype(np.int64), nws.astype(np.int64)
         # exact per-md5 min-id: lexsort by (fp, id), first of each run wins
         order, rm = _minid_losers(ids, fps)
         removed_ids = np.sort(ids[order][rm])
@@ -1205,8 +1153,8 @@ def length_quantile_filter(ds, *, q: float = 0.9,
 
     Two passes, no shuffle: pass 1 folds per-block (source, n_words)
     count partials (word counts are bounded small ints, so the partial
-    is bounded by sources x distinct lengths, not rows) through a
-    32-way Arrow tree level into per-source :class:`ValueCounts`; the
+    is bounded by sources x distinct lengths, not rows) through
+    ``stages.transport.fold`` into per-source :class:`ValueCounts`; the
     driver takes each source's quantile (linear interpolation ==
     DuckDB ``quantile_cont``, the profile query's proven parity path)
     and broadcasts the tiny source->cutoff map; pass 2 flags each row.
@@ -1223,19 +1171,11 @@ def length_quantile_filter(ds, *, q: float = 0.9,
         return pa.table({source_col: g[source_col],
                          "n_words": g["n_words"], "cnt": g["cnt_sum"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([source_col, "n_words"]).aggregate([("cnt", "sum")])
-        return pa.table({source_col: g[source_col],
-                         "n_words": g["n_words"], "cnt": g["cnt_sum"]})
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(merge, batch_size=65536, batch_format="pyarrow")
-            ).take_all()
-    df = (pd.DataFrame(rows)
-          .groupby([source_col, "n_words"], as_index=False)["cnt"].sum())
+    census = fold(ds, partial, merge_groups([source_col, "n_words"],
+                                            {"cnt": "sum"}))
     cuts = {}
-    for s, grp in df.groupby(source_col):
+    for s, grp in (census.to_pandas() if census is not None
+                   else pd.DataFrame({source_col: []})).groupby(source_col):
         vc = ValueCounts.from_items(grp["n_words"].to_numpy(),
                                     grp["cnt"].to_numpy())
         cuts[s] = round(vc.quantile(q), round_digits)
@@ -1290,8 +1230,6 @@ def crossdoc_gram_coverage(ds, *, n: int = 3, text_col: str = "text",
     the decontaminate caveat)."""
     import ray
 
-    from ..validators.near_dup import _pickled, _tree_counts
-
     def _distinct_doc_grams(t: pa.Table):
         words, counts = _flat_words(t[text_col])
         doc_idx, grams, g_per_doc = _gram_hashes(words, counts, n)
@@ -1301,14 +1239,8 @@ def crossdoc_gram_coverage(ds, *, n: int = 3, text_col: str = "text",
             if len(d2) else np.empty(0, bool)
         return d2[keep], g2[keep], counts
 
-    def census(t: pa.Table) -> pa.Table:
-        _, gg, _ = _distinct_doc_grams(t)
-        vals, cnts = np.unique(gg, return_counts=True)
-        return _pickled((vals, cnts.astype(np.int64)))
-
-    payloads = ds.map_batches(census, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    vals, cnts = _tree_counts(payloads)
+    vals, cnts = fold(ds, lambda t: np.unique(
+        _distinct_doc_grams(t)[1], return_counts=True), merge_counts)
     shared_ref = ray.put(np.asarray(vals, dtype=np.uint64)[cnts >= 2])
 
     def score(t: pa.Table) -> pa.Table:
@@ -1343,27 +1275,23 @@ def dup_cluster_size_histogram(ds, *, text_col: str = "text"):
     only a flat count, AnomalyValueChecker.py:63-77).
 
     Same census-prune shape as ``dup_doc_ratio_by_source``: a 64-bit
-    text-hash census tree-merges per-block partials; only rows whose
+    text-hash census folds per-block partials; only rows whose
     hash count >= 2 are collected and resolved on EXACT md5 strings
     (a 64-bit collision only adds a candidate, never a wrong size);
     every row the census saw exactly once is a size-1 cluster counted
     from the census alone — singleton rows never move.  All-integer
     output: (cluster_size, n_clusters, n_docs)."""
-    import pickle
-
     import ray
 
     from ..sketches import hash64
-    from ..validators.near_dup import _pickled, _tree_counts
     from ..functions.strings import md5_fingerprint
 
-    def census(t: pa.Table) -> pa.Table:
+    def census(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         texts = pc.fill_null(t[text_col], "").to_pandas()
-        return _pickled(np.unique(hash64(texts.to_numpy(dtype=object)),
-                                  return_counts=True))
+        return np.unique(hash64(texts.to_numpy(dtype=object)),
+                         return_counts=True)
 
-    vals, cnts = _tree_counts(ds.map_batches(
-        census, batch_format="pyarrow", zero_copy_batch=True))
+    vals, cnts = fold(ds, census, merge_counts)
     total = int(cnts.sum())
     empty = pd.DataFrame({"cluster_size": pd.Series([], dtype=np.int64),
                           "n_clusters": pd.Series([], dtype=np.int64),
@@ -1377,7 +1305,7 @@ def dup_cluster_size_histogram(ds, *, text_col: str = "text"):
                              "n_docs": np.array([total], np.int64)})
     cand_ref = ray.put(cand)
 
-    def collect(t: pa.Table) -> pa.Table:
+    def collect(t: pa.Table) -> tuple[np.ndarray]:
         cand_b = ray.get(cand_ref)
         texts = pc.fill_null(t[text_col], "").to_pandas()
         h = hash64(texts.to_numpy(dtype=object))
@@ -1385,12 +1313,9 @@ def dup_cluster_size_histogram(ds, *, text_col: str = "text"):
         hit = (cand_b[np.minimum(pos, len(cand_b) - 1)] == h)
         fps = md5_fingerprint(texts[hit]) if hit.any() else \
             pd.Series([], dtype=object)
-        return _pickled(fps.to_numpy(dtype=object))
+        return (fps.to_numpy(dtype=object),)
 
-    parts = ds.map_batches(collect, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    fp_all = np.concatenate([pickle.loads(r["payload"]) for r in parts]) \
-        if parts else np.empty(0, object)
+    fp_all, = fold(ds, collect, merge_concat)
     # exact md5 group sizes among the candidates; everything else is a
     # size-1 cluster counted straight off the census totals
     _, ucnt = np.unique(fp_all, return_counts=True)

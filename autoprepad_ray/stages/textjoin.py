@@ -65,8 +65,8 @@ import ray
 
 from ..sketches import popcount64, splitmix64
 from ..validators.heavy import mg_merge
-from ..validators.near_dup import _pickled, default_num_parts
-from .transport import scatter_slices
+from ..validators.near_dup import default_num_parts
+from .transport import fold, scatter_slices
 
 _EPS = 1e-9
 _SEG_MAX = 512          # size-class batching bound; larger buckets sweep
@@ -127,20 +127,11 @@ def _ids_np(batch: pa.Table, id_col: str) -> np.ndarray:
 
 def _gram_census(ds, text_col: str, n: int, census_k: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         _, _, codes = doc_gram_sets(batch[text_col], n)
-        u, c = np.unique(codes, return_counts=True)
-        return _pickled(mg_merge([(u, c)], census_k))
+        return mg_merge([np.unique(codes, return_counts=True)], census_k)
 
-    def merge(batch: pa.Table) -> pa.Table:
-        parts = [pickle.loads(p) for p in batch["payload"].to_pylist()]
-        return _pickled(mg_merge(parts, census_k))
-
-    combined = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-                 .map_batches(merge, batch_size=32, batch_format="pyarrow")
-    parts = [pickle.loads(r["payload"]) for r in combined.take_all()]
-    return mg_merge(parts, census_k)
+    return fold(ds, partial, lambda parts: mg_merge(parts, census_k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,18 @@
-"""Slice-addressed scatter for packed payload streams.
+"""Packed payload streams: the one partial->merge fold and the
+slice-addressed scatter.
 
-The flat-task pairing pattern (one ray task per key slice over a
+Every packed stream is ``payload`` rows of pickled objects
+(:func:`_pickled`, the one payload codec), optionally tagged with
+``slice`` and ``kind`` columns.
+
+:func:`fold` is the one unkeyed partial->merge reduction: one Dataset
+execution maps each block to one payload row, flat ray tasks merge the
+materialized blocks ``FAN_IN`` at a time, and the driver merges the
+survivors.  A ``map_batches(merge, batch_size=...)`` merge level would
+fuse into its partial's task (one read task per file) and merge
+nothing, so the reduce runs over ``to_arrow_refs()`` instead.
+
+Scatter.  The flat-task pairing pattern (one ray task per key slice over a
 ``materialize()``d packed stream) originally handed EVERY task the refs
 of EVERY block and let each task filter its slice out.  On one node that
 is free — blocks are plasma-shared and reads are zero-copy — but on a
@@ -27,6 +39,8 @@ stream is small the single-task case is trivially fine.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -36,6 +50,103 @@ import ray
 # keep per-(task, slice) cells comfortably above Ray's ~100 KB
 # inline-return bound so large streams live in plasma, not the driver
 TARGET_CELL_BYTES = 128 * 1024
+
+# blocks merged by one flat fold task; the driver merges
+# ceil(blocks / FAN_IN) survivors
+FAN_IN = 32
+
+
+def _pickled(obj) -> pa.Table:
+    """One payload row holding ``obj``."""
+    return pa.table({"payload": pa.array([pickle.dumps(obj)],
+                                         type=pa.large_binary())})
+
+
+def merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``(values, counts)`` partials fully vectorized; returns sorted
+    unique values and their int64 counts (both empty int64 for none)."""
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    vals = np.concatenate([p[0] for p in parts])
+    cnts = np.concatenate([p[1] for p in parts])
+    uniq, inv = np.unique(vals, return_inverse=True)
+    out = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(out, inv, cnts)
+    return uniq, out
+
+
+def merge_unique(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values of array partials (empty int64 for none)."""
+    return np.unique(np.concatenate(parts)) if parts else \
+        np.empty(0, dtype=np.int64)
+
+
+def merge_concat(parts: list[tuple]) -> tuple:
+    """Field-wise concatenation of equal-arity array-tuple partials
+    (``()`` for none)."""
+    return tuple(np.concatenate(f) for f in zip(*parts))
+
+
+def merge_groups(keys: list[str], aggs: dict[str, str]):
+    """A fold ``merge`` for Arrow ``group_by`` partials: concatenate them
+    and re-aggregate each ``aggs`` column ("sum", "min", "max") per
+    ``keys`` group, keeping the column names (``None`` for none)."""
+    def merge(parts: list[pa.Table]) -> pa.Table | None:
+        if not parts:
+            return None
+        g = pa.concat_tables(parts, promote_options="default") \
+            .group_by(keys).aggregate(list(aggs.items()))
+        return pa.table({**{k: g[k] for k in keys},
+                         **{c: g[f"{c}_{f}"] for c, f in aggs.items()}})
+    return merge
+
+
+def _payloads(blocks, kind: str | None) -> list:
+    """Unpickled payloads of packed ``blocks`` (rows of ``kind`` only
+    when given)."""
+    out = []
+    for t in blocks:
+        if t.num_rows == 0:
+            # 0-row blocks of splits whose map UDF never ran have an
+            # EMPTY schema (see _scatter_task)
+            continue
+        if kind is not None:
+            t = t.filter(pc.equal(t["kind"], kind))
+        out.extend(pickle.loads(p) for p in t["payload"].to_pylist())
+    return out
+
+
+@ray.remote
+def _fold_task(merge, kind: str | None, *blocks) -> bytes | None:
+    # pickled, not a plain return: Ray hands large numpy returns to the
+    # driver as READ-ONLY plasma views, and merges update in place
+    parts = _payloads(blocks, kind)
+    return pickle.dumps(merge(parts)) if parts else None
+
+
+def fold_payloads(packed, merge, kind: str | None = None):
+    """Fold a MATERIALIZED packed stream: flat tasks ``merge`` its blocks'
+    payloads ``FAN_IN`` blocks at a time, in block order, and the driver
+    ``merge``s the survivors.  ``merge(list) -> object`` must be
+    associative.  Groups without a payload are dropped, so when no
+    payload exists at all the result is ``merge([])``.  ``kind`` filters
+    rows as in :func:`scatter_slices`."""
+    refs = packed.to_arrow_refs()
+    futs = [_fold_task.remote(merge, kind, *refs[i:i + FAN_IN])
+            for i in range(0, len(refs), FAN_IN)]
+    return merge([pickle.loads(r) for r in ray.get(futs) if r is not None])
+
+
+def fold(ds, partial, merge):
+    """Reduce ``ds`` to one object: ``partial(block: pa.Table)`` maps
+    every block to any picklable object and :func:`fold_payloads` merges
+    them.  One Dataset execution; a Dataset whose blocks never ran the
+    partial (empty, or filtered to nothing) folds to ``merge([])``."""
+    packed = ds.map_batches(lambda t: _pickled(partial(t)),
+                            batch_format="pyarrow",
+                            zero_copy_batch=True).materialize()
+    return fold_payloads(packed, merge)
 
 
 @ray.remote

@@ -8,20 +8,18 @@ caption-length distributions.
 
 PSI uses +0.5 Laplace smoothing per bin (so empty bins are defined);
 the same formula is mirrored in the DuckDB oracle SQL, keeping the
-correctness gate exact.  Histogram counts are one ``map_batches``
-partial (np.histogram per block) summed on the driver — no shuffle.
+correctness gate exact.  Histogram counts are per-block partials
+summed by ``stages.transport.fold`` — no shuffle.
 """
 
 from __future__ import annotations
-
-import math
-import pickle
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import ValueCounts
+from ..stages.transport import fold
 
 
 def psi_from_counts(ref_counts, cur_counts) -> float:
@@ -40,21 +38,16 @@ def histogram_counts(ds, col: str, edges: np.ndarray) -> np.ndarray:
     edge range are clamped into the first/last bin)."""
     edges = np.asarray(edges, dtype=float)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> np.ndarray:
         v = batch[col].cast(pa.float64()).combine_chunks().to_numpy(
             zero_copy_only=False)
         v = v[~np.isnan(v)]
         idx = np.clip(np.searchsorted(edges, v, side="right") - 1,
                       0, len(edges) - 2)
-        counts = np.bincount(idx, minlength=len(edges) - 1).astype(np.int64)
-        return pa.table({"counts": pa.array([counts.tolist()],
-                                            type=pa.list_(pa.int64()))})
+        return np.bincount(idx, minlength=len(edges) - 1)
 
-    total = np.zeros(len(edges) - 1, dtype=np.int64)
-    for row in ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all():
-        total += np.asarray(row["counts"], dtype=np.int64)
-    return total
+    return fold(ds, partial, lambda parts: sum(
+        parts, np.zeros(len(edges) - 1, dtype=np.int64)))
 
 
 def categorical_counts(ds, col: str) -> dict:
@@ -79,14 +72,14 @@ def partition_histograms(ds, num_specs: dict[str, np.ndarray],
                          ) -> tuple[dict, dict]:
     """ALL drift inputs in ONE streaming pass: per-partition fixed-edge
     histograms for every numeric spec plus per-partition category counts
-    for every categorical column.  Each block emits one pickled partial;
-    the driver merges O(blocks) tiny dicts — no shuffle at all.
+    for every categorical column.  Each block's partial is a pair of
+    tiny dicts, folded by ``stages.transport.fold`` — no shuffle at all.
 
     Returns (num: {col: {pid: counts}}, cat: {col: {pid: {val: n}}}).
     """
     specs = {c: np.asarray(e, dtype=float) for c, e in num_specs.items()}
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> tuple[dict, dict]:
         pid = batch[partition_col].to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(pid, return_inverse=True)
         num_out: dict = {}
@@ -99,7 +92,7 @@ def partition_histograms(ds, num_specs: dict[str, np.ndarray],
                           0, nb - 1)
             counts = np.zeros((len(uniq), nb), dtype=np.int64)
             np.add.at(counts, (inv[keep], idx), 1)
-            num_out[col] = counts
+            num_out[col] = {int(u): counts[k] for k, u in enumerate(uniq)}
         cat_out: dict = {}
         for col in cat_cols:
             vals = np.asarray(batch[col].to_numpy(zero_copy_only=False),
@@ -109,79 +102,24 @@ def partition_histograms(ds, num_specs: dict[str, np.ndarray],
                 vv, cc = np.unique(vals[inv == k], return_counts=True)
                 d[int(u)] = dict(zip(vv.tolist(), cc.tolist()))
             cat_out[col] = d
-        payload = pickle.dumps((uniq.tolist(), num_out, cat_out))
-        return pa.table({"payload": pa.array([payload],
-                                             type=pa.large_binary())})
+        return num_out, cat_out
 
-    num: dict = {c: {} for c in specs}
-    cat: dict = {c: {} for c in cat_cols}
-    for row in ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all():
-        uniq, num_out, cat_out = pickle.loads(row["payload"])
-        for col, counts in num_out.items():
-            for k, u in enumerate(uniq):
-                u = int(u)
-                if u in num[col]:
-                    num[col][u] = num[col][u] + counts[k]
-                else:
-                    num[col][u] = counts[k].copy()
-        for col, d in cat_out.items():
-            for u, vc in d.items():
-                tgt = cat[col].setdefault(int(u), {})
-                for v, n in vc.items():
-                    tgt[v] = tgt.get(v, 0) + n
-    return num, cat
+    def merge(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+        num: dict = {c: {} for c in specs}
+        cat: dict = {c: {} for c in cat_cols}
+        for num_out, cat_out in parts:
+            for col, d in num_out.items():
+                for u, counts in d.items():
+                    num[col][u] = num[col][u] + counts if u in num[col] \
+                        else counts
+            for col, d in cat_out.items():
+                for u, vc in d.items():
+                    tgt = cat[col].setdefault(u, {})
+                    for v, n in vc.items():
+                        tgt[v] = tgt.get(v, 0) + n
+        return num, cat
 
-
-def histogram_by_partition(ds, col: str, edges: np.ndarray,
-                           partition_col: str) -> dict[int, np.ndarray]:
-    """One streaming pass -> fixed-edge histogram per partition: per-block
-    partial (partition, bincount) rows, groupby-summed.  The shuffle
-    moves O(partitions x bins x blocks) tiny rows."""
-    edges = np.asarray(edges, dtype=float)
-    nb = len(edges) - 1
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch[col].cast(pa.float64()).combine_chunks().to_numpy(
-            zero_copy_only=False)
-        pid = batch[partition_col].to_numpy(zero_copy_only=False)
-        keep = ~np.isnan(v)
-        v, pid = v[keep], pid[keep]
-        idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, nb - 1)
-        uniq, inv = np.unique(pid, return_inverse=True)
-        counts = np.zeros((len(uniq), nb), dtype=np.int64)
-        np.add.at(counts, (inv, idx), 1)
-        return pa.table({partition_col: pa.array(uniq),
-                         "counts": pa.array(counts.tolist(),
-                                            type=pa.list_(pa.int64()))})
-
-    out: dict[int, np.ndarray] = {}
-    for row in ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all():
-        pid = int(row[partition_col])
-        c = np.asarray(row["counts"], dtype=np.int64)
-        out[pid] = out.get(pid, np.zeros(nb, dtype=np.int64)) + c
-    return out
-
-
-def categorical_counts_by_partition(ds, col: str, partition_col: str
-                                    ) -> dict[int, dict]:
-    """Per-partition category counts, block-partial pre-aggregated."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (batch.select([partition_col, col])
-             .group_by([partition_col, col]).aggregate([([], "count_all")]))
-        return g.rename_columns([partition_col, col, "n"])
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby([partition_col, col])
-            .aggregate(Sum("n", alias_name="n"))).take_all()
-    out: dict[int, dict] = {}
-    for r in rows:
-        out.setdefault(int(r[partition_col]), {})[r[col]] = int(r["n"])
-    return out
+    return fold(ds, partial, merge)
 
 
 def psi_numeric(ds_ref, ds_cur, col: str, edges) -> float:

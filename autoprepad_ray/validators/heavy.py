@@ -6,9 +6,9 @@ only needs the top-1); at 100 TB a "which keys exceed x% of rows" check
 §7.5) cannot groupby the full keyspace first.  Shape:
 
 1. SKETCH pass: per-block ``np.unique`` counts compressed to ``k``
-   counters (Misra-Gries), tree-merged 32-way (pointwise-sum + compress,
-   the mergeable-summaries construction: Agarwal et al., "Mergeable
-   Summaries", ACM TODS 2013) — driver folds O(blocks/32) payloads.
+   counters (Misra-Gries), folded by ``stages.transport.fold``
+   (pointwise-sum + compress, the mergeable-summaries construction:
+   Agarwal et al., "Mergeable Summaries", ACM TODS 2013).
    Guarantee after any merge tree: est(x) <= true(x) <= est(x) +
    n/(k+1), so every key with true count > n/(k+1) survives (candidate
    SUPERSET, never a miss).
@@ -26,10 +26,11 @@ half the requested one.
 from __future__ import annotations
 
 import math
-import pickle
 
 import numpy as np
 import pyarrow as pa
+
+from ..stages.transport import fold, merge_counts
 
 
 def mg_compress(keys: np.ndarray, counts: np.ndarray, k: int
@@ -49,14 +50,7 @@ def mg_compress(keys: np.ndarray, counts: np.ndarray, k: int
 def mg_merge(parts: list[tuple[np.ndarray, np.ndarray]], k: int
              ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise-sum counters across summaries, then compress to k."""
-    if not parts:  # empty input: no blocks ever produced a partial
-        z = np.array([], dtype=np.int64)
-        return z, z
-    keys = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    uk, inv = np.unique(keys, return_inverse=True)
-    summed = np.bincount(inv, weights=counts).astype(np.int64)
-    return mg_compress(uk, summed, k)
+    return mg_compress(*merge_counts(parts), k)
 
 
 def heavy_hitters(ds, col: str, *, frac: float = 0.01,
@@ -75,29 +69,19 @@ def heavy_hitters(ds, col: str, *, frac: float = 0.01,
         capacity = int(math.ceil(2.0 / frac))
     k = capacity
 
-    def partial(batch: pa.Table) -> pa.Table:
-        arr = batch[col].drop_null()
-        vals = (arr.combine_chunks() if isinstance(arr, pa.ChunkedArray)
-                else arr).to_numpy(zero_copy_only=False)
+    def values(batch: pa.Table) -> np.ndarray:
+        return batch[col].drop_null().to_numpy()
+
+    def partial(batch: pa.Table) -> tuple:
+        vals = values(batch)
         uk, cnts = np.unique(vals, return_counts=True)
-        payload = (*(mg_compress(uk, cnts.astype(np.int64), k)),
-                   np.int64(len(vals)))
-        return pa.table({"payload": pa.array([pickle.dumps(payload)],
-                                             type=pa.large_binary())})
+        return (*mg_compress(uk, cnts.astype(np.int64), k), len(vals))
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        parts = [pickle.loads(x) for x in batch["payload"].to_pylist()]
-        keys, counts = mg_merge([(p[0], p[1]) for p in parts], k)
-        n = np.int64(sum(int(p[2]) for p in parts))
-        return pa.table({"payload": pa.array(
-            [pickle.dumps((keys, counts, n))], type=pa.large_binary())})
+    def merge(parts: list[tuple]) -> tuple:
+        return (*mg_merge([p[:2] for p in parts], k),
+                sum(p[2] for p in parts))
 
-    merged = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .map_batches(merge_batch, batch_size=32, batch_format="pyarrow")
-    parts = [pickle.loads(r["payload"]) for r in merged.take_all()]
-    keys, counts = mg_merge([(p[0], p[1]) for p in parts], k)
-    n = sum(int(p[2]) for p in parts)
+    keys, counts, n = fold(ds, partial, merge)
     threshold = frac * n
     if n and n / (k + 1) > threshold:
         raise ValueError(
@@ -106,44 +90,24 @@ def heavy_hitters(ds, col: str, *, frac: float = 0.01,
     # candidates: anything whose upper bound (est + n/(k+1)) clears the
     # threshold — a superset of the true heavy hitters
     cand = keys[counts + n / (k + 1) > threshold]
-    sch = ds.schema()  # Ray Schema wrapper: .names + pyarrow .types
-    col_type = dict(zip(sch.names, sch.types))[col]
+    # Ray Schema wrapper (.names + pyarrow .types); a Dataset filtered
+    # to nothing has none
+    sch = ds.schema()
+    col_type = dict(zip(sch.names, sch.types))[col] if sch is not None \
+        else pa.null()
     empty = pa.table({col: pa.array([], type=col_type),
                       "cnt": pa.array([], type=pa.int64())})
     if not len(cand):
         return empty
     cand_ref = ray.put(np.sort(cand))
 
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        cands = ray.get(cand_ref)
-        arr = batch[col].drop_null()
-        vals = (arr.combine_chunks() if isinstance(arr, pa.ChunkedArray)
-                else arr).to_numpy(zero_copy_only=False)
-        vals = vals[np.isin(vals, cands)]
-        uk, cnts = np.unique(vals, return_counts=True)
-        return pa.table({"payload": pa.array(
-            [pickle.dumps((uk, cnts.astype(np.int64)))],
-            type=pa.large_binary())})
+    def exact_partial(batch: pa.Table) -> tuple:
+        vals = values(batch)
+        return np.unique(vals[np.isin(vals, ray.get(cand_ref))],
+                         return_counts=True)
 
-    def exact_merge(batch: pa.Table) -> pa.Table:
-        parts = [pickle.loads(x) for x in batch["payload"].to_pylist()]
-        # candidate keyspace <= k: a plain uncapped unique-sum
-        keys = np.concatenate([p[0] for p in parts])
-        counts = np.concatenate([p[1] for p in parts])
-        uk, inv = np.unique(keys, return_inverse=True)
-        summed = np.bincount(inv, weights=counts).astype(np.int64)
-        return pa.table({"payload": pa.array([pickle.dumps((uk, summed))],
-                                             type=pa.large_binary())})
-
-    rows = ds.map_batches(exact_partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .map_batches(exact_merge, batch_size=32,
-                     batch_format="pyarrow").take_all()
-    parts2 = [pickle.loads(r["payload"]) for r in rows]
-    keys = np.concatenate([p[0] for p in parts2])
-    counts = np.concatenate([p[1] for p in parts2])
-    uk, inv = np.unique(keys, return_inverse=True)
-    summed = np.bincount(inv, weights=counts).astype(np.int64)
+    # candidate keyspace <= k: a plain uncapped unique-sum
+    uk, summed = fold(ds, exact_partial, merge_counts)
     hot = summed > threshold
     if not hot.any():
         return empty

@@ -4,12 +4,12 @@ FIXTURES R5): exact-bucket stage + banded-Hamming stage, skew-safe.
 Skew handling (the north rule names popular phash values as the hazard):
 counting is two-level — the per-block partial (np.unique inside
 ``map_batches``) contributes at most ONE (value, count) entry per
-distinct value per block no matter how hot the value, and partials are
-tree-merged (32 blocks per merge task) before the driver sees a handful
-of dictionaries.  No row-shaped data ever shuffles; the Ray sort-based
-groupby is deliberately avoided here because bucket keys are near-unique
-(a groupby would pay a full sort exchange to mostly rediscover
-singletons).
+distinct value per block no matter how hot the value, and partials fold
+through ``stages.transport.fold`` (flat tasks merge FAN_IN blocks each)
+before the driver sees a handful of arrays.  No row-shaped data ever
+shuffles; the Ray sort-based groupby is deliberately avoided here
+because bucket keys are near-unique (a groupby would pay a full sort
+exchange to mostly rediscover singletons).
 
 Banded Hamming (multi-index hashing, Norouzi et al.'s substring
 pigeonhole): the 64-bit hash splits into 4x16-bit bands; two hashes at
@@ -45,63 +45,40 @@ import pickle
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 
-
-def _pickled(obj) -> pa.Table:
-    return pa.table({"payload": pa.array([pickle.dumps(obj)],
-                                         type=pa.large_binary())})
-
-
-def _merge_count_arrays(parts: list[tuple[np.ndarray, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (values, counts) partials fully vectorized."""
-    vals = np.concatenate([p[0] for p in parts])
-    cnts = np.concatenate([p[1] for p in parts])
-    uniq, inv = np.unique(vals, return_inverse=True)
-    out = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(out, inv, cnts)
-    return uniq, out
-
-
-def _merge_count_payloads(batch: pa.Table) -> pa.Table:
-    parts = [pickle.loads(p) for p in batch["payload"].to_pylist()]
-    if not parts:
-        # a filtered mixed stream can hand the merge an empty batch
-        return pa.table({"payload": pa.array([], type=pa.large_binary())})
-    return _pickled(_merge_count_arrays(parts))
+from ..stages.transport import (fold, fold_payloads, merge_concat,
+                                merge_counts)
 
 
 def _minid_per_key(keys: np.ndarray, ids: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(sorted unique keys, min id per key) — vectorized lexsort fold
     of (key, id) partials."""
+    return _capped_per_key(keys, ids, 1)
+
+
+def _concat_pairs(parts: list[tuple[np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (int64 key, object id) array partials."""
+    return merge_concat(parts) or (np.empty(0, np.int64),
+                                   np.empty(0, object))
+
+
+def _capped_per_key(keys: np.ndarray, ids: np.ndarray, cap: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(key, id) rows lexsorted, keeping the ``cap`` smallest ids per
+    key — associative, so partials and merges share it."""
     order = np.lexsort((ids, keys))
     keys, ids = keys[order], ids[order]
-    first = np.r_[True, keys[1:] != keys[:-1]] if len(keys) else \
-        np.empty(0, bool)
-    return keys[first], ids[first]
-
-
-def _merge_minid_payloads(batch: pa.Table) -> pa.Table:
-    parts = [pickle.loads(p) for p in batch["payload"].to_pylist()]
-    keys = np.concatenate([p[0] for p in parts])
-    ids = np.concatenate([p[1] for p in parts])
-    return _pickled(_minid_per_key(keys, ids))
-
-
-def _tree_counts(ds_payloads) -> tuple[np.ndarray, np.ndarray]:
-    """Tree-merge pickled (values, counts) array partials: one 32-way
-    merge level, then a vectorized driver fold.  Returns sorted
-    (values, counts)."""
-    combined = ds_payloads.map_batches(_merge_count_payloads, batch_size=32,
-                                       batch_format="pyarrow")
-    parts = [pickle.loads(r["payload"]) for r in combined.take_all()]
-    if not parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return _merge_count_arrays(parts)
+    if not len(keys):
+        return keys, ids
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    rank = np.arange(len(keys)) - np.maximum.accumulate(
+        np.where(first, np.arange(len(keys)), 0))
+    keep = rank < cap
+    return keys[keep], ids[keep]
 
 
 def duplicate_phash_groups(ds, *, phash_col: str = "phash",
@@ -110,19 +87,18 @@ def duplicate_phash_groups(ds, *, phash_col: str = "phash",
     exact count and a bounded id sample per bucket.  Returns an Arrow
     table (phash, n, ids)."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        ph = t[phash_col].to_numpy(zero_copy_only=False)
-        return _pickled(np.unique(ph, return_counts=True))
-
-    vals, cnts = _tree_counts(ds.map_batches(partial, batch_format="pyarrow",
-                                             zero_copy_batch=True))
+    vals, cnts = fold(ds, lambda t: np.unique(
+        t[phash_col].to_numpy(zero_copy_only=False), return_counts=True),
+        merge_counts)
     dup_mask = cnts >= 2
     if not dup_mask.any():
         # empty-list value type derives from the INPUT id column so the
         # output schema is stable whether or not dups exist (r4 advice:
-        # hardcoded list<string> flipped the schema for int64-id inputs)
+        # hardcoded list<string> flipped the schema for int64-id inputs);
+        # a Dataset filtered to nothing has no schema
         sch = ds.schema()
-        id_type = dict(zip(sch.names, sch.types)).get(id_col, pa.string())
+        id_type = dict(zip(sch.names, sch.types)).get(id_col, pa.string()) \
+            if sch is not None else pa.string()
         return pa.table({phash_col: pa.array([], type=pa.int64()),
                          "n": pa.array([], type=pa.int64()),
                          "ids": pa.array([], type=pa.list_(id_type))})
@@ -140,33 +116,16 @@ def duplicate_phash_groups(ds, *, phash_col: str = "phash",
         dups = ray.get(dup_ref)
         ph = t[phash_col].to_numpy(zero_copy_only=False)
         m = np.isin(ph, dups)
-        ph, ids = ph[m], np_object(t[id_col])[m]
-        order = np.lexsort((ids, ph))
-        ph, ids = ph[order], ids[order]
-        first = np.r_[True, ph[1:] != ph[:-1]] if len(ph) else \
-            np.empty(0, bool)
-        rank = np.arange(len(ph)) - np.maximum.accumulate(
-            np.where(first, np.arange(len(ph)), 0)) if len(ph) else \
-            np.empty(0, np.int64)
-        keep = rank < sample_cap
-        # packed (hash, id) arrays: the driver fold is one lexsort over
-        # arrays, never per-row dict appends
-        return _pickled((ph[keep].astype(np.int64), ids[keep]))
+        return _capped_per_key(ph[m].astype(np.int64),
+                               np_object(t[id_col])[m], sample_cap)
 
-    parts = [pickle.loads(r["payload"])
-             for r in ds.map_batches(members, batch_format="pyarrow",
-                                     zero_copy_batch=True).take_all()]
-    ph_all = np.concatenate([p[0] for p in parts]) if parts else \
-        np.empty(0, np.int64)
-    id_all = np.concatenate([p[1] for p in parts]) if parts else \
-        np.empty(0, object)
-    order = np.lexsort((id_all, ph_all))
-    ph_all, id_all = ph_all[order], id_all[order]
+    ph_all, id_all = fold(ds, members, lambda parts: _capped_per_key(
+        *_concat_pairs(parts), sample_cap))
     bounds = np.flatnonzero(np.r_[True, ph_all[1:] != ph_all[:-1], True])
     hashes, id_lists = [], []
     for s, e in zip(bounds[:-1], bounds[1:]):
         hashes.append(int(ph_all[s]))
-        id_lists.append(id_all[s:min(e, s + sample_cap)].tolist())
+        id_lists.append(id_all[s:e].tolist())
     return pa.table({
         phash_col: pa.array(hashes, type=pa.int64()),
         "n": pa.array([dup[h] for h in hashes], type=pa.int64()),
@@ -333,27 +292,14 @@ def _owner_keys(ph: np.ndarray, scheme: str) -> np.ndarray:
 
 def _dense_band_census(ds, phash_col: str) -> np.ndarray:
     """Total per-bucket counts over the (block-deduped) band stream:
-    per-block 4x65536 bincount, vector-add tree merge."""
-    def partial(t: pa.Table) -> pa.Table:
+    per-block 4x65536 bincount, vector-add fold."""
+    def partial(t: pa.Table) -> np.ndarray:
         ph = np.unique(t[phash_col].to_numpy(zero_copy_only=False))
-        dense = np.bincount(_band_combos(ph).ravel(),
-                            minlength=N_BANDS * BAND_SLOTS) \
-            .astype(np.int32)
-        return _pickled(dense)
+        return np.bincount(_band_combos(ph).ravel(),
+                           minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
 
-    def merge(batch: pa.Table) -> pa.Table:
-        total = np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)
-        for p in batch["payload"].to_pylist():
-            total += pickle.loads(p)
-        return _pickled(total)
-
-    merged = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .map_batches(merge, batch_size=32, batch_format="pyarrow")
-    total = np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)
-    for r in merged.take_all():
-        total += pickle.loads(r["payload"])
-    return total
+    return fold(ds, partial, lambda parts: sum(
+        parts, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
 
 
 def _pack_sliced(keys: np.ndarray, out_ph: np.ndarray,
@@ -443,18 +389,6 @@ def _hash_pair_slice_task(max_dist: int, bucket_cap: int,
     out = _segment_pairs(uniq[:, 0], uniq[:, 1], uniq[:, 1],
                          max_dist, bucket_cap)
     return out.rename(columns={"id_a": "ph_a", "id_b": "ph_b"})
-
-
-@ray.remote
-def _census_fold_task(*blocks):
-    """Merge the census payload rows of <= 32 fused-pass blocks into one
-    (values, counts) partial (None when the blocks carry none)."""
-    parts = []
-    for b in blocks:
-        for p in b.filter(pc.equal(b["kind"], "census"))["payload"] \
-                .to_pylist():
-            parts.append(pickle.loads(p))
-    return _merge_count_arrays(parts) if parts else None
 
 
 @ray.remote
@@ -575,28 +509,17 @@ def _resolve_ids(ds, phash_col: str, id_col: str,
                                      ph_pairs["ph_b"].to_numpy()]))
     need_ref = ray.put(need.astype(np.int64))
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         from ..sketches import np_object
         ph = t[phash_col].to_numpy(zero_copy_only=False)
         m = np.isin(ph, ray.get(need_ref))
-        ph, ids = ph[m], np_object(t[id_col])[m]
-        if len(ph):
-            order = np.lexsort((ids, ph))
-            ph, ids = ph[order], ids[order]
-            first = np.r_[True, ph[1:] != ph[:-1]]
-            ph, ids = ph[first], ids[first]
-        # packed (hash, min-id) arrays — the driver fold is one
-        # vectorized lexsort over arrays, never per-row dict updates
-        return _pickled((ph.astype(np.int64), ids))
+        # packed (hash, min-id) arrays — the fold is one vectorized
+        # lexsort over arrays, never per-row dict updates
+        return _minid_per_key(ph[m].astype(np.int64),
+                              np_object(t[id_col])[m])
 
-    parts = [pickle.loads(r["payload"])
-             for r in ds.map_batches(partial, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-             .map_batches(_merge_minid_payloads, batch_size=32,
-                          batch_format="pyarrow").take_all()]
-    ph_all = np.concatenate([p[0] for p in parts])
-    id_all = np.concatenate([p[1] for p in parts])
-    ph_u, id_u = _minid_per_key(ph_all, id_all)
+    ph_u, id_u = fold(ds, partial,
+                      lambda parts: _minid_per_key(*_concat_pairs(parts)))
     a = _lookup_minid(ph_u, id_u, ph_pairs["ph_a"].to_numpy())
     b = _lookup_minid(ph_u, id_u, ph_pairs["ph_b"].to_numpy())
     swap = a > b
@@ -759,16 +682,11 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
         fused, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=16384 if scheme == "2x32f1" else None).materialize()
 
-    # exact value census fold: flat ray tasks over the materialized
-    # blocks' refs (a Dataset execution pays ~0.5 s of flat scheduling
-    # cost just to re-read KB-scale payload rows); hashes with >= 2
-    # rows form components even without a near pair
-    refs = fused_out.to_arrow_refs()
-    futs = [_census_fold_task.remote(*refs[i:i + 32])
-            for i in range(0, len(refs), 32)]
-    parts = [p for p in ray.get(futs) if p is not None]
-    vals, cnts = _merge_count_arrays(parts) if parts else (
-        np.empty(0, np.int64), np.empty(0, np.int64))
+    # exact value census: fold the census rows of the materialized
+    # stream (a Dataset execution pays ~0.5 s of flat scheduling cost
+    # just to re-read KB-scale payload rows); hashes with >= 2 rows form
+    # components even without a near pair
+    vals, cnts = fold_payloads(fused_out, merge_counts, kind="census")
     dup = vals[cnts >= 2].astype(np.int64)
     dup_ref = ray.put(dup)
 

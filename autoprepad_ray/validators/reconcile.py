@@ -170,27 +170,26 @@ def snapshot_diff_counts(ds, *, key_col: str, ts_col: str, cut,
     /root/reference/pipelines/control.py:89-107).
 
     Shape: ONE streaming pass — per-block ``np.unique`` counts over the
-    packed int64 key ``2*key + is_new`` ride the census tree merge
-    (validators/near_dup._tree_counts), so the exchange is the packed
+    packed int64 key ``2*key + is_new`` ride the census fold
+    (stages/transport.fold), so the exchange is the packed
     count partials, never rows; the driver pivots O(distinct keys)
     ints into the full-outer old/new frame (keys at web scale would
     emit via the same partials sharded — documented trade, census
     family).  All-integer counts + a string CASE: SQL-exact."""
-    from .near_dup import _pickled, _tree_counts
+    from ..stages.transport import fold, merge_counts
 
     cut64 = np.datetime64(cut, "us").astype(np.int64)
 
-    def census(t: pa.Table) -> pa.Table:
+    def census(t: pa.Table) -> tuple:
         keys = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if keys.size and (keys.min() < 0 or keys.max() >= 2**62):
             raise ValueError("snapshot_diff_counts packs 2*key+half: "
                              "keys must be in [0, 2^62)")
         ts = t[ts_col].to_numpy(zero_copy_only=False).view("i8")
         packed = keys * 2 + (ts >= cut64)
-        return _pickled(np.unique(packed, return_counts=True))
+        return np.unique(packed, return_counts=True)
 
-    vals, cnts = _tree_counts(ds.map_batches(
-        census, batch_format="pyarrow", zero_copy_batch=True))
+    vals, cnts = fold(ds, census, merge_counts)
     keys = vals >> 1
     half = (vals & 1).astype(bool)
     uu = np.unique(keys)

@@ -8,18 +8,15 @@ The reference's only join is the index-aligned label join for evaluation
   streams tagged by side, pre-aggregate per block, then ONE
   ``groupby(key)`` over (key, left_n, right_n) partials — rows with a
   zero side are orphans.  The shuffle moves distinct keys, not rows.
-- broadcast strategy (small right side): ``ray.put`` the key set once,
-  anti-filter inside ``map_batches`` — no shuffle at all.
+- broadcast strategy (both sides small): per-side distinct-key counts
+  outer-merged on the driver — no shuffle at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
 
 
 def _side_partial(key_cols: list[str], side: int):
@@ -164,22 +161,3 @@ def _orphans_broadcast_counts(left_ds, right_ds, key_cols: list[str],
     out["right_n"] = rn[mask].to_numpy()
     return pa.Table.from_pandas(out.reset_index(drop=True),
                                 preserve_index=False)
-
-
-def orphans_broadcast(left_ds, right_key_values, key_col: str):
-    """Anti-join with a broadcast key set (small right side).
-
-    ``right_key_values`` is put into the object store ONCE; each task
-    reads it zero-copy from the local store instead of re-shipping per
-    batch — the broadcast-lookup pattern for dimension-table-sized sides.
-    """
-    keys_ref = ray.put(pd.Index(np.asarray(right_key_values)))
-
-    def filt(batch: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        vals = batch[key_col].to_numpy(zero_copy_only=False)
-        mask = ~pd.Series(vals).isin(keys).to_numpy()
-        return batch.filter(pa.array(mask))
-
-    return left_ds.map_batches(filt, batch_format="pyarrow",
-                               zero_copy_batch=True)

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import HyperLogLog, hash64
+from ..stages.transport import fold, merge_counts
 
 
 def _key_hashes(batch: pa.Table, cols: list[str]) -> np.ndarray:
@@ -50,21 +51,12 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     """
     import ray
 
-    from .near_dup import _pickled, _tree_counts
-
-    def census(batch: pa.Table) -> pa.Table:
-        vals, cnts = np.unique(_key_hashes(batch, cols),
-                               return_counts=True)
-        return _pickled((vals, cnts))
-
-    vals, cnts = _tree_counts(ds.map_batches(census, batch_format="pyarrow",
-                                             zero_copy_batch=True))
+    vals, cnts = fold(
+        ds, lambda b: np.unique(_key_hashes(b, cols), return_counts=True),
+        merge_counts)
     cand = vals[cnts >= min_count]
     if cand.size == 0:
-        t0 = ds.schema()
-        return pa.table(
-            {c: pa.array([], type=t0.types[t0.names.index(c)])
-             for c in cols} | {"n": pa.array([], type=pa.int64())})
+        return _empty_listing(ds, cols)
     if int(cnts[cnts >= min_count].sum()) > max_collect:
         return _duplicate_keys_shuffle(ds, cols, min_count)
     cand_ref = ray.put(np.sort(cand.astype(np.uint64)))
@@ -106,91 +98,64 @@ def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int) -> pa.Table:
                                     batch_format="pyarrow"))
     if batches:
         return pa.concat_tables(batches)
-    # typed empty from the SOURCE schema — pa.array([]) would yield
-    # null-typed columns and the two paths would disagree on schema
-    t0 = ds.schema()
-    return pa.table(
-        {c: pa.array([], type=t0.types[t0.names.index(c)])
-         for c in cols} | {"n": pa.array([], type=pa.int64())})
+    return _empty_listing(ds, cols)
+
+
+def _empty_listing(ds, cols: list[str]) -> pa.Table:
+    """Typed empty listing from the SOURCE schema — pa.array([]) would
+    yield null-typed columns and the two paths would disagree on
+    schema.  A Dataset filtered to nothing has no schema: null types."""
+    sch = ds.schema()
+    types = dict(zip(sch.names, sch.types)) if sch is not None else {}
+    return pa.table({c: pa.array([], type=types.get(c, pa.null()))
+                     for c in cols} | {"n": pa.array([], type=pa.int64())})
 
 
 def distinct_counts(ds, cols: list[str]) -> dict[str, int]:
     """Exact distinct counts per column in ONE pass: per-block Arrow
-    ``unique`` partials, 32-way Arrow-vectorized tree merge (concat +
-    unique per merge task), one final vectorized fold — never a Python
-    set union on the driver.  Exactness bounded by the merged distinct
-    sets fitting a task heap; the unbounded-cardinality path is
-    :func:`hll_distinct`."""
-    import pickle
+    ``unique`` partials folded by :func:`~..stages.transport.fold`
+    (concat + unique per merge) — never a Python set union on the
+    driver.  Exactness bounded by the merged distinct sets fitting a
+    task heap; the unbounded-cardinality path is :func:`hll_distinct`."""
 
-    def _merge(parts: list[dict]) -> dict:
+    def partial(batch: pa.Table) -> dict:
+        return {c: pc.unique(batch[c].drop_null()) for c in cols}
+
+    def merge(parts: list[dict]) -> dict:
         out = {}
         for c in cols:
             arrs = [p[c] for p in parts if len(p[c])]
-            if not arrs:
-                out[c] = parts[0][c]
-            else:
-                out[c] = pc.unique(pa.chunked_array(arrs))
+            out[c] = pc.unique(pa.chunked_array(arrs)) if arrs \
+                else pa.array([])
         return out
 
-    def partial(batch: pa.Table) -> pa.Table:
-        out = {c: pc.unique(batch[c].drop_null().combine_chunks()
-                            if isinstance(batch[c], pa.ChunkedArray)
-                            else batch[c].drop_null()) for c in cols}
-        return pa.table({"payload": pa.array([pickle.dumps(out)],
-                                             type=pa.large_binary())})
-
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        parts = [pickle.loads(p) for p in batch["payload"].to_pylist()]
-        return pa.table({"payload": pa.array([pickle.dumps(_merge(parts))],
-                                             type=pa.large_binary())})
-
-    merged = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .map_batches(merge_batch, batch_size=32, batch_format="pyarrow")
-    parts = [pickle.loads(r["payload"]) for r in merged.take_all()]
-    final = _merge(parts)
-    return {c: len(final[c].drop_null()) for c in final}
+    final = fold(ds, partial, merge)
+    return {c: len(final[c]) for c in cols}
 
 
 def hll_distinct(ds, cols: list[str], *, p: int = 14) -> dict[str, float]:
     """Approximate distinct counts (HyperLogLog, mergeable) — the 100-TB
     path; |exact - HLL| small is the cheap pre-check before exact
     duplicate listing (SURVEY §2.7)."""
-    import pickle
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> dict:
         hs = {}
         for c in cols:
-            h = HyperLogLog(p=p)
+            hs[c] = h = HyperLogLog(p=p)
             vals = batch[c].drop_null().to_numpy(zero_copy_only=False)
             if len(vals):
                 h.add_hashes(hash64(vals))
-            hs[c] = h.to_dict()
-        return pa.table({"payload": pa.array([pickle.dumps(hs)],
-                                             type=pa.large_binary())})
+        return hs
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        # 32-way distributed merge level (register max is associative)
-        # so the driver folds O(blocks/32) payloads, not O(blocks)
-        parts = [pickle.loads(x) for x in batch["payload"].to_pylist()]
-        out = {}
-        for c in cols:
-            h = HyperLogLog(p=p)
-            for pt in parts:
-                h.merge(HyperLogLog.from_dict(pt[c]))
-            out[c] = h.to_dict()
-        return pa.table({"payload": pa.array([pickle.dumps(out)],
-                                             type=pa.large_binary())})
+    def merge(parts: list[dict]) -> dict:
+        # register max is associative
+        out = {c: HyperLogLog(p=p) for c in cols}
+        for pt in parts:
+            for c in cols:
+                out[c].merge(pt[c])
+        return out
 
-    merged = {c: HyperLogLog(p=p) for c in cols}
-    for row in ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-            .map_batches(merge_batch, batch_size=32,
-                         batch_format="pyarrow").take_all():
-        for c, d in pickle.loads(row["payload"]).items():
-            merged[c].merge(HyperLogLog.from_dict(d))
-    return {c: h.estimate() for c, h in merged.items()}
+    return {c: h.estimate() for c, h in fold(ds, partial, merge).items()}
 
 
 def hll_distinct_per_group(ds, group_col: str, value_col: str, *,
