@@ -37,114 +37,17 @@ def entry() -> Any:
          "Tukey_Total", "MAD_Total", "AnomalyScore", "AnomalyLabel"])
 
 
-# Queries earlier driver gates verified green (union of CORRECTNESS_r03 +
-# CORRECTNESS_r04).  The gate covers only the first 50 registry entries per
-# round, so rotate these BEHIND the not-yet-driver-verified ones; queries
-# whose implementation CHANGED this round are pulled back out (below) so the
-# r5 gate re-verifies them first.
-_R03_DRIVER_COVERED = frozenset({
-    "profile_lineitem_stats", "tukey_flags_events", "mad_flags_events",
-    "anomaly_scores_events", "partition_verdicts_events",
-    "robust_scale_quantity", "duplicate_partsupp_keys",
-    "distinct_counts_lineitem", "orphan_suppkeys", "pricing_summary",
-    "top_customers", "date_encode_events", "psi_events_value",
-    "psi_event_type", "exact_dedup_lineitem", "doc_fingerprints",
-    "text_quality_docs", "token_totals_by_lang", "pattern_shapes_customer",
-    "nan_canonicalize_sources", "spearman_quantity_price",
-    "ann_topk_embeddings", "ngram_jaccard_docs", "cc_orders_sharing_part",
-    "minhash_neardup_docs", "minhash_dedup_clusters", "simhash_neardup_docs",
-    "embed_neardup_planted", "langid_docs", "hll_distinct_lineitem",
-    "image_validation_verdicts", "phash_neardup_pairs",
-    "mode_orderpriority", "z_flags_events", "missing_bitpattern_lineitem",
-    "ks_events_value", "histogram_events_value", "ordinal_encode_priority",
-    "ffill_events_by_user", "bit_patterns_partnames",
-    "mixed_experiment_metrics", "preprocess_events_matrix",
-    "top_anomalies_events", "join_order_revenue_by_status",
-    "tukey_flags_pooled_lineitem", "ivf_topk_embeddings", "pca_scores_events",
-    "csv_roundtrip_region", "bfill_events_by_user",
-    "iterative_impute_lineitem",
-})
-
-# round-4 gate greens (CORRECTNESS_r04: 44 SQL-exact + 6 rows-only checked)
-_R04_DRIVER_COVERED = frozenset({
-    "constant_columns_events_clicks", "phash_dedup_clusters_images",
-    "audio_features_clips", "video_frame_neardup_pairs",
-    "asof_join_events_orders", "range_join_purchase_window",
-    "pack_documents_bins", "deterministic_split_events",
-    "tumbling_window_counts", "group_quantiles_events",
-    "rolling_window_events", "sessionize_events", "top_events_per_user",
-    "json_roundtrip_nation", "heavy_hitters_quantity",
-    "vocab_top_terms_docs", "percent_rank_events",
-    "pivot_event_type_counts", "semi_join_urgent_customers",
-    "rollup_pricing_levels", "stratified_sample_events",
-    "hopping_window_counts", "top_term_per_doc",
-    "group_distinct_users_events", "running_total_docs",
-    "text_roundtrip_nation", "decontaminate_docs", "word_repetition_docs",
-    "user_event_sequences", "cube_pricing_levels", "ntile_events_value",
-    "left_join_customer_orders", "quota_sample_docs",
-    "label_centroids_embeddings", "full_outer_user_day_activity",
-    "cross_join_region_nation", "setops_orderkeys_by_flag",
-    "json_extract_events_props", "pii_mask_events_props", "bm25_docs",
-    "session_stats_events", "cohort_retention_events",
-    "funnel_stages_events", "event_transition_counts",
-    "hll_distinct_users_per_day",
-})
-
-# implementations that CHANGED in round 5 — re-verify them before the
-# already-green backlog even though an earlier gate passed them (near-dup
-# pair/cluster rework, aggregate-driven experiment sweep, vectorized
-# string/encoder kernels, new SQL oracles)
-_R05_CHANGED = frozenset({
-    "phash_dedup_clusters_images", "phash_neardup_pairs",
-    "simhash_neardup_docs", "video_frame_neardup_pairs",
-    "image_validation_verdicts", "mixed_experiment_metrics",
-    "bm25_docs", "label_centroids_embeddings", "text_quality_docs",
-    "bit_patterns_partnames", "ordinal_encode_priority",
-    "preprocess_events_matrix", "langid_docs", "pricing_summary",
-})
-
-# session-5 census tree-merge batch-size changes: mechanically identical
-# across these eight (one shared merge helper); they rank BEHIND the
-# distinct-implementation changes above, so when the round's new queries
-# overflow the 50-slot gate it is these interchangeable entries that
-# yield slots, never a never-verified query.
-_R05_CHANGED_MECH = frozenset({
-    "tumbling_window_counts", "group_quantiles_events",
-    "vocab_top_terms_docs", "top_term_per_doc",
-    "rollup_pricing_levels", "hopping_window_counts",
-    "group_distinct_users_events", "cube_pricing_levels",
-})
-
-_EVER_GREEN = _R03_DRIVER_COVERED | _R04_DRIVER_COVERED
-
-
-def _ordered_registry():
-    """Gate-priority order: (0) queries no driver gate has ever
-    verified, (1) substantive round-5 changes, (2) the mechanically-
-    identical census-merge family, (3) the green backlog — each tier in
-    registry order.  The driver checks the first 50."""
+def queries() -> dict[str, Callable[[str], Any]]:
+    """One entry per implemented operator/pipeline from SURVEY.md §2,
+    in registry order."""
     from autoprepad_ray.pipelines.queries import REGISTRY
 
-    def tier(n: str) -> int:
-        if n not in _EVER_GREEN:
-            return 0
-        if n in _R05_CHANGED:
-            return 1
-        if n in _R05_CHANGED_MECH:
-            return 2
-        return 3
-
-    # sorted() is stable, so ties keep registry (insertion) order
-    names = sorted(REGISTRY, key=tier)
-    return {n: REGISTRY[n] for n in names}
-
-
-def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2."""
-    return {name: q.fn for name, q in _ordered_registry().items()}
+    return {name: q.fn for name, q in REGISTRY.items()}
 
 
 def oracle_sql() -> dict[str, str]:
     """DuckDB-equivalent SQL for every SQL-expressible query."""
-    return {name: q.sql for name, q in _ordered_registry().items()
+    from autoprepad_ray.pipelines.queries import REGISTRY
+
+    return {name: q.sql for name, q in REGISTRY.items()
             if q.sql is not None}

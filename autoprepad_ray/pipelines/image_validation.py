@@ -55,7 +55,7 @@ import ray
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind
-from ..sketches import hash64, np_object
+from ..sketches import key_hash, np_object
 from ..stages.transport import merge_counts
 from ..validators import row_checks as rc
 from ..validators.drift import psi_from_counts
@@ -213,9 +213,9 @@ def _prof_partial(batch: pa.Table, ref_set) -> tuple:
 
 def _key_census(batch: pa.Table) -> dict:
     """Distinct-key census of a block, kind -> (values, counts): 'id' is
-    hash64 of image_id and, when the block carries it, 'ph' the raw
-    phash (exact)."""
-    out = {"id": np.unique(hash64(np_object(batch["image_id"])),
+    the key hash of image_id and, when the block carries it, 'ph' the
+    raw phash (exact)."""
+    out = {"id": np.unique(key_hash([batch["image_id"]])[0],
                            return_counts=True)}
     if "phash" in batch.column_names:
         out["ph"] = np.unique(batch["phash"].to_numpy(zero_copy_only=False),
@@ -413,7 +413,7 @@ class _P2Partial:
         if viol_tbl.num_rows > self.viol_cap:
             viol_tbl = viol_tbl.slice(0, self.viol_cap)
         ids = np_object(checked["image_id"])
-        idh = hash64(ids)
+        idh, _ = key_hash([checked["image_id"]])
         dup_rows = None
         if self.dup_id_hashes.size:
             m = np.isin(idh, self.dup_id_hashes)
@@ -798,7 +798,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                 oc_ref = ray.put(orphan_cap_hashes)
 
                 def cap_orphans(t: pa.Table) -> pa.Table:
-                    h = hash64(np_object(t["image_id"]))
+                    h, _ = key_hash([t["image_id"]])
                     return t.filter(pa.array(np.isin(h, ray.get(oc_ref))))
 
                 cap_rows = caps.map_batches(cap_orphans,

@@ -278,7 +278,7 @@ def run_validation(images_dir: str, out_dir: str, *,
                  "profile_fp": prof_fp,
                  "constant_columns": const_cols}
     if run_global_checks:
-        from ..sketches import hash64, np_object
+        from ..sketches import key_hash, np_object
 
         # incremental: merge the checkpointed per-partition censuses;
         # rebuild only a census file that is missing (completed by an
@@ -314,7 +314,7 @@ def run_validation(images_dir: str, out_dir: str, *,
                 columns=["image_id"])
 
             def keep(t: pa.Table) -> pa.Table:
-                h = hash64(np_object(t["image_id"]))
+                h, _ = key_hash([t["image_id"]])
                 return t.filter(pa.array(np.isin(
                     h, _ray.get(dup_ref))))
 

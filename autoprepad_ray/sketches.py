@@ -64,6 +64,71 @@ def hash64(values: Any, seed: int = 0) -> np.ndarray:
     return h
 
 
+# the hash of a null key slot: fixed, so it never depends on the block
+_NULL_HASH = np.uint64(0x6A09E667F3BCC909)
+
+
+def key_values(col) -> tuple[np.ndarray, np.ndarray]:
+    """(canonical numpy values, valid mask) of one key column — an Arrow
+    array/ChunkedArray or anything ``pa.array`` accepts.
+
+    The canonical form depends only on the column's Arrow type, never on
+    whether its block holds a null: ints, bools, timestamps and dates
+    become int64 (a null does NOT demote the column to float64); floats
+    become float64 with -0.0 as 0.0 and every NaN alike; strings and
+    binary become object arrays.  Null slots hold a filler value and are
+    ``False`` in the mask."""
+    import pyarrow as pa
+
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        col = pa.array(col)
+    t = col.type
+    if pa.types.is_dictionary(t):
+        col, t = col.cast(t.value_type), t.value_type
+    valid = np.ones(len(col), dtype=bool) if not col.null_count \
+        else np.asarray(col.is_valid()).astype(bool)
+    if pa.types.is_temporal(t):
+        col = col.cast(pa.int64() if t.bit_width == 64 else pa.int32())
+    elif pa.types.is_boolean(t) or pa.types.is_null(t):
+        col = col.cast(pa.int8())
+    if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
+        if col.null_count:
+            col = col.fill_null(0)
+        v = col.to_numpy()
+        if v.dtype.kind == "f":
+            v = v.astype(np.float64) + 0.0       # -0.0 + 0.0 == +0.0
+            v[np.isnan(v)] = np.nan
+            return v, valid
+        return v.astype(np.int64), valid
+    if col.null_count and (pa.types.is_string(t) or
+                           pa.types.is_large_string(t)):
+        col = col.fill_null("")
+    elif col.null_count and (pa.types.is_binary(t) or
+                             pa.types.is_large_binary(t)):
+        col = col.fill_null(b"")
+    return np_object(col), valid
+
+
+def key_hash(columns) -> tuple[np.ndarray, np.ndarray]:
+    """(uint64 hashes, valid mask) of a (multi-column) key — the ONE way
+    a key becomes a hash, for every census, join bucket, Bloom filter
+    and routing map.
+
+    Each column hashes its :func:`key_values` (``hash64`` seeded with
+    the column position, XOR-combined), so a key hashes alike in every
+    block and on both sides of a join.  A null slot hashes to one fixed
+    value and is ``False`` in the mask: censuses may count null as one
+    group, joins must not match it.  Non-null int64 and string columns
+    hash bit-identically to ``hash64`` of their values."""
+    h = valid = None
+    for i, col in enumerate(columns):
+        v, ok = key_values(col)
+        hi = hash64(v, seed=i)
+        hi[~ok] = _NULL_HASH
+        h, valid = (hi, ok) if h is None else (h ^ hi, valid & ok)
+    return h, valid
+
+
 def splitmix64(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):

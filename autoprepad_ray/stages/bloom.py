@@ -22,12 +22,10 @@ the (bits, m, k) tuple rides the object store once via ``ray.put``;
 each probe block tests all k positions vectorized (word-index gather +
 bit masks), no Python loop over rows.
 
-Null semantics match SQL ``IN``: a NULL key is never a member — build
-drops nulls, probe reports them non-member.  Integer keys always hash
-as int64 regardless of the width (or nullability) of the source column
-(pandas' hash is dtype-sensitive — the repo hash-dtype lesson — so an
-int32 probe must hash like the int64 build, and a nullable int column
-must not silently hash as float64).
+Null rule (SQL ``IN``): a NULL key is never a member — build drops
+nulls, probe reports them non-member.  Build and probe hash keys with
+``sketches.key_hash``, so a key has the same bit positions whatever its
+column's width, nullability or block layout.
 """
 
 from __future__ import annotations
@@ -35,39 +33,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..sketches import hash64, splitmix64
+from ..sketches import key_hash, key_values, splitmix64
 from .transport import fold, merge_unique
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _arrow_keys(arr) -> tuple[np.ndarray, np.ndarray | None]:
-    """Arrow array/ChunkedArray -> (numpy keys with nulls removed,
-    valid bool mask or None if no nulls).  Integer columns come back
-    int64 even when nullable (to_numpy on a nullable int column would
-    yield float64 + NaN — which hashes differently and would break the
-    no-false-negative contract)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    valid = None
-    if arr.null_count:
-        valid = np.asarray(arr.is_valid())
-        arr = arr.drop_null()
-    keys = arr.to_numpy(zero_copy_only=False)
-    return keys, valid
-
-
-def _positions(keys, m_bits: int, k: int) -> np.ndarray:
-    """(n, k) uint64 bit positions via double hashing (Kirsch &
-    Mitzenmacher 2006: h1 + i*h2 preserves the asymptotic FP rate with
-    two hash evaluations).  ``hash64`` is the single shared base hash,
-    so build and probe can never disagree on a key's positions."""
-    keys = np.asarray(keys)
-    if keys.dtype.kind in "iu" and keys.dtype != np.int64:
-        # pandas' hash is dtype-sensitive (repo hash-dtype lesson):
-        # an int32 probe side must hash like the int64 build side.
-        keys = keys.astype(np.int64)
-    base = hash64(keys)
+def _positions(base: np.ndarray, m_bits: int, k: int) -> np.ndarray:
+    """(n, k) uint64 bit positions of the key hashes ``base`` via double
+    hashing (Kirsch & Mitzenmacher 2006: h1 + i*h2 preserves the
+    asymptotic FP rate with two hash evaluations)."""
     h1 = splitmix64(base)
     h2 = splitmix64(base ^ _GOLDEN) | np.uint64(1)
     i = np.arange(k, dtype=np.uint64)[None, :]
@@ -95,10 +70,13 @@ def _build(ds, col: str, m_bits: int, k: int, with_keys: bool):
 
     def part(t: pa.Table) -> tuple:
         words = np.zeros(n_words, dtype=np.uint64)
-        keys, _ = _arrow_keys(t[col])
-        if len(keys):
-            _set_bits(words, _positions(keys, m_bits, k))
-        return (words, np.unique(keys)) if with_keys else (words,)
+        h, valid = key_hash([t[col]])
+        if valid.any():
+            _set_bits(words, _positions(h[valid], m_bits, k))
+        if not with_keys:
+            return (words,)
+        keys, valid = key_values(t[col])
+        return words, np.unique(keys[valid])
 
     def merge(parts: list[tuple]) -> tuple:
         acc = np.zeros(n_words, dtype=np.uint64)
@@ -134,20 +112,11 @@ def build_bloom_with_keys(ds, col: str, *, m_bits: int, k: int = 7
 def probe_bloom(values, bloom: dict) -> np.ndarray:
     """Vectorized membership test — boolean mask aligned with the
     input, no false negatives.  Accepts numpy arrays or Arrow
-    arrays/ChunkedArrays; Arrow nulls report non-member (and a
-    nullable int column keeps hashing as int64, never float64)."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        keys, valid = _arrow_keys(values)
-        hit = np.zeros(len(keys), dtype=bool) if not len(keys) else \
-            _test_bits(bloom["bits"],
-                       _positions(keys, bloom["m"], bloom["k"]))
-        if valid is None:
-            return hit
-        out = np.zeros(len(valid), dtype=bool)
-        out[valid] = hit
-        return out
-    values = np.asarray(values)
-    if not len(values):
-        return np.zeros(0, dtype=bool)
-    return _test_bits(bloom["bits"],
-                      _positions(values, bloom["m"], bloom["k"]))
+    arrays/ChunkedArrays; Arrow nulls report non-member."""
+    h, valid = key_hash([values])
+    hit = np.zeros(len(h), dtype=bool)
+    if valid.any():
+        hit[valid] = _test_bits(bloom["bits"],
+                                _positions(h[valid], bloom["m"],
+                                           bloom["k"]))
+    return hit

@@ -21,7 +21,7 @@ import pyarrow as pa
 
 import ray
 
-from ..sketches import hash64, splitmix64
+from ..sketches import hash64, key_hash, splitmix64
 
 
 def _batch_shingles(texts, n_words: int):
@@ -148,15 +148,10 @@ def _pair_part_codes(id_a: np.ndarray, id_b: np.ndarray,
                      num_parts: int) -> np.ndarray:
     """Deterministic verify-part assignment per pair — computed inside
     WORKER tasks, so it must not depend on process state (Python's
-    builtin ``hash`` is salted per process; ``sketches.hash64`` is
-    stable).  Both id columns go through object arrays so int64-typed
-    and object-typed sources agree (test_verify_prefilter_hash_agreement
-    lesson)."""
-    from ..sketches import hash64 as _h
-
-    ha = _h(np.asarray(id_a, dtype=object))
-    hb = _h(np.asarray(id_b, dtype=object), seed=1)
-    return (splitmix64(ha ^ hb) % np.uint64(num_parts)).astype(np.int64)
+    builtin ``hash`` is salted per process; ``sketches.key_hash`` is
+    stable, and alike for int64-typed and object-typed id arrays)."""
+    h, _ = key_hash([id_a, id_b])
+    return (splitmix64(h) % np.uint64(num_parts)).astype(np.int64)
 
 
 _EMPTY_CELL_IDS = (np.empty(0, dtype=object), np.empty(0, dtype=object))
@@ -363,7 +358,7 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     attach — consume pairs without any driver materialization.
 
     ``extract(sub_batch)`` receives a batch already FILTERED to
-    candidate rows (vectorized hash64 mask against the sorted candidate
+    candidate rows (vectorized key-hash mask against the sorted candidate
     hash set — never a per-row Python membership scan over the full
     dataset) and returns one payload object per row of ``sub_batch``.
     """
@@ -385,17 +380,15 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
 
     # routing map as SORTED ARRAYS, folded vectorized from the per-part
     # id partials — no Python loop over candidate ids on the driver.
-    # Keys are hash64 of OBJECT id arrays (pandas' hash differs between
-    # int64-typed and object-typed inputs, so the batch side goes
-    # through np_object too — test_verify_prefilter_hash_agreement); a
-    # hash collision only ships a payload to an extra part, where the
-    # verify task's real-id dict ignores it.
+    # Keys are ``key_hash`` of the ids, alike for object-array and typed
+    # Arrow sources; a hash collision only ships a payload to an extra
+    # part, where the verify task's real-id dict ignores it.
     id_futs = [_part_ids_task.remote(*grid[p]) for p in range(num_parts)]
     h_list, p_list = [], []
     for p, blob in enumerate(ray.get(id_futs)):
         arr = pickle.loads(blob)
         if len(arr):
-            h_list.append(hash64(arr))
+            h_list.append(key_hash([arr])[0])
             p_list.append(np.full(len(arr), p, dtype=np.int32))
     route_h = np.concatenate(h_list) if h_list else \
         np.empty(0, dtype=np.uint64)
@@ -419,7 +412,7 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     def ship(batch: pa.Table) -> pa.Table:
         rh, rp = ray.get(route_ref)
         ids_all = np_object(batch[id_col])
-        h_all = hash64(ids_all)
+        h_all, _ = key_hash([batch[id_col]])
         lo = np.searchsorted(rh, h_all, side="left")
         hi = np.searchsorted(rh, h_all, side="right")
         mask = hi > lo
@@ -461,7 +454,7 @@ def _verify_jaccard_distributed(ds, text_col: str, id_col: str,
                                 cand, n_words: int, **kwargs):
     def extract(sub: pa.Table) -> list:
         # ONE batched kernel call over the surviving candidate rows
-        # (the hash64 mask in verify_pairs_routed filtered the batch);
+        # (the key-hash mask in verify_pairs_routed filtered the batch);
         # per-row _shingle_hashes would pay Arrow array construction +
         # two kernels + a hash call per document
         doc_idx, grams = _batch_shingles(sub[text_col], n_words)

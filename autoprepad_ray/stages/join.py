@@ -5,11 +5,18 @@ joins):
 - ``native_join``: Ray Data's built-in hash-partitioned ``Dataset.join``
   (Ray >= 2.46) — the default when both sides are large.
 - ``bucketed_join``: the portable explicit pattern — both sides get a
-  ``bucket = hash(key) % B`` column, one ``groupby(bucket)`` over the
-  tagged union, and a pandas merge per bucket.  Salt hot keys by
+  ``bucket = key_hash(key) % B`` column, one ``groupby(bucket)`` over
+  the tagged union, and an exact sort-merge per bucket.  Salt hot keys by
   raising B; B should be ~(total size / target partition size).
 - small sides should NOT be here at all: broadcast them
   (``ray.put`` + per-batch lookup, see queries.top_customers).
+
+Null rule (SQL): a NULL key never matches, not even another NULL.
+Inner, as-of and range joins and ``semi_join`` drop null-key rows; left
+and outer joins emit them null-extended; an anti join keeps them
+(``NOT EXISTS``).  Every key goes through ``sketches.key_hash`` (buckets)
+or ``sketches.key_values`` (exact matching), so a key hashes and compares
+alike on both sides and in every block.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..sketches import hash64, splitmix64
+from ..sketches import key_hash, key_values, splitmix64
 
 # asof_join / range_join pack (key_code << 32) | ts_rank into a SIGNED
 # int64, so both halves must stay below 2^31.  Key codes index the
@@ -54,7 +61,10 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
     every right row to dedup keys that per-block partials already
     collapse).  The deduped key array broadcasts once
     (``ray.put``) and the left side filters with a vectorized
-    ``np.isin`` — no shuffle of either table.
+    ``np.isin`` — no shuffle of either table.  Both sides compare their
+    exact ``sketches.key_values`` (never hashes, never float64 copies
+    of int keys); a null left key never matches, so the semi join drops
+    it and the anti join keeps it (``NOT EXISTS``).
 
     Scale bound: the broadcast is O(distinct matching keys), NOT
     O(right rows), and driver transients are numpy arrays, never
@@ -70,9 +80,11 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
 
     from .transport import fold, merge_unique
 
-    rkey = right_on or on
-    keys = fold(right, lambda t: np.unique(
-        t[rkey].to_numpy(zero_copy_only=False)), merge_unique)
+    def distinct(t: pa.Table) -> np.ndarray:
+        v, valid = key_values(t[right_on or on])
+        return np.unique(v[valid])
+
+    keys = fold(right, distinct, merge_unique)
     if len(keys) > max_broadcast_keys:
         raise ValueError(
             f"semi_join: {len(keys)} distinct right keys exceeds the "
@@ -81,8 +93,8 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
     keys_ref = ray.put(keys)
 
     def filt(t: pa.Table) -> pa.Table:
-        k = ray.get(keys_ref)
-        m = np.isin(t[on].to_numpy(zero_copy_only=False), k)
+        v, valid = key_values(t[on])
+        m = valid & np.isin(v, ray.get(keys_ref))
         if anti:
             m = ~m
         return t.filter(pa.array(m))
@@ -91,36 +103,81 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
                             zero_copy_batch=True)
 
 
+def _co_partition(left, right, tag):
+    """The tagged union of both sides (``tag(side)`` builds each side's
+    block function) grouped by ``__bucket`` — ONE shuffle."""
+    return (left.map_batches(tag(0), batch_format="pyarrow",
+                             zero_copy_batch=True)
+            .union(right.map_batches(tag(1), batch_format="pyarrow",
+                                     zero_copy_batch=True))
+            .groupby("__bucket"))
+
+
+def _tagged(t: pa.Table, side: int, own: list[str], all_cols: list[str],
+            types: dict, h: np.ndarray, num_buckets: int) -> pa.Table:
+    """One side's block in the union's ONE schema: typed null columns
+    for the other side's fields, plus ``__bucket`` (``h % B``) and
+    ``__side`` (non-key column names must be disjoint across sides)."""
+    cols = {c: t[c] if c in own else pa.nulls(t.num_rows, type=types[c])
+            for c in all_cols}
+    cols["__bucket"] = pa.array((h % np.uint64(num_buckets))
+                                .astype(np.int32))
+    cols["__side"] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
+    return pa.table(cols)
+
+
+def _drop_null_keys(t: pa.Table, on: str) -> tuple[pa.Table, np.ndarray]:
+    """(rows with a non-null key, their key hashes) — a side whose
+    null-key rows can never reach the output sheds them before the
+    shuffle (they would all land in the null hash's one bucket)."""
+    h, valid = key_hash([t[on]])
+    if valid.all():
+        return t, h
+    return t.filter(pa.array(valid)), h[valid]
+
+
+def _equi_pairs(lk, lok, rk, rok) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) row-index pairs whose keys are VALID and equal —
+    exact comparison of canonical key values (sort + searchsorted,
+    never hash equality); a null key matches nothing."""
+    rv = np.flatnonzero(rok)
+    rv = rv[np.argsort(rk[rv], kind="stable")]
+    lv = np.flatnonzero(lok)
+    lo = np.searchsorted(rk[rv], lk[lv], side="left")
+    cnt = np.searchsorted(rk[rv], lk[lv], side="right") - lo
+    pos = (np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+           + np.arange(int(cnt.sum()), dtype=np.int64))
+    return np.repeat(lv, cnt), rv[pos]
+
+
 def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
                   left_cols: list[str] | None = None,
                   right_cols: list[str] | None = None,
                   how: str = "inner",
                   schema_hint: tuple | None = None):
     """Explicit hash-bucketed join (``how`` = 'inner' | 'left' |
-    'outer'): ONE shuffle keyed on ``hash(on) % num_buckets``; each
-    bucket merges its two sides with a pandas hash join.  Key-hash
-    bucketing spreads any single hot key's *partner* rows with it, so
-    skew shows up as a large bucket — mitigate by raising
-    ``num_buckets`` (the per-bucket merge is O(bucket) with a hash
-    table, not quadratic).
+    'outer'): ONE shuffle keyed on ``key_hash(on) % num_buckets``; each
+    bucket joins its two sides on the exact canonical key values (sort
+    + searchsorted).  Key-hash bucketing spreads any single hot key's
+    *partner* rows with it, so skew shows up as a large bucket —
+    mitigate by raising ``num_buckets``.
 
     Left/full-outer semantics work per-bucket with no extra pass
-    because the key-hash co-partition is complete: a row's matches can
-    ONLY live in its own bucket, so "no match in my bucket" is "no
-    match anywhere" and the null-extended row emits locally.
+    because ``key_hash`` is a function of the key VALUE alone — not of
+    the side, the column's width or nullability, or the block — so
+    equal keys from both sides always share a bucket: "no match in my
+    bucket" is "no match anywhere" and the null-extended row emits
+    locally.  Null keys match nothing: inner joins drop them before the
+    shuffle, left/outer joins carry the side(s) they emit
+    null-extended.
 
-    Output blocks are ARROW tables rebuilt on the SOURCE column types:
-    the tagged union's typed-null padding demotes ints to float64
-    inside the pandas bucket frames, and a left join adds real
-    unmatched-row nulls — rebuilding per source type returns int64
-    (nullable) columns deterministically on every bucket layout."""
-
-    # a tagged union needs ONE schema: each side carries typed null
-    # columns for the other side's fields (non-key column names must be
-    # disjoint across sides).  schema_hint=(left_schema, right_schema)
-    # skips the .schema() calls — on a computed chain (e.g. a rename
-    # map over a read) those execute tasks just to learn types the
-    # caller already knows from the parquet footer.
+    Output blocks are Arrow tables on the SOURCE column types (rows are
+    ``take``n from the bucket's own columns, null-extension is typed
+    nulls), deterministically on every bucket layout."""
+    # schema_hint=(left_schema, right_schema) skips the .schema() calls
+    # — on a computed chain (e.g. a rename map over a read) those
+    # execute tasks just to learn types the caller already knows from
+    # the parquet footer.
     lsch, rsch = schema_hint if schema_hint else (left.schema(),
                                                   right.schema())
     lcols = sorted(set((left_cols or lsch.names) + [on]))
@@ -128,50 +185,48 @@ def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
     types = {n: t for n, t in list(zip(lsch.names, lsch.types))
              + list(zip(rsch.names, rsch.types))}
     all_cols = sorted(set(lcols) | set(rcols))
+    # the sides whose null-key rows reach the output
+    emit_null = (how != "inner", how == "outer")
 
-    def tag(side: int, own: list[str]):
+    def tag(side: int):
+        own = (lcols, rcols)[side]
+
         def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for c in all_cols:
-                if c in own:
-                    cols[c] = t[c]
-                else:
-                    cols[c] = pa.nulls(t.num_rows, type=types[c])
-            keys = t[on].to_numpy(zero_copy_only=False)
-            bucket = (hash64(keys) % np.uint64(num_buckets)).astype(np.int32)
-            cols["__bucket"] = pa.array(bucket)
-            cols["__side"] = pa.array(
-                np.full(t.num_rows, side, dtype=np.int8))
-            return pa.table(cols)
+            if emit_null[side]:
+                h = key_hash([t[on]])[0]
+            else:
+                t, h = _drop_null_keys(t, on)
+            return _tagged(t, side, own, all_cols, types, h, num_buckets)
         return fn
 
-    tagged = (left.map_batches(tag(0, lcols), batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .union(right.map_batches(tag(1, rcols),
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)))
-
     out_cols = lcols + [c for c in rcols if c != on]
-    _empty = pa.table({c: pa.array([], type=types[c]) for c in out_cols})
 
-    def merge_bucket(g: pd.DataFrame) -> pa.Table:
-        # drop exactly the other side's typed-null padding columns by
-        # NAME — inferring by all-nullness would also drop a genuinely
-        # all-null real column within the bucket
-        lg = g.loc[g["__side"] == 0, lcols]
-        rg = g.loc[g["__side"] == 1, rcols]
-        if how == "outer":
-            if not len(lg) and not len(rg):
-                return _empty
-        elif not len(lg) or (how == "inner" and not len(rg)):
-            return _empty
-        res = lg.merge(rg, on=on, how=how)
-        return pa.table({c: pa.array(res[c], type=types[c],
-                                     from_pandas=True)
-                         for c in out_cols})
+    def merge_bucket(g: pa.Table) -> pa.Table:
+        side = g["__side"].to_numpy()
+        lg = g.filter(pa.array(side == 0)).select(lcols)
+        rg = g.filter(pa.array(side == 1)).select(rcols)
+        li, ri = _equi_pairs(*key_values(lg[on]), *key_values(rg[on]))
+        parts = [(li, ri)]
+        if emit_null[0]:
+            parts.append((np.setdiff1d(np.arange(lg.num_rows), li), None))
+        if emit_null[1]:
+            parts.append((None, np.setdiff1d(np.arange(rg.num_rows), ri)))
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+        def emit(li, ri) -> pa.Table:
+            n = len(li if li is not None else ri)
+            cols = {}
+            for c in out_cols:
+                # a right-only row (li is None) takes its key from the right
+                right = c not in lcols or (c == on and li is None)
+                src, idx = (rg, ri) if right else (lg, li)
+                cols[c] = (src[c].take(idx) if idx is not None
+                           else pa.nulls(n, type=types[c]))
+            return pa.table(cols)
+
+        return pa.concat_tables([emit(li, ri) for li, ri in parts])
+
+    return _co_partition(left, right, tag).map_groups(
+        merge_bucket, batch_format="pyarrow")
 
 
 def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
@@ -181,10 +236,11 @@ def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
     """Distributed as-of (nearest-prior) join: for each left row, the
     right row with the same ``on`` key and the LARGEST ``right_ts`` <=
     ``left_ts`` (ties on ``right_ts`` broken by largest ``tie_col``).
-    Inner semantics: left rows with no prior right row are dropped.
+    Inner semantics: left rows with no prior right row, and rows of
+    either side with a null key, are dropped.
 
     Same co-partition shape as :func:`bucketed_join` — ONE shuffle of
-    the tagged union keyed on ``hash(on) % num_buckets`` — then a
+    the tagged union keyed on ``key_hash(on) % num_buckets`` — then a
     per-bucket vectorized merge: sort the bucket's right side by
     (key, ts, tie), the left side by key, and ``np.searchsorted`` each
     left row's (key, ts) upper bound into the right arrays (no per-row
@@ -203,25 +259,13 @@ def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
              + list(zip(rsch.names, rsch.types))}
     all_cols = sorted(set(lcols) | set(rcols))
 
-    def tag(side: int, own: list[str]):
+    def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for c in all_cols:
-                cols[c] = (t[c] if c in own
-                           else pa.nulls(t.num_rows, type=types[c]))
-            keys = t[on].to_numpy(zero_copy_only=False)
-            bucket = (hash64(keys) % np.uint64(num_buckets)).astype(np.int32)
-            cols["__bucket"] = pa.array(bucket)
-            cols["__side"] = pa.array(
-                np.full(t.num_rows, side, dtype=np.int8))
-            return pa.table(cols)
+            t, h = _drop_null_keys(t, on)
+            return _tagged(t, side, (lcols, rcols)[side], all_cols, types,
+                           h, num_buckets)
         return fn
 
-    tagged = (left.map_batches(tag(0, lcols), batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .union(right.map_batches(tag(1, rcols),
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)))
     out_right = [c for c in rcols if c not in (on, right_ts)] \
         + [right_ts]
     # Output schema pinned from the SOURCE arrow types: the tagged
@@ -283,8 +327,8 @@ def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
             res[name] = picked[c].to_numpy()
         return _emit(res)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+    return _co_partition(left, right, tag).map_groups(
+        merge_bucket, batch_format="pandas")
 
 
 def range_join(left, right, *, on: str, left_ts: str, right_start: str,
@@ -293,14 +337,14 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
                tile_width: int | None = None, suffix: str = "_r",
                schema_hint: tuple | None = None):
     """Distributed interval (range) join: every (left, right) pair with
-    equal ``on`` key and ``right_start <= left_ts < right_end``.  Inner
-    semantics, one output row per matching pair; all comparisons in raw
-    int64 (us for timestamps) so results match a SQL non-equi-join
-    oracle exactly.
+    equal non-null ``on`` key and ``right_start <= left_ts <
+    right_end``.  Inner semantics, one output row per matching pair;
+    all comparisons in raw int64 (us for timestamps) so results match a
+    SQL non-equi-join oracle exactly.
 
     Two co-partition modes, same per-bucket vectorized merge:
 
-    - ``tile_width=None``: one shuffle keyed on ``hash(on) % B`` (the
+    - ``tile_width=None``: one shuffle keyed on ``key_hash(on) % B`` (the
       :func:`bucketed_join` shape).  Candidates for a left row are ALL
       same-key intervals with ``start <= ts`` — fine when keys don't
       accumulate long histories.
@@ -308,10 +352,11 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
       replicate once per W-wide time tile they cover (vectorized
       ``np.repeat`` — typically 2 rows for window-style intervals with
       width <= W) and left rows land in tile ``ts // W``; the shuffle
-      keys on ``hash(on, tile) % B``.  Each true pair matches in
-      exactly one tile (the left row's), so no dedup pass is needed,
-      candidate scans are bounded by per-tile interval counts rather
-      than a key's full history, and a hot key's timeline spreads
+      keys on ``key_hash(on)`` mixed with the tile, modulo B.  Each
+      true pair matches in exactly one tile (the left row's), so no
+      dedup pass is needed, candidate scans are bounded by per-tile
+      interval counts rather than a key's full history, and a hot
+      key's timeline spreads
       across the cluster — the 100-TB shape.  Pick W ~ the typical
       interval width.
 
@@ -338,45 +383,33 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
     tiled = tile_width is not None
     W = np.int64(tile_width if tiled else 1)
 
-    def tag(side: int, own: list[str]):
+    def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            tile = None
+            t, kh = _drop_null_keys(t, on)
             if side == 1 and tiled:
                 # replicate each interval once per covered tile
                 s = _ts_i64(t[right_start].to_numpy(zero_copy_only=False))
                 e = _ts_i64(t[right_end].to_numpy(zero_copy_only=False))
                 t0, t1 = s // W, (e - 1) // W     # end exclusive
                 reps = np.where(e > s, t1 - t0 + 1, 0).astype(np.int64)
-                idx = np.repeat(np.arange(n, dtype=np.int64), reps)
+                idx = np.repeat(np.arange(t.num_rows, dtype=np.int64),
+                                reps)
                 tot = int(reps.sum())
                 offs = (np.arange(tot, dtype=np.int64)
                         - np.repeat(np.cumsum(reps) - reps, reps))
                 tile = t0[idx] + offs
-                t = t.take(idx)
-                n = tot
-            cols = {}
-            for c in all_cols:
-                cols[c] = (t[c] if c in own
-                           else pa.nulls(n, type=types[c]))
-            kh = hash64(t[on].to_numpy(zero_copy_only=False))
+                t, kh = t.take(idx), kh[idx]
+            elif tiled:
+                tile = _ts_i64(t[left_ts].to_numpy(
+                    zero_copy_only=False)) // W
             if tiled:
-                if side == 0:
-                    tile = _ts_i64(t[left_ts].to_numpy(
-                        zero_copy_only=False)) // W
                 kh = splitmix64(kh + splitmix64(tile.view(np.uint64)))
-                cols["__tile"] = pa.array(tile.astype(np.int64))
-            bucket = (kh % np.uint64(num_buckets)).astype(np.int32)
-            cols["__bucket"] = pa.array(bucket)
-            cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            return pa.table(cols)
+            out = _tagged(t, side, (lcols, rcols)[side], all_cols, types,
+                          kh, num_buckets)
+            return out.append_column("__tile", pa.array(
+                tile.astype(np.int64))) if tiled else out
         return fn
 
-    tagged = (left.map_batches(tag(0, lcols), batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .union(right.map_batches(tag(1, rcols),
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)))
     out_right = [c for c in right_cols if c != on]
     extra = ["__tile"] if tiled else []
 
@@ -432,5 +465,5 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
             res[name] = picked[c].to_numpy()
         return res
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+    return _co_partition(left, right, tag).map_groups(
+        merge_bucket, batch_format="pandas")

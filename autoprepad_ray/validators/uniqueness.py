@@ -9,6 +9,13 @@ per distinct key per block via Arrow ``group_by``) before the
 ``groupby`` shuffle, so the exchange moves O(distinct-per-block), not
 O(rows).  ``image_id``-style near-unique keys are naturally balanced;
 for skewed keys use the salted two-level pattern in ``near_dup.py``.
+
+Null rule: a uniqueness check either checks only the rows that are
+total on the key, or treats null as a value (the embedded-uniqueness
+distinction, ICDE 2019).  ``duplicate_keys`` does the latter on both of
+its arms, like DuckDB's ``GROUP BY``: all null keys form one group.
+Keys hash through ``sketches.key_hash``, so a key's census count never
+depends on which block (or which nullability) it arrived in.
 """
 
 from __future__ import annotations
@@ -17,15 +24,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sketches import HyperLogLog, hash64
+from ..sketches import HyperLogLog, key_hash
 from ..stages.transport import fold, merge_counts
 
-
-def _key_hashes(batch: pa.Table, cols: list[str]) -> np.ndarray:
-    h = hash64(batch[cols[0]].to_pandas())
-    for i, c in enumerate(cols[1:], start=1):
-        h = h ^ hash64(batch[c].to_pandas(), seed=i)
-    return h
+# key-hash buckets of the duplicate_keys shuffle arm (one exact Arrow
+# group_by per bucket)
+_SHUFFLE_BUCKETS = 32
 
 
 def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
@@ -52,7 +56,8 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     import ray
 
     vals, cnts = fold(
-        ds, lambda b: np.unique(_key_hashes(b, cols), return_counts=True),
+        ds, lambda b: np.unique(key_hash([b[c] for c in cols])[0],
+                                return_counts=True),
         merge_counts)
     cand = vals[cnts >= min_count]
     if cand.size == 0:
@@ -63,7 +68,7 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
 
     def members(batch: pa.Table) -> pa.Table:
         cand_ = ray.get(cand_ref)
-        h = _key_hashes(batch, cols)
+        h, _ = key_hash([batch[c] for c in cols])
         idx = np.searchsorted(cand_, h)
         idx[idx >= len(cand_)] = len(cand_) - 1
         mask = cand_[idx] == h
@@ -78,22 +83,28 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     return g.filter(pc.greater_equal(g["n"], min_count))
 
 
-def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int) -> pa.Table:
+def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int
+                            ) -> pa.Table:
     """Dup-heavy path: per-block Arrow group_by partials, ONE Ray
-    groupby over (keys, n) partial rows, filtered to n >= min_count."""
-    from ray.data.aggregate import Sum
+    groupby over their key-hash bucket (never over the raw keys — a
+    sort cannot order a null against a string), then an exact Arrow
+    group_by per bucket, filtered to n >= min_count."""
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.select(cols).group_by(cols).aggregate([([], "count_all")])
-        return g.rename_columns(cols + ["n"])
+        h, _ = key_hash([g[c] for c in cols])
+        return g.rename_columns(cols + ["n"]).append_column(
+            "__bucket", pa.array((h % np.uint64(_SHUFFLE_BUCKETS))
+                                 .astype(np.int32)))
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
+    def final(g: pa.Table) -> pa.Table:
+        t = g.group_by(cols).aggregate([("n", "sum")])
+        t = t.rename_columns(cols + ["n"])
+        return t.filter(pc.greater_equal(t["n"], min_count))
+
+    out = (ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True)
-           .groupby(cols)
-           .aggregate(Sum("n", alias_name="n")))
-    out = agg.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n"], min_count)),
-        batch_format="pyarrow")
+           .groupby("__bucket").map_groups(final, batch_format="pyarrow"))
     batches = list(out.iter_batches(batch_size=65536,
                                     batch_format="pyarrow"))
     if batches:
@@ -142,9 +153,9 @@ def hll_distinct(ds, cols: list[str], *, p: int = 14) -> dict[str, float]:
         hs = {}
         for c in cols:
             hs[c] = h = HyperLogLog(p=p)
-            vals = batch[c].drop_null().to_numpy(zero_copy_only=False)
-            if len(vals):
-                h.add_hashes(hash64(vals))
+            kh, valid = key_hash([batch[c]])
+            if valid.any():
+                h.add_hashes(kh[valid])
         return hs
 
     def merge(parts: list[dict]) -> dict:
@@ -187,8 +198,7 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str, *,
             return pa.table({group_col: t[group_col],
                              "idx": pa.array([], pa.int64()),
                              "rho": pa.array([], pa.int64())})
-        h = hash64(t[value_col].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
+        h = key_hash([t[value_col]])[0]
         idx = (h >> np.uint64(64 - p)).astype(np.int64)
         rest = h << np.uint64(p)
         bl = _bit_length64(rest)

@@ -342,3 +342,16 @@ def test_full_outer_user_day_activity_uid_bound(ray_session, tmp_path):
         str(tmp_path / "events.parquet"))
     with pytest.raises(Exception, match="packing range"):
         _to_pandas(QUERIES["full_outer_user_day_activity"](str(tmp_path)))
+
+
+def test_entry_point_key_sets_follow_registry_order():
+    """queries() / oracle_sql() expose the registry in registry order:
+    all 145 queries, the 127 with a DuckDB oracle."""
+    from autoprepad_ray.pipelines.queries import REGISTRY
+
+    assert list(entrymod.queries()) == list(REGISTRY)
+    assert len(REGISTRY) == 145
+    oracles = entrymod.oracle_sql()
+    assert list(oracles) == [n for n, q in REGISTRY.items()
+                             if q.sql is not None]
+    assert len(oracles) == 127
