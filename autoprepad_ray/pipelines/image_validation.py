@@ -412,21 +412,25 @@ class _P2Partial:
         # listing keeps up to the cap per file; counts stay exact
         if viol_tbl.num_rows > self.viol_cap:
             viol_tbl = viol_tbl.slice(0, self.viol_cap)
-        ids = np_object(checked["image_id"])
         idh, _ = key_hash([checked["image_id"]])
+
+        def ids(m: np.ndarray) -> np.ndarray:
+            # only the masked rows' ids become Python objects
+            return np_object(checked["image_id"].filter(pa.array(m)))
+
         dup_rows = None
         if self.dup_id_hashes.size:
             m = np.isin(idh, self.dup_id_hashes)
-            dup_rows = (np.asarray(ids[m]), pid[m])
+            dup_rows = (ids(m), pid[m])
         orphan_rows = None
         if self.orphan_hashes.size:
             m = np.isin(idh, self.orphan_hashes)
-            orphan_rows = np.asarray(ids[m])
+            orphan_rows = ids(m)
         ph = checked["phash"].to_numpy(zero_copy_only=False)
         ph_members = None
         if self.dup_phashes.size:
             m = np.isin(ph, self.dup_phashes)
-            mi, mv = np.asarray(ids[m]), ph[m]
+            mi, mv = ids(m), ph[m]
             # capped member sample PER BLOCK (the duplicate_phash_groups
             # rule): at most 64 (min) ids per dup hash leave each block,
             # so the driver collection is bounded by dup_hashes x 64 x

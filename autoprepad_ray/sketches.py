@@ -99,7 +99,7 @@ def key_values(col) -> tuple[np.ndarray, np.ndarray]:
             v = v.astype(np.float64) + 0.0       # -0.0 + 0.0 == +0.0
             v[np.isnan(v)] = np.nan
             return v, valid
-        return v.astype(np.int64), valid
+        return v.astype(np.int64, copy=False), valid
     if col.null_count and (pa.types.is_string(t) or
                            pa.types.is_large_string(t)):
         col = col.fill_null("")

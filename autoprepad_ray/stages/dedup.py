@@ -411,15 +411,15 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
 
     def ship(batch: pa.Table) -> pa.Table:
         rh, rp = ray.get(route_ref)
-        ids_all = np_object(batch[id_col])
         h_all, _ = key_hash([batch[id_col]])
         lo = np.searchsorted(rh, h_all, side="left")
         hi = np.searchsorted(rh, h_all, side="right")
         mask = hi > lo
         per_part: dict[int, tuple[list, list]] = {}
         if mask.any():
-            objs = extract(batch.filter(pa.array(mask)))
-            for i, obj, a, b in zip(ids_all[mask], objs,
+            sub = batch.filter(pa.array(mask))
+            objs = extract(sub)
+            for i, obj, a, b in zip(np_object(sub[id_col]), objs,
                                     lo[mask], hi[mask]):
                 blob = pickle.dumps(obj)
                 for p in rp[a:b]:

@@ -6,8 +6,9 @@ joins):
   (Ray >= 2.46) — the default when both sides are large.
 - ``bucketed_join``: the portable explicit pattern — both sides get a
   ``bucket = key_hash(key) % B`` column, one ``groupby(bucket)`` over
-  the tagged union, and an exact sort-merge per bucket.  Salt hot keys by
-  raising B; B should be ~(total size / target partition size).
+  the tagged union, and an exact hash-factorized merge per bucket.
+  Salt hot keys by raising B; B should be ~(total size / target
+  partition size).
 - small sides should NOT be here at all: broadcast them
   (``ray.put`` + per-batch lookup, see queries.top_customers).
 
@@ -61,10 +62,10 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
     every right row to dedup keys that per-block partials already
     collapse).  The deduped key array broadcasts once
     (``ray.put``) and the left side filters with a vectorized
-    ``np.isin`` — no shuffle of either table.  Both sides compare their
-    exact ``sketches.key_values`` (never hashes, never float64 copies
-    of int keys); a null left key never matches, so the semi join drops
-    it and the anti join keeps it (``NOT EXISTS``).
+    ``searchsorted`` into it — no shuffle of either table.  Both sides
+    compare their exact ``sketches.key_values`` (never hashes, never
+    float64 copies of int keys); a null left key never matches, so the
+    semi join drops it and the anti join keeps it (``NOT EXISTS``).
 
     Scale bound: the broadcast is O(distinct matching keys), NOT
     O(right rows), and driver transients are numpy arrays, never
@@ -94,7 +95,10 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
 
     def filt(t: pa.Table) -> pa.Table:
         v, valid = key_values(t[on])
-        m = valid & np.isin(v, ray.get(keys_ref))
+        k = ray.get(keys_ref)
+        # _equi_pairs' equality: NaN matches NaN (np.isin would not)
+        m = valid & (np.searchsorted(k, v, "right")
+                     > np.searchsorted(k, v, "left"))
         if anti:
             m = ~m
         return t.filter(pa.array(m))
@@ -138,16 +142,19 @@ def _drop_null_keys(t: pa.Table, on: str) -> tuple[pa.Table, np.ndarray]:
 
 def _equi_pairs(lk, lok, rk, rok) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) row-index pairs whose keys are VALID and equal —
-    exact comparison of canonical key values (sort + searchsorted,
-    never hash equality); a null key matches nothing."""
-    rv = np.flatnonzero(rok)
-    rv = rv[np.argsort(rk[rv], kind="stable")]
-    lv = np.flatnonzero(lok)
-    lo = np.searchsorted(rk[rv], lk[lv], side="left")
-    cnt = np.searchsorted(rk[rv], lk[lv], side="right") - lo
-    pos = (np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    exact comparison of canonical key values (one hash-table factorize
+    of both sides into dense codes, never hash equality; NaN is one
+    code, as in DuckDB); a null key matches nothing."""
+    lv, rv = np.flatnonzero(lok), np.flatnonzero(rok)
+    codes, uniq = pd.factorize(np.concatenate([lk[lv], rk[rv]]),
+                               use_na_sentinel=False)
+    lc, rc = codes[:len(lv)], codes[len(lv):]
+    n_r = np.bincount(rc, minlength=len(uniq))
+    cnt = n_r[lc]
+    pos = (np.repeat((np.cumsum(n_r) - n_r)[lc] - np.cumsum(cnt) + cnt,
+                     cnt)
            + np.arange(int(cnt.sum()), dtype=np.int64))
-    return np.repeat(lv, cnt), rv[pos]
+    return np.repeat(lv, cnt), rv[np.argsort(rc, kind="stable")[pos]]
 
 
 def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
@@ -157,10 +164,10 @@ def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
                   schema_hint: tuple | None = None):
     """Explicit hash-bucketed join (``how`` = 'inner' | 'left' |
     'outer'): ONE shuffle keyed on ``key_hash(on) % num_buckets``; each
-    bucket joins its two sides on the exact canonical key values (sort
-    + searchsorted).  Key-hash bucketing spreads any single hot key's
-    *partner* rows with it, so skew shows up as a large bucket —
-    mitigate by raising ``num_buckets``.
+    bucket joins its two sides on the exact canonical key values
+    (factorize + counting sort).  Key-hash bucketing spreads any single
+    hot key's *partner* rows with it, so skew shows up as a large
+    bucket — mitigate by raising ``num_buckets``.
 
     Left/full-outer semantics work per-bucket with no extra pass
     because ``key_hash`` is a function of the key VALUE alone — not of

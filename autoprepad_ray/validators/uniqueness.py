@@ -27,10 +27,6 @@ import pyarrow.compute as pc
 from ..sketches import HyperLogLog, key_hash
 from ..stages.transport import fold, merge_counts
 
-# key-hash buckets of the duplicate_keys shuffle arm (one exact Arrow
-# group_by per bucket)
-_SHUFFLE_BUCKETS = 32
-
 
 def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
                    max_collect: int = 2_000_000) -> pa.Table:
@@ -55,15 +51,19 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     """
     import ray
 
-    vals, cnts = fold(
-        ds, lambda b: np.unique(key_hash([b[c] for c in cols])[0],
-                                return_counts=True),
-        merge_counts)
+    def census(b: pa.Table) -> tuple:
+        return (*np.unique(key_hash([b[c] for c in cols])[0],
+                           return_counts=True), 1)
+
+    def merge(parts: list[tuple]) -> tuple:
+        return (*merge_counts(parts), sum(p[2] for p in parts))
+
+    vals, cnts, n_blocks = fold(ds, census, merge)
     cand = vals[cnts >= min_count]
     if cand.size == 0:
         return _empty_listing(ds, cols)
     if int(cnts[cnts >= min_count].sum()) > max_collect:
-        return _duplicate_keys_shuffle(ds, cols, min_count)
+        return _duplicate_keys_shuffle(ds, cols, min_count, n_blocks)
     cand_ref = ray.put(np.sort(cand.astype(np.uint64)))
 
     def members(batch: pa.Table) -> pa.Table:
@@ -72,7 +72,7 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
         idx = np.searchsorted(cand_, h)
         idx[idx >= len(cand_)] = len(cand_) - 1
         mask = cand_[idx] == h
-        return batch.select(cols).filter(pa.array(mask))
+        return _canonical(batch.select(cols).filter(pa.array(mask)))
 
     rows = pa.concat_tables(
         b for b in ds.map_batches(members, batch_format="pyarrow",
@@ -83,18 +83,24 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     return g.filter(pc.greater_equal(g["n"], min_count))
 
 
-def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int
-                            ) -> pa.Table:
+def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int,
+                            n_buckets: int | None = None) -> pa.Table:
     """Dup-heavy path: per-block Arrow group_by partials, ONE Ray
     groupby over their key-hash bucket (never over the raw keys — a
     sort cannot order a null against a string), then an exact Arrow
-    group_by per bucket, filtered to n >= min_count."""
+    group_by per bucket, filtered to n >= min_count.
+
+    ``n_buckets`` is the block count (``duplicate_keys`` passes its
+    census's; counted here otherwise): Ray's sort shuffle cuts one
+    partition per input block, so each gets about one bucket."""
+    n_buckets = n_buckets or max(1, fold(ds, lambda b: 1, sum))
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(cols).group_by(cols).aggregate([([], "count_all")])
+        g = _canonical(batch.select(cols)).group_by(cols).aggregate(
+            [([], "count_all")])
         h, _ = key_hash([g[c] for c in cols])
         return g.rename_columns(cols + ["n"]).append_column(
-            "__bucket", pa.array((h % np.uint64(_SHUFFLE_BUCKETS))
+            "__bucket", pa.array((h % np.uint64(n_buckets))
                                  .astype(np.int32)))
 
     def final(g: pa.Table) -> pa.Table:
@@ -110,6 +116,15 @@ def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int
     if batches:
         return pa.concat_tables(batches)
     return _empty_listing(ds, cols)
+
+
+def _canonical(t: pa.Table) -> pa.Table:
+    """``t`` with -0.0 as 0.0 in its float key columns: Arrow's
+    ``group_by`` tells the two apart, ``key_hash`` and DuckDB do not."""
+    for i, f in enumerate(t.schema):
+        if pa.types.is_floating(f.type):
+            t = t.set_column(i, f.name, pc.add(t[i], pa.scalar(0, f.type)))
+    return t
 
 
 def _empty_listing(ds, cols: list[str]) -> pa.Table:
