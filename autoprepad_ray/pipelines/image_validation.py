@@ -24,12 +24,17 @@ output, cut further only by Ray's dynamic splitting above
   per-partition stat/null counts, and the row LISTINGS for exactly the
   candidate keys (duplicate-id rows, orphan rows, dup-phash members).
   Candidate listings are small by construction; violation rows are
-  capped per block, i.e. per file-sized block (counts stay exact).
-- Banded-Hamming pairing (own execution reading only image_id+phash):
-  hash-partitioned ``groupby(part).map_groups`` over the band stream —
+  capped per block, i.e. per file-sized block (counts stay exact).  The
+  pass is materialized once; its small ``agg`` rows fold off the
+  blocks in flat tasks (``transport.fold_payloads``), never through a
+  second execution.
+- Banded-Hamming pairing (no read of its own): pass 2 also emits each
+  block's id-carrying band cells (band key, hash, block-min id) —
   pruned to hot buckets when collisions are rare, the full deduped
-  stream (multi-index hashing) when n >> 2^16 per band — with exact
-  verification inside the groups; only pairs reach the driver.
+  stream (multi-index hashing) when n >> 2^16 per band.  Flat per-slice
+  tasks over the scattered cells pair, verify exactly and resolve each
+  paired hash's global min id in one visit; only pairs reach the
+  driver.
 - PASS 3 (payload read, stateless decode tasks): decode verification —
   the only pass that touches ``bytes``.  Its ``batch_size=256`` keeps
   decode a separate operator after the read (Ray fuses no batched map
@@ -56,10 +61,12 @@ from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind
 from ..sketches import key_hash, np_object
-from ..stages.transport import merge_counts
-from ..validators import row_checks as rc
+from ..stages.transport import fold_payloads, merge_counts
+from ..validators import near_dup, row_checks as rc
 from ..validators.drift import psi_from_counts
-from ..validators.near_dup import _band_combos, _resolve_ids, default_num_parts
+from ..validators.near_dup import (_EMPTY_PAIRS, _band_cells,
+                                   _band_combos, _capped_per_key,
+                                   _id_pairs, _pair_ids, default_num_parts)
 
 EXPECTED_FIELDS = {
     "image_id": pa.string(), "bytes": pa.large_binary(),
@@ -234,16 +241,9 @@ def _make_p1_partial(ref_set: list[int]):
         rows += _census_rows("ph", 0, phv.astype(np.int64), phc)
         # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
         # bincount per batch + vector-add merge beats sparse unique-merge
-        u64 = batch["phash"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64).view(np.uint64)
-        band_keys = []
-        for b in range(4):
-            band_keys.append(
-                np.int64(b * 65536)
-                + ((u64 >> np.uint64(16 * b)) & np.uint64(0xFFFF))
-                .astype(np.int64))
-        dense = np.bincount(np.concatenate(band_keys),
-                            minlength=4 * 65536).astype(np.int32)
+        dense = np.bincount(
+            _band_combos(batch["phash"].to_numpy(zero_copy_only=False))
+            .ravel(), minlength=4 * 65536).astype(np.int32)
         rows.append(("bandd", 0, pickle.dumps(dense)))
         return pa.table({
             "kind": pa.array([r[0] for r in rows]),
@@ -418,71 +418,63 @@ class _P2Partial:
             # only the masked rows' ids become Python objects
             return np_object(checked["image_id"].filter(pa.array(m)))
 
-        dup_rows = None
-        if self.dup_id_hashes.size:
-            m = np.isin(idh, self.dup_id_hashes)
-            dup_rows = (ids(m), pid[m])
-        orphan_rows = None
-        if self.orphan_hashes.size:
-            m = np.isin(idh, self.orphan_hashes)
-            orphan_rows = ids(m)
+        dup = np.isin(idh, self.dup_id_hashes)
         ph = checked["phash"].to_numpy(zero_copy_only=False)
-        ph_members = None
-        if self.dup_phashes.size:
-            m = np.isin(ph, self.dup_phashes)
-            mi, mv = ids(m), ph[m]
-            # capped member sample PER BLOCK (the duplicate_phash_groups
-            # rule): at most 64 (min) ids per dup hash leave each block,
-            # so the driver collection is bounded by dup_hashes x 64 x
-            # touching-blocks even when a hot hash has millions of rows
-            # — web-scale image corpora are dominated by exact dups, and
-            # uncapped member rows were the one remaining driver-bound
-            # O(dup rows) stream in this pipeline.  The global 64
-            # smallest ids per hash survive per-block capping exactly
-            # (each is among its own block's 64 smallest).
-            if len(mv):
-                order = np.lexsort((mi, mv))
-                mv, mi = mv[order], mi[order]
-                first = np.r_[True, mv[1:] != mv[:-1]]
-                rank = np.arange(len(mv)) - np.maximum.accumulate(
-                    np.where(first, np.arange(len(mv)), 0))
-                keep = rank < 64
-                mv, mi = mv[keep], mi[keep]
-            ph_members = (mi, mv)
-        # three row kinds: the small per-block aggregate (driver-bound),
-        # the capped violation table (object-store-bound — the driver
-        # never concatenates violation rows), and the sliced Hamming
-        # band payloads (consumed by the pairing groupby straight off
-        # the materialized pass-2 output — no extra read/execution)
-        kinds = ["agg", "viol"]
-        slices = [-1, -1]
-        payloads = [pickle.dumps((counts, dup_rows, orphan_rows,
-                                  ph_members, viol_tbl.schema)),
-                    pickle.dumps(viol_tbl)]
-        if self.band_mode != "none":
-            from ..sketches import splitmix64
-            ph_u = np.unique(ph)
-            keys = _band_combos(ph_u).ravel()
-            out_ph = np.repeat(ph_u, 4)
-            if self.band_mode == "prune":
-                m = np.isin(keys, self.hot_bands)
-                keys, out_ph = keys[m], out_ph[m]
-            if len(keys):
-                sl = (splitmix64(keys.view(np.uint64))
-                      % np.uint64(self.band_slices)).astype(np.int32)
-                order = np.argsort(sl, kind="stable")
-                sl, keys, out_ph = sl[order], keys[order], out_ph[order]
-                bounds = np.flatnonzero(
-                    np.r_[True, sl[1:] != sl[:-1], True])
-                for s, e in zip(bounds[:-1], bounds[1:]):
-                    kinds.append("band")
-                    slices.append(int(sl[s]))
-                    payloads.append(pickle.dumps((keys[s:e],
-                                                  out_ph[s:e])))
-        return pa.table({
-            "kind": pa.array(kinds),
-            "slice": pa.array(slices, type=pa.int32()),
-            "payload": pa.array(payloads, type=pa.large_binary())})
+        m = np.isin(ph, self.dup_phashes)
+        # capped member sample PER BLOCK (the duplicate_phash_groups
+        # rule): at most 64 (min) ids per dup hash leave each block, so
+        # the collection is bounded by dup_hashes x 64 x touching-blocks
+        # even when a hot hash has millions of rows — web-scale image
+        # corpora are dominated by exact dups.  The global 64 smallest
+        # ids per hash survive per-block capping exactly (each is among
+        # its own block's 64 smallest).
+        member_ph, member_ids = _capped_per_key(ph[m], ids(m), 64)
+        # three row kinds: the small per-block aggregate (folded in flat
+        # tasks by _merge_agg), the capped violation table
+        # (object-store-bound — the driver never concatenates violation
+        # rows), and the id-carrying Hamming band cells (scattered to
+        # the pairing tasks straight off the materialized pass-2 output
+        # — no extra read/execution)
+        out = pa.table({
+            "kind": ["agg", "viol"],
+            "slice": pa.array([-1, -1], type=pa.int32()),
+            "payload": pa.array(
+                [pickle.dumps((counts, ids(dup), pid[dup],
+                               ids(np.isin(idh, self.orphan_hashes)),
+                               member_ph, member_ids, viol_tbl.schema)),
+                 pickle.dumps(viol_tbl)], type=pa.large_binary())})
+        if self.band_mode == "none":
+            return out
+        band = _band_cells(ph, checked["image_id"], self.band_slices,
+                           hot=self.hot_bands)
+        return pa.concat_tables([out, band.append_column(
+            "kind", pa.array(["band"] * band.num_rows, type=pa.string()))
+            .select(out.column_names)])
+
+
+def _merge_agg(parts: list[tuple]) -> tuple:
+    """Fold pass-2 ``agg`` payloads (associative; ``[]`` folds to the
+    empty aggregate): per-partition counts add up, the dup-id and orphan
+    listings concatenate, and the dup-phash member sample keeps the 64
+    smallest ids per hash."""
+    if not parts:
+        none = np.empty(0, object)
+        return {}, none, np.empty(0, np.int64), none, \
+            np.empty(0, np.int64), none, None
+    fields = list(zip(*parts))
+    dup_ids, dup_pids, orphan_ids, member_ph, member_ids = (
+        np.concatenate(f) for f in fields[1:6])
+    return (_sum_counts(fields[0]), dup_ids, dup_pids, orphan_ids,
+            *_capped_per_key(member_ph, member_ids, 64), fields[6][0])
+
+
+def _sum_counts(parts: list[dict]) -> dict:
+    """Sum ``_evidence``'s {pid: (rows, stat_viol, null_viol)} partials."""
+    out: dict = {}
+    for d in parts:
+        for u, c in d.items():
+            out[u] = tuple(a + b for a, b in zip(out.get(u, (0, 0, 0)), c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +495,6 @@ class ImageValidationReport:
     decode_violations: pd.DataFrame | None = None
     neardup_groups: pd.DataFrame | None = None
     neardup_pairs: pd.DataFrame | None = None
-    hamming_saturated: bool = False      # legacy: always False now
     hamming_path: str = "none"           # none | prune | mih_shuffle
     schema_errors: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -716,9 +707,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         hamming_path = "none"
         if neardup and hot_bands.size:
             collision_rows = int(hot_band_cnts.sum())
-            hamming_path = ("mih_shuffle" if collision_rows
-                            > max(100_000, int(0.02 * band_total))
-                            else "prune")
+            hamming_path = ("mih_shuffle" if collision_rows > max(
+                near_dup.SAT_MIN, int(near_dup.SAT_FRAC * band_total))
+                else "prune")
         ph_count_map = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
 
         # ---- PASS 2 ----
@@ -735,39 +726,16 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             return _cache["p"](batch)
 
         # ONE execution of the metadata pass, materialized to the object
-        # store (spillable): the driver then take_all()s ONLY the small agg
-        # rows; the capped violation tables stay distributed and are exposed
-        # as a lazy dataset / written to a parquet sink — never concatenated
-        # on the driver (block count is unbounded at 10^12 rows even if each
-        # block's listing is capped)
+        # store (spillable): flat fold tasks merge ONLY the small agg rows
+        # off its blocks (no second execution); the capped violation
+        # tables stay distributed and are exposed as a lazy dataset /
+        # written to a parquet sink — never concatenated on the driver
+        # (block count is unbounded at 10^12 rows even if each block's
+        # listing is capped)
         p2_out = meta.map_batches(p2_fn, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
-        counts: dict[int, list[int]] = {}
-        dup_ids_all: list = []
-        dup_pids_all: list = []
-        orphan_ids_all: list = []
-        ph_member_ids: list = []
-        ph_member_vals: list = []
-        agg_only = p2_out.map_batches(
-            lambda t: t.filter(pc.equal(t["kind"], "agg")),
-            batch_format="pyarrow")
-        viol_schema: pa.Schema | None = None
-        for r in agg_only.take_all():
-            (cnts, dup_rows, orphan_rows,
-             ph_members, viol_schema) = pickle.loads(r["payload"])
-            for u, (n, sv, nv) in cnts.items():
-                agg = counts.setdefault(u, [0, 0, 0])
-                agg[0] += n
-                agg[1] += sv
-                agg[2] += nv
-            if dup_rows is not None and len(dup_rows[0]):
-                dup_ids_all.append(dup_rows[0])
-                dup_pids_all.append(dup_rows[1])
-            if orphan_rows is not None and len(orphan_rows):
-                orphan_ids_all.append(orphan_rows)
-            if ph_members is not None and len(ph_members[0]):
-                ph_member_ids.append(ph_members[0])
-                ph_member_vals.append(ph_members[1])
+        (counts, dup_ids, dup_pids, orphan_ids, member_ph, member_ids,
+         viol_schema) = fold_payloads(p2_out, _merge_agg, kind="agg")
 
         stat_viol = p2_out.map_batches(
             _unpack_viol, fn_kwargs={"schema": viol_schema},
@@ -779,22 +747,18 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # uniqueness listing (exact counts per actual id)
         dup_df = pd.DataFrame({"image_id": [], "n": []})
         uniq_fail: set = set()
-        if dup_ids_all:
-            ids_cat = np.concatenate(dup_ids_all)
-            pids_cat = np.concatenate(dup_pids_all)
-            vc = pd.Series(ids_cat).value_counts()
+        if len(dup_ids):
+            vc = pd.Series(dup_ids).value_counts()
             vc = vc[vc >= 2]
             dup_df = pd.DataFrame({"image_id": vc.index, "n": vc.to_numpy()})
             real = set(vc.index)
-            uniq_fail = {int(p) for i, p in zip(ids_cat, pids_cat)
+            uniq_fail = {int(p) for i, p in zip(dup_ids, dup_pids)
                          if i in real}
 
         # referential listing
         orphan_df = None
         if captions_path is not None:
-            img_orph_ids = (np.concatenate(orphan_ids_all)
-                            if orphan_ids_all else np.empty(0, object))
-            iv, ic = np.unique(img_orph_ids, return_counts=True)
+            iv, ic = np.unique(orphan_ids, return_counts=True)
             rows = [{"image_id": i, "left_n": int(c), "right_n": 0}
                     for i, c in zip(iv.tolist(), ic.tolist())]
             if orphan_cap_hashes.size:
@@ -814,23 +778,19 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             orphan_df = pd.DataFrame(rows, columns=["image_id", "left_n",
                                                     "right_n"])
 
-        # near-dup group listings (exact-equal phashes) — vectorized
-        # lexsort fold over the capped per-block (id, phash) samples, never
-        # a per-row dict loop (counts stay exact from the pass-1 census)
+        # near-dup group listings (exact-equal phashes) off the folded
+        # member sample, lexsorted and capped at 64 ids per hash by
+        # _merge_agg (counts stay exact from the pass-1 census)
         nd_groups = nd_pairs = None
         if neardup:
-            if ph_member_ids:
-                mi = np.concatenate(ph_member_ids)
-                mv = np.concatenate(ph_member_vals)
-                order = np.lexsort((mi, mv))
-                mv, mi = mv[order], mi[order]
-                bounds = np.flatnonzero(
-                    np.r_[True, mv[1:] != mv[:-1], True])
-                hs = [int(mv[s]) for s in bounds[:-1]]
+            if len(member_ph):
+                bounds = np.flatnonzero(np.r_[
+                    True, member_ph[1:] != member_ph[:-1], True])
+                hs = [int(member_ph[s]) for s in bounds[:-1]]
                 nd_groups = pd.DataFrame({
                     "phash": hs,
                     "n": [int(ph_count_map[h]) for h in hs],
-                    "ids": [mi[s:min(e, s + 64)].tolist()
+                    "ids": [member_ids[s:e].tolist()
                             for s, e in zip(bounds[:-1], bounds[1:])]})
             else:
                 nd_groups = pd.DataFrame({"phash": [], "n": [], "ids": []})
@@ -840,30 +800,19 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         _t0 = _time.perf_counter()
 
         # ---- banded-Hamming pairing (distributed) ----
-        # consumes the band payload rows already sitting in the materialized
-        # pass-2 output — no extra read or census; the pass-1 census chose
-        # the path.  The slice-addressed scatter (stages.transport) splits
-        # out the band cells once per block, so pairing tasks never fetch
-        # the violation tables riding the same blocks and each band byte
-        # moves once even multi-node.  Ids resolve via a pruned 2-column
-        # read only when pairs exist.
+        # consumes the id-carrying band cells already sitting in the
+        # materialized pass-2 output — no extra read or census; the pass-1
+        # census chose the path.  The slice-addressed scatter
+        # (stages.transport) splits out the band cells once per block, so
+        # pairing tasks never fetch the violation tables riding the same
+        # blocks and each band byte moves once even multi-node; each
+        # pairing task resolves the global min id of the hashes it pairs
+        # in the same visit (near_dup._pair_ids).
         if neardup:
-            if hamming_path != "none":
-                from ..stages.transport import scatter_slices
-                from ..validators.near_dup import _hash_pair_slice_task
-                per_slice = scatter_slices(p2_out, band_slices, kind="band")
-                futs = [_hash_pair_slice_task.remote(4, 4096, *per_slice[s])
-                        for s in range(band_slices)]
-                ph_pairs = pd.concat(ray.get(futs), ignore_index=True) \
-                    .drop_duplicates(["ph_a", "ph_b"])
-                nd_pairs = _resolve_ids(
-                    read_table(files, columns=["image_id", "phash"]),
-                    "phash", "image_id", ph_pairs)
-            else:
-                nd_pairs = pd.DataFrame({
-                    "id_a": pd.Series([], dtype=object),
-                    "id_b": pd.Series([], dtype=object),
-                    "dist": pd.Series([], dtype=np.int64)})
+            nd_pairs = (_id_pairs(*_pair_ids(p2_out, band_slices, 4, 4096,
+                                             "4x16", kind="band"))
+                        if hamming_path != "none"
+                        else pd.DataFrame(_EMPTY_PAIRS))
         timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)
         _t0 = _time.perf_counter()
 
@@ -907,8 +856,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         stat_violations_path=violations_dir,
         dup_ids=dup_df, orphans=orphan_df, drift_psi=drift_df,
         decode_violations=decode_df, neardup_groups=nd_groups,
-        neardup_pairs=nd_pairs, hamming_saturated=False,
-        hamming_path=hamming_path,
+        neardup_pairs=nd_pairs, hamming_path=hamming_path,
         schema_errors=schema_errors, timings=timings)
 
 

@@ -23,7 +23,9 @@ Execution shape:
   resume NEVER mixes profiles from different inputs (SURVEY §7.6) and
   never re-reads the reference;
 - per pending partition: ONE metadata execution (pass-2 evidence head
-  + histogram partial + key census), plus the payload read for decode.
+  + histogram partial + key census), whose ``agg`` rows fold off the
+  materialized blocks in flat tasks (``transport.fold_payloads``),
+  plus the payload read for decode.
   Its outputs — verdict, violation rows (stat OR null, uncapped) and
   the distinct-key census — are written into a tmp dir and renamed
   into place, then the manifest is rewritten.  Up to 4 partitions run
@@ -58,18 +60,28 @@ from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
 from ..validators import drift, row_checks as rc
-from ..stages.transport import fold, merge_counts
+from ..stages.transport import fold, fold_payloads, merge_counts
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (EDGES_CAP, EDGES_WH, META_COLS,
                                _decode_failures, _evidence, _key_census,
                                _merge_prof, _prep, _prof_partial,
-                               _unpack_viol, assert_schema_files)
+                               _sum_counts, _unpack_viol,
+                               assert_schema_files)
 
 def _merge_census(parts: list[dict]) -> dict:
     """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
     return {k: merge_counts([p[k] for p in parts if k in p])
             for k in {k for p in parts for k in p}}
+
+
+def _merge_partition_agg(parts: list[tuple]) -> tuple:
+    """Fold a partition pass's ``agg`` payloads (counts, histogram
+    partial, key census, listing schema) — associative."""
+    return (_sum_counts([p[0] for p in parts]),
+            _merge_prof([p[1] for p in parts]),
+            _merge_census([p[2] for p in parts]),
+            next((p[3] for p in parts), None))
 
 
 def _census_table(census: dict) -> pa.Table:
@@ -207,13 +219,10 @@ def run_validation(images_dir: str, out_dir: str, *,
         out = read_table(parts[pid], columns=META_COLS).map_batches(
             meta_partial, batch_format="pyarrow",
             zero_copy_batch=True).materialize()
-        aggs = [pickle.loads(r["payload"]) for r in out.map_batches(
-            lambda t: t.filter(pc.equal(t["kind"], "agg")),
-            batch_format="pyarrow").take_all()]
-        n_rows = sum(c[0] for a in aggs for c in a[0].values())
-        stat_viol = sum(c[1] for a in aggs for c in a[0].values())
-        null_viol = sum(c[2] for a in aggs for c in a[0].values())
-        _, hists, nrows = _merge_prof([a[1] for a in aggs])
+        counts, (_, hists, nrows), census, viol_schema = fold_payloads(
+            out, _merge_partition_agg, kind="agg")
+        n_rows, stat_viol, null_viol = (
+            sum(c[i] for c in counts.values()) for i in range(3))
         cur_hists, cur_fmt = _sum_hists(hists, nrows)
         psi = {c: drift.psi_from_counts(ref_hists[c], v)
                for c, v in cur_hists.items()}
@@ -230,10 +239,10 @@ def run_validation(images_dir: str, out_dir: str, *,
         if stat_viol or null_viol:
             # distributed write: violation blocks never concat on the
             # driver
-            out.map_batches(_unpack_viol, fn_kwargs={"schema": aggs[0][3]},
+            out.map_batches(_unpack_viol, fn_kwargs={"schema": viol_schema},
                             batch_format="pyarrow",
                             batch_size=None).write_parquet(viol_dir)
-        pq.write_table(_census_table(_merge_census([a[2] for a in aggs])),
+        pq.write_table(_census_table(census),
                        os.path.join(tmp, "keycensus.parquet"))
         verdict = {
             "partition_id": pid,

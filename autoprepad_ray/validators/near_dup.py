@@ -223,6 +223,11 @@ def _segment_pairs(keys: np.ndarray, ids: np.ndarray, ph: np.ndarray,
 N_BANDS = 4
 BAND_SLOTS = 65536  # 16-bit substrings; dense combo key = band*65536+val
 
+# the dense band census picks ``mih_shuffle`` over ``prune`` when its
+# collision rows pass max(SAT_MIN, SAT_FRAC x band rows)
+SAT_MIN = 100_000
+SAT_FRAC = 0.02
+
 _EMPTY_PAIRS = {"id_a": pd.Series([], dtype=object),
                 "id_b": pd.Series([], dtype=object),
                 "dist": pd.Series([], dtype=np.int64)}
@@ -330,15 +335,39 @@ def _pack_sliced(keys: np.ndarray, out_ph: np.ndarray,
                                          type=pa.large_binary())})
 
 
+def _band_cells(ph_rows: np.ndarray, id_col, num_parts: int,
+                scheme: str = "4x16", hot: np.ndarray | None = None
+                ) -> pa.Table:
+    """One block's id-carrying band cells: the packed ``(keys, hashes,
+    block-min ids)`` slices over its DISTINCT hash values, pruned to
+    the ``hot`` bucket keys when given.  The hot set is global, so every
+    block holding a hash still ships its row for each kept key.
+    Block-min ids are folded only over the rows whose hash ships a
+    cell, and only those rows' ids become Python objects."""
+    from ..sketches import np_object
+
+    ph = np.unique(ph_rows)
+    keys, kpr = _scheme_keys(ph, scheme)
+    out_ph = np.repeat(ph, kpr)
+    if hot is not None:
+        m = np.isin(keys, hot)
+        keys, out_ph = keys[m], out_ph[m]
+    rows = np.isin(ph_rows, out_ph)
+    ph_u, minid = _minid_per_key(ph_rows[rows],
+                                 np_object(id_col.filter(pa.array(rows))))
+    return _pack_sliced(keys, out_ph, num_parts,
+                        ids=minid[np.searchsorted(ph_u, out_ph)])
+
+
 def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
                  scheme: str = "4x16", hot_ref=None):
-    """Sliced band-row payloads over DISTINCT per-block hash values,
-    each row carrying the hash's BLOCK-min id.  Because every block
-    containing a hash emits that hash's (key, hash, min id) row for
-    each of its band keys, any pairing task folding a slice sees ALL
-    blocks' entries for every hash present there — so the GLOBAL min
-    id per hash is computable inside the task and the separate
-    id-resolution execution of earlier rounds is gone.
+    """Sliced band-row payloads (:func:`_band_cells`) over DISTINCT
+    per-block hash values, each row carrying the hash's BLOCK-min id.
+    Because every block containing a hash emits that hash's (key, hash,
+    min id) row for each of its band keys, any pairing task folding a
+    slice sees ALL blocks' entries for every hash present there — so
+    the GLOBAL min id per hash is computable inside the task, with no
+    join back to the table.
 
     Each block emits ONE pickled (keys, hashes, ids) array triple per
     key-hash slice (the pass-1 census packing: the exchange moves
@@ -350,45 +379,15 @@ def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
     thousands)."""
 
     def fn(t: pa.Table) -> pa.Table:
-        from ..sketches import np_object
-
-        ph_rows = t[phash_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ids_rows = np_object(t[id_col])
-        ph, minid = _minid_per_key(ph_rows, ids_rows)
-        keys, kpr = _scheme_keys(ph, scheme)
-        out_ph = np.repeat(ph, kpr)
-        out_id = np.repeat(minid, kpr)
-        if hot_ref is not None:
-            m = np.isin(keys, ray.get(hot_ref))
-            keys, out_ph, out_id = keys[m], out_ph[m], out_id[m]
-        return _pack_sliced(keys, out_ph, num_parts, ids=out_id)
+        return _band_cells(
+            t[phash_col].to_numpy(zero_copy_only=False).astype(np.int64),
+            t[id_col], num_parts, scheme,
+            None if hot_ref is None else ray.get(hot_ref))
 
     # smaller batches under the 66x key expansion: per-batch scratch is
     # ~1 KB/row there — keep batch x concurrency well inside worker heaps
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=16384 if scheme == "2x32f1" else None)
-
-
-@ray.remote
-def _hash_pair_slice_task(max_dist: int, bucket_cap: int,
-                          *payload_lists) -> pd.DataFrame:
-    """Flat pairing task for ONE slice of a packed (keys, hashes) band
-    stream WITHOUT ids (the image pipeline's pass-2 payloads).  Kept
-    beside :func:`_id_pair_slice_task` for streams whose ids resolve
-    via a later pruned read (``_resolve_ids``)."""
-    payloads = [p for lst in payload_lists for p in lst]
-    if not payloads:
-        return pd.DataFrame({"ph_a": pd.Series([], dtype=np.int64),
-                             "ph_b": pd.Series([], dtype=np.int64),
-                             "dist": pd.Series([], dtype=np.int64)})
-    parts = [pickle.loads(p) for p in payloads]
-    keys = np.concatenate([p[0] for p in parts])
-    ph = np.concatenate([p[1] for p in parts])
-    uniq = np.unique(np.stack([keys, ph], axis=1), axis=0)
-    out = _segment_pairs(uniq[:, 0], uniq[:, 1], uniq[:, 1],
-                         max_dist, bucket_cap)
-    return out.rename(columns={"id_a": "ph_a", "id_b": "ph_b"})
 
 
 @ray.remote
@@ -403,7 +402,7 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
       dedupe + size-class-batched XOR+popcount verify);
     - (hash, GLOBAL min id) resolution entries for every hash touched
       by an emitted pair — valid because all blocks deliver a hash's
-      rows to each of its band slices (see ``_band_stream``) — plus,
+      row for each of its kept band keys (see ``_band_cells``) — plus,
       when ``dup_ref`` names exact-duplicate hashes, the entries for
       dup hashes whose owner key routes to this slice (so each dup
       hash resolves exactly once across tasks even when it pairs with
@@ -496,37 +495,19 @@ def _lookup_minid(ph_map: np.ndarray, id_map: np.ndarray,
     return id_map[pos]
 
 
-def _resolve_ids(ds, phash_col: str, id_col: str,
-                 ph_pairs: pd.DataFrame) -> pd.DataFrame:
-    """Map hash pairs to (id_a, id_b, dist) with the GLOBAL min id as
-    each hash's representative via one pruned execution of ``ds``
-    (broadcast matched hashes, per-block min-id partials — tiny by
-    construction).  Used by streams that pair WITHOUT ids riding the
-    band cells (the image pipeline's pass-2 payloads)."""
+def _id_pairs(ph_pairs: pd.DataFrame, ph_map: np.ndarray,
+              id_map: np.ndarray) -> pd.DataFrame:
+    """Hash pairs -> (id_a, id_b, dist), id_a < id_b, each hash
+    represented by its resolved global min id (:func:`_pair_ids`)."""
     if not len(ph_pairs):
         return pd.DataFrame(_EMPTY_PAIRS)
-    need = np.unique(np.concatenate([ph_pairs["ph_a"].to_numpy(),
-                                     ph_pairs["ph_b"].to_numpy()]))
-    need_ref = ray.put(need.astype(np.int64))
-
-    def partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        from ..sketches import np_object
-        ph = t[phash_col].to_numpy(zero_copy_only=False)
-        m = np.isin(ph, ray.get(need_ref))
-        # packed (hash, min-id) arrays — the fold is one vectorized
-        # lexsort over arrays, never per-row dict updates
-        return _minid_per_key(ph[m].astype(np.int64),
-                              np_object(t[id_col])[m])
-
-    ph_u, id_u = fold(ds, partial,
-                      lambda parts: _minid_per_key(*_concat_pairs(parts)))
-    a = _lookup_minid(ph_u, id_u, ph_pairs["ph_a"].to_numpy())
-    b = _lookup_minid(ph_u, id_u, ph_pairs["ph_b"].to_numpy())
+    a = _lookup_minid(ph_map, id_map, ph_pairs["ph_a"].to_numpy())
+    b = _lookup_minid(ph_map, id_map, ph_pairs["ph_b"].to_numpy())
     swap = a > b
     out = pd.DataFrame({
         "id_a": pd.Series(np.where(swap, b, a)),
         "id_b": pd.Series(np.where(swap, a, b)),
-        "dist": ph_pairs["dist"].astype(np.int64).to_numpy()})
+        "dist": ph_pairs["dist"].to_numpy()})
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -544,7 +525,8 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
                           id_col: str = "image_id",
                           bucket_cap: int = 4096,
                           num_parts: int | None = None,
-                          sat_min: int = 100_000, sat_frac: float = 0.02,
+                          sat_min: int = SAT_MIN,
+                          sat_frac: float = SAT_FRAC,
                           force_path: str | None = None,
                           materialize_input: bool = False,
                           scheme: str = "4x16") -> pd.DataFrame:
@@ -596,18 +578,8 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
         raise ValueError(f"unknown banding scheme {scheme!r}")
     band_ds = _band_stream(ds, phash_col, id_col, num_parts,
                            scheme=scheme, hot_ref=hot_ref)
-    ph_pairs, ph_map, id_map = _pair_ids(band_ds.materialize(), num_parts,
-                                         max_dist, bucket_cap, scheme)
-    if not len(ph_pairs):
-        return pd.DataFrame(_EMPTY_PAIRS)
-    a = _lookup_minid(ph_map, id_map, ph_pairs["ph_a"].to_numpy())
-    b = _lookup_minid(ph_map, id_map, ph_pairs["ph_b"].to_numpy())
-    swap = a > b
-    out = pd.DataFrame({
-        "id_a": pd.Series(np.where(swap, b, a)),
-        "id_b": pd.Series(np.where(swap, a, b)),
-        "dist": ph_pairs["dist"].to_numpy()})
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return _id_pairs(*_pair_ids(band_ds.materialize(), num_parts,
+                                max_dist, bucket_cap, scheme))
 
 
 def phash_dedup_clusters(ds, *, phash_col: str = "phash",
@@ -659,16 +631,10 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
         ds = ds.materialize()
 
     def fused(t: pa.Table) -> pa.Table:
-        from ..sketches import np_object
-
         ph_rows = t[phash_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        ids_rows = np_object(t[id_col])
         vals, cnts = np.unique(ph_rows, return_counts=True)
-        ph, minid = _minid_per_key(ph_rows, ids_rows)
-        keys, kpr = _scheme_keys(ph, scheme)
-        band = _pack_sliced(keys, np.repeat(ph, kpr), num_parts,
-                            ids=np.repeat(minid, kpr))
+        band = _band_cells(ph_rows, t[id_col], num_parts, scheme)
         band = band.append_column(
             "kind", pa.array(["band"] * band.num_rows))
         census = pa.table({

@@ -5,11 +5,15 @@ The reference's only join is the index-aligned label join for evaluation
 (experiment.py:463,513); the engine adds a real distributed anti-join:
 
 - shuffle strategy (default, both sides large): union the two key
-  streams tagged by side, pre-aggregate per block, then ONE
-  ``groupby(key)`` over (key, left_n, right_n) partials — rows with a
-  zero side are orphans.  The shuffle moves distinct keys, not rows.
+  streams tagged by side, pre-aggregate per block, then ONE groupby
+  over the (key, left_n, right_n) partials' key-hash bucket
+  (``uniqueness.bucketed_sums``) — rows with a zero side are orphans.
+  The shuffle moves distinct keys, not rows.
 - broadcast strategy (both sides small): per-side distinct-key counts
   outer-merged on the driver — no shuffle at all.
+
+Null rule (the census rule, both strategies): all null keys form one
+group, so a null key is an orphan only when one side lacks it.
 """
 
 from __future__ import annotations
@@ -99,20 +103,16 @@ def orphans(left_ds, right_ds, key_cols: list[str] | str, *,
         if len(key_cols) != 1:
             raise ValueError("strategy='fold' needs a single int64 key")
         from ..stages.groupfold import grouped_fold
-        out = grouped_fold(tagged, lambda t: t,
-                           {"left_n": "sum", "right_n": "sum"},
-                           key=key_cols[0], cut=filt)
+        batches = list(grouped_fold(
+            tagged, lambda t: t, {"left_n": "sum", "right_n": "sum"},
+            key=key_cols[0], cut=filt).iter_batches(
+                batch_size=65536, batch_format="pyarrow"))
+        out = pa.concat_tables(batches) if batches else None
     else:
-        from ray.data.aggregate import Sum
-        agg = tagged.groupby(key_cols).aggregate(
-            Sum("left_n", alias_name="left_n"),
-            Sum("right_n", alias_name="right_n"))
-        out = agg.map_batches(filt, batch_format="pyarrow")
-    batches = list(out.iter_batches(batch_size=65536,
-                                    batch_format="pyarrow"))
-    if not batches:
-        return _empty_orphans(key_cols, left_ds.schema())
-    return pa.concat_tables(batches)
+        from .uniqueness import bucketed_sums
+        out = bucketed_sums(tagged, key_cols, ["left_n", "right_n"], filt)
+    return out if out is not None else \
+        _empty_orphans(key_cols, left_ds.schema())
 
 
 def _empty_orphans(key_cols: list[str], schema) -> pa.Table:

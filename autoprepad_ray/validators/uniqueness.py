@@ -51,19 +51,14 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     """
     import ray
 
-    def census(b: pa.Table) -> tuple:
-        return (*np.unique(key_hash([b[c] for c in cols])[0],
-                           return_counts=True), 1)
-
-    def merge(parts: list[tuple]) -> tuple:
-        return (*merge_counts(parts), sum(p[2] for p in parts))
-
-    vals, cnts, n_blocks = fold(ds, census, merge)
+    vals, cnts = fold(ds, lambda b: np.unique(
+        key_hash([b[c] for c in cols])[0], return_counts=True),
+        merge_counts)
     cand = vals[cnts >= min_count]
     if cand.size == 0:
         return _empty_listing(ds, cols)
     if int(cnts[cnts >= min_count].sum()) > max_collect:
-        return _duplicate_keys_shuffle(ds, cols, min_count, n_blocks)
+        return _duplicate_keys_shuffle(ds, cols, min_count)
     cand_ref = ray.put(np.sort(cand.astype(np.uint64)))
 
     def members(batch: pa.Table) -> pa.Table:
@@ -83,39 +78,55 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     return g.filter(pc.greater_equal(g["n"], min_count))
 
 
-def _duplicate_keys_shuffle(ds, cols: list[str], min_count: int,
-                            n_buckets: int | None = None) -> pa.Table:
-    """Dup-heavy path: per-block Arrow group_by partials, ONE Ray
-    groupby over their key-hash bucket (never over the raw keys — a
-    sort cannot order a null against a string), then an exact Arrow
-    group_by per bucket, filtered to n >= min_count.
-
-    ``n_buckets`` is the block count (``duplicate_keys`` passes its
-    census's; counted here otherwise): Ray's sort shuffle cuts one
-    partition per input block, so each gets about one bucket."""
-    n_buckets = n_buckets or max(1, fold(ds, lambda b: 1, sum))
+def _duplicate_keys_shuffle(ds, cols: list[str],
+                            min_count: int) -> pa.Table:
+    """Dup-heavy path: per-block Arrow group_by partials summed by
+    :func:`bucketed_sums`, filtered to n >= min_count."""
 
     def partial(batch: pa.Table) -> pa.Table:
         g = _canonical(batch.select(cols)).group_by(cols).aggregate(
             [([], "count_all")])
+        return g.rename_columns(cols + ["n"])
+
+    out = bucketed_sums(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True), cols, ["n"],
+        lambda t: t.filter(pc.greater_equal(t["n"], min_count)))
+    return out if out is not None else _empty_listing(ds, cols)
+
+
+def bucketed_sums(partials, cols: list[str], sums: list[str],
+                  cut) -> pa.Table | None:
+    """Final stage of a partial+final grouped sum over key ``cols``: ONE
+    Ray groupby over each partial row's key-hash bucket (never over the
+    raw keys — a sort cannot order a null against a string), then an
+    exact Arrow group_by per bucket (all null keys form one group)
+    summing the ``sums`` columns, and ``cut(table) -> table`` on each
+    bucket's result.  Returns the cut rows, or None when none survive.
+
+    The bucket count is the partials' block count (they are
+    materialized first; the groupby's exchange is a barrier anyway):
+    Ray's sort shuffle cuts one partition per input block, so each gets
+    about one bucket."""
+    partials = partials.materialize()
+    n_buckets = max(1, partials.num_blocks())
+
+    def bucket(g: pa.Table) -> pa.Table:
         h, _ = key_hash([g[c] for c in cols])
-        return g.rename_columns(cols + ["n"]).append_column(
-            "__bucket", pa.array((h % np.uint64(n_buckets))
-                                 .astype(np.int32)))
+        return g.append_column("__bucket", pa.array(
+            (h % np.uint64(n_buckets)).astype(np.int32)))
 
     def final(g: pa.Table) -> pa.Table:
-        t = g.group_by(cols).aggregate([("n", "sum")])
-        t = t.rename_columns(cols + ["n"])
-        return t.filter(pc.greater_equal(t["n"], min_count))
+        t = g.group_by(cols).aggregate([(c, "sum") for c in sums])
+        return cut(pa.table({**{c: t[c] for c in cols},
+                             **{c: t[f"{c}_sum"] for c in sums}}))
 
-    out = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    out = (partials.map_batches(bucket, batch_format="pyarrow",
+                                zero_copy_batch=True)
            .groupby("__bucket").map_groups(final, batch_format="pyarrow"))
     batches = list(out.iter_batches(batch_size=65536,
                                     batch_format="pyarrow"))
-    if batches:
-        return pa.concat_tables(batches)
-    return _empty_listing(ds, cols)
+    return pa.concat_tables(batches) if batches else None
 
 
 def _canonical(t: pa.Table) -> pa.Table:

@@ -341,8 +341,53 @@ def test_results_independent_of_block_layout(fimg, monkeypatch):
 
     monkeypatch.setattr(iv, "read_table", ray_default)
     split = _layout_witnesses(iv.validate_images(*args))
-    # payload, metadata, caption census + orphans, id resolution
-    assert len(calls) == 5, calls
+    # payload, metadata, caption census + orphans
+    assert len(calls) == 4, calls
     assert rd.read_parquet(f"{d}/images").materialize().num_blocks() > 8
     for k in per_file:
         assert per_file[k] == split[k], k
+
+
+def test_validate_images_read_count(fimg, monkeypatch):
+    """With captions and decode on, validate_images reads the payload,
+    the metadata, the caption census and the caption-orphan listing —
+    pass-2 band cells carry ids, so no read resolves pair ids."""
+    from autoprepad_ray.pipelines import image_validation as iv
+
+    calls = []
+    real = iv.read_table
+
+    def counting(path, **kw):
+        calls.append((path, kw.get("columns")))
+        return real(path, **kw)
+
+    monkeypatch.setattr(iv, "read_table", counting)
+    d, exp = fimg
+    rep = iv.validate_images(f"{d}/images", f"{d}/captions.parquet")
+    assert rep.failed_partitions()["decode"] == [2]
+    assert len(rep.neardup_pairs) and len(exp.orphan_caption_ids)
+    assert len(calls) == 4, calls
+
+
+def test_hamming_arms_agree(fimg, monkeypatch):
+    """The pass-1 census picks ``prune`` on the fixture; with the
+    collision bound at zero it picks ``mih_shuffle``.  Both arms give the
+    same pairs and groups, and find every generated pair at 1 <= d <= 4."""
+    from autoprepad_ray.pipelines.image_validation import validate_images
+    from autoprepad_ray.validators import near_dup
+
+    d, exp = fimg
+    args = (f"{d}/images", f"{d}/captions.parquet")
+    prune = validate_images(*args, decode=False)
+    monkeypatch.setattr(near_dup, "SAT_MIN", 0)
+    monkeypatch.setattr(near_dup, "SAT_FRAC", 0.0)
+    mih = validate_images(*args, decode=False)
+    assert (prune.hamming_path, mih.hamming_path) == ("prune", "mih_shuffle")
+    assert prune.neardup_pairs.equals(mih.neardup_pairs)
+    assert prune.neardup_groups.equals(mih.neardup_groups)
+    pairs = {frozenset(p) for p in zip(mih.neardup_pairs["id_a"],
+                                       mih.neardup_pairs["id_b"])}
+    want = [(a, b) for a, b, dist in exp.hamming_pairs if 1 <= dist <= 4]
+    assert want
+    for a, b in want:
+        assert frozenset((a, b)) in pairs, (a, b)

@@ -82,6 +82,29 @@ def test_duplicate_keys_negative_zero_counts_with_zero_on_both_arms():
         assert got == [{"k": 0.0, "n": 2}], mc
 
 
+def test_orphans_shuffle_null_string_key_agrees_with_broadcast():
+    # the shuffle arm must not sort raw keys either; null is one group
+    # (the census rule), so it is an orphan only when one side lacks it
+    from autoprepad_ray.validators.referential import orphans
+
+    left = _blocks({"k": pa.array(["a", None])}, {"k": pa.array(["b"])})
+    right = _blocks({"k": pa.array(["a", None, "c"])},
+                    {"k": pa.array(["d"])})
+    want = [("b", 1, 0), ("c", 0, 1), ("d", 0, 1)]
+    for direction, keep in (("both", want), ("left", want[:1]),
+                            ("right", want[1:])):
+        for strategy in ("broadcast", "shuffle"):
+            got = orphans(left, right, "k", direction=direction,
+                          strategy=strategy).to_pylist()
+            assert sorted((r["k"], r["left_n"], r["right_n"])
+                          for r in got) == keep, (direction, strategy)
+    lone = _blocks({"k": pa.array([None, "a"])})
+    for strategy in ("broadcast", "shuffle"):
+        got = orphans(lone, _blocks({"k": pa.array(["a", "c"])}), "k",
+                      direction="left", strategy=strategy).to_pylist()
+        assert got == [{"k": None, "left_n": 1, "right_n": 0}], strategy
+
+
 def test_bucketed_inner_join_null_left_key_keeps_all_matches():
     left = _blocks({"k": pa.array(list(range(40)) + [None], pa.int64()),
                     "a": pa.array(range(41), pa.int64())})
