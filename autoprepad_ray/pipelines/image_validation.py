@@ -13,13 +13,17 @@ so each pass's per-block map fuses into its read task
 output, cut further only by Ray's dynamic splitting above
 ``target_max_block_size`` (128 MiB) —
 
-- PASS 1 (column-pruned metadata read): one ``map_batches`` computes
-  per block the profile partials (ref partitions), every drift
-  histogram, and the key censuses (image_id-hash, phash, phash-band) —
-  all mergeable, tree-merged, finalized on the driver into fences +
-  reference histograms + candidate sets (duplicate ids, duplicate
-  phashes, multi-member band buckets, orphan hashes).  Nothing
-  row-shaped leaves the pass; the candidate sets are tiny.
+- PASS 1 (column-pruned metadata read, ONE execution): a ``Dataset.union``
+  of the image-side partial and the caption-side id census.  Each image
+  block emits one ``agg`` row (profile partial over the reference
+  partitions, drift histograms, dense band census) and, like every
+  other packed stream, census cells (id hash, phash; caption id hash)
+  sliced by ``splitmix64(key) % band_slices``.  The ``agg`` rows fold
+  in flat tasks (``transport.fold_payloads``); the census cells reach
+  per-slice reduce tasks through ``transport.scatter_slices``, so each
+  census byte moves once and a key's counts from both tables meet in
+  one task.  Only candidate sets (duplicate ids, duplicate phashes,
+  orphan hashes) and the few-KB profile reach the driver.
 - PASS 2 (metadata read, candidates broadcast): row evidence flags,
   per-partition stat/null counts, and the row LISTINGS for exactly the
   candidate keys (duplicate-id rows, orphan rows, dup-phash members).
@@ -40,8 +44,9 @@ output, cut further only by Ray's dynamic splitting above
   decode a separate operator after the read (Ray fuses no batched map
   into a read), so payload batches stay small in worker heaps.
 
-Plus one tiny pass over the captions table (id-hash census) and, when
-caption-side orphans exist, one capped listing pass over captions.
+Plus, when caption-side orphans exist, one fold over the captions
+table listing them.  Per-partition PSI and verdict arithmetic is
+:func:`partition_verdicts`, shared with the runner.
 """
 
 from __future__ import annotations
@@ -59,14 +64,17 @@ import ray
 
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
-from ..profile import ColumnSketch, TableProfile, _col_kind
-from ..sketches import key_hash, np_object
-from ..stages.transport import fold_payloads, merge_counts
+from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
+from ..sketches import key_hash, np_object, splitmix64
+from ..stages.transport import (fold, fold_payloads, merge_concat,
+                                merge_counts, scatter_slices)
 from ..validators import near_dup, row_checks as rc
-from ..validators.drift import psi_from_counts
-from ..validators.near_dup import (_EMPTY_PAIRS, _band_cells,
-                                   _band_combos, _capped_per_key,
-                                   _id_pairs, _pair_ids, default_num_parts)
+from ..validators.drift import (histogram_partial, merge_histograms,
+                                psi_from_counts)
+from ..validators.near_dup import (BAND_SLOTS, N_BANDS, _EMPTY_PAIRS,
+                                   _band_cells, _band_combos,
+                                   _capped_per_key, _id_pairs, _pair_ids,
+                                   default_num_parts)
 
 EXPECTED_FIELDS = {
     "image_id": pa.string(), "bytes": pa.large_binary(),
@@ -79,6 +87,9 @@ META_COLS = ["image_id", "w", "h", "fmt", "caption", "phash",
 EDGES_WH = np.array([0, 48, 80, 112, 160, 8192], dtype=float)
 EDGES_CAP = np.arange(0.0, 220.0, 20.0)
 PROFILE_COLS = ["w", "h", "caption_len", "caption", "fmt"]
+# per-partition drift histograms (fixed edges) beside the fmt counts
+HIST_SPECS = {"w": EDGES_WH, "h": EDGES_WH, "caption_len": EDGES_CAP}
+PSI_COLS = ("w", "h", "caption_len", "fmt")
 
 
 def assert_schema_files(paths: list[str]) -> list[str]:
@@ -141,60 +152,23 @@ def _prep(batch: pa.Table) -> pa.Table:
 # PASS 1: profile + histograms + censuses
 
 
-def _hist_partial(batch: pa.Table, pid: np.ndarray, uniq, inv) -> dict:
-    out: dict = {}
-    for col, edges in (("w", EDGES_WH), ("h", EDGES_WH),
-                       ("caption_len", EDGES_CAP)):
-        nb = len(edges) - 1
-        v = batch[col].cast(pa.float64()).combine_chunks().to_numpy(
-            zero_copy_only=False)
-        keep = ~np.isnan(v)
-        idx = np.clip(np.searchsorted(edges, v[keep], side="right") - 1,
-                      0, nb - 1)
-        counts = np.zeros((len(uniq), nb), dtype=np.int64)
-        np.add.at(counts, (inv[keep], idx), 1)
-        out[col] = counts
-    fmt = np_object(batch["fmt"])
-    d: dict = {}
-    for k, u in enumerate(uniq):
-        vv, cc = np.unique(fmt[inv == k], return_counts=True)
-        d[int(u)] = dict(zip(vv.tolist(), cc.tolist()))
-    out["fmt"] = d
-    return out
+def _drift_partial(batch: pa.Table) -> tuple[dict, dict]:
+    """Per-partition drift histograms of a prepped block
+    (``drift.histogram_partial`` over ``HIST_SPECS`` and ``fmt``)."""
+    return histogram_partial(batch, HIST_SPECS, ["fmt"], "partition_id")
 
 
-N_SLICES = 8
-
-
-def _slice_of(vals_u64: np.ndarray) -> np.ndarray:
-    """Balanced census slice id from the top bits of a mixed key."""
-    with np.errstate(over="ignore"):
-        mixed = vals_u64.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return (mixed >> np.uint64(61)).astype(np.int8)
-
-
-def _census_rows(kind: str, side: int, vals: np.ndarray,
-                 cnts: np.ndarray) -> list[tuple[str, int, bytes]]:
-    """Split one (vals, cnts) census partial into range-sliced rows so
-    the merge+filter happens DISTRIBUTED, per (kind, slice) — the full
-    near-unique census never centralizes anywhere (the 10^12 path)."""
-    sl = _slice_of(vals.view(np.uint64) if vals.dtype != np.uint64
-                   else vals)
-    out = []
-    for s in range(N_SLICES):
-        m = sl == s
-        if m.any():
-            out.append((kind, s, pickle.dumps((side, vals[m], cnts[m]))))
-    return out
+def _merge_drift(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+    """Fold :func:`_drift_partial` outputs."""
+    return merge_histograms(parts, HIST_SPECS, ["fmt"])
 
 
 def _prof_partial(batch: pa.Table, ref_set) -> tuple:
     """Profile + histogram half of the pass-1 partial over a prepped
-    block: (sketches over the ``ref_set`` rows, {col: {pid: counts}}
-    histograms, {pid: rows}) — folded by :func:`_merge_prof`."""
-    pid = batch["partition_id"].to_numpy(zero_copy_only=False)
-    uniq, inv = np.unique(pid, return_inverse=True)
-    ref_mask = np.isin(pid, list(ref_set))
+    block: ((reference rows, sketches over the ``ref_set`` rows),
+    per-partition drift histograms) — folded by :func:`_merge_prof`."""
+    ref_mask = np.isin(batch["partition_id"].to_numpy(zero_copy_only=False),
+                       list(ref_set))
     sketches: dict[str, ColumnSketch] = {}
     if ref_mask.any():
         ref_tbl = batch.filter(pa.array(ref_mask))
@@ -208,14 +182,15 @@ def _prof_partial(batch: pa.Table, ref_set) -> tuple:
                 cs.values.max_items = 65_536
             cs.update_array(ref_tbl[col])
             sketches[col] = cs
-    raw = _hist_partial(batch, pid, uniq, inv)
-    # canonical (merge-stable) form: {col: {pid: counts}}
-    hists = {col: {int(u): raw[col][k] for k, u in enumerate(uniq)}
-             for col in ("w", "h", "caption_len")}
-    hists["fmt"] = raw["fmt"]
-    nrows = {int(u): int(c) for u, c in
-             zip(uniq, np.bincount(inv, minlength=len(uniq)))}
-    return sketches, hists, nrows
+    return (int(ref_mask.sum()), sketches), _drift_partial(batch)
+
+
+def _merge_prof(parts: list[tuple]) -> tuple:
+    """Fold :func:`_prof_partial` outputs (associative): sketch bundles
+    through ``profile._merge_bundles``, histograms through
+    ``drift.merge_histograms``."""
+    return (_merge_bundles([p[0] for p in parts]),
+            _merge_drift([p[1] for p in parts]))
 
 
 def _key_census(batch: pa.Table) -> dict:
@@ -230,119 +205,74 @@ def _key_census(batch: pa.Table) -> dict:
     return out
 
 
+def _census_cells(census: dict, num_slices: int) -> pa.Table:
+    """A block's censuses ({kind: (values, counts)}) as ``census`` rows,
+    one payload per key slice ``splitmix64(key) % num_slices`` holding
+    that slice's {kind: (values, counts)}: a key's counts from every
+    block and both tables meet in one slice task."""
+    by_slice: dict[int, dict] = {}
+    for kind, (vals, cnts) in census.items():
+        sl = splitmix64(vals) % np.uint64(num_slices)
+        for s in np.unique(sl):
+            m = sl == s
+            by_slice.setdefault(int(s), {})[kind] = (vals[m], cnts[m])
+    return pa.table({
+        "kind": pa.array(["census"] * len(by_slice), type=pa.string()),
+        "slice": pa.array(list(by_slice), type=pa.int32()),
+        "payload": pa.array([pickle.dumps(c) for c in by_slice.values()],
+                            type=pa.large_binary())})
+
+
 def _make_p1_partial(ref_set: list[int]):
-    def p1(batch: pa.Table) -> pa.Table:
+    def p1(batch: pa.Table, num_slices: int) -> pa.Table:
         batch = _prep(batch)
-        rows: list[tuple[str, int, bytes]] = [
-            ("prof", -1, pickle.dumps(_prof_partial(batch, ref_set)))]
         census = _key_census(batch)
-        rows += _census_rows("idcap", 0, *census["id"])
         phv, phc = census["ph"]
-        rows += _census_rows("ph", 0, phv.astype(np.int64), phc)
+        census["ph"] = (phv.astype(np.int64), phc)
         # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
         # bincount per batch + vector-add merge beats sparse unique-merge
         dense = np.bincount(
             _band_combos(batch["phash"].to_numpy(zero_copy_only=False))
-            .ravel(), minlength=4 * 65536).astype(np.int32)
-        rows.append(("bandd", 0, pickle.dumps(dense)))
-        return pa.table({
-            "kind": pa.array([r[0] for r in rows]),
-            "slice": pa.array([r[1] for r in rows], type=pa.int8()),
-            "payload": pa.array([r[2] for r in rows],
-                                type=pa.large_binary())})
+            .ravel(), minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
+        agg = pa.table({
+            "kind": pa.array(["agg"]),
+            "slice": pa.array([-1], type=pa.int32()),
+            "payload": pa.array(
+                [pickle.dumps((_prof_partial(batch, ref_set), dense))],
+                type=pa.large_binary())})
+        return pa.concat_tables([agg, _census_cells(census, num_slices)])
 
     return p1
 
 
-def _merge_prof(payloads: list) -> tuple:
-    """Merge the small per-block profile partials (sketches + hists +
-    row counts) — KBs per block, driver-side fold is fine."""
-    sketches: dict[str, ColumnSketch] = {}
-    hists: dict = {"w": {}, "h": {}, "caption_len": {}, "fmt": {}}
-    nrows: dict = {}
-    for p in payloads:
-        sk, hi, nr = p
-        for col, cs in sk.items():
-            if col in sketches:
-                sketches[col].merge(cs)
-            else:
-                sketches[col] = cs
-        for col in ("w", "h", "caption_len"):
-            for u, counts in hi[col].items():
-                if u in hists[col]:
-                    hists[col][u] = hists[col][u] + counts
-                else:
-                    hists[col][u] = counts.copy()
-        for u, vc in hi["fmt"].items():
-            tgt = hists["fmt"].setdefault(u, {})
-            for v, n in vc.items():
-                tgt[v] = tgt.get(v, 0) + n
-        for u, n in nr.items():
-            nrows[u] = nrows.get(u, 0) + n
-    return sketches, hists, nrows
+def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
+    """Caption-side id census cells (kind ``cap``), unioned into pass 1."""
+    return _census_cells({"cap": _key_census(batch)["id"]}, num_slices)
 
 
-def _reduce_kind(kind: str, payloads: list, has_captions: bool) -> bytes:
-    """Merge one (kind, slice) group's partials + candidate filter: only
-    duplicates / orphans / hot buckets leave the reducer."""
-    if kind == "prof":
-        return pickle.dumps(_merge_prof([pickle.loads(p)
-                                         for p in payloads]))
-    sides: dict[int, list] = {0: [], 1: []}
-    for p in payloads:
-        data = pickle.loads(p)
-        if kind == "bandd":
-            sides[0].append((data, None))
-        else:
-            side, vals, cnts = data
-            sides[side].append((vals, cnts))
-    if kind == "idcap":
-        iv, ic = (merge_counts(sides[0]) if sides[0]
-                  else (np.empty(0, np.uint64), np.empty(0, np.int64)))
-        dup = iv[ic >= 2]
-        if has_captions:
-            cv, _ = (merge_counts(sides[1]) if sides[1]
-                     else (np.empty(0, np.uint64),
-                           np.empty(0, np.int64)))
-            orph_img = np.setdiff1d(iv.astype(np.uint64),
-                                    cv.astype(np.uint64),
-                                    assume_unique=True)
-            orph_cap = np.setdiff1d(cv.astype(np.uint64),
-                                    iv.astype(np.uint64),
-                                    assume_unique=True)
-        else:
-            orph_img = orph_cap = np.empty(0, np.uint64)
-        return pickle.dumps((dup, orph_img, orph_cap))
-    if kind == "ph":
-        pv, pc_ = merge_counts(sides[0])
-        m = pc_ >= 2
-        return pickle.dumps((pv[m], pc_[m]))
-    # bandd (dense)
-    total = np.zeros(4 * 65536, dtype=np.int64)
-    for vals, _ in sides[0]:
-        total += vals
-    hot = np.nonzero(total >= 2)[0].astype(np.int64)
-    return pickle.dumps((hot, total[hot], int(total.sum())))
+def _merge_p1(parts: list[tuple]) -> tuple:
+    """Fold pass-1 ``agg`` payloads (profile partial, dense band census)."""
+    return (_merge_prof([p[0] for p in parts]),
+            sum((p[1] for p in parts),
+                np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
 
 
 @ray.remote
-def _reduce_slice_task(slice_id: int, has_captions: bool,
-                       *blocks) -> list[tuple[str, bytes]]:
-    """Flat reduce task for one census slice: pulls its rows out of the
-    (plasma-shared, zero-copy) partial blocks and merges per kind.  The
-    keyspace is tiny (kinds x N_SLICES), so flat tasks over block refs
-    replace a sort-based groupby exchange — same distributed semantics
-    (merges happen in tasks, only candidates reach the driver), none of
-    the union+sort overhead."""
-    by_kind: dict[str, list] = {}
-    for b in blocks:
-        mask = pc.equal(b["slice"], pa.scalar(slice_id, type=pa.int8()))
-        t = b.filter(mask)
-        for kind, payload in zip(t["kind"].to_pylist(),
-                                 t["payload"].to_pylist()):
-            by_kind.setdefault(kind, []).append(payload)
-    return [(k, _reduce_kind(k, ps, has_captions))
-            for k, ps in by_kind.items()]
+def _census_slice_task(has_captions: bool, *cell_lists) -> tuple:
+    """Merge one slice's census cells and keep only the candidates:
+    (duplicate id hashes, image-side orphan hashes, caption-side orphan
+    hashes, duplicate phashes, their counts)."""
+    parts = [pickle.loads(p) for cells in cell_lists for p in cells]
+    (iv, ic), (cv, _), (pv, pn) = (
+        merge_counts([p[k] for p in parts if k in p])
+        for k in ("id", "cap", "ph"))
+    iv, cv = iv.astype(np.uint64), cv.astype(np.uint64)
+    if has_captions:
+        orph_img = np.setdiff1d(iv, cv, assume_unique=True)
+        orph_cap = np.setdiff1d(cv, iv, assume_unique=True)
+    else:
+        orph_img = orph_cap = np.empty(0, np.uint64)
+    return iv[ic >= 2], orph_img, orph_cap, pv[pn >= 2], pn[pn >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +408,57 @@ def _sum_counts(parts: list[dict]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# per-partition verdicts (validate_images and the runner)
+
+
+def _reference_hists(hists: tuple[dict, dict], ref_set) -> tuple[dict, dict]:
+    """The reference sums: folded drift histograms and fmt counts summed
+    over the ``ref_set`` partitions."""
+    num, cat = hists
+    fmt: dict = {}
+    for p in ref_set:
+        for k, v in cat["fmt"].get(p, {}).items():
+            fmt[k] = fmt.get(k, 0) + v
+    return {c: sum((num[c][p] for p in ref_set if p in num[c]),
+                   np.zeros(len(e) - 1, dtype=np.int64))
+            for c, e in HIST_SPECS.items()}, fmt
+
+
+def partition_verdicts(pids, counts: dict, hists: tuple[dict, dict],
+                       ref: tuple[dict, dict], ref_set, *,
+                       stat_budget: float, null_budget: float,
+                       psi_budget: float) -> list[dict]:
+    """Per-partition PSI and stat/null/drift verdict rows from folded
+    pass counts ({pid: (rows, stat_viol, null_viol)}), folded drift
+    histograms and the reference sums (:func:`_reference_hists`).  A
+    partition without rows counts zeros.  ``psi_fmt`` spans the
+    categories of the reference plus that partition, so a category
+    seen only in other partitions never moves it."""
+    num, cat = hists
+    ref_num, ref_fmt = ref
+    rows = []
+    for pid in pids:
+        n, sv, nv = counts.get(pid, (0, 0, 0))
+        row = {"partition_id": pid, "n_rows": n,
+               "stat_viol": sv, "null_viol": nv,
+               "stat_fail": int(n > 0 and sv / n > stat_budget),
+               "null_fail": int(n > 0 and nv / n > null_budget)}
+        fmt = cat["fmt"].get(pid, {})
+        cats = sorted(set(ref_fmt) | set(fmt))
+        pairs = {c: (ref_num[c], num[c].get(
+            pid, np.zeros(len(e) - 1, dtype=np.int64)))
+            for c, e in HIST_SPECS.items()}
+        pairs["fmt"] = ([ref_fmt.get(c, 0) for c in cats],
+                        [fmt.get(c, 0) for c in cats])
+        for c, (ref_counts, cur_counts) in pairs.items():
+            row[f"psi_{c}"] = psi_from_counts(ref_counts, cur_counts)
+        row["drift_fail"] = int(pid not in ref_set and max(
+            row[f"psi_{c}"] for c in PSI_COLS) > psi_budget)
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -506,23 +487,6 @@ class ImageValidationReport:
                 self.verdicts.loc[self.verdicts[check] == 1,
                                   "partition_id"].astype(int).tolist())
         return out
-
-
-def _caption_census_rows(captions_path: str):
-    """Caption-side id-hash census as sliced rows (side=1), unioned into
-    the same distributed (kind, slice) reduce as the image side."""
-    caps = read_table(captions_path, columns=["image_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        rows = _census_rows("idcap", 1, *_key_census(t)["id"])
-        return pa.table({
-            "kind": pa.array([r[0] for r in rows]),
-            "slice": pa.array([r[1] for r in rows], type=pa.int8()),
-            "payload": pa.array([r[2] for r in rows],
-                                type=pa.large_binary())})
-
-    return caps.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
 
 
 def _decode_failures(files: list[str]) -> pd.DataFrame:
@@ -596,130 +560,57 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         meta = read_table(files, columns=META_COLS)
 
         # ---- PASS 1 ----
-        # ONE image-side execution of per-block partials (profile + sliced
-        # censuses), the tiny caption-census execution overlapped under it,
-        # then FLAT per-slice reduce tasks over the partial block refs —
-        # everything merges DISTRIBUTED per (kind, slice); only candidates
-        # (dups / orphans / hot buckets) and the merged few-KB profile ever
-        # reach the driver (the 10^12 path).  A Dataset.union + sort-groupby
-        # expressed the same reduce but paid ~2-3 s of exchange overhead
-        # for a keyspace of a few dozen groups.
+        # ONE execution: the image-side partial (profile + histograms +
+        # dense band census in an ``agg`` row, id/phash census cells) in
+        # a union with the caption-side id census cells.  The agg rows
+        # fold in flat tasks; the census cells, sliced by key hash,
+        # scatter to per-slice tasks that merge both tables' counts for
+        # their keys — only candidates (dups / orphans) and the merged
+        # few-KB profile reach the driver (the 10^12 path).
         # large pass-1 batches: censuses dedupe within a batch, so fewer,
         # bigger partials mean less census volume through the reduce
+        band_slices = default_num_parts()
         p1 = meta.map_batches(_make_p1_partial(list(ref_partitions)),
+                              fn_kwargs={"num_slices": band_slices},
                               batch_format="pyarrow", zero_copy_batch=True,
                               batch_size=100_000)
         has_captions = captions_path is not None
         if has_captions:
-            caps_rows = _caption_census_rows(captions_path)
-            with _cf.ThreadPoolExecutor(2) as pool:
-                f1 = pool.submit(p1.materialize)
-                f2 = pool.submit(caps_rows.materialize)
-                refs = f1.result().to_arrow_refs() \
-                    + f2.result().to_arrow_refs()
-        else:
-            refs = p1.materialize().to_arrow_refs()
-        futures = [_reduce_slice_task.remote(s, has_captions, *refs)
-                   for s in range(-1, N_SLICES)]
-        reduced = [{"kind": k, "payload": p}
-                   for out in ray.get(futures) for k, p in out]
-        prof_payload = None
-        dup_parts_, oimg_parts, ocap_parts = [], [], []
-        ph_parts_: list = []
-        band_parts_: list = []
-        band_total = 0
-        for r in reduced:
-            data = pickle.loads(r["payload"])
-            if r["kind"] == "prof":
-                prof_payload = data
-            elif r["kind"] == "idcap":
-                dup_parts_.append(data[0])
-                oimg_parts.append(data[1])
-                ocap_parts.append(data[2])
-            elif r["kind"] == "ph":
-                ph_parts_.append(data)
-            else:  # bandd
-                band_parts_.append((data[0], data[1]))
-                band_total += data[2]
-
-        def _cat(parts, dtype):
-            return (np.sort(np.concatenate(parts)) if parts
-                    else np.empty(0, dtype))
-
-        dup_id_hashes = _cat(dup_parts_, np.uint64).astype(np.uint64)
-        orphan_img_hashes = _cat(oimg_parts, np.uint64).astype(np.uint64)
-        orphan_cap_hashes = _cat(ocap_parts, np.uint64).astype(np.uint64)
-        ph_vals = (np.concatenate([p[0] for p in ph_parts_])
-                   if ph_parts_ else np.empty(0, np.int64))
-        ph_cnts = (np.concatenate([p[1] for p in ph_parts_])
-                   if ph_parts_ else np.empty(0, np.int64))
-        hot_band_vals = (np.concatenate([p[0] for p in band_parts_])
-                         if band_parts_ else np.empty(0, np.int64))
-        hot_band_cnts = (np.concatenate([p[1] for p in band_parts_])
-                         if band_parts_ else np.empty(0, np.int64))
-
-        sketches, hists, nrows = prof_payload
+            p1 = p1.union(read_table(captions_path, columns=["image_id"])
+                          .map_batches(_caption_cells,
+                                       fn_kwargs={"num_slices": band_slices},
+                                       batch_format="pyarrow",
+                                       zero_copy_batch=True))
+        p1_out = p1.materialize()
+        # the census tasks run while the agg rows fold
+        per_slice = scatter_slices(p1_out, band_slices, kind="census")
+        census_futs = [_census_slice_task.remote(has_captions, *per_slice[s])
+                       for s in range(band_slices)]
+        ((n_ref, sketches), hists), band_census = fold_payloads(
+            p1_out, _merge_p1, kind="agg")
+        (dup_id_hashes, orphan_img_hashes, orphan_cap_hashes, ph_vals,
+         ph_cnts) = merge_concat(ray.get(census_futs))
         timings["pass1_profile_census"] = round(_time.perf_counter() - _t0, 3)
         _t0 = _time.perf_counter()
-        prof = TableProfile(columns=sketches,
-                            n_rows=sum(nrows[p] for p in ref_partitions
-                                       if p in nrows))
+        prof = TableProfile(columns=sketches, n_rows=n_ref)
         states = rc.fence_states(prof, ["w", "h"])
 
-        # drift vs reference histograms
-        ref_set = set(ref_partitions)
-        psi_rows = []
-        ref_hists = {col: np.sum([hists[col][p] for p in ref_set
-                                  if p in hists[col]], axis=0)
-                     for col in ("w", "h", "caption_len")}
-        fmt_cats = sorted({c for d in hists["fmt"].values() for c in d})
-        fmt_ref = np.array([sum(hists["fmt"][p].get(c, 0)
-                                for p in ref_set if p in hists["fmt"])
-                            for c in fmt_cats], dtype=float)
-        for pid in sorted(nrows):
-            row = {"partition_id": pid}
-            for col in ("w", "h", "caption_len"):
-                row[f"psi_{col}"] = psi_from_counts(ref_hists[col],
-                                                    hists[col][pid])
-            row["psi_fmt"] = psi_from_counts(
-                fmt_ref,
-                [hists["fmt"].get(pid, {}).get(c, 0) for c in fmt_cats])
-            row["drift_fail"] = int(
-                pid not in ref_set and max(
-                    row["psi_w"], row["psi_h"], row["psi_caption_len"],
-                    row["psi_fmt"]) > psi_budget)
-            psi_rows.append(row)
-        drift_df = pd.DataFrame(psi_rows)
-
-        # candidate sets (already filtered distributed; reducers emitted
-        # ONLY dup phashes and hot band buckets)
-        dup_phashes = (np.sort(ph_vals.astype(np.int64)) if neardup
+        # the banded-Hamming arm, bounds read at call time
+        hamming_path, hot_bands = (
+            near_dup.hamming_arm(band_census, near_dup.SAT_MIN,
+                                 near_dup.SAT_FRAC)
+            if neardup else ("none", np.empty(0, np.int64)))
+        dup_phashes = (np.sort(ph_vals) if neardup
                        else np.empty(0, np.int64))
-        hot_bands = (np.sort(hot_band_vals.astype(np.int64)) if neardup
-                     else np.empty(0, np.int64))
-        # path choice for the banded-Hamming stage: when collisions are rare
-        # the hot-bucket broadcast prunes the band stream to almost nothing;
-        # when collision rows pass the bound (n >> 2^16 per band) the filter
-        # would keep ~everything, so ship the whole deduped band stream
-        # through the hash-partitioned pairing exchange instead (the
-        # multi-index-hashing scale path — pairing happens IN the groups,
-        # never on the driver, so saturation no longer disables the stage)
-        hamming_path = "none"
-        if neardup and hot_bands.size:
-            collision_rows = int(hot_band_cnts.sum())
-            hamming_path = ("mih_shuffle" if collision_rows > max(
-                near_dup.SAT_MIN, int(near_dup.SAT_FRAC * band_total))
-                else "prune")
         ph_count_map = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
 
         # ---- PASS 2 ----
-        band_slices = default_num_parts()
         blob_ref = ray.put((states, dup_id_hashes, dup_phashes,
                             orphan_img_hashes, mad_threshold,
-                            viol_cap_per_block,
-                            hamming_path if neardup else "none",
+                            viol_cap_per_block, hamming_path,
                             hot_bands if hamming_path == "prune" else None,
                             band_slices))
+
         def p2_fn(batch: pa.Table, _cache={}) -> pa.Table:
             if "p" not in _cache:
                 _cache["p"] = _P2Partial(blob_ref)
@@ -762,17 +653,16 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             rows = [{"image_id": i, "left_n": int(c), "right_n": 0}
                     for i, c in zip(iv.tolist(), ic.tolist())]
             if orphan_cap_hashes.size:
-                caps = read_table(captions_path, columns=["image_id"])
                 oc_ref = ray.put(orphan_cap_hashes)
 
-                def cap_orphans(t: pa.Table) -> pa.Table:
+                def cap_orphans(t: pa.Table) -> tuple:
                     h, _ = key_hash([t["image_id"]])
-                    return t.filter(pa.array(np.isin(h, ray.get(oc_ref))))
+                    return np.unique(np_object(t["image_id"].filter(
+                        pa.array(np.isin(h, ray.get(oc_ref))))),
+                        return_counts=True)
 
-                cap_rows = caps.map_batches(cap_orphans,
-                                            batch_format="pyarrow").take_all()
-                cv, cc = np.unique([r["image_id"] for r in cap_rows],
-                                   return_counts=True)
+                cv, cc = fold(read_table(captions_path, columns=["image_id"]),
+                              cap_orphans, merge_counts)
                 rows += [{"image_id": i, "left_n": 0, "right_n": int(c)}
                          for i, c in zip(cv.tolist(), cc.tolist())]
             orphan_df = pd.DataFrame(rows, columns=["image_id", "left_n",
@@ -832,17 +722,14 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
     timings["decode_join_wait"] = round(_time.perf_counter() - _t0, 3)
 
     # ---- verdict composition (OR-merge) ----
-    vr = []
-    for pid in sorted(counts):
-        n, sv, nv = counts[pid]
-        vr.append({
-            "partition_id": pid, "n_rows": n,
-            "stat_viol": sv, "null_viol": nv,
-            "stat_fail": int(n > 0 and sv / n > stat_budget),
-            "null_fail": int(n > 0 and nv / n > null_budget),
-        })
-    verdicts = pd.DataFrame(vr).merge(
-        drift_df[["partition_id", "drift_fail"]], on="partition_id")
+    vr = pd.DataFrame(partition_verdicts(
+        sorted(counts), counts, hists, _reference_hists(hists, ref_partitions),
+        ref_partitions, stat_budget=stat_budget, null_budget=null_budget,
+        psi_budget=psi_budget))
+    drift_df = vr[["partition_id", *(f"psi_{c}" for c in PSI_COLS),
+                     "drift_fail"]]
+    verdicts = vr[["partition_id", "n_rows", "stat_viol", "null_viol",
+                     "stat_fail", "null_fail", "drift_fail"]].copy()
     verdicts["uniq_fail"] = verdicts["partition_id"].astype(int).map(
         lambda p: int(p in uniq_fail))
     verdicts["decode_fail"] = verdicts["partition_id"].astype(int).map(

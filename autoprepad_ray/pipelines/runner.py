@@ -17,7 +17,8 @@ Layout under ``out_dir``::
 Execution shape:
 - reference side: ONE pruned execution over the reference partitions
   runs the profile+histogram half of the pass-1 partial and folds it
-  with ``_merge_prof`` — the same profile ``validate_images`` fits.
+  with ``_merge_prof`` — the same profile and reference sums
+  ``validate_images`` fits.
   Profile and reference histograms cache beside each other, keyed by
   an input fingerprint (paths + sizes of the reference files), so a
   resume NEVER mixes profiles from different inputs (SURVEY §7.6) and
@@ -25,7 +26,10 @@ Execution shape:
 - per pending partition: ONE metadata execution (pass-2 evidence head
   + histogram partial + key census), whose ``agg`` rows fold off the
   materialized blocks in flat tasks (``transport.fold_payloads``),
-  plus the payload read for decode.
+  plus the payload read for decode.  The partition's PSI and
+  stat/null/drift verdict come from ``image_validation.partition_verdicts``,
+  the path ``validate_images`` uses; rows whose ``partition_id`` names
+  another partition are an error.
   Its outputs — verdict, violation rows (stat OR null, uncapped) and
   the distinct-key census — are written into a tmp dir and renamed
   into place, then the manifest is rewritten.  Up to 4 partitions run
@@ -59,15 +63,16 @@ import pyarrow.parquet as pq
 from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
-from ..validators import drift, row_checks as rc
+from ..validators import row_checks as rc
 from ..stages.transport import fold, fold_payloads, merge_counts
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
-from .image_validation import (EDGES_CAP, EDGES_WH, META_COLS,
-                               _decode_failures, _evidence, _key_census,
-                               _merge_prof, _prep, _prof_partial,
+from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
+                               _drift_partial, _evidence, _key_census,
+                               _merge_drift, _merge_prof, _prep,
+                               _prof_partial, _reference_hists,
                                _sum_counts, _unpack_viol,
-                               assert_schema_files)
+                               assert_schema_files, partition_verdicts)
 
 def _merge_census(parts: list[dict]) -> dict:
     """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
@@ -76,10 +81,10 @@ def _merge_census(parts: list[dict]) -> dict:
 
 
 def _merge_partition_agg(parts: list[tuple]) -> tuple:
-    """Fold a partition pass's ``agg`` payloads (counts, histogram
-    partial, key census, listing schema) — associative."""
+    """Fold a partition pass's ``agg`` payloads (counts, drift
+    histograms, key census, listing schema) — associative."""
     return (_sum_counts([p[0] for p in parts]),
-            _merge_prof([p[1] for p in parts]),
+            _merge_drift([p[1] for p in parts]),
             _merge_census([p[2] for p in parts]),
             next((p[3] for p in parts), None))
 
@@ -126,20 +131,6 @@ def _cached_table(path: str, build) -> tuple[pa.Table, bool]:
     return tbl, False
 
 
-def _sum_hists(hists: dict, pids) -> tuple[dict, dict]:
-    """Histograms and fmt counts of ``_merge_prof`` output summed over
-    ``pids``."""
-    num = {c: sum((hists[c][p] for p in pids if p in hists[c]),
-                  np.zeros(len(e) - 1, dtype=np.int64))
-           for c, e in (("w", EDGES_WH), ("h", EDGES_WH),
-                        ("caption_len", EDGES_CAP))}
-    fmt: dict = {}
-    for p in pids:
-        for k, v in hists["fmt"].get(p, {}).items():
-            fmt[k] = fmt.get(k, 0) + v
-    return num, fmt
-
-
 def discover_partitions(images_dir: str) -> dict[int, list[str]]:
     out: dict[int, list[str]] = {}
     for d in sorted(glob.glob(os.path.join(images_dir, "partition=*"))):
@@ -165,13 +156,12 @@ def _reference(out_dir: str, ref_files: list[str], ref_partitions):
             except ProfileFormatError:
                 pass        # an older engine's format: re-profile below
     ref_set = list(ref_partitions)
-    sketches, hists, nrows = fold(
+    (n_ref, sketches), hists = fold(
         read_table(ref_files,
                    columns=["w", "h", "fmt", "caption", "partition_id"]),
         lambda t: _prof_partial(_prep(t), ref_set), _merge_prof)
-    prof = TableProfile(columns=sketches, fingerprint=fp,
-                        n_rows=sum(nrows.get(p, 0) for p in ref_set))
-    ref_hists, ref_fmt = _sum_hists(hists, ref_set)
+    prof = TableProfile(columns=sketches, fingerprint=fp, n_rows=n_ref)
+    ref_hists, ref_fmt = _reference_hists(hists, ref_set)
     _atomic_write_json(ppath, json.loads(prof.to_json()))
     _atomic_write_json(hpath, {
         "hists": {k: v.tolist() for k, v in ref_hists.items()},
@@ -210,7 +200,7 @@ def run_validation(images_dir: str, out_dir: str, *,
         return pa.table({
             "kind": pa.array(["agg", "viol"]),
             "payload": pa.array(
-                [pickle.dumps((counts, _prof_partial(checked, ()),
+                [pickle.dumps((counts, _drift_partial(checked),
                                _key_census(checked), listing.schema)),
                  pickle.dumps(listing)], type=pa.large_binary())})
 
@@ -219,24 +209,23 @@ def run_validation(images_dir: str, out_dir: str, *,
         out = read_table(parts[pid], columns=META_COLS).map_batches(
             meta_partial, batch_format="pyarrow",
             zero_copy_batch=True).materialize()
-        counts, (_, hists, nrows), census, viol_schema = fold_payloads(
+        counts, hists, census, viol_schema = fold_payloads(
             out, _merge_partition_agg, kind="agg")
-        n_rows, stat_viol, null_viol = (
-            sum(c[i] for c in counts.values()) for i in range(3))
-        cur_hists, cur_fmt = _sum_hists(hists, nrows)
-        psi = {c: drift.psi_from_counts(ref_hists[c], v)
-               for c, v in cur_hists.items()}
-        cats = sorted(set(ref_fmt) | set(cur_fmt))
-        psi["fmt"] = drift.psi_from_counts(
-            [ref_fmt.get(c, 0) for c in cats],
-            [cur_fmt.get(c, 0) for c in cats])
+        if set(counts) - {pid}:
+            raise ValueError(
+                f"partition={pid} holds rows of partition_id "
+                f"{sorted(set(counts) - {pid})}")
+        row, = partition_verdicts(
+            [pid], counts, hists, (ref_hists, ref_fmt), ref_partitions,
+            stat_budget=stat_budget, null_budget=null_budget,
+            psi_budget=psi_budget)
 
         # an empty failure listing comes back without columns
         decode_ids = (list(_decode_failures(parts[pid]).get("image_id", []))
                       if decode else [])
         viol_dir = os.path.join(tmp, "violations")
         os.makedirs(viol_dir)                 # kept even when empty
-        if stat_viol or null_viol:
+        if row["stat_viol"] or row["null_viol"]:
             # distributed write: violation blocks never concat on the
             # driver
             out.map_batches(_unpack_viol, fn_kwargs={"schema": viol_schema},
@@ -245,15 +234,10 @@ def run_validation(images_dir: str, out_dir: str, *,
         pq.write_table(_census_table(census),
                        os.path.join(tmp, "keycensus.parquet"))
         verdict = {
-            "partition_id": pid,
-            "n_rows": n_rows,
-            "stat_viol": stat_viol,
-            "stat_fail": int(n_rows > 0 and stat_viol / n_rows > stat_budget),
-            "null_viol": null_viol,
-            "null_fail": int(n_rows > 0 and null_viol / n_rows > null_budget),
-            "psi": {k: round(v, 6) for k, v in psi.items()},
-            "drift_fail": int(pid not in ref_partitions
-                              and max(psi.values()) > psi_budget),
+            **{k: row[k] for k in ("partition_id", "n_rows", "stat_viol",
+                                   "stat_fail", "null_viol", "null_fail")},
+            "psi": {c: round(row[f"psi_{c}"], 6) for c in PSI_COLS},
+            "drift_fail": row["drift_fail"],
             "decode_viol": len(decode_ids),
             "decode_fail": int(len(decode_ids) > 0),
             "decode_sample": decode_ids[:100],

@@ -9,7 +9,11 @@ caption-length distributions.
 PSI uses +0.5 Laplace smoothing per bin (so empty bins are defined);
 the same formula is mirrored in the DuckDB oracle SQL, keeping the
 correctness gate exact.  Histogram counts are per-block partials
-summed by ``stages.transport.fold`` — no shuffle.
+summed by ``stages.transport.fold`` — no shuffle.  The per-partition
+partial and merge (:func:`histogram_partial`, :func:`merge_histograms`)
+are the ones the image pipeline folds in its passes; its per-partition
+PSI verdicts (``validate_images`` and the runner alike) come from
+``pipelines.image_validation.partition_verdicts``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sketches import ValueCounts
+from ..sketches import ValueCounts, np_object
 from ..stages.transport import fold
 
 
@@ -67,59 +71,73 @@ def categorical_counts(ds, col: str) -> dict:
     return {r[col]: int(r["n"]) for r in rows}
 
 
+def histogram_partial(batch: pa.Table, num_specs: dict[str, np.ndarray],
+                      cat_cols: list[str], partition_col: str
+                      ) -> tuple[dict, dict]:
+    """One block's per-partition drift inputs: fixed-edge histograms for
+    every numeric spec (NaN and null skipped, values outside the edge
+    range clamped into the first/last bin) plus category counts for
+    every categorical column.  Merged by :func:`merge_histograms`.
+
+    Returns (num: {col: {pid: counts}}, cat: {col: {pid: {val: n}}})."""
+    pid = batch[partition_col].to_numpy(zero_copy_only=False)
+    uniq, inv = np.unique(pid, return_inverse=True)
+    num: dict = {}
+    for col, edges in num_specs.items():
+        edges = np.asarray(edges, dtype=float)
+        nb = len(edges) - 1
+        v = batch[col].cast(pa.float64()).combine_chunks().to_numpy(
+            zero_copy_only=False)
+        keep = ~np.isnan(v)
+        idx = np.clip(np.searchsorted(edges, v[keep], side="right") - 1,
+                      0, nb - 1)
+        counts = np.zeros((len(uniq), nb), dtype=np.int64)
+        np.add.at(counts, (inv[keep], idx), 1)
+        num[col] = {int(u): counts[k] for k, u in enumerate(uniq)}
+    cat: dict = {}
+    for col in cat_cols:
+        vals = np_object(batch[col])
+        d: dict = {}
+        for k, u in enumerate(uniq):
+            vv, cc = np.unique(vals[inv == k], return_counts=True)
+            d[int(u)] = dict(zip(vv.tolist(), cc.tolist()))
+        cat[col] = d
+    return num, cat
+
+
+def merge_histograms(parts: list[tuple[dict, dict]], num_cols=(),
+                     cat_cols=()) -> tuple[dict, dict]:
+    """Fold :func:`histogram_partial` outputs (associative; every
+    ``num_cols`` / ``cat_cols`` key is present even for ``[]``)."""
+    num: dict = {c: {} for c in num_cols}
+    cat: dict = {c: {} for c in cat_cols}
+    for num_out, cat_out in parts:
+        for col, d in num_out.items():
+            tgt = num.setdefault(col, {})
+            for u, counts in d.items():
+                tgt[u] = tgt[u] + counts if u in tgt else counts
+        for col, d in cat_out.items():
+            by_pid = cat.setdefault(col, {})
+            for u, vc in d.items():
+                tgt = by_pid.setdefault(u, {})
+                for v, n in vc.items():
+                    tgt[v] = tgt.get(v, 0) + n
+    return num, cat
+
+
 def partition_histograms(ds, num_specs: dict[str, np.ndarray],
                          cat_cols: list[str], partition_col: str
                          ) -> tuple[dict, dict]:
-    """ALL drift inputs in ONE streaming pass: per-partition fixed-edge
-    histograms for every numeric spec plus per-partition category counts
-    for every categorical column.  Each block's partial is a pair of
-    tiny dicts, folded by ``stages.transport.fold`` — no shuffle at all.
+    """ALL drift inputs in ONE streaming pass: :func:`histogram_partial`
+    per block, folded by ``stages.transport.fold`` with
+    :func:`merge_histograms` — no shuffle at all.
 
     Returns (num: {col: {pid: counts}}, cat: {col: {pid: {val: n}}}).
     """
-    specs = {c: np.asarray(e, dtype=float) for c, e in num_specs.items()}
-
-    def partial(batch: pa.Table) -> tuple[dict, dict]:
-        pid = batch[partition_col].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(pid, return_inverse=True)
-        num_out: dict = {}
-        for col, edges in specs.items():
-            nb = len(edges) - 1
-            v = batch[col].cast(pa.float64()).combine_chunks().to_numpy(
-                zero_copy_only=False)
-            keep = ~np.isnan(v)
-            idx = np.clip(np.searchsorted(edges, v[keep], side="right") - 1,
-                          0, nb - 1)
-            counts = np.zeros((len(uniq), nb), dtype=np.int64)
-            np.add.at(counts, (inv[keep], idx), 1)
-            num_out[col] = {int(u): counts[k] for k, u in enumerate(uniq)}
-        cat_out: dict = {}
-        for col in cat_cols:
-            vals = np.asarray(batch[col].to_numpy(zero_copy_only=False),
-                              dtype=object)
-            d: dict = {}
-            for k, u in enumerate(uniq):
-                vv, cc = np.unique(vals[inv == k], return_counts=True)
-                d[int(u)] = dict(zip(vv.tolist(), cc.tolist()))
-            cat_out[col] = d
-        return num_out, cat_out
-
-    def merge(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
-        num: dict = {c: {} for c in specs}
-        cat: dict = {c: {} for c in cat_cols}
-        for num_out, cat_out in parts:
-            for col, d in num_out.items():
-                for u, counts in d.items():
-                    num[col][u] = num[col][u] + counts if u in num[col] \
-                        else counts
-            for col, d in cat_out.items():
-                for u, vc in d.items():
-                    tgt = cat[col].setdefault(u, {})
-                    for v, n in vc.items():
-                        tgt[v] = tgt.get(v, 0) + n
-        return num, cat
-
-    return fold(ds, partial, merge)
+    return fold(ds,
+                lambda t: histogram_partial(t, num_specs, cat_cols,
+                                            partition_col),
+                lambda parts: merge_histograms(parts, num_specs, cat_cols))
 
 
 def psi_numeric(ds_ref, ds_cur, col: str, edges) -> float:

@@ -223,14 +223,30 @@ def _segment_pairs(keys: np.ndarray, ids: np.ndarray, ph: np.ndarray,
 N_BANDS = 4
 BAND_SLOTS = 65536  # 16-bit substrings; dense combo key = band*65536+val
 
-# the dense band census picks ``mih_shuffle`` over ``prune`` when its
-# collision rows pass max(SAT_MIN, SAT_FRAC x band rows)
+# :func:`hamming_arm`'s default collision bound
 SAT_MIN = 100_000
 SAT_FRAC = 0.02
 
 _EMPTY_PAIRS = {"id_a": pd.Series([], dtype=object),
                 "id_b": pd.Series([], dtype=object),
                 "dist": pd.Series([], dtype=np.int64)}
+
+
+def hamming_arm(census: np.ndarray, sat_min: int, sat_frac: float
+                ) -> tuple[str, np.ndarray]:
+    """(arm, hot bucket keys) a dense band census picks: ``none`` when
+    no bucket holds two rows; ``prune`` when collisions are rare (the
+    hot-bucket broadcast cuts the band stream to almost nothing);
+    ``mih_shuffle`` when collision rows pass max(``sat_min``,
+    ``sat_frac`` x band rows), i.e. n >> 2^16 per band, where the
+    filter would keep ~everything and the whole deduped stream goes to
+    the pairing tasks (multi-index hashing)."""
+    hot = np.nonzero(census >= 2)[0].astype(np.int64)
+    if not hot.size:
+        return "none", hot
+    bound = max(sat_min, int(sat_frac * census.sum()))
+    return ("mih_shuffle" if int(census[hot].sum()) > bound
+            else "prune"), hot
 
 
 def _band_combos(ph: np.ndarray) -> np.ndarray:
@@ -564,15 +580,11 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
         if max_dist > 5:
             raise ValueError("2x32f1 guarantees recall only to dist 5")
     elif scheme == "4x16":
-        census = _dense_band_census(ds, phash_col)
-        hot = np.nonzero(census >= 2)[0].astype(np.int64)
-        if hot.size == 0:
+        path, hot = hamming_arm(_dense_band_census(ds, phash_col),
+                                sat_min, sat_frac)
+        if path == "none":
             return pd.DataFrame(_EMPTY_PAIRS)
-        collision_rows = int(census[hot].sum())
-        path = force_path or (
-            "mih_shuffle"
-            if collision_rows > max(sat_min, int(sat_frac * census.sum()))
-            else "prune")
+        path = force_path or path
         hot_ref = ray.put(hot) if path == "prune" else None
     else:
         raise ValueError(f"unknown banding scheme {scheme!r}")

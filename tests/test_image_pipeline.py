@@ -391,3 +391,57 @@ def test_hamming_arms_agree(fimg, monkeypatch):
     assert want
     for a, b in want:
         assert frozenset((a, b)) in pairs, (a, b)
+
+
+def test_psi_fmt_ignores_other_partitions_categories(fimg, tmp_path):
+    """A partition's psi_fmt spans the categories of the reference plus
+    that partition: a fmt value present only in partition 7 leaves every
+    other partition's psi_fmt unchanged."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    d, _ = fimg
+    images = tmp_path / "images"
+    shutil.copytree(f"{d}/images", images)
+    (f,) = (images / "partition=7").glob("*.parquet")
+    t = pq.read_table(f)
+    fmt = t["fmt"].to_pylist()
+    fmt[0] = "webp"
+    pq.write_table(t.set_column(t.schema.get_field_index("fmt"), "fmt",
+                                pa.array(fmt, type=pa.string())), f)
+    kw = dict(decode=False, neardup=False)
+    base = validate_images(f"{d}/images", **kw).drift_psi
+    got = validate_images(str(images), **kw).drift_psi
+    assert got["partition_id"].tolist() == list(range(8))
+    assert got["psi_fmt"].iloc[7] != base["psi_fmt"].iloc[7]
+    assert got["psi_fmt"].iloc[:7].tolist() == base["psi_fmt"].iloc[:7].tolist()
+
+
+def test_validate_images_execution_count(fimg, monkeypatch):
+    """Pass 1 runs the image partial and the caption census as ONE union
+    execution: without decode, validate_images runs three Ray Data
+    executions (pass 1, pass 2, the caption-orphan listing)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counting(self, *a, **kw):
+        calls.append(self)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    d, exp = fimg
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet",
+                          decode=False)
+    assert len(rep.neardup_pairs) and len(exp.orphan_caption_ids)
+    assert sorted(rep.orphans.loc[rep.orphans["left_n"] == 0, "image_id"]) \
+        == sorted(exp.orphan_caption_ids)
+    assert len(calls) == 3, calls

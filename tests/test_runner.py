@@ -218,9 +218,9 @@ def test_ref_partitions_must_exist(fimg_small, tmp_path):
 
 
 def test_runner_matches_validate_images(fimg_small, tmp_path):
-    """Per partition, the runner's verdicts equal validate_images' on
-    the same table.  psi_fmt is left out: the runner's category set is
-    reference ∪ partition, validate_images' spans every partition."""
+    """Per partition, the runner's verdicts and PSI equal
+    validate_images' on the same table: both come from
+    ``image_validation.partition_verdicts``."""
     from autoprepad_ray.pipelines.image_validation import validate_images
 
     d, _ = fimg_small
@@ -236,8 +236,30 @@ def test_runner_matches_validate_images(fimg_small, tmp_path):
         for k in ("n_rows", "stat_viol", "null_viol", "stat_fail",
                   "null_fail", "drift_fail", "decode_fail"):
             assert v[k] == row[k], (row["partition_id"], k)
-        for c in ("w", "h", "caption_len"):
+        for c in ("w", "h", "caption_len", "fmt"):
             assert v["psi"][c] == pytest.approx(row[f"psi_{c}"], abs=1e-6)
+
+
+def test_partition_holding_other_partition_rows_fails_loud(fimg_small,
+                                                         tmp_path):
+    """A partition directory whose rows carry another ``partition_id``
+    is an error, never a verdict that differs from validate_images'."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d, _ = fimg_small
+    images = tmp_path / "images"
+    shutil.copytree(f"{d}/images", images)
+    for f in (images / "partition=4").glob("*.parquet"):
+        t = pq.read_table(f)
+        pq.write_table(t.set_column(
+            t.schema.get_field_index("partition_id"), "partition_id",
+            pa.array([3] * t.num_rows, type=pa.int32())), f)
+    with pytest.raises(ValueError, match=r"partition=4 .* \[3\]"):
+        run_validation(str(images), str(tmp_path / "out"), decode=False,
+                       run_global_checks=False)
 
 
 def test_partition_failure_commits_others_and_resumes(fimg_small, tmp_path,
