@@ -23,6 +23,7 @@ import ray.data as rd
 
 from ..functions.strings import canonicalize_nan_tokens
 from ..profile import profile_dataset
+from ..stages.transport import fold, merge_groups
 from ..validators import row_checks as rc
 from ..validators.domain import (domain_flags, format_signature,
                                  learned_domain, shape_domain_flags)
@@ -156,8 +157,9 @@ def run_experiment(ds, *, y_true_col: str = "y_true",
 
     Scale shape (r5): evidence scores are small ints, so the whole
     sweep folds from ONE (n_evidence, y_true) value-count aggregate —
-    per-block Arrow ``group_by`` partials, one driver fold bounded by
-    distinct (score, label) pairs.  The validated table itself never
+    per-block Arrow ``group_by`` partials merged by
+    ``stages.transport.fold`` with ``merge_groups``, bounded by distinct
+    (score, label) pairs.  The validated table itself never
     materializes on the driver (the r4 shape ran ``to_pandas()`` plus a
     100-iteration percentile loop over the raw score array); every
     threshold, percentile and P/R/F1 value is computed from counts and
@@ -166,16 +168,13 @@ def run_experiment(ds, *, y_true_col: str = "y_true",
     checked = validate_mixed(ds, id_col=id_col, **mixed_kwargs)
 
     def partial(t: pa.Table) -> pa.Table:
-        g = (pa.table({"s": t["n_evidence"], "y": t[y_true_col]})
-             .group_by(["s", "y"]).aggregate([([], "count_all")]))
-        return g
+        return (pa.table({"s": t["n_evidence"], "y": t[y_true_col]})
+                .group_by(["s", "y"]).aggregate([([], "count_all")]))
 
-    parts = checked.map_batches(partial, batch_format="pyarrow",
-                                zero_copy_batch=True).to_pandas()
-    g = parts.groupby(["s", "y"], as_index=False)["count_all"].sum()
-    s = g["s"].to_numpy(np.int64)
-    y = g["y"].to_numpy(np.int64)
-    c = g["count_all"].to_numpy(np.int64)
+    g = fold(checked, partial, merge_groups(["s", "y"],
+                                            {"count_all": "sum"}))
+    s, y, c = (g[k].to_numpy().astype(np.int64)
+               for k in ("s", "y", "count_all"))
 
     def metrics(pred: np.ndarray) -> dict:
         return _metrics_from_counts(

@@ -1375,7 +1375,7 @@ LIMIT 20""")
 def top_anomalies_events(sf_dir: str):
     """Worst-first presentation sort (runs.py:429-435: descending by
     AnomalyScore with MAD_Total/Tukey_Total tiebreaks) + top-k —
-    map-side per-block cut + one blocks-x-k driver fold
+    map-side per-block cut + one fold of the per-block top-ks
     (stages/topk.top_k) instead of a range-partitioned full sort: at
     100 TB a global sort exchanges every row to keep 20.  The
     event_id final tiebreak makes the cut deterministic on any block
@@ -3612,8 +3612,8 @@ SELECT source, n_docs, n_words,
 FROM s, tot""")
 def source_mixture_weights_q(sf_dir: str):
     """Sqrt-temperature source sampling weights for corpus mixing —
-    integer partials folded driver-side, sqrt (correctly-rounded IEEE)
-    + sorted-order sequential normalizer mirrors the oracle's list_sum
+    integer partials folded by transport.fold, sqrt (correctly-rounded
+    IEEE) + sorted-order sequential normalizer mirrors the oracle's list_sum
     fold; bit-exact at sf 0.001/0.01/0.1.  See
     stages/text.source_mixture_weights."""
     from ..stages.text import source_mixture_weights
@@ -3644,7 +3644,7 @@ SELECT source, ROUND(0.5 * list_sum(al), 6) AS tvd FROM lists""")
 def token_drift_sources(sf_dir: str):
     """Per-source unigram-distribution drift (total-variation distance
     vs the corpus) — the text-side drift check beside PSI/KS.  Integer
-    partials + driver fold; per-term doubles are exact divisions and
+    partials + transport.fold; per-term doubles are exact divisions and
     the term-sorted sequential sum mirrors the oracle's list_sum fold
     (bit-exact at sf 0.001/0.01/0.1).  See
     stages/text.token_drift_by_source."""
@@ -5120,7 +5120,7 @@ def pareto_frontier_orders(sf_dir: str):
     expensive and at least as recent, strictly better on one" — the
     multi-objective worst-first cut (reference presentation sort,
     runs.py:429-435, generalized).  Map-side per-block frontiers + one
-    tiny driver fold (stages/topk.skyline_2d): no exchange, frontier
+    fold of them (stages/topk.skyline_2d): no exchange, frontier
     of a union == frontier of the per-block frontiers.  Comparisons
     only, so float parity is free; the SQL oracle is the O(n log n)
     window form (per-price max date vs the exclusive running max over

@@ -306,17 +306,13 @@ def run_validation(images_dir: str, out_dir: str, *,
                 [f for pid in listing_pids for f in parts[pid]],
                 columns=["image_id"])
 
-            def keep(t: pa.Table) -> pa.Table:
+            def dup_counts(t: pa.Table) -> tuple:
                 h, _ = key_hash([t["image_id"]])
-                return t.filter(pa.array(np.isin(
-                    h, _ray.get(dup_ref))))
+                return np.unique(np_object(t["image_id"].filter(
+                    pa.array(np.isin(h, _ray.get(dup_ref))))),
+                    return_counts=True)
 
-            ids = np.concatenate(
-                [np_object(b["image_id"]) for b in
-                 cand_ds.map_batches(keep, batch_format="pyarrow")
-                 .iter_batches(batch_size=65536, batch_format="pyarrow")]
-                or [np.empty(0, object)])
-            uv, uc = np.unique(ids, return_counts=True)
+            uv, uc = fold(cand_ds, dup_counts, merge_counts)
             real = uv[uc >= 2]
         run_entry["uniqueness_violations"] = int(len(real))
         run_entry["uniqueness_sample"] = sorted(real.tolist())[:50]

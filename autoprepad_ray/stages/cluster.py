@@ -8,17 +8,18 @@ The engine implements the intended semantics, Ray-Data-first, with the
 CLARA decomposition (Kaufman & Rousseeuw 1990 — a public algorithm):
 
 - **Sample** (1 pass): each block emits its ``sample_size * n_samples``
-  smallest-``splitmix64(id)`` rows; the driver folds the tiny partial
-  stream.  Hash-ordered sampling is stateless and retry-identical (the
-  ``functions/sampling.py`` rule), so the fit is deterministic — no RNG,
+  smallest-``splitmix64(id)`` rows, and ``stages.transport.fold`` merges
+  them with the same cut.  Hash-ordered sampling is stateless and
+  retry-identical (the ``functions/sampling.py`` rule), so the fit is
+  deterministic — no RNG,
   which also satisfies the reference's ``random_state`` reproducibility
   knob by construction.
 - **PAM per sample chunk** (driver, vectorized numpy): greedy BUILD +
   best-improvement SWAP on the s x s distance matrix.  s is bounded
   (default 256), so the O(s^2) matrix is KBs regardless of input size.
 - **Candidate-set cost** (1 pass): all ``n_samples`` medoid sets are
-  broadcast together (``ray.put`` once) and one ``map_batches`` pass
-  emits per-block partial costs for every set; the argmin set wins
+  broadcast together (``ray.put`` once) and one fold sums per-block
+  partial costs for every set; the argmin set wins
   (ties -> lowest sample index).
 - **Assign** (1 pass): broadcast the winning medoid matrix; per batch
   one vectorized distance computation adds ``cluster`` (nearest medoid,
@@ -26,9 +27,9 @@ CLARA decomposition (Kaufman & Rousseeuw 1990 — a public algorithm):
   ``medoid_dist`` (the reference's ClusterSimilarity score).
 
 Three dataset executions total, each a streaming ``map_batches`` over
-pruned columns; nothing larger than (blocks x s) sample rows and
-(blocks x n_samples) cost rows ever reaches the driver, so the stage
-holds at 100 TB.
+pruned columns; nothing larger than one ``sample_size * n_samples``-row
+sample and n_samples costs per fold survivor (``ceil(blocks / FAN_IN)``
+of them) ever reaches the driver, so the stage holds at 100 TB.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 
 from ..sketches import hash64, splitmix64
+from .transport import fold
 
 
 def _feature_matrix(t: pa.Table, cols: list[str]) -> np.ndarray:
@@ -128,29 +129,23 @@ def kmedoids_fit(ds, cols: list[str], id_col: str, k: int = 3,
     want = sample_size * n_samples
     fcols = list(cols)
 
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        h = _id_hash(ids)
-        keep = np.argsort(h, kind="stable")[:want]
-        out = {id_col: pa.array(ids[keep]),
-               "_h": pa.array(h[keep].view(np.int64))}
-        M = _feature_matrix(t, fcols)
-        for j, c in enumerate(fcols):
-            out[c] = pa.array(M[keep, j])
-        return pa.table(out)
+    def lowest(t: pa.Table) -> pa.Table:
+        """``t``'s ``want`` rows of lowest id hash, ties in row order —
+        the same cut per block and per merge, so the sample does not
+        depend on block boundaries."""
+        return t.take(np.argsort(t["_h"].to_numpy(), kind="stable")[:want])
 
-    # blocks x want rows of d small floats — a KB-scale driver fold
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    if not rows:
+    def partial(t: pa.Table) -> pa.Table:
+        h = _id_hash(t[id_col].to_numpy(zero_copy_only=False))
+        return lowest(t.select(list(dict.fromkeys([id_col, *fcols])))
+                      .append_column("_h", pa.array(h)))
+
+    samp = fold(ds, partial, lambda parts: lowest(pa.concat_tables(parts))
+                if parts else None)
+    if samp is None or not samp.num_rows:
         raise ValueError("kmedoids_fit: empty input dataset")
-    samp = pa.Table.from_pylist(rows)
-    # _h rode as an int64 view; restore uint64 so the driver fold ranks
-    # in the SAME order the block partials did (block-boundary-proof)
-    h = samp["_h"].to_numpy(zero_copy_only=False).astype(np.int64) \
-        .view(np.uint64)
-    order = np.argsort(h, kind="stable")[:want]
-    S = _feature_matrix(samp, fcols)[order]
-    sids = samp[id_col].to_numpy(zero_copy_only=False)[order]
+    S = _feature_matrix(samp, fcols)
+    sids = samp[id_col].to_numpy(zero_copy_only=False)
 
     cand_feats, cand_ids = [], []
     chunk = max(len(S) // n_samples, 1) if len(S) else 1
@@ -166,17 +161,14 @@ def kmedoids_fit(ds, cols: list[str], id_col: str, k: int = 3,
 
     ref = ray.put(np.stack(cand_feats))
 
-    def costs(t: pa.Table) -> pa.Table:
+    def costs(t: pa.Table) -> np.ndarray:
         C = ray.get(ref)
         M = _feature_matrix(t, fcols)
-        vals = [float(_pairwise(M, C[i], metric).min(axis=1).sum())
-                for i in range(len(C))]
-        return pa.table({"set": pa.array(np.arange(len(C))),
-                         "cost": pa.array(vals)})
+        return np.array([_pairwise(M, C[i], metric).min(axis=1).sum()
+                         for i in range(len(C))])
 
-    parts = pd.DataFrame(
-        ds.map_batches(costs, batch_format="pyarrow").take_all())
-    total = parts.groupby("set")["cost"].sum().sort_index().to_numpy()
+    total = fold(ds, costs, lambda parts: sum(
+        parts, np.zeros(len(cand_feats))))
     win = int(np.argmin(total))  # argmin tie-breaks to lowest index
     M, ids = cand_feats[win], cand_ids[win]
     canon = np.lexsort(tuple(M[:, j] for j in range(M.shape[1] - 1, -1, -1)))

@@ -3,6 +3,9 @@ counting, fingerprinting, benchmark decontamination and repetition
 quality — thin ``map_batches`` wrappers over vectorized kernels
 (quality/tokens/fingerprints/decontamination/repetition are exercised
 by the SQL-checked queries; langid is heuristic, rows-only checked).
+Every corpus-wide count (vocabularies, per-source totals, gram sets,
+BM25 statistics) is a per-block partial reduced by
+``stages.transport.fold``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .transport import fold, merge_concat, merge_counts, merge_groups
+from .transport import (fold, merge_concat, merge_counts, merge_groups,
+                        merge_unique)
 
 STOPWORDS = {
     "en": {"the", "a", "of", "and", "to", "in", "is", "it", "that", "for"},
@@ -190,24 +194,16 @@ def eval_gram_set(eval_ds, *, text_col: str = "text", n: int = 8) -> object:
 
     The eval side of decontamination is always the small side (eval
     suites are MBs against a 100-TB corpus), so the scale shape is a
-    broadcast set, never a join: each block reduces to its unique gram
-    hashes (bytes payload, one row per block), the driver folds the
-    few per-block arrays with ``np.unique`` and ships ONE sorted
-    uint64 array to the object store."""
+    broadcast set, never a join: each block's unique gram hashes are
+    one ``stages.transport.fold`` partial, merged by ``merge_unique``,
+    and ONE sorted uint64 array ships to the object store."""
     import ray
 
-    def uniq(t: pa.Table) -> pa.Table:
+    def uniq(t: pa.Table) -> np.ndarray:
         words, counts = _flat_words(t[text_col])
-        _, grams, _ = _gram_hashes(words, counts, n)
-        payload = np.unique(grams).tobytes()
-        return pa.table({"payload": pa.array([payload], pa.binary())})
+        return np.unique(_gram_hashes(words, counts, n)[1])
 
-    rows = eval_ds.map_batches(uniq, batch_format="pyarrow",
-                               zero_copy_batch=True).take_all()
-    parts = [np.frombuffer(r["payload"], dtype=np.uint64) for r in rows]
-    merged = np.unique(np.concatenate(parts)) if parts else np.empty(
-        0, dtype=np.uint64)
-    return ray.put(merged)
+    return ray.put(fold(eval_ds, uniq, merge_unique).astype(np.uint64))
 
 
 def decontaminate(ds, eval_ref, *, text_col: str = "text",
@@ -369,9 +365,9 @@ def bm25_scores(ds, query_terms: list[str], *, text_col: str = "text",
     retrieval-side ranker of a search/RAG corpus pipeline.
 
     Two passes, no shuffle: pass 1 reduces each block to (n_docs,
-    total_words, df per query term) — a handful of ints — and the
-    driver folds them into idf/avgdl; pass 2 broadcasts that state
-    and scores each batch vectorized (one explode+isin per query
+    total_words, df per query term) — a handful of ints summed by
+    ``stages.transport.fold`` into idf/avgdl; pass 2 broadcasts that
+    state and scores each batch vectorized (one explode+isin per query
     term, the langid shape).  Scores are float (log idf), so this
     stage is rows-only checked: pytest pins it against a
     single-process pure-numpy BM25 at 1e-9 (test_textops)."""
@@ -379,23 +375,16 @@ def bm25_scores(ds, query_terms: list[str], *, text_col: str = "text",
 
     terms = list(query_terms)
 
-    def stats(t: pa.Table) -> pa.Table:
+    def stats(t: pa.Table) -> np.ndarray:
         words, counts = _flat_words(t[text_col])
         doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64),
                             counts)
-        dfs = []
-        for term in terms:
-            hit_docs = np.unique(doc_idx[words == term])
-            dfs.append(len(hit_docs))
-        payload = np.array([len(counts), int(counts.sum())] + dfs,
-                           dtype=np.int64).tobytes()
-        return pa.table({"payload": pa.array([payload], pa.binary())})
+        dfs = [len(np.unique(doc_idx[words == term])) for term in terms]
+        return np.array([len(counts), int(counts.sum())] + dfs,
+                        dtype=np.int64)
 
-    rows = ds.map_batches(stats, batch_format="pyarrow",
-                          zero_copy_batch=True).take_all()
-    acc = np.zeros(2 + len(terms), dtype=np.int64)
-    for r in rows:
-        acc += np.frombuffer(r["payload"], dtype=np.int64)
+    acc = fold(ds, stats, lambda parts: sum(
+        parts, np.zeros(2 + len(terms), dtype=np.int64)))
     n_docs, total_words, dfs = int(acc[0]), int(acc[1]), acc[2:]
     avgdl = total_words / max(n_docs, 1)
     idf = np.log(1.0 + (n_docs - dfs + 0.5) / (dfs + 0.5))
@@ -450,25 +439,6 @@ def _quality_parts_from(vals: pa.Array, counts: np.ndarray,
     stop_h = np.bincount(doc_idx, weights=stopm,
                          minlength=n).astype(np.int64)
     return counts, sum_len, alpha_w, stop_h
-
-
-
-def _typed_partial(df: pd.DataFrame, str_cols: tuple,
-                   int_cols: tuple) -> pa.Table:
-    """Explicitly typed Arrow partial table.  ``from_pandas`` infers
-    types from DATA, so an empty partial (a block where the mask kept
-    nothing) comes back null/float-typed and breaks Ray's block schema
-    unification — every per-block counts partial must come through
-    here instead."""
-    cols = {}
-    for c in df.columns:
-        if c in str_cols:
-            cols[c] = pa.array(np.asarray(df[c].to_numpy(),
-                                          dtype=object), pa.string())
-        else:
-            assert c in int_cols, c
-            cols[c] = pa.array(df[c].to_numpy(dtype=np.int64))
-    return pa.table(cols)
 
 
 def gopher_quality(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -552,9 +522,9 @@ def unigram_logprob(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     improbable tail).
 
     Two passes, no shuffle (the bm25 shape): pass 1 folds per-block
-    term counts into the global vocab on the driver (vocabularies are
-    MBs even at 100 TB corpus scale — Heaps' law — so a driver fold +
-    broadcast beats any exchange); pass 2 broadcasts (sorted terms,
+    term counts into the global vocab (:func:`term_census`;
+    vocabularies are MBs even at 100 TB corpus scale — Heaps' law — so
+    a fold + broadcast beats any exchange); pass 2 broadcasts (sorted terms,
     ln p) and scores each batch via searchsorted + a SEQUENTIAL
     per-doc ``np.add.reduceat`` in document word order.  That order
     mirrors DuckDB's ``list_sum(list_transform(w, ...))`` fold exactly,
@@ -652,6 +622,54 @@ def ngram_repetition(ds, *, n: int = 2, text_col: str = "text",
     return ds.map_batches(rep, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _source_frame(g: pa.Table | None, keys: list[str],
+                  cols: tuple[str, ...]) -> pd.DataFrame:
+    """A :func:`merge_groups` result as a pandas frame sorted by
+    ``keys``, rows with a null key dropped; typed (object keys, int64
+    ``cols``) and empty for ``None``, the fold of a Dataset whose
+    blocks never ran."""
+    if g is None:
+        return pd.DataFrame({**{k: pd.Series([], dtype=object)
+                                for k in keys},
+                             **{c: pd.Series([], dtype=np.int64)
+                                for c in cols}})
+    for k in keys:
+        g = g.filter(pc.is_valid(g[k]))
+    return g.sort_by([(k, "ascending") for k in keys]).to_pandas()
+
+
+def _source_sums(ds, rows, keys: list[str], cols: tuple[str, ...]
+                 ) -> pd.DataFrame:
+    """Sum the int64 ``cols`` of ``rows(block) -> pa.Table`` per
+    ``keys`` group: each block's Arrow ``group_by`` is one
+    ``stages.transport.fold`` partial, merged by ``merge_groups``
+    (source cardinality is dozens, sources x vocab KBs under Heaps'
+    law).  Returns :func:`_source_frame`."""
+    merge = merge_groups(keys, dict.fromkeys(cols, "sum"))
+    return _source_frame(fold(ds, lambda t: merge([rows(t)]), merge),
+                         keys, cols)
+
+
+def _source_words(t: pa.Table, source_col: str, text_col: str
+                  ) -> pa.Table:
+    """One block's (source, n_docs = 1, n_words) rows."""
+    return pa.table({"source": t[source_col],
+                     "n_docs": np.ones(t.num_rows, dtype=np.int64),
+                     "n_words": _word_counts(t[text_col])})
+
+
+def _source_terms(ds, source_col: str, text_col: str) -> pd.DataFrame:
+    """Per-(source, term) word counts ``c`` of the whole corpus."""
+    def rows(t: pa.Table) -> pa.Table:
+        la, counts = _split_list(t[text_col])
+        doc = np.repeat(np.arange(t.num_rows, dtype=np.int64), counts)
+        return pa.table({"source": t[source_col].take(pa.array(doc)),
+                         "term": la.values,
+                         "c": np.ones(len(doc), dtype=np.int64)})
+
+    return _source_sums(ds, rows, ["source", "term"], ("c",))
+
+
 def source_mixture_weights(ds, *, source_col: str = "source",
                            text_col: str = "text"):
     """Temperature-scaled source sampling weights (alpha = 0.5) — the
@@ -659,32 +677,16 @@ def source_mixture_weights(ds, *, source_col: str = "source",
     run draws: w_s = sqrt(tokens_s) / sum_s sqrt(tokens_s), the
     sqrt-temperature rule that upsamples small high-quality sources.
 
-    One pass of per-block integer partials (source, docs, words) folded
-    on the driver (source cardinality is dozens at any corpus scale),
-    then pure driver math: sqrt is CORRECTLY-ROUNDED IEEE (unlike pow,
-    which is why alpha is spelled as sqrt), and the normalizer is a
-    sequential sum over sources in sorted-name order — mirroring
+    One fold of per-block integer partials (source, docs, words)
+    (:func:`_source_sums`), then pure driver math: sqrt is
+    CORRECTLY-ROUNDED IEEE (unlike pow, which is why alpha is spelled
+    as sqrt), and the normalizer is a sequential sum over sources in
+    sorted-name order — mirroring
     DuckDB's ``list_sum(list_transform(list(... ORDER BY source)))``
     fold, so the r6-rounded weights are bit-exact."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        texts = t[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = pc.fill_null(texts, "")
-        la = pc.split_pattern(texts, pattern=" ")
-        counts = np.diff(la.offsets.to_numpy(zero_copy_only=False)
-                         .astype(np.int64))
-        g = (pd.DataFrame({
-            "source": t[source_col].to_numpy(zero_copy_only=False),
-            "n_docs": 1, "n_words": counts})
-            .groupby("source", as_index=False).sum())
-        return _typed_partial(g, ("source",), ("n_docs", "n_words"))
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    folded = (pd.DataFrame(parts).groupby("source", as_index=False)
-              .sum().sort_values("source").reset_index(drop=True))
+    folded = _source_sums(ds, lambda t: _source_words(t, source_col,
+                                                      text_col),
+                          ["source"], ("n_docs", "n_words"))
     sq = np.sqrt(folded["n_words"].to_numpy(dtype=np.float64))
     z = np.float64(0.0)
     for v in sq:                      # sequential: DuckDB list_sum order
@@ -704,33 +706,13 @@ def token_drift_by_source(ds, *, source_col: str = "source",
     whose vocabulary usage diverges is a candidate for re-weighting or
     exclusion in the mixing step).
 
-    One pass of per-block (source, term, count) integer partials folded
-    on the driver (sources x vocab is KBs under Heaps' law at any
-    corpus scale); per-source math is two exact int divisions, an abs,
-    and a SEQUENTIAL sum over terms in sorted order — mirroring the
-    oracle's ``list_sum(list(... ORDER BY term))`` fold, so the
+    One fold of per-block (source, term, count) integer partials
+    (:func:`_source_terms`; sources x vocab is KBs under Heaps' law at
+    any corpus scale); per-source math is two exact int divisions, an
+    abs, and a SEQUENTIAL sum over terms in sorted order — mirroring
+    the oracle's ``list_sum(list(... ORDER BY term))`` fold, so the
     r6-rounded TVD is bit-exact."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        texts = t[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = pc.fill_null(texts, "")
-        la = pc.split_pattern(texts, pattern=" ")
-        counts = np.diff(la.offsets.to_numpy(zero_copy_only=False)
-                         .astype(np.int64))
-        src = np.repeat(t[source_col].to_numpy(zero_copy_only=False),
-                        counts)
-        words = la.values.to_numpy(zero_copy_only=False)
-        g = (pd.DataFrame({"source": src, "term": words})
-             .groupby(["source", "term"]).size().rename("c")
-             .reset_index())
-        return _typed_partial(g, ("source", "term"), ("c",))
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    scd = (pd.DataFrame(parts).groupby(["source", "term"],
-                                       as_index=False)["c"].sum())
+    scd = _source_terms(ds, source_col, text_col)
     terms = np.sort(scd["term"].unique())
     gterm = (scd.groupby("term")["c"].sum().reindex(terms)
              .to_numpy(dtype=np.int64))
@@ -826,34 +808,16 @@ def vocab_jaccard_source_pairs(ds, *, source_col: str = "source",
     sources (Jaccard ~1) and domain outliers (Jaccard ~0) before
     mixing.
 
-    Per-block distinct (source, term) partials fold on the driver; the
-    pairwise intersection is one boolean matmul.  Scale note: the fold
-    is dozens-of-sources x vocab — at web scale (vocab ~10M under
-    Heaps' law) that is a few hundred MB of driver memory, still a
-    fold, never a shuffle; past that, hash terms to uint64 and fold
-    the hash sets (a 64-bit collision under-counts the union by ~0 at
-    any realistic vocab).  n_inter/n_union are exact ints, jaccard one
-    int division (bit-stable) — SQL-exact against the term-join
-    oracle."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        texts = t[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = pc.fill_null(texts, "")
-        la = pc.split_pattern(texts, pattern=" ")
-        counts = np.diff(la.offsets.to_numpy(zero_copy_only=False)
-                         .astype(np.int64))
-        src = np.repeat(t[source_col].to_numpy(zero_copy_only=False),
-                        counts)
-        words = la.values.to_numpy(zero_copy_only=False)
-        g = (pd.DataFrame({"source": src, "term": words})
-             .drop_duplicates())
-        return _typed_partial(g, ("source", "term"), ())
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    d = pd.DataFrame(parts).drop_duplicates()
+    The distinct (source, term) pairs come from one fold
+    (:func:`_source_terms`); the pairwise intersection is one boolean
+    matmul.  Scale note: the fold is dozens-of-sources x vocab — at
+    web scale (vocab ~10M under Heaps' law) that is a few hundred MB
+    of driver memory, still a fold, never a shuffle; past that, hash
+    terms to uint64 and fold the hash sets (a 64-bit collision
+    under-counts the union by ~0 at any realistic vocab).
+    n_inter/n_union are exact ints, jaccard one int division
+    (bit-stable) — SQL-exact against the term-join oracle."""
+    d = _source_terms(ds, source_col, text_col)
     srcs = np.sort(d["source"].unique())
     terms = np.sort(d["term"].unique())
     m = np.zeros((len(srcs), len(terms)), dtype=bool)
@@ -887,31 +851,15 @@ def token_budget_resample(ds, *, id_col: str = "doc_id",
     stateless split hash (functions/sampling.split_code arithmetic:
     pure int64, retry/partition/cluster-size invariant, ids >= 0 for
     SQL parity).  Two passes, no shuffle: integer partials fold
-    driver-side, cuts broadcast into a pure filter map.
+    (:func:`_source_sums`), cuts broadcast into a pure filter map.
 
     ``output='rows'`` returns the filtered Dataset (the pipeline step);
     ``'summary'`` returns per-source (n_docs, n_words, cut, n_kept,
     words_kept) — all-integer, SQL-exact."""
     from ..functions.sampling import split_code
 
-    def counts(t: pa.Table) -> pa.Table:
-        texts = t[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = pc.fill_null(texts, "")
-        la = pc.split_pattern(texts, pattern=" ")
-        wc = np.diff(la.offsets.to_numpy(zero_copy_only=False)
-                     .astype(np.int64))
-        g = (pd.DataFrame({
-            "source": t[source_col].to_numpy(zero_copy_only=False),
-            "n_docs": 1, "n_words": wc})
-            .groupby("source", as_index=False).sum())
-        return _typed_partial(g, ("source",), ("n_docs", "n_words"))
-
-    parts = ds.map_batches(counts, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    g = (pd.DataFrame(parts).groupby("source", as_index=False).sum()
-         .sort_values("source").reset_index(drop=True))
+    g = _source_sums(ds, lambda t: _source_words(t, source_col, text_col),
+                     ["source"], ("n_docs", "n_words"))
     tw = np.int64(g["n_words"].sum())
     ns = np.int64(len(g))
     w_s = g["n_words"].to_numpy(dtype=np.int64)
@@ -941,26 +889,13 @@ def token_budget_resample(ds, *, id_col: str = "doc_id",
 
     def kept_counts(t: pa.Table) -> pa.Table:
         keep = keep_mask(t)
-        texts = pc.fill_null(
-            t[text_col].combine_chunks()
-            if isinstance(t[text_col], pa.ChunkedArray)
-            else t[text_col], "")
-        la = pc.split_pattern(texts, pattern=" ")
-        wc = np.diff(la.offsets.to_numpy(zero_copy_only=False)
-                     .astype(np.int64))
-        src = np.asarray(t[source_col].to_numpy(zero_copy_only=False),
-                         dtype=object)
-        k = (pd.DataFrame({"source": src[keep], "n_kept": 1,
-                           "words_kept": wc[keep]})
-             .groupby("source", as_index=False).sum())
-        return _typed_partial(k, ("source",), ("n_kept", "words_kept"))
+        return pa.table({"source": t[source_col].filter(pa.array(keep)),
+                         "n_kept": np.ones(keep.sum(), dtype=np.int64),
+                         "words_kept": _word_counts(t[text_col])[keep]})
 
-    kparts = ds.map_batches(kept_counts, batch_format="pyarrow",
-                            zero_copy_batch=True).take_all()
-    kf = (pd.DataFrame(kparts).groupby("source").sum()
-          if kparts else pd.DataFrame(
-              columns=["n_kept", "words_kept"]))
-    kf = kf.reindex(g["source"], fill_value=0)
+    kf = _source_sums(ds, kept_counts, ["source"],
+                      ("n_kept", "words_kept")) \
+        .set_index("source").reindex(g["source"], fill_value=0)
     return pd.DataFrame({
         "source": g["source"],
         "n_docs": g["n_docs"].to_numpy(dtype=np.int64),
@@ -1032,27 +967,28 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
     def _keep(t: pa.Table) -> np.ndarray:
         return gopher_keep_mask(t[text_col])
 
+    a_cols = ("n_raw", "n_quality", "w_quality")
+    merge_src = merge_groups(["source"], dict.fromkeys(a_cols, "sum"))
+
     def pass_a(t: pa.Table) -> tuple:
         keep, counts, _, h = _quality_text_state(t, text_col)
-        src = np.asarray(t[source_col].to_numpy(zero_copy_only=False),
-                         dtype=object)
-        g = (pd.DataFrame({"source": src, "n_raw": 1,
-                           "n_quality": keep.astype(np.int64),
-                           "w_quality": counts * keep})
-             .groupby("source", as_index=False).sum())
+        g = merge_src([pa.table({
+            "source": t[source_col],
+            "n_raw": np.ones(t.num_rows, dtype=np.int64),
+            "n_quality": keep.astype(np.int64),
+            "w_quality": counts * keep})])
         return g, np.unique(h[keep], return_counts=True)
 
     def merge_a(parts: list[tuple]) -> tuple:
-        return (pd.concat([p[0] for p in parts])
-                .groupby("source", as_index=False).sum(),
+        return (merge_src([p[0] for p in parts]),
                 merge_counts([p[1] for p in parts]))
 
-    agg, (vals, cnts) = fold(ds, pass_a, merge_a)
-    agg = agg.sort_values("source").reset_index(drop=True)
+    g, (vals, cnts) = fold(ds, pass_a, merge_a)
+    agg = _source_frame(g, ["source"], a_cols)
     cand = np.sort(vals[cnts >= 2].astype(np.uint64))
 
     removed_ids = np.empty(0, dtype=np.int64)
-    rem_adjust = pd.DataFrame({"source": [], "n_rm": [], "w_rm": []})
+    rem_adjust = _source_frame(None, ["source"], ("n_rm", "w_rm"))
     if cand.size:
         cand_ref = ray.put(cand)
 
@@ -1094,17 +1030,13 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
         canon = keep & ~np.isin(ids, rm_b, assume_unique=False)
         src = np.asarray(t[source_col].to_numpy(zero_copy_only=False),
                          dtype=object)
-        code = split_code(ids, buckets=1000)
+        code = split_code(ids, buckets=buckets)
         fin = canon & (code < cut_b[np.searchsorted(srcs_b, src)])
-        g = (pd.DataFrame({"source": src[fin], "n_final": 1})
-             .groupby("source", as_index=False).sum())
-        return _typed_partial(g, ("source",), ("n_final",))
+        return pa.table({"source": t[source_col].filter(pa.array(fin)),
+                         "n_final": np.ones(fin.sum(), dtype=np.int64)})
 
-    fparts = ds.map_batches(pass_c, batch_format="pyarrow",
-                            zero_copy_batch=True).take_all()
-    ff = (pd.DataFrame(fparts).groupby("source").sum()
-          if fparts else pd.DataFrame(columns=["n_final"]))
-    ff = ff.reindex(agg["source"], fill_value=0)
+    ff = _source_sums(ds, pass_c, ["source"], ("n_final",)) \
+        .set_index("source").reindex(agg["source"], fill_value=0)
     return pd.DataFrame({
         "source": agg["source"],
         "n_raw": agg["n_raw"].to_numpy(dtype=np.int64),

@@ -5,8 +5,9 @@ table of which only k rows survive — at 100 TB that is a full
 all-to-all exchange for a result that fits in one block.  The global
 top-k is always a subset of the union of per-block top-ks, so the
 scale-correct shape is: cut each block to its own k rows inside
-``map_batches`` (map-side, no exchange), then resolve the ~blocks x k
-survivors in one tiny final reduction.  This is the grouped-data
+``map_batches`` (map-side, no exchange), then merge the per-block
+survivors through ``stages.transport.fold``, which cuts every union of
+partials to k again.  This is the grouped-data
 analogue of the reference's worst-first presentation sort
 (/root/reference/pipelines/runs.py:429-435), which sorts an in-memory
 pandas frame.
@@ -21,6 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .transport import fold
+
 
 def _sort_keys(keys: list[str], descending: list[bool]):
     return [(k, "descending" if d else "ascending")
@@ -30,24 +33,20 @@ def _sort_keys(keys: list[str], descending: list[bool]):
 def top_k(ds, keys: list[str], *, descending: list[bool], k: int,
           batch_size: int | None = None) -> pd.DataFrame:
     """Exact top-k rows of ``ds`` under the (keys, descending)
-    ordering.  One streaming pass (per-block cut), one driver fold of
-    blocks x k rows.  Returns a pandas frame sorted best-first."""
+    ordering.  One streaming pass: every block's own top k is a
+    ``stages.transport.fold`` partial, and the merge cuts the union of
+    partials to k again.  Returns a pandas frame sorted best-first."""
     sk = _sort_keys(keys, descending)
 
     def cut(t: pa.Table) -> pa.Table:
-        if t.num_rows <= k:
-            return t
         return t.take(pc.sort_indices(t, sort_keys=sk)[:k])
 
-    parts = ds.map_batches(cut, batch_format="pyarrow",
-                           zero_copy_batch=True,
-                           **({"batch_size": batch_size}
-                              if batch_size else {})).take_all()
-    out = pd.DataFrame(parts)
-    if out.empty:
-        return out
-    return (out.sort_values(keys, ascending=[not d for d in descending])
-            .head(k).reset_index(drop=True))
+    if batch_size:
+        ds = ds.map_batches(cut, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=batch_size)
+    top = fold(ds, cut, lambda parts: cut(pa.concat_tables(parts))
+               if parts else None)
+    return pd.DataFrame() if top is None else top.to_pandas()
 
 
 def _as_sortable_i64(a: "np.ndarray"):
@@ -109,16 +108,14 @@ def skyline_2d(ds, *, x_col: str, y_col: str, keep_cols: list[str]):
     Scale shape mirrors ``top_k``: the skyline of a union is contained
     in the union of per-block skylines, so each block cuts itself to
     its own frontier map-side (no exchange; expected O(log n) survivors
-    per block on non-degenerate data), and the driver resolves the
-    tiny survivor union with one more mask.  Arrow column types are
+    per block on non-degenerate data), and the ``stages.transport.fold``
+    merge cuts the survivor union the same way.  Arrow column types are
     preserved end-to-end (the fold concatenates the blocks' own Arrow
     tables — no pandas ns-timestamp round trip).
 
     Nulls in x/y are dropped (a null coordinate cannot be compared,
     matching SQL comparison semantics where NULL never dominates)."""
     import numpy as np
-
-    import ray
 
     def cut(t: pa.Table) -> pa.Table:
         t = t.select(keep_cols)
@@ -128,14 +125,11 @@ def skyline_2d(ds, *, x_col: str, y_col: str, keep_cols: list[str]):
                              t[y_col].to_numpy(zero_copy_only=False))
         return t.take(pa.array(np.flatnonzero(mask)))
 
-    mat = ds.map_batches(cut, batch_format="pyarrow",
-                         zero_copy_batch=True).materialize()
-    parts = [p for p in ray.get(mat.to_arrow_refs()) if p.num_rows]
-    if not parts:
+    out = fold(ds, cut, lambda parts: cut(pa.concat_tables(parts))
+               if parts else None)
+    if out is None:
+        # a Dataset filtered to nothing reports no schema: null columns
         sch = ds.schema()
-        types = dict(zip(sch.names, sch.types))
-        return pa.table({c: pa.array([], types[c]) for c in keep_cols})
-    u = pa.concat_tables(parts).combine_chunks()
-    mask = _skyline_mask(u[x_col].to_numpy(zero_copy_only=False),
-                         u[y_col].to_numpy(zero_copy_only=False))
-    return u.take(pa.array(np.flatnonzero(mask)))
+        types = dict(zip(sch.names, sch.types)) if sch is not None else {}
+        return pa.table({c: pa.array([], types.get(c)) for c in keep_cols})
+    return out.combine_chunks()

@@ -16,14 +16,13 @@ Centered sums keep magnitudes ~n^3/4 < 2^53 for n up to ~50M rows
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pyarrow as pa
 
 import ray
 
 from ..profile import profile_dataset
+from ..stages.transport import fold
 
 
 def _rank_map(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +97,8 @@ def spearman_sampled(ds, col_x: str, col_y: str, *,
 def spearman(ds, col_x: str, col_y: str, *, max_exact: int = 2_000_000,
              sample_rows: int = 1_000_000) -> float:
     prof = profile_dataset(ds, columns=[col_x, col_y], max_exact=max_exact)
+    if prof.n_rows < 2:
+        return float("nan")
     n = prof[col_x].count
     maps = {}
     for c in (col_x, col_y):
@@ -112,7 +113,7 @@ def spearman(ds, col_x: str, col_y: str, *, max_exact: int = 2_000_000,
     mean_rank = (n + 1) / 2.0
     maps_ref = ray.put(maps)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> np.ndarray:
         m = ray.get(maps_ref)
         vx, rx_map = m[col_x]
         vy, ry_map = m[col_y]
@@ -120,17 +121,9 @@ def spearman(ds, col_x: str, col_y: str, *, max_exact: int = 2_000_000,
         y = batch[col_y].cast(pa.float64()).to_numpy(zero_copy_only=False)
         rx = rx_map[np.searchsorted(vx, x)] - mean_rank
         ry = ry_map[np.searchsorted(vy, y)] - mean_rank
-        return pa.table({
-            "sxx": [float(np.sum(rx * rx))],
-            "syy": [float(np.sum(ry * ry))],
-            "sxy": [float(np.sum(rx * ry))],
-        })
+        return np.array([rx @ rx, ry @ ry, rx @ ry])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True).take_all()
-    sxx = sum(p["sxx"] for p in parts)
-    syy = sum(p["syy"] for p in parts)
-    sxy = sum(p["sxy"] for p in parts)
+    sxx, syy, sxy = fold(ds, partial, lambda parts: sum(parts, np.zeros(3)))
     if sxx == 0 or syy == 0:
         return float("nan")
     return float(sxy / np.sqrt(sxx * syy))

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import ValueCounts, np_object
-from ..stages.transport import fold
+from ..stages.transport import fold, merge_groups
 
 
 def psi_from_counts(ref_counts, cur_counts) -> float:
@@ -55,20 +55,18 @@ def histogram_counts(ds, col: str, edges: np.ndarray) -> np.ndarray:
 
 
 def categorical_counts(ds, col: str) -> dict:
-    """Value counts of a (modest-cardinality) categorical column,
-    pre-aggregated per block.  For hot-value skew, the per-block partial
-    IS the salt: each block contributes at most one row per category."""
-    import pyarrow.compute as pc
-
+    """Value counts of a (modest-cardinality) categorical column: each
+    block's Arrow ``group_by`` count is one ``stages.transport.fold``
+    partial, merged by ``merge_groups``.  For hot-value skew, the
+    per-block partial IS the salt: each block contributes at most one
+    row per category."""
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([col]).group_by([col]).aggregate([([], "count_all")])
-        return g.rename_columns([col, "n"])
+        return batch.select([col]).group_by([col]) \
+            .aggregate([([], "count_all")]).rename_columns([col, "n"])
 
-    from ray.data.aggregate import Sum
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(col).aggregate(Sum("n", alias_name="n"))).take_all()
-    return {r[col]: int(r["n"]) for r in rows}
+    g = fold(ds, partial, merge_groups([col], {"n": "sum"}))
+    return {} if g is None else dict(zip(g[col].to_pylist(),
+                                         g["n"].to_pylist()))
 
 
 def histogram_partial(batch: pa.Table, num_specs: dict[str, np.ndarray],
@@ -200,23 +198,17 @@ def first_digit_counts(ds, col: str, *, scale: float = 100.0
     round(|x| * scale) to int64 (snapping 2-decimal money to integer
     cents; the product sits ~1e-9 off an integer so round-half modes
     cannot disagree), cast to string, first code unit — all Arrow
-    kernels, no Python per row.  Streaming per-block bincount partials,
-    driver fold (blocks x <=10 scalar rows).  The digit-law audit the
-    reference's single-column outlier flags never see (novel-fraud
-    screening; Benford 1938 is public knowledge)."""
+    kernels, no Python per row.  Per-block bincount partials summed by
+    ``stages.transport.fold`` (nulls carry no digit).  The digit-law
+    audit the reference's single-column outlier flags never see
+    (novel-fraud screening; Benford 1938 is public knowledge)."""
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         cents = pc.cast(pc.round(pc.multiply(
             pc.abs(pc.cast(t[col], pa.float64())), scale)), pa.int64())
         digit = pc.cast(pc.utf8_slice_codeunits(
             pc.cast(cents, pa.string()), 0, 1), pa.int64())
-        g = pa.table({"digit": digit,
-                      "n": pa.array(np.ones(len(digit), np.int64))}) \
-            .group_by(["digit"]).aggregate([("n", "sum")])
-        return pa.table({"digit": g["digit"], "n": g["n_sum"]})
+        return np.bincount(pc.drop_null(digit).to_numpy(), minlength=10)
 
-    total = np.zeros(10, dtype=np.int64)
-    for r in ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True).take_all():
-        total[r["digit"]] += r["n"]
-    return total
+    return fold(ds, partial, lambda parts: sum(
+        parts, np.zeros(10, dtype=np.int64)))

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.transport import fold, merge_groups
+
 
 def _side_partial(key_cols: list[str], side: int):
     def partial(batch: pa.Table) -> pa.Table:
@@ -124,22 +126,17 @@ def _empty_orphans(key_cols: list[str], schema) -> pa.Table:
 
 
 def _side_counts(ds, key_cols: list[str]) -> pa.Table:
-    """Distinct (key -> count) for one side: per-block Arrow group_by
-    partial, collected and final-merged on the driver (bounded by the
-    broadcast_limit gate)."""
+    """Distinct (key -> count) for one side: each block's Arrow
+    ``group_by`` count is one ``stages.transport.fold`` partial, merged
+    by ``merge_groups`` (bounded by the broadcast_limit gate)."""
     def partial(batch: pa.Table) -> pa.Table:
-        g = (batch.select(key_cols).group_by(key_cols)
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(key_cols + ["n"])
+        return (batch.select(key_cols).group_by(key_cols)
+                .aggregate([([], "count_all")])
+                .rename_columns(key_cols + ["n"]))
 
-    batches = list(ds.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                   .iter_batches(batch_size=65536, batch_format="pyarrow"))
-    if not batches:
-        return pa.table({c: pa.array([]) for c in key_cols + ["n"]})
-    merged = pa.concat_tables(batches)
-    g = merged.group_by(key_cols).aggregate([("n", "sum")])
-    return g.rename_columns(key_cols + ["n"])
+    g = fold(ds, partial, merge_groups(key_cols, {"n": "sum"}))
+    return g if g is not None else \
+        pa.table({c: pa.array([]) for c in key_cols + ["n"]})
 
 
 def _orphans_broadcast_counts(left_ds, right_ds, key_cols: list[str],

@@ -18,8 +18,9 @@ Reference semantics reproduced (see /root/reference):
 Execution shape: profile (already computed) is a few-KB broadcast; the
 check itself is a stateless vectorized ``map_batches``; ONE pass over the
 checked rows (:func:`check_summary`) emits per-block raw-score counts and
-per-partition ``(n_rows, n_viol)`` partials together, folded on the
-driver into the score scaling/threshold and the partition verdicts.
+per-partition ``(n_rows, n_viol)`` partials together, merged by
+``stages.transport.fold`` into the score scaling/threshold and the
+partition verdicts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import pyarrow.compute as pc
 
 from ..profile import POOLED, TableProfile
 from ..sketches import ValueCounts
+from ..stages.transport import fold, merge_groups
 
 TUKEY_SUFFIX = "_TUKEY"      # reference TukeyTransformer.py:56-57
 MADZ_SUFFIX = "_Z_MOD"       # reference MedianAbsolutDeviation.py:64-65
@@ -166,7 +168,8 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
 
     Each block groups its rows by (raw score, violation[, partition]) and
     emits the counts: O(distinct scores x partitions) rows per block,
-    never O(rows).  The driver folds them into
+    never O(rows), merged by ``stages.transport.fold`` with
+    ``merge_groups``.  From the merged counts come
 
     - ``(min, max, percentile-threshold)`` of the raw flag-sum score;
     - when ``partition_col`` is given, a Dataset of per-partition
@@ -175,42 +178,41 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
       OR-merge, experiment.py:441-445); a partition fails when its
       violation share exceeds ``budget``.  Otherwise ``None``.
     """
-    import pandas as pd
-
     import ray.data as rd
+
+    pcols = [partition_col] if partition_col is not None else []
+    keys = ["score_raw", "viol"] + pcols
 
     def partial(batch: pa.Table) -> pa.Table:
         viol = np.zeros(batch.num_rows, dtype=bool)
         for c in evidence_cols:
             viol |= batch[c].to_numpy(zero_copy_only=False) > 0
-        cols = {"score_raw": pc.add(batch[TUKEY_TOTAL], batch[MAD_TOTAL]),
-                "viol": pa.array(viol)}
-        if partition_col is not None:
-            cols[partition_col] = batch[partition_col]
-        return pa.table(cols).group_by(list(cols)).aggregate(
-            [([], "count_all")])
+        return pa.table({
+            "score_raw": pc.add(batch[TUKEY_TOTAL], batch[MAD_TOTAL]),
+            "viol": viol, **{c: batch[c] for c in pcols}}) \
+            .group_by(keys).aggregate([([], "count_all")])
 
-    rows = checked_ds.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True).take_all()
-    df = pd.DataFrame(rows, columns=["score_raw", "viol", "count_all"]
-                      + ([partition_col] if partition_col else []))
-    scores = df.groupby("score_raw")["count_all"].sum()
-    stats = _score_stats(scores.index.to_numpy(np.int64),
-                         scores.to_numpy(np.int64), pct)
+    g = fold(checked_ds, partial, merge_groups(keys, {"count_all": "sum"}))
+    if g is None:
+        g = pa.table({"score_raw": pa.array([], pa.int64()),
+                      "viol": pa.array([], pa.bool_()),
+                      "count_all": pa.array([], pa.int64()),
+                      **{c: pa.array([], pa.int64()) for c in pcols}})
+    by_score = g.group_by(["score_raw"]).aggregate([("count_all", "sum")])
+    stats = _score_stats(by_score["score_raw"].to_numpy().astype(np.int64),
+                         by_score["count_all_sum"].to_numpy(), pct)
     if partition_col is None:
         return stats, None
-    if df.empty:
-        return stats, rd.from_arrow(pa.table({
-            partition_col: pa.array([], type=pa.int64()),
-            "n_rows": pa.array([], type=pa.int64()),
-            "n_viol": pa.array([], type=pa.int64()),
-            "fail": pa.array([], type=pa.int8())}))
-    df["n_viol"] = df["count_all"] * df["viol"]
-    v = (df.rename(columns={"count_all": "n_rows"})
-         .groupby(partition_col, as_index=False)[["n_rows", "n_viol"]].sum())
-    v["fail"] = (v["n_viol"] / v["n_rows"] > budget).astype(np.int8)
-    return stats, rd.from_pandas(
-        v.sort_values(partition_col).reset_index(drop=True))
+    v = g.append_column("n_viol", pc.if_else(g["viol"], g["count_all"], 0)) \
+        .group_by([partition_col]) \
+        .aggregate([("count_all", "sum"), ("n_viol", "sum")]) \
+        .sort_by(partition_col)
+    n_rows = v["count_all_sum"].to_numpy()
+    n_viol = v["n_viol_sum"].to_numpy()
+    return stats, rd.from_arrow(pa.table({
+        partition_col: v[partition_col], "n_rows": n_rows,
+        "n_viol": n_viol,
+        "fail": (n_viol / n_rows > budget).astype(np.int8)}))
 
 
 def score_threshold(checked_ds, *, pct: float = 0.10

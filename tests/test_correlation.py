@@ -60,3 +60,13 @@ def test_spearman_sampled_full_fraction_is_exact():
     y = -x + rng.integers(0, 5, 2000)
     got = spearman_sampled(_ds(x, y), "x", "y", sample_rows=10_000)
     assert np.isclose(got, _oracle_spearman(x, y), atol=1e-12)
+
+
+def test_spearman_on_empty_input_is_nan():
+    """No rows (and one row) give NaN, as spearman_sampled does below
+    two rows: the empty profile has no column to rank."""
+    assert np.isnan(spearman(_ds(np.empty(0), np.empty(0), parts=1),
+                             "x", "y"))
+    assert np.isnan(spearman(_ds([1.0, 2.0], [3.0, 4.0])
+                             .filter(lambda r: False), "x", "y"))
+    assert np.isnan(spearman(_ds([1.0], [2.0], parts=1), "x", "y"))

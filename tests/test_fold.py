@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,8 @@ import ray.data as rd
 
 from autoprepad_ray.sketches import KLL, HyperLogLog
 from autoprepad_ray.stages.transport import (FAN_IN, _pickled, fold,
-                                             fold_payloads, merge_counts)
+                                             fold_payloads, merge_counts,
+                                             merge_groups)
 from tests.test_sketches import _rank_error
 
 
@@ -33,30 +35,43 @@ def _blocks(values: np.ndarray, cuts: list[int], empties: list[int]):
 @settings(max_examples=5, deadline=None)
 def test_fold_contract_over_random_blocks(n, span, seed, n_blocks,
                                           n_empty):
-    """Counts, HLL registers and KLL ranks (error <= 1 %) folded over a
-    random split of an int multiset — more than FAN_IN blocks, some of
-    them 0-row — match one process."""
+    """Counts, HLL registers, KLL ranks (error <= 1 %) and Arrow
+    ``group_by`` sums/mins/maxes over a key with nulls (merged by
+    ``merge_groups``) folded over a random split of an int multiset —
+    more than FAN_IN blocks, some of them 0-row — match one process."""
     rng = np.random.default_rng(seed)
     x = rng.integers(-span, span + 1, n)
     cuts = rng.integers(0, len(x) + 1, n_blocks - 1).tolist()
     empties = rng.integers(0, n_blocks, n_empty).tolist()
     ds = _blocks(x, cuts, empties)
 
+    aggs = {"n": "sum", "s": "sum", "lo": "min", "hi": "max"}
+    merge_g = merge_groups(["key"], aggs)
+
+    def keyed(v: np.ndarray) -> pa.Table:
+        """``v`` keyed by ``v % 7``, the key null where 5 divides v."""
+        return pa.table({"key": pa.array(v % 7, mask=v % 5 == 0),
+                         "n": np.ones(len(v), np.int64), "s": v,
+                         "lo": v, "hi": v})
+
     def partial(t: pa.Table):
         v = t["v"].to_numpy()
         hll, kll = HyperLogLog(p=10), KLL()
         hll.update(v)
         kll.update(v.astype(np.float64))
-        return np.unique(v, return_counts=True), hll, kll
+        g = keyed(v).group_by(["key"]).aggregate(list(aggs.items())) \
+            .rename_columns(["key", *aggs])
+        return np.unique(v, return_counts=True), hll, kll, g
 
     def merge(parts):
         hll, kll = HyperLogLog(p=10), KLL()
-        for _, h, k in parts:
+        for _, h, k, _ in parts:
             hll.merge(h)
             kll.merge(k)
-        return merge_counts([p[0] for p in parts]), hll, kll
+        return (merge_counts([p[0] for p in parts]), hll, kll,
+                merge_g([p[3] for p in parts]))
 
-    (vals, cnts), hll, kll = fold(ds, partial, merge)
+    (vals, cnts), hll, kll, g = fold(ds, partial, merge)
     u, c = np.unique(x, return_counts=True)
     np.testing.assert_array_equal(vals, u)
     np.testing.assert_array_equal(cnts, c)
@@ -66,6 +81,11 @@ def test_fold_contract_over_random_blocks(n, span, seed, n_blocks,
     assert kll.n == n
     assert _rank_error(np.sort(x).astype(np.float64), kll.quantile,
                        np.linspace(0, 1, 101)) <= 0.01
+    want = keyed(x).group_by(["key"]).aggregate(list(aggs.items()))
+    assert g.sort_by("key").to_pylist() == want.rename_columns(
+        ["key", *aggs]).sort_by("key").to_pylist()
+    assert g.filter(pc.is_null(g["key"]))["n"].to_pylist() == \
+        [int((x % 5 == 0).sum())]
 
 
 def test_driver_merge_receives_one_part_per_fan_in_group():
@@ -128,15 +148,79 @@ def _nrows(out) -> int:
     return len(out) if not hasattr(out, "num_rows") else out.num_rows
 
 
+def _raises(exc, fn, *args, **kwargs) -> bool:
+    with pytest.raises(exc):
+        fn(*args, **kwargs)
+    return True
+
+
+def _empty_frame(*cols):
+    return lambda r: r.empty and list(r.columns) == list(cols)
+
+
 def _migrated():
-    from autoprepad_ray.profile import profile_dataset
-    from autoprepad_ray.stages import bloom, cooccur, embed, graph, join, \
-        text
-    from autoprepad_ray.validators import drift, heavy, near_dup, \
-        uniqueness
+    import ray
+
+    from autoprepad_ray.profile import profile_arrays, profile_dataset
+    from autoprepad_ray.stages import bloom, cluster, cooccur, embed, \
+        graph, join, text, topk
+    from autoprepad_ray.validators import correlation, drift, heavy, \
+        near_dup, referential, row_checks, uniqueness
 
     edges = np.array([0.0, 2.0, 4.0])
+    src = {"id_col": "k", "source_col": "id"}
+    fences = row_checks.fence_states(
+        profile_arrays({"x": np.array([0.0, 1.0, 2.0, 3.0])}), ["x"])
     return {
+        "eval_gram_set": (lambda ds: ray.get(text.eval_gram_set(ds)),
+                          lambda r: len(r) == 0),
+        "bm25_scores": (lambda ds: text.bm25_scores(
+            ds, ["x"], id_col="k").count(), lambda r: r == 0),
+        "source_mixture_weights": (
+            lambda ds: text.source_mixture_weights(ds, source_col="id"),
+            _empty_frame("source", "n_docs", "n_words", "weight")),
+        "token_drift_by_source": (
+            lambda ds: text.token_drift_by_source(ds, source_col="id"),
+            _empty_frame("source", "tvd")),
+        "vocab_jaccard_source_pairs": (
+            lambda ds: text.vocab_jaccard_source_pairs(ds,
+                                                       source_col="id"),
+            _empty_frame("source_a", "source_b", "n_inter", "n_union",
+                         "jaccard")),
+        "token_budget_resample": (
+            lambda ds: text.token_budget_resample(ds, **src),
+            _empty_frame("source", "n_docs", "n_words", "cut", "n_kept",
+                         "words_kept")),
+        "corpus_assembly_funnel": (
+            lambda ds: text.corpus_assembly_funnel(ds, **src),
+            _empty_frame("source", "n_raw", "n_quality", "n_dedup", "cut",
+                         "n_final")),
+        "categorical_counts": (
+            lambda ds: drift.categorical_counts(ds, "id"),
+            lambda r: r == {}),
+        "first_digit_counts": (
+            lambda ds: drift.first_digit_counts(ds, "x"),
+            lambda r: r.tolist() == [0] * 10),
+        "spearman": (lambda ds: correlation.spearman(ds, "x", "k"),
+                     math.isnan),
+        "check_summary": (
+            lambda ds: row_checks.check_summary(
+                row_checks.check_rows(ds, fences), "pid"),
+            lambda r: r[0][:2] == (0.0, 0.0) and math.isnan(r[0][2])
+            and r[1].count() == 0),
+        "orphans_broadcast": (
+            lambda ds: referential.orphans(ds, ds, "k",
+                                           strategy="broadcast"),
+            lambda r: r.num_rows == 0),
+        "kmedoids_fit": (
+            lambda ds: _raises(ValueError, cluster.kmedoids_fit, ds,
+                               ["x"], "k"), lambda r: r),
+        "top_k": (lambda ds: topk.top_k(ds, ["x", "k"],
+                                        descending=[True, False], k=3),
+                  lambda r: r.empty),
+        "skyline_2d": (lambda ds: topk.skyline_2d(
+            ds, x_col="x", y_col="k", keep_cols=["x", "k"]),
+            lambda r: r.num_rows == 0),
         "profile_dataset": (lambda ds: profile_dataset(ds, ["x"]).n_rows,
                             lambda r: r == 0),
         "distinct_counts": (lambda ds: uniqueness.distinct_counts(

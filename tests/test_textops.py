@@ -617,21 +617,25 @@ def test_ngram_repetition_property_vs_python():
     inner()
 
 
-def test_typed_partial_empty_keeps_schema():
-    """Empty per-block partials must stay (string, int64)-typed —
-    from_pandas would infer null/double and break Ray's block schema
-    unification when one block's mask keeps nothing."""
-    from autoprepad_ray.stages.text import _typed_partial
+def test_source_folds_when_a_block_keeps_nothing():
+    """A block whose rows all fail the quality gate contributes empty
+    per-source partials to every pass; the per-source folds give the
+    one-block answer on any block layout."""
+    from autoprepad_ray.stages.text import (corpus_assembly_funnel,
+                                            token_budget_resample)
 
-    empty = pd.DataFrame({"source": pd.Series([], dtype=object),
-                          "n_kept": pd.Series([], dtype=object)})
-    t = _typed_partial(empty, ("source",), ("n_kept",))
-    assert t.schema.field("source").type == pa.string()
-    assert t.schema.field("n_kept").type == pa.int64()
-    full = pd.DataFrame({"source": ["a"], "n_kept": [3]})
-    t2 = _typed_partial(full, ("source",), ("n_kept",))
-    assert t.schema == t2.schema
-    assert pa.concat_tables([t, t2]).num_rows == 1
+    good = ("the cat sat of the mat and the dog ran to the big house "
+            "with many windows")
+    t = pa.table({
+        "doc_id": pa.array(range(8), pa.int64()),
+        "source": pa.array(["s1", "s2"] * 4),
+        "text": pa.array(["too short"] * 4
+                         + [good, good + " and more", good + " x",
+                            good + " y z"])})
+    split = rd.from_arrow([t.slice(0, 4), t.slice(4, 0), t.slice(4)])
+    for fn in (corpus_assembly_funnel, token_budget_resample):
+        pd.testing.assert_frame_equal(fn(split), fn(rd.from_arrow(t)))
+    assert corpus_assembly_funnel(split)["n_quality"].tolist() == [2, 2]
 
 
 # ---------------------------------------------------------------------------
