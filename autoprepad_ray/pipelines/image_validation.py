@@ -66,15 +66,14 @@ from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
 from ..sketches import key_hash, np_object, splitmix64
-from ..stages.transport import (fold, fold_payloads, merge_concat,
-                                merge_counts, scatter_slices)
+from ..stages.transport import (default_num_parts, fold, fold_payloads,
+                                merge_concat, merge_counts, scatter_slices)
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
 from ..validators.near_dup import (BAND_SLOTS, N_BANDS, _EMPTY_PAIRS,
                                    _band_cells, _band_combos,
-                                   _capped_per_key, _id_pairs, _pair_ids,
-                                   default_num_parts)
+                                   _capped_per_key, _id_pairs, _pair_ids)
 
 EXPECTED_FIELDS = {
     "image_id": pa.string(), "bytes": pa.large_binary(),

@@ -36,8 +36,8 @@ from ..functions import strings as sfn
 from ..sketches import ValueCounts, np_object
 from ..functions.dates import date_encode
 from ..profile import profile_dataset
-from ..stages.transport import (fold, merge_counts, merge_groups,
-                                merge_unique)
+from ..stages.transport import (fold, keyed_fold, merge_counts,
+                                merge_groups, merge_unique)
 from ..validators import drift, referential, row_checks as rc, uniqueness
 from ..validators.correlation import spearman
 
@@ -323,10 +323,10 @@ WHERE l_suppkey NOT IN
 GROUP BY l_suppkey""")
 def orphan_suppkeys(sf_dir: str):
     """Referential integrity anti-join: lineitem supplier keys with no
-    matching row in a filtered supplier dimension (tagged-union
-    partials folded by the hash-partitioned flat-task shuffle —
-    ``referential.orphans(strategy='fold')`` — with the orphan filter
-    inside the fold tasks, so matched keys never leave them)."""
+    matching row in a filtered supplier dimension (the tagged-union
+    partials of ``referential.orphans``' shuffle strategy, folded per
+    key by ``transport.keyed_fold`` with the orphan filter inside the
+    per-slice tasks, so matched keys never leave them)."""
     def keep_non_mod3(t: pa.Table) -> pa.Table:
         keys = t["s_suppkey"].to_numpy(zero_copy_only=False)
         return (t.filter(pa.array(keys % 3 != 0))
@@ -335,8 +335,7 @@ def orphan_suppkeys(sf_dir: str):
     left = _t(sf_dir, "lineitem", ["l_suppkey"])
     right = _t(sf_dir, "supplier", ["s_suppkey"]).map_batches(
         keep_non_mod3, batch_format="pyarrow")
-    orp = referential.orphans(left, right, "l_suppkey", direction="left",
-                              strategy="fold")
+    orp = referential.orphans(left, right, "l_suppkey", direction="left")
     return pa.table({"l_suppkey": orp["l_suppkey"],
                      "left_n": orp["left_n"].cast(pa.int64())})
 
@@ -401,20 +400,19 @@ FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
 GROUP BY o.o_custkey, c.c_name
 ORDER BY SUM(o.o_totalprice) DESC, o.o_custkey LIMIT 10""")
 def top_customers(sf_dir: str):
-    """Top-k revenue customers: partial+final groupby, then a broadcast
-    dimension lookup (customer put in the object store ONCE) — no
-    row-shuffle join.  The per-customer fold rides
-    ``stages.groupfold.grouped_fold`` (hash-partitioned flat-task
-    shuffle, no Ray sort-groupby) with the top-10 cut applied INSIDE
-    each fold slice, so only num_parts x 10 candidate rows ever leave
-    the fold — ROUND(SUM, 2) on the 2-decimal o_totalprice keeps the
-    reduceat fold order exactly on the oracle's decimal grid."""
-    from ..stages.groupfold import grouped_fold
-    from ..stages.topk import top_k
-
+    """Top-k revenue customers: partial+final grouped sum, then a
+    broadcast dimension lookup (customer put in the object store ONCE)
+    — no row-shuffle join.  The per-customer sums ride
+    ``transport.keyed_fold`` (no Ray sort-groupby) with the top-10 cut
+    applied INSIDE each slice task, so only slices x 10 candidate rows
+    reach the driver, which cuts them once more — ROUND(SUM, 2) on the
+    2-decimal o_totalprice keeps the fold order exactly on the
+    oracle's decimal grid."""
     orders = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _t(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
     name_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_name"])))
+    merge = merge_groups(["o_custkey"],
+                         {"s_price": "sum", "n_orders": "sum"})
 
     def partial(t: pa.Table) -> pa.Table:
         g = (t.group_by(["o_custkey"])
@@ -422,20 +420,12 @@ def top_customers(sf_dir: str):
         return g.rename_columns(["o_custkey", "s_price", "n_orders"])
 
     def cut10(t: pa.Table) -> pa.Table:
-        if t.num_rows <= 10:
-            return t
         return t.take(pc.sort_indices(
             t, sort_keys=[("s_price", "descending"),
                           ("o_custkey", "ascending")])[:10])
 
-    agg = grouped_fold(orders, partial,
-                       {"s_price": "sum", "n_orders": "sum"},
-                       key="o_custkey",
-                       types={"s_price": pa.float64(),
-                              "n_orders": pa.int64()},
-                       cut=cut10)
-    top = top_k(agg, ["s_price", "o_custkey"],
-                descending=[True, False], k=10)
+    top = cut10(keyed_fold(orders, partial, ["o_custkey"],
+                           lambda parts: cut10(merge(parts)))).to_pandas()
 
     names = ray.get(name_ref)
     return pd.DataFrame({
@@ -2926,14 +2916,12 @@ def setops_orderkeys_by_flag(sf_dir: str):
     in_a AND in_r is the intersection, in_a AND NOT in_r the
     difference.  Shaped as ONE grouped max over membership flags:
     per-block pyarrow group_by collapses each block to one row per
-    key, then ``stages.groupfold.grouped_fold`` hash-partitions the
-    distinct (key, 2 bits) partials and folds each slice with one
-    maximum.reduceat — the flat-task shuffle moves every partial byte
-    once and skips the Ray sort-groupby's flat multi-second exchange
-    (5.5 s -> ~1.5 s solo at sf0.1); raw lineitems never move, which
-    beats materializing two DISTINCT sets and joining them (two
-    shuffles) at any scale."""
-    from ..stages.groupfold import grouped_fold
+    key, then ``transport.keyed_fold`` routes the distinct (key, 2
+    bits) partials by key hash and folds each slice with one Arrow
+    grouped max — the flat-task shuffle moves every partial byte once
+    and skips the Ray sort-groupby's flat multi-second exchange; raw
+    lineitems never move, which beats materializing two DISTINCT sets
+    and joining them (two shuffles) at any scale."""
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["l_returnflag"],
@@ -2947,9 +2935,10 @@ def setops_orderkeys_by_flag(sf_dir: str):
         return pa.table({"l_orderkey": g["l_orderkey"],
                          "in_a": g["in_a_max"], "in_r": g["in_r_max"]})
 
-    return grouped_fold(
-        _t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]),
-        partial, {"in_a": "max", "in_r": "max"}, key="l_orderkey")
+    return keyed_fold(
+        _t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]), partial,
+        ["l_orderkey"],
+        merge_groups(["l_orderkey"], {"in_a": "max", "in_r": "max"}))
 
 
 @query("json_extract_events_props", sql="""

@@ -14,8 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
+
+from .transport import fold
 
 
 def _matrix(batch_col) -> np.ndarray:
@@ -226,7 +229,6 @@ def label_centroids(ds, vec_col: str = "embedding",
     driver folds the handful of partials and divides once.  Rows-only
     checked (float sums are order-sensitive; pytest pins against a
     single-process numpy mean at 1e-12)."""
-    from .transport import fold
 
     def partial(t: pa.Table) -> dict:
         if t.num_rows == 0:     # dynamic block splits can emit empties
@@ -270,7 +272,6 @@ def sq8_minmax(ds, vec_col: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension (min, max) census of an embedding column — one
     streaming pass, per-block partials folded on the driver (two
     d-length vectors per block; d is model-fixed, never data-scale)."""
-    from .transport import fold
 
     def part(t: pa.Table):
         if t.num_rows == 0:
@@ -300,11 +301,12 @@ def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
     corpus can be written once and re-scanned for every query batch.
     Standard SQ8 from the FAISS/ScaNN literature: per-dim affine grid
     (pass 1 = min/max census), approximate scores on dequantized codes
-    (pass 2, float32 matmul + per-block partial top-(rerank*k)), exact
-    float64 rerank of the surviving candidate ids only (pass 3 gathers
-    just those rows).  With rerank_factor*k >= corpus size the result
-    equals brute force exactly; recall at practical settings is pinned
-    by pytest against ``cosine_topk``."""
+    (pass 2, float32 matmul + per-block partial top-(rerank*k), folded
+    by the same cut per query), exact float64 rerank of the surviving
+    candidate ids only (pass 3 gathers just those rows).  With
+    rerank_factor*k >= corpus size the result equals brute force
+    exactly; recall at practical settings is pinned by pytest against
+    ``cosine_topk``."""
     lo, hi = sq8_minmax(ds, vec_col)
     scale = (hi - lo) / 255.0
     scale[scale == 0] = 1.0                       # constant dims
@@ -338,11 +340,18 @@ def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
                          id_col: pa.array(ov, type=pa.int64()),
                          "approx": pa.array(oc, type=pa.float64())})
 
-    cand = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
-    cand = (cand.sort_values(["query_id", "approx", id_col],
-                             ascending=[True, False, True])
-            .groupby("query_id").head(r))
+    def top_r(parts: list[pa.Table]) -> pa.Table:
+        t = pa.concat_tables(parts)
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("query_id", "ascending"), ("approx", "descending"),
+            (id_col, "ascending")]))
+        q = t["query_id"].to_numpy()
+        first = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+        rank = np.arange(len(q)) - np.repeat(first, np.diff(
+            np.r_[first, len(q)]))
+        return t.filter(pa.array(rank < r))
+
+    cand = fold(ds, partial, top_r).to_pandas()
     cand_ids = np.unique(cand[id_col].to_numpy())
     ids_ref = ray.put(cand_ids)
 

@@ -65,8 +65,7 @@ import ray
 
 from ..sketches import popcount64, splitmix64
 from ..validators.heavy import mg_merge
-from ..validators.near_dup import default_num_parts
-from .transport import fold, scatter_slices
+from .transport import default_num_parts, fold, scatter_slices
 
 _EPS = 1e-9
 _SEG_MAX = 512          # size-class batching bound; larger buckets sweep

@@ -12,6 +12,12 @@ survivors.  A ``map_batches(merge, batch_size=...)`` merge level would
 fuse into its partial's task (one read task per file) and merge
 nothing, so the reduce runs over ``to_arrow_refs()`` instead.
 
+:func:`keyed_fold` is the one keyed partial->merge reduction: each
+block's partial table routes its rows by ``sketches.key_hash`` of the
+key columns, every slice's rows move once through
+:func:`scatter_slices`, and one flat task per slice merges them.  Any
+Arrow key type works and all null keys form one group.
+
 Scatter.  The flat-task pairing pattern (one ray task per key slice over a
 ``materialize()``d packed stream) originally handed EVERY task the refs
 of EVERY block and let each task filter its slice out.  On one node that
@@ -47,6 +53,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..sketches import key_hash
+
 # keep per-(task, slice) cells comfortably above Ray's ~100 KB
 # inline-return bound so large streams live in plasma, not the driver
 TARGET_CELL_BYTES = 128 * 1024
@@ -54,6 +62,17 @@ TARGET_CELL_BYTES = 128 * 1024
 # blocks merged by one flat fold task; the driver merges
 # ceil(blocks / FAN_IN) survivors
 FAN_IN = 32
+
+
+def default_num_parts(mult: int = 4, floor: int = 16) -> int:
+    """Slice count of a scatter: ``mult`` per cluster CPU, at least
+    ``floor``."""
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", 4)) \
+            if ray.is_initialized() else 4
+    except Exception:
+        cpus = 4
+    return max(floor, cpus * mult)
 
 
 def _pickled(obj) -> pa.Table:
@@ -198,3 +217,43 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
         for group in np.array_split(np.arange(len(refs)), n_tasks)
         if len(group)]
     return [[g[s] for g in grids] for s in range(num_slices)]
+
+
+def _keyed_slices(t: pa.Table, keys: list[str], n: int) -> pa.Table:
+    """(slice, payload) rows of a keyed partial: one pickled table per
+    key-hash slice.  Each slice is ``take``n, never a ``Table.slice``:
+    a pickled slice carries its parent's whole buffers."""
+    sl = key_hash([t[k] for k in keys])[0] % np.uint64(n)
+    order = np.argsort(sl, kind="stable")
+    bounds = np.searchsorted(sl[order], np.arange(n + 1, dtype=np.uint64))
+    live = np.flatnonzero(np.diff(bounds))
+    return pa.table({
+        "slice": pa.array(live, pa.int64()),
+        "payload": pa.array([pickle.dumps(t.take(order[s:e])) for s, e
+                             in zip(bounds[live], bounds[live + 1])],
+                            pa.large_binary())})
+
+
+@ray.remote
+def _keyed_final_task(final, *cells) -> pa.Table | None:
+    parts = [pickle.loads(p) for cell in cells for p in cell]
+    return final(parts) if parts else None
+
+
+def keyed_fold(ds, partial, keys: list[str], final) -> pa.Table | None:
+    """Reduce ``ds`` per key: ``partial(block) -> pa.Table`` collapses
+    every block to rows holding the ``keys`` columns, each row goes to
+    slice ``key_hash(keys) % default_num_parts()``, and one flat task per
+    slice runs ``final(list[pa.Table]) -> pa.Table`` over its rows (a
+    slice with no rows runs nothing).  All rows of a key, null included,
+    meet in one ``final`` call.  Returns the concatenated ``final``
+    tables, or None when no slice had a row.  One Dataset execution."""
+    n = default_num_parts()
+    packed = ds.map_batches(lambda t: _keyed_slices(partial(t), keys, n),
+                            batch_format="pyarrow",
+                            zero_copy_batch=True).materialize()
+    futs = [_keyed_final_task.remote(final, *cells)
+            for cells in scatter_slices(packed, n) if cells]
+    out = [t for t in ray.get(futs) if t is not None]
+    return pa.concat_tables(out, promote_options="default") if out \
+        else None

@@ -48,8 +48,8 @@ import pyarrow as pa
 
 import ray
 
-from ..stages.transport import (fold, fold_payloads, merge_concat,
-                                merge_counts)
+from ..stages.transport import (default_num_parts, fold, fold_payloads,
+                                merge_concat, merge_counts)
 
 
 def _minid_per_key(keys: np.ndarray, ids: np.ndarray
@@ -525,15 +525,6 @@ def _id_pairs(ph_pairs: pd.DataFrame, ph_map: np.ndarray,
         "id_b": pd.Series(np.where(swap, a, b)),
         "dist": ph_pairs["dist"].to_numpy()})
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-def default_num_parts(mult: int = 4, floor: int = 16) -> int:
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-    except Exception:
-        cpus = 4
-    return max(floor, cpus * mult)
 
 
 def hamming_neardup_pairs(ds, *, max_dist: int = 4,

@@ -4,10 +4,11 @@ The reference has no dedup at all (its only duplicate heuristic is the
 Spearman duplicate-COLUMN check, SpearmanCheck.py:23-41); these are the
 engine-native key checks the north rule requires.
 
-Scale shape: every check pre-aggregates inside ``map_batches`` (one row
-per distinct key per block via Arrow ``group_by``) before the
-``groupby`` shuffle, so the exchange moves O(distinct-per-block), not
-O(rows).  ``image_id``-style near-unique keys are naturally balanced;
+Scale shape: a keyed check pre-aggregates each block to one row per
+distinct key (Arrow ``group_by``) and sums those rows per key with
+``stages.transport.keyed_fold``, so the exchange moves
+O(distinct-per-block) rows, never raw rows, and no Ray sort-groupby
+runs.  ``image_id``-style near-unique keys are naturally balanced;
 for skewed keys use the salted two-level pattern in ``near_dup.py``.
 
 Null rule: a uniqueness check either checks only the rows that are
@@ -25,7 +26,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import HyperLogLog, key_hash
-from ..stages.transport import fold, merge_counts
+from ..stages.transport import (fold, keyed_fold, merge_counts,
+                                merge_groups)
 
 
 def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
@@ -46,8 +48,8 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     The fast path assumes duplicates are RARE (the uniqueness-check
     regime).  When the census shows candidate rows exceed
     ``max_collect`` (dup-heavy keys — a dedup workload, not a
-    uniqueness check), it falls back to the partial+final groupby
-    shuffle, which moves per-block distinct keys instead.
+    uniqueness check), it falls back to the partial+final keyed fold,
+    which moves per-block distinct keys instead.
     """
     import ray
 
@@ -80,53 +82,21 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
 
 def _duplicate_keys_shuffle(ds, cols: list[str],
                             min_count: int) -> pa.Table:
-    """Dup-heavy path: per-block Arrow group_by partials summed by
-    :func:`bucketed_sums`, filtered to n >= min_count."""
+    """Dup-heavy path: per-block Arrow group_by counts summed per key by
+    :func:`~..stages.transport.keyed_fold`, filtered to n >= min_count."""
+    merge = merge_groups(cols, {"n": "sum"})
 
     def partial(batch: pa.Table) -> pa.Table:
         g = _canonical(batch.select(cols)).group_by(cols).aggregate(
             [([], "count_all")])
         return g.rename_columns(cols + ["n"])
 
-    out = bucketed_sums(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True), cols, ["n"],
-        lambda t: t.filter(pc.greater_equal(t["n"], min_count)))
+    def final(parts: list[pa.Table]) -> pa.Table:
+        t = merge(parts)
+        return t.filter(pc.greater_equal(t["n"], min_count))
+
+    out = keyed_fold(ds, partial, cols, final)
     return out if out is not None else _empty_listing(ds, cols)
-
-
-def bucketed_sums(partials, cols: list[str], sums: list[str],
-                  cut) -> pa.Table | None:
-    """Final stage of a partial+final grouped sum over key ``cols``: ONE
-    Ray groupby over each partial row's key-hash bucket (never over the
-    raw keys — a sort cannot order a null against a string), then an
-    exact Arrow group_by per bucket (all null keys form one group)
-    summing the ``sums`` columns, and ``cut(table) -> table`` on each
-    bucket's result.  Returns the cut rows, or None when none survive.
-
-    The bucket count is the partials' block count (they are
-    materialized first; the groupby's exchange is a barrier anyway):
-    Ray's sort shuffle cuts one partition per input block, so each gets
-    about one bucket."""
-    partials = partials.materialize()
-    n_buckets = max(1, partials.num_blocks())
-
-    def bucket(g: pa.Table) -> pa.Table:
-        h, _ = key_hash([g[c] for c in cols])
-        return g.append_column("__bucket", pa.array(
-            (h % np.uint64(n_buckets)).astype(np.int32)))
-
-    def final(g: pa.Table) -> pa.Table:
-        t = g.group_by(cols).aggregate([(c, "sum") for c in sums])
-        return cut(pa.table({**{c: t[c] for c in cols},
-                             **{c: t[f"{c}_sum"] for c in sums}}))
-
-    out = (partials.map_batches(bucket, batch_format="pyarrow",
-                                zero_copy_batch=True)
-           .groupby("__bucket").map_groups(final, batch_format="pyarrow"))
-    batches = list(out.iter_batches(batch_size=65536,
-                                    batch_format="pyarrow"))
-    return pa.concat_tables(batches) if batches else None
 
 
 def _canonical(t: pa.Table) -> pa.Table:
@@ -138,14 +108,16 @@ def _canonical(t: pa.Table) -> pa.Table:
     return t
 
 
-def _empty_listing(ds, cols: list[str]) -> pa.Table:
-    """Typed empty listing from the SOURCE schema — pa.array([]) would
-    yield null-typed columns and the two paths would disagree on
-    schema.  A Dataset filtered to nothing has no schema: null types."""
+def _empty_listing(ds, cols: list[str], counts=("n",)) -> pa.Table:
+    """Typed empty listing (``cols`` then int64 ``counts``) from the
+    SOURCE schema — pa.array([]) would yield null-typed columns and the
+    arms would disagree on schema.  A Dataset filtered to nothing has no
+    schema: null types."""
     sch = ds.schema()
     types = dict(zip(sch.names, sch.types)) if sch is not None else {}
     return pa.table({c: pa.array([], type=types.get(c, pa.null()))
-                     for c in cols} | {"n": pa.array([], type=pa.int64())})
+                     for c in cols}
+                    | {c: pa.array([], type=pa.int64()) for c in counts})
 
 
 def distinct_counts(ds, cols: list[str]) -> dict[str, int]:

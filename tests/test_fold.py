@@ -212,6 +212,9 @@ def _migrated():
             lambda ds: referential.orphans(ds, ds, "k",
                                            strategy="broadcast"),
             lambda r: r.num_rows == 0),
+        "orphans_shuffle": (
+            lambda ds: referential.orphans(ds, ds, "k", strategy="shuffle"),
+            lambda r: r.num_rows == 0),
         "kmedoids_fit": (
             lambda ds: _raises(ValueError, cluster.kmedoids_fit, ds,
                                ["x"], "k"), lambda r: r),
@@ -229,6 +232,9 @@ def _migrated():
                          lambda r: r == {"k": 0.0}),
         "duplicate_keys": (lambda ds: uniqueness.duplicate_keys(ds, ["k"]),
                            lambda r: r.num_rows == 0),
+        "duplicate_keys_shuffle": (
+            lambda ds: uniqueness.duplicate_keys(ds, ["k"], max_collect=0),
+            lambda r: r.num_rows == 0),
         "heavy_hitters": (lambda ds: heavy.heavy_hitters(ds, "k"),
                           lambda r: r.num_rows == 0),
         "duplicate_phash_groups": (
@@ -264,9 +270,10 @@ def _migrated():
 @pytest.mark.parametrize("empty", ["zero_rows", "filtered"])
 @pytest.mark.parametrize("name", sorted(_migrated()))
 def test_migrated_functions_on_empty_datasets(name, empty):
-    """Every function folded through stages.transport.fold answers an
-    empty Dataset — zero rows, or rows filtered to nothing (Ray then
-    reports no schema and runs no partial) — with its empty result."""
+    """Every function folded through stages.transport.fold or
+    keyed_fold answers an empty Dataset — zero rows, or rows filtered to
+    nothing (Ray then reports no schema and runs no partial) — with its
+    empty result."""
     t = _table()
     ds = rd.from_arrow(t.slice(0, 0)) if empty == "zero_rows" \
         else rd.from_arrow(t).filter(lambda r: False)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from autoprepad_ray.stages.bloom import build_bloom, probe_bloom
 from autoprepad_ray.stages.join import (asof_join, bucketed_join,
                                         range_join, semi_join)
+from autoprepad_ray.validators.referential import orphans
 from autoprepad_ray.validators.uniqueness import duplicate_keys
 
 
@@ -85,8 +86,6 @@ def test_duplicate_keys_negative_zero_counts_with_zero_on_both_arms():
 def test_orphans_shuffle_null_string_key_agrees_with_broadcast():
     # the shuffle arm must not sort raw keys either; null is one group
     # (the census rule), so it is an orphan only when one side lacks it
-    from autoprepad_ray.validators.referential import orphans
-
     left = _blocks({"k": pa.array(["a", None])}, {"k": pa.array(["b"])})
     right = _blocks({"k": pa.array(["a", None, "c"])},
                     {"k": pa.array(["d"])})
@@ -103,6 +102,19 @@ def test_orphans_shuffle_null_string_key_agrees_with_broadcast():
         got = orphans(lone, _blocks({"k": pa.array(["a", "c"])}), "k",
                       direction="left", strategy=strategy).to_pylist()
         assert got == [{"k": None, "left_n": 1, "right_n": 0}], strategy
+
+
+def test_orphans_keep_int64_keys_beyond_float53_on_both_arms():
+    # a pandas outer merge (broadcast) and a float64 pack (the old
+    # int64-only fold) both turned 2**53 + 1 into 2**53
+    left = _blocks({"k": pa.array([2 ** 53 + 1, None], pa.int64())})
+    right = _blocks({"k": pa.array([None, 5], pa.int64())})
+    for strategy in ("broadcast", "shuffle"):
+        got = orphans(left, right, "k", strategy=strategy)
+        assert got.schema.field("k").type == pa.int64(), strategy
+        assert sorted(got.to_pylist(), key=repr) == [
+            {"k": 5, "left_n": 0, "right_n": 1},
+            {"k": 2 ** 53 + 1, "left_n": 1, "right_n": 0}], strategy
 
 
 def test_bucketed_inner_join_null_left_key_keeps_all_matches():
@@ -222,6 +234,26 @@ def test_every_key_site_is_layout_free_and_matches_duckdb(case):
         got = duplicate_keys(lds, ["k"], max_collect=mc).to_pylist()
         assert sorted((group(r["k"], r["n"]) for r in got),
                       key=repr) == dups
+
+    # orphans: the two sides' GROUP BY censuses, null one group
+    census = _sql(
+        "WITH lc AS (SELECT k, COUNT(*) AS n FROM L GROUP BY k), "
+        "rc AS (SELECT k, COUNT(*) AS n FROM R GROUP BY k) "
+        "SELECT CASE WHEN lc.n IS NULL THEN rc.k ELSE lc.k END, "
+        "COALESCE(lc.n, 0), COALESCE(rc.n, 0) "
+        "FROM lc FULL OUTER JOIN rc ON lc.k IS NOT DISTINCT FROM rc.k "
+        "WHERE lc.n IS NULL OR rc.n IS NULL", L=L, R=R)
+    keep = {"both": lambda ln, rn: True, "left": lambda ln, rn: rn == 0,
+            "right": lambda ln, rn: ln == 0}
+    for direction, kept in keep.items():
+        want = sorted(((*group(k, ln), rn) for k, ln, rn in census
+                       if kept(ln, rn)), key=repr)
+        for strategy in ("broadcast", "shuffle"):
+            got = orphans(lds, rds, "k", direction=direction,
+                          strategy=strategy).to_pylist()
+            assert sorted(((*group(r["k"], r["left_n"]), r["right_n"])
+                           for r in got), key=repr) == want, \
+                (direction, strategy)
 
     # equi joins: a null key never matches
     for how, sql_how in (("inner", "JOIN"), ("left", "LEFT JOIN"),

@@ -1,18 +1,28 @@
 """Slice-addressed scatter (stages.transport): a pairing task must
 receive ONLY its own slice's payload bytes — the round-2 flat-fanout
 pattern shipped every block to every task, which is O(slices x stream)
-network on a multi-node cluster."""
+network on a multi-node cluster.
+
+The keyed fold (``keyed_fold``) built on it must reproduce an exact
+pandas groupby under every merge, whatever the key type (nulls one
+group), empty slices and partials that keep nothing, and run ``final``
+once per slice."""
 
 import pickle
+import uuid
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray
 import ray.data as rd
 
-from autoprepad_ray.stages.transport import scatter_slices
+from autoprepad_ray.sketches import key_hash
+from autoprepad_ray.stages.transport import (default_num_parts, keyed_fold,
+                                             merge_groups, scatter_slices)
 
 
 def _packed_ds(num_blocks, slices_per_block, num_slices, *, kind=None,
@@ -81,6 +91,145 @@ def test_scatter_empty_stream():
     per_slice = scatter_slices(empty, 5)
     assert all(not ray.get(refs) or all(not c for c in ray.get(refs))
                for refs in per_slice)
+
+
+def _keyed_ds(n_rows=5000, n_keys=911, blocks=7, seed=11):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, n_keys, size=n_rows).astype(np.int64)
+    a = rng.integers(-50, 50, size=n_rows).astype(np.int64)
+    x = np.round(rng.normal(size=n_rows), 3)
+    df = pd.DataFrame({"k": keys, "a": a, "x": x})
+    return _from_frame(df, blocks), df
+
+
+def _from_frame(df: pd.DataFrame, blocks: int):
+    return rd.from_arrow([pa.Table.from_pandas(part, preserve_index=False)
+                          for part in np.array_split(df, blocks)])
+
+
+def _partial(t: pa.Table) -> pa.Table:
+    g = t.group_by("k").aggregate([("a", "max"), ("a", "min"),
+                                   ("x", "sum"), ([], "count_all")])
+    return g.rename_columns(["k", "hi", "lo", "sx", "n"])
+
+
+_MERGE = merge_groups(["k"], {"hi": "max", "lo": "min", "sx": "sum",
+                              "n": "sum"})
+
+
+def _expected(df: pd.DataFrame) -> pd.DataFrame:
+    return (df.groupby("k", as_index=False)
+            .agg(hi=("a", "max"), lo=("a", "min"), sx=("x", "sum"),
+                 n=("a", "size"))
+            .astype({"n": np.int64})
+            .sort_values("k").reset_index(drop=True))
+
+
+def _folded(ds, partial=_partial, final=_MERGE) -> pd.DataFrame:
+    return (keyed_fold(ds, partial, ["k"], final).to_pandas()
+            .sort_values("k").reset_index(drop=True))
+
+
+def test_keyed_fold_matches_pandas_groupby():
+    ds, df = _keyed_ds()
+    # sums fold in a different order than pandas — compare to 1e-9
+    pd.testing.assert_frame_equal(_folded(ds), _expected(df),
+                                  check_exact=False, atol=1e-9)
+
+
+def test_keyed_fold_empty_slices_keep_schema():
+    # 2 keys -> at least 14 of the (>= 16) slices are empty; they run no
+    # final, and the result keeps every column's type
+    df = pd.DataFrame({"k": np.array([1, 1, 2], dtype=np.int64),
+                       "a": np.array([5, 7, -1], dtype=np.int64),
+                       "x": np.array([0.5, 0.25, 1.0])})
+    n = default_num_parts()
+    assert n - len(set(key_hash([df["k"]])[0] % np.uint64(n))) >= 14
+    out = _folded(_from_frame(df, 1))
+    pd.testing.assert_frame_equal(out, _expected(df))
+    assert out["sx"].dtype == np.float64
+    assert out["n"].dtype == np.int64
+
+
+def test_keyed_fold_final_runs_once_per_slice():
+    ds, df = _keyed_ds()
+    n = default_num_parts()
+
+    def final(parts: list[pa.Table]) -> pa.Table:
+        t = _MERGE(parts)
+        t = t.filter(pc.greater(t["n"], 8))     # a cut inside the task
+        return t.append_column("call", pa.array([uuid.uuid4().hex]
+                                                * t.num_rows))
+
+    out = keyed_fold(ds, _partial, ["k"], final)
+    calls = out.to_pandas().assign(
+        slice=key_hash([out["k"]])[0] % np.uint64(n))
+    # each call saw exactly one slice, each slice came from one call
+    assert (calls.groupby("call")["slice"].nunique() == 1).all()
+    assert (calls.groupby("slice")["call"].nunique() == 1).all()
+    exp = _expected(df)
+    exp = exp[exp["n"] > 8].reset_index(drop=True)
+    got = calls.drop(columns=["call", "slice"]).sort_values("k") \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, exp, check_exact=False, atol=1e-9)
+    assert len(got) > 0
+
+
+def test_keyed_fold_partial_filters_whole_batch_away():
+    df = pd.DataFrame({"k": np.arange(40, dtype=np.int64) % 4,
+                       "a": np.arange(40, dtype=np.int64),
+                       "x": np.zeros(40)})
+    # block 0 holds only k in {0,1}, block 1 only k in {2,3}
+    ds = rd.from_arrow([pa.Table.from_pandas(b, preserve_index=False)
+                        for b in (df[df["k"] < 2], df[df["k"] >= 2])])
+
+    def filtering_partial(t: pa.Table) -> pa.Table:
+        return _partial(t.filter(pc.greater_equal(t["k"], 2)))
+
+    pd.testing.assert_frame_equal(_folded(ds, filtering_partial),
+                                  _expected(df[df["k"] >= 2]))
+    assert keyed_fold(ds, lambda t: _partial(t.slice(0, 0)), ["k"],
+                      _MERGE) is None
+
+
+def test_keyed_fold_negative_and_extreme_keys():
+    rng = np.random.default_rng(5)
+    keys = np.array([-(2**62), -3, 0, 7, 2**62, 2**53 + 1, 2**53] * 40,
+                    dtype=np.int64)
+    a = rng.integers(0, 100, size=len(keys)).astype(np.int64)
+    df = pd.DataFrame({"k": keys, "a": a, "x": np.zeros(len(keys))})
+    pd.testing.assert_frame_equal(_folded(_from_frame(df, 4)),
+                                  _expected(df))
+
+
+def test_keyed_fold_string_keys():
+    _, df = _keyed_ds(n_keys=300)
+    df["k"] = "key_" + df["k"].astype(str)
+    pd.testing.assert_frame_equal(_folded(_from_frame(df, 7)),
+                                  _expected(df), check_exact=False,
+                                  atol=1e-9)
+
+
+def test_keyed_fold_nullable_keys_are_one_group():
+    # null keys in different blocks, one block all null: one group, and
+    # a block's nulls never change where its other keys go
+    ds = rd.from_arrow([
+        pa.table({"k": pa.array([1, None, 2 ** 53 + 1], pa.int64()),
+                  "a": pa.array([1, 2, 3], pa.int64()),
+                  "x": pa.array([0.5, 0.25, 1.0])}),
+        pa.table({"k": pa.array([None, None], pa.int64()),
+                  "a": pa.array([4, 5], pa.int64()),
+                  "x": pa.array([2.0, 4.0])}),
+        pa.table({"k": pa.array([1, 2 ** 53 + 1], pa.int64()),
+                  "a": pa.array([6, 7], pa.int64()),
+                  "x": pa.array([8.0, 16.0])})])
+    out = keyed_fold(ds, _partial, ["k"], _MERGE)
+    assert out.schema.field("k").type == pa.int64()
+    assert sorted(out.to_pylist(), key=repr) == sorted([
+        {"k": 1, "hi": 6, "lo": 1, "sx": 8.5, "n": 2},
+        {"k": None, "hi": 5, "lo": 2, "sx": 6.25, "n": 3},
+        {"k": 2 ** 53 + 1, "hi": 7, "lo": 3, "sx": 17.0, "n": 2}],
+        key=repr)
 
 
 def test_segment_pairs_no_verify_enumerates_all_bucket_pairs():
