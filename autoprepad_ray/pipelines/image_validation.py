@@ -6,32 +6,37 @@ and phash near-duplicates (FIXTURES.md R1-R7; verdict composition is
 the reference's OR-merge, experiment.py:441-445).
 
 Execution shape (the whole point at 10^12-row scale): THREE streaming
-passes over the image table, not one per check.  Every read goes
-through ``io.read_table``: one read task per file, output never split,
-so each pass's per-block map fuses into its read task
-(``ReadParquet->MapBatches(...)``) and a "block" below is a file's
-output, cut further only by Ray's dynamic splitting above
-``target_max_block_size`` (128 MiB) —
+passes over the image table, not one per check, and one id-census read
+of the captions.  Every read goes through ``io.read_table``: one read
+task per file, output never split, so pass 2's per-block map and the
+caption census fuse into their read tasks (``ReadParquet->MapBatches``)
+and a "block" below is a file's output, cut further only by Ray's
+dynamic splitting above ``target_max_block_size`` (128 MiB).  Pass 1's
+``batch_size=100_000`` and decode's ``batch_size=256`` make their maps
+separate operators after the read —
 
 - PASS 1 (column-pruned metadata read, ONE execution): a ``Dataset.union``
   of the image-side partial and the caption-side id census.  Each image
   block emits one ``agg`` row (profile partial over the reference
   partitions, drift histograms, dense band census) and, like every
-  other packed stream, census cells (id hash, phash; caption id hash)
-  sliced by ``splitmix64(key) % band_slices``.  The ``agg`` rows fold
-  in flat tasks (``transport.fold_payloads``); the census cells reach
-  per-slice reduce tasks through ``transport.scatter_slices``, so each
-  census byte moves once and a key's counts from both tables meet in
-  one task.  Only candidate sets (duplicate ids, duplicate phashes,
-  orphan hashes) and the few-KB profile reach the driver.
+  other packed stream, census cells (id hash, phash; caption id hash
+  with the distinct id itself) sliced by ``splitmix64(key) %
+  band_slices``.  The ``agg`` rows fold in flat tasks
+  (``transport.fold_payloads``); the census cells reach per-slice
+  reduce tasks through ``transport.scatter_slices``, so each census
+  byte moves once and a key's counts from both tables meet in one
+  task.  Only candidate sets (duplicate ids, duplicate phashes,
+  image-side orphan hashes), the caption-side orphan ids with their
+  counts and the few-KB profile reach the driver.
 - PASS 2 (metadata read, candidates broadcast): row evidence flags,
   per-partition stat/null counts, and the row LISTINGS for exactly the
   candidate keys (duplicate-id rows, orphan rows, dup-phash members).
   Candidate listings are small by construction; violation rows are
   capped per block, i.e. per file-sized block (counts stay exact).  The
   pass is materialized once; its small ``agg`` rows fold off the
-  blocks in flat tasks (``transport.fold_payloads``), never through a
-  second execution.
+  blocks in flat tasks (``transport.fold_payloads``), and one flat task
+  per block unpacks its violation table (:func:`violation_rows`),
+  never through a second execution.
 - Banded-Hamming pairing (no read of its own): pass 2 also emits each
   block's id-carrying band cells (band key, hash, block-min id) —
   pruned to hot buckets when collisions are rare, the full deduped
@@ -44,9 +49,10 @@ output, cut further only by Ray's dynamic splitting above
   decode a separate operator after the read (Ray fuses no batched map
   into a read), so payload batches stay small in worker heaps.
 
-Plus, when caption-side orphans exist, one fold over the captions
-table listing them.  Per-partition PSI and verdict arithmetic is
-:func:`partition_verdicts`, shared with the runner.
+Every id listing (duplicate ids, orphans on both sides, near-dup
+members) counts a null id as one id and sorts it last, as DuckDB's
+``GROUP BY ... ORDER BY`` does.  Per-partition PSI and verdict
+arithmetic is :func:`partition_verdicts`, shared with the runner.
 """
 
 from __future__ import annotations
@@ -61,13 +67,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+import ray.data as rd
 
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
 from ..sketches import key_hash, np_object, splitmix64
-from ..stages.transport import (default_num_parts, fold, fold_payloads,
-                                merge_concat, merge_counts, scatter_slices)
+from ..stages.transport import (_payloads, default_num_parts,
+                                fold_payloads, merge_concat, merge_counts,
+                                scatter_slices)
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
@@ -205,16 +213,19 @@ def _key_census(batch: pa.Table) -> dict:
 
 
 def _census_cells(census: dict, num_slices: int) -> pa.Table:
-    """A block's censuses ({kind: (values, counts)}) as ``census`` rows,
-    one payload per key slice ``splitmix64(key) % num_slices`` holding
-    that slice's {kind: (values, counts)}: a key's counts from every
-    block and both tables meet in one slice task."""
+    """A block's censuses ({kind: (values, counts[, ids])}) as ``census``
+    rows, one payload per key slice ``splitmix64(key) % num_slices``
+    holding that slice's {kind: fields}: a key's counts from every block
+    and both tables meet in one slice task.  An Arrow ``ids`` field is
+    filtered with its values, never converted."""
     by_slice: dict[int, dict] = {}
-    for kind, (vals, cnts) in census.items():
-        sl = splitmix64(vals) % np.uint64(num_slices)
+    for kind, fields in census.items():
+        sl = splitmix64(fields[0]) % np.uint64(num_slices)
         for s in np.unique(sl):
             m = sl == s
-            by_slice.setdefault(int(s), {})[kind] = (vals[m], cnts[m])
+            by_slice.setdefault(int(s), {})[kind] = tuple(
+                f[m] if isinstance(f, np.ndarray) else f.filter(pa.array(m))
+                for f in fields)
     return pa.table({
         "kind": pa.array(["census"] * len(by_slice), type=pa.string()),
         "slice": pa.array(list(by_slice), type=pa.int32()),
@@ -245,8 +256,14 @@ def _make_p1_partial(ref_set: list[int]):
 
 
 def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
-    """Caption-side id census cells (kind ``cap``), unioned into pass 1."""
-    return _census_cells({"cap": _key_census(batch)["id"]}, num_slices)
+    """Caption-side id census cells (kind ``cap``), unioned into pass 1:
+    each distinct id (null is one) with its key hash and count, the id
+    kept as an Arrow value, so the census names the caption orphans."""
+    g = batch.group_by("image_id").aggregate([([], "count_all")])
+    ids = g["image_id"].combine_chunks()
+    return _census_cells({"cap": (key_hash([ids])[0],
+                                  g["count_all"].to_numpy(), ids)},
+                         num_slices)
 
 
 def _merge_p1(parts: list[tuple]) -> tuple:
@@ -259,19 +276,26 @@ def _merge_p1(parts: list[tuple]) -> tuple:
 @ray.remote
 def _census_slice_task(has_captions: bool, *cell_lists) -> tuple:
     """Merge one slice's census cells and keep only the candidates:
-    (duplicate id hashes, image-side orphan hashes, caption-side orphan
-    hashes, duplicate phashes, their counts)."""
+    ((duplicate id hashes, image-side orphan hashes, duplicate phashes,
+    their counts), the caption-side orphan rows as an (image_id,
+    right_n) table, or None without caption cells)."""
     parts = [pickle.loads(p) for cells in cell_lists for p in cells]
-    (iv, ic), (cv, _), (pv, pn) = (
-        merge_counts([p[k] for p in parts if k in p])
-        for k in ("id", "cap", "ph"))
-    iv, cv = iv.astype(np.uint64), cv.astype(np.uint64)
-    if has_captions:
-        orph_img = np.setdiff1d(iv, cv, assume_unique=True)
-        orph_cap = np.setdiff1d(cv, iv, assume_unique=True)
-    else:
-        orph_img = orph_cap = np.empty(0, np.uint64)
-    return iv[ic >= 2], orph_img, orph_cap, pv[pn >= 2], pn[pn >= 2]
+    (iv, ic), (pv, pn) = (merge_counts([p[k] for p in parts if k in p])
+                          for k in ("id", "ph"))
+    iv = iv.astype(np.uint64)
+    caps = [p["cap"] for p in parts if "cap" in p]
+    cv = np.concatenate([c[0] for c in caps]) if caps \
+        else np.empty(0, np.uint64)
+    orph_img = np.setdiff1d(iv, cv) if has_captions \
+        else np.empty(0, np.uint64)
+    orph_cap = None
+    if caps:
+        m = ~np.isin(cv, iv)
+        orph_cap = pa.table({
+            "image_id": pa.concat_arrays([c[2] for c in caps])
+            .filter(pa.array(m)),
+            "right_n": np.concatenate([c[1] for c in caps])[m]})
+    return (iv[ic >= 2], orph_img, pv[pn >= 2], pn[pn >= 2]), orph_cap
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +327,25 @@ def _evidence(checker: rc.RowChecker, batch: pa.Table) -> tuple:
     return checked, pid, counts, stat, null
 
 
-def _unpack_viol(t: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Violation tables out of a batch of pass rows (``batch_size=None``:
-    one batch per block).  A block usually holds its always-emitted viol
-    row, but Ray's dynamic block splitting (target max block size) can
-    produce one without — fall back to the empty typed table so concat
-    never sees []."""
-    tabs = [pickle.loads(p) for p in
-            t.filter(pc.equal(t["kind"], "viol"))["payload"].to_pylist()]
-    if not tabs:
-        return schema.empty_table()
-    return pa.concat_tables(tabs, promote_options="default")
+@ray.remote
+def _unpack_viol(block: pa.Table, schema: pa.Schema) -> pa.Table:
+    """The violation table of one pass block: its ``viol`` rows'
+    tables.  A block usually holds its always-emitted viol row, but
+    Ray's dynamic block splitting (target max block size) can produce
+    one without, or a 0-row block with an empty schema — both give
+    ``schema.empty_table()``."""
+    tabs = _payloads([block], "viol")
+    return pa.concat_tables(tabs, promote_options="default") if tabs \
+        else schema.empty_table()
+
+
+def violation_rows(packed, schema: pa.Schema):
+    """The violation tables of a MATERIALIZED pass as a materialized
+    Dataset: one flat unpack task per block, wrapped with
+    ``ray.data.from_arrow_refs``.  Built once, so ``count()`` reads
+    block metadata and neither iteration nor a write re-runs a map."""
+    return rd.from_arrow_refs([_unpack_viol.remote(r, schema)
+                               for r in packed.to_arrow_refs()])
 
 
 class _P2Partial:
@@ -397,6 +429,13 @@ def _merge_agg(parts: list[tuple]) -> tuple:
             *_capped_per_key(member_ph, member_ids, 64), fields[6][0])
 
 
+def _id_counts(t: pa.Table, aggs: list) -> pa.Table:
+    """``t`` aggregated per ``image_id`` — all null ids are one id — and
+    sorted by it, null last (DuckDB's ``GROUP BY`` + ``ORDER BY``)."""
+    return t.group_by("image_id").aggregate(aggs).sort_by(
+        [("image_id", "ascending")], null_placement="at_end")
+
+
 def _sum_counts(parts: list[dict]) -> dict:
     """Sum ``_evidence``'s {pid: (rows, stat_viol, null_viol)} partials."""
     out: dict = {}
@@ -464,9 +503,10 @@ def partition_verdicts(pids, counts: dict, hists: tuple[dict, dict],
 class ImageValidationReport:
     verdicts: pd.DataFrame
     profile: Any
-    # LAZY ray.data.Dataset over the materialized pass-2 blocks: flagged
-    # rows (capped per block).  Consume with iter_batches/write_parquet/
-    # to_pandas; also written to ``violations_dir`` when given.
+    # materialized ray.data.Dataset of the flagged rows (capped per
+    # block), unpacked once off the pass-2 blocks (violation_rows):
+    # count() reads metadata, iteration and writes run no map.  Also
+    # written to ``violations_dir`` when given.
     stat_violations: Any = None
     stat_violations_path: str | None = None
     dup_ids: pd.DataFrame | None = None
@@ -564,8 +604,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # a union with the caption-side id census cells.  The agg rows
         # fold in flat tasks; the census cells, sliced by key hash,
         # scatter to per-slice tasks that merge both tables' counts for
-        # their keys — only candidates (dups / orphans) and the merged
-        # few-KB profile reach the driver (the 10^12 path).
+        # their keys — only candidates (dups / orphans, the caption
+        # orphans named by their ids) and the merged few-KB profile
+        # reach the driver (the 10^12 path).
         # large pass-1 batches: censuses dedupe within a batch, so fewer,
         # bigger partials mean less census volume through the reduce
         band_slices = default_num_parts()
@@ -587,8 +628,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                        for s in range(band_slices)]
         ((n_ref, sketches), hists), band_census = fold_payloads(
             p1_out, _merge_p1, kind="agg")
-        (dup_id_hashes, orphan_img_hashes, orphan_cap_hashes, ph_vals,
-         ph_cnts) = merge_concat(ray.get(census_futs))
+        cands, cap_orphans = zip(*ray.get(census_futs))
+        dup_id_hashes, orphan_img_hashes, ph_vals, ph_cnts = \
+            merge_concat(cands)
         timings["pass1_profile_census"] = round(_time.perf_counter() - _t0, 3)
         _t0 = _time.perf_counter()
         prof = TableProfile(columns=sketches, n_rows=n_ref)
@@ -618,54 +660,43 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # ONE execution of the metadata pass, materialized to the object
         # store (spillable): flat fold tasks merge ONLY the small agg rows
         # off its blocks (no second execution); the capped violation
-        # tables stay distributed and are exposed as a lazy dataset /
-        # written to a parquet sink — never concatenated on the driver
-        # (block count is unbounded at 10^12 rows even if each block's
-        # listing is capped)
+        # tables stay distributed — unpacked once, one task per block,
+        # into a materialized dataset / written to a parquet sink —
+        # never concatenated on the driver (block count is unbounded at
+        # 10^12 rows even if each block's listing is capped)
         p2_out = meta.map_batches(p2_fn, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
         (counts, dup_ids, dup_pids, orphan_ids, member_ph, member_ids,
          viol_schema) = fold_payloads(p2_out, _merge_agg, kind="agg")
-
-        stat_viol = p2_out.map_batches(
-            _unpack_viol, fn_kwargs={"schema": viol_schema},
-            batch_format="pyarrow", batch_size=None)
+        stat_viol = violation_rows(p2_out, viol_schema)
         if violations_dir is not None:
             from ..io import write_partitioned
             write_partitioned(stat_viol, violations_dir)
 
         # uniqueness listing (exact counts per actual id)
-        dup_df = pd.DataFrame({"image_id": [], "n": []})
-        uniq_fail: set = set()
-        if len(dup_ids):
-            vc = pd.Series(dup_ids).value_counts()
-            vc = vc[vc >= 2]
-            dup_df = pd.DataFrame({"image_id": vc.index, "n": vc.to_numpy()})
-            real = set(vc.index)
-            uniq_fail = {int(p) for i, p in zip(dup_ids, dup_pids)
-                         if i in real}
+        dup = _id_counts(pa.table({"image_id": pa.array(dup_ids),
+                                   "pid": dup_pids}),
+                         [([], "count_all"), ("pid", "distinct")])
+        dup = dup.filter(pc.greater_equal(dup["count_all"], 2))
+        dup_df = pd.DataFrame({"image_id": dup["image_id"].to_pylist(),
+                               "n": dup["count_all"].to_numpy()})
+        uniq_fail = set(pc.list_flatten(dup["pid_distinct"]).to_pylist())
 
-        # referential listing
+        # referential listing: image side off pass 2, caption side named
+        # by the pass-1 census
         orphan_df = None
         if captions_path is not None:
-            iv, ic = np.unique(orphan_ids, return_counts=True)
-            rows = [{"image_id": i, "left_n": int(c), "right_n": 0}
-                    for i, c in zip(iv.tolist(), ic.tolist())]
-            if orphan_cap_hashes.size:
-                oc_ref = ray.put(orphan_cap_hashes)
-
-                def cap_orphans(t: pa.Table) -> tuple:
-                    h, _ = key_hash([t["image_id"]])
-                    return np.unique(np_object(t["image_id"].filter(
-                        pa.array(np.isin(h, ray.get(oc_ref))))),
-                        return_counts=True)
-
-                cv, cc = fold(read_table(captions_path, columns=["image_id"]),
-                              cap_orphans, merge_counts)
-                rows += [{"image_id": i, "left_n": 0, "right_n": int(c)}
-                         for i, c in zip(cv.tolist(), cc.tolist())]
-            orphan_df = pd.DataFrame(rows, columns=["image_id", "left_n",
-                                                    "right_n"])
+            img = _id_counts(pa.table({"image_id": pa.array(orphan_ids)}),
+                             [([], "count_all")])
+            cap = [t for t in cap_orphans if t is not None]
+            cap = _id_counts(pa.concat_tables(cap), [("right_n", "sum")]) \
+                if cap else pa.table({"image_id": [], "right_n_sum": []})
+            orphan_df = pd.DataFrame({
+                "image_id": img["image_id"].to_pylist()
+                + cap["image_id"].to_pylist(),
+                "left_n": img["count_all"].to_pylist() + [0] * cap.num_rows,
+                "right_n": [0] * img.num_rows
+                + cap["right_n_sum"].to_pylist()})
 
         # near-dup group listings (exact-equal phashes) off the folded
         # member sample, lexsorted and capped at 64 ids per hash by

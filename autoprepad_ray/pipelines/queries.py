@@ -3261,7 +3261,7 @@ def hll_distinct_users_per_day(sf_dir: str):
     the sketch-per-key shape for cardinality dashboards over 10^12
     rows, where the exact per-group census
     (group_distinct_users_events) stops fitting.  Sparse (group, idx,
-    rho) triples per block, one groupby fold.  Rows-only: approximate
+    rho) triples per block, one keyed fold.  Rows-only: approximate
     by construction; pytest bounds each day's estimate against the
     exact count (test_hll_per_group)."""
     from ..validators.uniqueness import hll_distinct_per_group

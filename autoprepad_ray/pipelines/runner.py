@@ -68,11 +68,11 @@ from ..stages.transport import fold, fold_payloads, merge_counts
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
-                               _drift_partial, _evidence, _key_census,
-                               _merge_drift, _merge_prof, _prep,
+                               _drift_partial, _evidence, _id_counts,
+                               _key_census, _merge_drift, _merge_prof, _prep,
                                _prof_partial, _reference_hists,
-                               _sum_counts, _unpack_viol,
-                               assert_schema_files, partition_verdicts)
+                               _sum_counts, assert_schema_files,
+                               partition_verdicts, violation_rows)
 
 def _merge_census(parts: list[dict]) -> dict:
     """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
@@ -228,9 +228,7 @@ def run_validation(images_dir: str, out_dir: str, *,
         if row["stat_viol"] or row["null_viol"]:
             # distributed write: violation blocks never concat on the
             # driver
-            out.map_batches(_unpack_viol, fn_kwargs={"schema": viol_schema},
-                            batch_format="pyarrow",
-                            batch_size=None).write_parquet(viol_dir)
+            violation_rows(out, viol_schema).write_parquet(viol_dir)
         pq.write_table(_census_table(census),
                        os.path.join(tmp, "keycensus.parquet"))
         verdict = {
@@ -271,7 +269,7 @@ def run_validation(images_dir: str, out_dir: str, *,
                  "profile_fp": prof_fp,
                  "constant_columns": const_cols}
     if run_global_checks:
-        from ..sketches import key_hash, np_object
+        from ..sketches import key_hash
 
         # incremental: merge the checkpointed per-partition censuses;
         # rebuild only a census file that is missing (completed by an
@@ -294,7 +292,7 @@ def run_validation(images_dir: str, out_dir: str, *,
         listing_pids = sorted(
             pid for pid, (v, _) in id_cens.items()
             if dup_hashes.size and np.isin(v, dup_hashes).any())
-        real = np.empty(0, object)
+        real: list = []
         if listing_pids:
             # exact listing: read ONLY the affected partitions' id
             # column, pruned by the broadcast dup-hash set (hash
@@ -306,16 +304,20 @@ def run_validation(images_dir: str, out_dir: str, *,
                 [f for pid in listing_pids for f in parts[pid]],
                 columns=["image_id"])
 
-            def dup_counts(t: pa.Table) -> tuple:
+            def dup_rows(t: pa.Table) -> pa.Table:
                 h, _ = key_hash([t["image_id"]])
-                return np.unique(np_object(t["image_id"].filter(
-                    pa.array(np.isin(h, _ray.get(dup_ref))))),
-                    return_counts=True)
+                return t.select(["image_id"]).filter(
+                    pa.array(np.isin(h, _ray.get(dup_ref))))
 
-            uv, uc = fold(cand_ds, dup_counts, merge_counts)
-            real = uv[uc >= 2]
-        run_entry["uniqueness_violations"] = int(len(real))
-        run_entry["uniqueness_sample"] = sorted(real.tolist())[:50]
+            rows = fold(cand_ds, dup_rows,
+                        lambda p: pa.concat_tables(p) if p else None)
+            if rows is not None:
+                # null ids are one id, listed last
+                g = _id_counts(rows, [([], "count_all")])
+                real = g.filter(pc.greater_equal(g["count_all"], 2))[
+                    "image_id"].to_pylist()
+        run_entry["uniqueness_violations"] = len(real)
+        run_entry["uniqueness_sample"] = real[:50]
         pv, pn = merge_counts(list(ph_cens.values()))
         run_entry["neardup_groups"] = int((pn >= 2).sum())
         if captions_path is not None:

@@ -151,11 +151,12 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def _bit_length64(z: np.ndarray) -> np.ndarray:
-    """Exact vectorized bit_length for uint64 via smear + popcount."""
-    z = z.astype(np.uint64, copy=True)
-    for s in (1, 2, 4, 8, 16, 32):
-        z |= z >> np.uint64(s)
-    return popcount64(z)
+    """Exact vectorized bit_length for uint64: the float exponent of each
+    32-bit half (a uint32 converts to float64 exactly)."""
+    z = z.astype(np.uint64, copy=False)
+    hi = np.frexp((z >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((z & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, hi + 32, lo).astype(np.int64)
 
 
 def _weighted_quantile(vals: np.ndarray, cnts: np.ndarray, q: float
@@ -508,6 +509,16 @@ class KLL:
 # HyperLogLog
 
 
+def hll_index_rho(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, rho) of 64-bit hashes: the top ``p`` bits pick
+    the register, rho is one plus the leading zeros of the other 64 - p
+    bits (64 - p + 1 when they are all zero)."""
+    h = h.astype(np.uint64, copy=False)
+    rest = h << np.uint64(p)
+    return ((h >> np.uint64(64 - p)).astype(np.int64),
+            (65 - np.maximum(_bit_length64(rest), p)).astype(np.uint8))
+
+
 class HyperLogLog:
     """Approximate distinct count (mergeable registers); p=14 → ~0.8% err."""
 
@@ -519,16 +530,13 @@ class HyperLogLog:
         self.registers = np.zeros(self.m, dtype=np.uint8)
 
     def add_hashes(self, h: np.ndarray) -> None:
-        if h.size == 0:
-            return
-        h = h.astype(np.uint64, copy=False)
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = h << np.uint64(self.p)  # top 64-p bits of the remaining stream
-        # rho = leading zeros of `rest` within 64-p bits, + 1
-        bl = _bit_length64(rest)
-        rho = np.where(rest == 0, 64 - self.p + 1, 64 - bl + 1).astype(np.uint8)
-        rho = np.minimum(rho, 64 - self.p + 1).astype(np.uint8)
-        np.maximum.at(self.registers, idx, rho)
+        if h.size:
+            self.add_rho(*hll_index_rho(h, self.p))
+
+    def add_rho(self, idx: np.ndarray, rho: np.ndarray) -> None:
+        """Raise each ``idx`` register to its ``rho`` (numpy >= 1.25
+        runs ``np.maximum.at`` as a fast indexed loop)."""
+        np.maximum.at(self.registers, idx, rho.astype(np.uint8, copy=False))
 
     def update(self, values: Any, seed: int = 0x51) -> None:
         self.add_hashes(hash64(values, seed=seed))

@@ -66,11 +66,25 @@ def _concat_pairs(parts: list[tuple[np.ndarray, np.ndarray]]
                                    np.empty(0, object))
 
 
+def _null_last_rank(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as a sort key that orders null ids last: the ids
+    themselves when none is null (Python comparison cannot order None
+    against a string), else their ascending rank."""
+    null = pd.isna(ids)
+    if not null.any():
+        return ids
+    live = np.flatnonzero(~null)
+    rank = np.full(len(ids), len(live), dtype=np.int64)
+    rank[live[np.argsort(ids[live], kind="stable")]] = np.arange(len(live))
+    return rank
+
+
 def _capped_per_key(keys: np.ndarray, ids: np.ndarray, cap: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(key, id) rows lexsorted, keeping the ``cap`` smallest ids per
-    key — associative, so partials and merges share it."""
-    order = np.lexsort((ids, keys))
+    """(key, id) rows lexsorted, null ids last, keeping the ``cap``
+    smallest ids per key — associative, so partials and merges share
+    it."""
+    order = np.lexsort((_null_last_rank(ids), keys))
     keys, ids = keys[order], ids[order]
     if not len(keys):
         return keys, ids
@@ -513,13 +527,15 @@ def _lookup_minid(ph_map: np.ndarray, id_map: np.ndarray,
 
 def _id_pairs(ph_pairs: pd.DataFrame, ph_map: np.ndarray,
               id_map: np.ndarray) -> pd.DataFrame:
-    """Hash pairs -> (id_a, id_b, dist), id_a < id_b, each hash
-    represented by its resolved global min id (:func:`_pair_ids`)."""
+    """Hash pairs -> (id_a, id_b, dist), id_a < id_b (a null id last),
+    each hash represented by its resolved global min id
+    (:func:`_pair_ids`)."""
     if not len(ph_pairs):
         return pd.DataFrame(_EMPTY_PAIRS)
     a = _lookup_minid(ph_map, id_map, ph_pairs["ph_a"].to_numpy())
     b = _lookup_minid(ph_map, id_map, ph_pairs["ph_b"].to_numpy())
-    swap = a > b
+    rank = _null_last_rank(np.concatenate([a, b]))
+    swap = rank[:len(a)] > rank[len(a):]
     out = pd.DataFrame({
         "id_a": pd.Series(np.where(swap, b, a)),
         "id_b": pd.Series(np.where(swap, a, b)),

@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sketches import HyperLogLog, key_hash
+from ..sketches import HyperLogLog, hll_index_rho, key_hash
 from ..stages.transport import (fold, keyed_fold, merge_counts,
                                 merge_groups)
 
@@ -168,58 +168,48 @@ def hll_distinct(ds, cols: list[str], *, p: int = 14) -> dict[str, float]:
 
 
 def hll_distinct_per_group(ds, group_col: str, value_col: str, *,
-                           p: int = 12):
+                           p: int = 12) -> pa.Table:
     """Approximate DISTINCT ``value_col`` per ``group_col`` key —
     "distinct users per day" at the 10^12-row scale where the exact
     per-group census (group_distinct pattern) stops fitting.
 
-    Per-block partial: one vectorized pass computes every value's HLL
-    (register index, rho) and a pyarrow group_by collapses the block
-    to sparse (group, idx, max rho) triples — the exchange carries at
-    most min(rows, groups x 2^p) triples per block, never raw values.
-    One Ray groupby(group) then folds each key's triples into dense
-    registers and estimates.  Rows-only checked (approximate by
-    construction); pytest bounds the error against the exact count.
+    Per-block partial: one vectorized pass computes every non-null
+    value's HLL (register index, rho) and a pyarrow group_by collapses
+    the block to sparse (group, idx, max rho) triples — the exchange
+    carries at most min(rows, groups x 2^p) triples per block, never raw
+    values.  :func:`~..stages.transport.keyed_fold` meets each group's
+    triples in one task, which raises its registers
+    (``HyperLogLog.add_rho``) and estimates.  A null group key is one
+    group, as in DuckDB's ``GROUP BY``.  Returns an Arrow table
+    (``group_col``, ``distinct_est``) sorted by group, null last.
+    Rows-only checked (approximate by construction); pytest bounds the
+    error against the exact count.
     """
-    import math
-
-    import pandas as pd
-
-    m = 1 << p
-    from ..sketches import _bit_length64
-
     def partial(t: pa.Table) -> pa.Table:
-        # project FIRST: drop_null on the full block would drop rows null
-        # in unrelated columns, silently undercounting wider tables
-        t = t.select([group_col, value_col]).drop_null()
-        if t.num_rows == 0:
-            return pa.table({group_col: t[group_col],
-                             "idx": pa.array([], pa.int64()),
-                             "rho": pa.array([], pa.int64())})
-        h = key_hash([t[value_col]])[0]
-        idx = (h >> np.uint64(64 - p)).astype(np.int64)
-        rest = h << np.uint64(p)
-        bl = _bit_length64(rest)
-        rho = np.where(rest == 0, 64 - p + 1, 64 - bl + 1).astype(np.int64)
-        rho = np.minimum(rho, 64 - p + 1)
-        g = pa.table({group_col: t[group_col],
-                      "idx": pa.array(idx), "rho": pa.array(rho)}) \
+        # project FIRST: dropping nulls of the full block would drop rows
+        # null in unrelated columns, silently undercounting wider tables
+        t = t.select([group_col, value_col])
+        t = t.filter(pc.is_valid(t[value_col]))
+        idx, rho = hll_index_rho(key_hash([t[value_col]])[0], p)
+        g = pa.table({group_col: t[group_col], "idx": idx, "rho": rho}) \
             .group_by([group_col, "idx"]).aggregate([("rho", "max")])
         return pa.table({group_col: g[group_col], "idx": g["idx"],
                          "rho": g["rho_max"]})
 
-    def fold(gdf: pd.DataFrame) -> pd.DataFrame:
-        reg = np.zeros(m, dtype=np.uint8)
-        np.maximum.at(reg, gdf["idx"].to_numpy(),
-                      gdf["rho"].to_numpy().astype(np.uint8))
-        alpha = 0.7213 / (1 + 1.079 / m)
-        raw = alpha * m * m / np.sum(np.exp2(-reg.astype(np.float64)))
-        zeros = int(np.count_nonzero(reg == 0))
-        est = m * math.log(m / zeros) if (raw <= 2.5 * m and zeros > 0) \
-            else float(raw)
-        return pd.DataFrame({group_col: [gdf[group_col].iloc[0]],
-                             "distinct_est": [float(round(est, 1))]})
+    def final(parts: list[pa.Table]) -> pa.Table:
+        g = pa.concat_tables(parts).group_by(group_col).aggregate(
+            [("idx", "list"), ("rho", "list")])
+        est = []
+        for idx, rho in zip(*(g[f"{c}_list"].combine_chunks()
+                              for c in ("idx", "rho"))):
+            h = HyperLogLog(p=p)
+            h.add_rho(idx.values.to_numpy(), rho.values.to_numpy())
+            est.append(round(h.estimate(), 1))
+        return pa.table({group_col: g[group_col],
+                         "distinct_est": pa.array(est, pa.float64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(group_col).map_groups(fold, batch_format="pandas"))
+    out = keyed_fold(ds, partial, [group_col], final)
+    if out is None:
+        return _empty_listing(ds, [group_col], counts=()).append_column(
+            "distinct_est", pa.array([], pa.float64()))
+    return out.sort_by([(group_col, "ascending")], null_placement="at_end")

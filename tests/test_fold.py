@@ -230,6 +230,10 @@ def _migrated():
             ds, ["k", "id"]), lambda r: r == {"k": 0, "id": 0}),
         "hll_distinct": (lambda ds: uniqueness.hll_distinct(ds, ["k"]),
                          lambda r: r == {"k": 0.0}),
+        "hll_distinct_per_group": (
+            lambda ds: uniqueness.hll_distinct_per_group(ds, "id", "k"),
+            lambda r: r.num_rows == 0
+            and r.column_names == ["id", "distinct_est"]),
         "duplicate_keys": (lambda ds: uniqueness.duplicate_keys(ds, ["k"]),
                            lambda r: r.num_rows == 0),
         "duplicate_keys_shuffle": (

@@ -213,7 +213,7 @@ def test_decode_creates_no_actors(fimg):
 
 def test_violations_stream_to_sink(fimg, tmp_path):
     """Pass-2 violations stream to a partitioned parquet sink (never a
-    driver-side concat); the report carries a lazy dataset + the path."""
+    driver-side concat); the report carries their dataset + the path."""
     import ray.data as rd
     from autoprepad_ray.pipelines.image_validation import validate_images
 
@@ -224,9 +224,9 @@ def test_violations_stream_to_sink(fimg, tmp_path):
     assert rep.stat_violations_path == sink
     ondisk = rd.read_parquet(sink).to_pandas()
     assert set(exp.outlier_w_ids) <= set(ondisk["image_id"])
-    # lazy dataset agrees with the sink
-    lazy = rep.stat_violations.to_pandas()
-    assert sorted(lazy["image_id"]) == sorted(ondisk["image_id"])
+    # the report's dataset agrees with the sink
+    mem = rep.stat_violations.to_pandas()
+    assert sorted(mem["image_id"]) == sorted(ondisk["image_id"])
 
 
 def test_validate_images_rejects_empty_dir(tmp_path):
@@ -341,8 +341,8 @@ def test_results_independent_of_block_layout(fimg, monkeypatch):
 
     monkeypatch.setattr(iv, "read_table", ray_default)
     split = _layout_witnesses(iv.validate_images(*args))
-    # payload, metadata, caption census + orphans
-    assert len(calls) == 4, calls
+    # payload, metadata, caption census
+    assert len(calls) == 3, calls
     assert rd.read_parquet(f"{d}/images").materialize().num_blocks() > 8
     for k in per_file:
         assert per_file[k] == split[k], k
@@ -350,8 +350,9 @@ def test_results_independent_of_block_layout(fimg, monkeypatch):
 
 def test_validate_images_read_count(fimg, monkeypatch):
     """With captions and decode on, validate_images reads the payload,
-    the metadata, the caption census and the caption-orphan listing —
-    pass-2 band cells carry ids, so no read resolves pair ids."""
+    the metadata and the caption census — the census cells carry caption
+    ids, so no read lists caption orphans, and pass-2 band cells carry
+    ids, so no read resolves pair ids."""
     from autoprepad_ray.pipelines import image_validation as iv
 
     calls = []
@@ -366,7 +367,7 @@ def test_validate_images_read_count(fimg, monkeypatch):
     rep = iv.validate_images(f"{d}/images", f"{d}/captions.parquet")
     assert rep.failed_partitions()["decode"] == [2]
     assert len(rep.neardup_pairs) and len(exp.orphan_caption_ids)
-    assert len(calls) == 4, calls
+    assert len(calls) == 3, calls
 
 
 def test_hamming_arms_agree(fimg, monkeypatch):
@@ -423,8 +424,9 @@ def test_psi_fmt_ignores_other_partitions_categories(fimg, tmp_path):
 
 def test_validate_images_execution_count(fimg, monkeypatch):
     """Pass 1 runs the image partial and the caption census as ONE union
-    execution: without decode, validate_images runs three Ray Data
-    executions (pass 1, pass 2, the caption-orphan listing)."""
+    execution: without decode, validate_images runs two Ray Data
+    executions (pass 1, pass 2) — the census names the caption orphans —
+    and counting the violation rows starts none."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
@@ -444,4 +446,170 @@ def test_validate_images_execution_count(fimg, monkeypatch):
     assert len(rep.neardup_pairs) and len(exp.orphan_caption_ids)
     assert sorted(rep.orphans.loc[rep.orphans["left_n"] == 0, "image_id"]) \
         == sorted(exp.orphan_caption_ids)
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
+    assert rep.stat_violations.count() >= len(exp.outlier_w_ids)
+    assert len(calls) == 2, calls
+
+
+def test_capped_per_key_and_pairs_order_null_ids_last():
+    """Null ids sort after every id: in the capped member sample (two
+    nulls next to strings used to raise TypeError in np.lexsort) and in
+    a near-dup pair whose hash resolves to a null id."""
+    import pandas as pd
+
+    from autoprepad_ray.validators.near_dup import _capped_per_key, _id_pairs
+
+    keys = np.array([1, 1, 1, 1, 2], dtype=np.int64)
+    ids = np.array([None, "b", None, "a", None], dtype=object)
+    k, i = _capped_per_key(keys, ids, 3)
+    assert k.tolist() == [1, 1, 1, 2] and i.tolist() == ["a", "b", None, None]
+    pairs = _id_pairs(pd.DataFrame({"ph_a": [1], "ph_b": [2], "dist": [1]}),
+                      np.array([1, 2], dtype=np.int64),
+                      np.array([None, "x"], dtype=object))
+    assert pairs[["id_a", "id_b"]].values.tolist() == [["x", None]]
+
+
+def _with_null_ids(src: str, dst, hot_phash: int, *, images: bool,
+                   captions: bool) -> str:
+    """A copy of the fixture ``src`` with null ids: on the image side the
+    first two rows of the hot phash group (one partition, next to the
+    string image orphans), on the caption side two caption rows (next
+    to the string caption orphans)."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pyarrow.compute as pc
+
+    shutil.copytree(src, dst)
+    if images:
+        for f in sorted((dst / "images").glob("*/*.parquet")):
+            t = pq.read_table(f)
+            hot = np.flatnonzero(pc.equal(t["phash"], hot_phash)
+                                 .to_numpy(zero_copy_only=False))
+            if len(hot) >= 2:
+                ids = t["image_id"].to_pylist()
+                ids[hot[0]] = ids[hot[1]] = None
+                pq.write_table(t.set_column(
+                    t.schema.get_field_index("image_id"), "image_id",
+                    pa.array(ids, pa.string())), f)
+                break
+        else:
+            raise AssertionError("no partition holds two hot rows")
+    if captions:
+        f = dst / "captions.parquet"
+        t = pq.read_table(f)
+        ids = t["image_id"].to_pylist()
+        ids[3] = ids[-1] = None
+        pq.write_table(t.set_column(0, "image_id",
+                                    pa.array(ids, pa.string())), f)
+    return str(dst)
+
+
+def _duck_listings(d: str) -> dict:
+    """DuckDB's duplicate ids, orphans on both sides (null is one id:
+    ``IS NOT DISTINCT FROM``), uniqueness-failing partitions and the
+    hot-group id sample over the files of fixture ``d``."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.execute(f"""CREATE VIEW img AS SELECT image_id, partition_id, phash
+                    FROM read_parquet('{d}/images/*/*.parquet')""")
+    con.execute(f"""CREATE VIEW cap AS SELECT image_id
+                    FROM read_parquet('{d}/captions.parquet')""")
+    q = lambda sql: [tuple(r) for r in con.execute(sql).fetchall()]
+    orph = """SELECT a.image_id, COUNT(*) FROM {a} a WHERE NOT EXISTS (
+                  SELECT 1 FROM {b} b
+                  WHERE b.image_id IS NOT DISTINCT FROM a.image_id)
+              GROUP BY a.image_id ORDER BY a.image_id NULLS LAST"""
+    out = {
+        "dup_ids": q("""SELECT image_id, COUNT(*) FROM img GROUP BY image_id
+                        HAVING COUNT(*) >= 2
+                        ORDER BY image_id NULLS LAST"""),
+        "orphans": [(i, n, 0) for i, n in q(orph.format(a="img", b="cap"))]
+        + [(i, 0, n) for i, n in q(orph.format(a="cap", b="img"))],
+        "uniq": [p for p, in q("""
+            SELECT DISTINCT partition_id FROM img WHERE image_id IN (
+                SELECT image_id FROM img GROUP BY image_id
+                HAVING COUNT(*) >= 2)
+            OR (image_id IS NULL AND (SELECT COUNT(*) FROM img
+                                      WHERE image_id IS NULL) >= 2)
+            ORDER BY 1""")],
+        "groups": q("""SELECT phash, COUNT(*),
+                              list(image_id ORDER BY image_id NULLS LAST)
+                       FROM img GROUP BY phash HAVING COUNT(*) >= 2
+                       ORDER BY phash"""),
+    }
+    con.close()
+    return out
+
+
+@pytest.mark.parametrize("images,captions",
+                         [(True, False), (False, True), (True, True)],
+                         ids=["image_nulls", "caption_nulls", "both"])
+def test_null_ids_list_as_one_id_like_duckdb(fimg, tmp_path, images,
+                                             captions):
+    """Null ids on either side or both: every id listing counts null as
+    one id and sorts it last — duplicate ids, orphans on both sides
+    (image side, then caption side, each in id order; the caption side
+    named by the pass-1 census) with their counts, the uniqueness
+    verdicts and the near-dup member samples — as DuckDB over the same
+    files."""
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    src, exp = fimg
+    d = _with_null_ids(src, tmp_path / "fx", exp.hot_phash,
+                       images=images, captions=captions)
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet",
+                          decode=False)
+    want = _duck_listings(d)
+    assert list(zip(rep.dup_ids["image_id"], rep.dup_ids["n"])) \
+        == want["dup_ids"]
+    assert list(map(tuple, rep.orphans.itertuples(index=False))) \
+        == want["orphans"]
+    assert rep.failed_partitions()["uniq"] == want["uniq"]
+    got = [(h, n, ids) for h, n, ids in zip(rep.neardup_groups["phash"],
+                                            rep.neardup_groups["n"],
+                                            rep.neardup_groups["ids"])]
+    assert got == [(h, n, ids[:64]) for h, n, ids in want["groups"]]
+    # the copy puts a null id where each case needs it
+    if images:
+        assert (None, 2) in want["dup_ids"]
+    if images != captions:
+        assert (None, 2 * images, 2 * captions) in want["orphans"]
+
+
+def test_census_names_caption_orphans_like_duckdb(fimg, tmp_path):
+    """The caption-side orphans come from the pass-1 census cells, which
+    carry each caption id: ids and ``right_n`` equal a DuckDB anti-join
+    over the fixture's captions, with a null caption id and a caption
+    orphan listed twice."""
+    import shutil
+
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    src, exp = fimg
+    d = tmp_path / "fx"
+    shutil.copytree(src, d)
+    t = pq.read_table(d / "captions.parquet")
+    extra = pa.table({"image_id": pa.array([None, exp.orphan_caption_ids[0]],
+                                           pa.string()),
+                      "caption": pa.array(["x", "y"], pa.string())})
+    pq.write_table(pa.concat_tables([t, extra.cast(t.schema)]),
+                   d / "captions.parquet")
+    rep = validate_images(f"{d}/images", f"{d}/captions.parquet",
+                          decode=False, neardup=False)
+    got = rep.orphans[rep.orphans["left_n"] == 0]
+    want = duckdb.sql(f"""
+        SELECT c.image_id, COUNT(*) FROM read_parquet('{d}/captions.parquet') c
+        WHERE NOT EXISTS (
+            SELECT 1 FROM read_parquet('{d}/images/*/*.parquet') i
+            WHERE i.image_id IS NOT DISTINCT FROM c.image_id)
+        GROUP BY c.image_id ORDER BY c.image_id NULLS LAST""").fetchall()
+    assert list(zip(got["image_id"], got["right_n"])) == \
+        [tuple(r) for r in want]
+    assert want[-1] == (None, 1) and (exp.orphan_caption_ids[0], 2) in want

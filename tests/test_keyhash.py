@@ -21,7 +21,8 @@ from autoprepad_ray.stages.bloom import build_bloom, probe_bloom
 from autoprepad_ray.stages.join import (asof_join, bucketed_join,
                                         range_join, semi_join)
 from autoprepad_ray.validators.referential import orphans
-from autoprepad_ray.validators.uniqueness import duplicate_keys
+from autoprepad_ray.validators.uniqueness import (duplicate_keys,
+                                                  hll_distinct_per_group)
 
 
 def _blocks(*tables):
@@ -115,6 +116,22 @@ def test_orphans_keep_int64_keys_beyond_float53_on_both_arms():
         assert sorted(got.to_pylist(), key=repr) == [
             {"k": 5, "left_n": 0, "right_n": 1},
             {"k": 2 ** 53 + 1, "left_n": 1, "right_n": 0}], strategy
+
+
+def test_hll_distinct_per_group_keeps_the_null_group():
+    """A null group key is one group, as in DuckDB's ``GROUP BY``; each
+    group's estimate is within the HLL error bound of the exact distinct
+    count (here exact: a handful of values in linear counting)."""
+    ds = _blocks({"g": ["a", None, "b"], "v": [1, 2, 3]},
+                 {"g": ["a", None], "v": [4, 2]})
+    got = hll_distinct_per_group(ds, "g", "v").to_pylist()
+    want = _sql("SELECT g, COUNT(DISTINCT v) FROM t GROUP BY g",
+                t=pa.table({"g": ["a", None, "b", "a", None],
+                            "v": [1, 2, 3, 4, 2]}))
+    assert [r["g"] for r in got] == ["a", "b", None]
+    est = {r["g"]: r["distinct_est"] for r in got}
+    for g, n in want:
+        assert abs(est[g] - n) <= 0.05 * n, (g, est[g], n)
 
 
 def test_bucketed_inner_join_null_left_key_keeps_all_matches():

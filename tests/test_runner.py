@@ -325,3 +325,20 @@ def test_cold_run_read_count(fimg_small, tmp_path, monkeypatch):
     assert len(calls) == 1 + 8 + 1 + 1
     assert all(cols is not None and "bytes" not in cols
                for _, cols in calls)
+
+
+def test_runner_duplicate_null_ids_list_as_one_id(fimg_small, tmp_path):
+    """The runner's duplicate-id listing counts null ids as one id and
+    lists it last, as DuckDB's ``GROUP BY`` does (two null ids used to
+    raise TypeError in ``np.unique``)."""
+    from tests.test_image_pipeline import _duck_listings, _with_null_ids
+
+    src, exp = fimg_small
+    d = _with_null_ids(src, tmp_path / "fx", exp.hot_phash, images=True,
+                       captions=False)
+    m = run_validation(f"{d}/images", str(tmp_path / "out"),
+                       captions_path=f"{d}/captions.parquet", decode=False)
+    want = [i for i, _ in _duck_listings(d)["dup_ids"]]
+    assert want[-1] is None
+    assert m["runs"][-1]["uniqueness_violations"] == len(want)
+    assert m["runs"][-1]["uniqueness_sample"] == want[:50]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autoprepad_ray.sketches import (KLL, HyperLogLog, MomentSketch,
-                                     ValueCounts, hash64, popcount64)
+                                     ValueCounts, _bit_length64, hash64,
+                                     popcount64)
 
 
 def split3(x):
@@ -189,6 +190,40 @@ def test_hll_accuracy_and_merge():
     # serialization round-trip
     h3 = HyperLogLog.from_dict(h.to_dict())
     assert h3.estimate() == h.estimate()
+
+
+def _smear_registers(h: np.ndarray, p: int) -> np.ndarray:
+    """HLL registers the long way: bit length by smear + popcount."""
+    reg = np.zeros(1 << p, dtype=np.uint8)
+    if not h.size:
+        return reg
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = h << np.uint64(p)
+    z = rest.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        z |= z >> np.uint64(s)
+    rho = np.where(rest == 0, 64 - p + 1, 64 - popcount64(z) + 1)
+    np.maximum.at(reg, idx, rho.astype(np.uint8))
+    return reg
+
+
+@pytest.mark.parametrize("p", [4, 12, 14])
+def test_hll_registers_match_smear_kernel(p):
+    """The float-exponent bit length gives the registers of the smear +
+    popcount kernel, on random hashes, on the edge hashes and on an
+    empty input."""
+    rng = np.random.default_rng(p)
+    edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    for h in (rng.integers(0, 2**64, 50_000, dtype=np.uint64),
+              rng.integers(0, 2**64, 99, dtype=np.uint64) >> np.uint64(33),
+              edges, np.empty(0, np.uint64)):
+        got = HyperLogLog(p=p)
+        got.add_hashes(h)
+        np.testing.assert_array_equal(got.registers, _smear_registers(h, p))
+    assert _bit_length64(edges).tolist() == [0, 1, 64, 64]
+    v = rng.integers(0, 2**64, 1000, dtype=np.uint64)
+    assert _bit_length64(v).tolist() == [int(x).bit_length()
+                                         for x in v.tolist()]
 
 
 def test_sketch_serialization_roundtrip():
