@@ -18,10 +18,11 @@ separate operators after the read —
 - PASS 1 (column-pruned metadata read, ONE execution): a ``Dataset.union``
   of the image-side partial and the caption-side id census.  Each image
   block emits one ``agg`` row (profile partial over the reference
-  partitions, drift histograms, dense band census) and, like every
-  other packed stream, census cells (id hash, phash; caption id hash
-  with the distinct id itself) sliced by ``splitmix64(key) %
-  band_slices``.  The ``agg`` rows fold in flat tasks
+  partitions, drift histograms, dense band census) and census cells:
+  one row-aligned (key, count, kind code) field set of id hashes and
+  phashes, and on the caption side the id hashes with the distinct ids
+  themselves as one more field, packed by ``transport.slice_of(key,
+  band_slices)``.  The ``agg`` rows fold in flat tasks
   (``transport.fold_payloads``); the census cells reach per-slice
   reduce tasks through ``transport.scatter_slices``, so each census
   byte moves once and a key's counts from both tables meet in one
@@ -72,10 +73,11 @@ import ray.data as rd
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
-from ..sketches import key_hash, np_object, splitmix64
+from ..sketches import key_hash, np_object
 from ..stages.transport import (_payloads, default_num_parts,
-                                fold_payloads, merge_concat, merge_counts,
-                                scatter_slices)
+                                fold_payloads, kind_rows, merge_concat,
+                                merge_counts, pack_slices, scatter_slices,
+                                slice_of, unpack_cells)
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
@@ -212,58 +214,44 @@ def _key_census(batch: pa.Table) -> dict:
     return out
 
 
-def _census_cells(census: dict, num_slices: int) -> pa.Table:
-    """A block's censuses ({kind: (values, counts[, ids])}) as ``census``
-    rows, one payload per key slice ``splitmix64(key) % num_slices``
-    holding that slice's {kind: fields}: a key's counts from every block
-    and both tables meet in one slice task.  An Arrow ``ids`` field is
-    filtered with its values, never converted."""
-    by_slice: dict[int, dict] = {}
-    for kind, fields in census.items():
-        sl = splitmix64(fields[0]) % np.uint64(num_slices)
-        for s in np.unique(sl):
-            m = sl == s
-            by_slice.setdefault(int(s), {})[kind] = tuple(
-                f[m] if isinstance(f, np.ndarray) else f.filter(pa.array(m))
-                for f in fields)
-    return pa.table({
-        "kind": pa.array(["census"] * len(by_slice), type=pa.string()),
-        "slice": pa.array(list(by_slice), type=pa.int32()),
-        "payload": pa.array([pickle.dumps(c) for c in by_slice.values()],
-                            type=pa.large_binary())})
+# the kind code of a census row: image id hash, phash, caption id hash
+_ID, _PH, _CAP = 0, 1, 2
+_NO_CENSUS = (np.empty(0, np.uint64), np.empty(0, np.int64),
+              np.empty(0, np.int8))
 
 
 def _make_p1_partial(ref_set: list[int]):
     def p1(batch: pa.Table, num_slices: int) -> pa.Table:
         batch = _prep(batch)
         census = _key_census(batch)
-        phv, phc = census["ph"]
-        census["ph"] = (phv.astype(np.int64), phc)
+        (idv, idc), (phv, phc) = census["id"], census["ph"]
+        keys = np.concatenate([idv, phv.astype(np.int64).view(np.uint64)])
         # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
         # bincount per batch + vector-add merge beats sparse unique-merge
         dense = np.bincount(
             _band_combos(batch["phash"].to_numpy(zero_copy_only=False))
             .ravel(), minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
-        agg = pa.table({
-            "kind": pa.array(["agg"]),
-            "slice": pa.array([-1], type=pa.int32()),
-            "payload": pa.array(
-                [pickle.dumps((_prof_partial(batch, ref_set), dense))],
-                type=pa.large_binary())})
-        return pa.concat_tables([agg, _census_cells(census, num_slices)])
+        return pa.concat_tables([
+            kind_rows({"agg": (_prof_partial(batch, ref_set), dense)}),
+            pack_slices(slice_of(keys, num_slices), keys,
+                        np.concatenate([idc, phc]),
+                        np.repeat(np.int8([_ID, _PH]),
+                                  [len(idv), len(phv)]),
+                        kind="census")])
 
     return p1
 
 
 def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
-    """Caption-side id census cells (kind ``cap``), unioned into pass 1:
+    """Caption-side id census cells (code ``_CAP``), unioned into pass 1:
     each distinct id (null is one) with its key hash and count, the id
     kept as an Arrow value, so the census names the caption orphans."""
     g = batch.group_by("image_id").aggregate([([], "count_all")])
     ids = g["image_id"].combine_chunks()
-    return _census_cells({"cap": (key_hash([ids])[0],
-                                  g["count_all"].to_numpy(), ids)},
-                         num_slices)
+    h = key_hash([ids])[0]
+    return pack_slices(slice_of(h, num_slices), h,
+                       g["count_all"].to_numpy(),
+                       np.full(len(h), _CAP, np.int8), ids, kind="census")
 
 
 def _merge_p1(parts: list[tuple]) -> tuple:
@@ -279,22 +267,22 @@ def _census_slice_task(has_captions: bool, *cell_lists) -> tuple:
     ((duplicate id hashes, image-side orphan hashes, duplicate phashes,
     their counts), the caption-side orphan rows as an (image_id,
     right_n) table, or None without caption cells)."""
-    parts = [pickle.loads(p) for cells in cell_lists for p in cells]
-    (iv, ic), (pv, pn) = (merge_counts([p[k] for p in parts if k in p])
-                          for k in ("id", "ph"))
-    iv = iv.astype(np.uint64)
-    caps = [p["cap"] for p in parts if "cap" in p]
-    cv = np.concatenate([c[0] for c in caps]) if caps \
-        else np.empty(0, np.uint64)
+    parts = unpack_cells(cell_lists)
+    keys, cnts, code = merge_concat([p[:3] for p in parts]) or _NO_CENSUS
+    iv, ic = merge_counts([(keys[code == _ID], cnts[code == _ID])])
+    pv, pn = merge_counts([(keys[code == _PH].view(np.int64),
+                            cnts[code == _PH])])
+    cv = keys[code == _CAP]
     orph_img = np.setdiff1d(iv, cv) if has_captions \
         else np.empty(0, np.uint64)
+    # caption cells carry the distinct ids as a fourth field
+    caps = [p[3] for p in parts if len(p) > 3]
     orph_cap = None
     if caps:
         m = ~np.isin(cv, iv)
         orph_cap = pa.table({
-            "image_id": pa.concat_arrays([c[2] for c in caps])
-            .filter(pa.array(m)),
-            "right_n": np.concatenate([c[1] for c in caps])[m]})
+            "image_id": pa.concat_arrays(caps).filter(pa.array(m)),
+            "right_n": cnts[code == _CAP][m]})
     return (iv[ic >= 2], orph_img, pv[pn >= 2], pn[pn >= 2]), orph_cap
 
 
@@ -396,21 +384,15 @@ class _P2Partial:
         # rows), and the id-carrying Hamming band cells (scattered to
         # the pairing tasks straight off the materialized pass-2 output
         # — no extra read/execution)
-        out = pa.table({
-            "kind": ["agg", "viol"],
-            "slice": pa.array([-1, -1], type=pa.int32()),
-            "payload": pa.array(
-                [pickle.dumps((counts, ids(dup), pid[dup],
-                               ids(np.isin(idh, self.orphan_hashes)),
-                               member_ph, member_ids, viol_tbl.schema)),
-                 pickle.dumps(viol_tbl)], type=pa.large_binary())})
+        out = kind_rows({
+            "agg": (counts, ids(dup), pid[dup],
+                    ids(np.isin(idh, self.orphan_hashes)),
+                    member_ph, member_ids, viol_tbl.schema),
+            "viol": viol_tbl})
         if self.band_mode == "none":
             return out
-        band = _band_cells(ph, checked["image_id"], self.band_slices,
-                           hot=self.hot_bands)
-        return pa.concat_tables([out, band.append_column(
-            "kind", pa.array(["band"] * band.num_rows, type=pa.string()))
-            .select(out.column_names)])
+        return pa.concat_tables([out, _band_cells(
+            ph, checked["image_id"], self.band_slices, hot=self.hot_bands)])
 
 
 def _merge_agg(parts: list[tuple]) -> tuple:
@@ -730,7 +712,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # in the same visit (near_dup._pair_ids).
         if neardup:
             nd_pairs = (_id_pairs(*_pair_ids(p2_out, band_slices, 4, 4096,
-                                             "4x16", kind="band"))
+                                             "4x16"))
                         if hamming_path != "none"
                         else pd.DataFrame(_EMPTY_PAIRS))
         timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)

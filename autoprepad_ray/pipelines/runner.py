@@ -64,7 +64,7 @@ from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
 from ..validators import row_checks as rc
-from ..stages.transport import fold, fold_payloads, merge_counts
+from ..stages.transport import fold, fold_payloads, kind_rows, merge_counts
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
@@ -197,12 +197,9 @@ def run_validation(images_dir: str, out_dir: str, *,
         listing = checked.drop(["caption"]).filter(pa.array(stat | null))
         # the agg row goes to the driver; the viol row stays distributed
         # and is written straight to the partition's violations sink
-        return pa.table({
-            "kind": pa.array(["agg", "viol"]),
-            "payload": pa.array(
-                [pickle.dumps((counts, _drift_partial(checked),
-                               _key_census(checked), listing.schema)),
-                 pickle.dumps(listing)], type=pa.large_binary())})
+        return kind_rows({"agg": (counts, _drift_partial(checked),
+                                  _key_census(checked), listing.schema),
+                          "viol": listing})
 
     def validate_partition(pid: int, tmp: str) -> dict:
         schema_errors = assert_schema_files(parts[pid])

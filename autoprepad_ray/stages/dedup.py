@@ -22,6 +22,8 @@ import pyarrow as pa
 import ray
 
 from ..sketches import hash64, key_hash, splitmix64
+from .transport import (fold, merge_concat, merge_counts, pack_slices,
+                        scatter_slices, slice_of, unpack_cells)
 
 
 def _batch_shingles(texts, n_words: int):
@@ -150,8 +152,7 @@ def _pair_part_codes(id_a: np.ndarray, id_b: np.ndarray,
     WORKER tasks, so it must not depend on process state (Python's
     builtin ``hash`` is salted per process; ``sketches.key_hash`` is
     stable, and alike for int64-typed and object-typed id arrays)."""
-    h, _ = key_hash([id_a, id_b])
-    return (splitmix64(h) % np.uint64(num_parts)).astype(np.int64)
+    return slice_of(key_hash([id_a, id_b])[0], num_parts)
 
 
 _EMPTY_CELL_IDS = (np.empty(0, dtype=object), np.empty(0, dtype=object))
@@ -179,11 +180,10 @@ def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
     from ..validators.near_dup import _segment_pairs
 
     empty = pickle.dumps(_EMPTY_CELL_IDS)
-    parts = [pickle.loads(p) for lst in payload_lists for p in lst]
+    parts = unpack_cells(payload_lists)
     if not parts:
         return tuple([empty] * num_parts)
-    keys = np.concatenate([p[0] for p in parts])
-    ids = np.concatenate([p[1] for p in parts])
+    keys, ids = merge_concat(parts)
     # one row per (bucket, id): a doc can land in one bucket via
     # several bands and cross-block repeats are the norm
     order = np.lexsort((ids, keys))
@@ -231,29 +231,10 @@ def candidate_pairs_grid(keyed, bucket_cap: int, *, num_slices: int = 64,
     whole list there.  A large (dup-heavy) stream's cells clear the
     bound and live in plasma, where each byte moves once — the regime
     where distribution actually matters."""
-    import pickle
-
-    from .transport import scatter_slices
-
     def pack(t: dict) -> pa.Table:
         keys = np.asarray(t["key"], dtype=np.int64)
-        ids = np.asarray(t["doc_id"], dtype=object)
-        if not len(keys):
-            return pa.table({"slice": pa.array([], type=pa.int32()),
-                             "payload": pa.array([],
-                                                 type=pa.large_binary())})
-        sl = (splitmix64(keys.view(np.uint64))
-              % np.uint64(num_slices)).astype(np.int32)
-        order = np.argsort(sl, kind="stable")
-        sl, keys, ids = sl[order], keys[order], ids[order]
-        bounds = np.flatnonzero(np.r_[True, sl[1:] != sl[:-1], True])
-        slices, payloads = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            slices.append(int(sl[s]))
-            payloads.append(pickle.dumps((keys[s:e], ids[s:e])))
-        return pa.table({"slice": pa.array(slices, type=pa.int32()),
-                         "payload": pa.array(payloads,
-                                             type=pa.large_binary())})
+        return pack_slices(slice_of(keys, num_slices), keys,
+                           np.asarray(t["doc_id"], dtype=object))
 
     packed = keyed.map_batches(pack, batch_format="numpy").materialize()
     per_slice = scatter_slices(packed, num_slices)
@@ -270,15 +251,9 @@ def _part_ids_task(*pair_cells) -> bytes:
     map (arrays in flight, never pair rows)."""
     import pickle
 
-    arrs = []
-    for c in pair_cells:
-        a, b = pickle.loads(c)
-        if len(a):
-            arrs.append(a)
-            arrs.append(b)
-    if not arrs:
-        return pickle.dumps(np.empty(0, dtype=object))
-    return pickle.dumps(np.unique(np.concatenate(arrs)))
+    # each pair cell is ONE payload: together they read as one cell list
+    a, b = merge_concat(unpack_cells([pair_cells])) or _EMPTY_CELL_IDS
+    return pickle.dumps(np.unique(np.concatenate([a, b])))
 
 
 @ray.remote
@@ -287,33 +262,19 @@ def _verify_part_task(n_pair_cells: int, score, score_name: str,
     """Score one verify part's pairs from its slice-addressed cells:
     the first ``n_pair_cells`` args are pickled (id_a, id_b) pair
     cells (one per candidate slice task — deduped here, the part owns
-    every copy of its pairs), the rest are payload cell lists (each a
-    pickled (ids, blobs) pack).  ``out_mode=None`` returns a pandas
-    frame; ``(id_type, min_score)`` returns a typed Arrow table with
-    the threshold applied task-side (the Dataset output path)."""
-    import pickle
-
-    pair_cells = cells[:n_pair_cells]
-    payload_lists = cells[n_pair_cells:]
-    arrs_a, arrs_b = [], []
-    for c in pair_cells:
-        a, b = pickle.loads(c)
-        if len(a):
-            arrs_a.append(a)
-            arrs_b.append(b)
-    if arrs_a:
-        dfp = pd.DataFrame({"a": np.concatenate(arrs_a),
-                            "b": np.concatenate(arrs_b)}).drop_duplicates()
-        pairs = list(zip(dfp["a"], dfp["b"]))
-    else:
-        pairs = []
+    every copy of its pairs; together they read as one cell list), the
+    rest are payload cell lists (each packed (ids, payload objects)).
+    ``out_mode=None`` returns a pandas frame; ``(id_type, min_score)``
+    returns a typed Arrow table with the threshold applied task-side
+    (the Dataset output path)."""
+    a, b = merge_concat(unpack_cells([cells[:n_pair_cells]])) \
+        or _EMPTY_CELL_IDS
+    dfp = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
+    pairs = list(zip(dfp["a"], dfp["b"]))
     local: dict = {}
-    for lst in payload_lists:
-        for cell in lst:
-            ids_l, blobs_l = pickle.loads(cell)
-            for i, bl in zip(ids_l, blobs_l):
-                if i not in local:
-                    local[i] = pickle.loads(bl)
+    for ids, objs in unpack_cells(cells[n_pair_cells:]):
+        for i, obj in zip(ids, objs):
+            local.setdefault(i, obj)
     rows = [(a, b, score(local[a], local[b]))
             for a, b in pairs if a in local and b in local]
     out = pd.DataFrame({
@@ -365,7 +326,6 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     import pickle
 
     from ..sketches import np_object
-    from .transport import scatter_slices
 
     if isinstance(cand, pd.DataFrame):
         num_parts = max(4, min(64, len(cand) // 32 + 1))
@@ -413,25 +373,16 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
         rh, rp = ray.get(route_ref)
         h_all, _ = key_hash([batch[id_col]])
         lo = np.searchsorted(rh, h_all, side="left")
-        hi = np.searchsorted(rh, h_all, side="right")
-        mask = hi > lo
-        per_part: dict[int, tuple[list, list]] = {}
-        if mask.any():
-            sub = batch.filter(pa.array(mask))
-            objs = extract(sub)
-            for i, obj, a, b in zip(np_object(sub[id_col]), objs,
-                                    lo[mask], hi[mask]):
-                blob = pickle.dumps(obj)
-                for p in rp[a:b]:
-                    ids_l, blobs_l = per_part.setdefault(int(p), ([], []))
-                    ids_l.append(i)
-                    blobs_l.append(blob)
-        slices = sorted(per_part)
-        return pa.table({
-            "slice": pa.array(slices, type=pa.int32()),
-            "payload": pa.array([pickle.dumps(per_part[s])
-                                 for s in slices],
-                                type=pa.large_binary())})
+        n = np.searchsorted(rh, h_all, side="right") - lo
+        sub = batch.filter(pa.array(n > 0))
+        objs = np.empty(sub.num_rows, dtype=object)
+        for k, obj in enumerate(extract(sub) if sub.num_rows else ()):
+            objs[k] = obj
+        # one packed row per (candidate row, verify part it routes to)
+        lo, n = lo[n > 0], n[n > 0]
+        row = np.repeat(np.arange(len(n)), n)
+        part = rp[lo[row] + np.arange(len(row)) - (np.cumsum(n) - n)[row]]
+        return pack_slices(part, np_object(sub[id_col])[row], objs[row])
 
     packed = ds.map_batches(ship, batch_format="pyarrow",
                             zero_copy_batch=True).materialize()
@@ -499,8 +450,6 @@ def minhash_lsh_pairs(ds, text_col: str, id_col: str, *,
     # validators.near_dup: fold bucket sizes, broadcast the
     # multi-member bucket keys — no sort-groupby over (mostly
     # singleton) buckets.
-    from .transport import fold, merge_counts
-
     def fold_key(t: pa.Table) -> dict:
         band = t["band"].to_numpy(zero_copy_only=False).astype(np.int64)
         bh = t["band_hash"].to_numpy(zero_copy_only=False)

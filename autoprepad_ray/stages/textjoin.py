@@ -63,9 +63,10 @@ import pyarrow.compute as pc
 
 import ray
 
-from ..sketches import popcount64, splitmix64
+from ..sketches import popcount64
 from ..validators.heavy import mg_merge
-from .transport import default_num_parts, fold, scatter_slices
+from .transport import (default_num_parts, fold, merge_concat, pack_slices,
+                        scatter_slices, slice_of, unpack_cells)
 
 _EPS = 1e-9
 _SEG_MAX = 512          # size-class batching bound; larger buckets sweep
@@ -137,24 +138,6 @@ def _gram_census(ds, text_col: str, n: int, census_k: int
 # phase 3: prefix entries -> slice-addressed candidate pairing
 
 
-_PACK_SCHEMA = pa.schema([("slice", pa.int32()), ("kind", pa.string()),
-                          ("payload", pa.large_binary())])
-
-
-def _sliced_rows(sl: np.ndarray, kind: str, mk_payload) -> tuple[list, list, list]:
-    """Group rows by ``sl`` (pre-sorted not required); ``mk_payload(sel)``
-    pickles one slice's entries from its index array."""
-    o = np.argsort(sl, kind="mergesort")
-    sls = sl[o]
-    bounds = np.flatnonzero(np.r_[True, sls[1:] != sls[:-1], True])
-    rows_s, rows_k, rows_p = [], [], []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        rows_s.append(int(sls[b0]))
-        rows_k.append(kind)
-        rows_p.append(mk_payload(o[b0:b1]))
-    return rows_s, rows_k, rows_p
-
-
 def _prefix_pack(batch: pa.Table, text_col: str, id_col: str, n: int,
                  threshold: float, census, num_slices: int) -> pa.Table:
     """Emit BOTH scatter streams off one gram computation: ``kind='p'``
@@ -163,13 +146,9 @@ def _prefix_pack(batch: pa.Table, text_col: str, id_col: str, n: int,
     g_sorted, g_freq = ray.get(census) if isinstance(
         census, ray.ObjectRef) else census
     sizes, doc, codes = doc_gram_sets(batch[text_col], n)
-    if not codes.size:
-        return _PACK_SCHEMA.empty_table()
     ids = _ids_np(batch, id_col)
-    sl_all = (splitmix64(codes) % np.uint64(num_slices)).astype(np.int64)
-    rows_s, rows_k, rows_p = _sliced_rows(
-        sl_all, "f", lambda sel: pickle.dumps(
-            (codes[sel], ids[doc[sel]]), protocol=5))
+    sl_all = slice_of(codes, num_slices)
+    full = pack_slices(sl_all, codes, ids[doc], kind="f")
     if len(g_sorted):
         idx = np.searchsorted(g_sorted, codes)
         found = (idx < len(g_sorted))
@@ -187,17 +166,9 @@ def _prefix_pack(batch: pa.Table, text_col: str, id_col: str, n: int,
     keep = pos < plen[doc_p]
     doc_p, codes_p, pos, sl_p = doc_p[keep], codes_p[keep], pos[keep], \
         sl_p[keep]
-    if doc_p.size:
-        s2, k2, p2 = _sliced_rows(
-            sl_p, "p", lambda sel: pickle.dumps(
-                (codes_p[sel], ids[doc_p[sel]], pos[sel].astype(np.int32),
-                 sizes[doc_p[sel]].astype(np.int32)), protocol=5))
-        rows_s += s2
-        rows_k += k2
-        rows_p += p2
-    return pa.table({"slice": pa.array(rows_s, type=pa.int32()),
-                     "kind": pa.array(rows_k, type=pa.string()),
-                     "payload": pa.array(rows_p, type=pa.large_binary())})
+    return pa.concat_tables([full, pack_slices(
+        sl_p, codes_p, ids[doc_p], pos.astype(np.int32),
+        sizes[doc_p].astype(np.int32), kind="p")])
 
 
 def _pair_filters(ids_m: np.ndarray, pos_m: np.ndarray, siz_m: np.ndarray,
@@ -229,13 +200,11 @@ def _pair_filters(ids_m: np.ndarray, pos_m: np.ndarray, siz_m: np.ndarray,
 def _pair_slice_task(threshold: float, *payload_lists) -> bytes:
     """Enumerate candidate pairs for one gram slice: sort by gram code,
     segment, size-class-batched filter sweep (no per-pair Python)."""
-    parts = [pickle.loads(c) for lst in payload_lists for c in lst]
+    parts = unpack_cells(payload_lists)
     if not parts:
         return pickle.dumps((np.empty(0, np.int64), np.empty(0, np.int64)))
-    codes = np.concatenate([p[0] for p in parts])
-    ids = np.concatenate([p[1] for p in parts])
-    pos = np.concatenate([p[2] for p in parts]).astype(np.int64)
-    siz = np.concatenate([p[3] for p in parts]).astype(np.int64)
+    codes, ids, pos, siz = merge_concat(parts)
+    pos, siz = pos.astype(np.int64), siz.astype(np.int64)
     order = np.argsort(codes, kind="mergesort")
     codes, ids, pos, siz = codes[order], ids[order], pos[order], siz[order]
     bounds = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1], True])
@@ -280,12 +249,11 @@ def _verify_slice_partial(pairs_ref, *payload_lists) -> bytes:
     pickled (pair_index, partial_common) sparse arrays."""
     a, b = ray.get(pairs_ref) if isinstance(pairs_ref, ray.ObjectRef) \
         else pairs_ref
-    cells = [pickle.loads(c) for lst in payload_lists for c in lst]
+    cells = unpack_cells(payload_lists)
     z = np.empty(0, np.int64)
     if not cells or not a.size:
         return pickle.dumps((z, z))
-    codes = np.concatenate([c[0] for c in cells])
-    ids = np.concatenate([c[1] for c in cells])
+    codes, ids = merge_concat(cells)
     sids = np.unique(ids)
     ia = np.searchsorted(sids, a)
     ib = np.searchsorted(sids, b)

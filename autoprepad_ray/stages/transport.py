@@ -1,9 +1,10 @@
-"""Packed payload streams: the one partial->merge fold and the
-slice-addressed scatter.
+"""Packed payload streams: the one partial->merge fold and the one
+slice exchange.
 
-Every packed stream is ``payload`` rows of pickled objects
-(:func:`_pickled`, the one payload codec), optionally tagged with
-``slice`` and ``kind`` columns.
+Every packed stream is ``payload`` rows of pickled objects, optionally
+tagged with ``slice`` and ``kind`` columns, and only this module builds
+and reads them (:func:`_pickled` for a fold; :func:`pack_slices`,
+:func:`kind_rows` and :func:`unpack_cells` for the exchange).
 
 :func:`fold` is the one unkeyed partial->merge reduction: one Dataset
 execution maps each block to one payload row, flat ray tasks merge the
@@ -13,28 +14,30 @@ fuse into its partial's task (one read task per file) and merge
 nothing, so the reduce runs over ``to_arrow_refs()`` instead.
 
 :func:`keyed_fold` is the one keyed partial->merge reduction: each
-block's partial table routes its rows by ``sketches.key_hash`` of the
-key columns, every slice's rows move once through
-:func:`scatter_slices`, and one flat task per slice merges them.  Any
-Arrow key type works and all null keys form one group.
+block's partial table routes its rows by the ``sketches.key_hash`` of
+the key columns through the slice exchange below, and one flat task per
+slice merges them.  Any Arrow key type works and all null keys form one
+group.
 
-Scatter.  The flat-task pairing pattern (one ray task per key slice over a
-``materialize()``d packed stream) originally handed EVERY task the refs
-of EVERY block and let each task filter its slice out.  On one node that
-is free — blocks are plasma-shared and reads are zero-copy — but on a
-multi-node cluster each task must FETCH every block, so bytes moved =
-num_slices x stream size (thousands-fold amplification for the large
-packed streams: the deduped Hamming band stream, the minhash keyed
-stream).
+The slice exchange carries every key-routed step (censuses, band
+pairing, keyed folds, reconciliation, similarity joins) in four parts:
 
-This module makes every payload byte move ONCE: a small number of
-scatter tasks split the packed ``(slice, payload)`` rows into one return
-object PER SLICE (``num_returns=num_slices`` — the Ray idiom whose
-return objects are owned by the caller, so no lifetime hazards from
-``ray.put`` inside short-lived map workers), and pairing task ``s`` is
-handed only slice-``s`` refs.  Bytes per payload: packed block ->
-scatter task (locality-schedulable next to the block) -> the one pairing
-task that owns its slice.
+1. :func:`slice_of` is the routing rule, ``splitmix64(key) % n``.  A
+   co-partitioned step is right only when every side routes by the same
+   function, so no caller restates it.
+2. :func:`pack_slices` is the packer: given a slice id per row and
+   row-aligned fields, it emits one ``(slice[, kind], payload)`` row per
+   live slice, the payload pickling that slice's rows of every field.
+   Numpy fields are fancy-indexed; Arrow arrays and tables are
+   ``take``n, because a pickled ``Table.slice`` carries its parent's
+   whole buffers.  :func:`kind_rows` adds a mixed stream's unsliced
+   rows (``agg``, ``viol``), which only :func:`fold_payloads` reads.
+3. :func:`scatter_slices` moves every payload byte once: a few scatter
+   tasks split a materialized packed stream into one return object PER
+   SLICE (``num_returns=num_slices``; the caller owns those objects), so
+   the task for slice ``s`` is handed only slice-``s`` refs.
+4. :func:`unpack_cells` turns a per-slice task's cell lists back into
+   the payload tuples, in order.
 
 Sizing: Ray stores task returns under ~100 KB inline in the OWNER's
 process, so pathologically small cells would pile the whole stream into
@@ -53,7 +56,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from ..sketches import key_hash
+from ..sketches import key_hash, splitmix64
 
 # keep per-(task, slice) cells comfortably above Ray's ~100 KB
 # inline-return bound so large streams live in plasma, not the driver
@@ -168,13 +171,58 @@ def fold(ds, partial, merge):
     return fold_payloads(packed, merge)
 
 
+def slice_of(keys: np.ndarray, n: int) -> np.ndarray:
+    """The routing rule: the slice (int64, in ``[0, n)``) of every
+    integer key, ``splitmix64(key) % n``."""
+    return (splitmix64(keys) % np.uint64(n)).astype(np.int64)
+
+
+def pack_slices(sl: np.ndarray, *fields, kind: str | None = None
+                ) -> pa.Table:
+    """One ``(slice[, kind], payload)`` row per live slice of ``sl``, the
+    payload pickling the tuple of that slice's rows of every row-aligned
+    field, in row order.  Numpy fields are fancy-indexed; Arrow arrays
+    and tables are ``take``n, never pickled as a ``Table.slice`` (which
+    carries its parent's whole buffers).  No row gives a typed empty
+    table."""
+    order = np.argsort(sl, kind="stable")
+    s = sl[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])[:len(s)]
+    groups = np.split(order, starts[1:]) if len(s) else []
+    cols = {"slice": pa.array(s[starts], pa.int32())}
+    if kind is not None:
+        cols["kind"] = pa.array([kind] * len(groups), pa.string())
+    cols["payload"] = pa.array(
+        [pickle.dumps(tuple(f[g] if isinstance(f, np.ndarray) else f.take(g)
+                            for f in fields)) for g in groups],
+        pa.large_binary())
+    return pa.table(cols)
+
+
+def kind_rows(rows: dict) -> pa.Table:
+    """The unsliced rows of a mixed packed stream: one ``(slice -1,
+    kind, payload)`` row per ``{kind: object}`` item, concatenable with
+    the stream's :func:`pack_slices` cells.  :func:`fold_payloads` reads
+    them by ``kind``; no scatter ships them."""
+    return pa.table({
+        "slice": pa.array([-1] * len(rows), pa.int32()),
+        "kind": pa.array(list(rows), pa.string()),
+        "payload": pa.array([pickle.dumps(o) for o in rows.values()],
+                            pa.large_binary())})
+
+
+def unpack_cells(cell_lists) -> list[tuple]:
+    """The payload tuples of a per-slice task's cell lists (each a list
+    of payload bytes, as :func:`scatter_slices` hands them), in order."""
+    return [pickle.loads(p) for cells in cell_lists for p in cells]
+
+
 @ray.remote
 def _scatter_task(num_slices: int, kind: str | None, *blocks):
     """Split packed (slice, payload[, kind]) rows of ``blocks`` into one
     list-of-payload-bytes return PER SLICE."""
     out: list[list[bytes]] = [[] for _ in range(num_slices)]
-    for b in blocks:
-        t = b
+    for t in blocks:
         if t.num_rows == 0:
             # Ray emits 0-row blocks with an EMPTY schema (no columns)
             # for input splits whose map UDF never ran — they carry no
@@ -182,28 +230,29 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
             continue
         if kind is not None:
             t = t.filter(pc.equal(t["kind"], kind))
-        sl = t["slice"].to_numpy(zero_copy_only=False)
-        for s, p in zip(sl, t["payload"].to_pylist()):
+        for s, p in zip(t["slice"].to_pylist(), t["payload"].to_pylist()):
             out[s].append(p)
-    return tuple(out)
+    # Ray makes num_returns=1 ONE return object, not a 1-tuple
+    return tuple(out) if num_slices > 1 else out[0]
 
 
 def scatter_slices(packed, num_slices: int, *, kind: str | None = None
                    ) -> list[list["ray.ObjectRef"]]:
     """Scatter a MATERIALIZED packed Dataset by its ``slice`` column.
 
-    ``packed`` must have columns ``slice`` (int) and ``payload``
-    (binary); rows with slice outside ``[0, num_slices)`` are the
-    caller's bug.  When ``kind`` is given only rows with that ``kind``
+    ``packed`` holds :func:`pack_slices` rows for slices in ``[0,
+    num_slices)``.  When ``kind`` is given only rows with that ``kind``
     value participate (lets a mixed stream — e.g. pass-2 blocks carrying
     both violation tables and band payloads — scatter without a separate
     filtered copy; the non-matching rows are read once per scatter task,
-    never shipped to pairing tasks).
+    never shipped to the per-slice tasks).
 
     Returns ``per_slice`` where ``per_slice[s]`` is a list of ObjectRefs
-    each resolving to a ``list[bytes]`` of slice-``s`` payloads.  Pass
-    them as top-level ``*args`` to the per-slice task so Ray fetches
-    exactly the bytes that task owns.
+    each resolving to a ``list[bytes]`` of slice-``s`` payloads (one per
+    scatter task, so every slice gets its list once ``packed`` has a
+    block).  Pass them as top-level ``*args`` to the per-slice task, so
+    Ray fetches exactly the bytes that task owns, and read them with
+    :func:`unpack_cells`.
     """
     refs = packed.to_arrow_refs()
     if not refs:
@@ -216,41 +265,36 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
             num_slices, kind, *(refs[i] for i in group))
         for group in np.array_split(np.arange(len(refs)), n_tasks)
         if len(group)]
+    if num_slices == 1:
+        return [grids]
     return [[g[s] for g in grids] for s in range(num_slices)]
-
-
-def _keyed_slices(t: pa.Table, keys: list[str], n: int) -> pa.Table:
-    """(slice, payload) rows of a keyed partial: one pickled table per
-    key-hash slice.  Each slice is ``take``n, never a ``Table.slice``:
-    a pickled slice carries its parent's whole buffers."""
-    sl = key_hash([t[k] for k in keys])[0] % np.uint64(n)
-    order = np.argsort(sl, kind="stable")
-    bounds = np.searchsorted(sl[order], np.arange(n + 1, dtype=np.uint64))
-    live = np.flatnonzero(np.diff(bounds))
-    return pa.table({
-        "slice": pa.array(live, pa.int64()),
-        "payload": pa.array([pickle.dumps(t.take(order[s:e])) for s, e
-                             in zip(bounds[live], bounds[live + 1])],
-                            pa.large_binary())})
 
 
 @ray.remote
 def _keyed_final_task(final, *cells) -> pa.Table | None:
-    parts = [pickle.loads(p) for cell in cells for p in cell]
+    parts = [p for p, in unpack_cells(cells)]
     return final(parts) if parts else None
 
 
 def keyed_fold(ds, partial, keys: list[str], final) -> pa.Table | None:
     """Reduce ``ds`` per key: ``partial(block) -> pa.Table`` collapses
     every block to rows holding the ``keys`` columns, each row goes to
-    slice ``key_hash(keys) % default_num_parts()``, and one flat task per
-    slice runs ``final(list[pa.Table]) -> pa.Table`` over its rows (a
-    slice with no rows runs nothing).  All rows of a key, null included,
-    meet in one ``final`` call.  Returns the concatenated ``final``
-    tables, or None when no slice had a row.  One Dataset execution."""
+    slice ``slice_of(key_hash(keys), default_num_parts())``, and one
+    flat task per slice runs ``final(list[pa.Table]) -> pa.Table`` over
+    its rows.  Every slice gets a task once ``ds`` has a block (each
+    scatter task hands every slice one cell list); a task whose slice
+    received no row skips ``final`` and returns None.  All rows of a
+    key, null included, meet in one ``final`` call.  Returns the
+    concatenated ``final`` tables, or None when no slice had a row.
+    One Dataset execution."""
     n = default_num_parts()
-    packed = ds.map_batches(lambda t: _keyed_slices(partial(t), keys, n),
-                            batch_format="pyarrow",
+
+    def pack(t: pa.Table) -> pa.Table:
+        p = partial(t)
+        return pack_slices(slice_of(key_hash([p[k] for k in keys])[0], n),
+                           p)
+
+    packed = ds.map_batches(pack, batch_format="pyarrow",
                             zero_copy_batch=True).materialize()
     futs = [_keyed_final_task.remote(final, *cells)
             for cells in scatter_slices(packed, n) if cells]

@@ -24,7 +24,7 @@ Execution shape — pairing, id resolution and verification are all
 DISTRIBUTED, never driver-side (r5 layout):
 
 1. the deduped band stream carries (band_key, hash, block-min id)
-   triples sliced by ``part = splitmix64(band_key) % P`` — every bucket
+   triples routed by ``transport.slice_of(band_key, P)`` — every bucket
    lands complete in one slice, and because EVERY block containing a
    hash ships that hash's row for each of its band keys, a pairing task
    can fold the GLOBAL min id per hash from its own slice alone;
@@ -40,8 +40,6 @@ reach the driver.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -49,7 +47,9 @@ import pyarrow as pa
 import ray
 
 from ..stages.transport import (default_num_parts, fold, fold_payloads,
-                                merge_concat, merge_counts)
+                                kind_rows, merge_concat, merge_counts,
+                                pack_slices, scatter_slices, slice_of,
+                                unpack_cells)
 
 
 def _minid_per_key(keys: np.ndarray, ids: np.ndarray
@@ -337,41 +337,14 @@ def _dense_band_census(ds, phash_col: str) -> np.ndarray:
         parts, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
 
 
-def _pack_sliced(keys: np.ndarray, out_ph: np.ndarray,
-                 num_parts: int, ids: np.ndarray | None = None) -> pa.Table:
-    """Sort (key, hash[, id]) rows by key-hash slice and emit one
-    pickled payload row per slice (the packed-payload exchange shape)."""
-    from ..sketches import splitmix64
-
-    if not len(keys):
-        return pa.table({"slice": pa.array([], type=pa.int32()),
-                         "payload": pa.array([],
-                                             type=pa.large_binary())})
-    sl = (splitmix64(keys.view(np.uint64))
-          % np.uint64(num_parts)).astype(np.int32)
-    order = np.argsort(sl, kind="stable")
-    sl, keys, out_ph = sl[order], keys[order], out_ph[order]
-    if ids is not None:
-        ids = ids[order]
-    bounds = np.flatnonzero(np.r_[True, sl[1:] != sl[:-1], True])
-    slices, payloads = [], []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        slices.append(int(sl[s]))
-        payloads.append(pickle.dumps(
-            (keys[s:e], out_ph[s:e]) if ids is None
-            else (keys[s:e], out_ph[s:e], ids[s:e])))
-    return pa.table({"slice": pa.array(slices, type=pa.int32()),
-                     "payload": pa.array(payloads,
-                                         type=pa.large_binary())})
-
-
 def _band_cells(ph_rows: np.ndarray, id_col, num_parts: int,
                 scheme: str = "4x16", hot: np.ndarray | None = None
                 ) -> pa.Table:
-    """One block's id-carrying band cells: the packed ``(keys, hashes,
-    block-min ids)`` slices over its DISTINCT hash values, pruned to
-    the ``hot`` bucket keys when given.  The hot set is global, so every
-    block holding a hash still ships its row for each kept key.
+    """One block's id-carrying ``band`` cells: ``(keys, hashes,
+    block-min ids)`` packed by key slice over its DISTINCT hash values,
+    pruned to the ``hot`` bucket keys when given.  The hot set is
+    global, so every block holding a hash still ships its row for each
+    kept key.
     Block-min ids are folded only over the rows whose hash ships a
     cell, and only those rows' ids become Python objects."""
     from ..sketches import np_object
@@ -385,8 +358,8 @@ def _band_cells(ph_rows: np.ndarray, id_col, num_parts: int,
     rows = np.isin(ph_rows, out_ph)
     ph_u, minid = _minid_per_key(ph_rows[rows],
                                  np_object(id_col.filter(pa.array(rows))))
-    return _pack_sliced(keys, out_ph, num_parts,
-                        ids=minid[np.searchsorted(ph_u, out_ph)])
+    return pack_slices(slice_of(keys, num_parts), keys, out_ph,
+                       minid[np.searchsorted(ph_u, out_ph)], kind="band")
 
 
 def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
@@ -400,13 +373,12 @@ def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
     join back to the table.
 
     Each block emits ONE pickled (keys, hashes, ids) array triple per
-    key-hash slice (the pass-1 census packing: the exchange moves
-    blocks x slices payload ROWS, not row-shaped records — Ray's
-    per-row shuffle overhead is the cost at bench scale, not the
-    bytes).  Slicing by splitmix64(bucket key) keeps every bucket
-    complete in one slice; per-block dedupe also neutralizes hot-value
-    skew (a popular hash contributes one row per bucket per block, not
-    thousands)."""
+    key slice (``transport.pack_slices``: the exchange moves blocks x
+    slices payload ROWS, not row-shaped records — Ray's per-row shuffle
+    overhead is the cost at bench scale, not the bytes).  Routing by
+    the bucket key keeps every bucket complete in one slice; per-block
+    dedupe also neutralizes hot-value skew (a popular hash contributes
+    one row per bucket per block, not thousands)."""
 
     def fn(t: pa.Table) -> pa.Table:
         return _band_cells(
@@ -437,18 +409,12 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
       dup hashes whose owner key routes to this slice (so each dup
       hash resolves exactly once across tasks even when it pairs with
       nothing)."""
-    payloads = [p for lst in payload_lists for p in lst]
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64),
-             np.empty(0, np.int64), np.empty(0, np.int64),
-             np.empty(0, object))
-    if not payloads:
-        return empty
-    from ..sketches import splitmix64
-
-    parts = [pickle.loads(p) for p in payloads]
-    keys = np.concatenate([p[0] for p in parts])
-    ph = np.concatenate([p[1] for p in parts])
-    ids = np.concatenate([p[2] for p in parts])
+    parts = unpack_cells(payload_lists)
+    if not parts:
+        return (np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, object))
+    keys, ph, ids = merge_concat(parts)
     ph_u, minid = _minid_per_key(ph, ids)
     uniq = np.unique(np.stack([keys, ph], axis=1), axis=0)
     pairs = _segment_pairs(uniq[:, 0], uniq[:, 1], uniq[:, 1],
@@ -466,8 +432,8 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
             is_dup = dup[pos] == ph_u if len(ph_u) else \
                 np.empty(0, bool)
             cand = ph_u[is_dup]
-            own = (splitmix64(_owner_keys(cand, scheme).view(np.uint64))
-                   % np.uint64(num_parts)).astype(np.int64) == slice_id
+            own = slice_of(_owner_keys(cand, scheme), num_parts) \
+                == slice_id
             res = np.unique(np.concatenate([res, cand[own]]))
     if not len(res):
         return (ph_a, ph_b, dist, np.empty(0, np.int64),
@@ -477,15 +443,14 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
 
 
 def _pair_ids(packed, num_parts: int, max_dist: int, bucket_cap: int,
-              scheme: str, *, dup_ref=None, kind: str | None = None):
-    """Distributed pairing over a MATERIALIZED id-carrying band stream:
-    scatter tasks split it into slice-addressed cells (bytes move once
-    even multi-node — ``stages.transport``), flat per-slice ray tasks
-    pair and resolve ids in one visit.  Returns (hash-pair DataFrame
-    (ph_a, ph_b, dist), sorted resolution arrays (hashes, min ids))."""
-    from ..stages.transport import scatter_slices
-
-    per_slice = scatter_slices(packed, num_parts, kind=kind)
+              scheme: str, *, dup_ref=None):
+    """Distributed pairing over the ``band`` cells of a MATERIALIZED
+    packed stream: scatter tasks split them into slice-addressed cells
+    (bytes move once even multi-node — ``stages.transport``), flat
+    per-slice ray tasks pair and resolve ids in one visit.  Returns
+    (hash-pair DataFrame (ph_a, ph_b, dist), sorted resolution arrays
+    (hashes, min ids))."""
+    per_slice = scatter_slices(packed, num_parts, kind="band")
     futs = [_id_pair_slice_task.remote(max_dist, bucket_cap, dup_ref,
                                        num_parts, s, scheme,
                                        *per_slice[s])
@@ -653,15 +618,9 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
         ph_rows = t[phash_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         vals, cnts = np.unique(ph_rows, return_counts=True)
-        band = _band_cells(ph_rows, t[id_col], num_parts, scheme)
-        band = band.append_column(
-            "kind", pa.array(["band"] * band.num_rows))
-        census = pa.table({
-            "slice": pa.array([-1], type=pa.int32()),
-            "payload": pa.array([pickle.dumps((vals, cnts))],
-                                type=pa.large_binary()),
-            "kind": pa.array(["census"])})
-        return pa.concat_tables([band, census])
+        return pa.concat_tables([
+            _band_cells(ph_rows, t[id_col], num_parts, scheme),
+            kind_rows({"census": (vals, cnts)})])
 
     fused_out = ds.map_batches(
         fused, batch_format="pyarrow", zero_copy_batch=True,
@@ -677,7 +636,7 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
 
     ph_pairs, ph_map, id_map = _pair_ids(
         fused_out, num_parts, max_dist, bucket_cap, scheme,
-        dup_ref=dup_ref, kind="band")
+        dup_ref=dup_ref)
 
     # hash-space connected components: pair edges + dup self-nodes
     node, root = _star_forest(ph_pairs["ph_a"].to_numpy(),
@@ -690,9 +649,10 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
         root_of[hit] = root[pos[hit]]
     if len(all_h):
         # every mapped hash has a resolved min id: pair hashes from the
-        # task that paired them, dup hashes from their owner slice
+        # task that paired them, dup hashes from their owner slice; a
+        # cluster's id is its smallest non-null member id
         m = _lookup_minid(ph_map, id_map, all_h)
-        order = np.lexsort((m, root_of))
+        order = np.lexsort((_null_last_rank(m), root_of))
         r_s, m_s = root_of[order], m[order]
         first = np.r_[True, r_s[1:] != r_s[:-1]]
         roots_u, cluster_min = r_s[first], m_s[first]

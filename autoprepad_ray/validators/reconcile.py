@@ -6,11 +6,12 @@ check AutoPrepAD leaves out of scope (its anomaly flags are
 single-table; reference pipelines/control.py:89-107) but a warehouse
 validation engine needs as a first-class op.
 
-Scale shape: both tables stream ONE pass each into packed per-slice
-payloads routed by ``splitmix64(orderkey) % num_slices`` (the pass-1
-census packing from validators/near_dup), ``scatter_slices`` moves
-every payload byte once (multi-node safe), and one flat task per slice
-folds its own orders completely:
+Scale shape: both tables stream ONE pass each through the slice
+exchange of ``stages.transport``: each block's rows pack per orderkey
+slice (``slice_of`` routes both tables alike, so an order's header and
+detail rows meet in one slice), ``scatter_slices`` moves every payload
+byte once (multi-node safe), and one flat task per slice folds its own
+orders completely:
 
 - lexsort the slice's detail rows by (orderkey, linenumber) and
   ``np.add.reduceat`` per order — a strictly sequential in-linenumber
@@ -30,13 +31,14 @@ file-header ROUND(SUM,2) rule; verified value-exact at sf 0.001 / 0.01
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from ..stages.transport import (merge_concat, pack_slices, scatter_slices,
+                                slice_of, unpack_cells)
 
 
 def _term(t: pa.Table) -> np.ndarray:
@@ -52,22 +54,18 @@ def _reconcile_slice(n_li: int, *cells):
     detail payloads, diff against the header payloads, return per-group
     (n, sum) partials.  ``cells[:n_li]`` are detail list[bytes] cells,
     the rest header cells."""
-    li_parts = [pickle.loads(p) for refs in cells[:n_li] for p in refs]
-    od_parts = [pickle.loads(p) for refs in cells[n_li:] for p in refs]
+    li_parts = unpack_cells(cells[:n_li])
+    od_parts = unpack_cells(cells[n_li:])
     if not li_parts or not od_parts:
         return {}
-    ok = np.concatenate([p[0] for p in li_parts])
-    ln = np.concatenate([p[1] for p in li_parts])
-    tm = np.concatenate([p[2] for p in li_parts])
+    ok, ln, tm = merge_concat(li_parts)
     order = np.lexsort((ln, ok))
     ok, tm = ok[order], tm[order]
     starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
     rec_key = ok[starts]                       # sorted unique orderkeys
     rec_sum = np.add.reduceat(tm, starts)      # sequential per segment
 
-    hk = np.concatenate([p[0] for p in od_parts])
-    tp = np.concatenate([p[1] for p in od_parts])
-    gp = np.concatenate([p[2] for p in od_parts])
+    hk, tp, gp = merge_concat(od_parts)
     pos = np.searchsorted(rec_key, hk)
     hit = (pos < len(rec_key))
     hit[hit] = rec_key[pos[hit]] == hk[hit]
@@ -81,45 +79,12 @@ def _reconcile_slice(n_li: int, *cells):
             for u, cn, cs in zip(uniq, n, s)}
 
 
-def _packer(key_col: str, cols_fn, num_slices: int):
-    """map_batches partial: pack this block's rows into ONE pickled
-    (arrays...) payload per orderkey-hash slice."""
-    from ..sketches import splitmix64
-
-    def partial(t: pa.Table) -> pa.Table:
-        keys = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if not len(keys):
-            return pa.table({"slice": pa.array([], type=pa.int32()),
-                             "payload": pa.array([],
-                                                 type=pa.large_binary())})
-        arrs = cols_fn(t)
-        sl = (splitmix64(keys.view(np.uint64))
-              % np.uint64(num_slices)).astype(np.int32)
-        order = np.argsort(sl, kind="stable")
-        sl = sl[order]
-        keys = keys[order]
-        arrs = [a[order] for a in arrs]
-        bounds = np.flatnonzero(np.r_[True, sl[1:] != sl[:-1], True])
-        slices, payloads = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            slices.append(int(sl[s]))
-            payloads.append(pickle.dumps(
-                tuple([keys[s:e]] + [a[s:e] for a in arrs])))
-        return pa.table({"slice": pa.array(slices, type=pa.int32()),
-                         "payload": pa.array(payloads,
-                                             type=pa.large_binary())})
-
-    return partial
-
-
 def reconcile_order_totals(orders_ds, lineitem_ds, *,
                            num_slices: int = 32) -> pd.DataFrame:
     """Per-o_orderpriority reconciliation of ``o_totalprice`` against
     the lineitem charge roll-up: returns (o_orderpriority, n_orders,
     total_diff) with total_diff = ROUND(SUM(o_totalprice - recomputed),
     2) over orders that HAVE lineitems (inner-join semantics)."""
-    from ..stages.transport import scatter_slices
-
     def li_cols(t: pa.Table):
         return [t["l_linenumber"].to_numpy(zero_copy_only=False)
                 .astype(np.int64), _term(t)]
@@ -131,14 +96,19 @@ def reconcile_order_totals(orders_ds, lineitem_ds, *,
                 np_object(t["o_orderpriority"].to_numpy(
                     zero_copy_only=False))]
 
-    li_packed = lineitem_ds.map_batches(
-        _packer("l_orderkey", li_cols, num_slices),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    od_packed = orders_ds.map_batches(
-        _packer("o_orderkey", od_cols, num_slices),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    li_cells = scatter_slices(li_packed, num_slices)
-    od_cells = scatter_slices(od_packed, num_slices)
+    def cells(ds, key_col: str, cols_fn):
+        def pack(t: pa.Table) -> pa.Table:
+            keys = t[key_col].to_numpy(zero_copy_only=False) \
+                .astype(np.int64)
+            return pack_slices(slice_of(keys, num_slices), keys,
+                               *cols_fn(t))
+
+        return scatter_slices(ds.map_batches(
+            pack, batch_format="pyarrow", zero_copy_batch=True)
+            .materialize(), num_slices)
+
+    li_cells = cells(lineitem_ds, "l_orderkey", li_cols)
+    od_cells = cells(orders_ds, "o_orderkey", od_cols)
     futs = [_reconcile_slice.remote(len(li_cells[s]),
                                     *li_cells[s], *od_cells[s])
             for s in range(num_slices)]

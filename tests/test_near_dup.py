@@ -304,6 +304,29 @@ def test_phash_dedup_clusters_int_ids():
     assert got == {3: 3, 7: 3, 50: 50, 60: 60, 61: 60}
 
 
+def test_phash_dedup_clusters_null_ids():
+    """A cluster's id is its smallest non-null member id, and null only
+    when every member is null: min ids mixing null and strings once
+    raised TypeError in the cluster lexsort."""
+    from autoprepad_ray.validators.near_dup import phash_dedup_clusters
+
+    ph = [5, 5, 7, 6, 2**40, 2**40 + 1, 9, 9]
+    ids = ["a", None, None, "b", None, "c", None, None]
+    t = pa.table({"image_id": pa.array(ids, pa.string()),
+                  "phash": pa.array(ph, pa.int64())})
+    got = phash_dedup_clusters(rd.from_arrow([t.slice(0, 4),
+                                              t.slice(4)])).to_pandas()
+    # every hash is within 4 bits of another: one component
+    assert got["cluster_id"].tolist() == ["a"] * 8
+    assert got["is_canonical"].tolist() == [True] + [False] * 7
+
+    far = int(np.uint64(0xFFFF0000FFFF0000).astype(np.int64))
+    t = pa.table({"image_id": pa.array([None, None, "d"], pa.string()),
+                  "phash": pa.array([far, far ^ 1, 5], pa.int64())})
+    got = phash_dedup_clusters(rd.from_arrow(t)).to_pandas()
+    assert got["cluster_id"].tolist() == [None, None, "d"]
+
+
 def test_hamming_pairs_global_min_id_across_blocks():
     """r5 in-task id resolution: the representative id per hash must be
     the GLOBAL min across blocks even when the pair is discovered in a

@@ -1,14 +1,19 @@
-"""Slice-addressed scatter (stages.transport): a pairing task must
-receive ONLY its own slice's payload bytes — the round-2 flat-fanout
-pattern shipped every block to every task, which is O(slices x stream)
-network on a multi-node cluster.
+"""The slice exchange (stages.transport): rows routed by ``slice_of``,
+packed by ``pack_slices``, scattered by ``scatter_slices`` and read back
+by ``unpack_cells`` arrive exactly once, in their slice, intact — and a
+per-slice task receives ONLY its own slice's payload bytes (a flat
+fan-out that ships every block to every task is O(slices x stream)
+network on a multi-node cluster).  Only ``stages/transport.py`` packs
+or unpacks slice cells.
 
 The keyed fold (``keyed_fold``) built on it must reproduce an exact
 pandas groupby under every merge, whatever the key type (nulls one
 group), empty slices and partials that keep nothing, and run ``final``
 once per slice."""
 
+import pathlib
 import pickle
+import re
 import uuid
 
 import numpy as np
@@ -16,13 +21,17 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ray
 import ray.data as rd
 
+import autoprepad_ray
 from autoprepad_ray.sketches import key_hash
 from autoprepad_ray.stages.transport import (default_num_parts, keyed_fold,
-                                             merge_groups, scatter_slices)
+                                             kind_rows, merge_groups,
+                                             pack_slices, scatter_slices,
+                                             slice_of, unpack_cells)
 
 
 def _packed_ds(num_blocks, slices_per_block, num_slices, *, kind=None,
@@ -93,6 +102,89 @@ def test_scatter_empty_stream():
                for refs in per_slice)
 
 
+_TEXT = st.one_of(st.none(), st.text(alphabet="abxyz", max_size=30))
+
+
+@st.composite
+def _exchange_case(draw):
+    n_rows = draw(st.integers(0, 48))
+    keys = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows,
+                         max_size=n_rows))
+    objs = draw(st.lists(_TEXT, min_size=n_rows, max_size=n_rows))
+    strs = draw(st.lists(_TEXT, min_size=n_rows, max_size=n_rows))
+    cuts = sorted(draw(st.lists(st.integers(0, n_rows), max_size=4)))
+    n = draw(st.integers(1, 9))
+    tagged = draw(st.booleans())
+    return keys, objs, strs, [0, *cuts, n_rows], n, tagged
+
+
+def _fresh(f):
+    """``f``'s rows rebuilt from Python values: tight buffers."""
+    if isinstance(f, pa.Table):
+        return pa.Table.from_pylist(f.to_pylist(), schema=f.schema)
+    return pa.array(f.to_pylist(), f.type)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_exchange_case())
+def test_exchange_delivers_every_row_once_in_its_slice(case):
+    """Random row-aligned fields (int64 keys, an object array with None,
+    an Arrow string array with nulls, an Arrow table) over random blocks
+    and slice counts: pack, scatter and unpack.  Every row arrives
+    exactly once, in the cell ``slice_of(key, n)`` names, with its
+    fields intact, and no Arrow field pickles bigger than its own rows
+    (a pickled ``Table.slice`` would carry its parent's buffers)."""
+    keys, objs, strs, bounds, n, tagged = case
+    keys = np.array(keys, dtype=np.int64)
+    objs = np.array(objs, dtype=object)
+    strs = pa.array(strs, pa.string())
+    rows = pa.table({"row": pa.array(np.arange(len(keys))),
+                     "pad": pa.array([f"{i:04d}" + "p" * 100
+                                      for i in range(len(keys))])})
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cells = pack_slices(slice_of(keys[lo:hi], n), keys[lo:hi],
+                            objs[lo:hi], strs.slice(lo, hi - lo),
+                            rows.slice(lo, hi - lo),
+                            kind="cell" if tagged else None)
+        blocks.append(pa.concat_tables([kind_rows({"agg": lo}), cells])
+                      if tagged else cells)
+    packed = rd.from_arrow(blocks).materialize()
+    per_slice = scatter_slices(packed, n, kind="cell" if tagged else None)
+    assert len(per_slice) == n
+    seen = []
+    for s in range(n):
+        for k, o, sa, t in unpack_cells(ray.get(per_slice[s])):
+            assert (slice_of(k, n) == s).all()
+            r = t["row"].to_numpy()
+            assert (k == keys[r]).all()
+            assert o.tolist() == objs[r].tolist()
+            assert sa.to_pylist() == strs.take(r).to_pylist()
+            assert t.to_pylist() == rows.take(r).to_pylist()
+            for f in (sa, t):
+                assert len(pickle.dumps(f)) <= \
+                    len(pickle.dumps(_fresh(f))) + 128
+            seen.extend(r.tolist())
+    assert sorted(seen) == list(range(len(keys)))
+
+
+def test_only_transport_packs_slice_cells():
+    """One packer and one unpacker: outside ``stages/transport.py`` no
+    library module builds a ``slice`` payload column or unpickles a
+    per-slice task's cell lists itself."""
+    root = pathlib.Path(autoprepad_ray.__file__).parent
+    offenders = []
+    for f in sorted(root.rglob("*.py")):
+        if f == root / "stages" / "transport.py":
+            continue
+        src = f.read_text()
+        if re.search(r"""["']slice["']""", src) or re.search(
+                r"pickle\.loads\(\w+\)\s+for\s+\w+\s+in\s+\S+\s+for\b",
+                src):
+            offenders.append(str(f.relative_to(root)))
+    assert offenders == []
+
+
 def _keyed_ds(n_rows=5000, n_keys=911, blocks=7, seed=11):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, size=n_rows).astype(np.int64)
@@ -138,13 +230,13 @@ def test_keyed_fold_matches_pandas_groupby():
 
 
 def test_keyed_fold_empty_slices_keep_schema():
-    # 2 keys -> at least 14 of the (>= 16) slices are empty; they run no
-    # final, and the result keeps every column's type
+    # 2 keys -> at least 14 of the (>= 16) slices are empty; their tasks
+    # skip final, and the result keeps every column's type
     df = pd.DataFrame({"k": np.array([1, 1, 2], dtype=np.int64),
                        "a": np.array([5, 7, -1], dtype=np.int64),
                        "x": np.array([0.5, 0.25, 1.0])})
     n = default_num_parts()
-    assert n - len(set(key_hash([df["k"]])[0] % np.uint64(n))) >= 14
+    assert n - len(set(slice_of(key_hash([df["k"]])[0], n))) >= 14
     out = _folded(_from_frame(df, 1))
     pd.testing.assert_frame_equal(out, _expected(df))
     assert out["sx"].dtype == np.float64
@@ -163,7 +255,7 @@ def test_keyed_fold_final_runs_once_per_slice():
 
     out = keyed_fold(ds, _partial, ["k"], final)
     calls = out.to_pandas().assign(
-        slice=key_hash([out["k"]])[0] % np.uint64(n))
+        slice=slice_of(key_hash([out["k"]])[0], n))
     # each call saw exactly one slice, each slice came from one call
     assert (calls.groupby("call")["slice"].nunique() == 1).all()
     assert (calls.groupby("slice")["call"].nunique() == 1).all()
