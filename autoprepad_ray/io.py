@@ -19,6 +19,11 @@ The plan depends only on the input's file count, so it is the same on
 every caller and every cluster; Ray's size-based dynamic block
 splitting (``DataContext.target_max_block_size``, 128 MiB) still cuts a
 large file's output, so memory stays bounded.
+
+A Dataset the caller built is not re-planned here; the passes of
+``pipelines.flagship.validate_numeric_table`` are sized from its fit
+pass instead (``stages.transport.sized``), which leaves a Dataset of
+few blocks, such as this module's reads, as planned.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ MAD median/mad MedianAbsolutDeviation.py:41-42, imputer medians/modes,
 RobustScaler center/scale — all scalars learned over the train frame).
 
 Shape: ``map_batches(partial)`` emits ONE serialized sketch-bundle row per
-block (pre-aggregation — nothing row-shaped ever shuffles), and the driver
-folds the bundles in a balanced pairwise order into a
-:class:`TableProfile`.  The artifact is a few KB of JSON — broadcast to
+block (pre-aggregation — nothing row-shaped ever shuffles), and
+``stages.transport`` folds the bundles into a :class:`TableProfile`,
+each column's exact value counts in one merge pass.  The artifact is a few KB of JSON — broadcast to
 validate tasks exactly like the reference shares fitted scalars by
 object reference.
 """
@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from .sketches import KLL, HyperLogLog, MomentSketch, ValueCounts, hash64
-from .stages.transport import fold
+from .stages.transport import Layout, fold_with_layout
 
 POOLED = "__pooled__"  # reference's global-flattened stats (SURVEY §1.1)
 # stamped into TableProfile JSON; 2 = KLL quantile sketch (the unstamped
@@ -110,26 +110,7 @@ class ColumnSketch:
             self.moments.n += len(arr) - nulls
 
     def merge(self, o: "ColumnSketch") -> "ColumnSketch":
-        self.moments.merge(o.moments)
-        if o.values.overflow or self.values.overflow:
-            # at least one side is approximate: fold both exact sides
-            # into sketches, then merge sketches
-            if not self.values.overflow:
-                self.values.overflow = True
-                self._spill_to_sketches()
-            if not o.values.overflow:
-                o.values.overflow = True
-                o._spill_to_sketches()
-            o.values.drain()
-            self.values.drain()
-            self.values.overflow = True
-        else:
-            self.values.merge(o.values)
-            if self.values.overflow:
-                self._spill_to_sketches()
-        self.kll.merge(o.kll)
-        self.hll.merge(o.hll)
-        return self
+        return _merge_columns([self, o])
 
     # ---- finalize accessors -------------------------------------------------
 
@@ -189,6 +170,8 @@ class TableProfile:
     columns: dict[str, ColumnSketch]
     n_rows: int = 0
     fingerprint: str = ""
+    # the blocks the profile pass folded; not part of the JSON artifact
+    layout: Layout = field(default_factory=Layout, compare=False)
 
     def __getitem__(self, name: str) -> ColumnSketch:
         return self.columns[name]
@@ -246,26 +229,48 @@ def _make_partial_fn(columns: list[str] | None, pooled: bool,
     return partial
 
 
-def _merge_bundle(a: tuple, b: tuple) -> tuple:
-    (na, sa), (nb, sb) = a, b
-    for name, cs in sb.items():
-        if name in sa:
-            sa[name].merge(cs)
-        else:
-            sa[name] = cs
-    return na + nb, sa
+def _pairwise(items: list, merge2):
+    """``items`` merged in a balanced pairwise order, ``None`` items
+    skipped (the order fixes the floats of a moment merge)."""
+    def m(a, b):
+        return b if a is None else a if b is None else merge2(a, b)
+
+    while len(items) > 1:
+        items = [m(a, b) for a, b in zip(items[0::2], items[1::2])] \
+            + items[len(items) & ~1:]
+    return items[0]
+
+
+def _merge_columns(parts: list) -> ColumnSketch:
+    """One column's partial sketches (``None`` where a bundle lacks the
+    column) merged into the first present one.  The exact value counts
+    merge in one pass (``ValueCounts.union``: each value is sorted
+    once); moments, KLL and HLL merge in the balanced pairwise order.
+    The result is exact iff every part is and the merged distinct count
+    stays within ``max_items``; otherwise the exact values seed KLL and
+    HLL."""
+    present = [p for p in parts if p is not None]
+    out = present[0]
+    exact = [p.values for p in present if not p.values.overflow]
+    out.moments = _pairwise([p and p.moments for p in parts],
+                            MomentSketch.merge)
+    out.kll = _pairwise([p and p.kll for p in parts], KLL.merge)
+    out.hll = _pairwise([p and p.hll for p in parts], HyperLogLog.merge)
+    out.values = ValueCounts.union(exact, out.values.max_items)
+    if len(exact) < len(present):
+        out.values.overflow = True
+    if out.values.overflow:
+        out._spill_to_sketches()
+    return out
 
 
 def _merge_bundles(bundles: list[tuple]) -> tuple:
-    """Fold (rows, sketches) bundles in a balanced pairwise order, so
-    each exact value is re-merged O(log bundles) times; a left fold
-    would re-merge the growing accumulator once per bundle."""
-    bundles = bundles or [(0, {})]
-    while len(bundles) > 1:
-        bundles = [_merge_bundle(a, b)
-                   for a, b in zip(bundles[0::2], bundles[1::2])] \
-            + bundles[len(bundles) & ~1:]
-    return bundles[0]
+    """Fold (rows, sketches) bundles: each column's partials merge at
+    once (:func:`_merge_columns`), columns in first-seen order."""
+    names = list(dict.fromkeys(n for _, sk in bundles for n in sk))
+    return (sum(n for n, _ in bundles),
+            {name: _merge_columns([sk.get(name) for _, sk in bundles])
+             for name in names})
 
 
 def profile_dataset(ds, columns: list[str] | None = None, *,
@@ -277,12 +282,14 @@ def profile_dataset(ds, columns: list[str] | None = None, *,
     statistics over all numeric columns (np.quantile with no axis,
     TukeyTransformer.py:37-38) under the ``__pooled__`` key.
 
-    The per-block bundles fold with ``stages.transport.fold``; every
-    merge is the balanced pairwise :func:`_merge_bundles`.
+    The per-block bundles fold with ``stages.transport.fold_with_layout``
+    (every merge is :func:`_merge_bundles`), so the profile also records
+    the :class:`~autoprepad_ray.stages.transport.Layout` of ``ds``.
     """
-    total, merged = fold(ds, _make_partial_fn(columns, pooled, max_exact),
-                         _merge_bundles)
-    return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint)
+    (total, merged), layout = fold_with_layout(
+        ds, _make_partial_fn(columns, pooled, max_exact), _merge_bundles)
+    return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint,
+                        layout=layout)
 
 
 def profile_arrays(named_arrays: dict[str, np.ndarray], *, pooled: bool = False,

@@ -293,6 +293,20 @@ class ValueCounts:
         vc._fold(np.asarray(values), np.asarray(counts, dtype=np.int64))
         return vc
 
+    @classmethod
+    def union(cls, parts: list["ValueCounts"], max_items: int
+              ) -> "ValueCounts":
+        """The merge of exact ``parts`` in ONE pass: their sorted runs
+        concatenate, and one stable argsort (timsort merges the runs)
+        and one ``np.add.reduceat`` collapse them.  Overflows iff the
+        merged distinct count exceeds ``max_items``."""
+        vc = cls(max_items=max_items)
+        held = [p for p in parts if p._vals is not None]
+        if held:
+            vc._fold(np.concatenate([p._vals for p in held]),
+                     np.concatenate([p._cnts for p in held]))
+        return vc
+
     def _fold(self, vals: np.ndarray, cnts: np.ndarray) -> None:
         """Merge (value, count) pairs in.  The held values are one sorted
         run and merged-in maps are another, so the stable argsort is

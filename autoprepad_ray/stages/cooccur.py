@@ -33,7 +33,8 @@ import pyarrow as pa
 
 import ray
 
-from .transport import fold, merge_counts, merge_unique
+from .transport import (cell_refs, cells_return, fold, merge_counts,
+                        merge_unique)
 
 _MASK32 = np.int64((1 << 32) - 1)
 
@@ -93,13 +94,11 @@ def _pair_census(inc_ref, lo: int, hi: int, splits: np.ndarray):
                 keys.append((lo_n << 32) | hi_n)
     if not keys:
         e = np.empty(0, dtype=np.int64)
-        cells = [(e, e)] * (len(splits) + 1)
-        return cells[0] if not len(splits) else cells
+        return cells_return([(e, e)] * (len(splits) + 1))
     vals, cnts = np.unique(np.concatenate(keys), return_counts=True)
-    if not len(splits):
-        return (vals, cnts)
     cuts = np.r_[0, np.searchsorted(vals, splits), len(vals)]
-    return [(vals[a:b], cnts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    return cells_return([(vals[a:b], cnts[a:b])
+                         for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 @ray.remote
@@ -139,19 +138,12 @@ def cooccur_weights(ds, *, part_col: str, node_col: str,
         n_parts = len(bounds) + 1
     else:
         bounds = np.empty(0, dtype=np.int64)
-    spans = list(zip(cuts[:-1], cuts[1:]))
-    if n_parts == 1:
-        futs = [_pair_census.remote(inc_ref, int(a), int(b), bounds)
-                for a, b in spans]
-        vals, cnts = merge_counts(ray.get(futs))
-    else:
-        grid = [_pair_census.options(num_returns=n_parts).remote(
-            inc_ref, int(a), int(b), bounds) for a, b in spans]
-        folds = [_fold_cells.remote(*[row[p] for row in grid])
-                 for p in range(n_parts)]
-        merged = ray.get(folds)
-        vals = np.concatenate([m[0] for m in merged])
-        cnts = np.concatenate([m[1] for m in merged])
+    grid = [cell_refs(_pair_census, n_parts, inc_ref, int(a), int(b),
+                      bounds) for a, b in zip(cuts[:-1], cuts[1:])]
+    merged = ray.get([_fold_cells.remote(*[row[p] for row in grid])
+                      for p in range(n_parts)])
+    vals = np.concatenate([m[0] for m in merged])
+    cnts = np.concatenate([m[1] for m in merged])
     return (vals >> np.int64(32)), (vals & _MASK32), cnts
 
 

@@ -22,8 +22,9 @@ import pyarrow as pa
 import ray
 
 from ..sketches import hash64, key_hash, splitmix64
-from .transport import (fold, merge_concat, merge_counts, pack_slices,
-                        scatter_slices, slice_of, unpack_cells)
+from .transport import (cell_refs, cells_return, fold, merge_concat,
+                        merge_counts, pack_slices, scatter_slices, slice_of,
+                        unpack_cells)
 
 
 def _batch_shingles(texts, n_words: int):
@@ -160,7 +161,7 @@ _EMPTY_CELL_IDS = (np.empty(0, dtype=object), np.empty(0, dtype=object))
 
 @ray.remote
 def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
-                          *payload_lists) -> tuple:
+                          *payload_lists):
     """Flat candidate-pairing task for one slice of the packed key
     stream.  Receives ONLY its own slice's payloads (slice-addressed
     scatter — bytes move once on a multi-node cluster).  Bucket
@@ -182,7 +183,7 @@ def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
     empty = pickle.dumps(_EMPTY_CELL_IDS)
     parts = unpack_cells(payload_lists)
     if not parts:
-        return tuple([empty] * num_parts)
+        return cells_return([empty] * num_parts)
     keys, ids = merge_concat(parts)
     # one row per (bucket, id): a doc can land in one bucket via
     # several bands and cross-block repeats are the norm
@@ -193,7 +194,7 @@ def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
     out = _segment_pairs(keys, ids, np.zeros(len(ids), dtype=np.int64),
                          0, bucket_cap, verify=False)
     if not len(out):
-        return tuple([empty] * num_parts)
+        return cells_return([empty] * num_parts)
     ida = out["id_a"].to_numpy()
     idb = out["id_b"].to_numpy()
     code = _pair_part_codes(ida, idb, num_parts)
@@ -203,7 +204,7 @@ def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
     cells = [empty] * num_parts
     for s, e in zip(bounds[:-1], bounds[1:]):
         cells[int(code[s])] = pickle.dumps((ida[s:e], idb[s:e]))
-    return tuple(cells)
+    return cells_return(cells)
 
 
 DEFAULT_VERIFY_PARTS = 32
@@ -238,8 +239,8 @@ def candidate_pairs_grid(keyed, bucket_cap: int, *, num_slices: int = 64,
 
     packed = keyed.map_batches(pack, batch_format="numpy").materialize()
     per_slice = scatter_slices(packed, num_slices)
-    grids = [_cand_pair_slice_task.options(num_returns=num_parts)
-             .remote(bucket_cap, num_parts, *per_slice[s])
+    grids = [cell_refs(_cand_pair_slice_task, num_parts, bucket_cap,
+                       num_parts, *per_slice[s])
              for s in range(num_slices)]
     return [[g[p] for g in grids] for p in range(num_parts)]
 

@@ -12,6 +12,10 @@ materialized blocks ``FAN_IN`` at a time, and the driver merges the
 survivors.  A ``map_batches(merge, batch_size=...)`` merge level would
 fuse into its partial's task (one read task per file) and merge
 nothing, so the reduce runs over ``to_arrow_refs()`` instead.
+:func:`fold_with_layout` also returns the :class:`Layout` (rows, blocks,
+bytes) its partials saw, and :func:`sized` turns that layout into the
+plan of a later pass over the same Dataset: many small blocks are
+bundled into about :func:`default_num_parts` tasks.
 
 :func:`keyed_fold` is the one keyed partial->merge reduction: each
 block's partial table routes its rows by the ``sketches.key_hash`` of
@@ -49,12 +53,14 @@ stream is small the single-task case is trivially fine.
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+from ray.data import DataContext
 
 from ..sketches import key_hash, splitmix64
 
@@ -171,6 +177,61 @@ def fold(ds, partial, merge):
     return fold_payloads(packed, merge)
 
 
+@dataclass(frozen=True)
+class Layout:
+    """The blocks a fold's partial ran on: their rows, count and Arrow
+    bytes.  Layouts add."""
+
+    rows: int = 0
+    blocks: int = 0
+    bytes: int = 0
+
+    def __add__(self, o: "Layout") -> "Layout":
+        return Layout(self.rows + o.rows, self.blocks + o.blocks,
+                      self.bytes + o.bytes)
+
+
+def fold_with_layout(ds, partial, merge) -> tuple:
+    """:func:`fold` that also returns the :class:`Layout` of ``ds``: each
+    partial counts its own block, so the layout costs no extra pass.
+    Returns ``(merge result, layout)``."""
+    def counted(t: pa.Table) -> tuple:
+        return Layout(t.num_rows, 1, t.nbytes), partial(t)
+
+    def merge_counted(parts: list[tuple]) -> tuple:
+        return (sum((lay for lay, _ in parts), Layout()),
+                merge([p for _, p in parts]))
+
+    layout, out = fold(ds, counted, merge_counted)
+    return out, layout
+
+
+def _rebundle(t: pa.Table) -> pa.Table:
+    return t
+
+
+def sized(ds, layout: Layout):
+    """``ds`` for a pass after one that recorded its ``layout``.
+
+    When that pass saw more than :func:`default_num_parts` blocks, each
+    a separate task and object, ``ds`` runs behind one identity
+    ``map_batches(batch_size=T)``, ``T = ceil(rows /
+    default_num_parts())`` capped at the rows of Ray's
+    ``target_max_block_size``: Ray bundles the small blocks, so the
+    pass runs about ``default_num_parts()`` tasks.  Otherwise (few
+    blocks, no rows, or an unknown layout) ``ds`` is returned as is,
+    keeping any read->map fusion it plans."""
+    parts = default_num_parts()
+    if layout.blocks <= parts or layout.rows == 0:
+        return ds
+    rows = -(-layout.rows // parts)
+    cap = DataContext.get_current().target_max_block_size
+    if cap and layout.bytes:
+        rows = min(rows, max(1, cap * layout.rows // layout.bytes))
+    return ds.map_batches(_rebundle, batch_size=rows, batch_format="pyarrow",
+                          zero_copy_batch=True)
+
+
 def slice_of(keys: np.ndarray, n: int) -> np.ndarray:
     """The routing rule: the slice (int64, in ``[0, n)``) of every
     integer key, ``splitmix64(key) % n``."""
@@ -217,6 +278,20 @@ def unpack_cells(cell_lists) -> list[tuple]:
     return [pickle.loads(p) for cells in cell_lists for p in cells]
 
 
+def cells_return(cells: list):
+    """A task's return value for ``num_returns=len(cells)``: Ray makes
+    ``num_returns=1`` ONE return object, not a 1-tuple."""
+    return tuple(cells) if len(cells) > 1 else cells[0]
+
+
+def cell_refs(task, n: int, *args) -> list:
+    """The ``n`` refs of ``task.options(num_returns=n).remote(*args)`` as
+    a list, one bare ref included (the task returns through
+    :func:`cells_return`)."""
+    refs = task.options(num_returns=n).remote(*args)
+    return list(refs) if n > 1 else [refs]
+
+
 @ray.remote
 def _scatter_task(num_slices: int, kind: str | None, *blocks):
     """Split packed (slice, payload[, kind]) rows of ``blocks`` into one
@@ -232,8 +307,7 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
             t = t.filter(pc.equal(t["kind"], kind))
         for s, p in zip(t["slice"].to_pylist(), t["payload"].to_pylist()):
             out[s].append(p)
-    # Ray makes num_returns=1 ONE return object, not a 1-tuple
-    return tuple(out) if num_slices > 1 else out[0]
+    return cells_return(out)
 
 
 def scatter_slices(packed, num_slices: int, *, kind: str | None = None
@@ -260,13 +334,10 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
     size = packed.size_bytes() or 0
     n_tasks = max(1, min(len(refs),
                          int(size // (num_slices * TARGET_CELL_BYTES))))
-    grids = [
-        _scatter_task.options(num_returns=num_slices).remote(
-            num_slices, kind, *(refs[i] for i in group))
-        for group in np.array_split(np.arange(len(refs)), n_tasks)
-        if len(group)]
-    if num_slices == 1:
-        return [grids]
+    grids = [cell_refs(_scatter_task, num_slices, num_slices, kind,
+                       *(refs[i] for i in group))
+             for group in np.array_split(np.arange(len(refs)), n_tasks)
+             if len(group)]
     return [[g[s] for g in grids] for s in range(num_slices)]
 
 

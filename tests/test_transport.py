@@ -389,6 +389,18 @@ def test_candidate_pairs_stay_distributed():
 
     src = inspect.getsource(dedup.candidate_pairs_grid)
     assert "pd.concat(ray.get" not in src
+    _check_candidate_grid(num_parts=8)
+
+
+def test_candidate_pairs_grid_one_part():
+    """``num_parts=1``: Ray hands back one bare ref, not a 1-tuple, for
+    ``num_returns=1`` (this raised TypeError: 'ray.ObjectRef' object is
+    not subscriptable); the grid still has its one part."""
+    _check_candidate_grid(num_parts=1)
+
+
+def _check_candidate_grid(num_parts: int) -> None:
+    from autoprepad_ray.stages import dedup
 
     # a tiny keyed stream with two hot buckets split across blocks
     keyed = rd.from_arrow([
@@ -397,7 +409,6 @@ def test_candidate_pairs_stay_distributed():
         pa.table({"key": pa.array([1, 2, 3], type=pa.int64()),
                   "doc_id": pa.array([12, 21, 30], type=pa.int64())}),
     ])
-    num_parts = 8
     grid = dedup.candidate_pairs_grid(keyed, 1000, num_slices=16,
                                       num_parts=num_parts)
     assert len(grid) == num_parts
