@@ -8,16 +8,17 @@ artifact) and a validate pass (stateless vectorized checks, whose one
 summary pass yields both the score threshold and the per-partition
 verdicts; the enriched rows stream at the consumer).
 
-Layout rule: the first pass over ``ds`` also records its block layout
-(rows, blocks, bytes; ``stages.transport.Layout``), and every later pass
-over ``ds`` runs on ``stages.transport.sized(ds, layout)``.  The first
-pass is the profile pass when ``ds`` is its own reference, else the
-summary pass, which then sizes only the enriched rows.  A caller's split
+Layout rule: when ``ds`` is its own reference, the profile pass also
+records its block layout (rows, blocks, bytes;
+``stages.transport.Layout``), and the summary pass and the enriched
+rows run on ``stages.transport.sized(ds, layout)``.  A caller's split
 Dataset (``rd.read_parquet`` plans ``ReadParquet->SplitBlocks(k)``: 96
 blocks for a 16-file table on 4 CPUs) is thereby validated in about
 ``default_num_parts()`` tasks per pass instead of one per block, while a
 Dataset of few blocks (``io.read_table``: one per file) is used as given
-and keeps its fused ``ReadParquet->MapBatches`` plan.
+and keeps its fused ``ReadParquet->MapBatches`` plan.  Under a separate
+``train_ds`` no pass over ``ds`` comes first, so ``ds`` is used as
+given.
 """
 
 from __future__ import annotations
@@ -65,11 +66,8 @@ def validate_numeric_table(ds, numeric_cols: list[str], *,
     if train_ds is None:
         ds = sized(ds, prof.layout)
     checked = rc.check_rows(ds, states, mad_threshold=mad_threshold)
-    stats, verdicts, layout = rc.check_summary(checked, partition_col,
-                                               pct=pct, budget=budget)
-    if train_ds is not None:
-        checked = rc.check_rows(sized(ds, layout), states,
-                                mad_threshold=mad_threshold)
+    stats, verdicts = rc.check_summary(checked, partition_col, pct=pct,
+                                       budget=budget)
     enriched = rc.attach_scores(checked, stats=stats)
     return ValidationResult(profile=prof, enriched=enriched,
                             verdicts=verdicts, states=states)

@@ -8,7 +8,8 @@ RobustScaler center/scale — all scalars learned over the train frame).
 Shape: ``map_batches(partial)`` emits ONE serialized sketch-bundle row per
 block (pre-aggregation — nothing row-shaped ever shuffles), and
 ``stages.transport`` folds the bundles into a :class:`TableProfile`,
-each column's exact value counts in one merge pass.  The artifact is a few KB of JSON — broadcast to
+each column's exact value counts in as few sort passes as
+``max_exact`` allows.  The artifact is a few KB of JSON — broadcast to
 validate tasks exactly like the reference shares fitted scalars by
 object reference.
 """
@@ -58,12 +59,14 @@ class ColumnSketch:
     kll: KLL = field(default_factory=KLL)
     hll: HyperLogLog = field(default_factory=HyperLogLog)
 
-    def _spill_to_sketches(self) -> None:
+    def _spill_to_sketches(self, values: ValueCounts | None = None
+                           ) -> None:
         """Exactness abandoned: seed KLL + HLL from the drained exact
-        value counts (a weighted KLL seeding and a hash pass over the
-        DISTINCT values reproduce everything the approximate sketches
-        would have seen)."""
-        vals, cnts = self.values.drain()
+        value counts of ``values`` (default: this column's own; a
+        weighted KLL seeding and a hash pass over the DISTINCT values
+        reproduce everything the approximate sketches would have
+        seen)."""
+        vals, cnts = (self.values if values is None else values).drain()
         if len(vals) == 0:
             return
         if self.kind in ("numeric", "timestamp"):
@@ -244,11 +247,14 @@ def _pairwise(items: list, merge2):
 def _merge_columns(parts: list) -> ColumnSketch:
     """One column's partial sketches (``None`` where a bundle lacks the
     column) merged into the first present one.  The exact value counts
-    merge in one pass (``ValueCounts.union``: each value is sorted
-    once); moments, KLL and HLL merge in the balanced pairwise order.
-    The result is exact iff every part is and the merged distinct count
-    stays within ``max_items``; otherwise the exact values seed KLL and
-    HLL."""
+    merge in as few passes as ``max_items`` allows
+    (``ValueCounts.merge_all``: one pass when the parts fit it
+    together); moments, KLL and HLL merge in the balanced pairwise
+    order.  The result is exact iff every part is and the merged
+    distinct count stays within ``max_items``.  Otherwise the exact
+    values seed KLL and HLL: the merged run and each part it did not
+    reach, or, when a part had already overflowed, each exact part
+    unmerged."""
     present = [p for p in parts if p is not None]
     out = present[0]
     exact = [p.values for p in present if not p.values.overflow]
@@ -256,11 +262,14 @@ def _merge_columns(parts: list) -> ColumnSketch:
                             MomentSketch.merge)
     out.kll = _pairwise([p and p.kll for p in parts], KLL.merge)
     out.hll = _pairwise([p and p.hll for p in parts], HyperLogLog.merge)
-    out.values = ValueCounts.union(exact, out.values.max_items)
+    out.values = ValueCounts(out.values.max_items)
     if len(exact) < len(present):
-        out.values.overflow = True
+        out.values.overflow, rest = True, exact
+    else:
+        rest = out.values.merge_all(exact)
     if out.values.overflow:
-        out._spill_to_sketches()
+        for vc in [out.values, *rest]:
+            out._spill_to_sketches(vc)
     return out
 
 

@@ -293,19 +293,29 @@ class ValueCounts:
         vc._fold(np.asarray(values), np.asarray(counts, dtype=np.int64))
         return vc
 
-    @classmethod
-    def union(cls, parts: list["ValueCounts"], max_items: int
-              ) -> "ValueCounts":
-        """The merge of exact ``parts`` in ONE pass: their sorted runs
-        concatenate, and one stable argsort (timsort merges the runs)
-        and one ``np.add.reduceat`` collapse them.  Overflows iff the
-        merged distinct count exceeds ``max_items``."""
-        vc = cls(max_items=max_items)
+    def merge_all(self, parts: list["ValueCounts"]
+                  ) -> list["ValueCounts"]:
+        """Merge exact ``parts`` in, a group of whole parts per pass: the
+        group's sorted runs and the held run concatenate, and one stable
+        argsort (timsort merges the runs) and one ``np.add.reduceat``
+        collapse them.  A group holds at most ``max_items`` values (or
+        one part), so no pass builds more than about ``2 * max_items``
+        values; parts that fit ``max_items`` together merge in one pass.
+        Stops once the merged distinct count exceeds ``max_items``
+        (``overflow``) and returns the parts it did not merge, for the
+        caller to spill."""
         held = [p for p in parts if p._vals is not None]
-        if held:
-            vc._fold(np.concatenate([p._vals for p in held]),
-                     np.concatenate([p._cnts for p in held]))
-        return vc
+        i = 0
+        while i < len(held) and not self.overflow:
+            j, size = i + 1, len(held[i]._vals)
+            while j < len(held) and \
+                    size + len(held[j]._vals) <= self.max_items:
+                size += len(held[j]._vals)
+                j += 1
+            self._fold(np.concatenate([p._vals for p in held[i:j]]),
+                       np.concatenate([p._cnts for p in held[i:j]]))
+            i = j
+        return held[i:]
 
     def _fold(self, vals: np.ndarray, cnts: np.ndarray) -> None:
         """Merge (value, count) pairs in.  The held values are one sorted

@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 
 from ..profile import POOLED, TableProfile
 from ..sketches import ValueCounts
-from ..stages.transport import fold_with_layout, merge_groups
+from ..stages.transport import fold, merge_groups
 
 TUKEY_SUFFIX = "_TUKEY"      # reference TukeyTransformer.py:56-57
 MADZ_SUFFIX = "_Z_MOD"       # reference MedianAbsolutDeviation.py:64-65
@@ -164,11 +164,11 @@ def _score_stats(raw: np.ndarray, cnts: np.ndarray, pct: float
 def check_summary(checked_ds, partition_col: str | None = None, *,
                   pct: float = 0.10, budget: float = 0.05,
                   evidence_cols: tuple[str, ...] = (TUKEY_TOTAL, MAD_TOTAL)):
-    """``(stats, verdicts, layout)`` from ONE pass.
+    """Score stats and per-partition verdicts from ONE pass.
 
     Each block groups its rows by (raw score, violation[, partition]) and
     emits the counts: O(distinct scores x partitions) rows per block,
-    never O(rows), merged by ``stages.transport.fold_with_layout`` with
+    never O(rows), merged by ``stages.transport.fold`` with
     ``merge_groups``.  From the merged counts come
 
     - ``(min, max, percentile-threshold)`` of the raw flag-sum score;
@@ -176,9 +176,7 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
       ``(partition_col, n_rows, n_viol, fail)``, sorted by partition.  A
       row is a violation if ANY evidence column is > 0 (the reference's
       OR-merge, experiment.py:441-445); a partition fails when its
-      violation share exceeds ``budget``.  Otherwise ``None``;
-    - ``layout``: the ``stages.transport.Layout`` of the blocks the pass
-      folded, which sizes a later pass over the same rows.
+      violation share exceeds ``budget``.  Otherwise ``None``.
     """
     import ray.data as rd
 
@@ -194,8 +192,7 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
             "viol": viol, **{c: batch[c] for c in pcols}}) \
             .group_by(keys).aggregate([([], "count_all")])
 
-    g, layout = fold_with_layout(checked_ds, partial,
-                                 merge_groups(keys, {"count_all": "sum"}))
+    g = fold(checked_ds, partial, merge_groups(keys, {"count_all": "sum"}))
     if g is None:
         g = pa.table({"score_raw": pa.array([], pa.int64()),
                       "viol": pa.array([], pa.bool_()),
@@ -205,7 +202,7 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
     stats = _score_stats(by_score["score_raw"].to_numpy().astype(np.int64),
                          by_score["count_all_sum"].to_numpy(), pct)
     if partition_col is None:
-        return stats, None, layout
+        return stats, None
     v = g.append_column("n_viol", pc.if_else(g["viol"], g["count_all"], 0)) \
         .group_by([partition_col]) \
         .aggregate([("count_all", "sum"), ("n_viol", "sum")]) \
@@ -215,7 +212,7 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
     return stats, rd.from_arrow(pa.table({
         partition_col: v[partition_col], "n_rows": n_rows,
         "n_viol": n_viol,
-        "fail": (n_viol / n_rows > budget).astype(np.int8)})), layout
+        "fail": (n_viol / n_rows > budget).astype(np.int8)}))
 
 
 def score_threshold(checked_ds, *, pct: float = 0.10

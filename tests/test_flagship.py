@@ -77,14 +77,14 @@ def _check(res, t: pa.Table, cols: list[str]) -> None:
     assert res.enriched.sum(rc.LABEL_COL) == exp["label"].sum()
 
 
-def _summary_layouts(monkeypatch) -> list:
-    """The layout of every summary pass ``validate_numeric_table`` runs."""
+def _summary_inputs(monkeypatch) -> list:
+    """The checked Dataset of every summary pass
+    ``validate_numeric_table`` runs."""
     seen, real = [], rc.check_summary
 
-    def spy(*a, **kw):
-        out = real(*a, **kw)
-        seen.append(out[2])
-        return out
+    def spy(checked, *a, **kw):
+        seen.append(checked)
+        return real(checked, *a, **kw)
 
     monkeypatch.setattr(rc, "check_summary", spy)
     return seen
@@ -108,52 +108,51 @@ def test_many_small_blocks_are_bundled(monkeypatch):
     enriched rows each run at most ``default_num_parts()`` tasks, and
     every output equals the oracle's."""
     t = _table()
-    layouts = _summary_layouts(monkeypatch)
+    summaries = _summary_inputs(monkeypatch)
     res = validate_numeric_table(_small_blocks(t), COLS, partition_col="p")
     parts = default_num_parts()
     assert res.profile.layout == Layout(ROWS, 40, res.profile.layout.bytes)
-    assert [lay.rows for lay in layouts] == [ROWS]
-    assert layouts[0].blocks <= parts
-    ops = _operators(res.enriched)
-    bundled = [n for name, n in ops if name.startswith(
-        "MapBatches(_rebundle)->MapBatches(RowChecker")]
-    assert len(bundled) == 1 and bundled[0] <= parts, ops
+    assert len(summaries) == 1
+    for ds, op in ((summaries[0], "MapBatches(_rebundle)->MapBatches("
+                                  "RowChecker.__call__)"),
+                   (res.enriched, "MapBatches(_rebundle)->MapBatches("
+                                  "RowChecker.__call__)->MapBatches(attach)")):
+        ops = _operators(ds)
+        bundled = [n for name, n in ops if name == op]
+        assert len(bundled) == 1 and bundled[0] <= parts, ops
     _check(res, t, COLS)
     assert res.verdicts.to_pandas().sort_values("p")["fail"].tolist() \
         == [0, 0, 0, 1, 0]
 
 
-def test_train_ds_summary_sizes_the_enriched_pass(monkeypatch):
-    """With ``train_ds`` the summary pass is the first over ``ds``: it
-    runs on ``ds`` as given and sizes the enriched rows."""
+def test_train_ds_leaves_ds_as_given():
+    """Under a separate ``train_ds`` no pass over ``ds`` comes before
+    the validate passes, so ``ds`` runs as given, one task per block."""
     t = _table()
-    layouts = _summary_layouts(monkeypatch)
     res = validate_numeric_table(_small_blocks(t), COLS, partition_col="p",
                                  train_ds=rd.from_arrow(t))
     assert res.profile.layout.blocks == 1
-    assert [lay.blocks for lay in layouts] == [40]
     ops = _operators(res.enriched)
-    assert any(name.startswith("MapBatches(_rebundle)")
-               and n <= default_num_parts() for name, n in ops), ops
+    assert not any("_rebundle" in name for name, _ in ops), ops
     _check(res, t, COLS)
 
 
 def test_read_table_input_keeps_its_fused_plan(tmp_path, monkeypatch):
     """An ``io.read_table`` input of one block per file is used as given:
-    the enriched rows plan as one fused ``ReadParquet->MapBatches``
-    operator with no rebundling map, and the outputs equal the
-    oracle's."""
+    the summary pass and the enriched rows plan as one fused
+    ``ReadParquet->MapBatches`` operator with no rebundling map, and the
+    outputs equal the oracle's."""
     t = _table()
     for i in range(4):
         pq.write_table(t.slice(i * ROWS // 4, ROWS // 4),
                        tmp_path / f"part-{i}.parquet")
-    layouts = _summary_layouts(monkeypatch)
+    summaries = _summary_inputs(monkeypatch)
     res = validate_numeric_table(read_table(str(tmp_path)), COLS,
                                  partition_col="p")
     assert res.profile.layout.blocks == 4
-    assert [lay.blocks for lay in layouts] == [4]
-    ops = _operators(res.enriched)
-    assert [name for name, _ in ops] == [
+    assert [name for name, _ in _operators(summaries[0])] == [
+        "ReadParquet->MapBatches(RowChecker.__call__)"]
+    assert [name for name, _ in _operators(res.enriched)] == [
         "ReadParquet->MapBatches(RowChecker.__call__)->MapBatches(attach)"]
     _check(res, t, COLS)
 

@@ -337,8 +337,8 @@ def test_check_summary_matches_row_oracle(case):
     prof = profile_arrays({"x": rng.normal(0, 1, 300),
                            "y": rng.normal(5, 2, 300)})
     checked = rc.check_rows(ds, rc.fence_states(prof, ["x", "y"]))
-    stats, verdicts, _ = rc.check_summary(checked, "pid", pct=0.10,
-                                          budget=0.05)
+    stats, verdicts = rc.check_summary(checked, "pid", pct=0.10,
+                                       budget=0.05)
     v = verdicts.to_pandas()
     if n == 0:
         assert stats[:2] == (0.0, 0.0) and np.isnan(stats[2])

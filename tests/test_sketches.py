@@ -301,6 +301,91 @@ def test_spill_boundary_across_merge_tree(extra):
         assert _rank_error(np.sort(x), cs.quantile, qs) <= 0.01
 
 
+def _column_parts(chunks, m: int) -> list:
+    import pyarrow as pa
+    from autoprepad_ray.profile import ColumnSketch
+
+    parts = []
+    for chunk in chunks:
+        cs = ColumnSketch(name="x", kind="numeric")
+        cs.values.max_items = m
+        cs.update_array(pa.array(chunk))
+        parts.append(cs)
+    return parts
+
+
+def test_merge_all_bounds_each_pass(monkeypatch):
+    """32 exact parts of 0.9 * max_items distinct values each: no merge
+    pass concatenates more than 2 * max_items values (the held run plus
+    a group of at most max_items), the merge stops at the overflow, and
+    every value, merged or left over, still lands in KLL and HLL."""
+    from autoprepad_ray.profile import _merge_columns
+
+    m = 1_000
+    rng = np.random.default_rng(5)
+    chunks = [rng.choice(20_000, 900, replace=False) * 0.25
+              for _ in range(32)]
+    parts = _column_parts(chunks, m)
+    assert all(p.exact_quantiles for p in parts)
+    built, real = [], ValueCounts._fold
+
+    def spy(self, vals, cnts):
+        built.append(len(vals) + self.distinct)
+        return real(self, vals, cnts)
+
+    monkeypatch.setattr(ValueCounts, "_fold", spy)
+    cs = _merge_columns(parts)
+    x = np.concatenate(chunks)
+    assert max(built) <= 2 * m and len(built) == 2
+    assert not cs.exact_quantiles
+    assert cs.kll.n == cs.count == len(x)
+    assert _rank_error(np.sort(x), cs.quantile, np.linspace(0, 1, 41)) \
+        <= 0.01
+    true_distinct = len(np.unique(x))
+    assert abs(cs.distinct() - true_distinct) / true_distinct < 0.05
+
+
+def test_merge_all_fitting_parts_merge_in_one_pass(monkeypatch):
+    """Parts whose values fit max_items together merge in ONE sort pass
+    and stay exact, equal to np.unique over all of them."""
+    from autoprepad_ray.profile import _merge_columns
+
+    rng = np.random.default_rng(6)
+    chunks = [rng.integers(0, 50, 400) * 0.5 for _ in range(16)]
+    parts = _column_parts(chunks, 1_000)
+    calls = []
+    real = ValueCounts._fold
+    monkeypatch.setattr(ValueCounts, "_fold", lambda self, v, c: (
+        calls.append(len(v)), real(self, v, c)))
+    cs = _merge_columns(parts)
+    assert len(calls) == 1 and cs.exact_quantiles
+    vals, cnts = cs.values.sorted_arrays()
+    want_v, want_c = np.unique(np.concatenate(chunks), return_counts=True)
+    np.testing.assert_array_equal(vals, want_v)
+    np.testing.assert_array_equal(cnts, want_c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_exact_and_overflowed_merge_keeps_the_kll_bound(seed):
+    """A merge of parts some of which overflowed below it (their values
+    already in KLL) and some still exact: the exact parts seed KLL
+    unmerged, so total weight is exact and quantiles stay within the
+    KLL rank-error bound, whatever order the spill took."""
+    from autoprepad_ray.profile import _merge_columns
+
+    m = 2_000
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation([5_000, 300, 4_000, 800, 1_500, 6_000, 200])
+    chunks = [rng.lognormal(3, 1, n) for n in sizes]
+    parts = _column_parts(chunks, m)
+    assert {p.exact_quantiles for p in parts} == {True, False}
+    cs = _merge_columns(parts)
+    x = np.sort(np.concatenate(chunks))
+    assert not cs.exact_quantiles
+    assert cs.kll.n == cs.count == len(x)
+    assert _rank_error(x, cs.quantile, np.linspace(0, 1, 101)) <= 0.01
+
+
 @given(st.lists(st.floats(-1e5, 1e5), min_size=6, max_size=400),
        st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
