@@ -3211,48 +3211,43 @@ SELECT prev, event_type AS next, CAST(COUNT(*) AS BIGINT) AS n
 FROM o WHERE prev IS NOT NULL GROUP BY prev, next""")
 def event_transition_counts(sf_dir: str):
     """Markov transition counts over per-user event sequences (the
-    behavior-model / sequence-prior table).  Rides the sorted-block
-    metadata-prefix pattern (stages/rank.sorted_blocks): ONE global
-    sort by (user, ts, event_id) is the only exchange; each sorted
-    block counts its in-block bigrams vectorized (a same-user mask
-    over adjacent rows, never per-user Python) and reports its first/
-    last (user, type) scalars; the driver folds the <= types^2-key
-    censuses and adds one boundary bigram per adjacent block pair
-    whose runs share a user.  Int counts — exact parity."""
-    ds = _t(sf_dir, "events", ["event_id", "user_id", "ts",
-                               "event_type"])
-    from ..stages.rank import sorted_blocks
+    behavior-model / sequence-prior table).  Rides the ordered scan
+    (stages/transport.scan) with a summary step only: ONE global sort
+    by (user, ts, event_id) is the only exchange; each sorted block
+    counts its in-block bigrams vectorized (a same-user mask over
+    adjacent rows, never per-user Python) and reports its first/last
+    (user, type) scalars; the driver folds the <= types^2-key censuses
+    and adds one boundary bigram per adjacent block pair whose runs
+    share a user.  Int counts — exact parity."""
+    from ..stages.transport import scan
 
-    @ray.remote
-    def block_census(t: pa.Table):
+    def census(t: pa.Table):
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ty = np_object(t["event_type"].to_numpy(zero_copy_only=False))
         mask = uid[1:] == uid[:-1]
-        census = (pd.DataFrame({"prev": ty[:-1][mask],
-                                "next": ty[1:][mask]})
-                  .groupby(["prev", "next"], as_index=False)
-                  .size())
-        return (census, int(uid[0]), ty[0], int(uid[-1]), ty[-1])
+        counts = (pd.DataFrame({"prev": ty[:-1][mask], "next": ty[1:][mask]})
+                  .groupby(["prev", "next"], as_index=False).size())
+        ends = (int(uid[0]), ty[0], int(uid[-1]), ty[-1]) if len(uid) \
+            else (None,) * 4
+        return counts, *ends
 
-    _, refs, _counts = sorted_blocks(ds, ["user_id", "ts", "event_id"])
-    if not refs:
-        return pd.DataFrame({"prev": pd.Series([], dtype=object),
-                             "next": pd.Series([], dtype=object),
-                             "n": pd.Series([], dtype=np.int64)})
-    parts = ray.get([block_census.remote(r) for r in refs])
-    frames = [p[0] for p in parts]
-    # one boundary bigram per adjacent block pair within a user run
-    bprev = [p[4] for p, q in zip(parts[:-1], parts[1:]) if p[3] == q[1]]
-    bnext = [q[2] for p, q in zip(parts[:-1], parts[1:]) if p[3] == q[1]]
-    if bprev:
-        frames.append(pd.DataFrame({"prev": bprev, "next": bnext,
-                                    "size": np.ones(len(bprev),
-                                                    dtype=np.int64)}))
-    df = (pd.concat(frames, ignore_index=True)
-          .groupby(["prev", "next"], as_index=False)
-          .agg(n=("size", "sum")))
-    return pd.DataFrame({"prev": df["prev"], "next": df["next"],
-                         "n": df["n"].astype(np.int64)})
+    def fold(parts: list) -> pd.DataFrame:
+        frames = [p[0] for p in parts]
+        # one boundary bigram per adjacent block pair within a user run
+        bounds = [(p[4], q[2]) for p, q in zip(parts[:-1], parts[1:])
+                  if p[3] == q[1]]
+        if bounds:
+            frames.append(pd.DataFrame(bounds, columns=["prev", "next"])
+                          .assign(size=np.int64(1)))
+        df = (pd.concat(frames, ignore_index=True)
+              .groupby(["prev", "next"], as_index=False)
+              .agg(n=("size", "sum")))
+        return pd.DataFrame({"prev": df["prev"], "next": df["next"],
+                             "n": df["n"].astype(np.int64)})
+
+    return scan(_t(sf_dir, "events", ["event_id", "user_id", "ts",
+                                      "event_type"]),
+                ["user_id", "ts", "event_id"], census, fold, None)
 
 
 @query("hll_distinct_users_per_day")
@@ -4169,50 +4164,28 @@ def shard_layout_docs(sf_dir: str):
     (identical on retry, no RNG state).  One sort by (hash, id) — the
     unavoidable exchange — then everything else is metadata: per-block
     row counts give global row numbers, and shard boundaries/positions
-    are pure integer formulas from (n, k), computed independently per
-    block (the ntile/dense_rank pattern; row data never reaches the
-    driver)."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.rank import sorted_blocks
-
-    k = 8
+    are the shared NTILE formula (stages/rank.ntile_positions) on the
+    ordered scan, computed independently per block (row data never
+    reaches the driver)."""
+    from ..stages.rank import ntile_positions, offsets
+    from ..stages.transport import scan
 
     def hashed(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         hv = ((ids % 1000003) * 2654435761) % (1 << 32)
         return pa.table({"doc_id": t["doc_id"], "hv": pa.array(hv)})
 
-    s, refs, counts = sorted_blocks(
-        _t(sf_dir, "documents", ["doc_id"])
-        .map_batches(hashed, batch_format="pyarrow",
-                     zero_copy_batch=True), ["hv", "doc_id"])
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    n = int(offsets[-1])
-    if n == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                             "shard": pd.Series([], dtype=np.int64),
-                             "pos": pd.Series([], dtype=np.int64)})
+    def emit(t: pa.Table, at: tuple) -> pa.Table:
+        off, n = at
+        shard, pos = ntile_positions(
+            off + np.arange(1, t.num_rows + 1, dtype=np.int64), n, 8)
+        return pa.table({"doc_id": t["doc_id"], "shard": shard,
+                         "pos": pos})
 
-    @ray.remote
-    def emit(t: pa.Table, off: int) -> pa.Table:
-        rn = off + np.arange(1, t.num_rows + 1, dtype=np.int64)
-        q, r = divmod(n, k)
-        big = r * (q + 1)
-        small_b = r + (rn - 1 - big) // max(q, 1) + 1
-        shard = np.where(rn <= big, (rn - 1) // (q + 1) + 1, small_b) \
-            .astype(np.int64)
-        # first global rn of each shard, the same integer formula
-        start = np.where(shard <= r, (shard - 1) * (q + 1) + 1,
-                         big + (shard - r - 1) * max(q, 1) + 1)
-        return pa.table({"doc_id": t["doc_id"],
-                         "shard": pa.array(shard),
-                         "pos": pa.array(rn - start + 1)})
-
-    out = [emit.remote(rf, int(offsets[i]))
-           for i, rf in enumerate(refs)]
-    return rd.from_arrow_refs(out)
+    return scan(_t(sf_dir, "documents", ["doc_id"])
+                .map_batches(hashed, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                ["hv", "doc_id"], None, offsets, emit)
 
 
 @query("trimmed_mean_events", sql="""

@@ -565,47 +565,6 @@ def exact_dedup(ds, key_cols: list[str], *, order_col: str):
                        Count(alias_name="n")))
 
 
-@ray.remote
-def _prefix_block_meta(t: pa.Table, text_col: str):
-    """Last text of a sorted block — all the driver's boundary scan
-    needs (O(blocks) strings total)."""
-    return t[text_col].to_numpy(zero_copy_only=False)[-1]
-
-
-@ray.remote
-def _prefix_succ_probe(t: pa.Table, text_col: str, last: str):
-    """Smallest text in this (sorted) block strictly greater than
-    ``last`` — the global successor lives here by construction."""
-    a = t[text_col].to_numpy(zero_copy_only=False)
-    i = np.searchsorted(a, last, side="right")
-    return a[i] if i < len(a) else None
-
-
-@ray.remote
-def _prefix_emit(t: pa.Table, text_col: str, id_col: str,
-                 boundary_succ, flag_col: str = "prefix_dup") -> pa.Table:
-    from ..functions.strings import elementwise_starts_with
-
-    a = t[text_col].to_numpy(zero_copy_only=False)
-    n = len(a)
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        new[1:] = a[1:] != a[:-1]
-    starts = np.flatnonzero(new)                  # first index of each run
-    runs = a[starts]                              # distinct texts, sorted
-    succ = np.empty(len(runs), dtype=object)
-    succ[:-1] = runs[1:]
-    succ[-1] = boundary_succ
-    have = np.array([s is not None for s in succ])
-    flag_runs = np.zeros(len(runs), dtype=np.int64)
-    if have.any():
-        flag_runs[have] = elementwise_starts_with(
-            runs[have], succ[have], strict=True).astype(np.int64)
-    lens = np.diff(np.concatenate([starts, [n]]))
-    return pa.table({id_col: t[id_col],
-                     flag_col: pa.array(np.repeat(flag_runs, lens))})
-
-
 def prefix_dup_flags(ds, *, text_col: str = "text",
                      id_col: str = "doc_id", flag_col: str = "prefix_dup"):
     """Truncation-duplicate detection: flag every document whose text
@@ -617,44 +576,65 @@ def prefix_dup_flags(ds, *, text_col: str = "text",
     Sorted-successor property: in lexicographic order, t is a strict
     prefix of SOME text iff its immediate DISTINCT successor starts
     with t (any string between t and an extension of t must itself
-    extend t).  So: one global sort by text (the unavoidable exchange),
-    then per-block runs check against the next run in-block, and each
-    block's LAST run checks the boundary successor — found by a
-    metadata pass (first/last text per block, O(blocks) strings on the
-    driver) plus at most one tiny probe task per block (blocks whose
-    texts all equal the predecessor's last text are skipped by the
-    driver's scan, so a mega-run of one duplicated text costs zero
-    probes).  Row data never reaches the driver; the prefix tests are
-    the vectorized flat-buffer byte kernel, byte-prefix == char-prefix
-    for valid UTF-8.  Null texts are canonicalized to "" (the empty
-    string is a strict prefix of any non-empty text) so the sort and
-    boundary comparisons never see None."""
+    extend t).  So: one global sort by text (the unavoidable exchange)
+    on :func:`transport.scan`, then per-block runs check against the
+    next run in-block, and each block's LAST run checks the boundary
+    successor.  Each block summarizes ``(first, second distinct, last)``
+    text; for block i, let k be the first later block whose last text
+    exceeds ``last_i`` (the blocks in between hold only ``last_i``): the
+    successor is ``first_k`` when it exceeds ``last_i``, else block k's
+    second distinct text.  One reverse pass over the O(blocks) summaries
+    finds every block's successor, so a mega-run of one duplicated text
+    costs nothing extra.  Row data never reaches the driver; the prefix
+    tests are the vectorized flat-buffer byte kernel, byte-prefix ==
+    char-prefix for valid UTF-8.  Null texts are canonicalized to ""
+    (the empty string is a strict prefix of any non-empty text) so the
+    sort and boundary comparisons never see None."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    from .rank import sorted_blocks, typed_empty
+    from ..functions.strings import elementwise_starts_with
+    from .rank import run_starts
+    from .transport import scan
 
     def _denull(t: pa.Table) -> pa.Table:
         i = t.schema.get_field_index(text_col)
         return t.set_column(i, text_col, pc.fill_null(t[text_col], ""))
 
-    s, refs, _ = sorted_blocks(
-        ds.map_batches(_denull, batch_format="pyarrow",
-                       zero_copy_batch=True), [text_col])
-    if not refs:
-        return typed_empty(s, [id_col], {flag_col: pa.int64()})
-    lasts = ray.get([_prefix_block_meta.remote(r, text_col)
-                     for r in refs])
-    succs = []
-    for i in range(len(refs)):
-        last = lasts[i]
-        probe = None
-        for k in range(i + 1, len(refs)):
-            if lasts[k] > last:                   # successor is inside k
-                probe = _prefix_succ_probe.remote(refs[k], text_col, last)
-                break
-        succs.append(probe)
-    succs = [ray.get(p) if p is not None else None for p in succs]
-    out = [_prefix_emit.remote(r, text_col, id_col, succs[i], flag_col)
-           for i, r in enumerate(refs)]
-    return rd.from_arrow_refs(out)
+    def texts(t: pa.Table) -> np.ndarray:
+        return t[text_col].to_numpy(zero_copy_only=False)
+
+    def summarize(t: pa.Table):
+        a = texts(t)
+        if not len(a):
+            return None
+        i = np.searchsorted(a, a[0], side="right")
+        return a[0], a[i] if i < len(a) else None, a[-1]
+
+    def successors(sums: list) -> list:
+        succ, k = [None] * len(sums), None
+        for i in range(len(sums) - 2, -1, -1):
+            if sums[i + 1][2] > sums[i][2]:
+                k = i + 1                 # first later block past last_i
+            if k is not None:
+                first, second, _ = sums[k]
+                succ[i] = first if first > sums[i][2] else second
+        return succ
+
+    def emit(t: pa.Table, boundary_succ) -> pa.Table:
+        a = texts(t)
+        starts = np.flatnonzero(run_starts([a]))  # first row of each run
+        runs = a[starts]                          # distinct texts, sorted
+        succ = np.array([*runs[1:], boundary_succ][:len(runs)], dtype=object)
+        have = np.array([s is not None for s in succ], dtype=bool)
+        flag_runs = np.zeros(len(runs), dtype=np.int64)
+        if have.any():
+            flag_runs[have] = elementwise_starts_with(
+                runs[have], succ[have], strict=True).astype(np.int64)
+        lens = np.diff(np.append(starts, len(a)))
+        return pa.table({id_col: t[id_col],
+                         flag_col: pa.array(np.repeat(flag_runs, lens),
+                                            pa.int64())})
+
+    return scan(ds.map_batches(_denull, batch_format="pyarrow",
+                               zero_copy_batch=True),
+                [text_col], summarize, successors, emit)

@@ -1,21 +1,24 @@
-"""Global-order ranking stages: NTILE equal-frequency bucketing.
+"""Global-order ranking stages: NTILE, DENSE_RANK and systematic
+sampling, each one (summarize, prefix, emit) triple on
+:func:`transport.scan`.
 
 A total order over the dataset is the one operation that genuinely
 needs a global sort (range-partition exchange) — but ONLY the sort.
-Everything NTILE adds on top is metadata-cheap: the sorted blocks
-already arrive in global order, so per-block row counts (a few ints on
-the driver) give every block its global row-number offset, and bucket
-assignment is an embarrassingly parallel integer formula inside each
-block.  No second exchange, no driver-side row data.
+Everything these stages add on top is metadata-cheap: the sorted blocks
+already arrive in global order, so a few scalars per block (row counts
+read from block metadata, distinct-run counts and boundary keys, weight
+sums) prefix-fold on the driver into each block's global offset, and
+the per-row step is an embarrassingly parallel integer formula inside
+each block.  No second exchange, no driver-side row data.
 
 This is the grouped analogue of the reference's presentation sort
 (/root/reference/pipelines/runs.py:429-435) extended to the
 equal-shard layout step of a training-data pipeline (balancing k
 output shards by a sort key).
 
-Tie-safety: callers must make the sort key unique (append a row id) —
-NTILE's output depends on the total order, and a unique composite key
-makes it deterministic on any block layout.
+Tie-safety: NTILE's output depends on the total order, so callers must
+make its sort key unique (append a row id); DENSE_RANK is a function of
+the key values alone and needs no tie-break.
 """
 
 from __future__ import annotations
@@ -23,53 +26,38 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-import ray.data as rd
+from .transport import scan
 
 
-@ray.remote
-def _nrows(t: pa.Table) -> int:
-    return t.num_rows
+def run_starts(cols: list[np.ndarray]) -> np.ndarray:
+    """True where a sorted block's row starts a new run of equal
+    composite keys ``cols`` (the first row always does)."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for a in cols:
+        new[1:] |= a[1:] != a[:-1]
+    return new
 
 
-def sorted_blocks(ds, keys: list[str], *,
-                  descending: list[bool] | None = None):
-    """Shared sort -> materialize -> block-ref preamble for the
-    metadata-prefix rank family (ntile / dense_rank / prefix dedup /
-    shard layout): returns (materialized dataset, NON-EMPTY arrow block
-    refs in global order, their row counts).  The driver sees O(blocks)
-    integers; row data stays in the object store."""
-    s = ds.sort(keys, descending=descending or [False] * len(keys)) \
-        .materialize()
-    all_refs = s.to_arrow_refs()
-    counts = ray.get([_nrows.remote(r) for r in all_refs])
-    refs = [r for r, c in zip(all_refs, counts) if c]
-    return s, refs, [c for c in counts if c]
-
-
-def typed_empty(s, keep_cols: list[str], out_cols: dict):
-    """Typed empty result table: keep_cols typed from the source
-    schema, out_cols from the given {name: pa type} map."""
-    sch = s.schema()
-    types = dict(zip(sch.names, sch.types)) if sch is not None else {}
-    return rd.from_arrow(pa.table({
-        **{c: pa.array([], types.get(c, pa.int64())) for c in keep_cols},
-        **{c: pa.array([], t) for c, t in out_cols.items()}}))
-
-
-@ray.remote
-def _bucketize(t: pa.Table, offset: int, n: int, k: int,
-               keep_cols: list[str], out_col: str) -> pa.Table:
-    """SQL NTILE semantics: with n rows and k buckets, the first n % k
-    buckets hold ceil(n/k) rows — pure integer math, exact parity."""
-    rn = offset + np.arange(1, t.num_rows + 1, dtype=np.int64)  # 1-based
+def ntile_positions(rn: np.ndarray, n: int, k: int) -> tuple:
+    """SQL NTILE(k) bucket of every 1-based global row number ``rn``
+    among ``n`` rows, and its 1-based position within that bucket (both
+    int64): the first ``n % k`` buckets hold ``ceil(n/k)`` rows — pure
+    integer math, exact parity."""
     q, r = divmod(n, k)
     big = r * (q + 1)                 # rows living in the larger buckets
-    small_b = r + (rn - 1 - big) // max(q, 1) + 1   # q==0 rows never used
-    b = np.where(rn <= big, (rn - 1) // (q + 1) + 1, small_b)
-    cols = {c: t[c] for c in keep_cols}
-    cols[out_col] = pa.array(b.astype(np.int64))
-    return pa.table(cols)
+    small = rn > big                  # never true when q == 0
+    b, p = np.divmod(rn - 1 - np.where(small, big, 0),
+                     np.where(small, max(q, 1), q + 1))
+    return (b + 1 + np.where(small, r, 0)).astype(np.int64), \
+        (p + 1).astype(np.int64)
+
+
+def offsets(sizes: list[int]) -> list[tuple[int, int]]:
+    """``(sum of the sizes before it, total)`` of every block's size
+    (its row count, or its weight)."""
+    n = int(sum(sizes))
+    return [(int(o), n) for o in np.cumsum([0] + sizes[:-1])]
 
 
 def ntile(ds, keys: list[str], k: int, *, keep_cols: list[str],
@@ -77,61 +65,16 @@ def ntile(ds, keys: list[str], k: int, *, keep_cols: list[str],
     """Assign each row its NTILE(k) bucket under the total order given
     by ``keys`` (which must be unique as a composite).
 
-    One ``Dataset.sort`` (the unavoidable exchange), then a
-    metadata-only count pass over the materialized sorted blocks and
-    one independent bucketize task per block — the driver holds
-    O(blocks) integers, never rows.  Returns a Dataset built from the
-    per-block output refs (bytes stay in the object store)."""
-    s, refs, counts = sorted_blocks(ds, keys)
-    if not refs:
-        return typed_empty(s, keep_cols, {out_col: pa.int64()})
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    n = int(offsets[-1])
-    out = [_bucketize.remote(r, int(offsets[i]), n, k, keep_cols, out_col)
-           for i, r in enumerate(refs)]
-    return rd.from_arrow_refs(out)
+    One ``Dataset.sort`` (the unavoidable exchange); the blocks' row
+    counts come from their metadata, and one independent task per
+    block numbers its rows from its offset and buckets them."""
+    def emit(t: pa.Table, at: tuple) -> pa.Table:
+        off, n = at
+        rn = off + np.arange(1, t.num_rows + 1, dtype=np.int64)
+        return pa.table({**{c: t[c] for c in keep_cols},
+                         out_col: ntile_positions(rn, n, k)[0]})
 
-
-@ray.remote
-def _rank_summary(t: pa.Table, keys: list[str], part_col: str):
-    """Per-block dense-rank metadata: (distinct composite-key count,
-    first/last composite key, per-partition first local rank) — a few
-    scalars per block, never row data."""
-    arrs = [t[k].to_numpy(zero_copy_only=False) for k in keys]
-    n = t.num_rows
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        neq = np.zeros(n - 1, dtype=bool)
-        for a in arrs:
-            neq |= (a[1:] != a[:-1])
-        new[1:] = neq
-    lr = np.cumsum(new)
-    pv = t[part_col].to_numpy(zero_copy_only=False)
-    uq, idx = np.unique(pv, return_index=True)
-    bases = {u: int(lr[i]) for u, i in zip(uq, idx)}
-    first = tuple(a[0] for a in arrs)
-    last = tuple(a[-1] for a in arrs)
-    return int(lr[-1]), first, last, bases
-
-
-@ray.remote
-def _rank_emit(t: pa.Table, keys: list[str], part_col: str, d_off: int,
-               part_keys: np.ndarray, part_bases: np.ndarray,
-               keep_cols: list[str], out_col: str) -> pa.Table:
-    arrs = [t[k].to_numpy(zero_copy_only=False) for k in keys]
-    n = t.num_rows
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        neq = np.zeros(n - 1, dtype=bool)
-        for a in arrs:
-            neq |= (a[1:] != a[:-1])
-        new[1:] = neq
-    lr = np.cumsum(new).astype(np.int64)
-    pv = t[part_col].to_numpy(zero_copy_only=False).astype(object)
-    base = part_bases[np.searchsorted(part_keys, pv)]
-    cols = {c: t[c] for c in keep_cols}
-    cols[out_col] = pa.array(d_off + lr - base + 1)
-    return pa.table(cols)
+    return scan(ds, keys, None, offsets, emit)
 
 
 def dense_rank(ds, keys: list[str], *, partition_col: str,
@@ -139,69 +82,67 @@ def dense_rank(ds, keys: list[str], *, partition_col: str,
                out_col: str = "drank"):
     """SQL ``DENSE_RANK() OVER (PARTITION BY partition_col ORDER BY
     ...)`` where ``partition_col`` is ``keys[0]``: one global sort (the
-    unavoidable exchange, same as :func:`ntile`), then a metadata-only
-    summary pass — each block reports its distinct composite-key count,
-    boundary keys and per-partition first local rank — and the driver
-    prefix-folds O(blocks x partitions) integers: a run spanning a
-    block boundary collapses via the boundary-equality adjustment, and
-    each partition's global first rank rebases its ranks to 1.  A
-    second independent task per block emits the final int64 ranks; row
-    data never leaves the object store.
+    unavoidable exchange, same as :func:`ntile`), then each block
+    summarizes its distinct composite-key count, boundary keys and
+    per-partition first local rank, and the driver prefix-folds
+    O(blocks x partitions) integers: a run spanning a block boundary
+    collapses via the boundary-equality adjustment, and each
+    partition's global first rank rebases its ranks to 1.  One task per
+    block then emits the final int64 ranks; row data never leaves the
+    object store.
 
     Rank is a pure function of the VALUES (ties share a rank), so the
     result is deterministic under any block layout with no tie-break
     column needed — unlike ntile, which requires a unique composite.
 
-    Caveat: rank keys must not contain NaN — the run detection and the
-    boundary-collapse equality both treat NaN as unequal to itself, so
-    equal-NaN rows would get distinct, layout-dependent ranks where SQL
-    DENSE_RANK groups them.  Fill or drop NaN keys first."""
+    A float rank key holding NaN (or a numeric key holding null, which
+    reads as NaN) raises ``ValueError`` naming the column: NaN is
+    unequal to itself, so each such row would get its own rank where
+    SQL DENSE_RANK groups them.  Fill or drop such keys first."""
     assert keys[0] == partition_col
-    s, refs, _ = sorted_blocks(ds, keys, descending=descending)
-    if not refs:
-        return typed_empty(s, keep_cols, {out_col: pa.int64()})
-    sums = ray.get([_rank_summary.remote(r, keys, partition_col)
-                    for r in refs])
-    d_off, prev_last, bases = [], None, {}
-    run = 0
-    for nd, first, last, bmap in sums:
-        if prev_last is not None and first == prev_last:
-            run -= 1
-        d_off.append(run)
-        for p, b in bmap.items():
-            g = run + b
-            if p not in bases or g < bases[p]:
-                bases[p] = g
-        run += nd
-        prev_last = last
-    part_keys = np.array(sorted(bases), dtype=object)
-    part_bases = np.array([bases[k] for k in part_keys], dtype=np.int64)
-    out = [_rank_emit.remote(r, keys, partition_col, int(d_off[i]),
-                             part_keys, part_bases, keep_cols, out_col)
-           for i, r in enumerate(refs)]
-    return rd.from_arrow_refs(out)
 
+    def local_ranks(t: pa.Table) -> tuple:
+        arrs = [t[k].to_numpy(zero_copy_only=False) for k in keys]
+        return arrs, np.cumsum(run_starts(arrs))
 
-@ray.remote
-def _block_weight_sum(t: pa.Table, weight_col: str) -> int:
-    w = t[weight_col].to_numpy(zero_copy_only=False)
-    return int(w.astype(np.int64).sum())
+    def summarize(t: pa.Table) -> tuple:
+        arrs, lr = local_ranks(t)
+        for k, a in zip(keys, arrs):
+            if a.dtype.kind == "f" and np.isnan(a).any():
+                raise ValueError(
+                    f"dense_rank: rank key {k!r} holds NaN or null; fill "
+                    "or drop those rows first")
+        if not t.num_rows:
+            return 0, None, None, {}
+        uq, idx = np.unique(t[partition_col].to_numpy(zero_copy_only=False),
+                            return_index=True)
+        return (int(lr[-1]), tuple(a[0] for a in arrs),
+                tuple(a[-1] for a in arrs),
+                {u: int(lr[i]) for u, i in zip(uq, idx)})
 
+    def prefix(sums: list) -> list:
+        d_off, prev_last, bases, run = [], None, {}, 0
+        for nd, first, last, bmap in sums:
+            if prev_last is not None and first == prev_last:
+                run -= 1
+            d_off.append(run)
+            for p, b in bmap.items():
+                bases[p] = min(bases.get(p, run + b), run + b)
+            run += nd
+            prev_last = last
+        part_keys = np.array(sorted(bases), dtype=object)
+        part_bases = np.array([bases[p] for p in part_keys], dtype=np.int64)
+        return [(d, part_keys, part_bases) for d in d_off]
 
-@ray.remote
-def _systematic_emit(t: pa.Table, weight_col: str, offset: int,
-                     stride: int, keep_cols: list[str],
-                     out_col: str) -> pa.Table:
-    """Select the rows where the global cumulative weight crosses a
-    stride boundary — pure integer floor division, exact on any block
-    layout because ``offset`` rebases the local cumsum globally."""
-    w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    cum = offset + np.cumsum(w)
-    keep = (cum // stride) > ((cum - w) // stride)
-    idx = pa.array(np.flatnonzero(keep))
-    cols = {c: t[c].take(idx) for c in keep_cols}
-    cols[out_col] = pa.array(cum[keep])
-    return pa.table(cols)
+    def emit(t: pa.Table, at: tuple) -> pa.Table:
+        d_off, part_keys, part_bases = at
+        pv = t[partition_col].to_numpy(zero_copy_only=False).astype(object)
+        rank = d_off + local_ranks(t)[1] + 1 \
+            - part_bases[np.searchsorted(part_keys, pv)]
+        return pa.table({**{c: t[c] for c in keep_cols},
+                         out_col: pa.array(rank, pa.int64())})
+
+    return scan(ds, keys, summarize, prefix, emit, descending=descending)
 
 
 def systematic_sample(ds, keys: list[str], *, weight_col: str,
@@ -218,17 +159,19 @@ def systematic_sample(ds, keys: list[str], *, weight_col: str,
     The grouped analogue of the reference's fixed-fraction row
     sampling (/root/reference/pipelines/dataframes.py:259-266), made
     scale-deterministic.  Shape: one sort exchange (the total order),
-    then the metadata-prefix pattern — per-block weight sums fold to
-    O(blocks) driver ints, and one independent task per block emits
-    its crossings.  All-integer, so SQL window-SUM parity is exact
-    with no float rules."""
-    s, refs, _ = sorted_blocks(ds, keys)
-    if not refs:
-        return typed_empty(s, keep_cols, {out_col: pa.int64()})
-    sums = ray.get([_block_weight_sum.remote(r, weight_col)
-                    for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(sums)]).astype(np.int64)
-    out = [_systematic_emit.remote(r, weight_col, int(offsets[i]),
-                                   stride, keep_cols, out_col)
-           for i, r in enumerate(refs)]
-    return rd.from_arrow_refs(out)
+    then per-block weight sums fold to O(blocks) driver ints, and one
+    independent task per block emits its crossings — pure integer floor
+    division, exact on any block layout because each block's offset
+    rebases its local cumsum globally.  All-integer, so SQL window-SUM
+    parity is exact with no float rules."""
+    def weights(t: pa.Table) -> np.ndarray:
+        return t[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    def emit(t: pa.Table, at: tuple) -> pa.Table:
+        w = weights(t)
+        cum = at[0] + np.cumsum(w)
+        keep = np.flatnonzero((cum // stride) > ((cum - w) // stride))
+        return pa.table({**{c: t[c].take(keep) for c in keep_cols},
+                         out_col: pa.array(cum[keep], pa.int64())})
+
+    return scan(ds, keys, lambda t: int(weights(t).sum()), offsets, emit)

@@ -1,5 +1,5 @@
-"""Packed payload streams: the one partial->merge fold and the one
-slice exchange.
+"""Packed payload streams and sorted blocks: the one partial->merge
+fold, the one slice exchange and the one ordered scan.
 
 Every packed stream is ``payload`` rows of pickled objects, optionally
 tagged with ``slice`` and ``kind`` columns, and only this module builds
@@ -22,6 +22,13 @@ block's partial table routes its rows by the ``sketches.key_hash`` of
 the key columns through the slice exchange below, and one flat task per
 slice merges them.  Any Arrow key type works and all null keys form one
 group.
+
+Every total-order step (NTILE, DENSE_RANK, systematic sampling, prefix
+dedup, LAG-style transitions, shard layout) runs on :func:`scan`: one
+sort, one ``summarize`` task per sorted block (or just the row counts
+its metadata holds), a driver ``prefix`` over those O(blocks)
+summaries, and one ``emit`` task per block fed its prefix value.  Row
+data never reaches the driver and no second exchange runs.
 
 The slice exchange carries every key-routed step (censuses, band
 pairing, keyed folds, reconciliation, similarity joins) in four parts:
@@ -60,7 +67,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+import ray.data as rd
 from ray.data import DataContext
+from ray.data.block import BlockAccessor
 
 from ..sketches import key_hash, splitmix64
 
@@ -230,6 +239,55 @@ def sized(ds, layout: Layout):
         rows = min(rows, max(1, cap * layout.rows // layout.bytes))
     return ds.map_batches(_rebundle, batch_size=rows, batch_format="pyarrow",
                           zero_copy_batch=True)
+
+
+@ray.remote
+def _scan_task(fn, block, *args):
+    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
+def scan(ds, keys: list[str], summarize, prefix, emit, *,
+         descending: list[bool] | None = None):
+    """The ordered scan: sort ``ds`` by ``keys`` once, then walk its
+    sorted blocks in global order.
+
+    ``summarize(block)`` runs in one task per non-empty block and
+    returns a few picklable scalars; with ``summarize=None`` the
+    summaries are the blocks' row counts, read from their metadata
+    without a task.  On the driver, ``prefix(summaries)`` turns the
+    list of summaries into one value per block.  ``emit(block, value)
+    -> pa.Table`` then runs in one task per block, and the result is
+    the Dataset of those tables, in order.  With ``emit=None`` the
+    result is ``prefix(summaries)`` itself.
+
+    An input without rows runs as ONE empty block of its schema on the
+    driver, so every callback must accept a 0-row block; the result
+    then keeps the emitted column types.  Like any 0-row Dataset, that
+    typed empty result promises ``schema()``: its ``to_pandas()`` has no
+    columns.  When Ray reports no schema for the input (an empty
+    Dataset after a repartition, or after a map that never ran), the
+    result is ``prefix([])``, or a Dataset with no columns."""
+    s = ds.sort(keys, descending=descending or [False] * len(keys)) \
+        .materialize()
+    refs, counts = [], []
+    for bundle in s.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                refs.append(ref)
+                counts.append(meta.num_rows)
+    if not refs:
+        sch = ds.schema()             # a sorted 0-row Dataset has none
+        if sch is None:               # nor may a mapped empty input
+            return prefix([]) if emit is None else rd.from_arrow(pa.table({}))
+        empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
+        out = prefix([summarize(empty) if summarize else 0])
+        return out if emit is None else rd.from_arrow(emit(empty, out[0]))
+    out = prefix(ray.get([_scan_task.remote(summarize, r) for r in refs])
+                 if summarize else counts)
+    if emit is None:
+        return out
+    return rd.from_arrow_refs([_scan_task.remote(emit, r, v)
+                               for r, v in zip(refs, out)])
 
 
 def slice_of(keys: np.ndarray, n: int) -> np.ndarray:

@@ -1,14 +1,17 @@
-"""NTILE bucketing vs the DuckDB window oracle on multi-block layouts."""
+"""NTILE, DENSE_RANK and systematic sampling on the ordered scan vs
+single-process oracles (DuckDB windows, a numpy cumsum) on multi-block
+and random block layouts."""
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ray.data as rd
 
-from autoprepad_ray.stages.rank import ntile
+from autoprepad_ray.stages.rank import ntile, systematic_sample
 
 
 def _oracle(df: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -117,3 +120,77 @@ def test_shard_layout_matches_duckdb_multiblock():
         exp = con.execute(REGISTRY["shard_layout_docs"].sql).df() \
             .sort_values("doc_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_dense_rank_nan_key_raises():
+    """NaN is unequal to itself, so NaN keys would each get their own
+    rank where SQL groups them: the summary step refuses them."""
+    rng = np.random.default_rng(5)
+    v = rng.integers(0, 5, 120).astype(np.float64)
+    v[rng.choice(120, 30, replace=False)] = np.nan
+    ds = rd.from_arrow(pa.table({
+        "id": np.arange(120, dtype=np.int64),
+        "p": rng.integers(0, 2, 120).astype(np.int64), "v": v})) \
+        .repartition(6)
+    with pytest.raises(ValueError, match="rank key 'v'"):
+        dense_rank(ds, ["p", "v"], partition_col="p",
+                   keep_cols=["id"]).materialize()
+
+
+_layouts = dict(n=st.integers(0, 60), blocks=st.integers(1, 9),
+                seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, 12), vals=st.integers(1, 8), **_layouts)
+def test_ntile_random_layouts(n, k, vals, blocks, seed):
+    rng = np.random.default_rng(seed)
+    df = pd.DataFrame({"id": rng.permutation(n).astype(np.int64),
+                       "v": rng.integers(0, vals, n).astype(np.int64)})
+    ds = rd.from_arrow(pa.Table.from_pandas(df)).repartition(blocks)
+    got = (ntile(ds, ["v", "id"], k, keep_cols=["id"]).to_pandas()
+           .reindex(columns=["id", "bucket"])
+           .sort_values("id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, _oracle(df, k), check_dtype=False,
+                                  check_index_type=False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(vals=st.integers(1, 8), parts=st.integers(1, 3), desc=st.booleans(),
+       **_layouts)
+def test_dense_rank_random_layouts(n, vals, parts, desc, blocks, seed):
+    rng = np.random.default_rng(seed)
+    df = pd.DataFrame({"id": np.arange(n, dtype=np.int64),
+                       "p": rng.integers(0, parts, n).astype(np.int64),
+                       "v": rng.integers(0, vals, n).astype(np.int64)})
+    ds = rd.from_arrow(pa.Table.from_pandas(df)).repartition(blocks)
+    got = (dense_rank(ds, ["p", "v"], partition_col="p", keep_cols=["id"],
+                      descending=[False, desc])
+           .to_pandas().reindex(columns=["id", "drank"])
+           .sort_values("id").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", df)
+    exp = con.execute(
+        "SELECT id, DENSE_RANK() OVER (PARTITION BY p ORDER BY v "
+        f"{'DESC' if desc else 'ASC'}) AS drank FROM t ORDER BY id").df()
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                  check_index_type=False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(stride=st.integers(1, 30), **_layouts)
+def test_systematic_sample_random_layouts(n, stride, blocks, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n).astype(np.int64)
+    w = rng.integers(0, 20, n).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"id": ids, "w": w})).repartition(blocks)
+    got = (systematic_sample(ds, ["id"], weight_col="w", stride=stride,
+                             keep_cols=["id"]).to_pandas()
+           .reindex(columns=["id", "cum_weight"])
+           .sort_values("id").reset_index(drop=True))
+    ws = w[np.argsort(ids)]
+    cum = np.cumsum(ws)
+    keep = cum // stride > (cum - ws) // stride
+    exp = pd.DataFrame({"id": np.arange(n)[keep], "cum_weight": cum[keep]})
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                  check_index_type=False)

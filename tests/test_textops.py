@@ -704,15 +704,29 @@ def test_prefix_dup_flags_bruteforce():
     np.testing.assert_array_equal(got["prefix_dup"].to_numpy(), exp)
 
 
-def test_prefix_dup_single_run_spanning_blocks():
+@pytest.mark.parametrize("blocks,flags", [
+    # one text spanning every block, then its extension
+    ([["same text"] * 6] * 5 + [["same text plus more"]], [1] * 30 + [0]),
+    # block 1 holds only block 0's last text "b" and block 2 starts with
+    # it: the successor of "b" is block 2's SECOND distinct text
+    ([["a", "b"], ["b", "b"], ["b", "bc", "z"]], [0, 1, 1, 1, 1, 0, 0]),
+    # a final run spanning blocks has no successor
+    ([["y", "yy"], ["yy"], ["yy"]], [1, 0, 0, 0]),
+], ids=["mega_run", "second_distinct", "final_run"])
+def test_prefix_dup_single_run_spanning_blocks(blocks, flags, monkeypatch):
+    """Runs that span sorted blocks.  Ray's sort keeps equal keys in one
+    block, so the scan's sort hands back the given sorted layout."""
     from autoprepad_ray.stages.dedup import prefix_dup_flags
-    texts = ["same text"] * 30 + ["same text plus more"]
-    ds = rd.from_arrow(pa.table({
+    texts = [x for b in blocks for x in b]
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    laid_out = rd.from_arrow([pa.table({
+        "doc_id": pa.array(range(s, s + len(b)), pa.int64()),
+        "text": pa.array(b)}) for s, b in zip(starts, blocks)])
+    monkeypatch.setattr(rd.Dataset, "sort", lambda self, *a, **k: laid_out)
+    got = prefix_dup_flags(rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts)})).repartition(6)
-    got = prefix_dup_flags(ds).to_pandas().sort_values("doc_id")
-    # every "same text" is a strict prefix of the longer one
-    assert got["prefix_dup"].tolist() == [1] * 30 + [0]
+        "text": pa.array(texts)}))).to_pandas().sort_values("doc_id")
+    assert got["prefix_dup"].tolist() == flags
 
 
 def test_prefix_dup_null_and_empty_texts():

@@ -9,7 +9,10 @@ or unpacks slice cells.
 The keyed fold (``keyed_fold``) built on it must reproduce an exact
 pandas groupby under every merge, whatever the key type (nulls one
 group), empty slices and partials that keep nothing, and run ``final``
-once per slice."""
+once per slice.
+
+Only ``stages/transport.py`` sorts a Dataset and walks its sorted
+blocks (the ordered scan)."""
 
 import pathlib
 import pickle
@@ -181,6 +184,26 @@ def test_only_transport_packs_slice_cells():
         if re.search(r"""["']slice["']""", src) or re.search(
                 r"pickle\.loads\(\w+\)\s+for\s+\w+\s+in\s+\S+\s+for\b",
                 src):
+            offenders.append(str(f.relative_to(root)))
+    assert offenders == []
+
+
+def test_only_transport_scans_sorted_blocks():
+    """One ordered scan: the rank stages and the queries define no task
+    of their own, prefix dedup has no ``_prefix_*`` task, and only
+    ``stages/transport.py`` sorts a Dataset and walks its block refs."""
+    root = pathlib.Path(autoprepad_ray.__file__).parent
+    for name in ("stages/rank.py", "pipelines/queries.py"):
+        assert "@ray.remote" not in (root / name).read_text(), name
+    assert not re.search(r"@ray\.remote[^\n]*\ndef _prefix_",
+                         (root / "stages" / "dedup.py").read_text())
+    offenders = []
+    for f in sorted(root.rglob("*.py")):
+        src = f.read_text()
+        if f != root / "stages" / "transport.py" \
+                and re.search(r"(?<!np)\.sort\(\s*\[?\w", src) \
+                and re.search(r"to_arrow_refs|iter_internal_ref_bundles",
+                              src):
             offenders.append(str(f.relative_to(root)))
     assert offenders == []
 
