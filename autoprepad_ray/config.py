@@ -51,8 +51,8 @@ from .functions.encoders import ordinal_encode_array, ordinal_map
 from .functions.strings import canonicalize_nan_tokens
 from .profile import TableProfile, profile_dataset
 from .validators import registry, row_checks as rc
-from .validators.domain import (domain_flags, format_signature,
-                                learned_domain, shape_domain_flags)
+from .validators.domain import (domain_flags, learned_domain,
+                                learned_shape_domain, shape_domain_flags)
 
 _DEFAULT_THRESHOLDS = {
     "tukey_factor": 1.5,          # TukeyTransformer.py:33
@@ -153,14 +153,8 @@ def run_config(ds, config: dict, *,
     for c in ordinal:
         vals, _ = prof[c].values.sorted_arrays()
         ordinal_maps[c] = ordinal_map(np.asarray(vals, dtype=object))
-    shape_domains = {}
-    for c in pattern:
-        vals, cnts = prof[c].values.sorted_arrays()
-        sh = format_signature(pd.Series(list(vals)))
-        sc = pd.DataFrame({"s": sh, "n": cnts}).groupby("s")["n"].sum()
-        total = int(cnts.sum())
-        shape_domains[c] = frozenset(
-            sc[sc / max(1, total) >= thr["domain_min_frac"]].index)
+    shape_domains = {c: learned_shape_domain(
+        prof[c].values, min_frac=thr["domain_min_frac"]) for c in pattern}
 
     # ---- validate phase: evidence columns + OR-merge total ----
     checked = rc.check_rows(prepped, states,

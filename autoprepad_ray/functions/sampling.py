@@ -120,8 +120,11 @@ def quota_sample(ds, id_col: str, group_col: str, k: int, *,
     ``map_batches`` (a block can never contribute more than k winners
     for a key — the same dominance argument as stages/topk), so the
     exchange moves <= blocks x keys x k rows, never the raw table; the
-    final per-key head-k folds the survivors in ``map_groups``."""
+    final per-key head-k cuts the survivors inside each
+    ``transport.keyed_map`` slice task."""
     import pandas as pd
+
+    from ..stages.transport import keyed_map
 
     def precut(df: pd.DataFrame) -> pd.DataFrame:
         code = split_code(df[id_col].to_numpy(), buckets=buckets,
@@ -130,9 +133,12 @@ def quota_sample(ds, id_col: str, group_col: str, k: int, *,
         return (df.sort_values(["__h", id_col], kind="mergesort")
                 .groupby(group_col, sort=False).head(k))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__h", id_col], kind="mergesort").head(k)
-        return g.drop(columns="__h")
+    def final(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values([group_col, "__h", id_col],
+                                       kind="stable")
+        return pa.Table.from_pandas(
+            df.groupby(group_col, sort=False).head(k).drop(columns="__h"),
+            preserve_index=False)
 
-    return (ds.map_batches(precut, batch_format="pandas")
-            .groupby(group_col).map_groups(final, batch_format="pandas"))
+    return keyed_map(ds.map_batches(precut, batch_format="pandas"),
+                     [group_col], final)

@@ -25,8 +25,8 @@ from ..functions.strings import canonicalize_nan_tokens
 from ..profile import profile_dataset
 from ..stages.transport import fold, merge_groups
 from ..validators import row_checks as rc
-from ..validators.domain import (domain_flags, format_signature,
-                                 learned_domain, shape_domain_flags)
+from ..validators.domain import (domain_flags, learned_domain,
+                                 learned_shape_domain, shape_domain_flags)
 
 
 def validate_mixed(ds, *, id_col: str = "row_id",
@@ -81,14 +81,9 @@ def validate_mixed(ds, *, id_col: str = "row_id",
     domains = {c: learned_domain(prof[c].values, min_frac=min_frac,
                                  total=prof[c].count)
                for c in enum_cols}
-    shape_domains = {}
-    for c in pattern_cols:
-        vals, cnts = prof[c].values.sorted_arrays()
-        sh = format_signature(pd.Series(list(vals)))
-        sc = pd.DataFrame({"s": sh, "n": cnts}).groupby("s")["n"].sum()
-        total = int(cnts.sum())
-        shape_domains[c] = frozenset(
-            sc[sc / max(1, total) >= min_frac].index)
+    shape_domains = {c: learned_shape_domain(prof[c].values,
+                                             min_frac=min_frac)
+                     for c in pattern_cols}
 
     def check_domains(df: pd.DataFrame) -> pd.DataFrame:
         ev = np.zeros(len(df), dtype=np.int64)

@@ -36,7 +36,7 @@ from ..functions import strings as sfn
 from ..sketches import ValueCounts, np_object
 from ..functions.dates import date_encode
 from ..profile import profile_dataset
-from ..stages.transport import (fold, keyed_fold, merge_counts,
+from ..stages.transport import (fold, keyed_fold, keyed_map, merge_counts,
                                 merge_groups, merge_unique)
 from ..validators import drift, referential, row_checks as rc, uniqueness
 from ..validators.correlation import spearman
@@ -83,6 +83,20 @@ def _fold_groups(ds, partial, keys: list[str], aggs: dict[str, str], *,
     if dropna:
         df = df.dropna(subset=keys)
     return df.sort_values(keys).reset_index(drop=True)
+
+
+def _per_key(ds, key: str, order: list[str], body, *,
+             ascending: list[bool] | None = None):
+    """A per-key window: ``transport.keyed_map`` of ``ds`` on ``key``
+    hands ``body`` each slice's rows as ONE pandas frame sorted by
+    ``[key, *order]`` (nulls last); ``body`` works per key with
+    ``groupby(key, sort=False, dropna=False)`` and returns a frame."""
+    def fn(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(
+            [key, *order], ascending=ascending or True, kind="stable",
+            ignore_index=True)
+        return pa.Table.from_pandas(body(df), preserve_index=False)
+    return keyed_map(ds, [key], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +415,19 @@ GROUP BY o.o_custkey, c.c_name
 ORDER BY SUM(o.o_totalprice) DESC, o.o_custkey LIMIT 10""")
 def top_customers(sf_dir: str):
     """Top-k revenue customers: partial+final grouped sum, then a
-    broadcast dimension lookup (customer put in the object store ONCE)
-    — no row-shuffle join.  The per-customer sums ride
-    ``transport.keyed_fold`` (no Ray sort-groupby) with the top-10 cut
-    applied INSIDE each slice task, so only slices x 10 candidate rows
-    reach the driver, which cuts them once more — ROUND(SUM, 2) on the
-    2-decimal o_totalprice keeps the fold order exactly on the
-    oracle's decimal grid."""
+    name lookup for the <= 10 winning keys only — no row-shuffle join
+    and no customer broadcast.  The per-customer sums ride
+    ``transport.keyed_fold`` with the top-10 cut applied INSIDE each
+    slice task, so only slices x 10 candidate rows reach the driver,
+    which cuts them once more; the customer read then keeps only the
+    winners (a parquet filter on their keys, pushed into the read).
+    ROUND(SUM, 2) on the 2-decimal o_totalprice keeps the fold order
+    exactly on the oracle's decimal grid."""
+    import pyarrow.dataset as pds
+
+    from .. import io as aio
+
     orders = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
-    name_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_name"])))
     merge = merge_groups(["o_custkey"],
                          {"s_price": "sum", "n_orders": "sum"})
 
@@ -426,8 +443,10 @@ def top_customers(sf_dir: str):
 
     top = cut10(keyed_fold(orders, partial, ["o_custkey"],
                            lambda parts: cut10(merge(parts)))).to_pandas()
-
-    names = ray.get(name_ref)
+    wanted = pds.field("c_custkey").isin(top["o_custkey"].tolist())
+    cust = aio.read_table(f"{sf_dir}/customer.parquet",
+                          ["c_custkey", "c_name"], filter=wanted).to_pandas()
+    names = dict(zip(cust["c_custkey"], cust["c_name"]))
     return pd.DataFrame({
         "o_custkey": top["o_custkey"].astype(np.int64),
         "c_name": [names[k] for k in top["o_custkey"]],
@@ -540,8 +559,9 @@ FROM lineitem
 GROUP BY l_quantity, l_discount, l_tax, l_returnflag, l_linestatus""")
 def exact_dedup_lineitem(sf_dir: str):
     """Exact dedup over projected content: one representative (min rank)
-    per distinct value combination — per-block pre-aggregation, then an
-    Arrow-native tree reduce (group cardinality is small)."""
+    per distinct value combination — per-block Arrow ``group_by``
+    partials folded by ``transport.fold`` (the group cardinality,
+    ~50 x 11 x 9 x 3 x 2, is small)."""
     cols = ["l_quantity", "l_discount", "l_tax", "l_returnflag",
             "l_linestatus"]
     ds = _t(sf_dir, "lineitem", cols + ["l_orderkey", "l_linenumber"])
@@ -552,25 +572,12 @@ def exact_dedup_lineitem(sf_dir: str):
         t2 = t.append_column("keep_rank", rank)
         g = (t2.group_by(cols)
              .aggregate([("keep_rank", "min"), ([], "count_all")]))
-        return g.rename_columns(cols + ["keep_rank", "n"])
+        return pa.table({**{c: g[c] for c in cols},
+                         "keep_rank": g["keep_rank_min"],
+                         "n": g["count_all"]})
 
-    def remerge(t: pa.Table) -> pa.Table:
-        g = (t.group_by(cols)
-             .aggregate([("keep_rank", "min"), ("n", "sum")]))
-        return g.rename_columns(cols + ["keep_rank", "n"])
-
-    # group cardinality (~50 x 11 x 9 x 3 x 2) is small, so a tree of
-    # Arrow group_by reduces beats a sort-exchange: per-block partials,
-    # one 8-way re-merge level, final fold on the driver.  (For
-    # high-cardinality dedup keys use validators.uniqueness /
-    # stages.dedup.exact_dedup, which shuffle by key.)
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    level1 = partials.map_batches(remerge, batch_size=250_000,
-                                  batch_format="pyarrow")
-    tables = list(level1.iter_batches(batch_size=250_000,
-                                      batch_format="pyarrow"))
-    return remerge(pa.concat_tables(tables))
+    return fold(ds, partial,
+                merge_groups(cols, {"keep_rank": "min", "n": "sum"}))
 
 
 @query("doc_fingerprints", sql="SELECT doc_id, md5(text) AS fp FROM documents")
@@ -626,22 +633,20 @@ SELECT lang,
        COUNT(*) AS n_docs
 FROM documents GROUP BY lang""")
 def token_totals_by_lang(sf_dir: str):
-    """Token counting rolled up by language (partial per block, then a
-    tiny keyed aggregate)."""
-    from ray.data.aggregate import Sum
-
+    """Token counting rolled up by language: per-block Arrow
+    ``group_by`` partials folded by ``_fold_groups`` (a handful of
+    languages)."""
     ds = _t(sf_dir, "documents", ["lang", "text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = sfn.word_counts(df["text"])
-        g = (pd.DataFrame({"lang": df["lang"], "w": words, "d": 1})
-             .groupby("lang", as_index=False).sum())
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        words = sfn.word_counts(t["text"].to_pandas())
+        g = (pa.table({"lang": t["lang"], "w": pa.array(words)})
+             .group_by("lang").aggregate([("w", "sum"), ([], "count_all")]))
+        return pa.table({"lang": g["lang"], "total_words": g["w_sum"],
+                         "n_docs": g["count_all"]})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("lang")
-            .aggregate(Sum("w", alias_name="total_words"),
-                       Sum("d", alias_name="n_docs")))
+    return _fold_groups(ds, partial, ["lang"],
+                        {"total_words": "sum", "n_docs": "sum"})
 
 
 @query("pattern_shapes_customer", sql="""
@@ -652,19 +657,17 @@ SELECT regexp_replace(regexp_replace(regexp_replace(regexp_replace(
 FROM customer GROUP BY 1""")
 def pattern_shapes_customer(sf_dir: str):
     """Char-class shape histogram (CategoricalPatterns.py:46-83
-    re-expressed as a readable A/a/9/# alphabet)."""
-    from ray.data.aggregate import Sum
-
+    re-expressed as a readable A/a/9/# alphabet), its per-block counts
+    folded by ``_fold_groups`` (a few dozen shapes)."""
     ds = _t(sf_dir, "customer", ["c_name"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        s = sfn.shape_pattern(df["c_name"])
-        g = s.value_counts().reset_index()
-        g.columns = ["shape", "n"]
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        g = pa.table({"shape": pa.array(sfn.shape_pattern(
+            t["c_name"].to_pandas()))}).group_by("shape") \
+            .aggregate([([], "count_all")])
+        return pa.table({"shape": g["shape"], "n": g["count_all"]})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("shape").aggregate(Sum("n", alias_name="n")))
+    return _fold_groups(ds, partial, ["shape"], {"n": "sum"})
 
 
 @query("nan_canonicalize_sources", sql="""
@@ -724,8 +727,11 @@ QUALIFY row_number() OVER (
              e.vec_id) <= 5""")
 def ann_topk_embeddings(sf_dir: str):
     """Brute-force cosine top-k similarity search: query matrix broadcast
-    once, per-batch numpy matmul partial top-k, tiny per-query final
-    top-k (the IVF/LSH bucketed variant is the documented scale path)."""
+    once, per-batch numpy matmul partial top-k folded to each query's
+    top k (``embed.top_per_query``; the IVF/LSH bucketed variant is the
+    documented scale path)."""
+    from ..stages.embed import _hits, top_per_query
+
     ds = _t(sf_dir, "embeddings", ["vec_id", "embedding"])
     qrows = (ds.map_batches(
         lambda t: t.filter(pc.less(t["vec_id"], 3)), batch_format="pyarrow")
@@ -743,8 +749,7 @@ def ann_topk_embeddings(sf_dir: str):
         ids_, Qn_ = ray.get(q_ref)
         t = t.filter(pc.greater_equal(t["vec_id"], 3))
         if t.num_rows == 0:
-            return pa.table({"query_id": _i64([]), "vec_id": _i64([]),
-                             "cos": pa.array([], type=pa.float64())})
+            return _hits([], [], [], "vec_id")
         vids = t["vec_id"].to_numpy(zero_copy_only=False)
         Mn = _matrix(t["embedding"])  # zero-copy flatten, no per-row pylist
         Mn = Mn / np.linalg.norm(Mn, axis=1, keepdims=True)
@@ -756,17 +761,9 @@ def ann_topk_embeddings(sf_dir: str):
             out_q.extend([qid] * len(order))
             out_v.extend(vids[order].tolist())
             out_c.extend(scores[order].tolist())
-        return pa.table({"query_id": _i64(out_q), "vec_id": _i64(out_v),
-                         "cos": pa.array(out_c, type=pa.float64())})
+        return _hits(out_q, out_v, out_c, "vec_id")
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "vec_id"],
-                          ascending=[False, True]).head(k)
-        return g
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("query_id").map_groups(final_topk,
-                                            batch_format="pandas"))
+    return fold(ds, partial, top_per_query("vec_id", "cos", k))
 
 
 @query("ngram_jaccard_docs", sql="""
@@ -1239,18 +1236,19 @@ def ffill_events_by_user(sf_dir: str):
     """Order-sensitive forward fill (TimeSeriesImputer.py:36-43) made
     well-defined at scale: 'error' rows are treated as missing and
     filled from the previous value WITHIN the user_id key, ordered by
-    (ts, event_id) — the per-key groupby makes the fill deterministic
-    under any block layout (SURVEY §7.6 ffill order-dependence)."""
+    (ts, event_id) — the per-key window (``_per_key``) makes the fill
+    deterministic under any block layout (SURVEY §7.6 ffill
+    order-dependence)."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts", "event_type",
                                "value"])
 
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        v = g["value"].where(g["event_type"] != "error")
-        return pd.DataFrame({"event_id": g["event_id"],
-                             "value_ffill": v.ffill()})
+    def fill(df: pd.DataFrame) -> pd.DataFrame:
+        v = df["value"].where(df["event_type"] != "error")
+        return pd.DataFrame({"event_id": df["event_id"], "value_ffill":
+                             v.groupby(df["user_id"], sort=False,
+                                       dropna=False).ffill()})
 
-    return ds.groupby("user_id").map_groups(fill, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], fill)
 
 
 @query("bit_patterns_partnames", sql="""
@@ -1398,14 +1396,14 @@ SELECT o.o_orderstatus,
 FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
 GROUP BY o.o_orderstatus""")
 def join_order_revenue_by_status(sf_dir: str):
-    """Large-large equi-join (explicit hash-bucketed join, ONE shuffle
-    keyed on hash(l_orderkey) % B) followed by a partial+final grouped
-    aggregate — the engine's big-side join pattern (the broadcast path
-    for small sides is queries.top_customers).  The final fold is over
-    THREE status groups, so it rides the dozens-of-groups rule
-    (pricing_summary's shape): per-block partials folded by
-    ``_fold_groups``, never a Ray sort-groupby exchange for 3
-    output rows.  ROUND(SUM, 2) snaps the order-sensitive revenue sum
+    """Large-large equi-join (explicit key-routed join, ONE
+    ``transport.keyed_map`` of both sides on l_orderkey) followed by a
+    partial+final grouped aggregate — the engine's big-side join
+    pattern (the broadcast path for small sides is semi_join).  The
+    final fold is over THREE status groups, so it rides the
+    dozens-of-groups rule (pricing_summary's shape): per-block partials
+    folded by ``_fold_groups``, never a keyed exchange for 3 output
+    rows.  ROUND(SUM, 2) snaps the order-sensitive revenue sum
     to the decimal grid on both engines, so fold order is free."""
     from ..stages.join import bucketed_join
 
@@ -1417,7 +1415,7 @@ def join_order_revenue_by_status(sf_dir: str):
                                       right_raw.schema().types)])
     right = right_raw.map_batches(lambda t: t.rename_columns(
         ["l_orderkey", "o_orderstatus"]), batch_format="pyarrow")
-    joined = bucketed_join(left, right, "l_orderkey", num_buckets=16,
+    joined = bucketed_join(left, right, "l_orderkey",
                            schema_hint=(left.schema(), rsch))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1639,19 +1637,19 @@ def bfill_events_by_user(sf_dir: str):
     """Backward fill, the TimeSeriesImputer's other mode
     (TimeSeriesImputer.py:36-43 supports bfill): 'error' rows are
     treated as missing and filled from the NEXT value within the
-    user_id key ordered by (ts, event_id) — per-key groupby keeps the
-    fill deterministic under any block layout (mirror of
+    user_id key ordered by (ts, event_id) — the per-key window keeps
+    the fill deterministic under any block layout (mirror of
     ffill_events_by_user)."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts", "event_type",
                                "value"])
 
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        v = g["value"].where(g["event_type"] != "error")
-        return pd.DataFrame({"event_id": g["event_id"],
-                             "value_bfill": v.bfill()})
+    def fill(df: pd.DataFrame) -> pd.DataFrame:
+        v = df["value"].where(df["event_type"] != "error")
+        return pd.DataFrame({"event_id": df["event_id"], "value_bfill":
+                             v.groupby(df["user_id"], sort=False,
+                                       dropna=False).bfill()})
 
-    return ds.groupby("user_id").map_groups(fill, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], fill)
 
 
 @query("iterative_impute_lineitem")
@@ -2019,22 +2017,31 @@ def rolling_window_events(sf_dir: str):
     """Per-key ordered windowed aggregate (the streaming-window slot
     from SURVEY §2.9 made batch-exact): 3-row rolling min/max plus the
     lag-1 delta per user_id ordered by (ts, event_id), via the same
-    hash-partitioned groupby shape as ffill (order is deterministic
-    under any block layout).  min/max/lag are comparison/single-op
-    kernels — no accumulation — so float parity with the SQL window
-    oracle is exact with no rounding."""
+    per-key window as ffill (order is deterministic under any block
+    layout).  min/max/lag are comparison/single-op kernels — no
+    accumulation — so float parity with the SQL window oracle is exact
+    with no rounding."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def win(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        r = g["value"].rolling(3, min_periods=1)
+    def win(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("user_id", sort=False, dropna=False)["value"]
+        r = g.rolling(3, min_periods=1)
         return pd.DataFrame({
-            "event_id": g["event_id"],
-            "value_min3": r.min(),
-            "value_max3": r.max(),
-            "value_delta": g["value"].diff()})
+            "event_id": df["event_id"],
+            "value_min3": r.min().droplevel(0),
+            "value_max3": r.max().droplevel(0),
+            "value_delta": g.diff()})
 
-    return ds.groupby("user_id").map_groups(win, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], win)
+
+
+def _session_ids(df: pd.DataFrame, gap) -> pd.Series:
+    """Gap-session ids of a frame sorted by (user_id, ts, event_id): per
+    user, the running count of breaks longer than ``gap`` (the first
+    event opens session 1)."""
+    prev = df.groupby("user_id", sort=False, dropna=False)["ts"].shift()
+    new = (((df["ts"] - prev) > gap) | prev.isna()).astype("int64")
+    return new.groupby(df["user_id"], sort=False, dropna=False).cumsum()
 
 
 @query("sessionize_events", sql="""
@@ -2059,15 +2066,11 @@ def sessionize_events(sf_dir: str):
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap = np.timedelta64(1, "h")
 
-    def sess(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        prev = g["ts"].shift()
-        new = ((g["ts"] - prev) > gap) | prev.isna()
-        return pd.DataFrame({
-            "event_id": g["event_id"],
-            "session_id": new.astype("int64").cumsum()})
+    def sess(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"event_id": df["event_id"],
+                             "session_id": _session_ids(df, gap)})
 
-    return ds.groupby("user_id").map_groups(sess, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], sess)
 
 
 @query("top_events_per_user", sql="""
@@ -2081,18 +2084,17 @@ WHERE rn <= 3""")
 def top_events_per_user(sf_dir: str):
     """Top-k per group (worst-first listing per key — O1's sort/top-k
     generalized to grouped data): the 3 highest-value events per user,
-    ties broken by event_id.  Per-key map_groups head — row selection
+    ties broken by event_id.  Per-key window head — row selection
     only, exact parity.  At scale a pre-filter partial (per-block top-k
     per key inside map_batches) would bound group sizes; group = user
     here, already bounded."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["value", "event_id"],
-                          ascending=[False, True]).head(3)
-        return g[["event_id", "user_id", "value"]]
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("user_id", sort=False, dropna=False).head(3)
 
-    return ds.groupby("user_id").map_groups(topk, batch_format="pandas")
+    return _per_key(ds, "user_id", ["value", "event_id"], topk,
+                    ascending=[True, False, True])
 
 
 @query("json_roundtrip_nation", sql="""
@@ -2240,14 +2242,12 @@ def pivot_event_type_counts(sf_dir: str):
     the feature-table shape a training pipeline feeds downstream.
     Each block pre-aggregates to at most one wide row per distinct
     user (pyarrow ``group_by`` over boolean-mask count columns), then
-    ONE Ray sort-groupby sums the already-collapsed partials — the
-    shuffle moves O(distinct users x blocks) wide rows, never raw
-    events, which is the right bound when users number in the
-    millions and the driver fold would not fit.  The type domain is
-    this table's five event types (a discovery pass over a dynamic
-    domain would reuse the distinct-census)."""
-    from ray.data.aggregate import Sum
-
+    ``transport.keyed_fold`` sums the already-collapsed partials per
+    user slice — the exchange moves O(distinct users x blocks) wide
+    rows, never raw events, which is the right bound when users number
+    in the millions and an unkeyed fold would not fit one task.  The
+    type domain is this table's five event types (a discovery pass
+    over a dynamic domain would reuse the distinct-census)."""
     def partial(t: pa.Table) -> pa.Table:
         cols = {"user_id": t["user_id"]}
         for ty in _EVENT_TYPES:
@@ -2260,12 +2260,10 @@ def pivot_event_type_counts(sf_dir: str):
             out[f"n_{ty}"] = g[f"n_{ty}_sum"]
         return pa.table(out)
 
-    return (_t(sf_dir, "events", ["user_id", "event_type"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("user_id")
-            .aggregate(*[Sum(f"n_{ty}", alias_name=f"n_{ty}")
-                         for ty in _EVENT_TYPES]))
+    merge = merge_groups(["user_id"],
+                         {f"n_{ty}": "sum" for ty in _EVENT_TYPES})
+    return keyed_fold(_t(sf_dir, "events", ["user_id", "event_type"]),
+                      partial, ["user_id"], merge)
 
 
 @query("semi_join_urgent_customers", sql="""
@@ -2520,20 +2518,19 @@ FROM documents""")
 def running_total_docs(sf_dir: str):
     """Per-key running (prefix) aggregate — the cursor a corpus-layout
     step keeps while streaming a shard (how many chars/docs have gone
-    into the current output file).  Reuses ffill's hash-partitioned
-    groupby(key).map_groups shape; int64 cumsum means exact SQL
-    window parity with no float rules."""
+    into the current output file).  Reuses ffill's per-key window;
+    int64 cumsum means exact SQL window parity with no float rules."""
     ds = _t(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
+    def run(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("source", sort=False, dropna=False)
         return pd.DataFrame({
-            "doc_id": g["doc_id"],
-            "source": g["source"],
+            "doc_id": df["doc_id"],
+            "source": df["source"],
             "chars_cum": g["n_chars"].cumsum().astype(np.int64),
-            "rn": np.arange(1, len(g) + 1, dtype=np.int64)})
+            "rn": (g.cumcount() + 1).astype(np.int64)})
 
-    return ds.groupby("source").map_groups(run, batch_format="pandas")
+    return _per_key(ds, "source", ["doc_id"], run)
 
 
 @query("text_roundtrip_nation", sql="""
@@ -2621,20 +2618,17 @@ FROM events GROUP BY user_id""")
 def user_event_sequences(sf_dir: str):
     """Ordered per-key sequence assembly — the step that turns an event
     log into training examples (conversation threads, session action
-    strings).  Reuses the hash-partitioned groupby(key).map_groups
-    shape of ffill: each user's rows co-locate once, sort locally by
-    (ts, event_id), and concatenate — string output, so SQL parity is
-    byte-exact with no float rules."""
+    strings).  Reuses ffill's per-key window: each user's rows meet in
+    one slice task, sorted by (ts, event_id), and concatenate — string
+    output, so SQL parity is byte-exact with no float rules."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def seq(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        return pd.DataFrame({
-            "user_id": [g["user_id"].iloc[0]],
-            "seq": [",".join(g["event_type"])],
-            "n": np.array([len(g)], dtype=np.int64)})
+    def seq(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("user_id", sort=False, dropna=False)["event_type"] \
+            .agg(seq=",".join, n="size").reset_index()
+        return g.astype({"n": np.int64})
 
-    return ds.groupby("user_id").map_groups(seq, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], seq)
 
 
 @query("cube_pricing_levels", sql="""
@@ -2813,61 +2807,45 @@ def full_outer_user_day_activity(sf_dir: str):
     errors and vice versa must survive null-extended).
 
     Both join inputs derive from the SAME fact table grouped by the
-    same composite key (user_id << 20 | epoch_day), so the outer join
-    fuses away entirely: one read computes per-block (uk, n_purchase,
-    n_error) partials and ONE grouped sum folds them — where the
-    oracle runs two grouped scans plus a full-outer exchange, the
-    engine runs one scan and one exchange.  The null-extension
-    semantics survive the fusion because a group only exists when it
-    has >= 1 purchase-or-error row, so a zero count is exactly the
-    oracle's "no row on that side" — decode maps 0 back to NULL.
-    Counts are int64; exact parity."""
-    from ray.data.aggregate import Sum
-
+    same composite key (user_id, epoch_day), so the outer join fuses
+    away entirely: one read computes per-block (user_id, day,
+    n_purchase, n_error) partials and ONE ``transport.keyed_map`` on
+    the two key columns sums them — where the oracle runs two grouped
+    scans plus a full-outer exchange, the engine runs one scan and one
+    exchange.  The null-extension semantics survive the fusion because
+    a group only exists when it has >= 1 purchase-or-error row, so a
+    zero count is exactly the oracle's "no row on that side" — the
+    slice task maps 0 back to NULL.  Counts are int64; exact parity."""
     day_us = np.int64(86_400_000_000)
-    shift = np.int64(1 << 20)                  # epoch day < 2^20
+    keys = ["user_id", "day"]
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["event_type"],
                               value_set=pa.array(["purchase", "error"])))
         ts = t["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").view(np.int64)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        day = ts // day_us
-        if len(uid) and (uid.min() < 0 or uid.max() >= 1 << 43
-                         or day.min() < 0 or day.max() >= 1 << 20):
-            raise ValueError("user_id/day outside the (user << 20 | day) "
-                             "packing range")
-        uk = uid * shift + day
         is_p = pc.equal(t["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
-        g = (pa.table({"uk": pa.array(uk),
-                       "n_purchase": pa.array(is_p.astype(np.int64)),
-                       "n_error": pa.array((~is_p).astype(np.int64))})
-             .group_by("uk").aggregate([("n_purchase", "sum"),
-                                        ("n_error", "sum")]))
-        return g.rename_columns(["uk", "n_purchase", "n_error"])
+        return pa.table({"user_id": t["user_id"],
+                         "day": pa.array(ts // day_us),
+                         "n_purchase": pa.array(is_p.astype(np.int64)),
+                         "n_error": pa.array((~is_p).astype(np.int64))}) \
+            .group_by(keys).aggregate([("n_purchase", "sum"),
+                                       ("n_error", "sum")])
 
-    agg = (_t(sf_dir, "events", ["user_id", "ts", "event_type"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("uk")
-           .aggregate(Sum("n_purchase", alias_name="n_purchase"),
-                      Sum("n_error", alias_name="n_error")))
-
-    def decode(t: pa.Table) -> pa.Table:
-        uk = t["uk"].to_numpy(zero_copy_only=False)
+    def outer(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate([("n_purchase_sum", "sum"),
+                                        ("n_error_sum", "sum")])
         null = pa.scalar(None, pa.int64())
-        np_c = t["n_purchase"].combine_chunks().cast(pa.int64())
-        ne_c = t["n_error"].combine_chunks().cast(pa.int64())
-        return pa.table({
-            "user_id": pa.array(uk // shift),
-            "day": pa.array(uk % shift),
-            "n_purchase": pc.if_else(pc.equal(np_c, 0), null, np_c),
-            "n_error": pc.if_else(pc.equal(ne_c, 0), null, ne_c)})
+        out = {k: g[k] for k in keys}
+        for c in ("n_purchase", "n_error"):
+            n = g[f"{c}_sum_sum"]
+            out[c] = pc.if_else(pc.equal(n, 0), null, n)
+        return pa.table(out)
 
-    return agg.map_batches(decode, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return keyed_map(_t(sf_dir, "events", ["user_id", "ts", "event_type"])
+                     .map_batches(partial, batch_format="pyarrow",
+                                  zero_copy_batch=True), keys, outer)
 
 
 @query("cross_join_region_nation", sql="""
@@ -3072,32 +3050,29 @@ def session_stats_events(sf_dir: str):
     """Per-session aggregates (event count + duration) on top of the
     gap-based sessionization — the session-level rollup every
     engagement/behavior pipeline derives from a raw event log.  One
-    groupby(user).map_groups does sessionize AND aggregate in the same
-    group visit (no second shuffle: session boundaries are a per-user
+    per-key window does sessionize AND aggregate in the same slice
+    visit (no second exchange: session boundaries are a per-user
     fact).  All int64 (us subtraction) — exact parity."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap = np.timedelta64(1, "h")
 
-    def stats(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        prev = g["ts"].shift()
-        sess = (((g["ts"] - prev) > gap) | prev.isna()) \
-            .astype("int64").cumsum()
-        ts_us = g["ts"].to_numpy().astype("datetime64[us]") \
-            .view(np.int64)
-        agg = pd.DataFrame({"session_id": sess.to_numpy(),
-                            "ts_us": ts_us}) \
-            .groupby("session_id", as_index=False) \
+    def stats(df: pd.DataFrame) -> pd.DataFrame:
+        agg = pd.DataFrame({
+            "user_id": df["user_id"],
+            "session_id": _session_ids(df, gap),
+            "ts_us": df["ts"].to_numpy().astype("datetime64[us]")
+            .view(np.int64)}) \
+            .groupby(["user_id", "session_id"], sort=False, dropna=False,
+                     as_index=False) \
             .agg(n_events=("ts_us", "size"), lo=("ts_us", "min"),
                  hi=("ts_us", "max"))
         return pd.DataFrame({
-            "user_id": np.full(len(agg), g["user_id"].iloc[0],
-                               dtype=np.int64),
+            "user_id": agg["user_id"].astype(np.int64),
             "session_id": agg["session_id"].astype(np.int64),
             "n_events": agg["n_events"].astype(np.int64),
             "duration_us": (agg["hi"] - agg["lo"]).astype(np.int64)})
 
-    return ds.groupby("user_id").map_groups(stats, batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], stats)
 
 
 @query("cohort_retention_events", sql="""
@@ -3175,31 +3150,34 @@ LEFT JOIN p ON p.user_id = u.user_id""")
 def funnel_stages_events(sf_dir: str):
     """Ordered funnel analysis: the furthest view -> click -> purchase
     stage each user reaches, each step strictly AFTER the previous
-    one.  The funnel is a per-user sequential fact, so ONE
-    groupby(user).map_groups computes the whole chain with three
-    searchsorted probes over the user's sorted timestamps — where the
-    SQL oracle needs three self-joins, the engine needs zero extra
-    shuffles.  Int output, exact parity."""
+    one.  The funnel is a per-user sequential fact, so ONE per-key
+    window computes the whole chain: per step, each user still in the
+    funnel takes the earliest matching event after its previous step
+    (one ``np.minimum.at`` over the slice's users) — where the SQL
+    oracle needs three self-joins, the engine needs zero extra
+    exchanges.  Int output, exact parity."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts",
                                "event_type"])
+    never = np.iinfo(np.int64).max
 
-    def stage(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        ts = g["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
-        ty = g["event_type"].to_numpy()
-        s = 0
-        cur = -np.int64(2**62)
+    def stage(df: pd.DataFrame) -> pd.DataFrame:
+        code, users = pd.factorize(df["user_id"], use_na_sentinel=False)
+        ts = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
+        ty = df["event_type"].to_numpy()
+        cur = np.full(len(users), -np.int64(2**62))
+        alive = np.ones(len(users), dtype=bool)
+        st = np.zeros(len(users), dtype=np.int64)
         for step, name in enumerate(["view", "click", "purchase"]):
-            cand = ts[(ty == name) & (ts > cur)]
-            if len(cand) == 0:
-                break
-            cur = cand.min()
-            s = step + 1
-        return pd.DataFrame({
-            "user_id": [np.int64(g["user_id"].iloc[0])],
-            "stage": np.array([s], dtype=np.int64)})
+            m = (ty == name) & (ts > cur[code]) & alive[code]
+            first = np.full(len(users), never)
+            np.minimum.at(first, code[m], ts[m])
+            alive &= first < never
+            st[alive] = step + 1
+            cur = np.where(alive, first, cur)
+        return pd.DataFrame({"user_id": np.asarray(users, dtype=np.int64),
+                             "stage": st})
 
-    return ds.groupby("user_id").map_groups(stage, batch_format="pandas")
+    return _per_key(ds, "user_id", [], stage)
 
 
 @query("event_transition_counts", sql="""
@@ -4297,8 +4275,8 @@ FROM d WHERE gap_us IS NOT NULL GROUP BY user_id""")
 def interarrival_quantiles_users(sf_dir: str):
     """Per-user inter-arrival-time quantiles (session-cadence profile:
     median and p90 gap between consecutive events) — the window + lag
-    machinery composed with exact group quantiles in ONE group visit
-    per user (the ffill shape).  Gaps are exact int64 microsecond
+    machinery composed with exact group quantiles in ONE slice visit
+    (the ffill per-key window).  Gaps are exact int64 microsecond
     diffs of the (ts, event_id)-ordered sequence; quantiles are
     DISCRETE (DuckDB quantile_disc = the order statistic at 1-based
     rank ceil(q*n), mirrored with the same IEEE product) — actual
@@ -4308,29 +4286,25 @@ def interarrival_quantiles_users(sf_dir: str):
     quantiles are the right emission for big-integer metrics."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        tus = g["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
-        gaps = np.diff(tus)
-        if len(gaps) == 0:
-            return pd.DataFrame({"user_id": pd.Series([], dtype=np.int64),
-                                 "n_gaps": pd.Series([], dtype=np.int64),
-                                 "p50_us": pd.Series([], dtype=np.int64),
-                                 "p90_us": pd.Series([], dtype=np.int64)})
-        gaps = np.sort(gaps)
-        n = len(gaps)
+    def per_user(df: pd.DataFrame) -> pd.DataFrame:
+        code, users = pd.factorize(df["user_id"], use_na_sentinel=False)
+        tus = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
+        same = code[1:] == code[:-1]
+        gc, gaps = code[1:][same], np.diff(tus)[same]
+        o = np.lexsort((gaps, gc))          # each user's gaps, sorted
+        gc, gaps = gc[o], gaps[o]
+        n = np.bincount(gc, minlength=len(users))
+        start, has = (np.cumsum(n) - n)[n > 0], n > 0
 
-        def disc(q: float) -> np.int64:
-            return gaps[int(np.ceil(q * n)) - 1]
+        def disc(q: float) -> np.ndarray:
+            return gaps[start + np.ceil(q * n[has]).astype(np.int64) - 1]
 
         return pd.DataFrame({
-            "user_id": [np.int64(g["user_id"].iloc[0])],
-            "n_gaps": [np.int64(n)],
-            "p50_us": [disc(0.5)],
-            "p90_us": [disc(0.9)]})
+            "user_id": np.asarray(users, dtype=np.int64)[has],
+            "n_gaps": n[has].astype(np.int64),
+            "p50_us": disc(0.5), "p90_us": disc(0.9)})
 
-    return ds.groupby("user_id").map_groups(per_user,
-                                            batch_format="pandas")
+    return _per_key(ds, "user_id", ["ts", "event_id"], per_user)
 
 
 @query("bloom_semi_join_lineitem", sql="""
@@ -5041,27 +5015,32 @@ def resample_daily_locf_events(sf_dir: str):
     (TimeSeriesImputer.py:36-43), made key-deterministic: per user,
     take the last non-null value of each active day (ordered by ts,
     event_id), build the user's own min..max daily grid, forward-fill.
-    The ffill groupby(user).map_groups shape; LOCF is selection-only,
-    so float parity is free (file-header rules).  Grid volume is
-    bounded by users x horizon days, never by event count."""
+    The ffill per-key window; LOCF is selection-only, so float parity
+    is free (file-header rules).  Grid volume is bounded by users x
+    horizon days, never by event count."""
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     ds = ds.map_batches(
         lambda t: t.filter(pc.is_valid(t["value"])),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def locf(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        last = g.groupby(g["ts"].dt.floor("D"))["value"].last()
-        grid = pd.date_range(last.index.min(), last.index.max(),
-                             freq="D")
-        v = last.reindex(grid).ffill()
-        return pd.DataFrame({
-            "user_id": np.full(len(grid), g["user_id"].iloc[0],
-                               dtype=np.int64),
-            "day": pd.Series(grid).astype("datetime64[us]"),
-            "value_locf": v.to_numpy()})
+    day_us = np.int64(86_400_000_000)
 
-    return ds.groupby("user_id").map_groups(locf, batch_format="pandas")
+    def locf(df: pd.DataFrame) -> pd.DataFrame:
+        tus = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
+        last = df.assign(day=tus // day_us * day_us).groupby(
+            ["user_id", "day"], sort=False, as_index=False)["value"].last()
+        span = last.groupby("user_id", sort=False)["day"].agg(["min", "max"])
+        n = ((span["max"] - span["min"]) // day_us + 1).to_numpy()
+        step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        grid = pd.DataFrame({
+            "user_id": np.repeat(span.index.to_numpy(), n),
+            "day": np.repeat(span["min"].to_numpy(), n) + step * day_us}) \
+            .merge(last, how="left")
+        grid["value"] = grid.groupby("user_id", sort=False)["value"].ffill()
+        return grid.astype({"day": "datetime64[us]"}) \
+            .rename(columns={"value": "value_locf"})
+
+    return _per_key(ds, "user_id", ["ts", "event_id"], locf)
 
 
 @query("pareto_frontier_orders", sql="""

@@ -111,7 +111,7 @@ def key_values(col) -> tuple[np.ndarray, np.ndarray]:
 
 def key_hash(columns) -> tuple[np.ndarray, np.ndarray]:
     """(uint64 hashes, valid mask) of a (multi-column) key — the ONE way
-    a key becomes a hash, for every census, join bucket, Bloom filter
+    a key becomes a hash, for every census, join slice, Bloom filter
     and routing map.
 
     Each column hashes its :func:`key_values` (``hash64`` seeded with

@@ -6,8 +6,8 @@
 
 Execution shape: signatures are computed in vectorized ``map_batches``
 (hashing via the C-backed ``sketches.hash64`` + splitmix64 mixing — no
-Python hash, stable across processes), candidates come from ONE
-``groupby(band, band_hash)`` over exploded band rows, and verification
+Python hash, stable across processes), candidates come from ONE slice
+exchange keyed on (band, band_hash) over exploded band rows, and verification
 touches only candidate documents (broadcast id-set filter, never a
 second full scan).  Bucket caps bound the O(n^2) inner loop against
 degenerate buckets; the cap events are reported, not silent.
@@ -22,9 +22,9 @@ import pyarrow as pa
 import ray
 
 from ..sketches import hash64, key_hash, splitmix64
-from .transport import (cell_refs, cells_return, fold, merge_concat,
-                        merge_counts, pack_slices, scatter_slices, slice_of,
-                        unpack_cells)
+from .transport import (cell_refs, cells_return, fold, keyed_map,
+                        merge_concat, merge_counts, merge_groups,
+                        pack_slices, scatter_slices, slice_of, unpack_cells)
 
 
 def _batch_shingles(texts, n_words: int):
@@ -555,14 +555,22 @@ def simhash_neardup_pairs(ds, text_col: str, id_col: str, *,
 
 
 def exact_dedup(ds, key_cols: list[str], *, order_col: str):
-    """Keep-first exact dedup: one representative row (min order_col) per
-    distinct key combination; groupby shuffles block-level partials only
-    when keys repeat within blocks."""
-    from ray.data.aggregate import Count, Min
+    """Keep-first exact dedup: one representative (``keep``, the min
+    ``order_col``) and the row count ``n`` per distinct key
+    combination, null keys one group.  Each block collapses to one row
+    per key, and a ``transport.keyed_map`` on the keys merges them —
+    the exchange moves block-level partials, never raw rows."""
+    def partial(t: pa.Table) -> pa.Table:
+        g = t.group_by(key_cols).aggregate([(order_col, "min"),
+                                            ([], "count_all")])
+        return pa.table({**{k: g[k] for k in key_cols},
+                         "keep": g[f"{order_col}_min"],
+                         "n": g["count_all"]})
 
-    return (ds.groupby(key_cols)
-            .aggregate(Min(order_col, alias_name="keep"),
-                       Count(alias_name="n")))
+    merge = merge_groups(key_cols, {"keep": "min", "n": "sum"})
+    return keyed_map(ds.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     key_cols, lambda t: merge([t]))
 
 
 def prefix_dup_flags(ds, *, text_col: str = "text",

@@ -32,19 +32,45 @@ def _matrix(batch_col) -> np.ndarray:
     return flat.reshape(len(arr), d)
 
 
+def _hits(qids, ids, scores, id_col: str, score: str = "cos") -> pa.Table:
+    """A ``(query_id, id_col, score)`` candidate table (int64, int64,
+    float64)."""
+    return pa.table({"query_id": pa.array(qids, type=pa.int64()),
+                     id_col: pa.array(ids, type=pa.int64()),
+                     score: pa.array(scores, type=pa.float64())})
+
+
+def top_per_query(id_col: str, score: str, k: int):
+    """A fold ``merge`` keeping each query's ``k`` best rows of
+    ``(query_id, id_col, score)`` candidate tables: ``score``
+    descending, ties by ``id_col`` (``None`` for no table).  Cutting a
+    union of cuts is the cut of the union, so it folds in any order."""
+    def merge(parts: list[pa.Table]) -> pa.Table | None:
+        if not parts:
+            return None
+        t = pa.concat_tables(parts)
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("query_id", "ascending"), (score, "descending"),
+            (id_col, "ascending")]))
+        q = t["query_id"].to_numpy()
+        first = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+        rank = np.arange(len(q)) - np.repeat(first, np.diff(
+            np.r_[first, len(q)]))
+        return t.filter(pa.array(rank < k))
+    return merge
+
+
 def cosine_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
-                query_ids: np.ndarray, k: int = 5):
+                query_ids: np.ndarray, k: int = 5) -> pa.Table | None:
     """Brute-force cosine top-k: broadcast queries, per-batch partial
-    top-k, per-query final top-k (tiny groupby over k x blocks rows)."""
+    top-k, folded to each query's top k (:func:`top_per_query`)."""
     Qn = query / np.linalg.norm(query, axis=1, keepdims=True)
     q_ref = ray.put((np.asarray(query_ids), Qn))
 
     def partial(t: pa.Table) -> pa.Table:
         qids, Qn_ = ray.get(q_ref)
         if t.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             id_col: pa.array([], type=pa.int64()),
-                             "cos": pa.array([], type=pa.float64())})
+            return _hits([], [], [], id_col)
         M = _matrix(t[vec_col])
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
         vids = t[id_col].to_numpy(zero_copy_only=False)
@@ -55,17 +81,9 @@ def cosine_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
             oq.extend([qid] * len(order))
             ov.extend(vids[order].tolist())
             oc.extend(S[order, j].tolist())
-        return pa.table({"query_id": pa.array(oq, type=pa.int64()),
-                         id_col: pa.array(ov, type=pa.int64()),
-                         "cos": pa.array(oc, type=pa.float64())})
+        return _hits(oq, ov, oc, id_col)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["cos", id_col],
-                             ascending=[False, True]).head(k)
-
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("query_id").map_groups(final, batch_format="pandas"))
+    return fold(ds, partial, top_per_query(id_col, "cos", k))
 
 
 def cosine_neardup_pairs(ds, vec_col: str, id_col: str, *,
@@ -170,7 +188,8 @@ def train_ivf_centroids(ds, vec_col: str, *, nlist: int = 64,
 
 def ivf_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
              query_ids: np.ndarray, *, k: int = 5, nlist: int = 64,
-             nprobe: int = 8, centroids: np.ndarray | None = None):
+             nprobe: int = 8, centroids: np.ndarray | None = None
+             ) -> pa.Table | None:
     """IVF approximate top-k: rows are bucketed by nearest centroid;
     each query probes only its ``nprobe`` nearest lists.  Centroids are
     broadcast once; per batch the candidate subset per query is scored
@@ -186,9 +205,7 @@ def ivf_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
     def partial(t: pa.Table) -> pa.Table:
         qids, Qn_, C, probe_sets = ray.get(state_ref)
         if t.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             id_col: pa.array([], type=pa.int64()),
-                             "cos": pa.array([], type=pa.float64())})
+            return _hits([], [], [], id_col)
         M = _matrix(t[vec_col])
         Mn = M / np.linalg.norm(M, axis=1, keepdims=True)
         vids = t[id_col].to_numpy(zero_copy_only=False)
@@ -205,17 +222,9 @@ def ivf_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
             oq.extend([qid] * len(order))
             ov.extend(sub_ids[order].tolist())
             oc.extend(s[order].tolist())
-        return pa.table({"query_id": pa.array(oq, type=pa.int64()),
-                         id_col: pa.array(ov, type=pa.int64()),
-                         "cos": pa.array(oc, type=pa.float64())})
+        return _hits(oq, ov, oc, id_col)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["cos", id_col],
-                             ascending=[False, True]).head(k)
-
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("query_id").map_groups(final, batch_format="pandas"))
+    return fold(ds, partial, top_per_query(id_col, "cos", k))
 
 
 def label_centroids(ds, vec_col: str = "embedding",
@@ -319,9 +328,7 @@ def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
     def partial(t: pa.Table) -> pa.Table:
         qids, Qn32, lo32, sc32 = ray.get(ref)
         if t.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             id_col: pa.array([], type=pa.int64()),
-                             "approx": pa.array([], type=pa.float64())})
+            return _hits([], [], [], id_col, score="approx")
         M = _matrix(t[vec_col]).astype(np.float32)
         codes = np.clip(np.rint((M - lo32) / sc32), 0, 255) \
             .astype(np.uint8)                     # the stored form
@@ -336,22 +343,9 @@ def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
             oq.extend([int(qid)] * len(order))
             ov.extend(vids[order].tolist())
             oc.extend(S[order, j].astype(np.float64).tolist())
-        return pa.table({"query_id": pa.array(oq, type=pa.int64()),
-                         id_col: pa.array(ov, type=pa.int64()),
-                         "approx": pa.array(oc, type=pa.float64())})
+        return _hits(oq, ov, oc, id_col, score="approx")
 
-    def top_r(parts: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(parts)
-        t = t.take(pc.sort_indices(t, sort_keys=[
-            ("query_id", "ascending"), ("approx", "descending"),
-            (id_col, "ascending")]))
-        q = t["query_id"].to_numpy()
-        first = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-        rank = np.arange(len(q)) - np.repeat(first, np.diff(
-            np.r_[first, len(q)]))
-        return t.filter(pa.array(rank < r))
-
-    cand = fold(ds, partial, top_r).to_pandas()
+    cand = fold(ds, partial, top_per_query(id_col, "approx", r)).to_pandas()
     cand_ids = np.unique(cand[id_col].to_numpy())
     ids_ref = ray.put(cand_ids)
 
@@ -378,6 +372,4 @@ def sq8_topk(ds, vec_col: str, id_col: str, query: np.ndarray,
         out_q.extend([int(qid)] * len(order))
         out_v.extend(cids[order].tolist())
         out_c.extend(cos[order].tolist())
-    return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                     id_col: pa.array(out_v, type=pa.int64()),
-                     "cos": pa.array(out_c, type=pa.float64())})
+    return _hits(out_q, out_v, out_c, id_col)

@@ -4,18 +4,18 @@ joins):
 
 - ``native_join``: Ray Data's built-in hash-partitioned ``Dataset.join``
   (Ray >= 2.46) — the default when both sides are large.
-- ``bucketed_join``: the portable explicit pattern — both sides get a
-  ``bucket = key_hash(key) % B`` column, one ``groupby(bucket)`` over
-  the tagged union, and an exact hash-factorized merge per bucket.
-  Salt hot keys by raising B; B should be ~(total size / target
-  partition size).
+- ``bucketed_join``: the portable explicit pattern — both sides ride
+  one ``transport.keyed_map`` (every row routed by ``slice_of`` of its
+  key hash, so equal keys of both sides meet in one slice task), and an
+  exact hash-factorized merge runs per slice.  The slice count is
+  ``transport.default_num_parts()``.
 - small sides should NOT be here at all: broadcast them
-  (``ray.put`` + per-batch lookup, see queries.top_customers).
+  (``ray.put`` + per-batch lookup, see ``semi_join``).
 
 Null rule (SQL): a NULL key never matches, not even another NULL.
 Inner, as-of and range joins and ``semi_join`` drop null-key rows; left
 and outer joins emit them null-extended; an anti join keeps them
-(``NOT EXISTS``).  Every key goes through ``sketches.key_hash`` (buckets)
+(``NOT EXISTS``).  Every key goes through ``sketches.key_hash`` (slices)
 or ``sketches.key_values`` (exact matching), so a key hashes and compares
 alike on both sides and in every block.
 """
@@ -26,11 +26,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..sketches import key_hash, key_values, splitmix64
+from ..sketches import key_values
+from .transport import keyed_map
 
 # asof_join / range_join pack (key_code << 32) | ts_rank into a SIGNED
 # int64, so both halves must stay below 2^31.  Key codes index the
-# distinct keys of the bucket's rows, so bounding the bucket's rows
+# distinct keys of the slice's rows, so bounding the slice's rows
 # bounds both.
 PACK_LIMIT = 1 << 31
 
@@ -107,37 +108,42 @@ def semi_join(left, right, on: str, *, right_on: str | None = None,
                             zero_copy_batch=True)
 
 
-def _co_partition(left, right, tag):
-    """The tagged union of both sides (``tag(side)`` builds each side's
-    block function) grouped by ``__bucket`` — ONE shuffle."""
-    return (left.map_batches(tag(0), batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .union(right.map_batches(tag(1), batch_format="pyarrow",
-                                     zero_copy_batch=True))
-            .groupby("__bucket"))
+def _keyed(side, cols: list[str], on: str, drop_null: bool):
+    """One join side as ``keyed_map`` takes it: its ``cols`` only, and
+    without null-key rows when they can never reach the output (they
+    would all land in the null hash's one slice)."""
+    def fn(t: pa.Table) -> pa.Table:
+        t = t.select(cols)
+        return t.filter(pa.array(key_values(t[on])[1])) if drop_null else t
+    return side.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _tagged(t: pa.Table, side: int, own: list[str], all_cols: list[str],
-            types: dict, h: np.ndarray, num_buckets: int) -> pa.Table:
-    """One side's block in the union's ONE schema: typed null columns
-    for the other side's fields, plus ``__bucket`` (``h % B``) and
-    ``__side`` (non-key column names must be disjoint across sides)."""
-    cols = {c: t[c] if c in own else pa.nulls(t.num_rows, type=types[c])
-            for c in all_cols}
-    cols["__bucket"] = pa.array((h % np.uint64(num_buckets))
-                                .astype(np.int32))
-    cols["__side"] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
-    return pa.table(cols)
+def _source_types(left, right, schema_hint: tuple | None) -> tuple:
+    """(left names, right names, name -> Arrow type over both sides).
+    ``schema_hint=(left_schema, right_schema)`` skips the ``.schema()``
+    calls — on a computed chain (e.g. a rename map over a read) those
+    execute tasks just to learn types the caller already knows from the
+    parquet footer."""
+    lsch, rsch = schema_hint or (left.schema(), right.schema())
+    return lsch.names, rsch.names, {**dict(zip(lsch.names, lsch.types)),
+                                    **dict(zip(rsch.names, rsch.types))}
 
 
-def _drop_null_keys(t: pa.Table, on: str) -> tuple[pa.Table, np.ndarray]:
-    """(rows with a non-null key, their key hashes) — a side whose
-    null-key rows can never reach the output sheds them before the
-    shuffle (they would all land in the null hash's one bucket)."""
-    h, valid = key_hash([t[on]])
-    if valid.all():
-        return t, h
-    return t.filter(pa.array(valid)), h[valid]
+def _side(t: pa.Table, cols: list[str], types: dict) -> pa.Table:
+    """A side's rows in one slice; a side without rows there (a table
+    without columns) becomes the typed empty table of its ``cols``."""
+    return t if t.num_columns else \
+        pa.schema([(c, types[c]) for c in cols]).empty_table()
+
+
+def _typed(res: pd.DataFrame | None, out_types: dict) -> pa.Table:
+    """A per-slice result frame as Arrow columns of the SOURCE types
+    (``out_types``: name -> type), so every slice emits one schema;
+    ``None`` is the typed empty result."""
+    if res is None:
+        return pa.schema(list(out_types.items())).empty_table()
+    return pa.table({name: pa.array(res[name], type=t, from_pandas=True)
+                     for name, t in out_types.items()})
 
 
 def _equi_pairs(lk, lok, rk, rok) -> tuple[np.ndarray, np.ndarray]:
@@ -157,61 +163,37 @@ def _equi_pairs(lk, lok, rk, rok) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lv, cnt), rv[np.argsort(rc, kind="stable")[pos]]
 
 
-def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
+def bucketed_join(left, right, on: str, *,
                   left_cols: list[str] | None = None,
                   right_cols: list[str] | None = None,
                   how: str = "inner",
                   schema_hint: tuple | None = None):
-    """Explicit hash-bucketed join (``how`` = 'inner' | 'left' |
-    'outer'): ONE shuffle keyed on ``key_hash(on) % num_buckets``; each
-    bucket joins its two sides on the exact canonical key values
-    (factorize + counting sort).  Key-hash bucketing spreads any single
-    hot key's *partner* rows with it, so skew shows up as a large
-    bucket — mitigate by raising ``num_buckets``.
+    """Explicit key-routed join (``how`` = 'inner' | 'left' | 'outer'):
+    both sides ride ONE ``transport.keyed_map`` on ``on``; each slice
+    joins its two sides on the exact canonical key values (factorize +
+    counting sort).  Key-hash routing sends any single hot key's
+    *partner* rows with it, so skew shows up as a large slice.
 
-    Left/full-outer semantics work per-bucket with no extra pass
-    because ``key_hash`` is a function of the key VALUE alone — not of
-    the side, the column's width or nullability, or the block — so
-    equal keys from both sides always share a bucket: "no match in my
-    bucket" is "no match anywhere" and the null-extended row emits
-    locally.  Null keys match nothing: inner joins drop them before the
-    shuffle, left/outer joins carry the side(s) they emit
-    null-extended.
+    Left/full-outer semantics work per slice with no extra pass because
+    ``key_hash`` is a function of the key VALUE alone — not of the side,
+    the column's width or nullability, or the block — so equal keys from
+    both sides always share a slice: "no match in my slice" is "no match
+    anywhere" and the null-extended row emits locally.  Null keys match
+    nothing: inner joins drop them before the exchange, left/outer joins
+    carry the side(s) they emit null-extended.
 
     Output blocks are Arrow tables on the SOURCE column types (rows are
-    ``take``n from the bucket's own columns, null-extension is typed
-    nulls), deterministically on every bucket layout."""
-    # schema_hint=(left_schema, right_schema) skips the .schema() calls
-    # — on a computed chain (e.g. a rename map over a read) those
-    # execute tasks just to learn types the caller already knows from
-    # the parquet footer.
-    lsch, rsch = schema_hint if schema_hint else (left.schema(),
-                                                  right.schema())
-    lcols = sorted(set((left_cols or lsch.names) + [on]))
-    rcols = sorted(set((right_cols or rsch.names) + [on]))
-    types = {n: t for n, t in list(zip(lsch.names, lsch.types))
-             + list(zip(rsch.names, rsch.types))}
-    all_cols = sorted(set(lcols) | set(rcols))
+    ``take``n from the slice's own columns, null-extension is typed
+    nulls), deterministically on every slice layout."""
+    lnames, rnames, types = _source_types(left, right, schema_hint)
+    lcols = sorted(set((left_cols or lnames) + [on]))
+    rcols = sorted(set((right_cols or rnames) + [on]))
     # the sides whose null-key rows reach the output
     emit_null = (how != "inner", how == "outer")
-
-    def tag(side: int):
-        own = (lcols, rcols)[side]
-
-        def fn(t: pa.Table) -> pa.Table:
-            if emit_null[side]:
-                h = key_hash([t[on]])[0]
-            else:
-                t, h = _drop_null_keys(t, on)
-            return _tagged(t, side, own, all_cols, types, h, num_buckets)
-        return fn
-
     out_cols = lcols + [c for c in rcols if c != on]
 
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        side = g["__side"].to_numpy()
-        lg = g.filter(pa.array(side == 0)).select(lcols)
-        rg = g.filter(pa.array(side == 1)).select(rcols)
+    def merge(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        lg, rg = _side(lg, lcols, types), _side(rg, rcols, types)
         li, ri = _equi_pairs(*key_values(lg[on]), *key_values(rg[on]))
         parts = [(li, ri)]
         if emit_null[0]:
@@ -232,75 +214,51 @@ def bucketed_join(left, right, on: str, *, num_buckets: int = 32,
 
         return pa.concat_tables([emit(li, ri) for li, ri in parts])
 
-    return _co_partition(left, right, tag).map_groups(
-        merge_bucket, batch_format="pyarrow")
+    return keyed_map((_keyed(left, lcols, on, not emit_null[0]),
+                      _keyed(right, rcols, on, not emit_null[1])),
+                     [on], merge)
 
 
 def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
               left_cols: list[str], right_cols: list[str],
-              tie_col: str | None = None, num_buckets: int = 32,
-              suffix: str = "_asof", schema_hint: tuple | None = None):
+              tie_col: str | None = None, suffix: str = "_asof",
+              schema_hint: tuple | None = None):
     """Distributed as-of (nearest-prior) join: for each left row, the
     right row with the same ``on`` key and the LARGEST ``right_ts`` <=
     ``left_ts`` (ties on ``right_ts`` broken by largest ``tie_col``).
     Inner semantics: left rows with no prior right row, and rows of
     either side with a null key, are dropped.
 
-    Same co-partition shape as :func:`bucketed_join` — ONE shuffle of
-    the tagged union keyed on ``key_hash(on) % num_buckets`` — then a
-    per-bucket vectorized merge: sort the bucket's right side by
-    (key, ts, tie), the left side by key, and ``np.searchsorted`` each
-    left row's (key, ts) upper bound into the right arrays (no per-row
-    Python).  Key-hash bucketing keeps every key's two sides together;
-    skew mitigates by raising ``num_buckets``.
+    Same exchange as :func:`bucketed_join` — ONE ``transport.keyed_map``
+    of both sides on ``on`` — then a per-slice vectorized merge: sort
+    the slice's right side by (key, ts, tie), the left side by key, and
+    ``np.searchsorted`` each left row's (key, ts) upper bound into the
+    right arrays (no per-row Python).  Key-hash routing keeps every
+    key's two sides together.
 
     Timestamps compare as their raw int64 representation (us) — exact,
     no float math — so results match a SQL window/ASOF oracle exactly.
     """
-    lsch, rsch = schema_hint if schema_hint else (left.schema(),
-                                                  right.schema())
+    types = _source_types(left, right, schema_hint)[2]
     lcols = sorted(set(left_cols + [on, left_ts]))
     rcols = sorted(set(right_cols + [on, right_ts]
                        + ([tie_col] if tie_col else [])))
-    types = {n: t for n, t in list(zip(lsch.names, lsch.types))
-             + list(zip(rsch.names, rsch.types))}
-    all_cols = sorted(set(lcols) | set(rcols))
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t, h = _drop_null_keys(t, on)
-            return _tagged(t, side, (lcols, rcols)[side], all_cols, types,
-                           h, num_buckets)
-        return fn
 
     out_right = [c for c in rcols if c not in (on, right_ts)] \
         + [right_ts]
-    # Output schema pinned from the SOURCE arrow types: the tagged
-    # union's typed-null padding demotes the other side's int columns
-    # to float64 inside each pandas bucket frame (NaN rows), so the
-    # merge emits ARROW tables rebuilt per source type — int columns
-    # come back int64, deterministically on every bucket/layout (a
-    # dtype-exact oracle gate sees int64, not a bucket-dependent mix).
-    out_types: dict[str, tuple[str, pa.DataType]] = {
-        c: (c, types[c]) for c in lcols}
+    # Output schema pinned from the SOURCE arrow types, so every slice
+    # emits the same schema whatever its rows' pandas dtypes.
+    out_types = {c: types[c] for c in lcols}
     for c in out_right:
-        out_types[c + (suffix if c in lcols else "")] = (c, types[c])
+        out_types[c + (suffix if c in lcols else "")] = types[c]
 
-    def _emit(res: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            name: pa.array(res[name], type=t, from_pandas=True)
-            for name, (_, t) in out_types.items()})
-
-    _empty = pa.table({name: pa.array([], type=t)
-                       for name, (_, t) in out_types.items()})
-
-    def merge_bucket(g: pd.DataFrame) -> pa.Table:
-        lg = g.loc[g["__side"] == 0, lcols].reset_index(drop=True)
-        rg = g.loc[g["__side"] == 1, rcols]
-        if not len(lg) or not len(rg):
-            return _empty
+    def merge(la: pa.Table, ra: pa.Table) -> pa.Table:
+        if not la.num_rows or not ra.num_rows:
+            return _typed(None, out_types)
+        lg = la.to_pandas()
         rsort = [on, right_ts] + ([tie_col] if tie_col else [])
-        rg = rg.sort_values(rsort, kind="mergesort").reset_index(drop=True)
+        rg = ra.to_pandas().sort_values(rsort, kind="mergesort") \
+            .reset_index(drop=True)
         rk = rg[on].to_numpy()
         rt = _ts_i64(rg[right_ts].to_numpy())
         lk = lg[on].to_numpy()
@@ -310,121 +268,111 @@ def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
         # equal timestamps share a rank, so side='right' - 1 lands on
         # the LAST right row with (key, ts) <= (key, ts)_left — which,
         # with rg sorted by (key, ts, tie), is also the max-tie winner).
-        # ts_rank and key_code < bucket rows, so a bucket must stay
-        # below PACK_LIMIT rows — raise num_buckets long before that.
+        # ts_rank and key_code < slice rows, so a slice must stay below
+        # PACK_LIMIT rows.
         uk = np.unique(np.concatenate([rk, lk]))
         rkc = np.searchsorted(uk, rk).astype(np.int64)
         lkc = np.searchsorted(uk, lk).astype(np.int64)
         allt = np.sort(np.concatenate([rt, lt]))
         if len(allt) >= PACK_LIMIT:
             raise ValueError(
-                f"asof_join bucket holds {len(allt)} rows >= {PACK_LIMIT}; "
-                "raise num_buckets")
+                f"asof_join slice holds {len(allt)} rows >= {PACK_LIMIT}")
         rtr = np.searchsorted(allt, rt, side="left").astype(np.int64)
         ltr = np.searchsorted(allt, lt, side="left").astype(np.int64)
         pos = np.searchsorted((rkc << 32) | rtr, (lkc << 32) | ltr,
                               side="right") - 1
         ok = (pos >= 0) & (rkc[np.maximum(pos, 0)] == lkc)
         if not ok.any():
-            return _empty
+            return _typed(None, out_types)
         res = lg.loc[ok].reset_index(drop=True)
         picked = rg.iloc[pos[ok]].reset_index(drop=True)
         for c in out_right:
             name = c + (suffix if c in res.columns else "")
             res[name] = picked[c].to_numpy()
-        return _emit(res)
+        return _typed(res, out_types)
 
-    return _co_partition(left, right, tag).map_groups(
-        merge_bucket, batch_format="pandas")
+    return keyed_map((_keyed(left, lcols, on, True),
+                      _keyed(right, rcols, on, True)), [on], merge)
 
 
 def range_join(left, right, *, on: str, left_ts: str, right_start: str,
                right_end: str, left_cols: list[str],
-               right_cols: list[str], num_buckets: int = 32,
-               tile_width: int | None = None, suffix: str = "_r",
-               schema_hint: tuple | None = None):
+               right_cols: list[str], tile_width: int | None = None,
+               suffix: str = "_r", schema_hint: tuple | None = None):
     """Distributed interval (range) join: every (left, right) pair with
     equal non-null ``on`` key and ``right_start <= left_ts <
     right_end``.  Inner semantics, one output row per matching pair;
     all comparisons in raw int64 (us for timestamps) so results match a
     SQL non-equi-join oracle exactly.
 
-    Two co-partition modes, same per-bucket vectorized merge:
+    Two routing modes, same per-slice vectorized merge, both ONE
+    ``transport.keyed_map`` of the two sides:
 
-    - ``tile_width=None``: one shuffle keyed on ``key_hash(on) % B`` (the
-      :func:`bucketed_join` shape).  Candidates for a left row are ALL
-      same-key intervals with ``start <= ts`` — fine when keys don't
-      accumulate long histories.
+    - ``tile_width=None``: keyed on ``on`` (the :func:`bucketed_join`
+      shape).  Candidates for a left row are ALL same-key intervals
+      with ``start <= ts`` — fine when keys don't accumulate long
+      histories.
     - ``tile_width=W`` (int, in the ts column's int64 unit): intervals
       replicate once per W-wide time tile they cover (vectorized
       ``np.repeat`` — typically 2 rows for window-style intervals with
-      width <= W) and left rows land in tile ``ts // W``; the shuffle
-      keys on ``key_hash(on)`` mixed with the tile, modulo B.  Each
-      true pair matches in exactly one tile (the left row's), so no
-      dedup pass is needed, candidate scans are bounded by per-tile
-      interval counts rather than a key's full history, and a hot
-      key's timeline spreads
-      across the cluster — the 100-TB shape.  Pick W ~ the typical
-      interval width.
+      width <= W) and left rows land in tile ``ts // W``; the exchange
+      keys on (``on``, tile).  Each true pair matches in exactly one
+      tile (the left row's), so no dedup pass is needed, candidate
+      scans are bounded by per-tile interval counts rather than a key's
+      full history, and a hot key's timeline spreads across the
+      cluster — the 100-TB shape.  Pick W ~ the typical interval width.
 
-    The per-bucket merge is the as-of composite-rank searchsorted with
+    The per-slice merge is the as-of composite-rank searchsorted with
     a counted expansion instead of a single pick: dense (key[, tile])
-    pair codes (exact equality — the bucket hash never decides a
-    match), one ``searchsorted`` pair per bucket for the
+    pair codes (exact equality — the slice hash never decides a
+    match), one ``searchsorted`` pair per slice for the
     ``start <= ts`` upper bounds, ``np.repeat`` expansion of the
     candidate ranges, and an ``end > ts`` filter.  No per-row Python.
-    Composite is ``code << 32 | ts_rank`` — a bucket must stay below
-    ``PACK_LIMIT`` (2^31) rows; raise ``num_buckets`` long before that.
+    Composite is ``code << 32 | ts_rank`` — a slice must stay below
+    ``PACK_LIMIT`` (2^31) rows.
 
     Output pair volume is intrinsic to the join predicate (a key+tile
     with many overlapping intervals genuinely matches many pairs);
-    the expansion is O(candidates), not O(bucket^2).
+    the expansion is O(candidates), not O(slice^2).
     """
-    lsch, rsch = schema_hint if schema_hint else (left.schema(),
-                                                  right.schema())
+    types = _source_types(left, right, schema_hint)[2]
     lcols = sorted(set(left_cols + [on, left_ts]))
     rcols = sorted(set(right_cols + [on, right_start, right_end]))
-    types = {n: t for n, t in list(zip(lsch.names, lsch.types))
-             + list(zip(rsch.names, rsch.types))}
-    all_cols = sorted(set(lcols) | set(rcols))
     tiled = tile_width is not None
     W = np.int64(tile_width if tiled else 1)
+    lside = _keyed(left, lcols, on, True)
+    rside = _keyed(right, rcols, on, True)
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t, kh = _drop_null_keys(t, on)
-            if side == 1 and tiled:
-                # replicate each interval once per covered tile
-                s = _ts_i64(t[right_start].to_numpy(zero_copy_only=False))
-                e = _ts_i64(t[right_end].to_numpy(zero_copy_only=False))
-                t0, t1 = s // W, (e - 1) // W     # end exclusive
-                reps = np.where(e > s, t1 - t0 + 1, 0).astype(np.int64)
-                idx = np.repeat(np.arange(t.num_rows, dtype=np.int64),
-                                reps)
-                tot = int(reps.sum())
-                offs = (np.arange(tot, dtype=np.int64)
-                        - np.repeat(np.cumsum(reps) - reps, reps))
-                tile = t0[idx] + offs
-                t, kh = t.take(idx), kh[idx]
-            elif tiled:
-                tile = _ts_i64(t[left_ts].to_numpy(
-                    zero_copy_only=False)) // W
-            if tiled:
-                kh = splitmix64(kh + splitmix64(tile.view(np.uint64)))
-            out = _tagged(t, side, (lcols, rcols)[side], all_cols, types,
-                          kh, num_buckets)
-            return out.append_column("__tile", pa.array(
-                tile.astype(np.int64))) if tiled else out
-        return fn
+    def tile_left(t: pa.Table) -> pa.Table:
+        return t.append_column("__tile", pa.array(_ts_i64(
+            t[left_ts].to_numpy(zero_copy_only=False)) // W))
 
+    def tile_right(t: pa.Table) -> pa.Table:
+        # replicate each interval once per covered tile
+        s = _ts_i64(t[right_start].to_numpy(zero_copy_only=False))
+        e = _ts_i64(t[right_end].to_numpy(zero_copy_only=False))
+        t0, t1 = s // W, (e - 1) // W     # end exclusive
+        reps = np.where(e > s, t1 - t0 + 1, 0).astype(np.int64)
+        idx = np.repeat(np.arange(t.num_rows, dtype=np.int64), reps)
+        offs = (np.arange(int(reps.sum()), dtype=np.int64)
+                - np.repeat(np.cumsum(reps) - reps, reps))
+        return t.take(idx).append_column("__tile",
+                                         pa.array(t0[idx] + offs))
+
+    if tiled:
+        lside = lside.map_batches(tile_left, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+        rside = rside.map_batches(tile_right, batch_format="pyarrow",
+                                  zero_copy_batch=True)
     out_right = [c for c in right_cols if c != on]
-    extra = ["__tile"] if tiled else []
+    out_types = {c: types[c] for c in left_cols}
+    for c in out_right:
+        out_types[c + (suffix if c in left_cols else "")] = types[c]
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g.loc[g["__side"] == 0, lcols + extra].reset_index(drop=True)
-        rg = g.loc[g["__side"] == 1, rcols + extra].reset_index(drop=True)
-        if not len(lg) or not len(rg):
-            return pd.DataFrame()
+    def merge(la: pa.Table, ra: pa.Table) -> pa.Table:
+        if not la.num_rows or not ra.num_rows:
+            return _typed(None, out_types)
+        lg, rg = la.to_pandas(), ra.to_pandas()
         rk, lk = rg[on].to_numpy(), lg[on].to_numpy()
         uk = np.unique(np.concatenate([rk, lk]))
         rkc = np.searchsorted(uk, rk).astype(np.int64)
@@ -447,8 +395,7 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
         allt = np.sort(np.concatenate([rt_s, lt]))
         if len(allt) >= PACK_LIMIT:
             raise ValueError(
-                f"range_join bucket holds {len(allt)} rows >= {PACK_LIMIT}; "
-                "raise num_buckets")
+                f"range_join slice holds {len(allt)} rows >= {PACK_LIMIT}")
         rtr = np.searchsorted(allt, rt_s, side="left").astype(np.int64)
         ltr = np.searchsorted(allt, lt, side="left").astype(np.int64)
         lo = np.searchsorted(rkc_s, lkc, side="left")
@@ -457,20 +404,20 @@ def range_join(left, right, *, on: str, left_ts: str, right_start: str,
         counts = hi - lo
         tot = int(counts.sum())
         if tot == 0:
-            return pd.DataFrame()
+            return _typed(None, out_types)
         row_of = np.repeat(np.arange(len(lg), dtype=np.int64), counts)
         cand = lo[row_of] + (np.arange(tot, dtype=np.int64)
                              - np.repeat(np.cumsum(counts) - counts,
                                          counts))
         keep = re_s[cand] > lt[row_of]
         if not keep.any():
-            return pd.DataFrame()
+            return _typed(None, out_types)
         res = lg.loc[row_of[keep], left_cols].reset_index(drop=True)
         picked = rg.iloc[order[cand[keep]]].reset_index(drop=True)
         for c in out_right:
             name = c + (suffix if c in res.columns else "")
             res[name] = picked[c].to_numpy()
-        return res
+        return _typed(res, out_types)
 
-    return _co_partition(left, right, tag).map_groups(
-        merge_bucket, batch_format="pandas")
+    return keyed_map((lside, rside), [on] + (["__tile"] if tiled else []),
+                     merge)

@@ -13,21 +13,24 @@ the next.  A single document larger than the capacity gets a bin of
 its own.  Deterministic in (group, order) — no RNG, no cross-group
 coupling.
 
-Scale shape: groups pack in parallel (``groupby(group).map_groups`` —
-ONE exchange keyed on the shard column; at 100 TB the group is the
-natural write shard, so this is the partitioning the sink wants
-anyway).  Within a group the greedy recurrence is sequential by
-definition, but the loop below iterates per BIN, not per row: each
-step is one ``searchsorted`` into the group's cumulative sizes (the
-largest prefix that still fits), so a million-row shard with
-thousand-row bins costs ~1k searchsorted calls plus one vectorized
-assignment — no per-row Python.
+Scale shape: groups pack in parallel (``transport.keyed_map`` — ONE
+exchange keyed on the shard column; at 100 TB the group is the natural
+write shard, so this is the partitioning the sink wants anyway).  Each
+slice task sorts its rows by (group, order) once.  Within a group the
+greedy recurrence is sequential by definition, but the loop below
+iterates per BIN, not per row: each step is one ``searchsorted`` into
+the group's cumulative sizes (the largest prefix that still fits), so a
+million-row shard with thousand-row bins costs ~1k searchsorted calls
+plus one vectorized assignment — no per-row Python.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from .transport import keyed_map
 
 
 def _greedy_bins(sizes: np.ndarray, capacity: int) -> np.ndarray:
@@ -51,10 +54,12 @@ def pack_documents(ds, *, group_col: str, order_col: str, size_col: str,
     """Assign every row a bin index (0-based per group) under greedy
     fixed-capacity packing of ``size_col`` in ``order_col`` order."""
 
-    def pack_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="mergesort").reset_index(drop=True)
-        g[out_col] = _greedy_bins(g[size_col].to_numpy(), capacity)
-        return g
+    def pack_slice(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values([group_col, order_col],
+                                       kind="stable", ignore_index=True)
+        df[out_col] = df.groupby(group_col, sort=False, dropna=False)[
+            size_col].transform(lambda g: _greedy_bins(g.to_numpy(),
+                                                       capacity))
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    return ds.groupby(group_col).map_groups(pack_group,
-                                            batch_format="pandas")
+    return keyed_map(ds, [group_col], pack_slice)

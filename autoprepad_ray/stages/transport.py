@@ -1,5 +1,6 @@
 """Packed payload streams and sorted blocks: the one partial->merge
-fold, the one slice exchange and the one ordered scan.
+fold, the one slice exchange, the one keyed map and the one ordered
+scan.
 
 Every packed stream is ``payload`` rows of pickled objects, optionally
 tagged with ``slice`` and ``kind`` columns, and only this module builds
@@ -17,21 +18,23 @@ bytes) its partials saw, and :func:`sized` turns that layout into the
 plan of a later pass over the same Dataset: many small blocks are
 bundled into about :func:`default_num_parts` tasks.
 
-:func:`keyed_fold` is the one keyed partial->merge reduction: each
-block's partial table routes its rows by the ``sketches.key_hash`` of
-the key columns through the slice exchange below, and one flat task per
-slice merges them.  Any Arrow key type works and all null keys form one
-group.
+:func:`keyed_map` is the one keyed exchange: the rows of one Dataset,
+or of several keyed alike (a join's sides), route by the
+``sketches.key_hash`` of the key columns through the slice exchange
+below, and one task per live slice runs a plain function over them (any
+Arrow key type; all null keys meet in one call).  :func:`keyed_fold` is
+a keyed map over per-block partials plus a driver concat.
 
 Every total-order step (NTILE, DENSE_RANK, systematic sampling, prefix
 dedup, LAG-style transitions, shard layout) runs on :func:`scan`: one
-sort, one ``summarize`` task per sorted block (or just the row counts
-its metadata holds), a driver ``prefix`` over those O(blocks)
+sort (null keys last), one ``summarize`` task per sorted block (or just
+the row counts its metadata holds), a driver ``prefix`` over those O(blocks)
 summaries, and one ``emit`` task per block fed its prefix value.  Row
 data never reaches the driver and no second exchange runs.
 
 The slice exchange carries every key-routed step (censuses, band
-pairing, keyed folds, reconciliation, similarity joins) in four parts:
+pairing, keyed maps and folds, reconciliation, similarity joins) in
+four parts:
 
 1. :func:`slice_of` is the routing rule, ``splitmix64(key) % n``.  A
    co-partitioned step is right only when every side routes by the same
@@ -46,7 +49,8 @@ pairing, keyed folds, reconciliation, similarity joins) in four parts:
 3. :func:`scatter_slices` moves every payload byte once: a few scatter
    tasks split a materialized packed stream into one return object PER
    SLICE (``num_returns=num_slices``; the caller owns those objects), so
-   the task for slice ``s`` is handed only slice-``s`` refs.
+   the task for slice ``s`` is handed only slice-``s`` refs, and a slice
+   no scatter task filled is handed none.
 4. :func:`unpack_cells` turns a per-slice task's cell lists back into
    the payload tuples, in order.
 
@@ -241,15 +245,46 @@ def sized(ds, layout: Layout):
                           zero_copy_batch=True)
 
 
+_STRINGS = (pa.string(), pa.large_string(), pa.binary(), pa.large_binary())
+
+
+def _flag_nulls(t: pa.Table, keys: list[str]) -> pa.Table:
+    """``t`` before :func:`scan`'s sort: an int8 ``__null{i}`` per key (1
+    on a null), which sorts ahead of its key, and string keys' nulls
+    filled (Ray's sort orders boundary keys in numpy: None < str
+    raises)."""
+    for i, k in enumerate(keys):
+        t = t.append_column(f"__null{i}",
+                            pc.cast(pc.is_null(t[k]), pa.int8()))
+        if t[k].type in _STRINGS:
+            t = t.set_column(t.schema.get_field_index(k), k, pc.fill_null(
+                t[k], pa.scalar(b"", t[k].type)))
+    return t
+
+
+def _unflag_nulls(t: pa.Table, keys: list[str]) -> pa.Table:
+    """A sorted block without the ``__null{i}`` columns, its string keys'
+    nulls put back."""
+    for i, k in enumerate(keys):
+        null = pc.equal(t[f"__null{i}"], 1)
+        if t[k].type in _STRINGS and pc.any(null).as_py():
+            col = pa.concat_arrays(t[k].chunks)   # if_else corrupts
+            t = t.set_column(t.schema.get_field_index(k), k, pc.if_else(
+                null, pa.scalar(None, col.type), col))  # offset slices
+    return t.drop_columns([f"__null{i}" for i in range(len(keys))])
+
+
 @ray.remote
-def _scan_task(fn, block, *args):
-    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+def _scan_task(fn, keys: list[str], block, *args):
+    return fn(_unflag_nulls(BlockAccessor.for_block(block).to_arrow(),
+                            keys), *args)
 
 
 def scan(ds, keys: list[str], summarize, prefix, emit, *,
          descending: list[bool] | None = None):
     """The ordered scan: sort ``ds`` by ``keys`` once, then walk its
-    sorted blocks in global order.
+    sorted blocks in global order.  Null keys sort last whether their
+    key ascends or descends (DuckDB's default order).
 
     ``summarize(block)`` runs in one task per non-empty block and
     returns a few picklable scalars; with ``summarize=None`` the
@@ -267,7 +302,11 @@ def scan(ds, keys: list[str], summarize, prefix, emit, *,
     columns.  When Ray reports no schema for the input (an empty
     Dataset after a repartition, or after a map that never ran), the
     result is ``prefix([])``, or a Dataset with no columns."""
-    s = ds.sort(keys, descending=descending or [False] * len(keys)) \
+    desc = descending or [False] * len(keys)
+    s = ds.map_batches(_flag_nulls, fn_args=(keys,), batch_format="pyarrow",
+                       zero_copy_batch=True) \
+        .sort([c for i, k in enumerate(keys) for c in (f"__null{i}", k)],
+              descending=[d for dk in desc for d in (False, dk)]) \
         .materialize()
     refs, counts = [], []
     for bundle in s.iter_internal_ref_bundles():
@@ -282,11 +321,12 @@ def scan(ds, keys: list[str], summarize, prefix, emit, *,
         empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
         out = prefix([summarize(empty) if summarize else 0])
         return out if emit is None else rd.from_arrow(emit(empty, out[0]))
-    out = prefix(ray.get([_scan_task.remote(summarize, r) for r in refs])
+    out = prefix(ray.get([_scan_task.remote(summarize, keys, r)
+                          for r in refs])
                  if summarize else counts)
     if emit is None:
         return out
-    return rd.from_arrow_refs([_scan_task.remote(emit, r, v)
+    return rd.from_arrow_refs([_scan_task.remote(emit, keys, r, v)
                                for r, v in zip(refs, out)])
 
 
@@ -353,8 +393,10 @@ def cell_refs(task, n: int, *args) -> list:
 @ray.remote
 def _scatter_task(num_slices: int, kind: str | None, *blocks):
     """Split packed (slice, payload[, kind]) rows of ``blocks`` into one
-    list-of-payload-bytes return PER SLICE."""
-    out: list[list[bytes]] = [[] for _ in range(num_slices)]
+    list-of-payload-bytes return PER SLICE, plus a last return: the mask
+    of the slices it filled.  Without a ``kind`` filter, a stream's
+    ``kind`` tags ride along: each cell entry is ``(kind, payload)``."""
+    out: list[list] = [[] for _ in range(num_slices)]
     for t in blocks:
         if t.num_rows == 0:
             # Ray emits 0-row blocks with an EMPTY schema (no columns)
@@ -363,9 +405,12 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
             continue
         if kind is not None:
             t = t.filter(pc.equal(t["kind"], kind))
-        for s, p in zip(t["slice"].to_pylist(), t["payload"].to_pylist()):
+        cells = t["payload"].to_pylist()
+        if kind is None and "kind" in t.column_names:
+            cells = list(zip(t["kind"].to_pylist(), cells))
+        for s, p in zip(t["slice"].to_pylist(), cells):
             out[s].append(p)
-    return cells_return(out)
+    return cells_return([*out, np.array([bool(c) for c in out])])
 
 
 def scatter_slices(packed, num_slices: int, *, kind: str | None = None
@@ -377,14 +422,15 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
     value participate (lets a mixed stream — e.g. pass-2 blocks carrying
     both violation tables and band payloads — scatter without a separate
     filtered copy; the non-matching rows are read once per scatter task,
-    never shipped to the per-slice tasks).
+    never shipped to the per-slice tasks).  Without ``kind``, a stream
+    with a ``kind`` column delivers ``(kind, payload)`` pairs.
 
     Returns ``per_slice`` where ``per_slice[s]`` is a list of ObjectRefs
-    each resolving to a ``list[bytes]`` of slice-``s`` payloads (one per
-    scatter task, so every slice gets its list once ``packed`` has a
-    block).  Pass them as top-level ``*args`` to the per-slice task, so
-    Ray fetches exactly the bytes that task owns, and read them with
-    :func:`unpack_cells`.
+    each resolving to a ``list`` of slice-``s`` payloads, one per
+    scatter task that filled slice ``s`` (each task returns its fill
+    mask), so a slice no row reached gets ``[]``.  Pass them
+    as top-level ``*args`` to the per-slice task, so Ray fetches exactly
+    the bytes that task owns, and read them with :func:`unpack_cells`.
     """
     refs = packed.to_arrow_refs()
     if not refs:
@@ -392,41 +438,67 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
     size = packed.size_bytes() or 0
     n_tasks = max(1, min(len(refs),
                          int(size // (num_slices * TARGET_CELL_BYTES))))
-    grids = [cell_refs(_scatter_task, num_slices, num_slices, kind,
+    grids = [cell_refs(_scatter_task, num_slices + 1, num_slices, kind,
                        *(refs[i] for i in group))
              for group in np.array_split(np.arange(len(refs)), n_tasks)
              if len(group)]
-    return [[g[s] for g in grids] for s in range(num_slices)]
+    filled = ray.get([g[-1] for g in grids])
+    return [[g[s] for g, m in zip(grids, filled) if m[s]]
+            for s in range(num_slices)]
 
 
 @ray.remote
-def _keyed_final_task(final, *cells) -> pa.Table | None:
-    parts = [p for p, in unpack_cells(cells)]
-    return final(parts) if parts else None
+def _keyed_map_task(fn, n_sides: int, *cell_lists) -> pa.Table:
+    sides: list[list[pa.Table]] = [[] for _ in range(n_sides)]
+    for cells in cell_lists:
+        for side, p in cells:
+            sides[int(side)].append(pickle.loads(p)[0])
+    return fn(*(pa.concat_tables(ts, promote_options="default") if ts
+                else pa.table({}) for ts in sides))
+
+
+def _pack_side(t: pa.Table, keys: list[str], n: int, side: str):
+    return pack_slices(slice_of(key_hash([t[k] for k in keys])[0], n), t,
+                       kind=side)
+
+
+def _keyed_refs(sides, keys: list[str], fn) -> list:
+    """The output refs of :func:`keyed_map`, one per live slice."""
+    sides = sides if isinstance(sides, tuple) else (sides,)
+    n = default_num_parts()
+    packed = [d.map_batches(_pack_side, fn_args=(keys, n, str(i)),
+                            batch_format="pyarrow", zero_copy_batch=True)
+              for i, d in enumerate(sides)]
+    packed = (packed[0].union(*packed[1:]) if len(packed) > 1
+              else packed[0]).materialize()
+    return [_keyed_map_task.remote(fn, len(sides), *cells)
+            for cells in scatter_slices(packed, n) if cells]
+
+
+def keyed_map(sides, keys: list[str], fn):
+    """Run ``fn`` per key slice: every row of ``sides`` (one Dataset, or
+    a tuple of Datasets that all hold the ``keys`` columns) goes to
+    slice ``slice_of(key_hash(keys), default_num_parts())`` in ONE
+    materialized union execution and one :func:`scatter_slices`.  One
+    task per slice that received a row calls ``fn(*tables) ->
+    pa.Table`` with its rows, one table per side (a side without rows
+    there is a table without columns).  All rows of a key, null
+    included, meet in one call, among the slice's other keys.  Returns
+    the Dataset of the ``fn`` tables (no row at all: an empty Dataset
+    without columns)."""
+    refs = _keyed_refs(sides, keys, fn)
+    return rd.from_arrow_refs(refs) if refs else rd.from_arrow(pa.table({}))
 
 
 def keyed_fold(ds, partial, keys: list[str], final) -> pa.Table | None:
     """Reduce ``ds`` per key: ``partial(block) -> pa.Table`` collapses
-    every block to rows holding the ``keys`` columns, each row goes to
-    slice ``slice_of(key_hash(keys), default_num_parts())``, and one
-    flat task per slice runs ``final(list[pa.Table]) -> pa.Table`` over
-    its rows.  Every slice gets a task once ``ds`` has a block (each
-    scatter task hands every slice one cell list); a task whose slice
-    received no row skips ``final`` and returns None.  All rows of a
-    key, null included, meet in one ``final`` call.  Returns the
-    concatenated ``final`` tables, or None when no slice had a row.
-    One Dataset execution."""
-    n = default_num_parts()
-
-    def pack(t: pa.Table) -> pa.Table:
-        p = partial(t)
-        return pack_slices(slice_of(key_hash([p[k] for k in keys])[0], n),
-                           p)
-
-    packed = ds.map_batches(pack, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-    futs = [_keyed_final_task.remote(final, *cells)
-            for cells in scatter_slices(packed, n) if cells]
-    out = [t for t in ray.get(futs) if t is not None]
+    every block to rows holding the ``keys`` columns, and a
+    :func:`keyed_map` over those rows runs ``final(list[pa.Table]) ->
+    pa.Table`` once per live slice.  All rows of a key, null included,
+    meet in one ``final`` call.  Returns the concatenated ``final``
+    tables on the driver, or None when no partial kept a row."""
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    out = ray.get(_keyed_refs(parts, keys, lambda t: final([t])))
     return pa.concat_tables(out, promote_options="default") if out \
         else None

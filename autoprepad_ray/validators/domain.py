@@ -27,6 +27,16 @@ def learned_domain(vc, *, min_frac: float = 0.005,
     return frozenset(np.asarray(vals)[keep].tolist())
 
 
+def learned_shape_domain(vc, *, min_frac: float = 0.005) -> frozenset:
+    """Format signatures considered in-domain: the :func:`format_signature`
+    of every profiled value, weighted by its count, whose share of the
+    column's values is >= min_frac."""
+    vals, cnts = vc.sorted_arrays()
+    sc = pd.DataFrame({"s": format_signature(pd.Series(list(vals))),
+                       "n": cnts}).groupby("s")["n"].sum()
+    return frozenset(sc[sc / max(1, int(cnts.sum())) >= min_frac].index)
+
+
 def domain_flags(series: pd.Series, domain: frozenset) -> np.ndarray:
     """1 where the value is outside the learned/declared domain."""
     return (~series.isin(domain) & series.notna()).to_numpy(np.int8)

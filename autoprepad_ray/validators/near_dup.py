@@ -224,8 +224,8 @@ def _segment_pairs(keys: np.ndarray, ids: np.ndarray, ph: np.ndarray,
             "id_b": pd.Series(np.concatenate(out_b)),
             "dist": pd.Series(np.concatenate(out_d), dtype=np.int64)})
     else:
-        # typed even when empty: map_groups concatenates per-group frames
-        # and an untyped empty column would break schema unification
+        # typed even when empty: per-slice frames concatenate, and an
+        # untyped empty column would break schema unification
         df = pd.DataFrame({
             "id_a": pd.Series(np.asarray([], dtype=ids.dtype)),
             "id_b": pd.Series(np.asarray([], dtype=ids.dtype)),

@@ -6,12 +6,10 @@ check AutoPrepAD leaves out of scope (its anomaly flags are
 single-table; reference pipelines/control.py:89-107) but a warehouse
 validation engine needs as a first-class op.
 
-Scale shape: both tables stream ONE pass each through the slice
-exchange of ``stages.transport``: each block's rows pack per orderkey
-slice (``slice_of`` routes both tables alike, so an order's header and
-detail rows meet in one slice), ``scatter_slices`` moves every payload
-byte once (multi-node safe), and one flat task per slice folds its own
-orders completely:
+Scale shape: both tables stream ONE pass each through one
+``stages.transport.keyed_map`` on the orderkey (both tables route
+alike, so an order's header and detail rows meet in one slice task),
+and each slice task folds its own orders completely:
 
 - lexsort the slice's detail rows by (orderkey, linenumber) and
   ``np.add.reduceat`` per order — a strictly sequential in-linenumber
@@ -35,10 +33,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
-from ..stages.transport import (merge_concat, pack_slices, scatter_slices,
-                                slice_of, unpack_cells)
+from ..sketches import np_object
+from ..stages.transport import keyed_map
 
 
 def _term(t: pa.Table) -> np.ndarray:
@@ -48,76 +44,63 @@ def _term(t: pa.Table) -> np.ndarray:
     return ep * (1.0 - disc) * (1.0 + tax)
 
 
-@ray.remote
-def _reconcile_slice(n_li: int, *cells):
-    """Fold one orderkey-hash slice: recompute per-order totals from the
-    detail payloads, diff against the header payloads, return per-group
-    (n, sum) partials.  ``cells[:n_li]`` are detail list[bytes] cells,
-    the rest header cells."""
-    li_parts = unpack_cells(cells[:n_li])
-    od_parts = unpack_cells(cells[n_li:])
-    if not li_parts or not od_parts:
-        return {}
-    ok, ln, tm = merge_concat(li_parts)
+def _reconcile_slice(li: pa.Table, od: pa.Table) -> pa.Table:
+    """Fold one orderkey slice: recompute per-order totals from its
+    detail rows (``k``, ``ln``, ``term``), diff them against its header
+    rows (``k``, ``tp``, ``grp``) and return per-group (n, sum)
+    partials."""
+    if not li.num_rows or not od.num_rows:
+        return pa.table({"grp": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64()),
+                         "s": pa.array([], pa.float64())})
+
+    def col(t: pa.Table, c: str) -> np.ndarray:
+        return t[c].to_numpy(zero_copy_only=False)
+
+    ok, ln, tm = col(li, "k"), col(li, "ln"), col(li, "term")
     order = np.lexsort((ln, ok))
     ok, tm = ok[order], tm[order]
     starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
     rec_key = ok[starts]                       # sorted unique orderkeys
     rec_sum = np.add.reduceat(tm, starts)      # sequential per segment
 
-    hk, tp, gp = merge_concat(od_parts)
+    hk, tp, gp = col(od, "k"), col(od, "tp"), np_object(col(od, "grp"))
     pos = np.searchsorted(rec_key, hk)
     hit = (pos < len(rec_key))
     hit[hit] = rec_key[pos[hit]] == hk[hit]
     diff = tp[hit] - rec_sum[pos[hit]]
-    grp = gp[hit]
-    uniq, inv = np.unique(grp, return_inverse=True)
-    n = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
+    uniq, inv = np.unique(gp[hit], return_inverse=True)
     s = np.zeros(len(uniq), dtype=np.float64)
     np.add.at(s, inv, diff)
-    return {str(u): (int(cn), float(cs))
-            for u, cn, cs in zip(uniq, n, s)}
+    return pa.table({"grp": pa.array(uniq.tolist(), pa.string()),
+                     "n": np.bincount(inv, minlength=len(uniq))
+                     .astype(np.int64), "s": s})
 
 
-def reconcile_order_totals(orders_ds, lineitem_ds, *,
-                           num_slices: int = 32) -> pd.DataFrame:
+def reconcile_order_totals(orders_ds, lineitem_ds) -> pd.DataFrame:
     """Per-o_orderpriority reconciliation of ``o_totalprice`` against
     the lineitem charge roll-up: returns (o_orderpriority, n_orders,
     total_diff) with total_diff = ROUND(SUM(o_totalprice - recomputed),
     2) over orders that HAVE lineitems (inner-join semantics)."""
-    def li_cols(t: pa.Table):
-        return [t["l_linenumber"].to_numpy(zero_copy_only=False)
-                .astype(np.int64), _term(t)]
+    def li(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t["l_orderkey"], "ln": t["l_linenumber"],
+                         "term": _term(t)})
 
-    def od_cols(t: pa.Table):
-        from ..sketches import np_object
-        return [t["o_totalprice"].to_numpy(zero_copy_only=False)
-                .astype(np.float64),
-                np_object(t["o_orderpriority"].to_numpy(
-                    zero_copy_only=False))]
+    def od(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t["o_orderkey"], "tp": t["o_totalprice"],
+                         "grp": t["o_orderpriority"]})
 
-    def cells(ds, key_col: str, cols_fn):
-        def pack(t: pa.Table) -> pa.Table:
-            keys = t[key_col].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            return pack_slices(slice_of(keys, num_slices), keys,
-                               *cols_fn(t))
-
-        return scatter_slices(ds.map_batches(
-            pack, batch_format="pyarrow", zero_copy_batch=True)
-            .materialize(), num_slices)
-
-    li_cells = cells(lineitem_ds, "l_orderkey", li_cols)
-    od_cells = cells(orders_ds, "o_orderkey", od_cols)
-    futs = [_reconcile_slice.remote(len(li_cells[s]),
-                                    *li_cells[s], *od_cells[s])
-            for s in range(num_slices)]
+    parts = keyed_map(tuple(ds.map_batches(f, batch_format="pyarrow",
+                                           zero_copy_batch=True)
+                            for ds, f in ((lineitem_ds, li),
+                                          (orders_ds, od))),
+                      ["k"], _reconcile_slice).to_pandas() \
+        .reindex(columns=["grp", "n", "s"])
     agg: dict[str, list] = {}
-    for part in ray.get(futs):
-        for g, (n, s) in part.items():
-            cur = agg.setdefault(g, [0, 0.0])
-            cur[0] += n
-            cur[1] += s
+    for g, n, s in parts.itertuples(index=False):
+        cur = agg.setdefault(g, [0, 0.0])
+        cur[0] += n
+        cur[1] += s
     rows = [{"o_orderpriority": g, "n_orders": n,
              "total_diff": round(s, 2)}
             for g, (n, s) in sorted(agg.items())]

@@ -22,8 +22,8 @@ def test_asof_basic_and_ties(ray_session):
                           "val": [100.0, 200.0, 50.0, 7.0, 8.0]})
     out = asof_join(_ds(left), _ds(right), on="k", left_ts="t",
                     right_ts="rt", left_cols=["lid"],
-                    right_cols=["val"], tie_col="tie",
-                    num_buckets=4).to_pandas().set_index("lid")
+                    right_cols=["val"], tie_col="tie").to_pandas() \
+        .set_index("lid")
     # lid=0 (k=1,t=10): rt<=10 max rt=9 -> val 50
     assert out.loc[0, "val"] == 50.0
     # lid=1 (k=1,t=5): rt=5 twice -> tie-break max tie=20 -> val 200
@@ -47,8 +47,7 @@ def test_asof_matches_merge_asof_oracle(ray_session):
         "tie": rng.permutation(nr), "val": rng.normal(size=nr)})
     got = asof_join(_ds(left), _ds(right), on="k", left_ts="t",
                     right_ts="rt", left_cols=["lid"],
-                    right_cols=["val", "tie"], tie_col="tie",
-                    num_buckets=8).to_pandas() \
+                    right_cols=["val", "tie"], tie_col="tie").to_pandas() \
         .sort_values("lid").reset_index(drop=True)
     # oracle: merge_asof over ts-sorted frames; right pre-sorted by
     # (rt, tie) so the last row <= t for a key is the max-tie winner
@@ -67,12 +66,14 @@ def test_asof_matches_merge_asof_oracle(ray_session):
 
 
 def test_asof_pack_limit_both_arms(ray_session, monkeypatch):
-    """The signed (key_code << 32) | ts_rank composite needs a bucket
-    below join.PACK_LIMIT rows: one bucket of exactly the limit raises,
+    """The signed (key_code << 32) | ts_rank composite needs a slice
+    below join.PACK_LIMIT rows: one slice of exactly the limit raises,
     one row under it joins normally."""
     import pytest
 
-    from autoprepad_ray.stages import join
+    from autoprepad_ray.stages import join, transport
+
+    monkeypatch.setattr(transport, "default_num_parts", lambda: 1)
 
     left = pd.DataFrame({"k": [1, 1, 2, 3], "t": [10, 5, 7, 4],
                          "lid": [0, 1, 2, 3]})
@@ -82,11 +83,11 @@ def test_asof_pack_limit_both_arms(ray_session, monkeypatch):
     def run():
         return join.asof_join(_ds(left), _ds(right), on="k", left_ts="t",
                               right_ts="rt", left_cols=["lid"],
-                              right_cols=["val"], num_buckets=1) \
+                              right_cols=["val"]) \
             .to_pandas().set_index("lid")["val"].to_dict()
 
     monkeypatch.setattr(join, "PACK_LIMIT", 8)          # 7 rows: passes
     assert run() == {0: 50.0, 1: 100.0, 2: 8.0}
     monkeypatch.setattr(join, "PACK_LIMIT", 7)
-    with pytest.raises(ValueError, match="asof_join bucket holds 7 rows"):
+    with pytest.raises(ValueError, match="asof_join slice holds 7 rows"):
         run()

@@ -135,8 +135,8 @@ def test_joins_native_and_bucketed():
     exp = (l.to_pandas().merge(r.to_pandas(), on="k")
            .sort_values(["k", "a"]).reset_index(drop=True))
     got_b = (bucketed_join(rd.from_arrow(l).repartition(2),
-                           rd.from_arrow(r).repartition(2), "k",
-                           num_buckets=4).to_pandas()
+                           rd.from_arrow(r).repartition(2), "k")
+             .to_pandas()
              .sort_values(["k", "a"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got_b[["k", "a", "b"]],
                                   exp[["k", "a", "b"]], check_dtype=False)
@@ -164,7 +164,7 @@ def test_bucketed_join_outer_modes(how):
            .sort_values(["k", "a"]).reset_index(drop=True))
     got = (bucketed_join(rd.from_arrow(l).repartition(3),
                          rd.from_arrow(r).repartition(2), "k",
-                         num_buckets=4, how=how).to_pandas()
+                         how=how).to_pandas()
            .sort_values(["k", "a"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got[["k", "a", "b"]],
                                   exp[["k", "a", "b"]], check_dtype=False)
@@ -215,8 +215,8 @@ def test_bucketed_join_keeps_allnull_column():
                   "a": pa.array([None, None], type=pa.int64())})
     r = pa.table({"k": pa.array([1, 2], type=pa.int64()),
                   "b": pa.array(["x", "y"])})
-    out = bucketed_join(rd.from_arrow(l), rd.from_arrow(r), "k",
-                        num_buckets=2).to_pandas()
+    out = bucketed_join(rd.from_arrow(l), rd.from_arrow(r),
+                        "k").to_pandas()
     assert len(out) == 2
     assert "a" in out.columns and out["a"].isna().all()
     assert sorted(out["b"]) == ["x", "y"]

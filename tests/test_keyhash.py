@@ -139,7 +139,7 @@ def test_bucketed_inner_join_null_left_key_keeps_all_matches():
                     "a": pa.array(range(41), pa.int64())})
     right = _blocks({"k": pa.array(range(40), pa.int64()),
                      "b": pa.array(range(40), pa.int64())})
-    out = _rows(bucketed_join(left, right, "k", num_buckets=4),
+    out = _rows(bucketed_join(left, right, "k"),
                 ["k", "a", "b"])
     assert out == sorted(((i, i, i) for i in range(40)), key=repr)
 
@@ -151,10 +151,10 @@ def test_bucketed_join_never_matches_null_keys():
                      "b": pa.array([10], pa.int64())},
                     {"k": pa.array([1], pa.int64()),
                      "b": pa.array([11], pa.int64())})
-    out = _rows(bucketed_join(left, right, "k", num_buckets=4),
+    out = _rows(bucketed_join(left, right, "k"),
                 ["k", "a", "b"])
     assert out == [(1, 1, 11)]
-    outer = _rows(bucketed_join(left, right, "k", num_buckets=4,
+    outer = _rows(bucketed_join(left, right, "k",
                                 how="outer"), ["k", "a", "b"])
     assert outer == sorted([(1, 1, 11), (None, 2, None),
                             (None, None, 10)], key=repr)
@@ -179,7 +179,7 @@ def test_float_keys_match_alike_in_semi_and_bucketed_join():
                   {c: L[c].slice(2) for c in L.column_names})
     rds = _blocks({c: R[c].slice(0, 3) for c in R.column_names},
                   {c: R[c].slice(3) for c in R.column_names})
-    inner = _rows(bucketed_join(lds, rds, "k", num_buckets=4,
+    inner = _rows(bucketed_join(lds, rds, "k",
                                 left_cols=["a"], right_cols=["b"]),
                   ["a", "b"])
     assert inner == _sql("SELECT a, b FROM L JOIN R ON L.k = R.k",
@@ -275,7 +275,7 @@ def test_every_key_site_is_layout_free_and_matches_duckdb(case):
     # equi joins: a null key never matches
     for how, sql_how in (("inner", "JOIN"), ("left", "LEFT JOIN"),
                          ("outer", "FULL OUTER JOIN")):
-        got = _rows(bucketed_join(lds, rds, "k", num_buckets=4, how=how,
+        got = _rows(bucketed_join(lds, rds, "k", how=how,
                                   left_cols=["a"], right_cols=["b"]),
                     ["a", "b"])
         assert got == _sql(f"SELECT a, b FROM L {sql_how} R ON L.k = R.k",
@@ -283,8 +283,8 @@ def test_every_key_site_is_layout_free_and_matches_duckdb(case):
 
     # as-of: largest rts <= lts, ties by largest b
     got = _rows(asof_join(lds, rds, on="k", left_ts="lts", right_ts="rts",
-                          left_cols=["a"], right_cols=["b"], tie_col="b",
-                          num_buckets=4), ["a", "b"])
+                          left_cols=["a"], right_cols=["b"], tie_col="b"),
+                ["a", "b"])
     assert got == _sql(
         "SELECT a, b FROM (SELECT a, b, ROW_NUMBER() OVER (PARTITION BY a "
         "ORDER BY rts DESC, b DESC) AS rn FROM L JOIN R ON L.k = R.k "
@@ -297,7 +297,7 @@ def test_every_key_site_is_layout_free_and_matches_duckdb(case):
         got = _rows(range_join(lds, rds, on="k", left_ts="lts",
                                right_start="rts", right_end="rte",
                                left_cols=["a"], right_cols=["b"],
-                               num_buckets=4, tile_width=tile), ["a", "b"])
+                               tile_width=tile), ["a", "b"])
         assert got == want, tile
 
     # semi / anti: EXISTS and NOT EXISTS

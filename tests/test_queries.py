@@ -330,18 +330,26 @@ def test_cc_orders_sharing_part_null_key_guard(ray_session, tmp_path):
 
 
 def test_full_outer_user_day_activity_uid_bound(ray_session, tmp_path):
-    """user_id >= 2^43 overflows user_id * 2^20 in int64: the packing
-    guard must raise instead of folding a wrapped key."""
+    """The (user_id, day) key is two key columns, not a packed int64:
+    user ids at and past 2^43 (where user_id << 20 overflowed) and
+    negative ids come back exact, each with its own day."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    ids = [1 << 43, (1 << 62) + 1, -7, 5, 1 << 43]
     pq.write_table(pa.table({
-        "user_id": pa.array([1 << 43, 5], pa.int64()),
-        "ts": pa.array([1_600_000_000_000_000] * 2, pa.timestamp("us")),
-        "event_type": pa.array(["purchase", "error"])}),
+        "user_id": pa.array(ids, pa.int64()),
+        "ts": pa.array([1_600_000_000_000_000] * 4
+                       + [1_600_086_400_000_000], pa.timestamp("us")),
+        "event_type": pa.array(["purchase", "error", "purchase", "error",
+                                "error"])}),
         str(tmp_path / "events.parquet"))
-    with pytest.raises(Exception, match="packing range"):
-        _to_pandas(QUERIES["full_outer_user_day_activity"](str(tmp_path)))
+    got = _to_pandas(QUERIES["full_outer_user_day_activity"](
+        str(tmp_path))).sort_values(["user_id", "day"])
+    day = 1_600_000_000_000_000 // 86_400_000_000
+    assert got.astype(object).where(got.notna(), None).values.tolist() == [
+        [-7, day, 1, None], [5, day, None, 1], [1 << 43, day, 1, None],
+        [1 << 43, day + 1, None, 1], [(1 << 62) + 1, day, None, 1]]
 
 
 def test_entry_point_key_sets_follow_registry_order():

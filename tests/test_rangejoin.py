@@ -21,8 +21,8 @@ def _brute(lk, lt, lid, rk, rs, re, rid):
     return sorted(out)
 
 
-def _engine(lk, lt, lid, rk, rs, re, rid, *, tile_width, key_type=pa.int64(),
-            num_buckets=8):
+def _engine(lk, lt, lid, rk, rs, re, rid, *, tile_width,
+            key_type=pa.int64()):
     left = rd.from_arrow(pa.table({
         "k": pa.array(list(lk), key_type), "ts": pa.array(lt, pa.int64()),
         "lid": pa.array(lid, pa.int64())}))
@@ -31,7 +31,7 @@ def _engine(lk, lt, lid, rk, rs, re, rid, *, tile_width, key_type=pa.int64(),
         "e": pa.array(re, pa.int64()), "rid": pa.array(rid, pa.int64())}))
     out = range_join(left, right, on="k", left_ts="ts", right_start="s",
                      right_end="e", left_cols=["lid"], right_cols=["rid"],
-                     num_buckets=num_buckets, tile_width=tile_width)
+                     tile_width=tile_width)
     df = out.to_pandas()
     return sorted(zip(df["lid"].astype(np.int64).tolist(),
                       df["rid"].astype(np.int64).tolist()))
@@ -111,12 +111,13 @@ def test_range_join_pack_limit_both_arms(ray_session, monkeypatch):
     one row under it joins normally."""
     import pytest
 
-    from autoprepad_ray.stages import join
+    from autoprepad_ray.stages import join, transport
 
+    monkeypatch.setattr(transport, "default_num_parts", lambda: 1)
     case = _rand_case(3, n_left=30, n_right=12)
     exp = _brute(*case)
     monkeypatch.setattr(join, "PACK_LIMIT", 43)        # 42 rows: passes
-    assert _engine(*case, tile_width=None, num_buckets=1) == exp
+    assert _engine(*case, tile_width=None) == exp
     monkeypatch.setattr(join, "PACK_LIMIT", 42)
-    with pytest.raises(ValueError, match="range_join bucket holds 42 rows"):
-        _engine(*case, tile_width=None, num_buckets=1)
+    with pytest.raises(ValueError, match="range_join slice holds 42 rows"):
+        _engine(*case, tile_width=None)

@@ -194,3 +194,50 @@ def test_systematic_sample_random_layouts(n, stride, blocks, seed):
     exp = pd.DataFrame({"id": np.arange(n)[keep], "cum_weight": cum[keep]})
     pd.testing.assert_frame_equal(got, exp, check_dtype=False,
                                   check_index_type=False)
+
+
+_NULLABLE_STR = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, 12), data=st.data(), **_layouts)
+def test_ntile_random_layouts_nullable_strings(n, k, blocks, seed, data):
+    """Null string keys sort last (DuckDB's order), apart from ''."""
+    rng = np.random.default_rng(seed)
+    v = data.draw(st.lists(_NULLABLE_STR, min_size=n, max_size=n))
+    ids = rng.permutation(n).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"id": ids, "v": pa.array(v, pa.string())})) \
+        .repartition(blocks)
+    got = (ntile(ds, ["v", "id"], k, keep_cols=["id"]).to_pandas()
+           .reindex(columns=["id", "bucket"])
+           .sort_values("id").reset_index(drop=True))
+    df = pd.DataFrame({"id": ids, "v": pd.Series(v, dtype=object)})
+    pd.testing.assert_frame_equal(got, _oracle(df, k), check_dtype=False,
+                                  check_index_type=False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(parts=st.integers(1, 3), desc=st.booleans(), data=st.data(),
+       **_layouts)
+def test_dense_rank_random_layouts_nullable_strings(n, parts, desc, data,
+                                                    blocks, seed):
+    """All null keys share one rank, after every string in either
+    direction (DuckDB's order); '' is a value of its own."""
+    rng = np.random.default_rng(seed)
+    v = data.draw(st.lists(_NULLABLE_STR, min_size=n, max_size=n))
+    p = rng.integers(0, parts, n).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"id": np.arange(n, dtype=np.int64),
+                                 "p": p, "v": pa.array(v, pa.string())})) \
+        .repartition(blocks)
+    got = (dense_rank(ds, ["p", "v"], partition_col="p", keep_cols=["id"],
+                      descending=[False, desc])
+           .to_pandas().reindex(columns=["id", "drank"])
+           .sort_values("id").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", pd.DataFrame({"id": np.arange(n, dtype=np.int64),
+                                    "p": p, "v": pd.Series(v, dtype=object)}))
+    exp = con.execute(
+        "SELECT id, DENSE_RANK() OVER (PARTITION BY p ORDER BY v "
+        f"{'DESC' if desc else 'ASC'}) AS drank FROM t ORDER BY id").df()
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False,
+                                  check_index_type=False)

@@ -715,13 +715,16 @@ def test_prefix_dup_flags_bruteforce():
 ], ids=["mega_run", "second_distinct", "final_run"])
 def test_prefix_dup_single_run_spanning_blocks(blocks, flags, monkeypatch):
     """Runs that span sorted blocks.  Ray's sort keeps equal keys in one
-    block, so the scan's sort hands back the given sorted layout."""
+    block, so the scan's sort hands back the given sorted layout (with
+    the scan's per-key null flag column, all 0: no text is null)."""
     from autoprepad_ray.stages.dedup import prefix_dup_flags
     texts = [x for b in blocks for x in b]
     starts = np.cumsum([0] + [len(b) for b in blocks])
     laid_out = rd.from_arrow([pa.table({
         "doc_id": pa.array(range(s, s + len(b)), pa.int64()),
-        "text": pa.array(b)}) for s, b in zip(starts, blocks)])
+        "text": pa.array(b),
+        "__null0": pa.array([0] * len(b), pa.int8())})
+        for s, b in zip(starts, blocks)])
     monkeypatch.setattr(rd.Dataset, "sort", lambda self, *a, **k: laid_out)
     got = prefix_dup_flags(rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), pa.int64()),

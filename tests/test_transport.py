@@ -6,13 +6,15 @@ fan-out that ships every block to every task is O(slices x stream)
 network on a multi-node cluster).  Only ``stages/transport.py`` packs
 or unpacks slice cells.
 
-The keyed fold (``keyed_fold``) built on it must reproduce an exact
-pandas groupby under every merge, whatever the key type (nulls one
-group), empty slices and partials that keep nothing, and run ``final``
-once per slice.
+The keyed map (``keyed_map``) and the keyed fold (``keyed_fold``) built
+on it must reproduce an exact pandas groupby on any block layout,
+whatever the key type (nulls one group), on one side or two, with
+empty slices and partials that keep nothing; they run one task per
+slice that received a row, never one for an empty slice.
 
 Only ``stages/transport.py`` sorts a Dataset and walks its sorted
-blocks (the ordered scan)."""
+blocks (the ordered scan), and no library module calls Ray's
+sort-groupby."""
 
 import pathlib
 import pickle
@@ -31,10 +33,12 @@ import ray.data as rd
 
 import autoprepad_ray
 from autoprepad_ray.sketches import key_hash
+from autoprepad_ray.stages import transport
 from autoprepad_ray.stages.transport import (default_num_parts, keyed_fold,
-                                             kind_rows, merge_groups,
-                                             pack_slices, scatter_slices,
-                                             slice_of, unpack_cells)
+                                             keyed_map, kind_rows,
+                                             merge_groups, pack_slices,
+                                             scatter_slices, slice_of,
+                                             unpack_cells)
 
 
 def _packed_ds(num_blocks, slices_per_block, num_slices, *, kind=None,
@@ -100,9 +104,19 @@ def test_scatter_empty_stream():
     empty = rd.from_arrow(pa.table({
         "slice": pa.array([], type=pa.int32()),
         "payload": pa.array([], type=pa.large_binary())})).materialize()
-    per_slice = scatter_slices(empty, 5)
-    assert all(not ray.get(refs) or all(not c for c in ray.get(refs))
-               for refs in per_slice)
+    assert scatter_slices(empty, 5) == [[]] * 5
+
+
+def test_scatter_hands_empty_slices_no_cell():
+    """A slice no scatter task filled gets no ref at all, so its task
+    need not start; a filled slice gets one ref per task that filled
+    it."""
+    packed = _packed_ds(4, 1, 50, seed=8)
+    live = {s for t in packed.to_arrow_refs()
+            for s in ray.get(t)["slice"].to_pylist()}
+    per_slice = scatter_slices(packed, 50)
+    assert {s for s, refs in enumerate(per_slice) if refs} == live
+    assert all(all(ray.get(refs)) for refs in per_slice)
 
 
 _TEXT = st.one_of(st.none(), st.text(alphabet="abxyz", max_size=30))
@@ -252,15 +266,29 @@ def test_keyed_fold_matches_pandas_groupby():
                                   check_exact=False, atol=1e-9)
 
 
-def test_keyed_fold_empty_slices_keep_schema():
-    # 2 keys -> at least 14 of the (>= 16) slices are empty; their tasks
-    # skip final, and the result keeps every column's type
+class _CountedTask:
+    """A stand-in for a remote function that counts its launches."""
+
+    def __init__(self, task):
+        self.task, self.calls = task, 0
+
+    def remote(self, *args):
+        self.calls += 1
+        return self.task.remote(*args)
+
+
+def test_keyed_fold_empty_slices_keep_schema(monkeypatch):
+    # 2 keys -> at least 14 of the (>= 16) slices are empty: no task
+    # starts for them, and the result keeps every column's type
     df = pd.DataFrame({"k": np.array([1, 1, 2], dtype=np.int64),
                        "a": np.array([5, 7, -1], dtype=np.int64),
                        "x": np.array([0.5, 0.25, 1.0])})
     n = default_num_parts()
     assert n - len(set(slice_of(key_hash([df["k"]])[0], n))) >= 14
+    counted = _CountedTask(transport._keyed_map_task)
+    monkeypatch.setattr(transport, "_keyed_map_task", counted)
     out = _folded(_from_frame(df, 1))
+    assert 1 <= counted.calls <= 2
     pd.testing.assert_frame_equal(out, _expected(df))
     assert out["sx"].dtype == np.float64
     assert out["n"].dtype == np.int64
@@ -345,6 +373,126 @@ def test_keyed_fold_nullable_keys_are_one_group():
         {"k": None, "hi": 5, "lo": 2, "sx": 6.25, "n": 3},
         {"k": 2 ** 53 + 1, "hi": 7, "lo": 3, "sx": 17.0, "n": 2}],
         key=repr)
+
+
+_KEY = {"int": (st.integers(-3, 3), pa.int64()),
+        "str": (st.sampled_from(["a", "b", "", "ab", "zz"]), pa.string())}
+
+
+@st.composite
+def _keyed_map_case(draw):
+    kind = draw(st.sampled_from(sorted(_KEY)))
+    keys, typ = _KEY[kind]
+
+    def side():
+        n = draw(st.integers(0, 40))
+        ks = draw(st.lists(st.one_of(st.none(), keys), min_size=n,
+                           max_size=n))
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=0,
+                                    max_size=8)))
+        return ks, [0, *cuts, n]
+    return typ, side(), (side() if draw(st.booleans()) else None)
+
+
+def _blocks_of(ks, bounds, typ, tag):
+    t = pa.table({"k": pa.array(ks, typ),
+                  "row": pa.array([f"{tag}{i}" for i in range(len(ks))])})
+    return rd.from_arrow([t.slice(lo, hi - lo)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _groups(*tables) -> pa.Table:
+    """One row per key of a slice call: its sorted row tags per side and
+    a tag for the call, so a key split over two calls shows."""
+    frames = [t.to_pandas() if t.num_columns else
+              pd.DataFrame({"k": [], "row": []}) for t in tables]
+    keys = pd.unique(pd.concat([f["k"] for f in frames]))
+    call = uuid.uuid4().hex
+    return pa.table({
+        "k": pa.array([None if pd.isna(k) else k for k in keys]),
+        "call": pa.array([call] * len(keys)),
+        **{f"rows{i}": pa.array([
+            " ".join(sorted(f.loc[(f["k"].isna() if pd.isna(k)
+                                   else f["k"] == k), "row"]))
+            for k in keys]) for i, f in enumerate(frames)}})
+
+
+@settings(max_examples=20, deadline=None)
+@given(_keyed_map_case())
+def test_keyed_map_matches_pandas_groupby(case):
+    """Random block layouts (1-9 blocks a side), nullable int or string
+    keys, one side or two: every key's rows, all null keys included,
+    meet in exactly one ``fn`` call, which sees each side's rows of
+    that key — a one-process pandas groupby of the same rows."""
+    typ, left, right = case
+    sides = [_blocks_of(*left, typ, "l")]
+    frames = [pd.DataFrame({"k": left[0],
+                            "row": [f"l{i}" for i in range(len(left[0]))]})]
+    if right is not None:
+        sides.append(_blocks_of(*right, typ, "r"))
+        frames.append(pd.DataFrame({
+            "k": right[0], "row": [f"r{i}" for i in range(len(right[0]))]}))
+    got = keyed_map(tuple(sides) if right else sides[0], ["k"], _groups) \
+        .to_pandas()
+    exp = {}
+    for i, f in enumerate(frames):
+        for k, g in f.groupby("k", dropna=False):
+            exp.setdefault(None if pd.isna(k) else k,
+                           [""] * len(frames))[i] = " ".join(sorted(g["row"]))
+    if not exp:
+        assert len(got) == 0
+        return
+    assert got["k"].map(lambda k: None if pd.isna(k) else k).is_unique
+    assert {(None if pd.isna(r["k"]) else r["k"]):
+            [r[f"rows{i}"] for i in range(len(frames))]
+            for _, r in got.iterrows()} == exp
+
+
+def test_only_transport_routes_keys():
+    """One keyed exchange: no library module calls Ray's sort-groupby
+    (``map_groups``, ``ray.data.aggregate``) or builds a ``__bucket``
+    routing column of its own."""
+    root = pathlib.Path(autoprepad_ray.__file__).parent
+    offenders = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
+                 if re.search(r"\.map_groups\(|from ray\.data\.aggregate"
+                              r"|__bucket", f.read_text())]
+    assert offenders == []
+
+
+_KEYED_QUERIES = [
+    "token_totals_by_lang", "pattern_shapes_customer", "ann_topk_embeddings",
+    "ivf_topk_embeddings", "ffill_events_by_user", "bfill_events_by_user",
+    "join_order_revenue_by_status", "asof_join_events_orders",
+    "range_join_purchase_window", "pack_documents_bins",
+    "rolling_window_events", "sessionize_events", "top_events_per_user",
+    "pivot_event_type_counts", "running_total_docs",
+    "user_event_sequences", "full_outer_user_day_activity",
+    "session_stats_events", "funnel_stages_events",
+    "interarrival_quantiles_users", "resample_daily_locf_events",
+    "top_customers", "exact_dedup_lineitem", "reconcile_order_totals"]
+
+
+def test_keyed_steps_never_call_dataset_groupby(monkeypatch):
+    """The keyed queries, the exact-dedup operator and the quota sampler
+    run end to end at sf0.001 with ``Dataset.groupby`` made to raise."""
+    from autoprepad_ray.functions.sampling import quota_sample
+    from autoprepad_ray.pipelines.queries import REGISTRY
+    from autoprepad_ray.stages.dedup import exact_dedup
+    from tests.test_queries import SF as sf
+
+    def no_groupby(*args, **kwargs):
+        raise AssertionError("Dataset.groupby called")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
+    for name in _KEYED_QUERIES:
+        out = REGISTRY[name].fn(sf)
+        if isinstance(out, rd.Dataset):
+            out.materialize()
+    events = rd.read_parquet(f"{sf}/events.parquet",
+                             columns=["event_id", "event_type"])
+    assert exact_dedup(events, ["event_type"], order_col="event_id") \
+        .count() == 5
+    assert quota_sample(events, "event_id", "event_type", 2).count() == 10
 
 
 def test_segment_pairs_no_verify_enumerates_all_bucket_pairs():
