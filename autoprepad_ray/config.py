@@ -72,7 +72,7 @@ class ConfigResult:
     shape_domains: dict                # fitted format profiles
     ordinal_maps: dict                 # fitted category -> code maps
     duplicates: Any | None             # uniqueness listing (arrow table)
-    verdicts: Any | None               # per-partition verdict dataset
+    verdicts: Any | None               # per-partition verdict pa.Table
     extras: dict = field(default_factory=dict)   # named validator outputs
 
 

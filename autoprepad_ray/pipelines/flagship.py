@@ -35,7 +35,7 @@ from ..validators import row_checks as rc
 class ValidationResult:
     profile: TableProfile
     enriched: Any           # Dataset with evidence + score/label columns
-    verdicts: Any | None    # Dataset (partition, n_rows, n_viol, fail)
+    verdicts: Any | None    # pa.Table (partition, n_rows, n_viol, fail)
     states: dict
 
 

@@ -23,8 +23,8 @@ separate operators after the read —
   phashes, and on the caption side the id hashes with the distinct ids
   themselves as one more field, packed by ``transport.slice_of(key,
   band_slices)``.  The ``agg`` rows fold in flat tasks
-  (``transport.fold_payloads``); the census cells reach per-slice
-  reduce tasks through ``transport.scatter_slices``, so each census
+  (``transport.fold_payloads``); the census cells reach one
+  ``transport.slice_map`` task per live slice, so each census
   byte moves once and a key's counts from both tables meet in one
   task.  Only candidate sets (duplicate ids, duplicate phashes,
   image-side orphan hashes), the caption-side orphan ids with their
@@ -36,15 +36,15 @@ separate operators after the read —
   capped per block, i.e. per file-sized block (counts stay exact).  The
   pass is materialized once; its small ``agg`` rows fold off the
   blocks in flat tasks (``transport.fold_payloads``), and one flat task
-  per block unpacks its violation table (:func:`violation_rows`),
+  per block unpacks its violation table (``transport.kind_tables``),
   never through a second execution.
 - Banded-Hamming pairing (no read of its own): pass 2 also emits each
   block's id-carrying band cells (band key, hash, block-min id) —
   pruned to hot buckets when collisions are rare, the full deduped
-  stream (multi-index hashing) when n >> 2^16 per band.  Flat per-slice
-  tasks over the scattered cells pair, verify exactly and resolve each
-  paired hash's global min id in one visit; only pairs reach the
-  driver.
+  stream (multi-index hashing) when n >> 2^16 per band.  Per-slice
+  ``transport.slice_map`` tasks over the scattered cells pair, verify
+  exactly and resolve each paired hash's global min id in one visit;
+  only pairs reach the driver.
 - PASS 3 (payload read, stateless decode tasks): decode verification —
   the only pass that touches ``bytes``.  Its ``batch_size=256`` keeps
   decode a separate operator after the read (Ray fuses no batched map
@@ -68,16 +68,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
 
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
 from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
 from ..sketches import key_hash, np_object
-from ..stages.transport import (_payloads, default_num_parts,
-                                fold_payloads, kind_rows, merge_concat,
-                                merge_counts, pack_slices, scatter_slices,
-                                slice_of, unpack_cells)
+from ..stages.transport import (default_num_parts, fold_payloads,
+                                kind_rows, kind_tables, merge_concat,
+                                merge_counts, pack_slices, slice_map,
+                                slice_of)
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
@@ -261,13 +260,11 @@ def _merge_p1(parts: list[tuple]) -> tuple:
                 np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
 
 
-@ray.remote
-def _census_slice_task(has_captions: bool, *cell_lists) -> tuple:
+def _census_slice(parts: list, has_captions: bool) -> tuple:
     """Merge one slice's census cells and keep only the candidates:
     ((duplicate id hashes, image-side orphan hashes, duplicate phashes,
     their counts), the caption-side orphan rows as an (image_id,
     right_n) table, or None without caption cells)."""
-    parts = unpack_cells(cell_lists)
     keys, cnts, code = merge_concat([p[:3] for p in parts]) or _NO_CENSUS
     iv, ic = merge_counts([(keys[code == _ID], cnts[code == _ID])])
     pv, pn = merge_counts([(keys[code == _PH].view(np.int64),
@@ -313,27 +310,6 @@ def _evidence(checker: rc.RowChecker, batch: pa.Table) -> tuple:
             np.bincount(inv, weights=null.astype(float),
                         minlength=len(uniq)).astype(np.int64))}
     return checked, pid, counts, stat, null
-
-
-@ray.remote
-def _unpack_viol(block: pa.Table, schema: pa.Schema) -> pa.Table:
-    """The violation table of one pass block: its ``viol`` rows'
-    tables.  A block usually holds its always-emitted viol row, but
-    Ray's dynamic block splitting (target max block size) can produce
-    one without, or a 0-row block with an empty schema — both give
-    ``schema.empty_table()``."""
-    tabs = _payloads([block], "viol")
-    return pa.concat_tables(tabs, promote_options="default") if tabs \
-        else schema.empty_table()
-
-
-def violation_rows(packed, schema: pa.Schema):
-    """The violation tables of a MATERIALIZED pass as a materialized
-    Dataset: one flat unpack task per block, wrapped with
-    ``ray.data.from_arrow_refs``.  Built once, so ``count()`` reads
-    block metadata and neither iteration nor a write re-runs a map."""
-    return rd.from_arrow_refs([_unpack_viol.remote(r, schema)
-                               for r in packed.to_arrow_refs()])
 
 
 class _P2Partial:
@@ -486,7 +462,7 @@ class ImageValidationReport:
     verdicts: pd.DataFrame
     profile: Any
     # materialized ray.data.Dataset of the flagged rows (capped per
-    # block), unpacked once off the pass-2 blocks (violation_rows):
+    # block), unpacked once off the pass-2 blocks (kind_tables):
     # count() reads metadata, iteration and writes run no map.  Also
     # written to ``violations_dir`` when given.
     stat_violations: Any = None
@@ -605,12 +581,14 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                                        zero_copy_batch=True))
         p1_out = p1.materialize()
         # the census tasks run while the agg rows fold
-        per_slice = scatter_slices(p1_out, band_slices, kind="census")
-        census_futs = [_census_slice_task.remote(has_captions, *per_slice[s])
-                       for s in range(band_slices)]
+        census_futs = slice_map(
+            p1_out, band_slices,
+            lambda s, parts: _census_slice(parts, has_captions),
+            kind="census")
         ((n_ref, sketches), hists), band_census = fold_payloads(
             p1_out, _merge_p1, kind="agg")
-        cands, cap_orphans = zip(*ray.get(census_futs))
+        cands, cap_orphans = zip(*(ray.get(census_futs)
+                                   or [_census_slice([], has_captions)]))
         dup_id_hashes, orphan_img_hashes, ph_vals, ph_cnts = \
             merge_concat(cands)
         timings["pass1_profile_census"] = round(_time.perf_counter() - _t0, 3)
@@ -650,7 +628,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                                   zero_copy_batch=True).materialize()
         (counts, dup_ids, dup_pids, orphan_ids, member_ph, member_ids,
          viol_schema) = fold_payloads(p2_out, _merge_agg, kind="agg")
-        stat_viol = violation_rows(p2_out, viol_schema)
+        stat_viol = kind_tables(p2_out, "viol", viol_schema)
         if violations_dir is not None:
             from ..io import write_partitioned
             write_partitioned(stat_viol, violations_dir)

@@ -266,12 +266,7 @@ def partition_verdicts_events(sf_dir: str):
             "pid", pc.cast(pc.bit_wise_and(t["user_id"], 7), pa.int64())),
         batch_format="pyarrow")
     v = rc.partition_verdicts(checked, "pid", budget=0.05)
-    return v.map_batches(
-        lambda t: pa.table({"pid": t["pid"].cast(pa.int64()),
-                            "n_rows": t["n_rows"].cast(pa.int64()),
-                            "n_viol": t["n_viol"].cast(pa.int64()),
-                            "fail": t["fail"].cast(pa.int64())}),
-        batch_format="pyarrow")
+    return v.cast(pa.schema([(c, pa.int64()) for c in v.column_names]))
 
 
 @query("robust_scale_quantity", sql="""

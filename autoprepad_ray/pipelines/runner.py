@@ -64,7 +64,8 @@ from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
 from ..validators import row_checks as rc
-from ..stages.transport import fold, fold_payloads, kind_rows, merge_counts
+from ..stages.transport import (fold, fold_payloads, kind_rows,
+                                kind_tables, merge_counts)
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
@@ -72,7 +73,7 @@ from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
                                _key_census, _merge_drift, _merge_prof, _prep,
                                _prof_partial, _reference_hists,
                                _sum_counts, assert_schema_files,
-                               partition_verdicts, violation_rows)
+                               partition_verdicts)
 
 def _merge_census(parts: list[dict]) -> dict:
     """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
@@ -225,7 +226,7 @@ def run_validation(images_dir: str, out_dir: str, *,
         if row["stat_viol"] or row["null_viol"]:
             # distributed write: violation blocks never concat on the
             # driver
-            violation_rows(out, viol_schema).write_parquet(viol_dir)
+            kind_tables(out, "viol", viol_schema).write_parquet(viol_dir)
         pq.write_table(_census_table(census),
                        os.path.join(tmp, "keycensus.parquet"))
         verdict = {

@@ -22,9 +22,9 @@ import pyarrow as pa
 import ray
 
 from ..sketches import hash64, key_hash, splitmix64
-from .transport import (cell_refs, cells_return, fold, keyed_map,
-                        merge_concat, merge_counts, merge_groups,
-                        pack_slices, scatter_slices, slice_of, unpack_cells)
+from . import transport
+from .transport import (fold, keyed_map, merge_concat, merge_counts,
+                        merge_groups, pack_slices, slice_map, slice_of)
 
 
 def _batch_shingles(texts, n_words: int):
@@ -159,31 +159,22 @@ def _pair_part_codes(id_a: np.ndarray, id_b: np.ndarray,
 _EMPTY_CELL_IDS = (np.empty(0, dtype=object), np.empty(0, dtype=object))
 
 
-@ray.remote
-def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
-                          *payload_lists):
-    """Flat candidate-pairing task for one slice of the packed key
-    stream.  Receives ONLY its own slice's payloads (slice-addressed
-    scatter — bytes move once on a multi-node cluster).  Bucket
-    enumeration reuses the property-tested size-class kernel
+def _cand_pair_slice(parts: list, bucket_cap: int, num_parts: int
+                     ) -> list[tuple]:
+    """Candidate pairing of one slice of the packed key stream (the
+    ``transport.slice_map`` function of :func:`candidate_pairs_grid`).
+    Bucket enumeration reuses the property-tested size-class kernel
     (``near_dup._segment_pairs`` with verification off) — the nested
     per-pair Python loop it replaces was the 8.8x-slower shape the
     Hamming stage already abandoned.
 
-    Returns ``num_parts`` cells (``num_returns=num_parts``), cell ``p``
-    = pickled (id_a, id_b) arrays of this slice's pairs whose
-    deterministic pair hash routes to verify part ``p`` — so the full
-    pair list NEVER assembles on the driver: a pair's every duplicate
-    (it can surface from buckets in several slices) lands in the same
-    part, where the verify task dedups it."""
-    import pickle
-
+    Returns ``num_parts`` cells, cell ``p`` = (id_a, id_b) arrays of
+    this slice's pairs whose deterministic pair hash routes to verify
+    part ``p`` — so the full pair list NEVER assembles on the driver: a
+    pair's every duplicate (it can surface from buckets in several
+    slices) lands in the same part, where the verify task dedups it."""
     from ..validators.near_dup import _segment_pairs
 
-    empty = pickle.dumps(_EMPTY_CELL_IDS)
-    parts = unpack_cells(payload_lists)
-    if not parts:
-        return cells_return([empty] * num_parts)
     keys, ids = merge_concat(parts)
     # one row per (bucket, id): a doc can land in one bucket via
     # several bands and cross-block repeats are the norm
@@ -193,37 +184,33 @@ def _cand_pair_slice_task(bucket_cap: int, num_parts: int,
     keys, ids = keys[first], ids[first]
     out = _segment_pairs(keys, ids, np.zeros(len(ids), dtype=np.int64),
                          0, bucket_cap, verify=False)
+    cells = [_EMPTY_CELL_IDS] * num_parts
     if not len(out):
-        return cells_return([empty] * num_parts)
+        return cells
     ida = out["id_a"].to_numpy()
     idb = out["id_b"].to_numpy()
     code = _pair_part_codes(ida, idb, num_parts)
     o = np.argsort(code, kind="stable")
     code, ida, idb = code[o], ida[o], idb[o]
     bounds = np.flatnonzero(np.r_[True, code[1:] != code[:-1], True])
-    cells = [empty] * num_parts
     for s, e in zip(bounds[:-1], bounds[1:]):
-        cells[int(code[s])] = pickle.dumps((ida[s:e], idb[s:e]))
-    return cells_return(cells)
+        cells[int(code[s])] = (ida[s:e], idb[s:e])
+    return cells
 
 
-DEFAULT_VERIFY_PARTS = 32
-
-
-def candidate_pairs_grid(keyed, bucket_cap: int, *, num_slices: int = 64,
-                         num_parts: int = DEFAULT_VERIFY_PARTS
+def candidate_pairs_grid(keyed, bucket_cap: int
                          ) -> list[list["ray.ObjectRef"]]:
     """Distributed LSH candidate pairing, pairs kept DISTRIBUTED: per-
     block (slice, payload) packing of the pruned (key, doc_id) rows,
-    slice-addressed scatter (``stages.transport`` — each payload byte
-    moves once even multi-node), then FLAT per-slice ray tasks
-    enumerate complete buckets and return their pairs pre-partitioned
-    by verify part (``num_returns``).  Neither bucket rows nor the
-    pair list ever collect on the driver — the grid of cell refs is
-    the result, and ``verify_pairs_routed`` consumes it part-by-part.
+    then one ``transport.slice_map`` task per live slice enumerates its
+    complete buckets and returns their pairs pre-partitioned by verify
+    part (``returns=num_parts``).  Neither bucket rows nor the pair
+    list ever collect on the driver — the grid of cell refs is the
+    result, and ``verify_pairs_routed`` consumes it part-by-part.  Slices
+    and verify parts both number ``transport.default_num_parts()``.
 
-    Returns ``grid`` where ``grid[p]`` lists one cell ref per slice,
-    each a pickled (id_a, id_b) array pair for verify part ``p``.
+    Returns ``grid`` where ``grid[p]`` lists one cell ref per live
+    slice, each an (id_a, id_b) array pair for verify part ``p``.
 
     Transport regime note: cells below Ray's ~100 KB inline-return
     bound live in the DRIVER's in-process store, so a small pair
@@ -232,48 +219,43 @@ def candidate_pairs_grid(keyed, bucket_cap: int, *, num_slices: int = 64,
     whole list there.  A large (dup-heavy) stream's cells clear the
     bound and live in plasma, where each byte moves once — the regime
     where distribution actually matters."""
+    n = transport.default_num_parts()
+
     def pack(t: dict) -> pa.Table:
         keys = np.asarray(t["key"], dtype=np.int64)
-        return pack_slices(slice_of(keys, num_slices), keys,
+        return pack_slices(slice_of(keys, n), keys,
                            np.asarray(t["doc_id"], dtype=object))
 
     packed = keyed.map_batches(pack, batch_format="numpy").materialize()
-    per_slice = scatter_slices(packed, num_slices)
-    grids = [cell_refs(_cand_pair_slice_task, num_parts, bucket_cap,
-                       num_parts, *per_slice[s])
-             for s in range(num_slices)]
-    return [[g[p] for g in grids] for p in range(num_parts)]
+    rows = slice_map(packed, n,
+                     lambda s, parts: _cand_pair_slice(parts, bucket_cap, n),
+                     returns=n)
+    return [[r[p] for r in rows] for p in range(n)]
 
 
 @ray.remote
-def _part_ids_task(*pair_cells) -> bytes:
+def _part_ids_task(*pair_cells) -> np.ndarray:
     """Distinct ids touched by one verify part's candidate pairs —
     the per-part partial the driver folds into the id->part routing
     map (arrays in flight, never pair rows)."""
-    import pickle
-
-    # each pair cell is ONE payload: together they read as one cell list
-    a, b = merge_concat(unpack_cells([pair_cells])) or _EMPTY_CELL_IDS
-    return pickle.dumps(np.unique(np.concatenate([a, b])))
+    a, b = merge_concat(pair_cells) or _EMPTY_CELL_IDS
+    return np.unique(np.concatenate([a, b]))
 
 
-@ray.remote
-def _verify_part_task(n_pair_cells: int, score, score_name: str,
-                      out_mode, *cells):
-    """Score one verify part's pairs from its slice-addressed cells:
-    the first ``n_pair_cells`` args are pickled (id_a, id_b) pair
-    cells (one per candidate slice task — deduped here, the part owns
-    every copy of its pairs; together they read as one cell list), the
-    rest are payload cell lists (each packed (ids, payload objects)).
-    ``out_mode=None`` returns a pandas frame; ``(id_type, min_score)``
-    returns a typed Arrow table with the threshold applied task-side
-    (the Dataset output path)."""
-    a, b = merge_concat(unpack_cells([cells[:n_pair_cells]])) \
-        or _EMPTY_CELL_IDS
+def _verify_part(parts: list, pair_cells: list, score, score_name: str,
+                 out_mode):
+    """Score one verify part (the ``transport.slice_map`` function of
+    :func:`verify_pairs_routed`): ``pair_cells`` are its (id_a, id_b)
+    pair cells, one per candidate slice (deduped here, the part owns
+    every copy of its pairs), ``parts`` its packed (ids, payload
+    objects).  ``out_mode=None`` returns a pandas frame; ``(id_type,
+    min_score)`` returns a typed Arrow table with the threshold applied
+    task-side (the Dataset output path)."""
+    a, b = merge_concat(pair_cells) or _EMPTY_CELL_IDS
     dfp = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
     pairs = list(zip(dfp["a"], dfp["b"]))
     local: dict = {}
-    for ids, objs in unpack_cells(cells[n_pair_cells:]):
+    for ids, objs in parts:
         for i, obj in zip(ids, objs):
             local.setdefault(i, obj)
     rows = [(a, b, score(local[a], local[b]))
@@ -307,9 +289,9 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     The id->verify-part routing map folds from per-part distinct-id
     partials (``_part_ids_task`` — arrays move, pair rows don't); the
     data stream computes each candidate row's payload and packs it per
-    destination part; the packed stream scatters slice-addressed
-    (``stages.transport`` — each payload byte moves once) to one flat
-    task per part, which dedups its own pairs and applies
+    destination part; ``transport.slice_map`` runs one task per part
+    that a candidate row reached (each payload byte moves once), which
+    reads its part's pair cells, dedups its own pairs and applies
     ``score(pa, pb)`` locally.  Driver state is O(distinct candidate
     ids) routing arrays — never the pair list, never payloads.
 
@@ -324,7 +306,7 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     hash set — never a per-row Python membership scan over the full
     dataset) and returns one payload object per row of ``sub_batch``.
     """
-    import pickle
+    import ray.data as rd
 
     from ..sketches import np_object
 
@@ -333,7 +315,7 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
         ida = cand["id_a"].to_numpy(dtype=object)
         idb = cand["id_b"].to_numpy(dtype=object)
         code = _pair_part_codes(ida, idb, num_parts)
-        grid = [[ray.put(pickle.dumps((ida[code == p], idb[code == p])))]
+        grid = [[ray.put((ida[code == p], idb[code == p]))]
                 for p in range(num_parts)]
     else:
         grid = cand
@@ -346,8 +328,7 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
     # part, where the verify task's real-id dict ignores it.
     id_futs = [_part_ids_task.remote(*grid[p]) for p in range(num_parts)]
     h_list, p_list = [], []
-    for p, blob in enumerate(ray.get(id_futs)):
-        arr = pickle.loads(blob)
+    for p, arr in enumerate(ray.get(id_futs)):
         if len(arr):
             h_list.append(key_hash([arr])[0])
             p_list.append(np.full(len(arr), p, dtype=np.int32))
@@ -357,47 +338,42 @@ def verify_pairs_routed(ds, id_col: str, cand, extract, score,
         np.empty(0, dtype=np.int32)
     order = np.lexsort((route_p, route_h))
     route_h, route_p = route_h[order], route_p[order]
-    if not len(route_h):
-        # no candidates anywhere: skip the full-dataset ship scan (a
-        # whole extra execution) and return the typed empty result
-        if output == "dataset":
-            import ray.data as rd
-
-            return rd.from_arrow(pa.table({
-                "id_a": pa.array([], type=id_type),
-                "id_b": pa.array([], type=id_type),
-                score_name: pa.array([], type=pa.float64())}))
-        return pd.DataFrame({"id_a": [], "id_b": [], score_name: []})
-    route_ref = ray.put((route_h, route_p))
-
-    def ship(batch: pa.Table) -> pa.Table:
-        rh, rp = ray.get(route_ref)
-        h_all, _ = key_hash([batch[id_col]])
-        lo = np.searchsorted(rh, h_all, side="left")
-        n = np.searchsorted(rh, h_all, side="right") - lo
-        sub = batch.filter(pa.array(n > 0))
-        objs = np.empty(sub.num_rows, dtype=object)
-        for k, obj in enumerate(extract(sub) if sub.num_rows else ()):
-            objs[k] = obj
-        # one packed row per (candidate row, verify part it routes to)
-        lo, n = lo[n > 0], n[n > 0]
-        row = np.repeat(np.arange(len(n)), n)
-        part = rp[lo[row] + np.arange(len(row)) - (np.cumsum(n) - n)[row]]
-        return pack_slices(part, np_object(sub[id_col])[row], objs[row])
-
-    packed = ds.map_batches(ship, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-    per_slice = scatter_slices(packed, num_parts)
     out_mode = None if output == "pandas" else (id_type, min_score)
-    futs = [_verify_part_task.remote(len(grid[p]), score, score_name,
-                                     out_mode, *grid[p], *per_slice[p])
-            for p in range(num_parts)]
-    if output == "dataset":
-        import ray.data as rd
+    futs = []
+    if len(route_h):
+        # no candidates anywhere skips the full-dataset ship scan (a
+        # whole extra execution)
+        route_ref = ray.put((route_h, route_p))
 
-        return rd.from_arrow_refs(futs)
-    out = pd.concat(ray.get(futs), ignore_index=True)
-    if not len(out):
+        def ship(batch: pa.Table) -> pa.Table:
+            rh, rp = ray.get(route_ref)
+            h_all, _ = key_hash([batch[id_col]])
+            lo = np.searchsorted(rh, h_all, side="left")
+            n = np.searchsorted(rh, h_all, side="right") - lo
+            sub = batch.filter(pa.array(n > 0))
+            objs = np.empty(sub.num_rows, dtype=object)
+            for k, obj in enumerate(extract(sub) if sub.num_rows else ()):
+                objs[k] = obj
+            # one packed row per (candidate row, verify part it routes to)
+            lo, n = lo[n > 0], n[n > 0]
+            row = np.repeat(np.arange(len(n)), n)
+            part = rp[lo[row] + np.arange(len(row))
+                      - (np.cumsum(n) - n)[row]]
+            return pack_slices(part, np_object(sub[id_col])[row], objs[row])
+
+        packed = ds.map_batches(ship, batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+        # a part no candidate row reached verifies nothing and runs no
+        # task; its pair cells stay unread
+        futs = slice_map(packed, num_parts, lambda p, parts: _verify_part(
+            parts, ray.get(grid[p]), score, score_name, out_mode))
+    if output == "dataset":
+        return rd.from_arrow_refs(futs) if futs else rd.from_arrow(pa.table({
+            "id_a": pa.array([], type=id_type),
+            "id_b": pa.array([], type=id_type),
+            score_name: pa.array([], type=pa.float64())}))
+    out = pd.concat(ray.get(futs), ignore_index=True) if futs else None
+    if out is None or not len(out):
         return pd.DataFrame({"id_a": [], "id_b": [], score_name: []})
     return out
 
@@ -421,7 +397,7 @@ def _verify_jaccard_distributed(ds, text_col: str, id_col: str,
 def minhash_lsh_pairs(ds, text_col: str, id_col: str, *,
                       num_perm: int = 128, bands: int = 32,
                       n_words: int = 3, threshold: float = 0.5,
-                      bucket_cap: int = 256, concurrency: int | None = None,
+                      bucket_cap: int = 256,
                       batch_size: int = 512, output: str = "pandas",
                       id_type: "pa.DataType | None" = None):
     """Near-duplicate pairs with verified word-shingle Jaccard >= threshold.
@@ -433,11 +409,11 @@ def minhash_lsh_pairs(ds, text_col: str, id_col: str, *,
     connected components, attach — consumes pairs with ZERO driver
     materialization at any step.  Every heavy step is distributed:
     signature + band keys in stateless vectorized tasks, candidate
-    buckets census-pruned then paired by slice-addressed flat tasks
-    that keep pairs partitioned by verify part (``num_returns`` grid),
+    buckets census-pruned then paired by one ``transport.slice_map``
+    task per live slice, pairs kept partitioned by verify part
+    (``returns`` grid),
     exact-Jaccard verification as a broadcast-routed candidate join.
     """
-    del concurrency  # kept for call-site compatibility (was actor pool)
     if output == "dataset" and id_type is None:
         sch = ds.schema()
         id_type = sch.types[sch.names.index(id_col)]
@@ -524,11 +500,9 @@ def _simhash_batch(texts: list, *, _bits=np.arange(64, dtype=np.uint64)
 
 
 def simhash_signatures(ds, text_col: str, id_col: str, *,
-                       concurrency: int | None = None,
                        batch_size: int = 512):
     """Stateless vectorized task (no actor pool: there is no per-actor
     state to amortize — the repo's actor-pool lesson)."""
-    del concurrency  # kept for call-site compatibility
 
     def fn(batch: pa.Table) -> pa.Table:
         hashes = _simhash_batch(batch[text_col].to_pylist())
@@ -540,13 +514,12 @@ def simhash_signatures(ds, text_col: str, id_col: str, *,
 
 
 def simhash_neardup_pairs(ds, text_col: str, id_col: str, *,
-                          max_dist: int = 4, concurrency: int | None = None):
+                          max_dist: int = 4):
     """SimHash near-dups: signatures -> banded Hamming stage (reuses the
     phash machinery — same 4x16-bit band LSH + exact verify)."""
     from ..validators.near_dup import hamming_neardup_pairs
 
-    sigs = simhash_signatures(ds, text_col, id_col,
-                              concurrency=concurrency)
+    sigs = simhash_signatures(ds, text_col, id_col)
     # materialize: the Hamming stage consumes its input three times and
     # would otherwise re-run the SimHash chain over all documents 3x
     return hamming_neardup_pairs(sigs, phash_col="simhash", id_col=id_col,

@@ -2,10 +2,11 @@
 
 The classic record-linkage shape: never all-pairs — a cheap blocking
 key (here: the last name token, the "noun") bounds candidates to pairs
-that share a block, and a Levenshtein verify scores only those.  The
-distinct-name census rides ``stages.transport.fold`` (bounded by distinct
-strings, not rows); pairing fans out one flat Ray task per block-hash
-slice, so no block's candidate set ever assembles on the driver.
+that share a block, and a Levenshtein verify scores only those.  Every
+block keeps its distinct (name, block) rows, which route by block
+through ``stages.transport.keyed_fold``: one task per live slice
+dedupes its names and pairs within each block, so neither the distinct
+names nor a block's candidate set ever assembles on the driver.
 
 No reference counterpart (the reference's string ops are categorical
 pattern encodings, /root/reference/pipelines/statistics/
@@ -14,10 +15,7 @@ resolution literature (Fellegi & Sunter 1969; PPJoin kin of
 stages/textjoin.py).
 
 Scale note: candidates are bounded per BLOCK (cap documented at the
-call site), and blocks are hash-partitioned across tasks.  A corpus
-whose distinct-string census outgrows the driver fold swaps the census
-for hash-partitioned distinct (the uniqueness pattern) with pairing
-unchanged — the per-slice layout is already partition-local.
+call site), and blocks are hash-partitioned across tasks.
 """
 
 from __future__ import annotations
@@ -94,78 +92,58 @@ def _levenshtein_py(s: str, t: str) -> int:
     return prev[-1]
 
 
+def _block_pairs(t: pa.Table, max_dist: int, block_pair_cap: int
+                 ) -> pa.Table:
+    """(name_a, name_b, dist) of every pair of distinct ``name``s that
+    share a ``blk`` in ``t``, name_a < name_b and dist <= max_dist."""
+    nm, first = np.unique(t["name"].to_numpy(zero_copy_only=False),
+                          return_index=True)
+    blk = t["blk"].to_numpy(zero_copy_only=False)[first]
+    order = np.lexsort((nm, blk))
+    nm, blk = nm[order], blk[order]
+    bounds = np.flatnonzero(np.r_[True, blk[1:] != blk[:-1], True])
+    ia, ib = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        n_pairs = (e - s) * (e - s - 1) // 2
+        if n_pairs > block_pair_cap:
+            raise ValueError(
+                f"blocked_editdist_pairs: block {blk[s]!r} has "
+                f"{n_pairs} candidate pairs (> {block_pair_cap}); "
+                "choose a finer blocking key")
+        i, j = np.triu_indices(e - s, k=1)
+        ia.append(i + s)
+        ib.append(j + s)
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    d = levenshtein_batch(nm[ia], nm[ib])
+    keep = d <= max_dist
+    return pa.table({"name_a": pa.array(nm[ia[keep]].tolist(), pa.string()),
+                     "name_b": pa.array(nm[ib[keep]].tolist(), pa.string()),
+                     "dist": pa.array(d[keep], pa.int64())})
+
+
 def blocked_editdist_pairs(ds, col: str, *, max_dist: int = 3,
-                           num_slices: int = 16,
-                           block_pair_cap: int = 200_000):
+                           block_pair_cap: int = 200_000) -> pa.Table:
     """Distinct values of ``ds[col]`` -> block on last whitespace token
-    -> per-block all-pairs Levenshtein verify, one flat Ray task per
-    block-hash slice.  Returns an Arrow table (name_a, name_b, dist)
-    with name_a < name_b and dist <= max_dist.  A block whose pair
-    count exceeds ``block_pair_cap`` raises loudly (a degenerate
-    blocking key must be re-chosen, never silently sampled)."""
-    import pickle
+    -> per-block all-pairs Levenshtein verify, one
+    ``transport.keyed_fold`` over the blocks.  Returns an Arrow table
+    (name_a, name_b, dist) with name_a < name_b and dist <= max_dist.
+    A block whose pair count exceeds ``block_pair_cap`` raises loudly
+    (a degenerate blocking key must be re-chosen, never silently
+    sampled)."""
+    import pyarrow.compute as pc
 
-    import ray
+    from .transport import keyed_fold
 
-    from ..sketches import hash64
-    from .transport import fold, merge_unique
+    def partial(t: pa.Table) -> pa.Table:
+        # SQL NULL semantics: a NULL name never blocks or pairs (a.blk =
+        # c.blk and a < c are both NULL) — drop, don't canonicalize
+        names = pc.unique(t[col].drop_null())
+        return pa.table({"name": names, "blk": pc.replace_substring_regex(
+            names, pattern=r"(?s)^.* ", replacement="")})
 
-    # SQL NULL semantics: a NULL name never blocks or pairs (a.blk =
-    # c.blk and a < c are both NULL) — drop, don't canonicalize; None
-    # would also break the object-array sort
-    names = fold(ds, lambda t: np.unique(t[col].drop_null().to_numpy()),
-                 merge_unique)
-    names = np.asarray(names, dtype=object)
-    blocks = np.array([s.rsplit(" ", 1)[-1] for s in names], dtype=object)
-    slc = (hash64(blocks) % np.uint64(num_slices)).astype(np.int64)
-
-    @ray.remote
-    def pair_slice(payload_ref: bytes) -> bytes:
-        nm, blk = pickle.loads(payload_ref)
-        order = np.lexsort((nm, blk))
-        nm, blk = nm[order], blk[order]
-        bounds = np.flatnonzero(
-            np.r_[True, blk[1:] != blk[:-1], True])
-        ia, ib = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            k = e - s
-            n_pairs = k * (k - 1) // 2
-            if n_pairs > block_pair_cap:
-                raise ValueError(
-                    f"blocked_editdist_pairs: block {blk[s]!r} has "
-                    f"{n_pairs} candidate pairs (> {block_pair_cap}); "
-                    "choose a finer blocking key")
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, k=1)
-            ia.append(i + s)
-            ib.append(j + s)
-        if not ia:
-            return pickle.dumps((np.empty(0, object), np.empty(0, object),
-                                 np.empty(0, np.int64)))
-        ia = np.concatenate(ia)
-        ib = np.concatenate(ib)
-        d = levenshtein_batch(nm[ia], nm[ib])
-        keep = d <= max_dist
-        return pickle.dumps((nm[ia[keep]], nm[ib[keep]], d[keep]))
-
-    outs = []
-    for s in range(num_slices):
-        m = slc == s
-        if m.any():
-            outs.append(pair_slice.remote(
-                pickle.dumps((names[m], blocks[m]))))
-    a_parts, b_parts, d_parts = [], [], []
-    for r in ray.get(outs):
-        pa_, pb_, pd_ = pickle.loads(r)
-        a_parts.append(pa_)
-        b_parts.append(pb_)
-        d_parts.append(pd_)
-    if not a_parts:
-        return pa.table({"name_a": pa.array([], pa.string()),
-                         "name_b": pa.array([], pa.string()),
-                         "dist": pa.array([], pa.int64())})
-    return pa.table({
-        "name_a": pa.array(np.concatenate(a_parts).tolist(), pa.string()),
-        "name_b": pa.array(np.concatenate(b_parts).tolist(), pa.string()),
-        "dist": pa.array(np.concatenate(d_parts), pa.int64())})
+    out = keyed_fold(ds, partial, ["blk"], lambda parts: _block_pairs(
+        pa.concat_tables(parts), max_dist, block_pair_cap))
+    return out if out is not None else _block_pairs(
+        pa.table({"name": pa.array([], pa.string()),
+                  "blk": pa.array([], pa.string())}), max_dist,
+        block_pair_cap)

@@ -58,8 +58,7 @@ def _langid_frame(df: pd.DataFrame, text_col: str,
 
 
 def lang_id(ds, text_col: str = "text", *, min_score: float = 0.05,
-            concurrency: int | None = None, batch_size: int = 1024):
-    del concurrency  # stateless task now; kept for call-site compatibility
+            batch_size: int = 1024):
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         return _langid_frame(df, text_col, min_score)
@@ -1149,8 +1148,8 @@ def crossdoc_gram_coverage(ds, *, n: int = 3, text_col: str = "text",
        tree merge folds them and grams with >= 2 docs broadcast once
        as a sorted uint64 array.  On the test fixture the shared set
        is vocab-bounded (31^n); an open-vocab corpus would swap the
-       broadcast for a slice-partitioned membership check (the
-       scatter_slices pattern) past object-store size.
+       broadcast for a slice-partitioned membership check
+       (``transport.slice_map``) past object-store size.
     2. score — each block re-derives its docs' distinct grams
        (the shared ``_gram_hashes`` kernel both passes ride, so
        tokenization can never diverge), one searchsorted against the

@@ -23,13 +23,14 @@ Detection", WWW 2008 — prefix + positional filtering; all public):
    nothing (order key = (freq, gram), rare grams first).
 3. PREFIX FILTER: a doc of ``s`` grams indexes only its
    ``s - ceil(t*s) + 1`` rarest grams; two docs with Jaccard >= t must
-   share a prefix gram.  Entries scatter slice-addressed by gram hash
-   (``stages.transport`` — bytes move once on a multi-node cluster) and
-   per-slice tasks enumerate intra-bucket pairs size-class-batched (the
-   ``near_dup._segment_pairs`` shape), pruning with the length filter
-   (min >= t*max) and the positional filter (remaining-suffix overlap
-   bound).  Both filters are applied with a -1e-9 slack so float
-   round-off can only ADD candidates, never drop a true pair.
+   share a prefix gram.  Entries route by gram hash through
+   ``transport.slice_map`` (bytes move once on a multi-node cluster),
+   whose per-slice tasks enumerate intra-bucket pairs
+   size-class-batched (the ``near_dup._segment_pairs`` shape), pruning
+   with the length filter (min >= t*max) and the positional filter
+   (remaining-suffix overlap bound).  Both filters are applied with a
+   -1e-9 slack so float round-off can only ADD candidates, never drop
+   a true pair.
 4. VERIFY: exact intersection counts by SLICE-PARTIAL bitmap popcount —
    the same pack pass also emits every doc's FULL gram list sliced by
    gram hash (``kind``-tagged rows, one scatter stream), the candidate
@@ -54,8 +55,6 @@ census; gram payloads move block→slice-cell→task, once.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -65,8 +64,8 @@ import ray
 
 from ..sketches import popcount64
 from ..validators.heavy import mg_merge
-from .transport import (default_num_parts, fold, merge_concat, pack_slices,
-                        scatter_slices, slice_of, unpack_cells)
+from . import transport
+from .transport import fold, merge_concat, pack_slices, slice_map, slice_of
 
 _EPS = 1e-9
 _SEG_MAX = 512          # size-class batching bound; larger buckets sweep
@@ -139,12 +138,11 @@ def _gram_census(ds, text_col: str, n: int, census_k: int
 
 
 def _prefix_pack(batch: pa.Table, text_col: str, id_col: str, n: int,
-                 threshold: float, census, num_slices: int) -> pa.Table:
+                 threshold: float, census_ref, num_slices: int) -> pa.Table:
     """Emit BOTH scatter streams off one gram computation: ``kind='p'``
     prefix entries (code, id, pos, size) for candidate pairing and
     ``kind='f'`` full gram lists (code, id) for slice-partial verify."""
-    g_sorted, g_freq = ray.get(census) if isinstance(
-        census, ray.ObjectRef) else census
+    g_sorted, g_freq = ray.get(census_ref)
     sizes, doc, codes = doc_gram_sets(batch[text_col], n)
     ids = _ids_np(batch, id_col)
     sl_all = slice_of(codes, num_slices)
@@ -196,13 +194,10 @@ def _pair_filters(ids_m: np.ndarray, pos_m: np.ndarray, siz_m: np.ndarray,
             np.where(swap, zb, za), np.where(swap, za, zb))
 
 
-@ray.remote
-def _pair_slice_task(threshold: float, *payload_lists) -> bytes:
+def _pair_slice(parts: list, threshold: float) -> tuple:
     """Enumerate candidate pairs for one gram slice: sort by gram code,
-    segment, size-class-batched filter sweep (no per-pair Python)."""
-    parts = unpack_cells(payload_lists)
-    if not parts:
-        return pickle.dumps((np.empty(0, np.int64), np.empty(0, np.int64)))
+    segment, size-class-batched filter sweep (no per-pair Python).
+    Returns the distinct (id_a, id_b, size_a, size_b) quads."""
     codes, ids, pos, siz = merge_concat(parts)
     pos, siz = pos.astype(np.int64), siz.astype(np.int64)
     order = np.argsort(codes, kind="mergesort")
@@ -230,30 +225,21 @@ def _pair_slice_task(threshold: float, *payload_lists) -> bytes:
                 np.zeros(int(m) - 1 - i, np.int64),
                 np.arange(1, int(m) - i), threshold))
     if not out:
-        z = np.empty(0, np.int64)
-        return pickle.dumps((z, z, z, z))
-    a, b, za, zb = (np.concatenate([o[k] for o in out]) for k in range(4))
-    quad = np.unique(np.stack([a, b, za, zb], axis=1), axis=0)
-    return pickle.dumps((quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]))
+        return np.empty((0, 4), np.int64)
+    return np.unique(np.stack(merge_concat(out), axis=1), axis=0)
 
 
 # ---------------------------------------------------------------------------
 # phase 4: exact verify via slice-partial bitmap popcount
 
 
-@ray.remote
-def _verify_slice_partial(pairs_ref, *payload_lists) -> bytes:
+def _verify_slice_partial(parts: list, pairs_ref) -> tuple:
     """Partial intersection counts for ONE gram slice: local-dictionary
     bitmaps over only the grams this slice owns, popcount over the
     (broadcast) candidate pairs whose docs both appear here.  Returns
-    pickled (pair_index, partial_common) sparse arrays."""
-    a, b = ray.get(pairs_ref) if isinstance(pairs_ref, ray.ObjectRef) \
-        else pairs_ref
-    cells = unpack_cells(payload_lists)
-    z = np.empty(0, np.int64)
-    if not cells or not a.size:
-        return pickle.dumps((z, z))
-    codes, ids = merge_concat(cells)
+    (pair_index, partial_common) sparse arrays."""
+    a, b = ray.get(pairs_ref)
+    codes, ids = merge_concat(parts)
     sids = np.unique(ids)
     ia = np.searchsorted(sids, a)
     ib = np.searchsorted(sids, b)
@@ -262,7 +248,7 @@ def _verify_slice_partial(pairs_ref, *payload_lists) -> bytes:
     present = (sids[ia_c] == a) & (sids[ib_c] == b)
     pidx = np.flatnonzero(present)
     if not pidx.size:
-        return pickle.dumps((z, z))
+        return pidx, pidx
     uc = np.unique(codes)
     W = max(1, (uc.size + 63) // 64)
     ridx = np.searchsorted(sids, ids)
@@ -282,7 +268,7 @@ def _verify_slice_partial(pairs_ref, *payload_lists) -> bytes:
         common[c:c + step] = popcount64(
             bits[ia_p[c:c + step]] & bits[ib_p[c:c + step]]).sum(axis=1)
     nz = common > 0
-    return pickle.dumps((pidx[nz], common[nz]))
+    return pidx[nz], common[nz]
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +276,17 @@ def _verify_slice_partial(pairs_ref, *payload_lists) -> bytes:
 
 
 def ngram_jaccard_pairs(ds, text_col: str, id_col: str, *, n: int = 8,
-                        threshold: float = 0.8, census_k: int = 1 << 20,
-                        num_slices: int | None = None) -> pd.DataFrame:
+                        threshold: float = 0.8, census_k: int = 1 << 20
+                        ) -> pd.DataFrame:
     """All document pairs with char-``n``-gram Jaccard >= ``threshold``
     and the EXACT Jaccard value — (id_a, id_b, jaccard), id_a < id_b.
 
     ``ds`` is consumed three times (census, prefix, verify); pass a
     pruned parquet read, or ``materialize()`` a computed chain first.
-    ``id_col`` must be int64-valued and unique.
+    ``id_col`` must be int64-valued and unique.  Grams route to
+    ``transport.default_num_parts()`` slices.
     """
-    if num_slices is None:
-        num_slices = default_num_parts()
+    num_slices = transport.default_num_parts()
     census = _gram_census(ds, text_col, n, census_k)
     census_ref = ray.put(census)
 
@@ -308,30 +294,22 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, *, n: int = 8,
         lambda t: _prefix_pack(t, text_col, id_col, n, threshold,
                                census_ref, num_slices),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    prefix_cells = scatter_slices(packed, num_slices, kind="p")
-    futs = [_pair_slice_task.remote(threshold, *prefix_cells[s])
-            for s in range(num_slices) if prefix_cells[s]]
-    parts = [pickle.loads(r) for r in ray.get(futs)]
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
-                          "id_b": pd.Series([], dtype=np.int64),
-                          "jaccard": pd.Series([], dtype=np.float64)})
-    if not parts:
-        return empty
-    quad = np.unique(np.concatenate(
-        [np.stack(p, axis=1) for p in parts if p[0].size], axis=0)
-        if any(p[0].size for p in parts) else np.empty((0, 4), np.int64),
-        axis=0)
-    if not quad.size:
-        return empty
-    a, b, sa, sb = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
+    quads = ray.get(slice_map(
+        packed, num_slices, lambda s, parts: _pair_slice(parts, threshold),
+        kind="p"))
+    quad = np.unique(np.concatenate(quads), axis=0) if quads else ()
+    if not len(quad):
+        return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
+                             "id_b": pd.Series([], dtype=np.int64),
+                             "jaccard": pd.Series([], dtype=np.float64)})
+    a, b, sa, sb = quad.T
     pairs_ref = ray.put((a, b))
 
-    full_cells = scatter_slices(packed, num_slices, kind="f")
-    futs = [_verify_slice_partial.remote(pairs_ref, *full_cells[s])
-            for s in range(num_slices) if full_cells[s]]
     common = np.zeros(a.size, dtype=np.int64)
-    for r in ray.get(futs):
-        pidx, cnt = pickle.loads(r)
+    for pidx, cnt in ray.get(slice_map(
+            packed, num_slices,
+            lambda s, parts: _verify_slice_partial(parts, pairs_ref),
+            kind="f")):
         common[pidx] += cnt         # pidx unique within one slice result
     union = sa + sb - common
     with np.errstate(invalid="ignore", divide="ignore"):

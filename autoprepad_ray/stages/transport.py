@@ -4,8 +4,9 @@ scan.
 
 Every packed stream is ``payload`` rows of pickled objects, optionally
 tagged with ``slice`` and ``kind`` columns, and only this module builds
-and reads them (:func:`_pickled` for a fold; :func:`pack_slices`,
-:func:`kind_rows` and :func:`unpack_cells` for the exchange).
+and reads them (:func:`_pickled` for a fold; :func:`pack_slices` and
+:func:`kind_rows` write the exchange's rows, :func:`slice_map`,
+:func:`fold_payloads` and :func:`kind_tables` read them).
 
 :func:`fold` is the one unkeyed partial->merge reduction: one Dataset
 execution maps each block to one payload row, flat ray tasks merge the
@@ -33,8 +34,8 @@ summaries, and one ``emit`` task per block fed its prefix value.  Row
 data never reaches the driver and no second exchange runs.
 
 The slice exchange carries every key-routed step (censuses, band
-pairing, keyed maps and folds, reconciliation, similarity joins) in
-four parts:
+pairing, candidate pairing and verify, keyed maps and folds,
+reconciliation, similarity joins) in three parts:
 
 1. :func:`slice_of` is the routing rule, ``splitmix64(key) % n``.  A
    co-partitioned step is right only when every side routes by the same
@@ -45,14 +46,15 @@ four parts:
    Numpy fields are fancy-indexed; Arrow arrays and tables are
    ``take``n, because a pickled ``Table.slice`` carries its parent's
    whole buffers.  :func:`kind_rows` adds a mixed stream's unsliced
-   rows (``agg``, ``viol``), which only :func:`fold_payloads` reads.
-3. :func:`scatter_slices` moves every payload byte once: a few scatter
-   tasks split a materialized packed stream into one return object PER
-   SLICE (``num_returns=num_slices``; the caller owns those objects), so
-   the task for slice ``s`` is handed only slice-``s`` refs, and a slice
-   no scatter task filled is handed none.
-4. :func:`unpack_cells` turns a per-slice task's cell lists back into
-   the payload tuples, in order.
+   rows (``agg``, ``viol``), which :func:`fold_payloads` and
+   :func:`kind_tables` read.
+3. :func:`slice_map` is the one per-slice task: a few scatter tasks
+   split a materialized packed stream into one return object PER SLICE
+   (``num_returns=num_slices``), so each byte moves once, and one task
+   per slice that a row reached runs a plain ``fn(s, parts)`` over its
+   slice's unpickled payloads, handed only slice-``s`` refs.  The cells
+   are that task's top-level args, which Ray dereferences; a ref that
+   ``fn`` closes over is not, and ``fn`` ``ray.get``s it.
 
 Sizing: Ray stores task returns under ~100 KB inline in the OWNER's
 process, so pathologically small cells would pile the whole stream into
@@ -172,7 +174,7 @@ def fold_payloads(packed, merge, kind: str | None = None):
     ``merge``s the survivors.  ``merge(list) -> object`` must be
     associative.  Groups without a payload are dropped, so when no
     payload exists at all the result is ``merge([])``.  ``kind`` filters
-    rows as in :func:`scatter_slices`."""
+    rows as in :func:`slice_map`."""
     refs = packed.to_arrow_refs()
     futs = [_fold_task.remote(merge, kind, *refs[i:i + FAN_IN])
             for i in range(0, len(refs), FAN_IN)]
@@ -361,19 +363,13 @@ def pack_slices(sl: np.ndarray, *fields, kind: str | None = None
 def kind_rows(rows: dict) -> pa.Table:
     """The unsliced rows of a mixed packed stream: one ``(slice -1,
     kind, payload)`` row per ``{kind: object}`` item, concatenable with
-    the stream's :func:`pack_slices` cells.  :func:`fold_payloads` reads
-    them by ``kind``; no scatter ships them."""
+    the stream's :func:`pack_slices` cells.  :func:`fold_payloads` and
+    :func:`kind_tables` read them by ``kind``; no scatter ships them."""
     return pa.table({
         "slice": pa.array([-1] * len(rows), pa.int32()),
         "kind": pa.array(list(rows), pa.string()),
         "payload": pa.array([pickle.dumps(o) for o in rows.values()],
                             pa.large_binary())})
-
-
-def unpack_cells(cell_lists) -> list[tuple]:
-    """The payload tuples of a per-slice task's cell lists (each a list
-    of payload bytes, as :func:`scatter_slices` hands them), in order."""
-    return [pickle.loads(p) for cells in cell_lists for p in cells]
 
 
 def cells_return(cells: list):
@@ -395,7 +391,8 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
     """Split packed (slice, payload[, kind]) rows of ``blocks`` into one
     list-of-payload-bytes return PER SLICE, plus a last return: the mask
     of the slices it filled.  Without a ``kind`` filter, a stream's
-    ``kind`` tags ride along: each cell entry is ``(kind, payload)``."""
+    ``kind`` tags ride along: each cell entry is ``(kind, payload)``.
+    No :func:`kind_rows` row is shipped either way."""
     out: list[list] = [[] for _ in range(num_slices)]
     for t in blocks:
         if t.num_rows == 0:
@@ -405,6 +402,9 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
             continue
         if kind is not None:
             t = t.filter(pc.equal(t["kind"], kind))
+        elif "kind" in t.column_names:
+            # a tagged stream read whole: its kind_rows (slice -1) stay
+            t = t.filter(pc.greater_equal(t["slice"], 0))
         cells = t["payload"].to_pylist()
         if kind is None and "kind" in t.column_names:
             cells = list(zip(t["kind"].to_pylist(), cells))
@@ -413,25 +413,13 @@ def _scatter_task(num_slices: int, kind: str | None, *blocks):
     return cells_return([*out, np.array([bool(c) for c in out])])
 
 
-def scatter_slices(packed, num_slices: int, *, kind: str | None = None
-                   ) -> list[list["ray.ObjectRef"]]:
-    """Scatter a MATERIALIZED packed Dataset by its ``slice`` column.
-
-    ``packed`` holds :func:`pack_slices` rows for slices in ``[0,
-    num_slices)``.  When ``kind`` is given only rows with that ``kind``
-    value participate (lets a mixed stream — e.g. pass-2 blocks carrying
-    both violation tables and band payloads — scatter without a separate
-    filtered copy; the non-matching rows are read once per scatter task,
-    never shipped to the per-slice tasks).  Without ``kind``, a stream
-    with a ``kind`` column delivers ``(kind, payload)`` pairs.
-
-    Returns ``per_slice`` where ``per_slice[s]`` is a list of ObjectRefs
-    each resolving to a ``list`` of slice-``s`` payloads, one per
-    scatter task that filled slice ``s`` (each task returns its fill
-    mask), so a slice no row reached gets ``[]``.  Pass them
-    as top-level ``*args`` to the per-slice task, so Ray fetches exactly
-    the bytes that task owns, and read them with :func:`unpack_cells`.
-    """
+def _scatter_slices(packed, num_slices: int, kind: str | None
+                    ) -> list[list["ray.ObjectRef"]]:
+    """``per_slice[s]``: one ref per scatter task that filled slice
+    ``s`` (each task returns its fill mask), so a slice no row reached
+    gets ``[]``.  A few scatter tasks split the materialized ``packed``
+    stream, each grouping enough blocks that its expected per-slice
+    cell clears ``TARGET_CELL_BYTES``."""
     refs = packed.to_arrow_refs()
     if not refs:
         return [[] for _ in range(num_slices)]
@@ -448,13 +436,59 @@ def scatter_slices(packed, num_slices: int, *, kind: str | None = None
 
 
 @ray.remote
-def _keyed_map_task(fn, n_sides: int, *cell_lists) -> pa.Table:
-    sides: list[list[pa.Table]] = [[] for _ in range(n_sides)]
-    for cells in cell_lists:
-        for side, p in cells:
-            sides[int(side)].append(pickle.loads(p)[0])
-    return fn(*(pa.concat_tables(ts, promote_options="default") if ts
-                else pa.table({}) for ts in sides))
+def _slice_task(fn, s: int, returns: int | None, *cell_lists):
+    # the cells are top-level args, so Ray hands them dereferenced: the
+    # task fetches its own slice and nothing else
+    parts = [(p[0], pickle.loads(p[1])) if isinstance(p, tuple)
+             else pickle.loads(p) for cells in cell_lists for p in cells]
+    out = fn(s, parts)
+    return out if returns is None else cells_return(list(out))
+
+
+def slice_map(packed, num_slices: int, fn, *, kind: str | None = None,
+              returns: int | None = None) -> list:
+    """Run ``fn(s, parts)`` once per live slice of a MATERIALIZED packed
+    stream, in ONE task per slice that a row reached (no task for an
+    empty slice).
+
+    ``packed`` holds :func:`pack_slices` rows for slices in ``[0,
+    num_slices)``.  ``parts`` lists slice ``s``'s payload tuples, in
+    block order.  With ``kind``, only rows of that ``kind`` take part;
+    the others (a mixed stream's :func:`kind_rows`, or another
+    stream's cells) are read once by the scatter and never shipped.
+    Without ``kind``, a tagged stream gives ``(kind, payload)`` pairs.
+
+    Returns one ref per live slice, in slice order, to ``fn``'s
+    result.  With ``returns=k``, ``fn`` returns a sequence of ``k``
+    objects and each live slice gives a list of ``k`` refs, one per
+    object, so a consumer fetches only the objects it reads.  A ref
+    ``fn`` closes over arrives as a ref: ``ray.get`` it."""
+    cells = [(s, c) for s, c in
+             enumerate(_scatter_slices(packed, num_slices, kind)) if c]
+    if returns is None:
+        return [_slice_task.remote(fn, s, None, *c) for s, c in cells]
+    return [cell_refs(_slice_task, returns, fn, s, returns, *c)
+            for s, c in cells]
+
+
+@ray.remote
+def _kind_table_task(block, kind: str, schema: pa.Schema) -> pa.Table:
+    tabs = _payloads([block], kind)
+    return pa.concat_tables(tabs, promote_options="default") if tabs \
+        else schema.empty_table()
+
+
+def kind_tables(packed, kind: str, schema: pa.Schema):
+    """The tables of a MATERIALIZED packed stream's ``kind`` rows (each
+    a :func:`kind_rows` table) as a materialized Dataset: one flat task
+    per block concatenates its tables, wrapped with
+    ``ray.data.from_arrow_refs``.  A block without such a row (Ray's
+    dynamic block splitting can cut one off its row, or leave a 0-row
+    block with an empty schema) gives ``schema.empty_table()``.  Built
+    once, so ``count()`` reads block metadata and neither iteration nor
+    a write re-runs a map."""
+    return rd.from_arrow_refs([_kind_table_task.remote(r, kind, schema)
+                               for r in packed.to_arrow_refs()])
 
 
 def _pack_side(t: pa.Table, keys: list[str], n: int, side: str):
@@ -471,15 +505,24 @@ def _keyed_refs(sides, keys: list[str], fn) -> list:
               for i, d in enumerate(sides)]
     packed = (packed[0].union(*packed[1:]) if len(packed) > 1
               else packed[0]).materialize()
-    return [_keyed_map_task.remote(fn, len(sides), *cells)
-            for cells in scatter_slices(packed, n) if cells]
+
+    n_sides = len(sides)
+
+    def per_slice(s: int, parts: list) -> pa.Table:
+        tables: list[list[pa.Table]] = [[] for _ in range(n_sides)]
+        for side, (t,) in parts:
+            tables[int(side)].append(t)
+        return fn(*(pa.concat_tables(ts, promote_options="default") if ts
+                    else pa.table({}) for ts in tables))
+
+    return slice_map(packed, n, per_slice)
 
 
 def keyed_map(sides, keys: list[str], fn):
     """Run ``fn`` per key slice: every row of ``sides`` (one Dataset, or
     a tuple of Datasets that all hold the ``keys`` columns) goes to
     slice ``slice_of(key_hash(keys), default_num_parts())`` in ONE
-    materialized union execution and one :func:`scatter_slices`.  One
+    materialized union execution and one :func:`slice_map`.  One
     task per slice that received a row calls ``fn(*tables) ->
     pa.Table`` with its rows, one table per side (a side without rows
     there is a table without columns).  All rows of a key, null

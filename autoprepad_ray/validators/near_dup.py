@@ -28,12 +28,12 @@ DISTRIBUTED, never driver-side (r5 layout):
    lands complete in one slice, and because EVERY block containing a
    hash ships that hash's row for each of its band keys, a pairing task
    can fold the GLOBAL min id per hash from its own slice alone;
-2. flat per-slice ray tasks (slice-addressed scatter,
-   ``stages.transport``) dedupe cross-block rows, pair within lexsorted
-   bucket segments with the size-class-batched XOR+popcount kernel, and
-   return verified (hash_a, hash_b, dist) pairs PLUS the (hash, min id)
-   resolution entries for exactly the hashes their pairs touch — the
-   separate id-resolution pass of earlier rounds no longer exists.
+2. one ``transport.slice_map`` task per live slice dedupes cross-block
+   rows, pairs within lexsorted bucket segments with the
+   size-class-batched XOR+popcount kernel, and returns verified
+   (hash_a, hash_b, dist) pairs PLUS the (hash, min id) resolution
+   entries for exactly the hashes their pairs touch — the separate
+   id-resolution pass of earlier rounds no longer exists.
 Only verified pairs and their per-hash representatives — the output —
 reach the driver.
 """
@@ -46,10 +46,10 @@ import pyarrow as pa
 
 import ray
 
-from ..stages.transport import (default_num_parts, fold, fold_payloads,
-                                kind_rows, merge_concat, merge_counts,
-                                pack_slices, scatter_slices, slice_of,
-                                unpack_cells)
+from ..stages import transport
+from ..stages.transport import (fold, fold_payloads, kind_rows,
+                                merge_concat, merge_counts, pack_slices,
+                                slice_map, slice_of)
 
 
 def _minid_per_key(keys: np.ndarray, ids: np.ndarray
@@ -392,11 +392,15 @@ def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
                           batch_size=16384 if scheme == "2x32f1" else None)
 
 
-@ray.remote
-def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
-                        num_parts: int, slice_id: int, scheme: str,
-                        *payload_lists):
-    """Flat pairing task for ONE slice of the id-carrying band stream.
+_NO_PAIRS = (np.empty(0, np.int64), np.empty(0, np.int64),
+             np.empty(0, np.int64), np.empty(0, np.int64),
+             np.empty(0, object))
+
+
+def _id_pair_slice(s: int, parts: list, max_dist: int, bucket_cap: int,
+                   dup_ref, num_parts: int, scheme: str) -> tuple:
+    """Pair ONE slice of the id-carrying band stream (the
+    ``transport.slice_map`` function of :func:`_pair_ids`).
 
     Returns (ph_a, ph_b, dist, res_ph, res_id):
 
@@ -406,14 +410,9 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
       by an emitted pair — valid because all blocks deliver a hash's
       row for each of its kept band keys (see ``_band_cells``) — plus,
       when ``dup_ref`` names exact-duplicate hashes, the entries for
-      dup hashes whose owner key routes to this slice (so each dup
-      hash resolves exactly once across tasks even when it pairs with
-      nothing)."""
-    parts = unpack_cells(payload_lists)
-    if not parts:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, object))
+      dup hashes whose owner key routes to slice ``s`` (so each dup
+      hash resolves exactly once across slices even when it pairs with
+      nothing; its owner key ships a cell, so that slice is live)."""
     keys, ph, ids = merge_concat(parts)
     ph_u, minid = _minid_per_key(ph, ids)
     uniq = np.unique(np.stack([keys, ph], axis=1), axis=0)
@@ -422,45 +421,29 @@ def _id_pair_slice_task(max_dist: int, bucket_cap: int, dup_ref,
     ph_a = pairs["id_a"].to_numpy().astype(np.int64)
     ph_b = pairs["id_b"].to_numpy().astype(np.int64)
     dist = pairs["dist"].to_numpy().astype(np.int64)
-    res = np.unique(np.concatenate([ph_a, ph_b])) if len(ph_a) else \
-        np.empty(0, np.int64)
+    res = np.unique(np.concatenate([ph_a, ph_b]))
     if dup_ref is not None:
-        dup = dup_ref  # top-level ObjectRef args arrive dereferenced
+        dup = ray.get(dup_ref)
         if len(dup):
-            pos = np.minimum(np.searchsorted(dup, ph_u),
-                             len(dup) - 1)
-            is_dup = dup[pos] == ph_u if len(ph_u) else \
-                np.empty(0, bool)
-            cand = ph_u[is_dup]
-            own = slice_of(_owner_keys(cand, scheme), num_parts) \
-                == slice_id
+            pos = np.minimum(np.searchsorted(dup, ph_u), len(dup) - 1)
+            cand = ph_u[dup[pos] == ph_u]
+            own = slice_of(_owner_keys(cand, scheme), num_parts) == s
             res = np.unique(np.concatenate([res, cand[own]]))
-    if not len(res):
-        return (ph_a, ph_b, dist, np.empty(0, np.int64),
-                np.empty(0, object))
-    res_id = minid[np.searchsorted(ph_u, res)]
-    return (ph_a, ph_b, dist, res, res_id)
+    return (ph_a, ph_b, dist, res, minid[np.searchsorted(ph_u, res)])
 
 
 def _pair_ids(packed, num_parts: int, max_dist: int, bucket_cap: int,
               scheme: str, *, dup_ref=None):
     """Distributed pairing over the ``band`` cells of a MATERIALIZED
-    packed stream: scatter tasks split them into slice-addressed cells
-    (bytes move once even multi-node — ``stages.transport``), flat
-    per-slice ray tasks pair and resolve ids in one visit.  Returns
-    (hash-pair DataFrame (ph_a, ph_b, dist), sorted resolution arrays
-    (hashes, min ids))."""
-    per_slice = scatter_slices(packed, num_parts, kind="band")
-    futs = [_id_pair_slice_task.remote(max_dist, bucket_cap, dup_ref,
-                                       num_parts, s, scheme,
-                                       *per_slice[s])
-            for s in range(num_parts)]
-    outs = ray.get(futs)
-    ph_a = np.concatenate([o[0] for o in outs])
-    ph_b = np.concatenate([o[1] for o in outs])
-    dist = np.concatenate([o[2] for o in outs])
-    res_ph = np.concatenate([o[3] for o in outs])
-    res_id = np.concatenate([o[4] for o in outs])
+    packed stream: one ``transport.slice_map`` task per live slice
+    pairs and resolves ids in one visit.  Returns (hash-pair DataFrame
+    (ph_a, ph_b, dist), sorted resolution arrays (hashes, min ids))."""
+    outs = ray.get(slice_map(
+        packed, num_parts,
+        lambda s, parts: _id_pair_slice(s, parts, max_dist, bucket_cap,
+                                        dup_ref, num_parts, scheme),
+        kind="band"))
+    ph_a, ph_b, dist, res_ph, res_id = merge_concat(outs) or _NO_PAIRS
     # a pair can surface in several buckets routed to different slices;
     # its dist is identical everywhere (exact Hamming), keep the first
     if len(ph_a):
@@ -512,7 +495,6 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
                           phash_col: str = "phash",
                           id_col: str = "image_id",
                           bucket_cap: int = 4096,
-                          num_parts: int | None = None,
                           sat_min: int = SAT_MIN,
                           sat_frac: float = SAT_FRAC,
                           force_path: str | None = None,
@@ -543,8 +525,7 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
     signatures), pass ``materialize_input=True`` so the chain executes
     once.
     """
-    if num_parts is None:
-        num_parts = default_num_parts()
+    num_parts = transport.default_num_parts()
     if materialize_input:
         ds = ds.materialize()
     hot_ref = None
@@ -568,7 +549,6 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
 
 def phash_dedup_clusters(ds, *, phash_col: str = "phash",
                          id_col: str = "image_id", max_dist: int = 4,
-                         num_parts: int | None = None,
                          bucket_cap: int = 4096,
                          scheme: str = "4x16",
                          materialize_input: bool = False):
@@ -609,8 +589,7 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
     """
     from ..stages.graph import _star_forest
 
-    if num_parts is None:
-        num_parts = default_num_parts()
+    num_parts = transport.default_num_parts()
     if materialize_input:
         ds = ds.materialize()
 

@@ -172,14 +172,14 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
     ``merge_groups``.  From the merged counts come
 
     - ``(min, max, percentile-threshold)`` of the raw flag-sum score;
-    - when ``partition_col`` is given, a Dataset of per-partition
-      ``(partition_col, n_rows, n_viol, fail)``, sorted by partition.  A
+    - when ``partition_col`` is given, a ``pa.Table`` of per-partition
+      ``(partition_col, n_rows, n_viol, fail)``, sorted by partition
+      (typed even when it has no rows, so its ``to_pandas()`` keeps
+      the columns).  A
       row is a violation if ANY evidence column is > 0 (the reference's
       OR-merge, experiment.py:441-445); a partition fails when its
       violation share exceeds ``budget``.  Otherwise ``None``.
     """
-    import ray.data as rd
-
     pcols = [partition_col] if partition_col is not None else []
     keys = ["score_raw", "viol"] + pcols
 
@@ -209,10 +209,10 @@ def check_summary(checked_ds, partition_col: str | None = None, *,
         .sort_by(partition_col)
     n_rows = v["count_all_sum"].to_numpy()
     n_viol = v["n_viol_sum"].to_numpy()
-    return stats, rd.from_arrow(pa.table({
+    return stats, pa.table({
         partition_col: v[partition_col], "n_rows": n_rows,
         "n_viol": n_viol,
-        "fail": (n_viol / n_rows > budget).astype(np.int8)}))
+        "fail": (n_viol / n_rows > budget).astype(np.int8)})
 
 
 def score_threshold(checked_ds, *, pct: float = 0.10
@@ -226,7 +226,7 @@ def partition_verdicts(checked_ds, partition_col: str, *,
                        budget: float = 0.05,
                        evidence_cols: tuple[str, ...] = (TUKEY_TOTAL, MAD_TOTAL)):
     """Per-partition pass/fail: violation share vs budget.  Returns a
-    Dataset with (partition_col, n_rows, n_viol, fail); see
+    ``pa.Table`` of (partition_col, n_rows, n_viol, fail); see
     :func:`check_summary`, whose pass this is."""
     return check_summary(checked_ds, partition_col, budget=budget,
                          evidence_cols=evidence_cols)[1]

@@ -119,7 +119,7 @@ def test_langid_detects_real_english():
         "doc_id": pa.array([1, 2], type=pa.int64()),
         "text": pa.array(["the cat sat on the mat and it is a test of the system",
                           "xyzzy qwerty asdf"])})
-    out = lang_id(rd.from_arrow(tbl), concurrency=1).to_pandas() \
+    out = lang_id(rd.from_arrow(tbl)).to_pandas() \
         .sort_values("doc_id")
     assert out["lang_pred"].tolist()[0] == "en"
     assert out["lang_pred"].tolist()[1] == "und"

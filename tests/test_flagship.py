@@ -174,9 +174,22 @@ def test_empty_ds_under_a_reference_gives_empty_results():
     ref = rd.from_arrow(pa.table({"x": [1.0, 2.0, 3.0], "p": [0, 0, 1]}))
     res = validate_numeric_table(empty, ["x"], partition_col="p",
                                  train_ds=ref)
-    assert res.verdicts.count() == 0
-    assert res.verdicts.schema().names == ["p", "n_rows", "n_viol", "fail"]
+    assert res.verdicts.num_rows == 0
+    assert res.verdicts.schema.names == ["p", "n_rows", "n_viol", "fail"]
     assert res.enriched.count() == 0
+
+
+def test_empty_ds_verdicts_keep_their_columns_in_pandas():
+    """The empty verdict table converts to a typed empty frame: a Ray
+    Dataset of it converted to one without columns (KeyError on
+    ``v["fail"]``)."""
+    empty = rd.from_arrow(pa.table({"x": pa.array([], pa.float64()),
+                                    "p": pa.array([], pa.int64())}))
+    ref = rd.from_arrow(pa.table({"x": [1.0, 2.0, 3.0], "p": [0, 0, 1]}))
+    v = validate_numeric_table(empty, ["x"], partition_col="p",
+                               train_ds=ref).verdicts.to_pandas()
+    assert v["fail"].tolist() == []
+    assert list(v.columns) == ["p", "n_rows", "n_viol", "fail"]
 
 
 def test_single_row():

@@ -207,7 +207,7 @@ def _migrated():
             lambda ds: row_checks.check_summary(
                 row_checks.check_rows(ds, fences), "pid"),
             lambda r: r[0][:2] == (0.0, 0.0) and math.isnan(r[0][2])
-            and r[1].count() == 0),
+            and r[1].num_rows == 0),
         "orphans_broadcast": (
             lambda ds: referential.orphans(ds, ds, "k",
                                            strategy="broadcast"),

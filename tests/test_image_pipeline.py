@@ -613,3 +613,47 @@ def test_census_names_caption_orphans_like_duckdb(fimg, tmp_path):
     assert list(zip(got["image_id"], got["right_n"])) == \
         [tuple(r) for r in want]
     assert want[-1] == (None, 1) and (exp.orphan_caption_ids[0], 2) in want
+
+
+def test_census_and_pairing_start_no_task_for_an_empty_slice(tmp_path,
+                                                             monkeypatch):
+    """Four images, two of them one bit apart: the pass-1 census keys
+    (4 id hashes, 4 phashes) reach at most 8 of the 16 slices and the
+    pruned band cells (the 3 bands the pair shares) at most 3, and
+    ``slice_map`` starts a task for those live slices only."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from autoprepad_ray.pipelines.image_validation import validate_images
+    from autoprepad_ray.stages import transport
+
+    ph = [0x0123456789ABCDEF, 0x0123456789ABCDEE, 0x7A5A5A5A5A5A5A5A,
+          0x3C3C3C3C0F0F0F0F]
+    t = pa.table({
+        "image_id": ["a", "b", "c", "d"],
+        "bytes": pa.array([b"x"] * 4, pa.large_binary()),
+        "w": pa.array([64] * 4, pa.int32()),
+        "h": pa.array([64] * 4, pa.int32()),
+        "fmt": ["ppm"] * 4,
+        "caption": ["one", "two", "three", "four"],
+        "phash": pa.array(ph, pa.int64()),
+        "partition_id": pa.array([0] * 4, pa.int32())})
+    (tmp_path / "partition=0").mkdir()
+    pq.write_table(t, tmp_path / "partition=0" / "part.parquet")
+    launched = []
+    task = transport._slice_task
+
+    class Counted:
+        def remote(self, fn, s, *args):
+            launched.append(fn.__qualname__.split(".")[0])
+            return task.remote(fn, s, *args)
+
+    monkeypatch.setattr(transport, "_slice_task", Counted())
+    rep = validate_images(str(tmp_path), ref_partitions=(0,), decode=False)
+    assert rep.neardup_pairs[["id_a", "id_b", "dist"]].values.tolist() \
+        == [["a", "b", 1]]
+    assert transport.default_num_parts() == 16
+    assert 1 <= launched.count("validate_images") <= 8
+    assert 1 <= launched.count("_pair_ids") <= 3
+    assert len(launched) == launched.count("validate_images") \
+        + launched.count("_pair_ids")

@@ -14,6 +14,7 @@ import pytest
 import ray.data as rd
 
 from autoprepad_ray.functions.imagecodec import hamming64
+from autoprepad_ray.stages import transport
 from autoprepad_ray.validators.near_dup import hamming_neardup_pairs
 
 
@@ -184,14 +185,17 @@ def test_duplicate_phash_groups_hot_hash_capped_sample():
     assert r["phash"] == 7 and r["n"] == 500 and len(r["ids"]) == 64
 
 
-def test_flip_scheme_exact_at_d4_where_4x16_misses():
+def test_flip_scheme_exact_at_d4_where_4x16_misses(monkeypatch):
     """Adversarial d=4 pairs with one differing bit in EACH 16-bit band
     are invisible to the 4x16 banding; scheme='2x32f1' must find every
-    brute-force pair at max_dist<=4 (it is exact through 5)."""
+    brute-force pair at max_dist<=4 (it is exact through 5), on 8 band
+    slices."""
     import itertools
 
     from autoprepad_ray.functions.imagecodec import hamming64
     from autoprepad_ray.validators.near_dup import hamming_neardup_pairs
+
+    monkeypatch.setattr(transport, "default_num_parts", lambda: 8)
 
     rng = np.random.default_rng(23)
     base = rng.integers(-2**62, 2**62, size=60, dtype=np.int64)
@@ -221,12 +225,12 @@ def test_flip_scheme_exact_at_d4_where_4x16_misses():
 
     for md in (4, 5):
         got = hamming_neardup_pairs(
-            ds, max_dist=md, scheme="2x32f1", num_parts=8)
+            ds, max_dist=md, scheme="2x32f1")
         got_pairs = {(a, b) for a, b in zip(got["id_a"], got["id_b"])}
         assert got_pairs == brute(md), md
 
     # the default banding genuinely misses the planted spread-bit pairs
-    legacy = hamming_neardup_pairs(ds, max_dist=4, num_parts=8)
+    legacy = hamming_neardup_pairs(ds, max_dist=4)
     legacy_pairs = {(a, b) for a, b in
                     zip(legacy["id_a"], legacy["id_b"])}
     planted = {tuple(sorted((f"r{k:03d}", f"p{k:03d}"))) for k in range(8)}

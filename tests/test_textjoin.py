@@ -8,6 +8,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from autoprepad_ray.stages import transport
 from autoprepad_ray.stages.textjoin import doc_gram_sets, ngram_jaccard_pairs
 
 SF = "/root/testdata/sf0.001"
@@ -34,7 +35,7 @@ def _engine_pairs(ids, texts, threshold, n=8) -> list[tuple]:
     ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()),
                                  "text": texts}))
     out = ngram_jaccard_pairs(ds, "text", "doc_id", n=n,
-                              threshold=threshold, num_slices=8)
+                              threshold=threshold)
     return sorted(zip(out.id_a.tolist(), out.id_b.tolist(),
                       out.jaccard.tolist()))
 
@@ -77,10 +78,12 @@ def test_ngram_jaccard_exact_vs_bruteforce_sf0001(ray_session):
     assert got == exp          # ids AND bit-exact float jaccard
 
 
-def test_ngram_jaccard_randomized_adversarial(ray_session):
+def test_ngram_jaccard_randomized_adversarial(ray_session, monkeypatch):
     """Low-diversity corpora (tiny vocab) maximize background gram
     sharing — the regime where a buggy prefix/positional filter would
-    drop true pairs.  Exact match vs brute force at two thresholds."""
+    drop true pairs.  Exact match vs brute force at two thresholds, on
+    8 gram slices."""
+    monkeypatch.setattr(transport, "default_num_parts", lambda: 8)
     vocab = ["spark", "sort", "scan", "agg", "row", "col", "key", "map"]
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -97,7 +100,8 @@ def test_ngram_jaccard_randomized_adversarial(ray_session):
                 _brute_pairs(ids, texts, thr), (seed, thr)
 
 
-def test_ngram_jaccard_short_and_null_docs(ray_session):
+def test_ngram_jaccard_short_and_null_docs(ray_session, monkeypatch):
+    monkeypatch.setattr(transport, "default_num_parts", lambda: 8)
     texts = ["tiny", None, "", "exactly8", "exactly8", "exactly8x"]
     ids = [10, 20, 30, 40, 50, 60]
     got = _engine_pairs(ids, texts, 0.5)

@@ -1,10 +1,11 @@
 """The slice exchange (stages.transport): rows routed by ``slice_of``,
-packed by ``pack_slices``, scattered by ``scatter_slices`` and read back
-by ``unpack_cells`` arrive exactly once, in their slice, intact — and a
-per-slice task receives ONLY its own slice's payload bytes (a flat
-fan-out that ships every block to every task is O(slices x stream)
-network on a multi-node cluster).  Only ``stages/transport.py`` packs
-or unpacks slice cells.
+packed by ``pack_slices`` and handed to ``slice_map``'s per-slice
+function arrive exactly once, in their slice, intact — and a per-slice
+task receives ONLY its own slice's payload bytes (a flat fan-out that
+ships every block to every task is O(slices x stream) network on a
+multi-node cluster), with no task for a slice no row reached.  Only
+``stages/transport.py`` packs or unpacks slice cells or defines a task
+over them.
 
 The keyed map (``keyed_map``) and the keyed fold (``keyed_fold``) built
 on it must reproduce an exact pandas groupby on any block layout,
@@ -37,8 +38,7 @@ from autoprepad_ray.stages import transport
 from autoprepad_ray.stages.transport import (default_num_parts, keyed_fold,
                                              keyed_map, kind_rows,
                                              merge_groups, pack_slices,
-                                             scatter_slices, slice_of,
-                                             unpack_cells)
+                                             slice_map, slice_of)
 
 
 def _packed_ds(num_blocks, slices_per_block, num_slices, *, kind=None,
@@ -60,19 +60,21 @@ def _packed_ds(num_blocks, slices_per_block, num_slices, *, kind=None,
     return rd.from_arrow(tables).materialize()
 
 
+def _calls(packed, num_slices, **kw) -> list[tuple]:
+    """``(s, parts)`` of every ``slice_map`` call, in slice order."""
+    return ray.get(slice_map(packed, num_slices,
+                             lambda s, parts: (s, parts), **kw))
+
+
 def test_scatter_tasks_receive_only_their_slice():
     num_slices = 7
     packed = _packed_ds(5, 4, num_slices)
-    per_slice = scatter_slices(packed, num_slices)
-    assert len(per_slice) == num_slices
     seen = set()
-    for s, refs in enumerate(per_slice):
-        for cell in ray.get(refs):
-            for blob in cell:
-                b, sl = pickle.loads(blob)
-                # the ownership property: nothing from another slice
-                assert sl == s, (b, sl, s)
-                seen.add((b, sl))
+    for s, parts in _calls(packed, num_slices):
+        for b, sl in parts:
+            # the ownership property: nothing from another slice
+            assert sl == s, (b, sl, s)
+            seen.add((b, sl))
     # ...and every payload arrived exactly once somewhere
     expect = {pickle.loads(blob)
               for t in packed.to_arrow_refs()
@@ -83,40 +85,100 @@ def test_scatter_tasks_receive_only_their_slice():
 def test_scatter_kind_filter_drops_other_rows():
     num_slices = 4
     band = _packed_ds(3, 3, num_slices, kind="band")
-    # mix in viol-style rows that must never reach pairing tasks
+    # mix in viol-style rows that must never reach pairing tasks (their
+    # payload is no pickle: unpacking one would raise)
     def add_viol(t: pa.Table) -> pa.Table:
         extra = pa.table({
-            "slice": pa.array([-1], type=pa.int32()),
+            "slice": pa.array([0], type=pa.int32()),
             "payload": pa.array([b"VIOLPAYLOAD"], type=pa.large_binary()),
             "kind": pa.array(["viol"])})
         return pa.concat_tables([t, extra])
 
     mixed = band.map_batches(add_viol, batch_format="pyarrow",
                              batch_size=None).materialize()
-    per_slice = scatter_slices(mixed, num_slices, kind="band")
-    blobs = [blob for refs in per_slice for cell in ray.get(refs)
-             for blob in cell]
-    assert blobs and all(b != b"VIOLPAYLOAD" for b in blobs)
-    assert len(blobs) == 9
+    parts = [p for _, ps in _calls(mixed, num_slices, kind="band")
+             for p in ps]
+    assert len(parts) == 9 and all(isinstance(p, tuple) for p in parts)
 
 
 def test_scatter_empty_stream():
     empty = rd.from_arrow(pa.table({
         "slice": pa.array([], type=pa.int32()),
         "payload": pa.array([], type=pa.large_binary())})).materialize()
-    assert scatter_slices(empty, 5) == [[]] * 5
+    assert slice_map(empty, 5, lambda s, parts: s) == []
 
 
-def test_scatter_hands_empty_slices_no_cell():
-    """A slice no scatter task filled gets no ref at all, so its task
-    need not start; a filled slice gets one ref per task that filled
-    it."""
+def test_scatter_hands_empty_slices_no_cell(monkeypatch):
+    """One task per slice a row reached: 4 one-slice blocks over 50
+    slices start at most 4 tasks, each on its own live slice."""
     packed = _packed_ds(4, 1, 50, seed=8)
     live = {s for t in packed.to_arrow_refs()
             for s in ray.get(t)["slice"].to_pylist()}
-    per_slice = scatter_slices(packed, 50)
-    assert {s for s, refs in enumerate(per_slice) if refs} == live
-    assert all(all(ray.get(refs)) for refs in per_slice)
+    counted = _CountedTask(transport._slice_task)
+    monkeypatch.setattr(transport, "_slice_task", counted)
+    got = ray.get(slice_map(packed, 50, lambda s, parts: s))
+    assert got == sorted(live) and counted.calls == len(live)
+
+
+_KINDS = st.sampled_from(["a", "b"])
+
+
+@st.composite
+def _slice_map_case(draw):
+    n = draw(st.integers(1, 9))
+    blocks = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1),
+                                              _KINDS), max_size=6),
+                           max_size=6))
+    mode = draw(st.sampled_from(["plain", "tagged", "filtered"]))
+    return n, blocks, mode, draw(st.sampled_from([None, 1, 3]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_slice_map_case())
+def test_slice_map_random_layouts(case):
+    """Random block layouts and slice counts, an untagged stream, and a
+    tagged one (with ``kind_rows``, which no call sees) read whole or
+    by ``kind`` (the other kind dropped): each payload reaches exactly
+    one ``fn`` call, the one of its slice, as ``(kind, payload)`` when
+    tagged and unfiltered; no call runs for a slice no row reached;
+    ``returns=k`` gives ``k`` refs per live slice, in ``fn``'s
+    order."""
+    n, layout, mode, returns = case
+    tables, want = [], {}
+    for b, rows in enumerate(layout):
+        payloads = [pickle.dumps((b, i)) for i in range(len(rows))]
+        cols = {"slice": pa.array([s for s, _ in rows], pa.int32()),
+                "payload": pa.array(payloads, pa.large_binary())}
+        if mode != "plain":
+            cols["kind"] = pa.array([k for _, k in rows], pa.string())
+        t = pa.table(cols).select(["slice", *(["kind"] if mode != "plain"
+                                              else []), "payload"])
+        tables.append(pa.concat_tables([kind_rows({"agg": b}), t])
+                      if mode != "plain" else t)
+        for i, (s, k) in enumerate(rows):
+            if mode != "filtered" or k == "a":
+                p = (b, i) if mode != "tagged" else (k, (b, i))
+                want.setdefault(s, []).append(p)
+    packed = rd.from_arrow(tables).materialize() if tables else \
+        rd.from_arrow(pa.table({"slice": pa.array([], pa.int32()),
+                                "payload": pa.array([], pa.large_binary())}
+                               )).materialize()
+    k = returns or 1
+
+    def fn(s, parts):
+        out = [(s, j, parts) for j in range(k)]
+        return out if returns else out[0]
+
+    refs = slice_map(packed, n, fn, kind="a" if mode == "filtered" else None,
+                     returns=returns)
+    rows = [ray.get(r) for r in refs] if returns else \
+        [[c] for c in ray.get(refs)]
+    assert all(len(r) == k and [c[1] for c in r] == list(range(k))
+               for r in rows)
+    got = {r[0][0]: r[0][2] for r in rows}
+    assert len(got) == len(rows)
+    assert {s: sorted(ps) for s, ps in got.items()} == \
+        {s: sorted(ps) for s, ps in want.items()}
 
 
 _TEXT = st.one_of(st.none(), st.text(alphabet="abxyz", max_size=30))
@@ -147,10 +209,11 @@ def _fresh(f):
 def test_exchange_delivers_every_row_once_in_its_slice(case):
     """Random row-aligned fields (int64 keys, an object array with None,
     an Arrow string array with nulls, an Arrow table) over random blocks
-    and slice counts: pack, scatter and unpack.  Every row arrives
-    exactly once, in the cell ``slice_of(key, n)`` names, with its
-    fields intact, and no Arrow field pickles bigger than its own rows
-    (a pickled ``Table.slice`` would carry its parent's buffers)."""
+    and slice counts: pack, and read back through ``slice_map``.  Every
+    row arrives exactly once, in the cell ``slice_of(key, n)`` names,
+    with its fields intact, and no Arrow field pickles bigger than its
+    own rows (a pickled ``Table.slice`` would carry its parent's
+    buffers)."""
     keys, objs, strs, bounds, n, tagged = case
     keys = np.array(keys, dtype=np.int64)
     objs = np.array(objs, dtype=object)
@@ -167,11 +230,9 @@ def test_exchange_delivers_every_row_once_in_its_slice(case):
         blocks.append(pa.concat_tables([kind_rows({"agg": lo}), cells])
                       if tagged else cells)
     packed = rd.from_arrow(blocks).materialize()
-    per_slice = scatter_slices(packed, n, kind="cell" if tagged else None)
-    assert len(per_slice) == n
     seen = []
-    for s in range(n):
-        for k, o, sa, t in unpack_cells(ray.get(per_slice[s])):
+    for s, parts in _calls(packed, n, kind="cell" if tagged else None):
+        for k, o, sa, t in parts:
             assert (slice_of(k, n) == s).all()
             r = t["row"].to_numpy()
             assert (k == keys[r]).all()
@@ -185,20 +246,34 @@ def test_exchange_delivers_every_row_once_in_its_slice(case):
     assert sorted(seen) == list(range(len(keys)))
 
 
+# the Ray tasks outside stages/transport.py: none reads slice cells
+# (dedup's reads grid columns, cooccur's run ranges of a broadcast array)
+_OTHER_TASKS = {"stages/dedup.py": ["_part_ids_task"],
+                "stages/cooccur.py": ["_pair_census", "_fold_cells",
+                                      "_triangle_partial"]}
+
+
 def test_only_transport_packs_slice_cells():
-    """One packer and one unpacker: outside ``stages/transport.py`` no
-    library module builds a ``slice`` payload column or unpickles a
-    per-slice task's cell lists itself."""
+    """One packer, one unpacker and one per-slice task: outside
+    ``stages/transport.py`` no library module builds a ``slice``
+    payload column, unpickles a per-slice task's cell lists itself,
+    imports the scatter or its unpackers (``scatter_slices``,
+    ``unpack_cells``, ``_payloads``), or defines a Ray task other than
+    the few that read no slice cells."""
     root = pathlib.Path(autoprepad_ray.__file__).parent
     offenders = []
     for f in sorted(root.rglob("*.py")):
-        if f == root / "stages" / "transport.py":
+        name = str(f.relative_to(root))
+        if name == "stages/transport.py":
             continue
         src = f.read_text()
+        tasks = re.findall(r"@ray\.remote[^\n]*\n\s*def (\w+)", src)
         if re.search(r"""["']slice["']""", src) or re.search(
                 r"pickle\.loads\(\w+\)\s+for\s+\w+\s+in\s+\S+\s+for\b",
-                src):
-            offenders.append(str(f.relative_to(root)))
+                src) or re.search(
+                r"\b(scatter_slices|unpack_cells|_payloads)\b", src) \
+                or tasks != _OTHER_TASKS.get(name, []):
+            offenders.append(name)
     assert offenders == []
 
 
@@ -285,8 +360,8 @@ def test_keyed_fold_empty_slices_keep_schema(monkeypatch):
                        "x": np.array([0.5, 0.25, 1.0])})
     n = default_num_parts()
     assert n - len(set(slice_of(key_hash([df["k"]])[0], n))) >= 14
-    counted = _CountedTask(transport._keyed_map_task)
-    monkeypatch.setattr(transport, "_keyed_map_task", counted)
+    counted = _CountedTask(transport._slice_task)
+    monkeypatch.setattr(transport, "_slice_task", counted)
     out = _folded(_from_frame(df, 1))
     assert 1 <= counted.calls <= 2
     pd.testing.assert_frame_equal(out, _expected(df))
@@ -548,7 +623,7 @@ def test_verify_prefilter_hash_agreement(ids_dtype):
     assert got == {(ids[1], ids[2]): 3.0, (ids[5], ids[9]): 14.0}
 
 
-def test_candidate_pairs_stay_distributed():
+def test_candidate_pairs_stay_distributed(monkeypatch):
     """Directive: no driver-side list of ALL candidate pairs.  The
     candidate path must return a grid of per-(slice, part) cell refs —
     cells route each pair (with all its cross-slice duplicates) to one
@@ -560,19 +635,21 @@ def test_candidate_pairs_stay_distributed():
 
     src = inspect.getsource(dedup.candidate_pairs_grid)
     assert "pd.concat(ray.get" not in src
-    _check_candidate_grid(num_parts=8)
+    _check_candidate_grid(monkeypatch, num_parts=8)
 
 
-def test_candidate_pairs_grid_one_part():
-    """``num_parts=1``: Ray hands back one bare ref, not a 1-tuple, for
+def test_candidate_pairs_grid_one_part(monkeypatch):
+    """One part: Ray hands back one bare ref, not a 1-tuple, for
     ``num_returns=1`` (this raised TypeError: 'ray.ObjectRef' object is
     not subscriptable); the grid still has its one part."""
-    _check_candidate_grid(num_parts=1)
+    _check_candidate_grid(monkeypatch, num_parts=1)
 
 
-def _check_candidate_grid(num_parts: int) -> None:
+def _check_candidate_grid(monkeypatch, num_parts: int) -> None:
     from autoprepad_ray.stages import dedup
 
+    # slices and verify parts both number default_num_parts()
+    monkeypatch.setattr(transport, "default_num_parts", lambda: num_parts)
     # a tiny keyed stream with two hot buckets split across blocks
     keyed = rd.from_arrow([
         pa.table({"key": pa.array([1, 1, 2], type=pa.int64()),
@@ -580,15 +657,13 @@ def _check_candidate_grid(num_parts: int) -> None:
         pa.table({"key": pa.array([1, 2, 3], type=pa.int64()),
                   "doc_id": pa.array([12, 21, 30], type=pa.int64())}),
     ])
-    grid = dedup.candidate_pairs_grid(keyed, 1000, num_slices=16,
-                                      num_parts=num_parts)
+    grid = dedup.candidate_pairs_grid(keyed, 1000)
     assert len(grid) == num_parts
     assert all(isinstance(c, ray.ObjectRef) for refs in grid
                for c in refs)
     seen = {}
     for p, refs in enumerate(grid):
-        for cell in ray.get(refs):
-            a, b = pickle.loads(cell)
+        for a, b in ray.get(refs):
             for pair in zip(a.tolist(), b.tolist()):
                 # every copy of a pair lands in ITS one part
                 assert seen.setdefault(pair, p) == p
