@@ -27,14 +27,22 @@ lifecycle from it:
       ],
     }
 
-Execution shape: ONE profile pass over every declared column feeds all
-fitted state (fences, domains, shape profiles, ordinal maps — the
-reference's per-transformer fit attributes, TukeyTransformer.py:37-42);
-the validate pass is one stateless ``map_batches`` chain appending
-evidence columns plus ``n_evidence`` (the OR-merge total,
-experiment.py:441-445) and ``AnomalyScore``/``AnomalyLabel``
-(runs.py:199-222).  Uniqueness, verdicts and passthrough validators are
-separate keyed/aggregate jobs over the same input.
+Execution shape: the declared-table lifecycle is an evidence step and
+a tail.  ``run_config`` drops the excluded columns once; the evidence
+step (:func:`_declared_evidence`) canonicalizes NaN tokens on every
+declared string column (string datetimes included, the reference's M1), parses
+datetimes and runs ONE profile pass over every declared column; that
+feeds all fitted state (fences, domains, shape profiles, ordinal maps —
+the reference's per-transformer fit attributes,
+TukeyTransformer.py:37-42), and one stateless ``map_batches`` chain
+appends the evidence columns plus ``n_evidence`` (the OR-merge total,
+experiment.py:441-445).  The tail adds ``AnomalyScore``/``AnomalyLabel``
+(runs.py:199-222): a single-numeric-column config without partitions
+takes the score stats off the profile, otherwise ONE summary pass
+(``row_checks.check_summary`` over ``n_evidence``) yields the score
+stats and the per-partition verdicts together, so a partition's
+violation count is the OR-merge of every declared check.  Uniqueness
+and passthrough validators are separate jobs over the same input.
 """
 
 from __future__ import annotations
@@ -61,27 +69,28 @@ _DEFAULT_THRESHOLDS = {
     "domain_min_frac": 0.02,
     "budget": 0.05,
 }
+_DT_FORMAT = "%Y-%m-%d %H:%M:%S"      # how string datetime columns parse
 
 
 @dataclass
 class ConfigResult:
-    enriched: Any                      # Dataset: evidence + score/label
+    enriched: Any                      # Dataset: evidence (+ score/label)
     profile: TableProfile
     states: dict                       # fitted fence states (numeric)
     domains: dict                      # fitted category domains
     shape_domains: dict                # fitted format profiles
     ordinal_maps: dict                 # fitted category -> code maps
-    duplicates: Any | None             # uniqueness listing (arrow table)
-    verdicts: Any | None               # per-partition verdict pa.Table
+    duplicates: Any | None = None      # uniqueness listing (arrow table)
+    verdicts: Any | None = None        # per-partition verdict pa.Table
     extras: dict = field(default_factory=dict)   # named validator outputs
 
 
-def _canon_and_parse(ds, str_cols: list[str], dt_cols: list[str],
-                     dt_format: str):
+def _canon_and_parse(ds, str_cols: list[str], dt_cols: list[str]):
     """NaN-token canonicalization (M1) on declared string columns +
-    datetime normalization: string datetimes parse with ``dt_format``
-    (unparseable -> flag column), native timestamps cast — either way a
-    ``{col}_epoch`` int64 column feeds the numeric fence checks."""
+    datetime normalization: string datetimes are canonicalized too and
+    parse with ``_DT_FORMAT`` (unparseable -> flag column, a NaN token is
+    a null), native timestamps cast — either way a ``{col}_epoch`` int64
+    column feeds the numeric fence checks."""
 
     def fn(t: pa.Table) -> pa.Table:
         for c in str_cols:
@@ -94,7 +103,9 @@ def _canon_and_parse(ds, str_cols: list[str], dt_cols: list[str],
                                 pa.int64())
                 unparse = pa.array(np.zeros(t.num_rows, dtype=np.int8))
             else:
-                parsed = pc.strptime(col, format=dt_format, unit="s",
+                col = canonicalize_nan_tokens(col)
+                t = t.set_column(t.column_names.index(c), c, col)
+                parsed = pc.strptime(col, format=_DT_FORMAT, unit="s",
                                      error_is_null=True)
                 epoch = pc.cast(parsed, pa.int64())
                 unparse = pc.cast(
@@ -107,11 +118,8 @@ def _canon_and_parse(ds, str_cols: list[str], dt_cols: list[str],
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def run_config(ds, config: dict, *,
-               dt_format: str = "%Y-%m-%d %H:%M:%S") -> ConfigResult:
-    """Assemble and run the declared validation over ``ds``.
-
-    See the module docstring for the config shape.  Unknown keys raise
+def _thresholds(config: dict) -> dict:
+    """The config's thresholds over the defaults.  Unknown keys raise
     (a misspelled declaration silently validating nothing is the worst
     failure mode a config surface can have)."""
     known = {"exclude_columns", "numeric_columns", "nominal_columns",
@@ -127,22 +135,30 @@ def run_config(ds, config: dict, *,
     if unknown_thr:
         raise KeyError(f"unknown thresholds {sorted(unknown_thr)}; "
                        f"known: {sorted(_DEFAULT_THRESHOLDS)}")
+    return thr
+
+
+def _declared_evidence(ds, config: dict, thr: dict) -> ConfigResult:
+    """The evidence step of :func:`run_config` over ``ds`` (excluded
+    columns already dropped) with the parsed thresholds ``thr``: fit the
+    declared state in ONE profile pass (the only execution) and return
+    it with ``enriched`` as the lazy Dataset of evidence columns and
+    ``n_evidence`` (no score or label yet).  Raises ``ValueError`` when
+    the reference has no rows (no fences to learn)."""
     numeric = list(config.get("numeric_columns", ()))
     nominal = list(config.get("nominal_columns", ()))
     ordinal = list(config.get("ordinal_columns", ()))
     dt_cols = list(config.get("datetime_columns", ()))
     pattern = list(config.get("pattern_columns", ()))
-    exclude = list(config.get("exclude_columns", ()))
-
-    if exclude:
-        ds = ds.drop_columns(exclude)           # M5, runs.py:287-308
-    prepped = _canon_and_parse(ds, nominal + ordinal + pattern, dt_cols,
-                               dt_format)
+    prepped = _canon_and_parse(ds, nominal + ordinal + pattern, dt_cols)
 
     # ---- fit phase: ONE profile pass feeds every fitted state ----
     num_cols = numeric + [f"{c}_epoch" for c in dt_cols]
     prof_cols = num_cols + nominal + ordinal + pattern
     prof = profile_dataset(prepped, columns=prof_cols)
+    if prof.n_rows == 0:
+        raise ValueError("run_config: the reference (ds) has no "
+                         "rows, so no fences can be learned")
     states = rc.fence_states(prof, num_cols,
                              tukey_factor=thr["tukey_factor"])
     domains = {c: learned_domain(prof[c].values,
@@ -180,29 +196,39 @@ def run_config(ds, config: dict, *,
         df["n_evidence"] = ev
         return df
 
-    flagged = checked.map_batches(check_declared, batch_format="pandas")
-    # single-numeric-column configs fold the raw-score distribution off
-    # the profile's exact value counts (CLAUDE.md r3 lesson) — skips the
-    # score_threshold barrier execution entirely
-    stats = rc.score_stats_from_profile(
-        prof, states, pct=thr["mark_anomalies_pct_data"],
-        mad_threshold=thr["mad_threshold"])
-    enriched = rc.attach_scores(
-        flagged, pct=thr["mark_anomalies_pct_data"], stats=stats)
+    return ConfigResult(
+        enriched=checked.map_batches(check_declared, batch_format="pandas"),
+        profile=prof, states=states, domains=domains,
+        shape_domains=shape_domains, ordinal_maps=ordinal_maps)
 
-    duplicates = None
+
+def run_config(ds, config: dict) -> ConfigResult:
+    """Assemble and run the declared validation over ``ds``: the
+    evidence step (:func:`_declared_evidence`), then the score/label and
+    verdict tail.  See the module docstring for the config shape."""
+    thr = _thresholds(config)
+    pct = thr["mark_anomalies_pct_data"]
+    if config.get("exclude_columns"):           # M5, runs.py:287-308
+        ds = ds.drop_columns(list(config["exclude_columns"]))
+    res = _declared_evidence(ds, config, thr)
+    flagged = res.enriched
+    pcol = config.get("partition_column")
+    # a single-numeric-column config without partitions folds the
+    # raw-score distribution off the profile's exact value counts
+    # (CLAUDE.md r3 lesson); otherwise ONE summary pass gives the score
+    # stats and the verdicts over every declared check
+    stats = None if pcol else rc.score_stats_from_profile(
+        res.profile, res.states, pct=pct, mad_threshold=thr["mad_threshold"])
+    if stats is None:
+        stats, res.verdicts = rc.check_summary(
+            flagged, pcol, evidence_cols=("n_evidence",), pct=pct,
+            budget=thr["budget"])
+    res.enriched = rc.attach_scores(flagged, pct=pct, stats=stats)
+
     if config.get("unique_keys"):
-        duplicates = registry.run("duplicate_keys", ds,
-                                  cols=list(config["unique_keys"]))
-    verdicts = None
-    if config.get("partition_column"):
-        verdicts = rc.partition_verdicts(
-            flagged, config["partition_column"], budget=thr["budget"])
-    extras = {}
+        res.duplicates = registry.run("duplicate_keys", ds,
+                                      cols=list(config["unique_keys"]))
     for spec in config.get("validators", ()):
-        extras[spec["name"]] = registry.run(
+        res.extras[spec["name"]] = registry.run(
             spec["name"], ds, **spec.get("kwargs", {}))
-    return ConfigResult(enriched=enriched, profile=prof, states=states,
-                        domains=domains, shape_domains=shape_domains,
-                        ordinal_maps=ordinal_maps, duplicates=duplicates,
-                        verdicts=verdicts, extras=extras)
+    return res

@@ -1,10 +1,17 @@
-"""Experiment harness + mixed-table (EVSE-style) validation — the
-engine's analogue of the reference's Experiment
-(experiment.py:180-421): run the validation pipeline against a table
-with labeled injected anomalies (y_true), OR-merge the evidence into a
-predicted label (experiment.py:441-445), report precision/recall/F1,
-and sweep the score-percentile threshold 1..100%
+"""Experiment harness — the engine's analogue of the reference's
+Experiment (experiment.py:180-421): run the declared validation against
+a table with labeled injected anomalies (y_true), OR-merge the evidence
+into a predicted label (experiment.py:441-445), report
+precision/recall/F1, and sweep the score-percentile threshold 1..100%
 (experiment.py:394-405).
+
+The table is the mixed (EVSE-style) F-MIXED table, validated by
+:data:`FMIXED_CONFIG` through ``config._declared_evidence`` — the same
+evidence step ``run_config`` runs: NaN-token canonicalization (M1),
+numeric Tukey/MAD evidence (sentinel values like -9999), enum-domain
+checks (rare/unseen category — F11/F12), format-pattern checks on
+id-like columns (M9 as a format profile) and datetime parse +
+epoch-range evidence (wrong-year rows).
 
 The "model score" is the deterministic evidence total (flag sum) — the
 north rule replaces the pyod scorer with deterministic checks; the
@@ -15,107 +22,17 @@ preserved.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-import ray.data as rd
-
-from ..functions.strings import canonicalize_nan_tokens
-from ..profile import profile_dataset
+from ..config import _declared_evidence, _thresholds
 from ..stages.transport import fold, merge_groups
-from ..validators import row_checks as rc
-from ..validators.domain import (domain_flags, learned_domain,
-                                 learned_shape_domain, shape_domain_flags)
 
-
-def validate_mixed(ds, *, id_col: str = "row_id",
-                   numeric_cols: tuple[str, ...] = ("locationId",),
-                   enum_cols: tuple[str, ...] = ("platform",
-                                                 "availability"),
-                   pattern_cols: tuple[str, ...] = ("evseid", "uuid"),
-                   datetime_cols: tuple[str, ...] = ("timestamp",),
-                   min_frac: float = 0.02):
-    """Schema-inference-style validation of a mixed table (F-MIXED):
-
-    - NaN-token canonicalization on every string column (M1);
-    - numeric Tukey/MAD evidence (catches sentinel values like -9999);
-    - enum-domain checks (rare/unseen category — F11/F12 semantics);
-    - format-pattern checks on id-like columns (M9 as a format profile);
-    - datetime parse + epoch-range evidence (wrong-year rows).
-
-    Returns a Dataset with per-row evidence columns and ``n_evidence``
-    (the OR-merge total).
-    """
-    str_cols = list(enum_cols) + list(pattern_cols) + list(datetime_cols)
-
-    def canon(t: pa.Table) -> pa.Table:
-        for c in str_cols:
-            t = t.set_column(t.column_names.index(c), c,
-                             canonicalize_nan_tokens(t[c]))
-        return t
-
-    prepped = ds.map_batches(canon, batch_format="pyarrow",
-                             zero_copy_batch=True)
-
-    # parse datetimes -> epoch seconds as an extra numeric column
-    def parse_ts(t: pa.Table) -> pa.Table:
-        for c in datetime_cols:
-            parsed = pc.strptime(t[c], format="%Y-%m-%d %H:%M:%S",
-                                 unit="s", error_is_null=True)
-            epoch = pc.cast(parsed, pa.int64())
-            t = t.append_column(f"{c}_epoch", epoch)
-            t = t.append_column(
-                f"{c}_UNPARSEABLE",
-                pc.cast(pc.and_(pc.is_null(parsed), pc.is_valid(t[c])),
-                        pa.int8()))
-        return t
-
-    prepped = prepped.map_batches(parse_ts, batch_format="pyarrow")
-
-    num_cols = list(numeric_cols) + [f"{c}_epoch" for c in datetime_cols]
-    prof = profile_dataset(prepped, columns=num_cols + str_cols)
-    states = rc.fence_states(prof, num_cols)
-    checked = rc.check_rows(prepped, states)
-
-    domains = {c: learned_domain(prof[c].values, min_frac=min_frac,
-                                 total=prof[c].count)
-               for c in enum_cols}
-    shape_domains = {c: learned_shape_domain(prof[c].values,
-                                             min_frac=min_frac)
-                     for c in pattern_cols}
-
-    def check_domains(df: pd.DataFrame) -> pd.DataFrame:
-        ev = np.zeros(len(df), dtype=np.int64)
-        for c in enum_cols:
-            f = domain_flags(df[c], domains[c])
-            df[f"{c}_DOMAIN"] = f
-            ev += f
-        for c in pattern_cols:
-            f = shape_domain_flags(df[c], shape_domains[c])
-            df[f"{c}_SHAPE"] = f
-            ev += f
-        for c in datetime_cols:
-            ev += df[f"{c}_UNPARSEABLE"].to_numpy(np.int64)
-        ev += df[rc.TUKEY_TOTAL].to_numpy(np.int64)
-        ev += df[rc.MAD_TOTAL].to_numpy(np.int64)
-        df["n_evidence"] = ev
-        return df
-
-    return checked.map_batches(check_domains, batch_format="pandas")
-
-
-def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    return {"tp": tp, "fp": fp, "fn": fn,
-            "precision": round(precision, 6),
-            "recall": round(recall, 6), "f1": round(f1, 6)}
+FMIXED_CONFIG = {
+    "numeric_columns": ["locationId"],
+    "nominal_columns": ["platform", "availability"],
+    "pattern_columns": ["evseid", "uuid"],
+    "datetime_columns": ["timestamp"],
+}
 
 
 def _metrics_from_counts(tp: int, fp: int, fn: int) -> dict:
@@ -144,9 +61,9 @@ def _percentile_from_counts(vals_f: np.ndarray, cum: np.ndarray,
     return float(b - diff * (1 - t)) if t >= 0.5 else float(a + diff * t)
 
 
-def run_experiment(ds, *, y_true_col: str = "y_true",
-                   id_col: str = "row_id", **mixed_kwargs) -> dict:
-    """Inject-evaluate harness: validate, OR-merge to y_pred, report
+def run_experiment(ds, *, y_true_col: str = "y_true") -> dict:
+    """Inject-evaluate harness: validate ``ds`` with
+    :data:`FMIXED_CONFIG` (one profile pass), OR-merge to y_pred, report
     metrics + a PR sweep over score-percentile thresholds 1..100%
     (reference experiment.py:394-405, save_metrics_pr_curve...).
 
@@ -160,7 +77,8 @@ def run_experiment(ds, *, y_true_col: str = "y_true",
     threshold, percentile and P/R/F1 value is computed from counts and
     matches the expanded-array math bit-exactly
     (:func:`_percentile_from_counts`)."""
-    checked = validate_mixed(ds, id_col=id_col, **mixed_kwargs)
+    checked = _declared_evidence(
+        ds, FMIXED_CONFIG, _thresholds(FMIXED_CONFIG)).enriched
 
     def partial(t: pa.Table) -> pa.Table:
         return (pa.table({"s": t["n_evidence"], "y": t[y_true_col]})

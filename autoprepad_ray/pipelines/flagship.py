@@ -45,8 +45,7 @@ def validate_numeric_table(ds, numeric_cols: list[str], *,
                            tukey_factor: float = 1.5,
                            mad_threshold: float = 3.5,
                            pct: float = 0.10,
-                           budget: float = 0.05,
-                           mode: str = "per_column") -> ValidationResult:
+                           budget: float = 0.05) -> ValidationResult:
     """Profile ``train_ds`` (default: ``ds`` itself, the reference's
     ``preprocess`` one-shot, SURVEY §3.3), then validate ``ds``:
     per-row Tukey/MAD evidence, ``AnomalyScore``/``AnomalyLabel``, and
@@ -55,14 +54,13 @@ def validate_numeric_table(ds, numeric_cols: list[str], *,
     an empty ``ds`` under a non-empty ``train_ds`` gives empty verdicts
     and an empty ``enriched``."""
     prof = profile_dataset(train_ds if train_ds is not None else ds,
-                           columns=numeric_cols, pooled=(mode == "pooled"))
+                           columns=numeric_cols)
     if prof.n_rows == 0:
         raise ValueError(
             f"validate_numeric_table: the reference "
             f"({'train_ds' if train_ds is not None else 'ds'}) has no rows, "
             f"so no fences can be learned")
-    states = rc.fence_states(prof, numeric_cols, tukey_factor=tukey_factor,
-                             mode=mode)
+    states = rc.fence_states(prof, numeric_cols, tukey_factor=tukey_factor)
     if train_ds is None:
         ds = sized(ds, prof.layout)
     checked = rc.check_rows(ds, states, mad_threshold=mad_threshold)

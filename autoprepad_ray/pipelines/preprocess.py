@@ -92,16 +92,9 @@ def preprocess_table(ds, *, numeric_cols: tuple[str, ...] = (),
             if round_scaled is not None:
                 scaled = np.round(scaled, round_scaled)
             cols[f"{c}_scaled"] = pa.array(scaled)
-            st = fences[c]
-            cols[f"{c}_TUKEY"] = pa.array(
-                (((imputed < st.lo) | (imputed > st.hi))).astype(np.int64))
-            if st.mad and st.mad > 0:
-                z = 0.6745 * (imputed - st.med) / st.mad
-                cols[f"{c}_Z_MOD"] = pa.array(
-                    (np.abs(z) > 3.5).astype(np.int64))
-            else:
-                cols[f"{c}_Z_MOD"] = pa.array(
-                    np.zeros(len(imputed), dtype=np.int64))
+            tk, md = fences[c].flags(imputed)
+            cols[f"{c}_TUKEY"] = pa.array(tk.astype(np.int64))
+            cols[f"{c}_Z_MOD"] = pa.array(md.astype(np.int64))
         for c in categorical_cols:
             filled = pc.fill_null(t[c], state["modes"][c])
             codes = ordinal_encode_array(filled, state["maps"][c])

@@ -1467,10 +1467,10 @@ def tukey_flags_pooled_lineitem(sf_dir: str):
     monotonic elementwise float64 transform, so applying it to each
     column's exact (value, count) census yields bit-identical doubles
     in already-sorted order, and the merged census feeds the same
-    ValueCounts.quantile replay the streamed pooled profile would run
-    — ONE profile pass + ONE flag pass (was three executions; the
-    overflow fallback below keeps the streamed path for columns past
-    the exact-census scale contract)."""
+    ValueCounts.quantile replay ``fence_states(mode="pooled")`` runs
+    — ONE profile pass + ONE flag pass (was three executions; past the
+    exact-census scale contract, the fallback below profiles the scaled
+    columns and pools their sketches with ``fence_states``)."""
     cols = ["l_quantity", "l_extendedprice"]
     ds = _t(sf_dir, "lineitem", ["l_orderkey", "l_linenumber"] + cols)
     prof = profile_dataset(ds, columns=cols)
@@ -1499,11 +1499,11 @@ def tukey_flags_pooled_lineitem(sf_dir: str):
                 out[f"{c}_scaled"] = pa.array((v - med) / iqr)
             return pa.table(out)
 
-        pooled_prof = profile_dataset(
+        scaled_prof = profile_dataset(
             ds.map_batches(rescale, batch_format="pyarrow",
                            zero_copy_batch=True),
-            columns=[f"{c}_scaled" for c in cols], pooled=True)
-        states = rc.fence_states(pooled_prof,
+            columns=[f"{c}_scaled" for c in cols])
+        states = rc.fence_states(scaled_prof,
                                  [f"{c}_scaled" for c in cols],
                                  mode="pooled")
         st = states[f"{cols[0]}_scaled"]

@@ -26,7 +26,6 @@ import pyarrow as pa
 from .sketches import KLL, HyperLogLog, MomentSketch, ValueCounts, hash64
 from .stages.transport import Layout, fold_with_layout
 
-POOLED = "__pooled__"  # reference's global-flattened stats (SURVEY §1.1)
 # stamped into TableProfile JSON; 2 = KLL quantile sketch (the unstamped
 # format 1 held a t-digest)
 PROFILE_FORMAT = 2
@@ -206,8 +205,7 @@ class TableProfile:
 # the job
 
 
-def _make_partial_fn(columns: list[str] | None, pooled: bool,
-                     max_exact: int):
+def _make_partial_fn(columns: list[str] | None, max_exact: int):
     def partial(batch: pa.Table) -> tuple:
         cols = columns if columns is not None else batch.column_names
         sketches: dict[str, ColumnSketch] = {}
@@ -220,13 +218,6 @@ def _make_partial_fn(columns: list[str] | None, pooled: bool,
             cs.values.max_items = max_exact
             cs.update_array(batch[name])
             sketches[name] = cs
-        if pooled:
-            ps = ColumnSketch(name=POOLED, kind="numeric")
-            ps.values.max_items = max_exact
-            for name, cs in list(sketches.items()):
-                if cs.kind == "numeric":
-                    ps.update_array(batch[name])
-            sketches[POOLED] = ps
         return n, sketches
 
     return partial
@@ -283,30 +274,25 @@ def _merge_bundles(bundles: list[tuple]) -> tuple:
 
 
 def profile_dataset(ds, columns: list[str] | None = None, *,
-                    pooled: bool = False, max_exact: int = 2_000_000,
+                    max_exact: int = 2_000_000,
                     fingerprint: str = "") -> TableProfile:
     """Compute a :class:`TableProfile` in one streaming pass over ``ds``.
-
-    ``pooled=True`` additionally produces the reference's global-flattened
-    statistics over all numeric columns (np.quantile with no axis,
-    TukeyTransformer.py:37-38) under the ``__pooled__`` key.
 
     The per-block bundles fold with ``stages.transport.fold_with_layout``
     (every merge is :func:`_merge_bundles`), so the profile also records
     the :class:`~autoprepad_ray.stages.transport.Layout` of ``ds``.
     """
     (total, merged), layout = fold_with_layout(
-        ds, _make_partial_fn(columns, pooled, max_exact), _merge_bundles)
+        ds, _make_partial_fn(columns, max_exact), _merge_bundles)
     return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint,
                         layout=layout)
 
 
-def profile_arrays(named_arrays: dict[str, np.ndarray], *, pooled: bool = False,
+def profile_arrays(named_arrays: dict[str, np.ndarray], *,
                    max_exact: int = 2_000_000) -> TableProfile:
     """Single-process profile of in-memory arrays (tests / tiny refs)."""
     merged: dict[str, ColumnSketch] = {}
     n_rows = 0
-    pooled_cs = ColumnSketch(name=POOLED, kind="numeric")
     for name, arr in named_arrays.items():
         arr = np.asarray(arr)
         kind = "numeric" if arr.dtype.kind in "ifb" else "string"
@@ -315,8 +301,4 @@ def profile_arrays(named_arrays: dict[str, np.ndarray], *, pooled: bool = False,
         cs.update_array(pa.array(arr))
         merged[name] = cs
         n_rows = max(n_rows, len(arr))
-        if pooled and kind == "numeric":
-            pooled_cs.update_array(pa.array(arr))
-    if pooled:
-        merged[POOLED] = pooled_cs
     return TableProfile(columns=merged, n_rows=n_rows)

@@ -4,7 +4,7 @@ configuration.py:559-566 — here the Profile artifact IS the report)."""
 
 from __future__ import annotations
 
-from .profile import POOLED, TableProfile
+from .profile import TableProfile
 
 
 def profile_to_markdown(prof: TableProfile, title: str = "Data profile"
@@ -17,8 +17,6 @@ def profile_to_markdown(prof: TableProfile, title: str = "Data profile"
              "| std | p25 | p50 | p75 | mode |",
              "|---|---|---|---|---|---|---|---|---|---|---|---|---|"]
     for name, s in prof.columns.items():
-        if name == POOLED:
-            continue
         m = s.moments
 
         def fmt(x):
@@ -41,13 +39,6 @@ def profile_to_markdown(prof: TableProfile, title: str = "Data profile"
             f"| {name} | {s.kind} | {s.count} | {s.null_count} "
             f"| {approx}{round(s.distinct())} | " + " | ".join(stats) + " |")
     lines.append("")
-    if POOLED in prof.columns:
-        s = prof.columns[POOLED]
-        lines.append(
-            f"pooled (reference global-flattened stats): "
-            f"p25={s.quantile(0.25):.6g} p50={s.quantile(0.5):.6g} "
-            f"p75={s.quantile(0.75):.6g}")
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -90,8 +81,6 @@ def profile_to_html(prof: TableProfile, title: str = "Data profile"
 
     rows, classes = [], []
     for name, s in prof.columns.items():
-        if name == POOLED:
-            continue
         m = s.moments
         if s.kind in ("numeric", "timestamp"):
             stats = [fmt(m.vmin), fmt(m.vmax), fmt(m.mean), fmt(m.std),

@@ -25,6 +25,7 @@ partition verdicts.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..profile import POOLED, TableProfile
+from ..profile import TableProfile, _merge_columns
 from ..sketches import ValueCounts
 from ..stages.transport import fold, merge_groups
 
@@ -54,6 +55,17 @@ class FenceState:
     med: float
     mad: float
 
+    def flags(self, v: np.ndarray, mad_threshold: float = 3.5
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The Tukey and MAD flag masks of float64 ``v``.  NaN (a null
+        cast to float64) compares false, so it never flags; a MAD of 0
+        or NaN gives no MAD flags."""
+        tukey = (v < self.lo) | (v > self.hi)
+        if self.mad > 0:
+            return tukey, np.abs(0.6745 * (v - self.med) / self.mad) \
+                > mad_threshold
+        return tukey, np.zeros(len(v), dtype=bool)
+
 
 def _weighted_median_abs_dev(values: np.ndarray, counts: np.ndarray,
                              med: float) -> float:
@@ -70,12 +82,12 @@ def fence_states(profile: TableProfile, cols: list[str], *,
 
     ``mode='per_column'`` is the principled engine default;
     ``mode='pooled'`` reproduces the reference's global-flattened
-    statistics (np.quantile with no axis — TukeyTransformer.py:37-38),
-    requiring the profile to have been computed with ``pooled=True``.
+    statistics (np.quantile with no axis — TukeyTransformer.py:37-38):
+    one fence for every column, fitted on a merge of copies of the
+    columns' sketches (exact value counts merge exactly, KLL and HLL
+    merge).
     """
-    out: dict[str, FenceState] = {}
-    for col in cols:
-        src = profile[POOLED if mode == "pooled" else col]
+    def fit(src) -> FenceState:
         q1, q3 = src.quantile(0.25), src.quantile(0.75)
         iqr = q3 - q1
         med = src.quantile(0.5)
@@ -86,10 +98,13 @@ def fence_states(profile: TableProfile, cols: list[str], *,
             # sketch path: the MAD would need a second pass over
             # |x - med|; without one, MAD flags stay off (NaN)
             mad = float("nan")
-        out[col] = FenceState(lo=q1 - tukey_factor * iqr,
-                              hi=q3 + tukey_factor * iqr,
-                              med=med, mad=mad)
-    return out
+        return FenceState(lo=q1 - tukey_factor * iqr,
+                          hi=q3 + tukey_factor * iqr, med=med, mad=mad)
+
+    if mode == "pooled" and cols:
+        return dict.fromkeys(cols, fit(_merge_columns(
+            [copy.deepcopy(profile[c]) for c in cols])))
+    return {c: fit(profile[c]) for c in cols}
 
 
 class RowChecker:
@@ -112,13 +127,7 @@ class RowChecker:
         for col, st in self.states.items():
             v = out[col].cast(pa.float64()).combine_chunks().to_numpy(
                 zero_copy_only=False)
-            valid = ~np.isnan(v)
-            tk = ((v < st.lo) | (v > st.hi)) & valid
-            if st.mad and st.mad > 0 and not np.isnan(st.mad):
-                z = 0.6745 * (v - st.med) / st.mad
-                md = (np.abs(z) > self.mad_threshold) & valid
-            else:
-                md = np.zeros(len(v), dtype=bool)
+            tk, md = st.flags(v, self.mad_threshold)
             tk8 = tk.astype(np.int8)
             md8 = md.astype(np.int8)
             tukey_flags.append(tk8)
@@ -262,13 +271,8 @@ def score_stats_from_profile(profile: TableProfile,
     # null_count covers both, so drop them here and score them 0 below
     m = ~np.isnan(v)
     v, cnts = v[m], cnts[m]
-    tuk = ((v < st.lo) | (v > st.hi)).astype(np.int64)
-    if st.mad and st.mad > 0 and not np.isnan(st.mad):
-        md = (np.abs(0.6745 * (v - st.med) / st.mad)
-              > mad_threshold).astype(np.int64)
-    else:
-        md = np.zeros(len(v), dtype=np.int64)
-    raw = tuk + md
+    tuk, md = st.flags(v, mad_threshold)
+    raw = tuk.astype(np.int64) + md
     zeros_extra = int(src.null_count)
     if zeros_extra:
         raw = np.concatenate([raw, [0]])

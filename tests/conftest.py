@@ -11,3 +11,21 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def ray_executions(monkeypatch):
+    """The list of Ray Data executions started during the test: one
+    entry per ``StreamingExecutor.execute`` call."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counting(self, *a, **kw):
+        calls.append(self)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return calls

@@ -120,3 +120,58 @@ def test_config_native_timestamp_column():
     assert df.loc[n - 1, "ts_epoch_TUKEY"] == 1       # 1970 outlier
     assert df.loc[: n - 2, "ts_epoch_TUKEY"].sum() == 0
     assert df.loc[n - 1, "n_evidence"] >= 1
+
+
+def test_config_verdicts_count_declared_evidence():
+    """A partition's violation count is the OR-merge of every declared
+    check, not just the Tukey/MAD totals: 50 rows outside the learned
+    nominal domain fail their partition."""
+    n = 400
+    pid = np.arange(n) % 4
+    c = np.array(["a"] * n, dtype=object)
+    c[np.flatnonzero(pid == 3)[:50]] = "zz"
+    t = pa.table({"v": pa.array(np.ones(n)), "c": pa.array(c),
+                  "pid": pa.array(pid)})
+    res = run_config(rd.from_arrow(t).repartition(3),
+                     {"numeric_columns": ["v"], "nominal_columns": ["c"],
+                      "partition_column": "pid",
+                      "thresholds": {"domain_min_frac": 0.2}})
+    v = res.verdicts.to_pandas().set_index("pid")
+    assert v["n_rows"].tolist() == [100] * 4
+    assert v["n_viol"].tolist() == [0, 0, 0, 50]
+    assert v["fail"].tolist() == [0, 0, 0, 1]
+
+
+def test_config_partition_run_is_two_executions(fmixed_ds, ray_executions):
+    """With a partition column, the profile pass and ONE summary pass
+    (score stats + verdicts) are the only executions; each verdict's
+    n_viol is its partition's count of rows with any evidence."""
+    ds, _ = fmixed_ds
+    cfg = {k: v for k, v in CFG.items()
+           if k not in ("unique_keys", "validators")}
+    res = run_config(ds, cfg)
+    assert len(ray_executions) == 2, ray_executions
+    df = res.enriched.to_pandas()
+    v = res.verdicts.to_pandas().set_index("pid")
+    assert v["n_viol"].to_dict() == \
+        (df["n_evidence"] > 0).groupby(df["pid"]).sum().to_dict()
+    assert v["n_rows"].to_dict() == df.groupby("pid").size().to_dict()
+
+
+def test_config_nan_token_datetime_is_null():
+    """A NaN token in a string datetime column is canonicalized to a
+    null (the reference's M1) before the parse: a null epoch, not an
+    unparseable value."""
+    t = pa.table({"k": pa.array(range(6), type=pa.int64()),
+                  "ts": pa.array(["2024-01-01 00:00:00"] * 5 + ["NaN"])})
+    res = run_config(rd.from_arrow(t), {"datetime_columns": ["ts"]})
+    df = res.enriched.to_pandas().set_index("k")
+    assert df["ts_UNPARSEABLE"].tolist() == [0] * 6
+    assert df["ts_epoch"].isna().tolist() == [False] * 5 + [True]
+    assert df.loc[5, "n_evidence"] == 0
+
+
+def test_config_empty_reference_raises():
+    ds = rd.from_arrow(pa.table({"v": pa.array([], pa.float64())}))
+    with pytest.raises(ValueError, match="no rows"):
+        run_config(ds, {"numeric_columns": ["v"]})

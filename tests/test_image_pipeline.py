@@ -422,24 +422,14 @@ def test_psi_fmt_ignores_other_partitions_categories(fimg, tmp_path):
     assert got["psi_fmt"].iloc[:7].tolist() == base["psi_fmt"].iloc[:7].tolist()
 
 
-def test_validate_images_execution_count(fimg, monkeypatch):
+def test_validate_images_execution_count(fimg, ray_executions):
     """Pass 1 runs the image partial and the caption census as ONE union
     execution: without decode, validate_images runs two Ray Data
     executions (pass 1, pass 2) — the census names the caption orphans —
     and counting the violation rows starts none."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
-
     from autoprepad_ray.pipelines.image_validation import validate_images
 
-    calls = []
-    real = StreamingExecutor.execute
-
-    def counting(self, *a, **kw):
-        calls.append(self)
-        return real(self, *a, **kw)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    calls = ray_executions
     d, exp = fimg
     rep = validate_images(f"{d}/images", f"{d}/captions.parquet",
                           decode=False)

@@ -6,14 +6,14 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from autoprepad_ray.profile import POOLED, TableProfile, profile_arrays, profile_dataset
+from autoprepad_ray.profile import TableProfile, profile_arrays, profile_dataset
 from autoprepad_ray.validators import row_checks as rc
 from tests import oracle
 
 
-def _check_table(train_cols: dict, test_cols: dict, mode="per_column"):
-    prof = profile_arrays(train_cols, pooled=(mode == "pooled"))
-    states = rc.fence_states(prof, list(train_cols.keys()), mode=mode)
+def _check_table(train_cols: dict, test_cols: dict):
+    prof = profile_arrays(train_cols)
+    states = rc.fence_states(prof, list(train_cols.keys()))
     ds = rd.from_arrow(pa.table({k: pa.array(np.asarray(v, dtype=float))
                                  for k, v in test_cols.items()}))
     out = rc.check_rows(ds, states)
@@ -55,13 +55,18 @@ def test_pooled_mode_matches_flattened_reference():
     # reference computes np.quantile over the FLATTENED 2-D array (§1.1)
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     b = [2.0, 3.0, 4.0, 5.0, 6.0]
-    prof = profile_arrays({"a": a, "b": b}, pooled=True)
-    flat = np.array(a + b)
-    assert np.isclose(prof[POOLED].quantile(0.25), np.quantile(flat, 0.25))
+    c = np.array([1, 7, 40])         # an int column pools with the floats
+    prof = profile_arrays({"a": a, "b": b, "c": c})
+    flat = np.concatenate([a, b, c])
     lo, hi = oracle.tukey_fit(flat)
-    states = rc.fence_states(prof, ["a", "b"], mode="pooled")
+    states = rc.fence_states(prof, ["a", "b", "c"], mode="pooled")
     assert np.isclose(states["a"].lo, lo) and np.isclose(states["a"].hi, hi)
-    assert states["a"].lo == states["b"].lo  # one global fence for all cols
+    # one global fence for all cols: bit for bit the fence (MAD too) of
+    # one column holding every value
+    assert states["a"] == states["b"] == states["c"] == \
+        rc.fence_states(profile_arrays({"f": flat}), ["f"])["f"]
+    # the columns' sketches merge as copies: the profile is untouched
+    assert prof["a"].values.distinct == 5 and prof["a"].quantile(0.5) == 3.0
 
 
 def test_mad_zero_guard():
@@ -84,15 +89,13 @@ def test_profile_dataset_matches_profile_arrays():
     s = np.array([f"v{i % 17}" for i in range(5000)], dtype=object)
     ds = rd.from_arrow(pa.table({"x": pa.array(x), "s": pa.array(s)})) \
         .repartition(6)
-    p_ds = profile_dataset(ds, pooled=True)
-    p_np = profile_arrays({"x": x}, pooled=True)
+    p_ds = profile_dataset(ds)
     assert p_ds.n_rows == 5000
     for q in (0.25, 0.5, 0.75):
         assert np.isclose(p_ds["x"].quantile(q), np.quantile(x, q))
     assert np.isclose(p_ds["x"].moments.mean, x.mean())
     assert p_ds["s"].distinct() == 17
     assert p_ds["s"].mode()[0] == "v0"
-    assert np.isclose(p_ds[POOLED].quantile(0.5), p_np[POOLED].quantile(0.5))
     # artifact round-trip
     p2 = TableProfile.from_json(p_ds.to_json())
     assert np.isclose(p2["x"].quantile(0.75), p_ds["x"].quantile(0.75))
@@ -192,12 +195,10 @@ def test_profile_markdown_report():
 
     prof = profile_arrays({"x": [1.0, 2.0, 3.0, None] if False else
                            [1.0, 2.0, 3.0, 4.0],
-                           "s": np.array(["a", "b", "a"], dtype=object)},
-                          pooled=True)
+                           "s": np.array(["a", "b", "a"], dtype=object)})
     md = profile_to_markdown(prof, title="t")
     assert "| x | numeric | 4 |" in md
     assert "| s | string | 3 |" in md
-    assert "pooled" in md
 
 
 def test_duplicate_columns_heuristic():
@@ -270,7 +271,7 @@ def test_score_stats_from_profile_matches_threshold_pass():
 
 
 def test_tukey_pooled_overflow_fallback(tmp_path, monkeypatch):
-    """Force the census-overflow (streamed pooled profile) arm of
+    """Force the census-overflow (scaled-column profile) arm of
     tukey_flags_pooled_lineitem — the scale branch the sf sweeps never
     hit — and pin its flags against the exact-census arm on a corpus
     whose fence margins dwarf any KLL quantile error (inliers sit
@@ -307,13 +308,15 @@ def test_tukey_pooled_overflow_fallback(tmp_path, monkeypatch):
 
     def overflowing(ds, **kw):
         kw["max_exact"] = 8             # 64 distinct values >> 8: overflow
-        calls.append(kw.get("pooled", False))
+        calls.append(kw["columns"])
         return base(ds, **kw)
 
     monkeypatch.setattr(Q, "profile_dataset", overflowing)
     fb = run(str(tmp_path)).to_pandas() \
         .sort_values("l_orderkey").reset_index(drop=True)
-    assert calls == [False, True]       # per-column pass + pooled fallback
+    # per-column pass + the scaled-column fallback that fence_states pools
+    assert calls == [["l_quantity", "l_extendedprice"],
+                     ["l_quantity_scaled", "l_extendedprice_scaled"]]
     pd.testing.assert_frame_equal(fb, exact)
 
 
