@@ -53,7 +53,9 @@ separate operators after the read —
 Every id listing (duplicate ids, orphans on both sides, near-dup
 members) counts a null id as one id and sorts it last, as DuckDB's
 ``GROUP BY ... ORDER BY`` does.  Per-partition PSI and verdict
-arithmetic is :func:`partition_verdicts`, shared with the runner.
+arithmetic is :func:`partition_verdicts`, and the global findings are
+:func:`_findings` over the folded :func:`_listing_partial` listings:
+the runner runs both, fed from its checkpointed censuses.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ PROFILE_COLS = ["w", "h", "caption_len", "caption", "fmt"]
 # per-partition drift histograms (fixed edges) beside the fmt counts
 HIST_SPECS = {"w": EDGES_WH, "h": EDGES_WH, "caption_len": EDGES_CAP}
 PSI_COLS = ("w", "h", "caption_len", "fmt")
+# violation rows listed per pass-2 block (per file); counts stay exact
+VIOL_CAP_PER_BLOCK = 10_000
 
 
 def assert_schema_files(paths: list[str]) -> list[str]:
@@ -110,7 +114,11 @@ def assert_schema_files(paths: list[str]) -> list[str]:
     errors: list[str] = []
     seen: set = set()
     for p in paths:
-        schema = pq.read_schema(p)
+        try:
+            schema = pq.read_schema(p)
+        except (pa.ArrowInvalid, OSError) as e:
+            raise ValueError(f"cannot read the parquet footer of {p!r}: "
+                             f"{e}") from e
         key = tuple(zip(schema.names, (str(t) for t in schema.types)))
         if key in seen:
             continue
@@ -201,30 +209,32 @@ def _merge_prof(parts: list[tuple]) -> tuple:
             _merge_drift([p[1] for p in parts]))
 
 
-def _key_census(batch: pa.Table) -> dict:
-    """Distinct-key census of a block, kind -> (values, counts): 'id' is
-    the key hash of image_id and, when the block carries it, 'ph' the
-    raw phash (exact)."""
-    out = {"id": np.unique(key_hash([batch["image_id"]])[0],
-                           return_counts=True)}
-    if "phash" in batch.column_names:
-        out["ph"] = np.unique(batch["phash"].to_numpy(zero_copy_only=False),
-                              return_counts=True)
-    return out
-
-
 # the kind code of a census row: image id hash, phash, caption id hash
 _ID, _PH, _CAP = 0, 1, 2
 _NO_CENSUS = (np.empty(0, np.uint64), np.empty(0, np.int64),
               np.empty(0, np.int8))
+_NO_LISTINGS = (np.empty(0, object), np.empty(0, np.int64),
+                np.empty(0, object), np.empty(0, np.int64),
+                np.empty(0, object))
+
+
+def _image_census(batch: pa.Table) -> tuple:
+    """Image-side census of a block, (keys, counts, codes): its distinct
+    id key hashes (code ``_ID``) and raw phashes (``_PH``, exact) with
+    their counts."""
+    idv, idc = np.unique(key_hash([batch["image_id"]])[0],
+                         return_counts=True)
+    phv, phc = np.unique(batch["phash"].to_numpy(zero_copy_only=False),
+                         return_counts=True)
+    return (np.concatenate([idv, phv.astype(np.int64).view(np.uint64)]),
+            np.concatenate([idc, phc]),
+            np.repeat(np.int8([_ID, _PH]), [len(idv), len(phv)]))
 
 
 def _make_p1_partial(ref_set: list[int]):
     def p1(batch: pa.Table, num_slices: int) -> pa.Table:
         batch = _prep(batch)
-        census = _key_census(batch)
-        (idv, idc), (phv, phc) = census["id"], census["ph"]
-        keys = np.concatenate([idv, phv.astype(np.int64).view(np.uint64)])
+        keys, cnts, code = _image_census(batch)
         # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
         # bincount per batch + vector-add merge beats sparse unique-merge
         dense = np.bincount(
@@ -232,25 +242,27 @@ def _make_p1_partial(ref_set: list[int]):
             .ravel(), minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
         return pa.concat_tables([
             kind_rows({"agg": (_prof_partial(batch, ref_set), dense)}),
-            pack_slices(slice_of(keys, num_slices), keys,
-                        np.concatenate([idc, phc]),
-                        np.repeat(np.int8([_ID, _PH]),
-                                  [len(idv), len(phv)]),
+            pack_slices(slice_of(keys, num_slices), keys, cnts, code,
                         kind="census")])
 
     return p1
 
 
-def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
-    """Caption-side id census cells (code ``_CAP``), unioned into pass 1:
-    each distinct id (null is one) with its key hash and count, the id
-    kept as an Arrow value, so the census names the caption orphans."""
+def _caption_census(batch: pa.Table) -> tuple:
+    """Caption-side id census of a block, code ``_CAP``: (key hashes,
+    counts, codes, ids), each distinct id (null is one) kept as an Arrow
+    value, so the census names the caption orphans."""
     g = batch.group_by("image_id").aggregate([([], "count_all")])
     ids = g["image_id"].combine_chunks()
-    h = key_hash([ids])[0]
-    return pack_slices(slice_of(h, num_slices), h,
-                       g["count_all"].to_numpy(),
-                       np.full(len(h), _CAP, np.int8), ids, kind="census")
+    return (key_hash([ids])[0], g["count_all"].to_numpy(),
+            np.full(len(ids), _CAP, np.int8), ids)
+
+
+def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
+    """:func:`_caption_census` cells, unioned into pass 1."""
+    cells = _caption_census(batch)
+    return pack_slices(slice_of(cells[0], num_slices), *cells,
+                       kind="census")
 
 
 def _merge_p1(parts: list[tuple]) -> tuple:
@@ -312,6 +324,39 @@ def _evidence(checker: rc.RowChecker, batch: pa.Table) -> tuple:
     return checked, pid, counts, stat, null
 
 
+def _listing_partial(t: pa.Table, dup_id_hashes: np.ndarray,
+                     orphan_hashes: np.ndarray,
+                     dup_phashes: np.ndarray) -> tuple:
+    """A block's candidate listings (pass 2, and the runner's listing
+    read): (duplicate-candidate ids, their partition ids, image-side
+    orphan-candidate ids, dup-phash members as (phashes, ids)).  Members
+    are capped at the 64 smallest ids per hash PER BLOCK, so a hot hash
+    ships 64 x touching-blocks ids, and the global 64 smallest survive
+    (each is among its own block's 64 smallest)."""
+    idh, _ = key_hash([t["image_id"]])
+
+    def ids(m: np.ndarray) -> np.ndarray:
+        # only the masked rows' ids become Python objects
+        return np_object(t["image_id"].filter(pa.array(m)))
+
+    dup = np.isin(idh, dup_id_hashes)
+    ph = t["phash"].to_numpy(zero_copy_only=False)
+    m = np.isin(ph, dup_phashes)
+    return (ids(dup), t["partition_id"].to_numpy(zero_copy_only=False)[dup],
+            ids(np.isin(idh, orphan_hashes)),
+            *_capped_per_key(ph[m], ids(m), 64))
+
+
+def _merge_listings(parts: list[tuple]) -> tuple:
+    """Fold :func:`_listing_partial` outputs (associative; ``[]`` folds
+    to empty listings): the dup-id and orphan listings concatenate, and
+    the dup-phash member sample keeps the 64 smallest ids per hash."""
+    dup_ids, dup_pids, orphan_ids, member_ph, member_ids = \
+        merge_concat(parts) or _NO_LISTINGS
+    return (dup_ids, dup_pids, orphan_ids,
+            *_capped_per_key(member_ph, member_ids, 64))
+
+
 class _P2Partial:
     """Broadcast-state pass: flags, partition counts, candidate rows.
 
@@ -322,69 +367,39 @@ class _P2Partial:
     """
 
     def __init__(self, blob_ref):
-        (states, self.dup_id_hashes, self.dup_phashes,
-         self.orphan_hashes, mad_threshold, self.viol_cap,
-         self.band_mode, self.hot_bands,
+        (states, self.cands, self.band_mode, self.hot_bands,
          self.band_slices) = ray.get(blob_ref)
-        self.checker = rc.RowChecker(pickle.dumps(states),
-                                     mad_threshold=mad_threshold)
+        self.checker = rc.RowChecker(pickle.dumps(states))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        checked, pid, counts, viol, _ = _evidence(self.checker, batch)
+        checked, _, counts, viol, _ = _evidence(self.checker, batch)
         viol_tbl = checked.drop(["caption"]).filter(pa.array(viol))
-        # viol_cap_per_block: a block is one file's read output (cut
-        # further only above target_max_block_size, 128 MiB), so the
-        # listing keeps up to the cap per file; counts stay exact
-        if viol_tbl.num_rows > self.viol_cap:
-            viol_tbl = viol_tbl.slice(0, self.viol_cap)
-        idh, _ = key_hash([checked["image_id"]])
-
-        def ids(m: np.ndarray) -> np.ndarray:
-            # only the masked rows' ids become Python objects
-            return np_object(checked["image_id"].filter(pa.array(m)))
-
-        dup = np.isin(idh, self.dup_id_hashes)
-        ph = checked["phash"].to_numpy(zero_copy_only=False)
-        m = np.isin(ph, self.dup_phashes)
-        # capped member sample PER BLOCK (the duplicate_phash_groups
-        # rule): at most 64 (min) ids per dup hash leave each block, so
-        # the collection is bounded by dup_hashes x 64 x touching-blocks
-        # even when a hot hash has millions of rows — web-scale image
-        # corpora are dominated by exact dups.  The global 64 smallest
-        # ids per hash survive per-block capping exactly (each is among
-        # its own block's 64 smallest).
-        member_ph, member_ids = _capped_per_key(ph[m], ids(m), 64)
-        # three row kinds: the small per-block aggregate (folded in flat
-        # tasks by _merge_agg), the capped violation table
-        # (object-store-bound — the driver never concatenates violation
-        # rows), and the id-carrying Hamming band cells (scattered to
-        # the pairing tasks straight off the materialized pass-2 output
-        # — no extra read/execution)
+        # a block is one file's read output (cut further only above
+        # target_max_block_size, 128 MiB), so the listing keeps up to
+        # the cap per file; counts stay exact
+        if viol_tbl.num_rows > VIOL_CAP_PER_BLOCK:
+            viol_tbl = viol_tbl.slice(0, VIOL_CAP_PER_BLOCK)
+        # three row kinds: the per-block aggregate (folded in flat
+        # tasks), the capped violation table (never concatenated on the
+        # driver) and the id-carrying Hamming band cells (scattered to
+        # the pairing tasks off the materialized output)
         out = kind_rows({
-            "agg": (counts, ids(dup), pid[dup],
-                    ids(np.isin(idh, self.orphan_hashes)),
-                    member_ph, member_ids, viol_tbl.schema),
+            "agg": (counts, _listing_partial(checked, *self.cands),
+                    viol_tbl.schema),
             "viol": viol_tbl})
         if self.band_mode == "none":
             return out
         return pa.concat_tables([out, _band_cells(
-            ph, checked["image_id"], self.band_slices, hot=self.hot_bands)])
+            checked["phash"].to_numpy(zero_copy_only=False),
+            checked["image_id"], self.band_slices, hot=self.hot_bands)])
 
 
 def _merge_agg(parts: list[tuple]) -> tuple:
-    """Fold pass-2 ``agg`` payloads (associative; ``[]`` folds to the
-    empty aggregate): per-partition counts add up, the dup-id and orphan
-    listings concatenate, and the dup-phash member sample keeps the 64
-    smallest ids per hash."""
-    if not parts:
-        none = np.empty(0, object)
-        return {}, none, np.empty(0, np.int64), none, \
-            np.empty(0, np.int64), none, None
-    fields = list(zip(*parts))
-    dup_ids, dup_pids, orphan_ids, member_ph, member_ids = (
-        np.concatenate(f) for f in fields[1:6])
-    return (_sum_counts(fields[0]), dup_ids, dup_pids, orphan_ids,
-            *_capped_per_key(member_ph, member_ids, 64), fields[6][0])
+    """Fold pass-2 ``agg`` payloads (associative): per-partition counts
+    add up and the listings fold by :func:`_merge_listings`."""
+    return (_sum_counts([p[0] for p in parts]),
+            _merge_listings([p[1] for p in parts]),
+            next((p[2] for p in parts), None))
 
 
 def _id_counts(t: pa.Table, aggs: list) -> pa.Table:
@@ -401,6 +416,47 @@ def _sum_counts(parts: list[dict]) -> dict:
         for u, c in d.items():
             out[u] = tuple(a + b for a, b in zip(out.get(u, (0, 0, 0)), c))
     return out
+
+
+def _findings(listings: tuple, ph_vals: np.ndarray, ph_cnts: np.ndarray,
+              cap_orphans: list, captions: bool) -> tuple:
+    """The global key findings of validate_images and the runner, from
+    the folded listings and the census's dup-phash counts and caption
+    orphans (:func:`_census_slice`): (duplicate ids with counts, the
+    partitions holding them, orphans on both sides with counts or None
+    without captions, exact near-dup groups with up to 64 ids)."""
+    dup_ids, dup_pids, orphan_ids, member_ph, member_ids = listings
+    dup = _id_counts(pa.table({"image_id": pa.array(dup_ids),
+                               "pid": dup_pids}),
+                     [([], "count_all"), ("pid", "distinct")])
+    dup = dup.filter(pc.greater_equal(dup["count_all"], 2))
+    dup_df = pd.DataFrame({"image_id": dup["image_id"].to_pylist(),
+                           "n": dup["count_all"].to_numpy()})
+    uniq_fail = set(pc.list_flatten(dup["pid_distinct"]).to_pylist())
+
+    orphan_df = None
+    if captions:
+        img = _id_counts(pa.table({"image_id": pa.array(orphan_ids)}),
+                         [([], "count_all")])
+        cap = [t for t in cap_orphans if t is not None]
+        cap = _id_counts(pa.concat_tables(cap), [("right_n", "sum")]) \
+            if cap else pa.table({"image_id": [], "right_n_sum": []})
+        orphan_df = pd.DataFrame({
+            "image_id": img["image_id"].to_pylist()
+            + cap["image_id"].to_pylist(),
+            "left_n": img["count_all"].to_pylist() + [0] * cap.num_rows,
+            "right_n": [0] * img.num_rows + cap["right_n_sum"].to_pylist()})
+
+    # member_ph is sorted: one group per run of equal hashes
+    starts = np.flatnonzero(np.r_[True, member_ph[1:] != member_ph[:-1]])[
+        :len(member_ph)]
+    count = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
+    hs = [int(member_ph[s]) for s in starts]
+    groups = pd.DataFrame({
+        "phash": hs, "n": [int(count[h]) for h in hs],
+        "ids": [member_ids[s:e].tolist() for s, e in
+                zip(starts, np.r_[starts[1:], len(member_ph)])]})
+    return dup_df, uniq_fail, orphan_df, groups
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +562,8 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
                     psi_budget: float = 0.2,
                     decode: bool = True,
                     neardup: bool = True,
-                    viol_cap_per_block: int = 10_000,
-                    violations_dir: str | None = None,
-                    mad_threshold: float = 3.5) -> ImageValidationReport:
+                    violations_dir: str | None = None
+                    ) -> ImageValidationReport:
     import time as _time
     timings: dict = {}
     _t0 = _time.perf_counter()
@@ -603,12 +658,10 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             if neardup else ("none", np.empty(0, np.int64)))
         dup_phashes = (np.sort(ph_vals) if neardup
                        else np.empty(0, np.int64))
-        ph_count_map = dict(zip(ph_vals.tolist(), ph_cnts.tolist()))
 
         # ---- PASS 2 ----
-        blob_ref = ray.put((states, dup_id_hashes, dup_phashes,
-                            orphan_img_hashes, mad_threshold,
-                            viol_cap_per_block, hamming_path,
+        blob_ref = ray.put((states, (dup_id_hashes, orphan_img_hashes,
+                                     dup_phashes), hamming_path,
                             hot_bands if hamming_path == "prune" else None,
                             band_slices))
 
@@ -626,54 +679,14 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # 10^12 rows even if each block's listing is capped)
         p2_out = meta.map_batches(p2_fn, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
-        (counts, dup_ids, dup_pids, orphan_ids, member_ph, member_ids,
-         viol_schema) = fold_payloads(p2_out, _merge_agg, kind="agg")
+        counts, listings, viol_schema = fold_payloads(p2_out, _merge_agg,
+                                                      kind="agg")
         stat_viol = kind_tables(p2_out, "viol", viol_schema)
         if violations_dir is not None:
             from ..io import write_partitioned
             write_partitioned(stat_viol, violations_dir)
-
-        # uniqueness listing (exact counts per actual id)
-        dup = _id_counts(pa.table({"image_id": pa.array(dup_ids),
-                                   "pid": dup_pids}),
-                         [([], "count_all"), ("pid", "distinct")])
-        dup = dup.filter(pc.greater_equal(dup["count_all"], 2))
-        dup_df = pd.DataFrame({"image_id": dup["image_id"].to_pylist(),
-                               "n": dup["count_all"].to_numpy()})
-        uniq_fail = set(pc.list_flatten(dup["pid_distinct"]).to_pylist())
-
-        # referential listing: image side off pass 2, caption side named
-        # by the pass-1 census
-        orphan_df = None
-        if captions_path is not None:
-            img = _id_counts(pa.table({"image_id": pa.array(orphan_ids)}),
-                             [([], "count_all")])
-            cap = [t for t in cap_orphans if t is not None]
-            cap = _id_counts(pa.concat_tables(cap), [("right_n", "sum")]) \
-                if cap else pa.table({"image_id": [], "right_n_sum": []})
-            orphan_df = pd.DataFrame({
-                "image_id": img["image_id"].to_pylist()
-                + cap["image_id"].to_pylist(),
-                "left_n": img["count_all"].to_pylist() + [0] * cap.num_rows,
-                "right_n": [0] * img.num_rows
-                + cap["right_n_sum"].to_pylist()})
-
-        # near-dup group listings (exact-equal phashes) off the folded
-        # member sample, lexsorted and capped at 64 ids per hash by
-        # _merge_agg (counts stay exact from the pass-1 census)
-        nd_groups = nd_pairs = None
-        if neardup:
-            if len(member_ph):
-                bounds = np.flatnonzero(np.r_[
-                    True, member_ph[1:] != member_ph[:-1], True])
-                hs = [int(member_ph[s]) for s in bounds[:-1]]
-                nd_groups = pd.DataFrame({
-                    "phash": hs,
-                    "n": [int(ph_count_map[h]) for h in hs],
-                    "ids": [member_ids[s:e].tolist()
-                            for s, e in zip(bounds[:-1], bounds[1:])]})
-            else:
-                nd_groups = pd.DataFrame({"phash": [], "n": [], "ids": []})
+        dup_df, uniq_fail, orphan_df, nd_groups = _findings(
+            listings, ph_vals, ph_cnts, cap_orphans, has_captions)
 
         timings["pass2_evidence_listings"] = round(
             _time.perf_counter() - _t0, 3)
@@ -688,11 +701,9 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # blocks and each band byte moves once even multi-node; each
         # pairing task resolves the global min id of the hashes it pairs
         # in the same visit (near_dup._pair_ids).
-        if neardup:
-            nd_pairs = (_id_pairs(*_pair_ids(p2_out, band_slices, 4, 4096,
-                                             "4x16"))
-                        if hamming_path != "none"
-                        else pd.DataFrame(_EMPTY_PAIRS))
+        nd_pairs = (pd.DataFrame(_EMPTY_PAIRS) if hamming_path == "none"
+                    else _id_pairs(*_pair_ids(p2_out, band_slices, 4, 4096,
+                                              "4x16")))
         timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)
         _t0 = _time.perf_counter()
 
@@ -732,8 +743,10 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         verdicts=verdicts, profile=prof, stat_violations=stat_viol,
         stat_violations_path=violations_dir,
         dup_ids=dup_df, orphans=orphan_df, drift_psi=drift_df,
-        decode_violations=decode_df, neardup_groups=nd_groups,
-        neardup_pairs=nd_pairs, hamming_path=hamming_path,
+        decode_violations=decode_df,
+        neardup_groups=nd_groups if neardup else None,
+        neardup_pairs=nd_pairs if neardup else None,
+        hamming_path=hamming_path,
         schema_errors=schema_errors, timings=timings)
 
 

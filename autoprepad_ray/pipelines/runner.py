@@ -1,7 +1,7 @@
 """Run manifest + per-partition checkpoint/resume for image validation
 (north rule: "resumable from checkpoint with per-partition lineage +
 metrics") — a checkpoint layer over ``pipelines.image_validation``'s
-own pass partials, run on the shared scaffold
+own partials and reductions, run on the shared scaffold
 ``pipelines.checkpoint._run_sharded`` (unit ``partition``).
 
 Layout under ``out_dir``::
@@ -10,41 +10,37 @@ Layout under ``out_dir``::
     refhists_<fingerprint>.json           # cached reference histograms
     capcensus_<fingerprint>.parquet       # cached caption-side id census
     manifest.json                         # completed partitions + lineage
+    dup_ids.parquet  orphans.parquet      # the last run's global listings
+    neardup_groups.parquet  neardup_pairs.parquet
     partitions/partition=<pid>/verdict.json
     partitions/partition=<pid>/violations/*.parquet
-    partitions/partition=<pid>/keycensus.parquet  # (kind, hash, n)
+    partitions/partition=<pid>/keycensus.parquet  # key, n, code, image_id
 
 Execution shape:
 - reference side: ONE pruned execution over the reference partitions
-  runs the profile+histogram half of the pass-1 partial and folds it
-  with ``_merge_prof`` — the same profile and reference sums
-  ``validate_images`` fits.
-  Profile and reference histograms cache beside each other, keyed by
-  an input fingerprint (paths + sizes of the reference files), so a
-  resume NEVER mixes profiles from different inputs (SURVEY §7.6) and
+  folds the profile+histogram half of the pass-1 partial
+  (``_merge_prof``), cached by the reference files' fingerprint, so a
+  resume never mixes profiles of different inputs (SURVEY §7.6) and
   never re-reads the reference;
-- per pending partition: ONE metadata execution (pass-2 evidence head
-  + histogram partial + key census), whose ``agg`` rows fold off the
-  materialized blocks in flat tasks (``transport.fold_payloads``),
-  plus the payload read for decode.  The partition's PSI and
-  stat/null/drift verdict come from ``image_validation.partition_verdicts``,
-  the path ``validate_images`` uses; rows whose ``partition_id`` names
-  another partition are an error.
-  Its outputs — verdict, violation rows (stat OR null, uncapped) and
-  the distinct-key census — are written into a tmp dir and renamed
-  into place, then the manifest is rewritten.  Up to 4 partitions run
-  at once (the scaffold's driver threads), so a killed run loses at
-  most the partitions in flight;
+- per pending partition: ONE metadata execution (pass-2 evidence,
+  histogram partial, pass-1 census cells) whose ``agg`` rows fold off
+  the materialized blocks in flat tasks, plus the payload read for
+  decode.  PSI and verdict come from ``partition_verdicts``, as in
+  ``validate_images``; rows naming another ``partition_id`` are an
+  error.  Verdict, violation rows (stat OR null, uncapped) and census
+  are written into a tmp dir and renamed into place; up to 4 partitions
+  run at once, so a killed run loses at most those;
 - a partition is complete iff its manifest entry matches the profile
-  fingerprint, the verdict settings (budgets, ``decode``) and the
-  fingerprint of its own files, and its ``verdict.json`` exists;
-  completed partitions' files are never read;
+  fingerprint, the verdict settings (budgets, ``decode``) and its own
+  files' fingerprint, and its ``verdict.json`` exists;
 - cross-partition key checks (uniqueness, referential, near-dup) are
-  run-scoped and INCREMENTAL: they merge the checkpointed censuses —
-  only partitions that actually contain globally-duplicated keys are
-  re-read, and only their id column, for the exact violation listing.
-  The manifest records which partitions' censuses were computed vs
-  cached per run.
+  ``validate_images``' reduction (``_census_slice``,
+  ``_listing_partial``, ``_findings``) over the checkpointed censuses:
+  exact duplicate ids, orphans on both sides and near-dup groups from
+  ONE listing read of the partitions whose census holds a candidate,
+  Hamming pairs from the censuses' (phash, min id) cells.  No other
+  completed partition is read; a census missing or from an older
+  engine is rebuilt from its own partition.
 """
 
 from __future__ import annotations
@@ -60,76 +56,84 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
+import ray.data as rd
+
 from .. import __version__
 from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
+from ..sketches import np_object
 from ..validators import row_checks as rc
-from ..stages.transport import (fold, fold_payloads, kind_rows,
-                                kind_tables, merge_counts)
+from ..validators.domain import sketch_is_constant
+from ..validators.near_dup import _minid_per_key, hamming_neardup_pairs
+from ..stages.transport import fold, fold_payloads, kind_rows, kind_tables
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
-from .image_validation import (META_COLS, PSI_COLS, _decode_failures,
-                               _drift_partial, _evidence, _id_counts,
-                               _key_census, _merge_drift, _merge_prof, _prep,
-                               _prof_partial, _reference_hists,
+from .image_validation import (_ID, _PH, META_COLS, PSI_COLS,
+                               _caption_census, _census_slice,
+                               _decode_failures, _drift_partial, _evidence,
+                               _findings, _image_census, _listing_partial,
+                               _merge_drift, _merge_listings, _merge_prof,
+                               _prep, _prof_partial, _reference_hists,
                                _sum_counts, assert_schema_files,
                                partition_verdicts)
 
-def _merge_census(parts: list[dict]) -> dict:
-    """Fold ``_key_census`` partials ({kind: (hashes, counts)})."""
-    return {k: merge_counts([p[k] for p in parts if k in p])
-            for k in {k for p in parts for k in p}}
+
+def _cells_table(keys: np.ndarray, n, code, ids) -> pa.Table:
+    """A checkpointed census: pass-1 census cells and an id per cell."""
+    return pa.table({"key": keys.view(np.int64), "n": n, "code": code,
+                     "image_id": ids})
+
+
+def _census_cells(t: pa.Table) -> tuple:
+    """The (keys, counts, codes) cells of a checkpointed census."""
+    return (t["key"].to_numpy().view(np.uint64), t["n"].to_numpy(),
+            t["code"].to_numpy())
+
+
+_NO_CELLS = _cells_table(np.empty(0, np.uint64), np.empty(0, np.int64),
+                         np.empty(0, np.int8), pa.nulls(0))
+
+
+def _concat_cells(tables: list[pa.Table]) -> pa.Table:
+    return pa.concat_tables([_NO_CELLS, *tables], promote_options="default")
+
+
+def _block_census(t: pa.Table) -> pa.Table:
+    """A block's checkpointed census: its ``_image_census`` cells, a
+    phash cell carrying the phash's min image_id by the band cells' rule
+    (``_minid_per_key``), an id-hash cell no id."""
+    keys, n, code = _image_census(t)
+    _, minid = _minid_per_key(t["phash"].to_numpy(zero_copy_only=False),
+                              np_object(t["image_id"]))
+    return _cells_table(keys, n, code, pa.array(np.concatenate(
+        [np.full(int((code == _ID).sum()), None, object), minid])))
 
 
 def _merge_partition_agg(parts: list[tuple]) -> tuple:
     """Fold a partition pass's ``agg`` payloads (counts, drift
-    histograms, key census, listing schema) — associative."""
+    histograms, census, listing schema) — associative."""
     return (_sum_counts([p[0] for p in parts]),
             _merge_drift([p[1] for p in parts]),
-            _merge_census([p[2] for p in parts]),
+            _concat_cells([p[2] for p in parts]),
             next((p[3] for p in parts), None))
 
 
-def _census_table(census: dict) -> pa.Table:
-    """The (kind, hash, n) table of a folded census."""
-    kinds, hashes, counts = [], [], []
-    for k in sorted(census):
-        v, c = census[k]
-        kinds.extend([k] * len(v))
-        hashes.append(v.astype(np.uint64).view(np.int64))
-        counts.append(c)
-    return pa.table({
-        "kind": pa.array(kinds, type=pa.string()),
-        "hash": pa.array(np.concatenate(hashes) if hashes
-                         else np.empty(0, np.int64)),
-        "n": pa.array(np.concatenate(counts) if counts
-                      else np.empty(0, np.int64))})
-
-
-def _hash_census(files: list[str], columns: list[str]) -> pa.Table:
-    """Census of a file set outside the partition pass: the caption
-    census, and a partition census missing from its checkpoint."""
-    return _census_table(fold(read_table(files, columns=columns),
-                              _key_census, _merge_census))
-
-
-def _census_arrays(tbl: pa.Table, kind: str
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    t = tbl.filter(pc.equal(tbl["kind"], kind))
-    return (t["hash"].to_numpy(zero_copy_only=False)
-            .astype(np.int64).view(np.uint64),
-            t["n"].to_numpy(zero_copy_only=False).astype(np.int64))
+def _write_table(t: pa.Table, path: str) -> None:
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
 
 
 def _cached_table(path: str, build) -> tuple[pa.Table, bool]:
-    """(table, cached): read ``path`` or build it and write it atomically."""
+    """(table, cached): read ``path``, or build and write it when it is
+    missing or an older engine's (no ``image_id`` column)."""
     if os.path.exists(path):
-        return pq.read_table(path), True
-    tbl = build()
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    pq.write_table(tbl, path + ".tmp")
-    os.replace(path + ".tmp", path)
-    return tbl, False
+        t = pq.read_table(path)
+        if "image_id" in t.column_names:
+            return t, True
+    t = build()
+    _write_table(t, path)
+    return t, False
 
 
 def discover_partitions(images_dir: str) -> dict[int, list[str]]:
@@ -174,8 +178,7 @@ def run_validation(images_dir: str, out_dir: str, *,
                    captions_path: str | None = None,
                    ref_partitions: tuple[int, ...] = (0, 1, 2),
                    stat_budget: float = 0.005, null_budget: float = 0.05,
-                   psi_budget: float = 0.2, decode: bool = True,
-                   run_global_checks: bool = True) -> dict:
+                   psi_budget: float = 0.2, decode: bool = True) -> dict:
     """Validate all partitions, skipping those already checkpointed.
 
     Returns the manifest dict (also persisted to ``manifest.json``)."""
@@ -199,7 +202,7 @@ def run_validation(images_dir: str, out_dir: str, *,
         # the agg row goes to the driver; the viol row stays distributed
         # and is written straight to the partition's violations sink
         return kind_rows({"agg": (counts, _drift_partial(checked),
-                                  _key_census(checked), listing.schema),
+                                  _block_census(checked), listing.schema),
                           "viol": listing})
 
     def validate_partition(pid: int, tmp: str) -> dict:
@@ -227,8 +230,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             # distributed write: violation blocks never concat on the
             # driver
             kind_tables(out, "viol", viol_schema).write_parquet(viol_dir)
-        pq.write_table(_census_table(census),
-                       os.path.join(tmp, "keycensus.parquet"))
+        pq.write_table(census, os.path.join(tmp, "keycensus.parquet"))
         verdict = {
             **{k: row[k] for k in ("partition_id", "n_rows", "stat_viol",
                                    "stat_fail", "null_viol", "null_fail")},
@@ -254,92 +256,71 @@ def run_validation(images_dir: str, out_dir: str, *,
          "partitions": {}, "runs": []},
         checkpoint_file="verdict.json")
 
-    # A6 finding off the already-built reference profile (zero extra
-    # pass): the reference DROPS zero-variance columns silently before
-    # fitting (reference runs.py:333-335, experiment.py:545-559); the
-    # engine reports them — a constant stat column usually means a
-    # broken upstream feed, not a column to quietly exclude
-    from ..validators.domain import sketch_is_constant
+    # A6 finding off the reference profile (no extra pass): the
+    # reference DROPS zero-variance columns silently before fitting
+    # (reference runs.py:333-335); the engine reports them
     const_cols = sorted(n for n in prof.columns
                         if sketch_is_constant(prof[n]))
+    return _finish_run(manifest, out_dir, {
+        "started_at": started_at, "pending": pending,
+        "profile_fp": prof_fp, "constant_columns": const_cols,
+        **_global_checks(out_dir, parts, captions_path)})
 
-    run_entry = {"started_at": started_at, "pending": pending,
-                 "profile_fp": prof_fp,
-                 "constant_columns": const_cols}
-    if run_global_checks:
-        from ..sketches import key_hash
 
-        # incremental: merge the checkpointed per-partition censuses;
-        # rebuild only a census file that is missing (completed by an
-        # older engine version) — a resumed run reads NO completed
-        # partition's key columns
-        census_new: list[int] = []
-        census_cached: list[int] = []
-        id_cens: dict[int, tuple] = {}
-        ph_cens: dict[int, tuple] = {}
-        for pid in sorted(parts):
-            tbl, cached = _cached_table(
-                os.path.join(out_dir, "partitions", f"partition={pid}",
-                             "keycensus.parquet"),
-                lambda: _hash_census(parts[pid], ["image_id", "phash"]))
-            (census_cached if cached else census_new).append(pid)
-            id_cens[pid] = _census_arrays(tbl, "id")
-            ph_cens[pid] = _census_arrays(tbl, "ph")
-        iv, ic = merge_counts(list(id_cens.values()))
-        dup_hashes = iv[ic >= 2]
-        listing_pids = sorted(
-            pid for pid, (v, _) in id_cens.items()
-            if dup_hashes.size and np.isin(v, dup_hashes).any())
-        real: list = []
-        if listing_pids:
-            # exact listing: read ONLY the affected partitions' id
-            # column, pruned by the broadcast dup-hash set (hash
-            # collisions only add candidates; the exact value count
-            # filter removes them)
-            import ray as _ray
-            dup_ref = _ray.put(np.sort(dup_hashes))
-            cand_ds = read_table(
-                [f for pid in listing_pids for f in parts[pid]],
-                columns=["image_id"])
-
-            def dup_rows(t: pa.Table) -> pa.Table:
-                h, _ = key_hash([t["image_id"]])
-                return t.select(["image_id"]).filter(
-                    pa.array(np.isin(h, _ray.get(dup_ref))))
-
-            rows = fold(cand_ds, dup_rows,
-                        lambda p: pa.concat_tables(p) if p else None)
-            if rows is not None:
-                # null ids are one id, listed last
-                g = _id_counts(rows, [([], "count_all")])
-                real = g.filter(pc.greater_equal(g["count_all"], 2))[
-                    "image_id"].to_pylist()
-        run_entry["uniqueness_violations"] = len(real)
-        run_entry["uniqueness_sample"] = real[:50]
-        pv, pn = merge_counts(list(ph_cens.values()))
-        run_entry["neardup_groups"] = int((pn >= 2).sum())
-        if captions_path is not None:
-            # caption-side census cached by file fingerprint (64-bit
-            # hash-set diff; collision odds ~n^2/2^64 — negligible)
-            cap_tbl, _ = _cached_table(
-                os.path.join(out_dir, "capcensus_"
-                             f"{_fingerprint([captions_path])}.parquet"),
-                lambda: _hash_census([captions_path], ["image_id"]))
-            cv, _ = _census_arrays(cap_tbl, "id")
-            run_entry["referential_orphans"] = int(
-                np.setdiff1d(iv, cv).size + np.setdiff1d(cv, iv).size)
-            # the setdiff runs over 64-bit id-hash censuses, not raw ids:
-            # a hash collision can MISS an orphan (odds ~n^2/2^64).
-            # Record the method beside the count so consumers never
-            # assume exactness (pipelines.image_validation lists orphans
-            # from raw ids when exactness is needed).
-            run_entry["referential_method"] = (
-                "hash64-census setdiff (approximate: collisions can "
-                "mask orphans, odds ~n^2/2^64)")
-        run_entry["global_checks"] = {
-            "method": "incremental-census",
-            "census_new_partitions": census_new,
-            "census_cached_partitions": census_cached,
-            "listing_partitions": listing_pids,
-        }
-    return _finish_run(manifest, out_dir, run_entry)
+def _global_checks(out_dir: str, parts: dict[int, list[str]],
+                   captions_path: str | None) -> dict:
+    """The run's uniqueness, referential and near-dup findings, as
+    counts for the run entry and listings written beside the manifest."""
+    new, cached, cells = [], [], {}
+    for pid in sorted(parts):
+        cells[pid], hit = _cached_table(
+            os.path.join(out_dir, "partitions", f"partition={pid}",
+                         "keycensus.parquet"),
+            lambda: fold(read_table(parts[pid], columns=["image_id", "phash"]),
+                         _block_census, _concat_cells))
+        (cached if hit else new).append(pid)
+    census = [_census_cells(t) for t in cells.values()]
+    captions = captions_path is not None
+    if captions:
+        cap, _ = _cached_table(
+            os.path.join(out_dir, "capcensus_"
+                         f"{_fingerprint([captions_path])}.parquet"),
+            lambda: fold(read_table(captions_path, columns=["image_id"]),
+                         lambda t: _cells_table(*_caption_census(t)),
+                         _concat_cells))
+        census.append((*_census_cells(cap),
+                       cap["image_id"].combine_chunks()))
+    cands, cap_orphans = _census_slice(census, captions)
+    id_cands, dup_ph = np.concatenate(cands[:2]), cands[2]
+    listing_pids = [pid for pid, (k, _, code) in zip(cells, census)
+                    if np.isin(k[code == _ID], id_cands).any()
+                    or np.isin(k[code == _PH].view(np.int64), dup_ph).any()]
+    listings = _merge_listings([])
+    if listing_pids:
+        ref = ray.put((*cands[:2], np.sort(dup_ph)))
+        listings = fold(
+            read_table([f for p in listing_pids for f in parts[p]],
+                       columns=["image_id", "phash", "partition_id"]),
+            lambda t: _listing_partial(t, *ray.get(ref)), _merge_listings)
+    dup, _, orphans, groups = _findings(listings, *cands[2:],
+                                        [cap_orphans], captions)
+    pairs = hamming_neardup_pairs(rd.from_arrow([
+        t.filter(pc.equal(t["code"], _PH)).select(["key", "image_id"])
+        .rename_columns(["phash", "image_id"]) for t in cells.values()]))
+    found = {"dup_ids": dup, "orphans": orphans, "neardup_groups": groups,
+             "neardup_pairs": pairs}
+    for name, df in found.items():
+        path = os.path.join(out_dir, f"{name}.parquet")
+        if df is not None:
+            _write_table(pa.Table.from_pandas(df, preserve_index=False), path)
+        elif os.path.exists(path):          # an earlier run's, with captions
+            os.remove(path)
+    out = {"uniqueness_violations": len(dup),
+           "uniqueness_sample": dup["image_id"].tolist()[:50],
+           "neardup_groups": len(groups), "neardup_pairs": len(pairs),
+           "global_checks": {"census_new_partitions": new,
+                             "census_cached_partitions": cached,
+                             "listing_partitions": listing_pids}}
+    if captions:
+        out["referential_orphans"] = len(orphans)
+    return out

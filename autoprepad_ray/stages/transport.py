@@ -66,7 +66,7 @@ stream is small the single-task case is trivially fine.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -195,15 +195,18 @@ def fold(ds, partial, merge):
 @dataclass(frozen=True)
 class Layout:
     """The blocks a fold's partial ran on: their rows, count and Arrow
-    bytes.  Layouts add."""
+    bytes, and the first one's schema (None when no partial ran).
+    Layouts add."""
 
     rows: int = 0
     blocks: int = 0
     bytes: int = 0
+    schema: pa.Schema | None = field(default=None, compare=False)
 
     def __add__(self, o: "Layout") -> "Layout":
         return Layout(self.rows + o.rows, self.blocks + o.blocks,
-                      self.bytes + o.bytes)
+                      self.bytes + o.bytes,
+                      o.schema if self.schema is None else self.schema)
 
 
 def fold_with_layout(ds, partial, merge) -> tuple:
@@ -211,7 +214,7 @@ def fold_with_layout(ds, partial, merge) -> tuple:
     partial counts its own block, so the layout costs no extra pass.
     Returns ``(merge result, layout)``."""
     def counted(t: pa.Table) -> tuple:
-        return Layout(t.num_rows, 1, t.nbytes), partial(t)
+        return Layout(t.num_rows, 1, t.nbytes, t.schema), partial(t)
 
     def merge_counted(parts: list[tuple]) -> tuple:
         return (sum((lay for lay, _ in parts), Layout()),

@@ -101,18 +101,18 @@ def duplicate_phash_groups(ds, *, phash_col: str = "phash",
     exact count and a bounded id sample per bucket.  Returns an Arrow
     table (phash, n, ids)."""
 
-    vals, cnts = fold(ds, lambda t: np.unique(
-        t[phash_col].to_numpy(zero_copy_only=False), return_counts=True),
-        merge_counts)
+    (vals, cnts), layout = transport.fold_with_layout(
+        ds, lambda t: np.unique(t[phash_col].to_numpy(zero_copy_only=False),
+                                return_counts=True), merge_counts)
     dup_mask = cnts >= 2
     if not dup_mask.any():
-        # empty-list value type derives from the INPUT id column so the
-        # output schema is stable whether or not dups exist (r4 advice:
-        # hardcoded list<string> flipped the schema for int64-id inputs);
-        # a Dataset filtered to nothing has no schema
-        sch = ds.schema()
-        id_type = dict(zip(sch.names, sch.types)).get(id_col, pa.string()) \
-            if sch is not None else pa.string()
+        # empty-list value type derives from the id column the census
+        # saw, so the output schema is stable whether or not dups exist
+        # (a hardcoded list<string> flipped it for int64-id inputs); a
+        # Dataset filtered to nothing runs no partial
+        sch = layout.schema
+        id_type = sch.field(id_col).type if sch is not None \
+            and id_col in sch.names else pa.string()
         return pa.table({phash_col: pa.array([], type=pa.int64()),
                          "n": pa.array([], type=pa.int64()),
                          "ids": pa.array([], type=pa.list_(id_type))})

@@ -101,4 +101,4 @@ def orphans(left_ds, right_ds, key_cols: list[str] | str, *,
     else:
         raise ValueError(f"unknown orphans strategy {strategy!r}")
     return out if out is not None else \
-        _empty_listing(left_ds, key_cols, ("left_n", "right_n"))
+        _empty_listing(left_ds.schema(), key_cols, ("left_n", "right_n"))

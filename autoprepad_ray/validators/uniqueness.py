@@ -26,8 +26,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import HyperLogLog, hll_index_rho, key_hash
-from ..stages.transport import (fold, keyed_fold, merge_counts,
-                                merge_groups)
+from ..stages.transport import (fold, fold_with_layout, keyed_fold,
+                                merge_counts, merge_groups)
 
 
 def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
@@ -53,12 +53,12 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
     """
     import ray
 
-    vals, cnts = fold(ds, lambda b: np.unique(
+    (vals, cnts), layout = fold_with_layout(ds, lambda b: np.unique(
         key_hash([b[c] for c in cols])[0], return_counts=True),
         merge_counts)
     cand = vals[cnts >= min_count]
     if cand.size == 0:
-        return _empty_listing(ds, cols)
+        return _empty_listing(layout.schema, cols)
     if int(cnts[cnts >= min_count].sum()) > max_collect:
         return _duplicate_keys_shuffle(ds, cols, min_count)
     cand_ref = ray.put(np.sort(cand.astype(np.uint64)))
@@ -96,7 +96,7 @@ def _duplicate_keys_shuffle(ds, cols: list[str],
         return t.filter(pc.greater_equal(t["n"], min_count))
 
     out = keyed_fold(ds, partial, cols, final)
-    return out if out is not None else _empty_listing(ds, cols)
+    return out if out is not None else _empty_listing(None, cols)
 
 
 def _canonical(t: pa.Table) -> pa.Table:
@@ -108,12 +108,11 @@ def _canonical(t: pa.Table) -> pa.Table:
     return t
 
 
-def _empty_listing(ds, cols: list[str], counts=("n",)) -> pa.Table:
+def _empty_listing(sch, cols: list[str], counts=("n",)) -> pa.Table:
     """Typed empty listing (``cols`` then int64 ``counts``) from the
-    SOURCE schema — pa.array([]) would yield null-typed columns and the
-    arms would disagree on schema.  A Dataset filtered to nothing has no
-    schema: null types."""
-    sch = ds.schema()
+    SOURCE schema ``sch`` — pa.array([]) would yield null-typed columns
+    and the arms would disagree on schema.  Without one (a Dataset
+    filtered to nothing runs no partial): null types."""
     types = dict(zip(sch.names, sch.types)) if sch is not None else {}
     return pa.table({c: pa.array([], type=types.get(c, pa.null()))
                      for c in cols}
@@ -180,18 +179,18 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str, *,
     values.  :func:`~..stages.transport.keyed_fold` meets each group's
     triples in one task, which raises its registers
     (``HyperLogLog.add_rho``) and estimates.  A null group key is one
-    group, as in DuckDB's ``GROUP BY``.  Returns an Arrow table
-    (``group_col``, ``distinct_est``) sorted by group, null last.
-    Rows-only checked (approximate by construction); pytest bounds the
-    error against the exact count.
+    group, and a group whose values are all null counts 0, as in
+    DuckDB's ``GROUP BY`` with ``COUNT(DISTINCT)``.  Returns an Arrow
+    table (``group_col``, ``distinct_est``) sorted by group, null last
+    (no input row: typed as far as Ray knows without an execution).
+    Approximate by construction; pytest bounds the error.
     """
     def partial(t: pa.Table) -> pa.Table:
-        # project FIRST: dropping nulls of the full block would drop rows
-        # null in unrelated columns, silently undercounting wider tables
-        t = t.select([group_col, value_col])
-        t = t.filter(pc.is_valid(t[value_col]))
-        idx, rho = hll_index_rho(key_hash([t[value_col]])[0], p)
-        g = pa.table({group_col: t[group_col], "idx": idx, "rho": rho}) \
+        h, valid = key_hash([t[value_col]])
+        idx, rho = hll_index_rho(h, p)
+        # a null value keeps its group in register -1, which adds nothing
+        g = pa.table({group_col: t[group_col],
+                      "idx": np.where(valid, idx, -1), "rho": rho}) \
             .group_by([group_col, "idx"]).aggregate([("rho", "max")])
         return pa.table({group_col: g[group_col], "idx": g["idx"],
                          "rho": g["rho_max"]})
@@ -203,13 +202,15 @@ def hll_distinct_per_group(ds, group_col: str, value_col: str, *,
         for idx, rho in zip(*(g[f"{c}_list"].combine_chunks()
                               for c in ("idx", "rho"))):
             h = HyperLogLog(p=p)
-            h.add_rho(idx.values.to_numpy(), rho.values.to_numpy())
+            idx, rho = idx.values.to_numpy(), rho.values.to_numpy()
+            h.add_rho(idx[idx >= 0], rho[idx >= 0])
             est.append(round(h.estimate(), 1))
         return pa.table({group_col: g[group_col],
                          "distinct_est": pa.array(est, pa.float64())})
 
     out = keyed_fold(ds, partial, [group_col], final)
     if out is None:
-        return _empty_listing(ds, [group_col], counts=()).append_column(
+        return _empty_listing(ds.schema(fetch_if_missing=False),
+                              [group_col], counts=()).append_column(
             "distinct_est", pa.array([], pa.float64()))
     return out.sort_by([(group_col, "ascending")], null_placement="at_end")

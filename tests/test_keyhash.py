@@ -134,6 +134,44 @@ def test_hll_distinct_per_group_keeps_the_null_group():
         assert abs(est[g] - n) <= 0.05 * n, (g, est[g], n)
 
 
+def test_hll_distinct_per_group_counts_an_all_null_group_zero():
+    """A group whose values are all null is listed with 0 distinct
+    values, as DuckDB's ``COUNT(DISTINCT v) ... GROUP BY g`` lists it."""
+    ds = _blocks({"g": ["a", "z", None], "v": [1, None, None]},
+                 {"g": ["z", "a"], "v": pa.array([None, 2], pa.int64())})
+    got = hll_distinct_per_group(ds, "g", "v").to_pylist()
+    want = _sql("SELECT g, COUNT(DISTINCT v) FROM t GROUP BY g",
+                t=pa.table({"g": ["a", "z", None, "z", "a"],
+                            "v": pa.array([1, None, None, None, 2],
+                                          pa.int64())}))
+    assert [(r["g"], r["distinct_est"]) for r in got] == \
+        [("a", 2.0), ("z", 0.0), (None, 0.0)]
+    assert sorted(want, key=repr) == sorted(
+        [(r["g"], int(r["distinct_est"])) for r in got], key=repr)
+
+
+def test_empty_listings_typed_without_an_extra_execution(ray_executions):
+    """With no duplicate, ``duplicate_keys`` and ``duplicate_phash_groups``
+    type their empty listing from what their census fold's partials saw:
+    behind a repartition and a map, one execution each (``ds.schema()``
+    used to re-run the input plan), and the key columns keep their
+    types."""
+    from autoprepad_ray.validators.near_dup import duplicate_phash_groups
+
+    t = pa.table({"k": pa.array(range(1000), pa.int64()),
+                  "s": pa.array([f"id{i}" for i in range(1000)])})
+    ds = rd.from_arrow(t).repartition(4).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    out = duplicate_keys(ds, ["k", "s"])
+    assert len(ray_executions) == 1
+    assert out.num_rows == 0
+    assert out.schema.types == [pa.int64(), pa.string(), pa.int64()]
+    groups = duplicate_phash_groups(ds, phash_col="k", id_col="s")
+    assert len(ray_executions) == 2
+    assert groups.num_rows == 0
+    assert groups.schema.field("ids").type == pa.list_(pa.string())
+
+
 def test_bucketed_inner_join_null_left_key_keeps_all_matches():
     left = _blocks({"k": pa.array(list(range(40)) + [None], pa.int64()),
                     "a": pa.array(range(41), pa.int64())})

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,51 @@ def fimg_small(tmp_path_factory):
     d = str(tmp_path_factory.mktemp("fimg_run"))
     exp = generate_fimg(d, partitions=8, rows=120, seed=42, inject=True)
     return d, exp
+
+
+def _candidate_partitions(d: str) -> list[int]:
+    """DuckDB's partitions holding a global-check candidate: a duplicate
+    id, an image-side orphan id or a duplicate phash."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.execute(f"""CREATE VIEW img AS SELECT image_id, phash, partition_id
+                    FROM read_parquet('{d}/images/*/*.parquet')""")
+    con.execute(f"""CREATE VIEW cap AS SELECT image_id
+                    FROM read_parquet('{d}/captions.parquet')""")
+    pids = [p for p, in con.execute("""
+        SELECT DISTINCT partition_id FROM img i
+        WHERE image_id IN (SELECT image_id FROM img GROUP BY image_id
+                           HAVING COUNT(*) >= 2)
+           OR NOT EXISTS (SELECT 1 FROM cap c
+                          WHERE c.image_id IS NOT DISTINCT FROM i.image_id)
+           OR phash IN (SELECT phash FROM img GROUP BY phash
+                        HAVING COUNT(*) >= 2)
+        ORDER BY 1""").fetchall()]
+    con.close()
+    return pids
+
+
+def _listings(out: str) -> dict:
+    """The runner's global listings, read back from beside the
+    manifest, as comparable rows."""
+    import pandas as pd
+
+    def rows(name):
+        df = pd.read_parquet(os.path.join(out, f"{name}.parquet"))
+        return [tuple(x.tolist() if hasattr(x, "tolist") else x for x in r)
+                for r in df.itertuples(index=False)]
+
+    return {k: rows(k) for k in ("dup_ids", "orphans", "neardup_groups",
+                                 "neardup_pairs")}
+
+
+def _report_listings(rep) -> dict:
+    """validate_images' dup_ids, orphans, neardup_groups and
+    neardup_pairs as comparable rows."""
+    return {k: [tuple(r) for r in getattr(rep, k).itertuples(index=False)]
+            for k in ("dup_ids", "orphans", "neardup_groups",
+                      "neardup_pairs")}
 
 
 def test_run_and_resume(fimg_small, tmp_path):
@@ -104,22 +150,31 @@ def test_incremental_global_checks(fimg_small, tmp_path):
     # censuses were checkpointed while each partition was processed
     assert g1["census_new_partitions"] == []
     assert g1["census_cached_partitions"] == list(range(8))
-    # injected dup ids live in partitions 1 and 6 only
-    assert g1["listing_partitions"] == [1, 6]
+    # the listing read covers exactly the partitions holding a candidate
+    assert g1["listing_partitions"] == _candidate_partitions(d)
     assert m1["runs"][-1]["uniqueness_violations"] == len(exp.dup_ids)
+    assert "referential_method" not in m1["runs"][-1]
+    first = _listings(out)
 
-    # simulate an older-version checkpoint: drop one census file
-    os.remove(os.path.join(out, "partitions", "partition=3",
-                           "keycensus.parquet"))
+    # older-engine checkpoints: one census file missing, one without the
+    # image_id column
+    import pyarrow.parquet as pq
+
+    pdir = os.path.join(out, "partitions")
+    os.remove(os.path.join(pdir, "partition=3", "keycensus.parquet"))
+    old = os.path.join(pdir, "partition=5", "keycensus.parquet")
+    pq.write_table(pq.read_table(old).drop_columns(["image_id"]), old)
     m2 = run_validation(f"{d}/images", out,
                         captions_path=f"{d}/captions.parquet", decode=False)
     assert m2["runs"][-1]["pending"] == []          # nothing re-validated
     g2 = m2["runs"][-1]["global_checks"]
-    assert g2["census_new_partitions"] == [3]       # exactly the missing one
+    assert g2["census_new_partitions"] == [3, 5]    # exactly those two
+    assert "image_id" in pq.read_table(old).column_names
     # results identical to the full run
-    for k in ("uniqueness_violations", "neardup_groups",
+    for k in ("uniqueness_violations", "neardup_groups", "neardup_pairs",
               "referential_orphans"):
         assert m2["runs"][-1][k] == m1["runs"][-1][k], k
+    assert _listings(out) == first
     assert sorted(m2["runs"][-1]["uniqueness_sample"]) == \
         sorted(set(exp.dup_ids))
 
@@ -258,8 +313,7 @@ def test_partition_holding_other_partition_rows_fails_loud(fimg_small,
             t.schema.get_field_index("partition_id"), "partition_id",
             pa.array([3] * t.num_rows, type=pa.int32())), f)
     with pytest.raises(ValueError, match=r"partition=4 .* \[3\]"):
-        run_validation(str(images), str(tmp_path / "out"), decode=False,
-                       run_global_checks=False)
+        run_validation(str(images), str(tmp_path / "out"), decode=False)
 
 
 def test_partition_failure_commits_others_and_resumes(fimg_small, tmp_path,
@@ -305,8 +359,9 @@ def test_partition_failure_commits_others_and_resumes(fimg_small, tmp_path,
 
 def test_cold_run_read_count(fimg_small, tmp_path, monkeypatch):
     """A cold run without decode reads the reference once and each
-    partition once, plus the caption census and the exact uniqueness
-    listing of the dup-affected partitions; no read touches ``bytes``."""
+    partition once, plus the caption census and one listing read of the
+    partitions whose census holds a candidate; no read touches
+    ``bytes``."""
     from autoprepad_ray.pipelines import runner
 
     calls = []
@@ -321,24 +376,139 @@ def test_cold_run_read_count(fimg_small, tmp_path, monkeypatch):
     m = run_validation(f"{d}/images", str(tmp_path / "out"),
                        captions_path=f"{d}/captions.parquet", decode=False)
     listing = m["runs"][-1]["global_checks"]["listing_partitions"]
-    assert listing == [1, 6]
+    assert listing == _candidate_partitions(d)
     assert len(calls) == 1 + 8 + 1 + 1
+    assert calls[-1] == ([f"{d}/images/partition={p}/part.parquet"
+                          for p in listing],
+                         ["image_id", "phash", "partition_id"])
     assert all(cols is not None and "bytes" not in cols
                for _, cols in calls)
 
 
-def test_runner_duplicate_null_ids_list_as_one_id(fimg_small, tmp_path):
-    """The runner's duplicate-id listing counts null ids as one id and
-    lists it last, as DuckDB's ``GROUP BY`` does (two null ids used to
-    raise TypeError in ``np.unique``)."""
+@pytest.mark.parametrize("images,captions",
+                         [(True, False), (False, True), (True, True)],
+                         ids=["image_nulls", "caption_nulls", "both"])
+def test_runner_null_ids_list_as_one_id_like_duckdb(fimg_small, tmp_path,
+                                                    images, captions):
+    """Null ids on either side or both: the runner's duplicate ids,
+    orphans on both sides with their counts and near-dup groups count
+    null as one id and list it last, as DuckDB over the same files."""
     from tests.test_image_pipeline import _duck_listings, _with_null_ids
 
     src, exp = fimg_small
-    d = _with_null_ids(src, tmp_path / "fx", exp.hot_phash, images=True,
-                       captions=False)
-    m = run_validation(f"{d}/images", str(tmp_path / "out"),
+    d = _with_null_ids(src, tmp_path / "fx", exp.hot_phash, images=images,
+                       captions=captions)
+    out = str(tmp_path / "out")
+    m = run_validation(f"{d}/images", out,
                        captions_path=f"{d}/captions.parquet", decode=False)
-    want = [i for i, _ in _duck_listings(d)["dup_ids"]]
-    assert want[-1] is None
-    assert m["runs"][-1]["uniqueness_violations"] == len(want)
-    assert m["runs"][-1]["uniqueness_sample"] == want[:50]
+    want = _duck_listings(d)
+    got = _listings(out)
+    assert got["dup_ids"] == want["dup_ids"]
+    assert got["orphans"] == want["orphans"]
+    assert got["neardup_groups"] == [(h, n, ids[:64])
+                                     for h, n, ids in want["groups"]]
+    assert m["runs"][-1]["uniqueness_sample"] == \
+        [i for i, _ in want["dup_ids"]][:50]
+    if images:
+        assert want["dup_ids"][-1] == (None, 2)
+
+
+def test_runner_global_findings_match_validate_images(fimg_small, tmp_path):
+    """The runner's listed duplicate ids, orphans, near-dup groups and
+    Hamming pairs equal validate_images' report row for row, on a cold
+    run and on a resume after two partitions' checkpoints are deleted."""
+    import shutil
+
+    from autoprepad_ray.pipelines.image_validation import validate_images
+
+    d, _ = fimg_small
+    kw = dict(captions_path=f"{d}/captions.parquet", decode=False)
+    want = _report_listings(validate_images(f"{d}/images", **kw))
+    assert all(want.values())
+    out = str(tmp_path / "out")
+    run_validation(f"{d}/images", out, **kw)
+    assert _listings(out) == want
+    for p in (4, 6):
+        shutil.rmtree(os.path.join(out, "partitions", f"partition={p}"))
+    m = run_validation(f"{d}/images", out, **kw)
+    assert m["runs"][-1]["pending"] == [4, 6]
+    assert _listings(out) == want
+
+
+def test_resume_read_count(fimg_small, tmp_path, monkeypatch):
+    """A resume reads the pending partitions (metadata and the decode
+    payload), and one listing read pruned to ``image_id, phash,
+    partition_id`` over exactly the partitions whose census holds a
+    candidate: no other completed partition, and ``bytes`` only in
+    decode."""
+    import shutil
+
+    from autoprepad_ray.pipelines import image_validation, runner
+
+    d, _ = fimg_small
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{d}/captions.parquet")
+    run_validation(f"{d}/images", out, **kw)
+    for p in (4, 6):
+        shutil.rmtree(os.path.join(out, "partitions", f"partition={p}"))
+    calls = []
+    real = runner.read_table
+
+    def counting(path, **kw):
+        calls.append((path, kw.get("columns")))
+        return real(path, **kw)
+
+    monkeypatch.setattr(runner, "read_table", counting)
+    monkeypatch.setattr(image_validation, "read_table", counting)
+    m = run_validation(f"{d}/images", out, **kw)
+    assert m["runs"][-1]["pending"] == [4, 6]
+
+    def files(*pids):
+        return [f"{d}/images/partition={p}/part.parquet" for p in pids]
+
+    meta = [p for p, cols in calls if cols == runner.META_COLS]
+    payload = [p for p, cols in calls if "bytes" in cols]
+    listing = [(p, cols) for p, cols in calls
+               if cols == ["image_id", "phash", "partition_id"]]
+    assert sorted(meta) == sorted(payload) == [files(4), files(6)]
+    assert listing == [(files(*_candidate_partitions(d)),
+                        ["image_id", "phash", "partition_id"])]
+    assert len(calls) == len(meta) + len(payload) + len(listing)
+
+
+def test_unreadable_partition_file_is_named(fimg_small, tmp_path):
+    """A partition file whose parquet footer cannot be read fails with
+    an error naming that file; the other partitions commit, and once the
+    file is restored a resume runs exactly that partition."""
+    import shutil
+
+    d, _ = fimg_small
+    work = tmp_path / "data"
+    shutil.copytree(d, work)
+    (f,) = (work / "images" / "partition=4").glob("*.parquet")
+    good = f.read_bytes()
+    f.write_bytes(good[:len(good) // 2])
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{work}/captions.parquet", decode=False)
+    with pytest.raises(ValueError, match=re.escape(str(f))):
+        run_validation(f"{work}/images", out, **kw)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        done = json.load(fh)["partitions"]
+    assert sorted(int(k) for k in done) == [0, 1, 2, 3, 5, 6, 7]
+    f.write_bytes(good)
+    m = run_validation(f"{work}/images", out, **kw)
+    assert m["runs"][-1]["pending"] == [4]
+
+
+def test_runner_has_no_global_checks_of_its_own():
+    """The runner's global findings are validate_images' reduction over
+    the checkpointed censuses: no hash setdiff, census merge, listing
+    fold or "approximate" method label of its own."""
+    import inspect
+
+    from autoprepad_ray.pipelines import runner
+
+    src = inspect.getsource(runner)
+    for token in ("setdiff1d", "merge_counts", "referential_method",
+                  "_id_counts", "group_by", "count_all", "_capped_per_key"):
+        assert token not in src, token
