@@ -27,22 +27,34 @@ lifecycle from it:
       ],
     }
 
-Execution shape: the declared-table lifecycle is an evidence step and
-a tail.  ``run_config`` drops the excluded columns once; the evidence
-step (:func:`_declared_evidence`) canonicalizes NaN tokens on every
-declared string column (string datetimes included, the reference's M1), parses
-datetimes and runs ONE profile pass over every declared column; that
-feeds all fitted state (fences, domains, shape profiles, ordinal maps —
-the reference's per-transformer fit attributes,
-TukeyTransformer.py:37-42), and one stateless ``map_batches`` chain
-appends the evidence columns plus ``n_evidence`` (the OR-merge total,
-experiment.py:441-445).  The tail adds ``AnomalyScore``/``AnomalyLabel``
-(runs.py:199-222): a single-numeric-column config without partitions
-takes the score stats off the profile, otherwise ONE summary pass
-(``row_checks.check_summary`` over ``n_evidence``) yields the score
-stats and the per-partition verdicts together, so a partition's
-violation count is the OR-merge of every declared check.  Uniqueness
-and passthrough validators are separate jobs over the same input.
+Execution shape: two Ray Data executions, the fit fold and the summary
+pass.  ``run_config`` drops the excluded columns once; the evidence step
+(:func:`_declared_evidence`) canonicalizes NaN tokens on every declared
+string column (string datetimes included, the reference's M1), parses
+datetimes and runs ONE fit fold over the prepared rows: the profile of
+every declared column and every ``constant_columns`` spec's ``columns``,
+plus the ``unique_keys`` key-hash census.  The profile feeds all fitted
+state (fences, domains, shape profiles, ordinal maps — the reference's
+per-transformer fit attributes, TukeyTransformer.py:37-42) and answers
+those ``constant_columns`` specs; the duplicate listing reads the rows
+again only when the census finds a repeated key.  One stateless
+``map_batches`` chain appends the evidence columns plus ``n_evidence``
+(the OR-merge total, experiment.py:441-445).  The tail adds
+``AnomalyScore``/``AnomalyLabel`` (runs.py:199-222): a
+single-numeric-column config without partitions takes the score stats
+off the profile, otherwise ONE summary pass (``row_checks.check_summary``
+over ``n_evidence``) yields the score stats and the per-partition
+verdicts together, so a partition's violation count is the OR-merge of
+every declared check.  Other validators keep a pass of their own:
+``constant_columns`` without ``columns`` (the fold cannot know the
+input's columns before it runs), ``distinct_counts`` (``ValueCounts``
+drops float NaN where ``pc.unique`` counts it, and an overflowed column
+has only HLL) and every validator that needs rows.
+
+One rule for inputs: every check reads the columns as the evidence step
+prepared them, so a NaN token in a declared string column is a null (a
+unique key's tokens join its one null group).  A domain column whose
+exact value counts overflowed raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -57,10 +69,13 @@ import pyarrow.compute as pc
 
 from .functions.encoders import ordinal_encode_array, ordinal_map
 from .functions.strings import canonicalize_nan_tokens
-from .profile import TableProfile, profile_dataset
+from .profile import TableProfile, bundle_partial, merge_bundles
+from .stages.transport import fold_with_layout, merge_counts, merge_fields
 from .validators import registry, row_checks as rc
-from .validators.domain import (domain_flags, learned_domain,
-                                learned_shape_domain, shape_domain_flags)
+from .validators.domain import (constant_listing, domain_flags,
+                                learned_domain, learned_shape_domain,
+                                shape_domain_flags)
+from .validators.uniqueness import duplicate_listing, key_census
 
 _DEFAULT_THRESHOLDS = {
     "tukey_factor": 1.5,          # TukeyTransformer.py:33
@@ -141,24 +156,43 @@ def _thresholds(config: dict) -> dict:
 def _declared_evidence(ds, config: dict, thr: dict) -> ConfigResult:
     """The evidence step of :func:`run_config` over ``ds`` (excluded
     columns already dropped) with the parsed thresholds ``thr``: fit the
-    declared state in ONE profile pass (the only execution) and return
-    it with ``enriched`` as the lazy Dataset of evidence columns and
-    ``n_evidence`` (no score or label yet).  Raises ``ValueError`` when
-    the reference has no rows (no fences to learn)."""
+    declared state in ONE fold, run the declared key and passthrough
+    checks, and return it all with ``enriched`` as the lazy Dataset of
+    evidence columns and ``n_evidence`` (no score or label yet).
+    Raises ``ValueError`` when the reference has no rows (no fences to
+    learn)."""
     numeric = list(config.get("numeric_columns", ()))
     nominal = list(config.get("nominal_columns", ()))
     ordinal = list(config.get("ordinal_columns", ()))
     dt_cols = list(config.get("datetime_columns", ()))
     pattern = list(config.get("pattern_columns", ()))
+    keys = list(config.get("unique_keys", ()))
+    specs = list(config.get("validators", ()))
+    # constant_columns specs naming their columns read the fit profile
+    answered = [sp for sp in specs if sp["name"] == "constant_columns"
+                and sp.get("kwargs", {}).get("columns") is not None]
     prepped = _canon_and_parse(ds, nominal + ordinal + pattern, dt_cols)
 
-    # ---- fit phase: ONE profile pass feeds every fitted state ----
+    # ---- fit phase: ONE fold feeds every fitted state + key census ----
     num_cols = numeric + [f"{c}_epoch" for c in dt_cols]
-    prof_cols = num_cols + nominal + ordinal + pattern
-    prof = profile_dataset(prepped, columns=prof_cols)
+    prof_cols = list(dict.fromkeys(
+        num_cols + nominal + ordinal + pattern
+        + [c for sp in answered for c in sp["kwargs"]["columns"]]))
+    partials, merges = [bundle_partial(prof_cols)], [merge_bundles]
+    if keys:
+        partials.append(key_census(keys))
+        merges.append(merge_counts)
+    (bundle, *census), layout = fold_with_layout(
+        prepped, lambda t: tuple(p(t) for p in partials),
+        merge_fields(*merges))
+    prof = TableProfile(columns=bundle[1], n_rows=bundle[0], layout=layout)
     if prof.n_rows == 0:
         raise ValueError("run_config: the reference (ds) has no "
                          "rows, so no fences can be learned")
+    for c in nominal + ordinal + pattern:     # drained: an empty domain
+        if prof[c].values.overflow:
+            raise ValueError(f"run_config: {c!r} has more than "
+                             f"{prof[c].values.max_items} distinct values")
     states = rc.fence_states(prof, num_cols,
                              tukey_factor=thr["tukey_factor"])
     domains = {c: learned_domain(prof[c].values,
@@ -171,6 +205,17 @@ def _declared_evidence(ds, config: dict, thr: dict) -> ConfigResult:
         ordinal_maps[c] = ordinal_map(np.asarray(vals, dtype=object))
     shape_domains = {c: learned_shape_domain(
         prof[c].values, min_frac=thr["domain_min_frac"]) for c in pattern}
+
+    # ---- declared checks over the prepared rows ----
+    duplicates = duplicate_listing(prepped, keys, census[0], layout) \
+        if keys else None
+    rows = prepped.drop_columns(
+        [f"{c}_{x}" for c in dt_cols for x in ("epoch", "UNPARSEABLE")])
+    extras = {}
+    for sp in specs:
+        kw = sp.get("kwargs", {})
+        extras[sp["name"]] = constant_listing(prof, **kw) \
+            if sp in answered else registry.run(sp["name"], rows, **kw)
 
     # ---- validate phase: evidence columns + OR-merge total ----
     checked = rc.check_rows(prepped, states,
@@ -199,7 +244,8 @@ def _declared_evidence(ds, config: dict, thr: dict) -> ConfigResult:
     return ConfigResult(
         enriched=checked.map_batches(check_declared, batch_format="pandas"),
         profile=prof, states=states, domains=domains,
-        shape_domains=shape_domains, ordinal_maps=ordinal_maps)
+        shape_domains=shape_domains, ordinal_maps=ordinal_maps,
+        duplicates=duplicates, extras=extras)
 
 
 def run_config(ds, config: dict) -> ConfigResult:
@@ -224,11 +270,4 @@ def run_config(ds, config: dict) -> ConfigResult:
             flagged, pcol, evidence_cols=("n_evidence",), pct=pct,
             budget=thr["budget"])
     res.enriched = rc.attach_scores(flagged, pct=pct, stats=stats)
-
-    if config.get("unique_keys"):
-        res.duplicates = registry.run("duplicate_keys", ds,
-                                      cols=list(config["unique_keys"]))
-    for spec in config.get("validators", ()):
-        res.extras[spec["name"]] = registry.run(
-            spec["name"], ds, **spec.get("kwargs", {}))
     return res

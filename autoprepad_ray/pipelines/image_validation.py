@@ -73,12 +73,12 @@ import ray
 
 from ..functions.strings import canonicalize_nan_tokens
 from ..io import parquet_files, read_table
-from ..profile import ColumnSketch, TableProfile, _col_kind, _merge_bundles
+from ..profile import ColumnSketch, TableProfile, _col_kind, merge_bundles
 from ..sketches import key_hash, np_object
 from ..stages.transport import (default_num_parts, fold_payloads,
                                 kind_rows, kind_tables, merge_concat,
-                                merge_counts, pack_slices, slice_map,
-                                slice_of)
+                                merge_counts, merge_fields, pack_slices,
+                                slice_map, slice_of)
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
@@ -201,12 +201,9 @@ def _prof_partial(batch: pa.Table, ref_set) -> tuple:
     return (int(ref_mask.sum()), sketches), _drift_partial(batch)
 
 
-def _merge_prof(parts: list[tuple]) -> tuple:
-    """Fold :func:`_prof_partial` outputs (associative): sketch bundles
-    through ``profile._merge_bundles``, histograms through
-    ``drift.merge_histograms``."""
-    return (_merge_bundles([p[0] for p in parts]),
-            _merge_drift([p[1] for p in parts]))
+# folds :func:`_prof_partial` outputs: sketch bundles through
+# ``profile.merge_bundles``, histograms through ``drift.merge_histograms``
+_merge_prof = merge_fields(merge_bundles, _merge_drift)
 
 
 # the kind code of a census row: image id hash, phash, caption id hash
@@ -265,11 +262,9 @@ def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
                        kind="census")
 
 
-def _merge_p1(parts: list[tuple]) -> tuple:
-    """Fold pass-1 ``agg`` payloads (profile partial, dense band census)."""
-    return (_merge_prof([p[0] for p in parts]),
-            sum((p[1] for p in parts),
-                np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
+# folds pass-1 ``agg`` payloads (profile partial, dense band census)
+_merge_p1 = merge_fields(_merge_prof, lambda bands: sum(
+    bands, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
 
 
 def _census_slice(parts: list, has_captions: bool) -> tuple:
@@ -394,14 +389,6 @@ class _P2Partial:
             checked["image_id"], self.band_slices, hot=self.hot_bands)])
 
 
-def _merge_agg(parts: list[tuple]) -> tuple:
-    """Fold pass-2 ``agg`` payloads (associative): per-partition counts
-    add up and the listings fold by :func:`_merge_listings`."""
-    return (_sum_counts([p[0] for p in parts]),
-            _merge_listings([p[1] for p in parts]),
-            next((p[2] for p in parts), None))
-
-
 def _id_counts(t: pa.Table, aggs: list) -> pa.Table:
     """``t`` aggregated per ``image_id`` — all null ids are one id — and
     sorted by it, null last (DuckDB's ``GROUP BY`` + ``ORDER BY``)."""
@@ -416,6 +403,17 @@ def _sum_counts(parts: list[dict]) -> dict:
         for u, c in d.items():
             out[u] = tuple(a + b for a, b in zip(out.get(u, (0, 0, 0)), c))
     return out
+
+
+def _first(parts: list):
+    """The first part, or None: the merge of a field every part holds
+    alike (a listing schema)."""
+    return next(iter(parts), None)
+
+
+# folds pass-2 ``agg`` payloads: per-partition counts add up, the
+# listings fold by :func:`_merge_listings`, the violation schema is kept
+_merge_agg = merge_fields(_sum_counts, _merge_listings, _first)
 
 
 def _findings(listings: tuple, ph_vals: np.ndarray, ph_cnts: np.ndarray,

@@ -64,19 +64,20 @@ from ..io import read_table
 from ..profile import ProfileFormatError, TableProfile
 from ..sketches import np_object
 from ..validators import row_checks as rc
-from ..validators.domain import sketch_is_constant
+from ..validators.domain import constant_listing
 from ..validators.near_dup import _minid_per_key, hamming_neardup_pairs
-from ..stages.transport import fold, fold_payloads, kind_rows, kind_tables
+from ..stages.transport import (fold, fold_payloads, kind_rows,
+                                kind_tables, merge_fields)
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (_ID, _PH, META_COLS, PSI_COLS,
                                _caption_census, _census_slice,
                                _decode_failures, _drift_partial, _evidence,
-                               _findings, _image_census, _listing_partial,
-                               _merge_drift, _merge_listings, _merge_prof,
-                               _prep, _prof_partial, _reference_hists,
-                               _sum_counts, assert_schema_files,
-                               partition_verdicts)
+                               _findings, _first, _image_census,
+                               _listing_partial, _merge_drift,
+                               _merge_listings, _merge_prof, _prep,
+                               _prof_partial, _reference_hists, _sum_counts,
+                               assert_schema_files, partition_verdicts)
 
 
 def _cells_table(keys: np.ndarray, n, code, ids) -> pa.Table:
@@ -110,13 +111,10 @@ def _block_census(t: pa.Table) -> pa.Table:
         [np.full(int((code == _ID).sum()), None, object), minid])))
 
 
-def _merge_partition_agg(parts: list[tuple]) -> tuple:
-    """Fold a partition pass's ``agg`` payloads (counts, drift
-    histograms, census, listing schema) — associative."""
-    return (_sum_counts([p[0] for p in parts]),
-            _merge_drift([p[1] for p in parts]),
-            _concat_cells([p[2] for p in parts]),
-            next((p[3] for p in parts), None))
+# folds a partition pass's ``agg`` payloads (counts, drift histograms,
+# census, listing schema)
+_merge_partition_agg = merge_fields(_sum_counts, _merge_drift,
+                                    _concat_cells, _first)
 
 
 def _write_table(t: pa.Table, path: str) -> None:
@@ -259,8 +257,7 @@ def run_validation(images_dir: str, out_dir: str, *,
     # A6 finding off the reference profile (no extra pass): the
     # reference DROPS zero-variance columns silently before fitting
     # (reference runs.py:333-335); the engine reports them
-    const_cols = sorted(n for n in prof.columns
-                        if sketch_is_constant(prof[n]))
+    const_cols = constant_listing(prof)["col_name"].to_pylist()
     return _finish_run(manifest, out_dir, {
         "started_at": started_at, "pending": pending,
         "profile_fp": prof_fp, "constant_columns": const_cols,

@@ -205,7 +205,11 @@ class TableProfile:
 # the job
 
 
-def _make_partial_fn(columns: list[str] | None, max_exact: int):
+def bundle_partial(columns: list[str] | None,
+                   max_exact: int = 2_000_000):
+    """The profile fold's partial: a block -> its ``(rows, sketches)``
+    bundle over ``columns`` (every column for None), each column's exact
+    value counts capped at ``max_exact`` distinct values."""
     def partial(batch: pa.Table) -> tuple:
         cols = columns if columns is not None else batch.column_names
         sketches: dict[str, ColumnSketch] = {}
@@ -264,9 +268,10 @@ def _merge_columns(parts: list) -> ColumnSketch:
     return out
 
 
-def _merge_bundles(bundles: list[tuple]) -> tuple:
-    """Fold (rows, sketches) bundles: each column's partials merge at
-    once (:func:`_merge_columns`), columns in first-seen order."""
+def merge_bundles(bundles: list[tuple]) -> tuple:
+    """The profile fold's merge of :func:`bundle_partial` bundles: each
+    column's partials merge at once (:func:`_merge_columns`), columns in
+    first-seen order."""
     names = list(dict.fromkeys(n for _, sk in bundles for n in sk))
     return (sum(n for n, _ in bundles),
             {name: _merge_columns([sk.get(name) for _, sk in bundles])
@@ -278,12 +283,13 @@ def profile_dataset(ds, columns: list[str] | None = None, *,
                     fingerprint: str = "") -> TableProfile:
     """Compute a :class:`TableProfile` in one streaming pass over ``ds``.
 
-    The per-block bundles fold with ``stages.transport.fold_with_layout``
-    (every merge is :func:`_merge_bundles`), so the profile also records
-    the :class:`~autoprepad_ray.stages.transport.Layout` of ``ds``.
+    The :func:`bundle_partial` bundles fold with
+    ``stages.transport.fold_with_layout`` (every merge is
+    :func:`merge_bundles`), so the profile also records the
+    :class:`~autoprepad_ray.stages.transport.Layout` of ``ds``.
     """
     (total, merged), layout = fold_with_layout(
-        ds, _make_partial_fn(columns, max_exact), _merge_bundles)
+        ds, bundle_partial(columns, max_exact), merge_bundles)
     return TableProfile(columns=merged, n_rows=total, fingerprint=fingerprint,
                         layout=layout)
 

@@ -15,8 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .transport import (fold, merge_concat, merge_counts, merge_groups,
-                        merge_unique)
+from .transport import (fold, merge_concat, merge_counts, merge_fields,
+                        merge_groups, merge_unique)
 
 STOPWORDS = {
     "en": {"the", "a", "of", "and", "to", "in", "is", "it", "that", "for"},
@@ -978,11 +978,8 @@ def corpus_assembly_funnel(ds, *, id_col: str = "doc_id",
             "w_quality": counts * keep})])
         return g, np.unique(h[keep], return_counts=True)
 
-    def merge_a(parts: list[tuple]) -> tuple:
-        return (merge_src([p[0] for p in parts]),
-                merge_counts([p[1] for p in parts]))
-
-    g, (vals, cnts) = fold(ds, pass_a, merge_a)
+    g, (vals, cnts) = fold(ds, pass_a,
+                           merge_fields(merge_src, merge_counts))
     agg = _source_frame(g, ["source"], a_cols)
     cand = np.sort(vals[cnts >= 2].astype(np.uint64))
 

@@ -131,6 +131,15 @@ def merge_concat(parts: list[tuple]) -> tuple:
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
+def merge_fields(*merges):
+    """A fold ``merge`` for tuple partials: field ``i`` of the result is
+    ``merges[i]`` over field ``i`` of every part (each merge sees ``[]``
+    when there is no part)."""
+    def merge(parts: list[tuple]) -> tuple:
+        return tuple(m([p[i] for p in parts]) for i, m in enumerate(merges))
+    return merge
+
+
 def merge_groups(keys: list[str], aggs: dict[str, str]):
     """A fold ``merge`` for Arrow ``group_by`` partials: concatenate them
     and re-aggregate each ``aggs`` column ("sum", "min", "max") per
@@ -216,11 +225,8 @@ def fold_with_layout(ds, partial, merge) -> tuple:
     def counted(t: pa.Table) -> tuple:
         return Layout(t.num_rows, 1, t.nbytes, t.schema), partial(t)
 
-    def merge_counted(parts: list[tuple]) -> tuple:
-        return (sum((lay for lay, _ in parts), Layout()),
-                merge([p for _, p in parts]))
-
-    layout, out = fold(ds, counted, merge_counted)
+    layout, out = fold(ds, counted, merge_fields(
+        lambda lays: sum(lays, Layout()), merge))
     return out, layout
 
 

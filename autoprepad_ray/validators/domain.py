@@ -61,8 +61,7 @@ def shape_domain_flags(series: pd.Series, shape_domain: frozenset,
 
 
 def sketch_is_constant(sk) -> bool:
-    """Constancy decision for ONE ColumnSketch (shared by the dataset
-    check and profile-holding pipelines like the image runner).
+    """Constancy decision for ONE ColumnSketch (:func:`constant_listing`).
     All-null is constant; numeric/timestamp decide by exact sketch
     min == max; strings by exact value-count distinct <= 1 (an
     overflowed counter implies far more than one value);
@@ -102,11 +101,18 @@ def constant_columns(ds, columns: list[str] | None = None, *,
     against a SQL oracle.
 
     Returns (col_name, n, is_constant); only the constant rows unless
-    ``include_all``.
+    ``include_all`` — :func:`constant_listing` over the profile.
     """
     from ..profile import profile_dataset
 
-    prof = profile_dataset(ds, columns)
+    return constant_listing(profile_dataset(ds, columns), columns,
+                            include_all=include_all)
+
+
+def constant_listing(prof, columns: list[str] | None = None, *,
+                     include_all: bool = False) -> pa.Table:
+    """:func:`constant_columns`' listing read off the ``TableProfile``
+    ``prof`` (every profiled column, sorted, when ``columns`` is None)."""
     order = columns if columns is not None else sorted(prof.columns)
     names, ns, flags = [], [], []
     for name in order:

@@ -30,46 +30,55 @@ from ..stages.transport import (fold, fold_with_layout, keyed_fold,
                                 merge_counts, merge_groups)
 
 
-def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
-                   max_collect: int = 2_000_000) -> pa.Table:
-    """Keys occurring >= min_count times, with their multiplicity.
+# candidate rows above which a listing takes the keyed-fold arm
+MAX_COLLECT = 2_000_000
 
-    Returns an Arrow table with columns ``cols + [n]`` — the uniqueness
-    violation listing (FIXTURES.md R3).
 
-    EXACT two-phase plan that never sort-shuffles row keys:
-    1. census: per-block 64-bit key-hash counts (np.unique partial),
-       tree-merged — candidates are hashes with total count >= min_count;
-    2. listing: candidate hashes broadcast, matching rows collected (a
-       hash collision only adds a candidate row; the final exact
-       group-count filter removes it, so collisions cost work, never
-       correctness).
+def key_census(cols: list[str]):
+    """The census partial on ``cols``: a block -> its (key hash, count)
+    arrays, folded by ``transport.merge_counts``."""
+    return lambda b: np.unique(key_hash([b[c] for c in cols])[0],
+                               return_counts=True)
 
-    The fast path assumes duplicates are RARE (the uniqueness-check
-    regime).  When the census shows candidate rows exceed
-    ``max_collect`` (dup-heavy keys — a dedup workload, not a
-    uniqueness check), it falls back to the partial+final keyed fold,
-    which moves per-block distinct keys instead.
-    """
+
+def duplicate_keys(ds, cols: list[str]) -> pa.Table:
+    """Keys occurring more than once, with their multiplicity: an Arrow
+    table ``cols + [n]``, the uniqueness violation listing (FIXTURES.md
+    R3).  Null counts as one key, as DuckDB's ``GROUP BY`` does, not as
+    SQL ``UNIQUE``'s rule that ignores rows with a null key (ICDE 2019).
+
+    EXACT and never sort-shuffles row keys: the :func:`key_census` fold,
+    then :func:`duplicate_listing`."""
+    census, layout = fold_with_layout(ds, key_census(cols), merge_counts)
+    return duplicate_listing(ds, cols, census, layout)
+
+
+def duplicate_listing(ds, cols: list[str], census: tuple,
+                      layout) -> pa.Table:
+    """:func:`duplicate_keys`' listing of ``ds`` from its merged
+    :func:`key_census` and the ``Layout`` of that fold.
+
+    No hash counted twice: the empty listing typed from
+    ``layout.schema``, no execution.  Otherwise ONE execution collects
+    the rows whose hash is a candidate (a collision only adds a row,
+    which the exact group count drops).  Duplicates are assumed RARE;
+    past ``MAX_COLLECT`` candidate rows (a dedup workload) the keyed
+    fold, which moves per-block distinct keys, lists them instead."""
     import ray
 
-    (vals, cnts), layout = fold_with_layout(ds, lambda b: np.unique(
-        key_hash([b[c] for c in cols])[0], return_counts=True),
-        merge_counts)
-    cand = vals[cnts >= min_count]
-    if cand.size == 0:
+    vals, cnts = census
+    dup = cnts >= 2
+    if not dup.any():
         return _empty_listing(layout.schema, cols)
-    if int(cnts[cnts >= min_count].sum()) > max_collect:
-        return _duplicate_keys_shuffle(ds, cols, min_count)
-    cand_ref = ray.put(np.sort(cand.astype(np.uint64)))
+    if int(cnts[dup].sum()) > MAX_COLLECT:
+        return _duplicate_keys_shuffle(ds, cols)
+    cand_ref = ray.put(vals[dup])            # sorted: merge_counts' order
 
     def members(batch: pa.Table) -> pa.Table:
-        cand_ = ray.get(cand_ref)
+        cand = ray.get(cand_ref)
         h, _ = key_hash([batch[c] for c in cols])
-        idx = np.searchsorted(cand_, h)
-        idx[idx >= len(cand_)] = len(cand_) - 1
-        mask = cand_[idx] == h
-        return _canonical(batch.select(cols).filter(pa.array(mask)))
+        idx = np.minimum(np.searchsorted(cand, h), len(cand) - 1)
+        return _canonical(batch.select(cols).filter(pa.array(cand[idx] == h)))
 
     rows = pa.concat_tables(
         b for b in ds.map_batches(members, batch_format="pyarrow",
@@ -77,13 +86,12 @@ def duplicate_keys(ds, cols: list[str], *, min_count: int = 2,
         .iter_batches(batch_size=65536, batch_format="pyarrow"))
     g = rows.group_by(cols).aggregate([([], "count_all")])
     g = g.rename_columns(cols + ["n"])
-    return g.filter(pc.greater_equal(g["n"], min_count))
+    return g.filter(pc.greater_equal(g["n"], 2))
 
 
-def _duplicate_keys_shuffle(ds, cols: list[str],
-                            min_count: int) -> pa.Table:
+def _duplicate_keys_shuffle(ds, cols: list[str]) -> pa.Table:
     """Dup-heavy path: per-block Arrow group_by counts summed per key by
-    :func:`~..stages.transport.keyed_fold`, filtered to n >= min_count."""
+    :func:`~..stages.transport.keyed_fold`, filtered to n >= 2."""
     merge = merge_groups(cols, {"n": "sum"})
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -93,7 +101,7 @@ def _duplicate_keys_shuffle(ds, cols: list[str],
 
     def final(parts: list[pa.Table]) -> pa.Table:
         t = merge(parts)
-        return t.filter(pc.greater_equal(t["n"], min_count))
+        return t.filter(pc.greater_equal(t["n"], 2))
 
     out = keyed_fold(ds, partial, cols, final)
     return out if out is not None else _empty_listing(None, cols)

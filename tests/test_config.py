@@ -8,8 +8,11 @@ import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
-from autoprepad_ray.config import run_config
+from autoprepad_ray import config, profile
+from autoprepad_ray.config import _canon_and_parse, run_config
 from autoprepad_ray.fixtures import generate_fmixed
+from autoprepad_ray.validators.domain import learned_shape_domain
+from autoprepad_ray.validators.uniqueness import duplicate_keys
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +178,81 @@ def test_config_empty_reference_raises():
     ds = rd.from_arrow(pa.table({"v": pa.array([], pa.float64())}))
     with pytest.raises(ValueError, match="no rows"):
         run_config(ds, {"numeric_columns": ["v"]})
+
+
+def test_full_config_rides_two_executions(fmixed_ds, ray_executions):
+    """The full CFG's unique key (no repeat) and its constant_columns
+    spec naming its columns are answered by the fit fold: the fit fold
+    and the summary pass are the only executions."""
+    ds, _ = fmixed_ds
+    res = run_config(ds, CFG)
+    assert len(ray_executions) == 2, ray_executions
+    assert res.duplicates.schema.types == [pa.int64(), pa.int64()]
+    assert res.extras["constant_columns"].num_rows == 0
+
+
+def test_config_repeated_key_lists_once_from_the_fit_census(
+        fmixed_ds, ray_executions):
+    """A repeated key costs one listing execution over the prepared
+    rows, and the listing equals a standalone ``duplicate_keys`` on
+    the same prepared rows."""
+    ds, _ = fmixed_ds
+    res = run_config(ds, {**CFG, "unique_keys": ["platform"]})
+    assert len(ray_executions) == 3, ray_executions
+    prepped = _canon_and_parse(
+        ds.drop_columns(["y_true"]),
+        ["platform", "availability", "evseid", "uuid"], ["timestamp"])
+    want = duplicate_keys(prepped, ["platform"])
+    assert res.duplicates.num_rows > 0
+    assert res.duplicates.sort_by("platform").equals(
+        want.sort_by("platform"))
+
+
+def test_config_constant_columns_without_columns_keeps_its_pass(
+        fmixed_ds, ray_executions):
+    """Without ``columns`` the fit fold cannot know the input's columns:
+    the spec runs its own pass, over the input's columns only (no
+    evidence column leaks in)."""
+    ds, _ = fmixed_ds
+    res = run_config(ds, {**CFG, "validators": [
+        {"name": "constant_columns", "kwargs": {"include_all": True}}]})
+    assert len(ray_executions) == 3, ray_executions
+    assert sorted(res.extras["constant_columns"]["col_name"].to_pylist()) \
+        == ["availability", "evseid", "locationId", "pid", "platform",
+            "row_id", "timestamp", "uuid"]
+
+
+def test_config_nan_tokens_are_null_for_every_check():
+    """Every check reads the prepared columns, where a NaN token in a
+    declared string column is a null: the key's token and null form one
+    null group, a column constant but for a token is constant, and a
+    passthrough validator counts no token."""
+    t = pa.table({"k": pa.array(["a", "NaN", None, "b", "c", "d"]),
+                  "c": pa.array(["x", "x", "NaN", "x", None, "x"])})
+    res = run_config(rd.from_arrow(t).repartition(2), {
+        "nominal_columns": ["k", "c"], "unique_keys": ["k"],
+        "validators": [
+            {"name": "constant_columns", "kwargs": {"columns": ["c"]}},
+            {"name": "distinct_counts", "kwargs": {"cols": ["k", "c"]}}]})
+    assert res.duplicates.to_pylist() == [{"k": None, "n": 2}]
+    assert res.extras["constant_columns"].to_pylist() == [
+        {"col_name": "c", "n": 4, "is_constant": 1}]
+    assert res.extras["distinct_counts"] == {"k": 4, "c": 1}
+
+
+@pytest.mark.parametrize("kind", ["nominal_columns", "ordinal_columns",
+                                  "pattern_columns"])
+def test_config_overflowed_domain_raises(kind, monkeypatch):
+    """Past ``max_exact`` distinct values the exact counts drain: the
+    learned domain would be empty and flag every row, so run_config
+    raises naming the column."""
+    uuids = [f"{i:08x}-0000-4000-8000-{i:012x}" for i in range(50)]
+    sk = profile.ColumnSketch(name="u", kind="string")
+    sk.values.max_items = 20
+    sk.update_array(pa.array(uuids))
+    assert sk.values.overflow
+    assert learned_shape_domain(sk.values) == frozenset()
+    monkeypatch.setattr(config, "bundle_partial", lambda cols:
+                        profile.bundle_partial(cols, max_exact=20))
+    with pytest.raises(ValueError, match="'u' has more than 20 distinct"):
+        run_config(rd.from_arrow(pa.table({"u": uuids})), {kind: ["u"]})

@@ -15,7 +15,7 @@ import ray.data as rd
 from autoprepad_ray.sketches import KLL, HyperLogLog
 from autoprepad_ray.stages.transport import (FAN_IN, _pickled, fold,
                                              fold_payloads, merge_counts,
-                                             merge_groups)
+                                             merge_fields, merge_groups)
 from tests.test_sketches import _rank_error
 
 
@@ -37,7 +37,8 @@ def test_fold_contract_over_random_blocks(n, span, seed, n_blocks,
                                           n_empty):
     """Counts, HLL registers, KLL ranks (error <= 1 %) and Arrow
     ``group_by`` sums/mins/maxes over a key with nulls (merged by
-    ``merge_groups``) folded over a random split of an int multiset —
+    ``merge_groups``), one tuple partial merged field-wise by
+    ``merge_fields``, folded over a random split of an int multiset —
     more than FAN_IN blocks, some of them 0-row — match one process."""
     rng = np.random.default_rng(seed)
     x = rng.integers(-span, span + 1, n)
@@ -63,15 +64,17 @@ def test_fold_contract_over_random_blocks(n, span, seed, n_blocks,
             .rename_columns(["key", *aggs])
         return np.unique(v, return_counts=True), hll, kll, g
 
-    def merge(parts):
-        hll, kll = HyperLogLog(p=10), KLL()
-        for _, h, k, _ in parts:
-            hll.merge(h)
-            kll.merge(k)
-        return (merge_counts([p[0] for p in parts]), hll, kll,
-                merge_g([p[3] for p in parts]))
+    def merge_into(empty):
+        def merge(sketches):
+            out = empty()
+            for sk in sketches:
+                out.merge(sk)
+            return out
+        return merge
 
-    (vals, cnts), hll, kll, g = fold(ds, partial, merge)
+    (vals, cnts), hll, kll, g = fold(ds, partial, merge_fields(
+        merge_counts, merge_into(lambda: HyperLogLog(p=10)),
+        merge_into(KLL), merge_g))
     u, c = np.unique(x, return_counts=True)
     np.testing.assert_array_equal(vals, u)
     np.testing.assert_array_equal(cnts, c)
@@ -237,7 +240,7 @@ def _migrated():
         "duplicate_keys": (lambda ds: uniqueness.duplicate_keys(ds, ["k"]),
                            lambda r: r.num_rows == 0),
         "duplicate_keys_shuffle": (
-            lambda ds: uniqueness.duplicate_keys(ds, ["k"], max_collect=0),
+            lambda ds: uniqueness._duplicate_keys_shuffle(ds, ["k"]),
             lambda r: r.num_rows == 0),
         "heavy_hitters": (lambda ds: heavy.heavy_hitters(ds, "k"),
                           lambda r: r.num_rows == 0),

@@ -14,12 +14,14 @@ blocks (0-row blocks included) and checks every site against DuckDB.
 import duckdb
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 from hypothesis import given, settings, strategies as st
 
 from autoprepad_ray.stages.bloom import build_bloom, probe_bloom
 from autoprepad_ray.stages.join import (asof_join, bucketed_join,
                                         range_join, semi_join)
+from autoprepad_ray.validators import uniqueness
 from autoprepad_ray.validators.referential import orphans
 from autoprepad_ray.validators.uniqueness import (duplicate_keys,
                                                   hll_distinct_per_group)
@@ -32,6 +34,14 @@ def _blocks(*tables):
 def _rows(ds, cols):
     return sorted((tuple(r[c] for c in cols) for r in ds.take_all()),
                   key=repr)
+
+
+def _dups(ds, cols, max_collect):
+    """``duplicate_keys`` with ``uniqueness.MAX_COLLECT`` at
+    ``max_collect`` (0 forces the keyed-fold arm)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniqueness, "MAX_COLLECT", max_collect)
+        return duplicate_keys(ds, cols)
 
 
 def _sql(query, **tables):
@@ -62,7 +72,7 @@ def test_duplicate_keys_arms_agree_with_null_in_block():
     ds = _blocks({"k": pa.array([5, 7], pa.int64())},
                  {"k": pa.array([5, None], pa.int64())})
     fast = duplicate_keys(ds, ["k"]).to_pylist()
-    shuffle = duplicate_keys(ds, ["k"], max_collect=0).to_pylist()
+    shuffle = _dups(ds, ["k"], 0).to_pylist()
     assert fast == shuffle == [{"k": 5, "n": 2}]
 
 
@@ -72,7 +82,7 @@ def test_duplicate_keys_null_string_key_is_one_group_on_both_arms():
     ds = _blocks({"k": pa.array(["a", None, "b"])},
                  {"k": pa.array(["a", None])})
     for mc in (2_000_000, 0):
-        got = duplicate_keys(ds, ["k"], max_collect=mc).to_pylist()
+        got = _dups(ds, ["k"], mc).to_pylist()
         assert sorted(got, key=repr) == [{"k": "a", "n": 2},
                                          {"k": None, "n": 2}], mc
 
@@ -80,7 +90,7 @@ def test_duplicate_keys_null_string_key_is_one_group_on_both_arms():
 def test_duplicate_keys_negative_zero_counts_with_zero_on_both_arms():
     ds = _blocks({"k": pa.array([-0.0, 1.5])}, {"k": pa.array([0.0])})
     for mc in (2_000_000, 0):
-        got = duplicate_keys(ds, ["k"], max_collect=mc).to_pylist()
+        got = _dups(ds, ["k"], mc).to_pylist()
         assert got == [{"k": 0.0, "n": 2}], mc
 
 
@@ -286,7 +296,7 @@ def test_every_key_site_is_layout_free_and_matches_duckdb(case):
         "SELECT k, COUNT(*) FROM L GROUP BY k HAVING COUNT(*) >= 2", L=L)),
         key=repr)
     for mc in (2_000_000, 0):
-        got = duplicate_keys(lds, ["k"], max_collect=mc).to_pylist()
+        got = _dups(lds, ["k"], mc).to_pylist()
         assert sorted((group(r["k"], r["n"]) for r in got),
                       key=repr) == dups
 

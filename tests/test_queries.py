@@ -278,14 +278,15 @@ def test_null_text_oracle_parity(ray_session, tmp_path):
             assert got[c].dtype.kind == exp[c].dtype.kind, (name, c)
 
 
-def test_duplicate_keys_shuffle_arm_matches_fast(ray_session):
-    """Force the dup-heavy groupby arm (max_collect exceeded — the
+def test_duplicate_keys_shuffle_arm_matches_fast(ray_session, monkeypatch):
+    """Force the dup-heavy groupby arm (MAX_COLLECT exceeded — the
     scale regime small sweeps never reach) and pin it value- AND
     dtype-equal to the broadcast fast arm, including the typed-empty
     schema both arms must share."""
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
+    from autoprepad_ray.validators import uniqueness
     from autoprepad_ray.validators.uniqueness import (
         _duplicate_keys_shuffle, duplicate_keys)
 
@@ -299,15 +300,18 @@ def test_duplicate_keys_shuffle_arm_matches_fast(ray_session):
     for cols in (["k"], ["k", "s"]):
         fast = duplicate_keys(ds, cols).to_pandas() \
             .sort_values(cols).reset_index(drop=True)
-        slow = duplicate_keys(ds, cols, max_collect=10).to_pandas() \
-            .sort_values(cols).reset_index(drop=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(uniqueness, "MAX_COLLECT", 10)
+            slow = duplicate_keys(ds, cols).to_pandas() \
+                .sort_values(cols).reset_index(drop=True)
         assert len(fast) == 40
         pd.testing.assert_frame_equal(fast, slow)
 
     # 0-result schema parity: the shuffle arm's empty must carry SOURCE
     # types, not pa.null() (the fast arm's typed-empty is the contract)
-    empty_fast = duplicate_keys(ds, ["k"], min_count=99)
-    empty_slow = _duplicate_keys_shuffle(ds, ["k"], min_count=99)
+    uniq = rd.from_arrow(pa.table({"k": pa.array(range(50), pa.int64())}))
+    empty_fast = duplicate_keys(uniq, ["k"])
+    empty_slow = _duplicate_keys_shuffle(uniq, ["k"])
     assert empty_slow.num_rows == 0
     assert empty_slow.schema == empty_fast.schema
 
