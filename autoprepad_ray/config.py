@@ -189,10 +189,7 @@ def _declared_evidence(ds, config: dict, thr: dict) -> ConfigResult:
     if prof.n_rows == 0:
         raise ValueError("run_config: the reference (ds) has no "
                          "rows, so no fences can be learned")
-    for c in nominal + ordinal + pattern:     # drained: an empty domain
-        if prof[c].values.overflow:
-            raise ValueError(f"run_config: {c!r} has more than "
-                             f"{prof[c].values.max_items} distinct values")
+    prof.require_exact(nominal + ordinal + pattern, "run_config")
     states = rc.fence_states(prof, num_cols,
                              tukey_factor=thr["tukey_factor"])
     domains = {c: learned_domain(prof[c].values,

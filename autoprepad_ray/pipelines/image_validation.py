@@ -18,7 +18,8 @@ separate operators after the read —
 - PASS 1 (column-pruned metadata read, ONE execution): a ``Dataset.union``
   of the image-side partial and the caption-side id census.  Each image
   block emits one ``agg`` row (profile partial over the reference
-  partitions, drift histograms, dense band census) and census cells:
+  partitions, drift histograms, ``near_dup.band_census`` of its
+  distinct phashes) and census cells:
   one row-aligned (key, count, kind code) field set of id hashes and
   phashes, and on the caption side the id hashes with the distinct ids
   themselves as one more field, packed by ``transport.slice_of(key,
@@ -82,9 +83,9 @@ from ..stages.transport import (default_num_parts, fold_payloads,
 from ..validators import near_dup, row_checks as rc
 from ..validators.drift import (histogram_partial, merge_histograms,
                                 psi_from_counts)
-from ..validators.near_dup import (BAND_SLOTS, N_BANDS, _EMPTY_PAIRS,
-                                   _band_cells, _band_combos,
-                                   _capped_per_key, _id_pairs, _pair_ids)
+from ..validators.near_dup import (_EMPTY_PAIRS, _band_cells,
+                                   _capped_per_key, _id_pairs, _pair_ids,
+                                   _sum_census, band_census)
 
 EXPECTED_FIELDS = {
     "image_id": pa.string(), "bytes": pa.large_binary(),
@@ -232,13 +233,10 @@ def _make_p1_partial(ref_set: list[int]):
     def p1(batch: pa.Table, num_slices: int) -> pa.Table:
         batch = _prep(batch)
         keys, cnts, code = _image_census(batch)
-        # band census is DENSE: the keyspace is only 4 x 2^16 slots, so a
-        # bincount per batch + vector-add merge beats sparse unique-merge
-        dense = np.bincount(
-            _band_combos(batch["phash"].to_numpy(zero_copy_only=False))
-            .ravel(), minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
+        # the band census over the census's distinct phashes
+        bands = band_census(keys[code == _PH].view(np.int64))
         return pa.concat_tables([
-            kind_rows({"agg": (_prof_partial(batch, ref_set), dense)}),
+            kind_rows({"agg": (_prof_partial(batch, ref_set), bands)}),
             pack_slices(slice_of(keys, num_slices), keys, cnts, code,
                         kind="census")])
 
@@ -262,9 +260,8 @@ def _caption_cells(batch: pa.Table, num_slices: int) -> pa.Table:
                        kind="census")
 
 
-# folds pass-1 ``agg`` payloads (profile partial, dense band census)
-_merge_p1 = merge_fields(_merge_prof, lambda bands: sum(
-    bands, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
+# folds pass-1 ``agg`` payloads (profile partial, band census)
+_merge_p1 = merge_fields(_merge_prof, _sum_census)
 
 
 def _census_slice(parts: list, has_captions: bool) -> tuple:
@@ -362,7 +359,7 @@ class _P2Partial:
     """
 
     def __init__(self, blob_ref):
-        (states, self.cands, self.band_mode, self.hot_bands,
+        (states, self.cands, self.hot_bands,
          self.band_slices) = ray.get(blob_ref)
         self.checker = rc.RowChecker(pickle.dumps(states))
 
@@ -382,8 +379,6 @@ class _P2Partial:
             "agg": (counts, _listing_partial(checked, *self.cands),
                     viol_tbl.schema),
             "viol": viol_tbl})
-        if self.band_mode == "none":
-            return out
         return pa.concat_tables([out, _band_cells(
             checked["phash"].to_numpy(zero_copy_only=False),
             checked["image_id"], self.band_slices, hot=self.hot_bands)])
@@ -611,7 +606,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
 
         # ---- PASS 1 ----
         # ONE execution: the image-side partial (profile + histograms +
-        # dense band census in an ``agg`` row, id/phash census cells) in
+        # band census in an ``agg`` row, id/phash census cells) in
         # a union with the caption-side id census cells.  The agg rows
         # fold in flat tasks; the census cells, sliced by key hash,
         # scatter to per-slice tasks that merge both tables' counts for
@@ -638,7 +633,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
             p1_out, band_slices,
             lambda s, parts: _census_slice(parts, has_captions),
             kind="census")
-        ((n_ref, sketches), hists), band_census = fold_payloads(
+        ((n_ref, sketches), hists), bands = fold_payloads(
             p1_out, _merge_p1, kind="agg")
         cands, cap_orphans = zip(*(ray.get(census_futs)
                                    or [_census_slice([], has_captions)]))
@@ -649,19 +644,16 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         prof = TableProfile(columns=sketches, n_rows=n_ref)
         states = rc.fence_states(prof, ["w", "h"])
 
-        # the banded-Hamming arm, bounds read at call time
+        # the banded-Hamming arm
         hamming_path, hot_bands = (
-            near_dup.hamming_arm(band_census, near_dup.SAT_MIN,
-                                 near_dup.SAT_FRAC)
-            if neardup else ("none", np.empty(0, np.int64)))
+            near_dup.hamming_arm(bands) if neardup
+            else ("none", np.empty(0, np.int64)))
         dup_phashes = (np.sort(ph_vals) if neardup
                        else np.empty(0, np.int64))
 
         # ---- PASS 2 ----
         blob_ref = ray.put((states, (dup_id_hashes, orphan_img_hashes,
-                                     dup_phashes), hamming_path,
-                            hot_bands if hamming_path == "prune" else None,
-                            band_slices))
+                                     dup_phashes), hot_bands, band_slices))
 
         def p2_fn(batch: pa.Table, _cache={}) -> pa.Table:
             if "p" not in _cache:
@@ -700,7 +692,7 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
         # pairing task resolves the global min id of the hashes it pairs
         # in the same visit (near_dup._pair_ids).
         nd_pairs = (pd.DataFrame(_EMPTY_PAIRS) if hamming_path == "none"
-                    else _id_pairs(*_pair_ids(p2_out, band_slices, 4, 4096,
+                    else _id_pairs(*_pair_ids(p2_out, band_slices, 4,
                                               "4x16")))
         timings["hamming_pairs"] = round(_time.perf_counter() - _t0, 3)
         _t0 = _time.perf_counter()

@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 
 from ..functions.dates import date_encode
 from ..functions.encoders import binary_bits, ordinal_encode_array, ordinal_map
-from ..profile import TableProfile, profile_dataset
+from ..profile import profile_dataset
 from ..validators import row_checks as rc
 
 
@@ -47,12 +47,14 @@ def preprocess_table(ds, *, numeric_cols: tuple[str, ...] = (),
     fitted state is the mode + the sorted pattern->code map learned from
     the profile's distinct values (imputation precedes the pattern step,
     and the mode is itself a profile value, so the fit domain is exactly
-    the profile's value set)."""
+    the profile's value set).  A categorical or pattern column past the
+    profile's exact value counts raises ``ValueError``."""
     from ..functions.strings import reference_bit_pattern
     from ..sketches import np_object
 
     prof = profile_dataset(ds, columns=list(numeric_cols)
                            + list(categorical_cols) + list(pattern_cols))
+    prof.require_exact([*categorical_cols, *pattern_cols], "preprocess_table")
     state: dict = {"medians": {}, "iqr": {}, "fences": {}, "modes": {},
                    "maps": {}, "k": {}, "pattern_maps": {},
                    "pattern_k": {}}

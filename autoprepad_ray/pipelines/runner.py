@@ -38,9 +38,12 @@ Execution shape:
   ``_listing_partial``, ``_findings``) over the checkpointed censuses:
   exact duplicate ids, orphans on both sides and near-dup groups from
   ONE listing read of the partitions whose census holds a candidate,
-  Hamming pairs from the censuses' (phash, min id) cells.  No other
+  Hamming pairs from the censuses' (phash, min id) cells: band census,
+  arm and band cells on the driver, then ``_pair_ids`` over one
+  in-memory Dataset (an input-only execution, no map).  No other
   completed partition is read; a census missing or from an older
-  engine is rebuilt from its own partition.
+  engine is rebuilt from its own partition.  A resume of k partitions
+  runs at most 2k + 2 Ray Data executions (k + 2 without decode).
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ from ..profile import ProfileFormatError, TableProfile
 from ..sketches import np_object
 from ..validators import row_checks as rc
 from ..validators.domain import constant_listing
-from ..validators.near_dup import _minid_per_key, hamming_neardup_pairs
-from ..stages.transport import (fold, fold_payloads, kind_rows,
-                                kind_tables, merge_fields)
+from ..validators.near_dup import (_band_cells, _id_pairs, _minid_per_key,
+                                   _pair_ids, _sum_census, band_census,
+                                   hamming_arm)
+from ..stages.transport import (default_num_parts, fold, fold_payloads,
+                                kind_rows, kind_tables, merge_fields)
 from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (_ID, _PH, META_COLS, PSI_COLS,
@@ -301,9 +306,15 @@ def _global_checks(out_dir: str, parts: dict[int, list[str]],
             lambda t: _listing_partial(t, *ray.get(ref)), _merge_listings)
     dup, _, orphans, groups = _findings(listings, *cands[2:],
                                         [cap_orphans], captions)
-    pairs = hamming_neardup_pairs(rd.from_arrow([
-        t.filter(pc.equal(t["code"], _PH)).select(["key", "image_id"])
-        .rename_columns(["phash", "image_id"]) for t in cells.values()]))
+    # Hamming pairs, each census one block of the census and the cells
+    ph = [t.filter(pc.equal(t["code"], _PH)) for t in cells.values()]
+    keys = [t["key"].to_numpy() for t in ph]
+    _, hot = hamming_arm(_sum_census([band_census(np.unique(k))
+                                        for k in keys]))
+    n = default_num_parts()
+    pairs = _id_pairs(*_pair_ids(rd.from_arrow([
+        _band_cells(k, t["image_id"], n, hot=hot)
+        for k, t in zip(keys, ph)]), n, 4, "4x16"))
     found = {"dup_ids": dup, "orphans": orphans, "neardup_groups": groups,
              "neardup_pairs": pairs}
     for name, df in found.items():

@@ -181,6 +181,14 @@ class TableProfile:
     def __contains__(self, name: str) -> bool:
         return name in self.columns
 
+    def require_exact(self, cols: Iterable[str], caller: str) -> None:
+        """Raise ``ValueError`` naming the first of ``cols`` whose exact
+        value counts overflowed (drained: no domain, map or mode)."""
+        for c in cols:
+            if self[c].values.overflow:
+                raise ValueError(f"{caller}: {c!r} has more than "
+                                 f"{self[c].values.max_items} distinct values")
+
     def to_json(self) -> str:
         return json.dumps({
             "format": PROFILE_FORMAT,

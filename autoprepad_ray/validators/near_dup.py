@@ -20,8 +20,16 @@ exact-equal hashes are the other stage's job).  The opt-in
 ``scheme='2x32f1'`` (2x32-bit bands, 1-bit-flip enumeration) makes
 recall EXACT through d = 5 at 66 keys/row — see :func:`_scheme_keys`.
 
+One census rule and one arm rule serve every 4x16 caller
+(:func:`hamming_neardup_pairs`, ``validate_images``' pass 1 and the
+runner over its checkpointed cells): :func:`band_census` over each
+block's DISTINCT hashes, summed, and :func:`hamming_arm` over the sum.
+The arm's bounds (``SAT_MIN``, ``SAT_FRAC``) and the pairing's bucket
+cap (``BUCKET_CAP``) are module constants read at call time, not
+parameters; a test reaches both arms by setting them.
+
 Execution shape — pairing, id resolution and verification are all
-DISTRIBUTED, never driver-side (r5 layout):
+DISTRIBUTED, never driver-side:
 
 1. the deduped band stream carries (band_key, hash, block-min id)
    triples routed by ``transport.slice_of(band_key, P)`` — every bucket
@@ -32,8 +40,7 @@ DISTRIBUTED, never driver-side (r5 layout):
    rows, pairs within lexsorted bucket segments with the
    size-class-batched XOR+popcount kernel, and returns verified
    (hash_a, hash_b, dist) pairs PLUS the (hash, min id) resolution
-   entries for exactly the hashes their pairs touch — the separate
-   id-resolution pass of earlier rounds no longer exists.
+   entries for exactly the hashes their pairs touch.
 Only verified pairs and their per-hash representatives — the output —
 reach the driver.
 """
@@ -237,30 +244,46 @@ def _segment_pairs(keys: np.ndarray, ids: np.ndarray, ph: np.ndarray,
 N_BANDS = 4
 BAND_SLOTS = 65536  # 16-bit substrings; dense combo key = band*65536+val
 
-# :func:`hamming_arm`'s default collision bound
+# the collision bound of :func:`hamming_arm` and the row cap of a
+# bucket past ``_GROUPED_SEG_MAX`` in the pairing, read at call time
 SAT_MIN = 100_000
 SAT_FRAC = 0.02
+BUCKET_CAP = 4096
 
 _EMPTY_PAIRS = {"id_a": pd.Series([], dtype=object),
                 "id_b": pd.Series([], dtype=object),
                 "dist": pd.Series([], dtype=np.int64)}
 
 
-def hamming_arm(census: np.ndarray, sat_min: int, sat_frac: float
-                ) -> tuple[str, np.ndarray]:
-    """(arm, hot bucket keys) a dense band census picks: ``none`` when
-    no bucket holds two rows; ``prune`` when collisions are rare (the
-    hot-bucket broadcast cuts the band stream to almost nothing);
-    ``mih_shuffle`` when collision rows pass max(``sat_min``,
-    ``sat_frac`` x band rows), i.e. n >> 2^16 per band, where the
-    filter would keep ~everything and the whole deduped stream goes to
-    the pairing tasks (multi-index hashing)."""
+def band_census(ph: np.ndarray) -> np.ndarray:
+    """The dense 4x16 band census of one block's DISTINCT hashes: rows
+    per band bucket (4 x 65536 slots), so a block counts a hash once
+    however hot it is.  Block censuses add up (:func:`_sum_census`) to
+    the per-bucket rows of a block-deduped band stream, so two distinct
+    hashes sharing a bucket always make it hot."""
+    return np.bincount(_band_combos(ph).ravel(),
+                       minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
+
+
+def _sum_census(parts: list[np.ndarray]) -> np.ndarray:
+    return sum(parts, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64))
+
+
+def hamming_arm(census: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """(arm, the bucket keys :func:`_band_cells` keeps) a summed
+    :func:`band_census` picks: ``none`` (no key) when no bucket holds
+    two rows; ``prune`` (the hot keys) when collisions are rare, so the
+    hot-bucket broadcast cuts the band stream to almost nothing;
+    ``mih_shuffle`` (None: every key) when collision rows pass
+    max(``SAT_MIN``, ``SAT_FRAC`` x band rows), i.e. n >> 2^16 per
+    band, where the filter would keep ~everything and the whole deduped
+    stream goes to the pairing tasks (multi-index hashing)."""
     hot = np.nonzero(census >= 2)[0].astype(np.int64)
     if not hot.size:
         return "none", hot
-    bound = max(sat_min, int(sat_frac * census.sum()))
-    return ("mih_shuffle" if int(census[hot].sum()) > bound
-            else "prune"), hot
+    if int(census[hot].sum()) > max(SAT_MIN, int(SAT_FRAC * census.sum())):
+        return "mih_shuffle", None
+    return "prune", hot
 
 
 def _band_combos(ph: np.ndarray) -> np.ndarray:
@@ -325,26 +348,19 @@ def _owner_keys(ph: np.ndarray, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown banding scheme {scheme!r}")
 
 
-def _dense_band_census(ds, phash_col: str) -> np.ndarray:
-    """Total per-bucket counts over the (block-deduped) band stream:
-    per-block 4x65536 bincount, vector-add fold."""
-    def partial(t: pa.Table) -> np.ndarray:
-        ph = np.unique(t[phash_col].to_numpy(zero_copy_only=False))
-        return np.bincount(_band_combos(ph).ravel(),
-                           minlength=N_BANDS * BAND_SLOTS).astype(np.int32)
-
-    return fold(ds, partial, lambda parts: sum(
-        parts, np.zeros(N_BANDS * BAND_SLOTS, dtype=np.int64)))
-
-
 def _band_cells(ph_rows: np.ndarray, id_col, num_parts: int,
                 scheme: str = "4x16", hot: np.ndarray | None = None
                 ) -> pa.Table:
-    """One block's id-carrying ``band`` cells: ``(keys, hashes,
-    block-min ids)`` packed by key slice over its DISTINCT hash values,
-    pruned to the ``hot`` bucket keys when given.  The hot set is
-    global, so every block holding a hash still ships its row for each
-    kept key.
+    """One block's id-carrying ``band`` cells over its DISTINCT hash
+    values: ``(key, hash, block-min id)`` rows, one pickled payload per
+    key slice (``transport.pack_slices``; the exchange moves blocks x
+    slices payloads, not row-shaped records), kept to the ``hot`` bucket
+    keys when given.  Routing by the bucket key keeps every bucket whole
+    in one slice, and the hot set is global, so every block holding a
+    hash ships its row for each kept key: a pairing task folds the
+    GLOBAL min id per hash from its own slice, with no join back to the
+    table.  Per-block dedupe also neutralizes hot-value skew (a popular
+    hash is one row per bucket per block).
     Block-min ids are folded only over the rows whose hash ships a
     cell, and only those rows' ids become Python objects."""
     from ..sketches import np_object
@@ -362,43 +378,13 @@ def _band_cells(ph_rows: np.ndarray, id_col, num_parts: int,
                        minid[np.searchsorted(ph_u, out_ph)], kind="band")
 
 
-def _band_stream(ds, phash_col: str, id_col: str, num_parts: int, *,
-                 scheme: str = "4x16", hot_ref=None):
-    """Sliced band-row payloads (:func:`_band_cells`) over DISTINCT
-    per-block hash values, each row carrying the hash's BLOCK-min id.
-    Because every block containing a hash emits that hash's (key, hash,
-    min id) row for each of its band keys, any pairing task folding a
-    slice sees ALL blocks' entries for every hash present there — so
-    the GLOBAL min id per hash is computable inside the task, with no
-    join back to the table.
-
-    Each block emits ONE pickled (keys, hashes, ids) array triple per
-    key slice (``transport.pack_slices``: the exchange moves blocks x
-    slices payload ROWS, not row-shaped records — Ray's per-row shuffle
-    overhead is the cost at bench scale, not the bytes).  Routing by
-    the bucket key keeps every bucket complete in one slice; per-block
-    dedupe also neutralizes hot-value skew (a popular hash contributes
-    one row per bucket per block, not thousands)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        return _band_cells(
-            t[phash_col].to_numpy(zero_copy_only=False).astype(np.int64),
-            t[id_col], num_parts, scheme,
-            None if hot_ref is None else ray.get(hot_ref))
-
-    # smaller batches under the 66x key expansion: per-batch scratch is
-    # ~1 KB/row there — keep batch x concurrency well inside worker heaps
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=16384 if scheme == "2x32f1" else None)
-
-
 _NO_PAIRS = (np.empty(0, np.int64), np.empty(0, np.int64),
              np.empty(0, np.int64), np.empty(0, np.int64),
              np.empty(0, object))
 
 
-def _id_pair_slice(s: int, parts: list, max_dist: int, bucket_cap: int,
-                   dup_ref, num_parts: int, scheme: str) -> tuple:
+def _id_pair_slice(s: int, parts: list, max_dist: int, dup_ref,
+                   num_parts: int, scheme: str) -> tuple:
     """Pair ONE slice of the id-carrying band stream (the
     ``transport.slice_map`` function of :func:`_pair_ids`).
 
@@ -417,7 +403,7 @@ def _id_pair_slice(s: int, parts: list, max_dist: int, bucket_cap: int,
     ph_u, minid = _minid_per_key(ph, ids)
     uniq = np.unique(np.stack([keys, ph], axis=1), axis=0)
     pairs = _segment_pairs(uniq[:, 0], uniq[:, 1], uniq[:, 1],
-                           max_dist, bucket_cap)
+                           max_dist, BUCKET_CAP)
     ph_a = pairs["id_a"].to_numpy().astype(np.int64)
     ph_b = pairs["id_b"].to_numpy().astype(np.int64)
     dist = pairs["dist"].to_numpy().astype(np.int64)
@@ -432,16 +418,16 @@ def _id_pair_slice(s: int, parts: list, max_dist: int, bucket_cap: int,
     return (ph_a, ph_b, dist, res, minid[np.searchsorted(ph_u, res)])
 
 
-def _pair_ids(packed, num_parts: int, max_dist: int, bucket_cap: int,
-              scheme: str, *, dup_ref=None):
+def _pair_ids(packed, num_parts: int, max_dist: int, scheme: str, *,
+              dup_ref=None):
     """Distributed pairing over the ``band`` cells of a MATERIALIZED
     packed stream: one ``transport.slice_map`` task per live slice
     pairs and resolves ids in one visit.  Returns (hash-pair DataFrame
     (ph_a, ph_b, dist), sorted resolution arrays (hashes, min ids))."""
     outs = ray.get(slice_map(
         packed, num_parts,
-        lambda s, parts: _id_pair_slice(s, parts, max_dist, bucket_cap,
-                                        dup_ref, num_parts, scheme),
+        lambda s, parts: _id_pair_slice(s, parts, max_dist, dup_ref,
+                                        num_parts, scheme),
         kind="band"))
     ph_a, ph_b, dist, res_ph, res_id = merge_concat(outs) or _NO_PAIRS
     # a pair can surface in several buckets routed to different slices;
@@ -494,17 +480,14 @@ def _id_pairs(ph_pairs: pd.DataFrame, ph_map: np.ndarray,
 def hamming_neardup_pairs(ds, *, max_dist: int = 4,
                           phash_col: str = "phash",
                           id_col: str = "image_id",
-                          bucket_cap: int = 4096,
-                          sat_min: int = SAT_MIN,
-                          sat_frac: float = SAT_FRAC,
-                          force_path: str | None = None,
                           materialize_input: bool = False,
                           scheme: str = "4x16") -> pd.DataFrame:
     """Banded-LSH candidates + exact Hamming verification, distributed.
 
     Returns a DataFrame (id_a, id_b, dist), id_a < id_b, 1 <= dist <=
     max_dist, one representative id (the global min) per distinct hash
-    value.  The dense census picks the path: ``prune`` (collisions rare
+    value.  The band census (:func:`hamming_arm`) picks the path:
+    ``prune`` (collisions rare
     — ship only multi-member buckets' rows) or ``mih_shuffle``
     (collisions the norm at n >> 2^16 per band — ship the whole deduped
     band stream; the filter would keep ~everything anyway).  Both paths
@@ -517,10 +500,9 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
     (32-bit bands make collisions rare, and every candidate is
     popcount-verified anyway).
 
-    ``ds`` is consumed up to TWICE (census, band stream) — the band
-    cells carry block-min ids, so pairing tasks resolve global
-    representative ids in the same visit and the id-resolution pass of
-    earlier rounds is gone.  For a cheap pruned parquet read two reads
+    ``ds`` is consumed up to TWICE (census, band stream; the band cells
+    carry block-min ids, so pairing tasks resolve global representative
+    ids in the same visit).  For a cheap pruned parquet read two reads
     are the right trade; when ``ds`` is a COMPUTED chain (e.g. SimHash
     signatures), pass ``materialize_input=True`` so the chain executes
     once.
@@ -533,38 +515,43 @@ def hamming_neardup_pairs(ds, *, max_dist: int = 4,
         if max_dist > 5:
             raise ValueError("2x32f1 guarantees recall only to dist 5")
     elif scheme == "4x16":
-        path, hot = hamming_arm(_dense_band_census(ds, phash_col),
-                                sat_min, sat_frac)
+        path, hot = hamming_arm(fold(ds, lambda t: band_census(np.unique(
+            t[phash_col].to_numpy(zero_copy_only=False))), _sum_census))
         if path == "none":
             return pd.DataFrame(_EMPTY_PAIRS)
-        path = force_path or path
-        hot_ref = ray.put(hot) if path == "prune" else None
+        hot_ref = None if hot is None else ray.put(hot)
     else:
         raise ValueError(f"unknown banding scheme {scheme!r}")
-    band_ds = _band_stream(ds, phash_col, id_col, num_parts,
-                           scheme=scheme, hot_ref=hot_ref)
+
+    def cells(t: pa.Table) -> pa.Table:
+        return _band_cells(
+            t[phash_col].to_numpy(zero_copy_only=False).astype(np.int64),
+            t[id_col], num_parts, scheme,
+            None if hot_ref is None else ray.get(hot_ref))
+
+    # smaller batches under the 66x key expansion: per-batch scratch is
+    # ~1 KB/row there — keep batch x concurrency well inside worker heaps
+    band_ds = ds.map_batches(cells, batch_format="pyarrow",
+                             zero_copy_batch=True,
+                             batch_size=16384 if scheme == "2x32f1" else None)
     return _id_pairs(*_pair_ids(band_ds.materialize(), num_parts,
-                                max_dist, bucket_cap, scheme))
+                                max_dist, scheme))
 
 
 def phash_dedup_clusters(ds, *, phash_col: str = "phash",
                          id_col: str = "image_id", max_dist: int = 4,
-                         bucket_cap: int = 4096,
                          scheme: str = "4x16",
                          materialize_input: bool = False):
     """Transitive near-duplicate CLUSTERS for the image/phash family —
     the keep-one-canonical step the minhash path already has (pairs
     name WHO matches; a dedup needs the components).
 
-    r5 layout — clustering happens in HASH space, so exact-collision
-    members never materialize anywhere (the r4 shape listed dup-hash
-    member ids on the driver and built star edges in a Python loop,
-    with a silent ``member_cap`` truncation):
+    Clustering happens in HASH space, so exact-collision members never
+    materialize anywhere:
 
     1. ONE fused pass over (id, phash) emits per block BOTH the exact
        value census partial (row counts per hash) and the id-carrying
-       band cells — the census and band-stream executions of the old
-       shape collapse into one;
+       band cells;
     2. flat pairing tasks return verified hash pairs + the global min
        id per pair-touched hash, plus min ids for exact-dup hashes
        (owner-sliced, each resolved exactly once);
@@ -613,9 +600,8 @@ def phash_dedup_clusters(ds, *, phash_col: str = "phash",
     dup = vals[cnts >= 2].astype(np.int64)
     dup_ref = ray.put(dup)
 
-    ph_pairs, ph_map, id_map = _pair_ids(
-        fused_out, num_parts, max_dist, bucket_cap, scheme,
-        dup_ref=dup_ref)
+    ph_pairs, ph_map, id_map = _pair_ids(fused_out, num_parts, max_dist,
+                                         scheme, dup_ref=dup_ref)
 
     # hash-space connected components: pair edges + dup self-nodes
     node, root = _star_forest(ph_pairs["ph_a"].to_numpy(),

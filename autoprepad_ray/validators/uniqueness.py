@@ -59,51 +59,47 @@ def duplicate_listing(ds, cols: list[str], census: tuple,
     :func:`key_census` and the ``Layout`` of that fold.
 
     No hash counted twice: the empty listing typed from
-    ``layout.schema``, no execution.  Otherwise ONE execution collects
-    the rows whose hash is a candidate (a collision only adds a row,
-    which the exact group count drops).  Duplicates are assumed RARE;
-    past ``MAX_COLLECT`` candidate rows (a dedup workload) the keyed
-    fold, which moves per-block distinct keys, lists them instead."""
-    import ray
-
+    ``layout.schema``, no execution.  Otherwise ONE execution counts the
+    rows whose hash is a candidate (a collision only adds a key, which
+    the exact group count drops), folded by ``transport.fold``.
+    Duplicates are assumed RARE; past ``MAX_COLLECT`` candidate rows (a
+    dedup workload) the keyed fold counts them instead."""
     vals, cnts = census
     dup = cnts >= 2
     if not dup.any():
         return _empty_listing(layout.schema, cols)
-    if int(cnts[dup].sum()) > MAX_COLLECT:
-        return _duplicate_keys_shuffle(ds, cols)
-    cand_ref = ray.put(vals[dup])            # sorted: merge_counts' order
-
-    def members(batch: pa.Table) -> pa.Table:
-        cand = ray.get(cand_ref)
-        h, _ = key_hash([batch[c] for c in cols])
-        idx = np.minimum(np.searchsorted(cand, h), len(cand) - 1)
-        return _canonical(batch.select(cols).filter(pa.array(cand[idx] == h)))
-
-    rows = pa.concat_tables(
-        b for b in ds.map_batches(members, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        .iter_batches(batch_size=65536, batch_format="pyarrow"))
-    g = rows.group_by(cols).aggregate([([], "count_all")])
-    g = g.rename_columns(cols + ["n"])
-    return g.filter(pc.greater_equal(g["n"], 2))
+    return _duplicate_keys_shuffle(ds, cols, vals[dup],
+                                   keyed=int(cnts[dup].sum()) > MAX_COLLECT)
 
 
-def _duplicate_keys_shuffle(ds, cols: list[str]) -> pa.Table:
-    """Dup-heavy path: per-block Arrow group_by counts summed per key by
-    :func:`~..stages.transport.keyed_fold`, filtered to n >= 2."""
+def _duplicate_keys_shuffle(ds, cols: list[str], cand=None, *,
+                            keyed: bool = True) -> pa.Table:
+    """Per-block Arrow group_by counts of the rows whose key hash is in
+    the sorted ``cand`` (every row without one), summed per key by
+    ``transport.merge_groups`` and filtered to n >= 2.  The dup-heavy
+    arm sums them per key slice (:func:`~..stages.transport.keyed_fold`);
+    ``keyed=False`` folds them (:func:`~..stages.transport.fold`)."""
+    import ray
+
     merge = merge_groups(cols, {"n": "sum"})
+    cand_ref = None if cand is None else ray.put(cand)
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = _canonical(batch.select(cols)).group_by(cols).aggregate(
-            [([], "count_all")])
+        t = _canonical(batch.select(cols))
+        if cand_ref is not None:
+            c = ray.get(cand_ref)
+            h, _ = key_hash([batch[k] for k in cols])
+            t = t.filter(pa.array(
+                c[np.minimum(np.searchsorted(c, h), len(c) - 1)] == h))
+        g = t.group_by(cols).aggregate([([], "count_all")])
         return g.rename_columns(cols + ["n"])
 
-    def final(parts: list[pa.Table]) -> pa.Table:
-        t = merge(parts)
-        return t.filter(pc.greater_equal(t["n"], 2))
+    def final(parts: list) -> pa.Table | None:
+        t = merge([p for p in parts if p is not None])
+        return t if t is None else t.filter(pc.greater_equal(t["n"], 2))
 
-    out = keyed_fold(ds, partial, cols, final)
+    out = keyed_fold(ds, partial, cols, final) if keyed \
+        else final([fold(ds, partial, merge)])
     return out if out is not None else _empty_listing(None, cols)
 
 

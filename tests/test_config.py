@@ -256,3 +256,19 @@ def test_config_overflowed_domain_raises(kind, monkeypatch):
                         profile.bundle_partial(cols, max_exact=20))
     with pytest.raises(ValueError, match="'u' has more than 20 distinct"):
         run_config(rd.from_arrow(pa.table({"u": uuids})), {kind: ["u"]})
+
+
+@pytest.mark.parametrize("kind", ["categorical_cols", "pattern_cols"])
+def test_preprocess_overflowed_category_raises(kind, monkeypatch):
+    """preprocess_table shares run_config's guard: past ``max_exact``
+    distinct values its ordinal or pattern map and mode would be learned
+    from drained counts and every row coded -1, so it raises naming the
+    column."""
+    from autoprepad_ray.pipelines import preprocess
+
+    monkeypatch.setattr(preprocess, "profile_dataset", lambda ds, columns:
+                        profile.profile_dataset(ds, columns, max_exact=20))
+    cats = [f"cat{i:02d}" for i in range(50)]
+    with pytest.raises(ValueError, match="'c' has more than 20 distinct"):
+        preprocess.preprocess_table(rd.from_arrow(pa.table({"c": cats})),
+                                    **{kind: ("c",)})

@@ -78,17 +78,40 @@ def test_hamming_pairs_match_bruteforce_exactly():
             assert pair in got, pair
 
 
-def test_hamming_paths_agree():
+def _arms(monkeypatch) -> list:
+    """The arms ``near_dup.hamming_arm`` picks from here on, in call
+    order."""
+    from autoprepad_ray.validators import near_dup
+
+    picked, real = [], near_dup.hamming_arm
+
+    def recording(census):
+        arm, hot = real(census)
+        picked.append(arm)
+        return arm, hot
+
+    monkeypatch.setattr(near_dup, "hamming_arm", recording)
+    return picked
+
+
+def test_hamming_paths_agree(monkeypatch):
     """prune and mih_shuffle must produce identical pairs — the path is
-    a shuffle-volume choice, never a semantics choice."""
+    a shuffle-volume choice, never a semantics choice.  The census picks
+    ``prune`` here; with the collision bound at zero, ``mih_shuffle``."""
+    from autoprepad_ray.validators import near_dup
+
+    arms = _arms(monkeypatch)
     t = _fixture(n_base=200, n_planted=20, seed=3)
     ds = rd.from_arrow(t).repartition(4)
-    a = _got_pairs(hamming_neardup_pairs(ds, force_path="prune"))
-    b = _got_pairs(hamming_neardup_pairs(ds, force_path="mih_shuffle"))
+    a = _got_pairs(hamming_neardup_pairs(ds))
+    monkeypatch.setattr(near_dup, "SAT_MIN", 0)
+    monkeypatch.setattr(near_dup, "SAT_FRAC", 0.0)
+    b = _got_pairs(hamming_neardup_pairs(ds))
+    assert arms == ["prune", "mih_shuffle"]
     assert a == b and len(a) >= 15
 
 
-def test_hamming_dup_heavy_saturated_path():
+def test_hamming_dup_heavy_saturated_path(monkeypatch):
     """Dup-heavy fixture (every bucket multi-member — the regime that
     used to hit the driver-side max_candidates cap / saturation skip):
     the full-shuffle path still returns the exact oracle pairs."""
@@ -105,10 +128,15 @@ def test_hamming_dup_heavy_saturated_path():
     t = pa.table({"image_id": pa.array(ids),
                   "phash": pa.array(ph, type=pa.int64())})
     ds = rd.from_arrow(t).repartition(6)
-    # sat_min low -> the census (almost every bucket >= 2 members)
+    # SAT_MIN low -> the census (almost every bucket >= 2 members)
     # flips to the mih_shuffle path organically
-    got = _got_pairs(hamming_neardup_pairs(ds, max_dist=4, sat_min=100))
+    from autoprepad_ray.validators import near_dup
+
+    arms = _arms(monkeypatch)
+    monkeypatch.setattr(near_dup, "SAT_MIN", 100)
+    got = _got_pairs(hamming_neardup_pairs(ds, max_dist=4))
     exp = brute_pairs(ids, ph, 4)
+    assert arms == ["mih_shuffle"]
     assert got == exp and len(exp) > 50
 
 

@@ -476,6 +476,41 @@ def test_resume_read_count(fimg_small, tmp_path, monkeypatch):
     assert len(calls) == len(meta) + len(payload) + len(listing)
 
 
+def test_resume_pairs_without_a_map_execution(fimg_small, tmp_path,
+                                              monkeypatch, ray_executions):
+    """A resume of two partitions makes 6 Ray Data executions (metadata
+    and decode per partition, the listing read, the pairing input), and
+    its Hamming pairing, from ``hamming_arm`` on, starts one execution
+    with no ``MapBatches``: the checkpointed cells reach the pairing
+    tasks as one in-memory Dataset."""
+    import shutil
+
+    from autoprepad_ray.pipelines import runner
+
+    d, _ = fimg_small
+    out = str(tmp_path / "out")
+    kw = dict(captions_path=f"{d}/captions.parquet")
+    run_validation(f"{d}/images", out, **kw)
+    for p in (6, 7):
+        shutil.rmtree(os.path.join(out, "partitions", f"partition={p}"))
+    del ray_executions[:]
+    start, real = [], runner.hamming_arm
+
+    def arm(census):
+        start.append(len(ray_executions))
+        return real(census)
+
+    monkeypatch.setattr(runner, "hamming_arm", arm)
+    m = run_validation(f"{d}/images", out, **kw)
+    assert m["runs"][-1]["pending"] == [6, 7]
+    assert m["runs"][-1]["neardup_pairs"] > 0
+    assert len(ray_executions) == 6, ray_executions
+    pairing = [[op.name for op in ex._topology]
+               for ex in ray_executions[start[0]:]]
+    assert len(pairing) == 1, pairing
+    assert not any("MapBatches" in name for name in pairing[0]), pairing
+
+
 def test_unreadable_partition_file_is_named(fimg_small, tmp_path):
     """A partition file whose parquet footer cannot be read fails with
     an error naming that file; the other partitions commit, and once the
@@ -503,12 +538,14 @@ def test_unreadable_partition_file_is_named(fimg_small, tmp_path):
 def test_runner_has_no_global_checks_of_its_own():
     """The runner's global findings are validate_images' reduction over
     the checkpointed censuses: no hash setdiff, census merge, listing
-    fold or "approximate" method label of its own."""
+    fold, Hamming entry point or "approximate" method label of its
+    own."""
     import inspect
 
     from autoprepad_ray.pipelines import runner
 
     src = inspect.getsource(runner)
     for token in ("setdiff1d", "merge_counts", "referential_method",
-                  "_id_counts", "group_by", "count_all", "_capped_per_key"):
+                  "_id_counts", "group_by", "count_all", "_capped_per_key",
+                  "hamming_neardup_pairs"):
         assert token not in src, token
