@@ -11,9 +11,10 @@ of the captions.  Every read goes through ``io.read_table``: one read
 task per file, output never split, so pass 2's per-block map and the
 caption census fuse into their read tasks (``ReadParquet->MapBatches``)
 and a "block" below is a file's output, cut further only by Ray's
-dynamic splitting above ``target_max_block_size`` (128 MiB).  Pass 1's
-``batch_size=100_000`` and decode's ``batch_size=256`` make their maps
-separate operators after the read —
+dynamic splitting above ``target_max_block_size`` (128 MiB).  So does
+decode: pass 3 is ONE operator, read, decode and failure filter in one
+task per file.  Pass 1's ``batch_size=100_000`` makes its map a
+separate operator after the read —
 
 - PASS 1 (column-pruned metadata read, ONE execution): a ``Dataset.union``
   of the image-side partial and the caption-side id census.  Each image
@@ -47,9 +48,12 @@ separate operators after the read —
   exactly and resolve each paired hash's global min id in one visit;
   only pairs reach the driver.
 - PASS 3 (payload read, stateless decode tasks): decode verification —
-  the only pass that touches ``bytes``.  Its ``batch_size=256`` keeps
-  decode a separate operator after the read (Ray fuses no batched map
-  into a read), so payload batches stay small in worker heaps.
+  the only pass that touches ``bytes``.  ``decode.decode_verify`` and
+  the failure filter fuse into the read task (one task per file), so
+  payload bytes never go through the object store and only failing
+  rows leave the task; each task decodes its block in
+  ``decode.DECODE_SLICE_ROWS``-row slices, which bounds decoded pixels
+  in worker heaps.  Decode parallelism is the read's, one task per file.
 
 Every id listing (duplicate ids, orphans on both sides, near-dup
 members) counts a null id as one id and sorts it last, as DuckDB's
@@ -103,6 +107,11 @@ HIST_SPECS = {"w": EDGES_WH, "h": EDGES_WH, "caption_len": EDGES_CAP}
 PSI_COLS = ("w", "h", "caption_len", "fmt")
 # violation rows listed per pass-2 block (per file); counts stay exact
 VIOL_CAP_PER_BLOCK = 10_000
+# decode failures as PASS 3 lists them
+DECODE_LISTING = pa.schema([("image_id", pa.string()),
+                            ("partition_id", pa.int32()),
+                            ("fmt", pa.string()),
+                            ("decode_reason", pa.string())])
 
 
 def assert_schema_files(paths: list[str]) -> list[str]:
@@ -537,15 +546,25 @@ class ImageValidationReport:
 
 def _decode_failures(files: list[str]) -> pd.DataFrame:
     """PASS 3 over ``files``: decode-verify the payload (column-pruned:
-    everything but caption) and list the rows that fail."""
+    everything but caption) and list the rows that fail, as
+    ``image_id, partition_id, fmt, decode_reason`` (typed when empty).
+
+    Decode and the failure filter fuse into the read, one task per file
+    (``ReadParquet->MapBatches(_verify_slices)->MapBatches(<lambda>)``):
+    only the failing rows leave the task that read the payload."""
     from ..stages.decode import decode_verify
 
     payload_ds = read_table(files, columns=["image_id", "bytes", "w", "h",
                                             "fmt", "phash", "partition_id"])
-    return decode_verify(payload_ds).map_batches(
+    failures = decode_verify(payload_ds).map_batches(
         lambda t: t.filter(pc.equal(t["decode_ok"], 0))
-        .select(["image_id", "partition_id", "fmt", "decode_reason"]),
-        batch_format="pyarrow").to_pandas()
+        .select(DECODE_LISTING.names),
+        batch_format="pyarrow").materialize()
+    # ``to_pandas`` drops the columns of an all-clean listing, and a
+    # 0-row file reads as a block without columns
+    blocks = [t for t in ray.get(failures.to_arrow_refs()) if t.num_columns]
+    return (pa.concat_tables(blocks) if blocks
+            else DECODE_LISTING.empty_table()).to_pandas()
 
 
 def validate_images(images_dir: str, captions_path: str | None = None, *,

@@ -224,8 +224,7 @@ def run_validation(images_dir: str, out_dir: str, *,
             stat_budget=stat_budget, null_budget=null_budget,
             psi_budget=psi_budget)
 
-        # an empty failure listing comes back without columns
-        decode_ids = (list(_decode_failures(parts[pid]).get("image_id", []))
+        decode_ids = (_decode_failures(parts[pid])["image_id"].tolist()
                       if decode else [])
         viol_dir = os.path.join(tmp, "violations")
         os.makedirs(viol_dir)                 # kept even when empty

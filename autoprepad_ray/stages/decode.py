@@ -10,16 +10,21 @@ scorer" slot from SURVEY §2.3).
 - for lossy formats, decode -> re-encode -> decode PSNR >= ``min_psnr``
   (the >=40 dB allclose invariant from BASELINE.json ``input_hint``).
 
-:func:`decode_verify` maps it over a Dataset as stateless tasks (its
-``batch_size`` keeps it an operator of its own after the read: Ray fuses
-no batched map into a read task).  The only state is the module-level codec table: an
-actor pool's worker starts (~1 s of CPU each on a 4-vCPU host) would
-cost several times the decode work itself (~0.25 s in-process for the
-2,000-image benchmark table).
+:func:`decode_verify` maps it over a Dataset as stateless tasks with
+the default batch size, so over an ``io.read_table`` read Ray fuses it
+into the read task (``ReadParquet->MapBatches(_verify_slices)``) and
+payload bytes never leave the task that read them: no payload block
+goes into the object store only to be mapped back by a separate decode
+task.  The trade: decode parallelism is the read's, one task per file,
+not one task per 256 rows.  The only state is the module-level codec
+table: an actor pool's worker starts (~1 s of CPU each on a 4-vCPU
+host) would cost several times the decode work itself (~0.25 s
+in-process for the 2,000-image benchmark table).
 
 Binary payloads force a per-row decode loop (each row is an opaque blob);
-the inner pixel work is numpy-vectorized and batches stay small
-(``batch_size`` ~256) so a batch per task fits worker heaps.
+the inner pixel work is numpy-vectorized.  A task walks its block in
+zero-copy slices of ``DECODE_SLICE_ROWS`` rows, so at most one slice's
+decoded pixels are on the worker heap at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from ..functions import imagecodec as ic
 
 DECODERS = {"ppm": ic.decode_ppm, "qraw": ic.decode_qraw}
 LOSSY = frozenset({"qraw"})
+# rows decoded at once: bounds the decoded pixels on a worker heap
+DECODE_SLICE_ROWS = 256
 
 
 def verify_batch(batch: pa.Table, *, min_psnr: float = 40.0,
@@ -160,10 +167,23 @@ class DecodeVerify:
                             check_phash=self.check_phash)
 
 
-def decode_verify(ds, *, batch_size: int = 256, min_psnr: float = 40.0,
-                  check_phash: bool = True):
-    """Run :func:`verify_batch` over the dataset as stateless tasks."""
+def _verify_slices(block: pa.Table, *, slice_rows: int, min_psnr: float,
+                   check_phash: bool) -> pa.Table:
+    """:func:`verify_batch` over ``block`` in zero-copy slices of
+    ``slice_rows`` rows (one call on a 0-row block)."""
+    return pa.concat_tables([
+        verify_batch(block.slice(i, slice_rows), min_psnr=min_psnr,
+                     check_phash=check_phash)
+        for i in range(0, max(block.num_rows, 1), slice_rows)])
+
+
+def decode_verify(ds, *, min_psnr: float = 40.0, check_phash: bool = True):
+    """Run :func:`verify_batch` over the dataset as stateless tasks, one
+    per block (fused into an ``io.read_table`` read), each walking its
+    block in ``DECODE_SLICE_ROWS``-row slices."""
+    # the slice size is read here, on the driver, and shipped with the
+    # task: a worker imports the module afresh
     return ds.map_batches(
-        verify_batch, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size,
-        fn_kwargs={"min_psnr": min_psnr, "check_phash": check_phash})
+        _verify_slices, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"slice_rows": DECODE_SLICE_ROWS, "min_psnr": min_psnr,
+                   "check_phash": check_phash})

@@ -186,6 +186,79 @@ def test_decode_verify_plain_binary_offsets(fimg):
         assert local[c].tolist() == remote[c].tolist(), c
 
 
+def test_decode_verify_slice_boundaries(fimg, monkeypatch, tmp_path):
+    """Decode walks each block in ``DECODE_SLICE_ROWS``-row slices: at 7
+    rows, a 250-row file's fused decode equals one in-process
+    ``DecodeVerify`` call on every output column (the R7 bad decodes
+    too), and a 0-row input decodes to nothing without error."""
+    import math
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+    from autoprepad_ray.io import read_table
+    from autoprepad_ray.stages import decode
+
+    d, exp = fimg
+    path = f"{d}/images/partition=2"
+    monkeypatch.setattr(decode, "DECODE_SLICE_ROWS", 7)
+    cols = ["image_id", "decode_ok", "decode_reason", "psnr",
+            "phash_recomputed"]
+    src = pq.read_table(path)
+    assert src.num_rows == 250
+    local = decode.DecodeVerify()(src).select(cols)
+    blocks = ray.get(decode.decode_verify(read_table(path))
+                     .materialize().to_arrow_refs())
+    remote = pa.concat_tables(blocks).select(cols)
+    # one slice per chunk: the task saw the patched slice size
+    assert [b["decode_ok"].num_chunks for b in blocks] == [math.ceil(250 / 7)]
+    assert remote.sort_by("image_id").equals(local.sort_by("image_id"))
+    bad = pc.equal(local["decode_ok"], 0)
+    assert sorted(local.filter(bad)["image_id"].to_pylist()) == sorted(
+        exp.bad_decode_ids)
+
+    empty = decode._verify_slices(src.slice(0, 0), slice_rows=7,
+                                  min_psnr=40.0, check_phash=True)
+    assert empty.num_rows == 0 and empty.column_names[-4:] == cols[1:]
+    pq.write_table(src.slice(0, 0), str(tmp_path / "empty.parquet"))
+    assert decode.decode_verify(
+        read_table(str(tmp_path / "empty.parquet"))).count() == 0
+
+
+def test_decode_failures_plan_one_fused_operator(fimg, ray_executions):
+    """Pass 3 is ONE operator, read + decode + failure filter in one
+    task per file: no map operator after the read consumes payload
+    blocks (a batched decode map would plan as a second operator)."""
+    from autoprepad_ray.io import parquet_files
+    from autoprepad_ray.pipelines.image_validation import _decode_failures
+
+    d, exp = fimg
+    df = _decode_failures(parquet_files(f"{d}/images"))
+    assert sorted(df["image_id"]) == sorted(exp.bad_decode_ids)
+    assert len(ray_executions) == 1
+    ops = [op.name for op in ray_executions[0]._topology
+           if op.name != "Input"]
+    assert ops == ["ReadParquet->MapBatches(_verify_slices)"
+                   "->MapBatches(<lambda>)"], ops
+
+
+def test_decode_failures_typed_on_clean_partition(fimg):
+    """A partition without a bad decode lists no row but keeps the
+    listing's columns and types, as a failing partition's listing has."""
+    from autoprepad_ray.io import parquet_files
+    from autoprepad_ray.pipelines.image_validation import (
+        DECODE_LISTING, _decode_failures)
+
+    d, _ = fimg
+    clean = _decode_failures(parquet_files(f"{d}/images/partition=0"))
+    bad = _decode_failures(parquet_files(f"{d}/images/partition=2"))
+    assert len(clean) == 0 and len(bad) > 0
+    assert list(clean.columns) == list(bad.columns) == DECODE_LISTING.names
+    assert clean.dtypes.equals(bad.dtypes)
+    assert clean["image_id"].tolist() == []
+
+
 def _actors() -> dict:
     """Class name of every actor the session has created, live or dead."""
     from ray._private import state

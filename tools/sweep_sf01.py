@@ -23,8 +23,10 @@ import ray
 
 def main() -> int:
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
-             logging_level="ERROR")
+    # one Ray CPU per host CPU: a fixed count would start that many
+    # worker processes on any host
+    ray.init(address="local", num_cpus=os.cpu_count() or 1,
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
