@@ -14,9 +14,9 @@ One copy of the invariants:
   place, so a kill mid-unit leaves no half-checkpoint;
 - the manifest is rewritten (lock + tmp + ``os.replace``) after each
   unit commits, so a killed run loses at most the units in flight
-  (``max_parallel``); an error in one unit reaches the caller after the
+  (``MAX_PARALLEL``); an error in one unit reaches the caller after the
   units already running have committed;
-- pending units run ``max_parallel`` at a time through driver threads
+- pending units run ``MAX_PARALLEL`` at a time through driver threads
   sharing the one Ray session.
 """
 
@@ -31,6 +31,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .. import __version__
+
+MAX_PARALLEL = 4        # units in flight at once
 
 
 def _fingerprint(paths: list[str]) -> str:
@@ -50,7 +52,7 @@ def _atomic_write_json(path: str, obj) -> None:
 
 def _run_sharded(out_dir: str, unit: str, units: dict, fps: dict,
                  per_unit, manifest_seed: dict, *,
-                 checkpoint_file: str, max_parallel: int = 4):
+                 checkpoint_file: str):
     """Run every pending unit of ``units`` (id -> its input files).
 
     ``fps`` are the fingerprint fields a unit's manifest entry must
@@ -118,7 +120,7 @@ def _run_sharded(out_dir: str, unit: str, units: dict, fps: dict,
         from ..context import prime_fsspec_http_stub
         prime_fsspec_http_stub()     # threaded reads race the lazy import
         with ThreadPoolExecutor(max_workers=max(
-                1, min(max_parallel, len(pending)))) as ex:
+                1, min(MAX_PARALLEL, len(pending)))) as ex:
             list(ex.map(_one, pending))
     return manifest, pending
 

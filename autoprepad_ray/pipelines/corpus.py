@@ -96,8 +96,7 @@ def _load_or_build_evalgrams(out_dir: str, eval_files: list[str], *,
 
 def run_text_audit(docs_path: str, out_dir: str, *,
                    eval_docs: str | None = None, ngram: int = 8,
-                   text_col: str = "text", id_col: str = "doc_id",
-                   max_parallel_shards: int = 4) -> dict:
+                   text_col: str = "text", id_col: str = "doc_id") -> dict:
     """Audit every shard, skipping those already checkpointed.
 
     Returns the manifest dict (also persisted to ``manifest.json``).
@@ -105,12 +104,11 @@ def run_text_audit(docs_path: str, out_dir: str, *,
     n_grams, n_hits, contaminated, n_words, n_distinct, dup_ratio) and
     ``audit.json`` (counts + lineage).
 
-    Shards audit ``max_parallel_shards`` at a time through driver
-    threads sharing the one Ray session (the image runner's decode
-    overlap pattern) — per-shard checkpoint granularity without
-    serializing the cluster behind one small shard's pipeline; the
-    manifest write is the only serialized step (lock + atomic
-    replace)."""
+    Shards audit ``checkpoint.MAX_PARALLEL`` at a time through driver
+    threads sharing the one Ray session (``checkpoint._run_sharded``)
+    — per-shard checkpoint granularity without serializing the cluster
+    behind one small shard's pipeline; the manifest write is the only
+    serialized step (lock + atomic replace)."""
     from ..stages.text import decontaminate, word_repetition
 
     os.makedirs(out_dir, exist_ok=True)   # global-state caches land here
@@ -146,8 +144,7 @@ def run_text_audit(docs_path: str, out_dir: str, *,
         {"eval_fp": eval_fp}, _audit_shard,
         {"engine_version": __version__, "docs_path": docs_path,
          "kind": "audit", "ngram": ngram, "shards": {}, "runs": []},
-        checkpoint_file="audit.json",
-        max_parallel=max_parallel_shards)
+        checkpoint_file="audit.json")
     return _finish_run(manifest, out_dir, {
         "pending": pending, "eval_fp": eval_fp,
         "total_contaminated": int(sum(
@@ -205,8 +202,7 @@ def _load_or_build_dup_losers(out_dir: str, files: list[str], *,
 
 def run_corpus_clean(docs_path: str, out_dir: str, *,
                      eval_docs: str | None = None, ngram: int = 8,
-                     text_col: str = "text", id_col: str = "doc_id",
-                     max_parallel_shards: int = 4) -> dict:
+                     text_col: str = "text", id_col: str = "doc_id") -> dict:
     """Resumable corpus CLEANER — the writer sibling of
     :func:`run_text_audit`: Gopher quality gate + benchmark
     decontamination + global exact dedup (min-id canonical), emitting
@@ -283,8 +279,7 @@ def run_corpus_clean(docs_path: str, out_dir: str, *,
         {"eval_fp": eval_fp, "dup_fp": dup_fp}, _clean_shard,
         {"engine_version": __version__, "docs_path": docs_path,
          "kind": "clean", "ngram": ngram, "shards": {}, "runs": []},
-        checkpoint_file="clean.json",
-        max_parallel=max_parallel_shards)
+        checkpoint_file="clean.json")
     return _finish_run(manifest, out_dir, {
         "pending": pending, "eval_fp": eval_fp, "dup_fp": dup_fp,
         "total_clean": int(sum(

@@ -47,13 +47,12 @@ separate operator after the read —
   ``transport.slice_map`` tasks over the scattered cells pair, verify
   exactly and resolve each paired hash's global min id in one visit;
   only pairs reach the driver.
-- PASS 3 (payload read, stateless decode tasks): decode verification —
-  the only pass that touches ``bytes``.  ``decode.decode_verify`` and
-  the failure filter fuse into the read task (one task per file), so
-  payload bytes never go through the object store and only failing
-  rows leave the task; each task decodes its block in
-  ``decode.DECODE_SLICE_ROWS``-row slices, which bounds decoded pixels
-  in worker heaps.  Decode parallelism is the read's, one task per file.
+- PASS 3 (payload read, stateless decode tasks, its own execution on a
+  thread): decode verification, the only pass that touches ``bytes``.
+  Its emitter ``_decode_rows`` fuses ``decode.decode_verify`` and the
+  failure filter into the read task (one per file), so payload bytes
+  skip the object store and only failing rows leave the task; each task
+  decodes in ``decode.DECODE_SLICE_ROWS``-row slices (bounded heaps).
 
 Every id listing (duplicate ids, orphans on both sides, near-dup
 members) counts a null id as one id and sorts it last, as DuckDB's
@@ -544,27 +543,34 @@ class ImageValidationReport:
         return out
 
 
-def _decode_failures(files: list[str]) -> pd.DataFrame:
-    """PASS 3 over ``files``: decode-verify the payload (column-pruned:
-    everything but caption) and list the rows that fail, as
-    ``image_id, partition_id, fmt, decode_reason`` (typed when empty).
+def _failure_rows(t: pa.Table) -> pa.Table:
+    """A decoded block's failing rows as one ``decode`` payload row."""
+    return kind_rows({"decode": t.filter(pc.equal(t["decode_ok"], 0))
+                      .select(DECODE_LISTING.names)})
 
-    Decode and the failure filter fuse into the read, one task per file
-    (``ReadParquet->MapBatches(_verify_slices)->MapBatches(<lambda>)``):
-    only the failing rows leave the task that read the payload."""
+
+def _decode_rows(files: list[str]):
+    """PASS 3's emitter over ``files`` (every column but caption): ONE
+    fused read/decode/filter operator, one task per file, which the
+    runner unions into each partition's metadata execution."""
     from ..stages.decode import decode_verify
 
-    payload_ds = read_table(files, columns=["image_id", "bytes", "w", "h",
-                                            "fmt", "phash", "partition_id"])
-    failures = decode_verify(payload_ds).map_batches(
-        lambda t: t.filter(pc.equal(t["decode_ok"], 0))
-        .select(DECODE_LISTING.names),
-        batch_format="pyarrow").materialize()
-    # ``to_pandas`` drops the columns of an all-clean listing, and a
-    # 0-row file reads as a block without columns
-    blocks = [t for t in ray.get(failures.to_arrow_refs()) if t.num_columns]
-    return (pa.concat_tables(blocks) if blocks
-            else DECODE_LISTING.empty_table()).to_pandas()
+    return decode_verify(read_table(
+        files, columns=["image_id", "bytes", "w", "h", "fmt", "phash",
+                        "partition_id"])).map_batches(
+        _failure_rows, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _merge_decode(parts: list[pa.Table]) -> pa.Table:
+    """Folded ``decode`` rows in the files' own types; typed when none."""
+    return (pa.concat_tables(parts, promote_options="permissive") if parts
+            else DECODE_LISTING.empty_table())
+
+
+def _decode_failures(files: list[str]) -> pd.DataFrame:
+    """PASS 3 over ``files``: its failing rows, a ``DECODE_LISTING`` frame."""
+    return fold_payloads(_decode_rows(files).materialize(), _merge_decode,
+                         kind="decode").to_pandas()
 
 
 def validate_images(images_dir: str, captions_path: str | None = None, *,
@@ -590,13 +596,11 @@ def validate_images(images_dir: str, captions_path: str | None = None, *,
     schema_errors = assert_schema_files(files)
 
     # ---- PASS 3 launches FIRST (payload read, decode tasks) ----
-    # decode verification depends on nothing the metadata passes
-    # compute, so its ~N-times-longer execution runs CONCURRENTLY with
-    # passes 1/2 and the Hamming pairing: the metadata work hides under
-    # the decode wall instead of serializing in front of it (~4-5 s of
-    # the 28 s pipeline at bench scale).  Ray's scheduler interleaves
-    # the executions' tasks; decode holds no reserved workers, so the
-    # metadata tasks take CPUs as soon as a decode task finishes.
+    # decode depends on nothing the metadata passes compute, so its
+    # execution runs on a thread CONCURRENTLY with passes 1/2 and the
+    # Hamming pairing (unioned into pass 1 it measured slower); decode
+    # holds no reserved workers, so metadata tasks take CPUs as soon as
+    # a decode task finishes.
     import concurrent.futures as _cf
 
     decode_walls: dict = {}

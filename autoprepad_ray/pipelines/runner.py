@@ -22,14 +22,14 @@ Execution shape:
   (``_merge_prof``), cached by the reference files' fingerprint, so a
   resume never mixes profiles of different inputs (SURVEY §7.6) and
   never re-reads the reference;
-- per pending partition: ONE metadata execution (pass-2 evidence,
-  histogram partial, pass-1 census cells) whose ``agg`` rows fold off
-  the materialized blocks in flat tasks, plus the payload read for
-  decode.  PSI and verdict come from ``partition_verdicts``, as in
-  ``validate_images``; rows naming another ``partition_id`` are an
-  error.  Verdict, violation rows (stat OR null, uncapped) and census
-  are written into a tmp dir and renamed into place; up to 4 partitions
-  run at once, so a killed run loses at most those;
+- per pending partition: ONE execution, the metadata map (pass-2
+  evidence, histogram partial, pass-1 census cells) unioned with pass
+  3's ``_decode_rows`` when ``decode``; its ``agg`` and ``decode`` rows
+  fold off the materialized blocks in flat tasks.  PSI and verdict come
+  from ``partition_verdicts``, as in ``validate_images``; rows naming
+  another ``partition_id`` are an error.  Verdict, violation rows (stat
+  OR null, uncapped) and census go to a tmp dir, renamed into place; a
+  kill loses at most the ``checkpoint.MAX_PARALLEL`` partitions running;
 - a partition is complete iff its manifest entry matches the profile
   fingerprint, the verdict settings (budgets, ``decode``) and its own
   files' fingerprint, and its ``verdict.json`` exists;
@@ -43,7 +43,7 @@ Execution shape:
   in-memory Dataset (an input-only execution, no map).  No other
   completed partition is read; a census missing or from an older
   engine is rebuilt from its own partition.  A resume of k partitions
-  runs at most 2k + 2 Ray Data executions (k + 2 without decode).
+  runs at most k + 2 Ray Data executions, decode on or off.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ from .checkpoint import (_atomic_write_json, _finish_run, _fingerprint,
                          _run_sharded)
 from .image_validation import (_ID, _PH, META_COLS, PSI_COLS,
                                _caption_census, _census_slice,
-                               _decode_failures, _drift_partial, _evidence,
+                               _decode_rows, _drift_partial, _evidence,
                                _findings, _first, _image_census,
-                               _listing_partial, _merge_drift,
+                               _listing_partial, _merge_decode, _merge_drift,
                                _merge_listings, _merge_prof, _prep,
                                _prof_partial, _reference_hists, _sum_counts,
                                assert_schema_files, partition_verdicts)
@@ -211,8 +211,9 @@ def run_validation(images_dir: str, out_dir: str, *,
     def validate_partition(pid: int, tmp: str) -> dict:
         schema_errors = assert_schema_files(parts[pid])
         out = read_table(parts[pid], columns=META_COLS).map_batches(
-            meta_partial, batch_format="pyarrow",
-            zero_copy_batch=True).materialize()
+            meta_partial, batch_format="pyarrow", zero_copy_batch=True)
+        out = (out.union(_decode_rows(parts[pid])) if decode
+               else out).materialize()
         counts, hists, census, viol_schema = fold_payloads(
             out, _merge_partition_agg, kind="agg")
         if set(counts) - {pid}:
@@ -224,8 +225,8 @@ def run_validation(images_dir: str, out_dir: str, *,
             stat_budget=stat_budget, null_budget=null_budget,
             psi_budget=psi_budget)
 
-        decode_ids = (_decode_failures(parts[pid])["image_id"].tolist()
-                      if decode else [])
+        decode_ids = (fold_payloads(out, _merge_decode, kind="decode")[
+            "image_id"].to_pylist() if decode else [])
         viol_dir = os.path.join(tmp, "violations")
         os.makedirs(viol_dir)                 # kept even when empty
         if row["stat_viol"] or row["null_viol"]:

@@ -88,15 +88,15 @@ TARGET_CELL_BYTES = 128 * 1024
 FAN_IN = 32
 
 
-def default_num_parts(mult: int = 4, floor: int = 16) -> int:
-    """Slice count of a scatter: ``mult`` per cluster CPU, at least
-    ``floor``."""
+def default_num_parts() -> int:
+    """Slice count of a scatter: 4 per cluster CPU, at least 16 (4 CPUs
+    are assumed when Ray is not initialized)."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4)) \
             if ray.is_initialized() else 4
     except Exception:
         cpus = 4
-    return max(floor, cpus * mult)
+    return max(16, cpus * 4)
 
 
 def _pickled(obj) -> pa.Table:

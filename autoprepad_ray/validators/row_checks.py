@@ -114,11 +114,9 @@ class RowChecker:
     instance rides in the task closure.
     """
 
-    def __init__(self, state_blob: bytes, *, mad_threshold: float = 3.5,
-                 id_cols: list[str] | None = None):
+    def __init__(self, state_blob: bytes, *, mad_threshold: float = 3.5):
         self.states: dict[str, FenceState] = pickle.loads(state_blob)
         self.mad_threshold = mad_threshold
-        self.id_cols = id_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tukey_flags = []

@@ -240,7 +240,7 @@ def test_decode_failures_plan_one_fused_operator(fimg, ray_executions):
     ops = [op.name for op in ray_executions[0]._topology
            if op.name != "Input"]
     assert ops == ["ReadParquet->MapBatches(_verify_slices)"
-                   "->MapBatches(<lambda>)"], ops
+                   "->MapBatches(_failure_rows)"], ops
 
 
 def test_decode_failures_typed_on_clean_partition(fimg):

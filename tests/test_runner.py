@@ -478,22 +478,18 @@ def test_resume_read_count(fimg_small, tmp_path, monkeypatch):
 
 def test_resume_pairs_without_a_map_execution(fimg_small, tmp_path,
                                               monkeypatch, ray_executions):
-    """A resume of two partitions makes 6 Ray Data executions (metadata
-    and decode per partition, the listing read, the pairing input), and
-    its Hamming pairing, from ``hamming_arm`` on, starts one execution
-    with no ``MapBatches``: the checkpointed cells reach the pairing
-    tasks as one in-memory Dataset."""
+    """A resume of two partitions makes k + 2 = 4 Ray Data executions,
+    decode on or off: one per partition, the listing read and the
+    pairing input.  With decode, each partition's execution is one union
+    of its metadata map and pass 3's fused decode emitter.  The Hamming
+    pairing, from ``hamming_arm`` on, starts one execution with no
+    ``MapBatches``: the checkpointed cells reach the pairing tasks as
+    one in-memory Dataset."""
     import shutil
 
     from autoprepad_ray.pipelines import runner
 
     d, _ = fimg_small
-    out = str(tmp_path / "out")
-    kw = dict(captions_path=f"{d}/captions.parquet")
-    run_validation(f"{d}/images", out, **kw)
-    for p in (6, 7):
-        shutil.rmtree(os.path.join(out, "partitions", f"partition={p}"))
-    del ray_executions[:]
     start, real = [], runner.hamming_arm
 
     def arm(census):
@@ -501,14 +497,73 @@ def test_resume_pairs_without_a_map_execution(fimg_small, tmp_path,
         return real(census)
 
     monkeypatch.setattr(runner, "hamming_arm", arm)
-    m = run_validation(f"{d}/images", out, **kw)
-    assert m["runs"][-1]["pending"] == [6, 7]
-    assert m["runs"][-1]["neardup_pairs"] > 0
-    assert len(ray_executions) == 6, ray_executions
-    pairing = [[op.name for op in ex._topology]
-               for ex in ray_executions[start[0]:]]
-    assert len(pairing) == 1, pairing
-    assert not any("MapBatches" in name for name in pairing[0]), pairing
+    meta = "ReadParquet->MapBatches(meta_partial)"
+    union = [meta, "ReadParquet->MapBatches(_verify_slices)"
+             "->MapBatches(_failure_rows)",
+             "UnionOperator(MapBatches(meta_partial), "
+             "MapBatches(_failure_rows))"]
+    for decode, want in ((True, union), (False, [meta])):
+        out = str(tmp_path / f"out_{decode}")
+        kw = dict(captions_path=f"{d}/captions.parquet", decode=decode)
+        run_validation(f"{d}/images", out, **kw)
+        for p in (6, 7):
+            shutil.rmtree(os.path.join(out, "partitions", f"partition={p}"))
+        del ray_executions[:], start[:]
+        m = run_validation(f"{d}/images", out, **kw)
+        assert m["runs"][-1]["pending"] == [6, 7]
+        assert m["runs"][-1]["neardup_pairs"] > 0
+        assert len(ray_executions) == 4, ray_executions
+        plans = [[op.name for op in ex._topology if op.name != "Input"]
+                 for ex in ray_executions]
+        assert [p for p in plans if meta in p] == [want, want], plans
+        pairing = plans[start[0]:]
+        assert len(pairing) == 1, pairing
+        assert not any("MapBatches" in name for name in pairing[0]), pairing
+
+
+@pytest.mark.parametrize("col,typ", [("partition_id", "int64"),
+                                     ("fmt", "large_string")])
+def test_decode_listing_keeps_the_files_types(fimg_small, tmp_path, col,
+                                              typ):
+    """A partition written with an int64 ``partition_id`` (pandas'
+    default, not a declared field) or a ``large_string`` ``fmt`` (a
+    schema error) still gets a verdict: the decode listing keeps the
+    file's types, clean partition or failing one.  Only the declared
+    field's type adds a schema error; nothing else in a verdict moves."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from autoprepad_ray.pipelines.image_validation import _decode_failures
+
+    d, exp = fimg_small
+    work = tmp_path / "data"
+    shutil.copytree(d, work)
+    retyped = (2, 4)                      # a decode failure, a clean one
+    for p in retyped:
+        (f,) = (work / "images" / f"partition={p}").glob("*.parquet")
+        t = pq.read_table(f)
+        pq.write_table(t.set_column(t.schema.get_field_index(col), col,
+                                    t[col].cast(getattr(pa, typ)())), f)
+    bad, clean = (_decode_failures(
+        [str(f) for f in (work / "images" / f"partition={p}").glob("*")])
+        for p in retyped)
+    assert sorted(bad["image_id"]) == sorted(
+        i for i in exp.bad_decode_ids if i.startswith("img-0002-"))
+    assert len(clean) == 0 and clean.dtypes.equals(bad.dtypes)
+
+    kw = dict(captions_path=f"{d}/captions.parquet")
+    want = _verdicts(run_validation(f"{d}/images", str(tmp_path / "a"),
+                                    **kw))
+    got = _verdicts(run_validation(f"{work}/images", str(tmp_path / "b"),
+                                   **kw))
+    if col == "fmt":
+        for p in retyped:
+            assert got[p].pop("schema_errors") == [f"fmt: {typ} != string"]
+            assert got[p].pop("fail") == 1
+            want[p].pop("schema_errors"), want[p].pop("fail")
+    assert got == want
 
 
 def test_unreadable_partition_file_is_named(fimg_small, tmp_path):
